@@ -58,6 +58,7 @@ thread, so the same initializer serves both executors.
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import deque
 from concurrent.futures import (
@@ -92,8 +93,8 @@ class CloudResilience:
 
     Attributes:
         decode_timeout_s: Per-segment wall-clock decode budget; ``None``
-            (default) waits forever, exactly like the pre-resilience
-            farm.
+            (default) or ``inf`` waits forever, exactly like the
+            pre-resilience farm.
         max_retries: Decode-exception retries before quarantine
             (retry *once* then quarantine, by default).
         max_requeues: Crash/timeout requeues before quarantine — bounds
@@ -109,7 +110,9 @@ class CloudResilience:
     propagate_errors: bool = False
 
     def __post_init__(self) -> None:
-        if self.decode_timeout_s is not None and self.decode_timeout_s <= 0:
+        # ``not (x > 0)`` also rejects NaN, which would time out every
+        # wait and quarantine every segment; inf means no budget.
+        if self.decode_timeout_s is not None and not self.decode_timeout_s > 0:
             raise ConfigurationError("decode_timeout_s must be positive")
         if self.max_retries < 0 or self.max_requeues < 0:
             raise ConfigurationError(
@@ -577,13 +580,14 @@ class ParallelCloudService:
     def _drain_queue(
         self, queue: deque[_Pending], done: dict[int, _WorkerResult]
     ) -> None:
+        budget = self.resilience.decode_timeout_s
+        # A timed wait overflows on inf; an infinite budget is no budget.
+        timeout = None if budget == math.inf else budget
         with self.telemetry.span("cloud.parallel.drain"):
             while queue:
                 item = queue.popleft()
                 try:
-                    done[item.seq] = item.future.result(
-                        timeout=self.resilience.decode_timeout_s
-                    )
+                    done[item.seq] = item.future.result(timeout=timeout)
                     self._release_shm(item)
                 except FutureTimeoutError:
                     item.future.cancel()

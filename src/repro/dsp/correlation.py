@@ -25,12 +25,20 @@ template; set ``GALIOT_FASTCORR=off`` for the legacy one-``fftconvolve``
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy import signal as sp_signal
 
 from ..errors import ConfigurationError
 from .backend import backend_enabled
-from .fastcorr import TrackSpec, blocked_bank, correlate_accumulate, correlate_many
+from .fastcorr import (
+    TemplateBank,
+    TrackSpec,
+    blocked_bank,
+    correlate_accumulate,
+    correlate_many,
+)
 
 __all__ = [
     "cross_correlate",
@@ -76,6 +84,20 @@ def normalized_correlation(x: np.ndarray, template: np.ndarray) -> np.ndarray:
     return np.abs(corr) / (template_norm * np.maximum(window_norm, floor))
 
 
+#: Persistent sub-block banks kept by :func:`segmented_correlation`, one
+#: per distinct (template, block). Every modem syncs against one fixed
+#: reference at one stride, so a handful of entries covers the shipped
+#: modem set; the bound keeps ad-hoc callers from growing the cache.
+SEGMENTED_BANK_SLOTS = 32
+
+
+@lru_cache(maxsize=SEGMENTED_BANK_SLOTS)
+def _segmented_bank(template: bytes, block: int) -> TemplateBank:
+    """The full-block bank of one template (raw complex128 bytes)."""
+    waveform = np.frombuffer(template, dtype=np.complex128)
+    return blocked_bank(waveform, block, partial_tail=False)
+
+
 def segmented_correlation(
     x: np.ndarray, template: np.ndarray, block: int
 ) -> np.ndarray:
@@ -103,7 +125,11 @@ def segmented_correlation(
         raise ConfigurationError("template longer than signal")
     # All blocks share one forward FFT per overlap-save segment (see
     # repro.dsp.fastcorr); the tail past the last full block is dropped.
-    bank = blocked_bank(template[:used], block, partial_tail=False)
+    # The bank persists across calls, so its row sharing and template
+    # spectra are paid once per (template, block), not per demodulation.
+    bank = _segmented_bank(
+        np.asarray(template[:used], dtype=np.complex128).tobytes(), block
+    )
     if backend_enabled():
         # Fused path: block magnitudes fold into the accumulator inside
         # the engine's chunk loop, skipping the per-block track arrays.

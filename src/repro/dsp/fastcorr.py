@@ -23,31 +23,53 @@ Three pieces:
   (a detector correlates thousands of chunks of the same length, so the
   template FFTs are paid once, not per chunk).
 * :func:`correlate_many` — one forward FFT per overlap-save segment,
-  one (batched) inverse FFT per template per segment, with exact
-  "valid"-mode indexing: entry ``k`` of the result has length
+  one (batched) inverse FFT per *distinct* template per segment, with
+  exact "valid"-mode indexing: entry ``k`` of the result has length
   ``len(x) - len(t_k) + 1`` and matches
   :func:`repro.dsp.correlation.cross_correlate` sample for sample.
+  :func:`correlate_accumulate` runs the same segment loop and folds
+  block magnitudes into non-coherent accumulators as it goes.
+
+Row sharing: a preamble's coherent sub-blocks repeat, so a blocked bank
+holds the same waveform many times up to a carrier phase. At
+construction the bank maps every template ``t`` that equals an earlier
+same-length template ``r`` times a unit-modulus factor ``g`` (``|g| = 1``
+and ``max|t - g r|`` both within :data:`ALIAS_RTOL` of ``max|t|``) onto
+``r``'s row. The engine computes spectra, inverse FFTs and magnitudes
+for distinct rows only, and derives every alias from its
+representative: ``correlate(x, g r) = conj(g) correlate(x, r)``, so an
+alias's magnitude track *is* its representative's. Measured on the
+shipped sync banks: Z-Wave at its demodulator's stride has 44 blocks in
+3 distinct rows, XBee 24 in 11, LoRa at the classify stride 49 in 16.
+The distinct counts are the same for any tolerance from 1e-12 to 1e-6
+(repeats match to ~1e-15; the closest distinct pair differs by ~4e-5).
+A one-row bank — the coherent universal template — has nothing to
+share and runs exactly as before.
 
 Numerical contract: results are ``allclose`` to the single-shot
 ``fftconvolve`` path but **not** bit-identical — ``fftconvolve`` rounds
 through one FFT of length ``next_fast_len(len(x) + len(t) - 1)`` while
 overlap-save rounds through segments of a different (usually much
-shorter) length, so the last few ulps differ. Event-level detector
-output is unaffected in practice (detection margins dwarf the ulp
-noise); the equivalence tests and ``benchmarks/bench_detection.py``
+shorter) length, so the last few ulps differ. Within the engine, an
+alias's magnitudes equal its representative's to rounding, and its
+complex track is ``conj(g)`` times the representative's. Event-level
+detector output is unaffected in practice (detection margins dwarf the
+ulp noise); the equivalence tests and ``benchmarks/bench_detection.py``
 assert exactly that.
 
 Set ``GALIOT_FASTCORR=off`` (or call :func:`set_fastcorr`) to fall back
 to the legacy per-template ``fftconvolve`` path, which *is*
 bit-identical to the pre-engine code — the equivalence tests diff the
-two engines against each other.
+two engines against each other. The fallback correlates every template,
+aliases included, on its own.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 from collections import OrderedDict
-from collections.abc import Hashable, Iterable, Mapping
+from collections.abc import Hashable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, log2
@@ -92,6 +114,13 @@ SPECTRA_CACHE_SLOTS = 4
 #: segments share one batched call so a small-template bank (hundreds of
 #: segments) never materializes a multi-hundred-megabyte product tensor.
 BATCH_WORK_ELEMENTS = 2_097_152
+
+#: Relative tolerance of the row-sharing test in :class:`TemplateBank`:
+#: a template ``t`` shares the row of an earlier template ``r`` when
+#: ``t = g r`` with ``|1 - |g|| <= ALIAS_RTOL`` and
+#: ``max|t - g r| <= ALIAS_RTOL * max|t|`` — float-rounding level, so
+#: only waveforms that are the same up to a carrier phase merge.
+ALIAS_RTOL = 1e-12
 
 
 _ENGINE_ENABLED = os.environ.get("GALIOT_FASTCORR", "on").strip().lower() not in {
@@ -236,6 +265,50 @@ def clear_spectrum_plan_cache() -> None:
     _cached_spectrum_plan.cache_clear()
 
 
+def _share_rows(
+    templates: list[np.ndarray],
+) -> tuple[list[int], list[complex]]:
+    """Representative index and unit factor ``g`` of each template.
+
+    ``templates[i] == g[i] * templates[rep[i]]`` to within
+    :data:`ALIAS_RTOL`; a template no earlier one matches is its own
+    representative (``rep[i] == i``, ``g[i] == 1``). Candidates come
+    from one Gram matrix per template length (the least-squares factor
+    of ``t`` on ``r`` is ``<r, t> / <r, r>``); the sample-wise residual
+    then confirms each merge.
+    """
+    reps = list(range(len(templates)))
+    phases = [1 + 0j] * len(templates)
+    by_length: dict[int, list[int]] = {}
+    for index, template in enumerate(templates):
+        by_length.setdefault(len(template), []).append(index)
+    for indices in by_length.values():
+        if len(indices) < 2:
+            continue
+        stack = np.stack([templates[i] for i in indices])
+        # einsum, not ``@``: a threaded BLAS spends milliseconds waking
+        # its threads for a Gram matrix this small.
+        gram = np.einsum("ik,jk->ij", stack.conj(), stack)
+        energy = gram.diagonal().real
+        # A silent template factors onto nothing (g = 0 fails |g| = 1).
+        energy = np.where(energy > 0, energy, np.inf)
+        peaks = np.abs(stack).max(axis=1)
+        distinct: list[int] = []
+        for pos, index in enumerate(indices):
+            cands = np.array(distinct, dtype=np.intp)
+            factors = gram[cands, pos] / energy[cands]
+            unit = np.abs(np.abs(factors) - 1) <= ALIAS_RTOL
+            for cand, g in zip(cands[unit], factors[unit], strict=True):
+                residual = np.abs(stack[pos] - g * stack[cand]).max()
+                if residual <= ALIAS_RTOL * peaks[pos]:
+                    reps[index] = indices[cand]
+                    phases[index] = complex(g)
+                    break
+            else:
+                distinct.append(pos)
+    return reps, phases
+
+
 class TemplateBank:
     """The (conjugate) template spectra of one detector, cached per nfft.
 
@@ -243,6 +316,11 @@ class TemplateBank:
     conjugate spectra at a given FFT length are computed on first use
     and kept on the bank (:data:`SPECTRA_CACHE_SLOTS` most recent
     lengths), so steady-state chunks pay zero template FFTs.
+
+    Templates that equal an earlier one up to a unit-modulus factor
+    share its row (see the module docstring): the spectra matrix holds
+    one row per *distinct* template, :meth:`row` maps every key onto
+    it, and :meth:`phase` gives the key's factor ``g``.
 
     Args:
         templates: Mapping of hashable keys (technology names, block
@@ -257,18 +335,33 @@ class TemplateBank:
         if not templates:
             raise ConfigurationError("template bank must not be empty")
         self._templates: dict[Hashable, np.ndarray] = {}
-        self._rows: dict[Hashable, int] = {}
-        for row, (key, waveform) in enumerate(templates.items()):
+        for key, waveform in templates.items():
             template = ensure_iq(waveform).copy()
             if len(template) == 0:
                 raise ConfigurationError("template must not be empty")
             template.flags.writeable = False
             self._templates[key] = template
-            self._rows[key] = row
+        listed = list(self._templates.values())
+        reps, phases = _share_rows(listed)
+        distinct = sorted(set(reps))
+        row_of = {rep: row for row, rep in enumerate(distinct)}
+        self._distinct = [listed[i] for i in distinct]
+        self._rows = {
+            key: row_of[rep] for key, rep in zip(self._templates, reps, strict=True)
+        }
+        self._phases = dict(zip(self._templates, phases, strict=True))
         self._spectra_cache: OrderedDict[int, np.ndarray] = OrderedDict()
+        # Banks can be shared across decode threads (the persistent
+        # sync banks of repro.dsp.correlation); guard the LRU.
+        self._spectra_lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._templates)
+
+    @property
+    def n_distinct(self) -> int:
+        """Distinct rows: templates left after row sharing."""
+        return len(self._distinct)
 
     def keys(self) -> list[Hashable]:
         """Entry keys in insertion order."""
@@ -283,8 +376,16 @@ class TemplateBank:
         return len(self._templates[key])
 
     def row(self, key: Hashable) -> int:
-        """Row of ``key`` in the stacked spectra matrix."""
+        """Row of ``key``'s distinct template in the spectra matrix."""
         return self._rows[key]
+
+    def phase(self, key: Hashable) -> complex:
+        """Unit factor ``g`` with ``template(key) == g * distinct row``.
+
+        ``1`` for a distinct template; the correlation against
+        ``key`` is ``conj(g)`` times its row's correlation.
+        """
+        return self._phases[key]
 
     @property
     def max_template_len(self) -> int:
@@ -294,25 +395,28 @@ class TemplateBank:
     def spectra(self, nfft: int) -> np.ndarray:
         """Stacked conjugate spectra ``conj(FFT(t_k, nfft))``.
 
-        Shape ``(len(bank), nfft)``; row order matches :meth:`row`.
-        Cached per ``nfft`` (LRU over :data:`SPECTRA_CACHE_SLOTS`).
+        Shape ``(n_distinct, nfft)``, one row per distinct template;
+        :meth:`row` maps keys onto it. Cached per ``nfft`` (LRU over
+        :data:`SPECTRA_CACHE_SLOTS`).
         """
-        cached = self._spectra_cache.get(nfft)
-        if cached is not None:
-            self._spectra_cache.move_to_end(nfft)
-            return cached
-        matrix = np.empty((len(self._templates), nfft), dtype=np.complex128)
-        for row, template in enumerate(self._templates.values()):
-            matrix[row] = np.conj(sp_fft.fft(template, n=nfft))
-        matrix.flags.writeable = False
-        self._spectra_cache[nfft] = matrix
-        while len(self._spectra_cache) > SPECTRA_CACHE_SLOTS:
-            self._spectra_cache.popitem(last=False)
-        return matrix
+        with self._spectra_lock:
+            cached = self._spectra_cache.get(nfft)
+            if cached is not None:
+                self._spectra_cache.move_to_end(nfft)
+                return cached
+            matrix = np.empty((len(self._distinct), nfft), dtype=np.complex128)
+            for row, template in enumerate(self._distinct):
+                matrix[row] = np.conj(sp_fft.fft(template, n=nfft))
+            matrix.flags.writeable = False
+            self._spectra_cache[nfft] = matrix
+            while len(self._spectra_cache) > SPECTRA_CACHE_SLOTS:
+                self._spectra_cache.popitem(last=False)
+            return matrix
 
     def clear_spectra(self) -> None:
         """Drop the cached spectra (tests and memory pressure)."""
-        self._spectra_cache.clear()
+        with self._spectra_lock:
+            self._spectra_cache.clear()
 
 
 def blocked_bank(
@@ -369,6 +473,71 @@ def _fallback_correlate(
     }
 
 
+def _distinct_rows(
+    bank: TemplateBank, keys: list[Hashable]
+) -> tuple[list[int], dict[Hashable, int]]:
+    """The distinct bank rows ``keys`` use (ascending), and the index of
+    each key's row in that list."""
+    rows = sorted({bank.row(key) for key in keys})
+    index = {row: i for i, row in enumerate(rows)}
+    return rows, {key: index[bank.row(key)] for key in keys}
+
+
+def _overlap_save(
+    x: np.ndarray,
+    bank: TemplateBank,
+    rows: list[int],
+    lengths: list[int],
+    telemetry: Telemetry,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """The shared segment loop of :func:`correlate_many` and
+    :func:`correlate_accumulate`, over distinct bank ``rows`` only.
+
+    Yields ``(pos0, corr)`` per batch of segments: ``corr`` has shape
+    ``(segments, len(rows), hop)`` and ``corr[s, i]`` holds lags
+    ``pos0 + s * hop`` to ``pos0 + (s + 1) * hop`` of row ``rows[i]``'s
+    valid-mode track (lags past a track's end are garbage). ``lengths``
+    are the requested templates' lengths; the shortest one's track is
+    the longest and sets the segment count.
+    """
+    n_samples = len(x)
+    plan = spectrum_plan(n_samples, max(lengths), len(rows), min(lengths))
+    nfft, hop, n_segments = plan.nfft, plan.hop, plan.n_segments
+    with telemetry.span("fastcorr.correlate"):
+        spectra = bank.spectra(nfft)
+        # Every row requested (rows are ascending): use the cached matrix
+        # as is instead of copying it on every call.
+        row_spectra = spectra if len(rows) == len(spectra) else spectra[rows]
+        # All overlap-save segments go through ONE batched forward FFT:
+        # a small-template bank plans hundreds of short segments, and
+        # paying a separate scipy dispatch per segment used to dominate
+        # the actual FFT work on the cloud classify path.
+        segmat = np.zeros((n_segments, nfft), dtype=np.complex128)
+        for seg in range(n_segments):
+            pos = seg * hop
+            stop = min(pos + nfft, n_samples)
+            segmat[seg, : stop - pos] = x[pos:stop]
+        fwd = sp_fft.fft(segmat, axis=1)
+        # Inverse FFTs batch over (segments x rows), chunked so the
+        # product tensor stays under BATCH_WORK_ELEMENTS. One product
+        # buffer is reused across chunks and the inverse FFT works in
+        # place on it, so each chunk costs one working set, not three.
+        chunk = max(1, BATCH_WORK_ELEMENTS // (len(rows) * nfft))
+        product = np.empty(
+            (min(chunk, n_segments), len(rows), nfft), dtype=np.complex128
+        )
+        for c0 in range(0, n_segments, chunk):
+            c1 = min(c0 + chunk, n_segments)
+            work = product[: c1 - c0]
+            np.multiply(fwd[c0:c1, None, :], row_spectra[None, :, :], out=work)
+            corr = sp_fft.ifft(work, axis=2, overwrite_x=True)
+            # Each segment's first ``hop`` lags are wrap-free, so
+            # consecutive segments tile the track contiguously.
+            yield c0 * hop, corr[:, :, :hop]
+    telemetry.count("fastcorr.forward_ffts", n_segments)
+    telemetry.count("fastcorr.inverse_ffts", n_segments * len(rows))
+
+
 def correlate_many(
     x: npt.ArrayLike,
     bank: TemplateBank,
@@ -378,10 +547,12 @@ def correlate_many(
     """Valid-mode complex correlation of ``x`` against many templates.
 
     One forward FFT per overlap-save segment is shared by every
-    requested template; each template costs one (batched) inverse FFT
-    per segment. Entry ``k`` of the result is exactly
-    ``cross_correlate(x, bank.template(k))`` up to FFT rounding:
-    ``c[n] = sum_j conj(t[j]) x[n + j]``, length ``len(x) - len(t) + 1``.
+    requested template; each distinct template costs one (batched)
+    inverse FFT per segment, and an alias ``g r`` of a distinct
+    template ``r`` gets ``conj(g)`` times ``r``'s track. Entry ``k`` of
+    the result is exactly ``cross_correlate(x, bank.template(k))`` up
+    to FFT rounding: ``c[n] = sum_j conj(t[j]) x[n + j]``, length
+    ``len(x) - len(t) + 1``.
 
     Args:
         x: Received complex samples.
@@ -411,61 +582,28 @@ def correlate_many(
         telemetry.count("fastcorr.fallback_correlations", len(requested))
         return out
 
-    plan = spectrum_plan(
-        n_samples, max(lengths), len(requested), min(lengths)
-    )
-    with telemetry.span("fastcorr.correlate"):
-        spectra = bank.spectra(plan.nfft)
-        rows = np.fromiter(
-            (bank.row(key) for key in requested), dtype=np.intp
-        )
-        bank_spectra = spectra[rows]
-        out_lens = [n_samples - length + 1 for length in lengths]
-        out = {
-            key: np.empty(out_len, dtype=np.complex128)
-            for key, out_len in zip(requested, out_lens, strict=True)
-        }
-        longest_track = max(out_lens)
-        nfft, hop = plan.nfft, plan.hop
-        n_segments = ceil(longest_track / hop)
-        # All overlap-save segments go through ONE batched forward FFT:
-        # a small-template bank plans hundreds of short segments, and
-        # paying a separate scipy dispatch per segment used to dominate
-        # the actual FFT work on the cloud classify path.
-        segmat = np.zeros((n_segments, nfft), dtype=np.complex128)
-        for seg in range(n_segments):
-            pos = seg * hop
-            stop = min(pos + nfft, n_samples)
-            segmat[seg, : stop - pos] = x[pos:stop]
-        fwd = sp_fft.fft(segmat, axis=1)
-        # Inverse FFTs batch over (segments x templates), chunked so the
-        # product tensor stays under BATCH_WORK_ELEMENTS. One product
-        # buffer is reused across chunks and the inverse FFT works in
-        # place on it, so each chunk costs one working set, not three.
-        n_keys = len(requested)
-        chunk = max(1, BATCH_WORK_ELEMENTS // (n_keys * nfft))
-        product = np.empty(
-            (min(chunk, n_segments), n_keys, nfft), dtype=np.complex128
-        )
-        for c0 in range(0, n_segments, chunk):
-            c1 = min(c0 + chunk, n_segments)
-            work = product[: c1 - c0]
-            np.multiply(fwd[c0:c1, None, :], bank_spectra[None, :, :], out=work)
-            corr = sp_fft.ifft(work, axis=2, overwrite_x=True)
-            pos0 = c0 * hop
-            for row, (key, out_len) in enumerate(
-                zip(requested, out_lens, strict=True)
-            ):
-                if pos0 >= out_len:
-                    continue
-                # Each segment's first ``hop`` lags are wrap-free, so
-                # consecutive segments tile the track contiguously.
-                end = min(c1 * hop, out_len)
-                out[key][pos0:end] = corr[:, row, :hop].reshape(-1)[
-                    : end - pos0
-                ]
-    telemetry.count("fastcorr.forward_ffts", n_segments)
-    telemetry.count("fastcorr.inverse_ffts", n_segments * n_keys)
+    rows, local = _distinct_rows(bank, requested)
+    out_lens = [n_samples - length + 1 for length in lengths]
+    out = {
+        key: np.empty(out_len, dtype=np.complex128)
+        for key, out_len in zip(requested, out_lens, strict=True)
+    }
+    for pos0, corr in _overlap_save(x, bank, rows, lengths, telemetry):
+        span = corr.shape[0] * corr.shape[2]
+        tracks: dict[int, np.ndarray] = {}
+        for key, out_len in zip(requested, out_lens, strict=True):
+            if pos0 >= out_len:
+                continue
+            end = min(pos0 + span, out_len)
+            i = local[key]
+            if i not in tracks:
+                tracks[i] = corr[:, i, :].reshape(-1)
+            track = tracks[i][: end - pos0]
+            phase = bank.phase(key)
+            if phase == 1:
+                out[key][pos0:end] = track
+            else:
+                np.multiply(track, phase.conjugate(), out=out[key][pos0:end])
     return out
 
 
@@ -502,10 +640,12 @@ def correlate_accumulate(
     sub-block — normally materializes one full complex track per
     template (tens of megabytes per classify pass on a wide bank) only
     to reduce each to a magnitude immediately. This entry point performs
-    the reduction *inside* the overlap-save chunk loop: every template's
-    correlation chunk is folded into its group's real accumulator as
-    soon as it leaves the inverse FFT, and the per-template complex
-    tracks are never stored.
+    the reduction *inside* the overlap-save chunk loop: each distinct
+    row's correlation chunk is reduced to magnitudes once as it leaves
+    the inverse FFT, and every ``(key, offset)`` pair folds its row's
+    magnitudes into its group's real accumulator (``|conj(g) c| = |c|``,
+    so an alias needs nothing of its own). The complex tracks are never
+    stored.
 
     Args:
         x: Received complex samples.
@@ -531,17 +671,15 @@ def correlate_accumulate(
             if key not in seen:
                 seen.add(key)
                 requested.append(key)
+    acc = {
+        group: np.zeros(spec.out_len) for group, spec in specs.items()
+    }
     if not requested:
-        return {
-            group: np.zeros(spec.out_len) for group, spec in specs.items()
-        }
+        return acc
     lengths = [bank.length(key) for key in requested]
     n_samples = len(x)
     if max(lengths) > n_samples:
         raise ConfigurationError("template longer than signal")
-    acc = {
-        group: np.zeros(spec.out_len) for group, spec in specs.items()
-    }
     if not _ENGINE_ENABLED:
         with telemetry.span("fastcorr.correlate"):
             tracks = _fallback_correlate(x, bank, requested)
@@ -557,63 +695,39 @@ def correlate_accumulate(
         telemetry.count("fastcorr.fallback_correlations", len(requested))
         return acc
 
-    plan = spectrum_plan(
-        n_samples, max(lengths), len(requested), min(lengths)
-    )
-    with telemetry.span("fastcorr.correlate"):
-        spectra = bank.spectra(plan.nfft)
-        rows = np.fromiter(
-            (bank.row(key) for key in requested), dtype=np.intp
-        )
-        bank_spectra = spectra[rows]
-        local_rows = {key: i for i, key in enumerate(requested)}
-        track_lens = {
-            key: n_samples - length + 1
-            for key, length in zip(requested, lengths, strict=True)
-        }
-        longest_track = max(track_lens.values())
-        nfft, hop = plan.nfft, plan.hop
-        n_segments = ceil(longest_track / hop)
-        segmat = np.zeros((n_segments, nfft), dtype=np.complex128)
-        for seg in range(n_segments):
-            pos = seg * hop
-            stop = min(pos + nfft, n_samples)
-            segmat[seg, : stop - pos] = x[pos:stop]
-        fwd = sp_fft.fft(segmat, axis=1)
-        n_keys = len(requested)
-        chunk = max(1, BATCH_WORK_ELEMENTS // (n_keys * nfft))
-        product = np.empty(
-            (min(chunk, n_segments), n_keys, nfft), dtype=np.complex128
-        )
-        for c0 in range(0, n_segments, chunk):
-            c1 = min(c0 + chunk, n_segments)
-            work = product[: c1 - c0]
-            np.multiply(fwd[c0:c1, None, :], bank_spectra[None, :, :], out=work)
-            corr = sp_fft.ifft(work, axis=2, overwrite_x=True)
-            pos0 = c0 * hop
-            flat = corr[:, :, :hop]
-            for group, spec in specs.items():
-                target = acc[group]
-                for key, offset in spec.pairs:
-                    track_len = track_lens[key]
-                    if pos0 >= track_len:
-                        continue
-                    t_end = min(c1 * hop, track_len)
-                    # Track positions [pos0, t_end) feed accumulator
-                    # positions [pos0 - offset, t_end - offset), clipped
-                    # to the accumulator's own range.
-                    a0 = max(pos0 - offset, 0)
-                    a1 = min(t_end - offset, spec.out_len)
-                    if a1 <= a0:
-                        continue
-                    row = local_rows[key]
-                    values = flat[:, row, :].reshape(-1)[
-                        a0 + offset - pos0 : a1 + offset - pos0
-                    ]
-                    magnitude = np.abs(values)
-                    if spec.squared:
-                        np.multiply(magnitude, magnitude, out=magnitude)
-                    target[a0:a1] += magnitude
-    telemetry.count("fastcorr.forward_ffts", n_segments)
-    telemetry.count("fastcorr.inverse_ffts", n_segments * n_keys)
+    rows, local = _distinct_rows(bank, requested)
+    track_lens = {
+        key: n_samples - length + 1
+        for key, length in zip(requested, lengths, strict=True)
+    }
+    any_squared = any(spec.squared for spec in specs.values())
+    all_squared = all(spec.squared for spec in specs.values())
+    for pos0, corr in _overlap_save(x, bank, rows, lengths, telemetry):
+        n_seg, n_rows, hop = corr.shape
+        # Row-major magnitudes: row i's lags pos0.. are one contiguous run.
+        magnitude = np.empty((n_rows, n_seg, hop))
+        np.abs(corr, out=magnitude.transpose(1, 0, 2))
+        magnitude = magnitude.reshape(n_rows, n_seg * hop)
+        power = None
+        if any_squared:
+            # In place unless some spec still needs plain magnitudes.
+            power = np.square(magnitude, out=magnitude if all_squared else None)
+        for group, spec in specs.items():
+            source = power if spec.squared else magnitude
+            target = acc[group]
+            for key, offset in spec.pairs:
+                track_len = track_lens[key]
+                if pos0 >= track_len:
+                    continue
+                t_end = min(pos0 + n_seg * hop, track_len)
+                # Track positions [pos0, t_end) feed accumulator
+                # positions [pos0 - offset, t_end - offset), clipped
+                # to the accumulator's own range.
+                a0 = max(pos0 - offset, 0)
+                a1 = min(t_end - offset, spec.out_len)
+                if a1 <= a0:
+                    continue
+                target[a0:a1] += source[
+                    local[key], a0 + offset - pos0 : a1 + offset - pos0
+                ]
     return acc

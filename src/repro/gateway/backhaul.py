@@ -54,11 +54,15 @@ class BackhaulLink:
     _last_submit: float = field(default=float("-inf"), repr=False)
 
     def __post_init__(self) -> None:
-        if self.rate_bps <= 0:
+        # ``not (x > 0)``, not ``x <= 0``: every comparison with NaN is
+        # false, and a NaN bound must fail the check, not pass it (a NaN
+        # queue bound never refuses; a NaN rate or latency makes every
+        # arrival time NaN). inf is a valid bound.
+        if not self.rate_bps > 0:
             raise ConfigurationError("rate_bps must be positive")
-        if self.latency_s < 0:
+        if not self.latency_s >= 0:
             raise ConfigurationError("latency_s must be >= 0")
-        if self.max_queue_s <= 0:
+        if not self.max_queue_s > 0:
             raise ConfigurationError("max_queue_s must be positive")
 
     def ship(self, n_bits: int, at_time: float) -> Shipment:

@@ -46,6 +46,27 @@ class TestBackhaul:
         with pytest.raises(ConfigurationError):
             link.utilization(0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"rate_bps": float("nan")},
+            {"latency_s": float("nan")},
+            {"max_queue_s": float("nan")},
+        ],
+    )
+    def test_nan_parameters_rejected(self, kwargs):
+        # NaN fails every comparison, so a ``<= 0`` check let it through:
+        # a NaN queue bound never refused, a NaN rate or latency gave
+        # NaN arrival times.
+        with pytest.raises(ConfigurationError):
+            BackhaulLink(**kwargs)
+
+    def test_infinite_parameters_allowed(self):
+        link = BackhaulLink(rate_bps=float("inf"), max_queue_s=float("inf"))
+        assert link.ship(10_000, at_time=0.0).arrived_at == pytest.approx(0.02)
+        slow = BackhaulLink(rate_bps=1e3, latency_s=float("inf"))
+        assert slow.ship(1, at_time=0.0).arrived_at == float("inf")
+
 
 class TestEdge:
     def _segment(self, samples, detections=1):

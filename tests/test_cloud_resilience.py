@@ -196,6 +196,17 @@ class TestCrashes:
         assert telemetry.counters["cloud.parallel.timeouts"] == 1
 
 
+    def test_infinite_timeout_waits_like_no_budget(
+        self, duo, batch, serial_reference
+    ):
+        resilience = CloudResilience(decode_timeout_s=float("inf"))
+        with _farm(duo, resilience=resilience) as farm:
+            results = farm.process_segments(batch)
+        assert results == serial_reference
+        assert farm.quarantine == []
+        assert farm.stats.requeued == 0
+
+
 class TestCloseLifecycle:
     def test_close_is_idempotent(self, duo):
         farm = _farm(duo)
@@ -241,6 +252,10 @@ class TestCloseLifecycle:
     def test_resilience_validation(self):
         with pytest.raises(ConfigurationError):
             CloudResilience(decode_timeout_s=0.0)
+        # NaN slipped past ``<= 0`` and timed out every wait, so every
+        # segment was requeued and then quarantined.
+        with pytest.raises(ConfigurationError):
+            CloudResilience(decode_timeout_s=float("nan"))
         with pytest.raises(ConfigurationError):
             CloudResilience(max_retries=-1)
         with pytest.raises(ConfigurationError):

@@ -1,12 +1,15 @@
 """Tests for the shared-FFT overlap-save engine (repro.dsp.fastcorr).
 
-Two contracts are pinned here:
+Three contracts are pinned here:
 
 * **Engine off** (``GALIOT_FASTCORR=off``) is *bit-identical* to the
   legacy one-``fftconvolve``-per-template path.
 * **Engine on** agrees with the legacy path to float tolerance on raw
   score tracks (different FFT lengths round differently) and **exactly**
   at the event level for every detector, monolithic and streamed.
+* **Row sharing**: templates equal up to a unit-modulus factor share one
+  row (one inverse FFT per segment) and still agree with the legacy
+  path to float tolerance; anything else stays a row of its own.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ from repro.dsp.fastcorr import (
     MAX_SPECTRA_ELEMENTS,
     SPECTRA_CACHE_SLOTS,
     TemplateBank,
+    TrackSpec,
     blocked_bank,
     clear_spectrum_plan_cache,
+    correlate_accumulate,
     correlate_many,
     fastcorr_enabled,
     set_fastcorr,
@@ -208,6 +213,118 @@ class TestCorrelateMany:
         correlate_many(_noise(rng, 1000), bank, telemetry=telemetry)
         counters = telemetry.snapshot()["counters"]
         assert counters["fastcorr.fallback_correlations"] == 1
+
+
+def _zwave_sync_bank(zwave):
+    """The sub-block bank Z-Wave's demodulator syncs with: the sync
+    reference and block at ``sample_sync_strided``'s stride, full blocks
+    only (``segmented_correlation``)."""
+    stride = max(zwave._sps // 10, 1)
+    block = max(2 * zwave._sps // stride, 4)
+    return blocked_bank(zwave.sync_reference()[::stride], block, partial_tail=False)
+
+
+def _blocked_spec(bank, n_samples, squared=False):
+    """One accumulator over every block of a ``blocked_bank``."""
+    used = sum(bank.length(key) for key in bank.keys())
+    return TrackSpec(
+        pairs=tuple((offset, offset) for offset in bank.keys()),
+        out_len=n_samples - used + 1,
+        squared=squared,
+    )
+
+
+class TestRowSharing:
+    """Templates equal up to a unit-modulus factor share one row."""
+
+    def test_zwave_sync_bank_has_three_distinct_rows(self, zwave):
+        bank = _zwave_sync_bank(zwave)
+        assert len(bank) == 44
+        assert bank.n_distinct == 3
+        assert bank.spectra(256).shape == (3, 256)
+
+    def test_accumulate_runs_one_inverse_fft_per_distinct_row(self, zwave, rng):
+        bank = _zwave_sync_bank(zwave)
+        x = _noise(rng, 20_000)
+        telemetry = Telemetry()
+        correlate_accumulate(
+            x, bank, {0: _blocked_spec(bank, len(x))}, telemetry=telemetry
+        )
+        counters = telemetry.snapshot()["counters"]
+        n_segments = counters["fastcorr.forward_ffts"]
+        assert counters["fastcorr.inverse_ffts"] == n_segments * 3
+
+    @pytest.mark.parametrize("squared", [False, True])
+    def test_accumulate_matches_fallback(self, zwave, rng, squared):
+        bank = _zwave_sync_bank(zwave)
+        x = _noise(rng, 20_000)
+        specs = {0: _blocked_spec(bank, len(x), squared)}
+        on = correlate_accumulate(x, bank, specs)[0]
+        previous = set_fastcorr(False)
+        try:
+            off = correlate_accumulate(x, bank, specs)[0]
+        finally:
+            set_fastcorr(previous)
+        assert np.allclose(on, off, rtol=1e-9)
+
+    def test_mixed_specs_over_aliases_match_fallback(self, rng):
+        # Squared and plain accumulators read the same shared rows.
+        t = _noise(rng, 64)
+        bank = TemplateBank({"t": t, "alias": np.exp(0.3j) * t, "u": _noise(rng, 64)})
+        assert bank.n_distinct == 2
+        x = _noise(rng, 5000)
+        specs = {
+            "sq": TrackSpec(pairs=(("t", 0), ("alias", 5)), out_len=4900),
+            "abs": TrackSpec(
+                pairs=(("alias", 0), ("u", 3)), out_len=4900, squared=False
+            ),
+        }
+        on = correlate_accumulate(x, bank, specs)
+        previous = set_fastcorr(False)
+        try:
+            off = correlate_accumulate(x, bank, specs)
+        finally:
+            set_fastcorr(previous)
+        for group in specs:
+            assert np.allclose(on[group], off[group], rtol=1e-9)
+
+    def test_correlate_many_alias_matches_cross_correlate(self, rng):
+        t = _noise(rng, 300)
+        g = np.exp(1j * 2.1)
+        templates = {"t": t, "alias": g * t, "other": _noise(rng, 300)}
+        bank = TemplateBank(templates)
+        assert bank.n_distinct == 2
+        assert bank.row("alias") == bank.row("t")
+        assert np.isclose(bank.phase("alias"), g, rtol=0, atol=1e-12)
+        x = _noise(rng, 30_000)
+        telemetry = Telemetry()
+        out = correlate_many(x, bank, telemetry=telemetry)
+        for key, template in templates.items():
+            assert np.allclose(
+                out[key], cross_correlate(x, template), rtol=1e-9, atol=1e-11
+            )
+        counters = telemetry.snapshot()["counters"]
+        assert counters["fastcorr.inverse_ffts"] == 2 * counters["fastcorr.forward_ffts"]
+        # Requesting only an alias still scores it through its row.
+        alone = correlate_many(x, bank, keys=["alias"])
+        assert set(alone) == {"alias"}
+        assert np.allclose(alone["alias"], out["alias"], rtol=1e-12, atol=0)
+
+    def test_non_unit_scale_conjugate_length_and_silence_not_merged(self, rng):
+        t = _noise(rng, 128)
+        bank = TemplateBank(
+            {
+                "t": t,
+                "scaled": 2 * t,
+                "conj": np.conj(t),
+                "shorter": t[:-1],
+                "padded": np.concatenate([t, [0j]]),
+                "silent": np.zeros(128, complex),
+                "silent_too": np.zeros(128, complex),
+            }
+        )
+        assert bank.n_distinct == len(bank)
+        assert all(bank.phase(key) == 1 for key in bank.keys())
 
 
 def _legacy_matched_filter_track(x, template, block):
