@@ -4,9 +4,8 @@
 Measures the serial :class:`~repro.cloud.pipeline.CloudService` against
 :class:`~repro.cloud.parallel.ParallelCloudService` at several pool
 sizes over one fixture batch of shipped segments (clean frames plus
-two-technology collisions), checks that every parallel run is
-result-identical to the serial run, and A/B-tests the serial path with
-the resample-plan cache disabled.
+two-technology collisions), and checks that every parallel run is
+result-identical to the serial run.
 
 Unlike the pytest-benchmark files next to it, this is a standalone
 script: it emits a machine-readable ``BENCH_cloud_scaling.json`` so
@@ -37,14 +36,11 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.cloud import CloudService, ParallelCloudService  # noqa: E402
-from repro.dsp.backend import set_backend  # noqa: E402
-from repro.dsp.fastcorr import set_fastcorr  # noqa: E402
 from repro.dsp.resample import (  # noqa: E402
     clear_resample_plan_cache,
     resample_plan_builds,
     resample_plan_cache_info,
     reset_resample_plan_builds,
-    set_resample_plan_cache,
 )
 from repro.net.scene import SceneBuilder  # noqa: E402
 from repro.net.traffic import collision_scene  # noqa: E402
@@ -61,8 +57,8 @@ def build_segments(
     """A fixture batch: alternating clean frames and 2-deep collisions.
 
     The modem set includes sigfox (16 kHz native) alongside the paper's
-    trio (1 MHz native), so every classify pass exercises the cross-rate
-    resampling the plan cache exists for.
+    trio (1 MHz native), so every classify pass exercises cross-rate
+    resampling.
     """
     modems = [create_modem(n) for n in ("lora", "xbee", "zwave", "sigfox")]
     by = {m.name: m for m in modems}
@@ -160,7 +156,7 @@ def main(argv: list[str] | None = None) -> int:
             file=sys.stderr,
         )
 
-    # Serial reference (plan cache on — the shipping configuration).
+    # Serial reference.
     clear_resample_plan_cache()
     ref_results, ref_stats, _warm = run_serial(modems, segments)
     reset_resample_plan_builds()
@@ -170,62 +166,11 @@ def main(argv: list[str] | None = None) -> int:
     cache_info = resample_plan_cache_info()
     serial_rate = n_segments / t_serial
     print(f"serial           : {t_serial:7.2f} s  {serial_rate:6.3f} seg/s "
-          f"(plan cache: {cache_info.hits} hits / {cache_info.misses} misses)")
-
-    # Serial with the vectorized PHY kernels off (the pre-backend hot
-    # path). Like the engine leg below, decode results must match — the
-    # backend is a performance lever, never a behaviour change.
-    set_backend("off")
-    try:
-        bk_results, _bk_stats, t_backend_off = run_serial(modems, segments)
-    finally:
-        set_backend("numpy")
-    backend_equivalent = bk_results == ref_results
-    backend_speedup = t_backend_off / t_serial
-    print(f"serial (bknd off): {t_backend_off:7.2f} s  "
-          f"{n_segments / t_backend_off:6.3f} seg/s "
-          f"-> backend speedup {backend_speedup:.3f}x, "
-          f"identical={backend_equivalent}")
-
-    # Serial with the shared-FFT engine off (the pre-engine hot path).
-    # Decode results must be equivalent — the engine is a performance
-    # lever, never a behaviour change — and this assertion is what the
-    # CI smoke job runs under GALIOT_SANITIZE=raise.
-    set_fastcorr(False)
-    try:
-        eng_results, _eng_stats, t_engine_off = run_serial(modems, segments)
-    finally:
-        set_fastcorr(True)
-    engine_equivalent = eng_results == ref_results
-    fastcorr_speedup = t_engine_off / t_serial
-    print(f"serial (eng. off): {t_engine_off:7.2f} s  "
-          f"{n_segments / t_engine_off:6.3f} seg/s "
-          f"-> fastcorr speedup {fastcorr_speedup:.3f}x, "
-          f"identical={engine_equivalent}")
-
-    # Serial with the plan cache bypassed (the pre-cache hot path).
-    # Expect ~1.0x here, and that is honest, not a warming accident:
-    # since the per-buffer NativeRateCache collapsed per-call resampling
-    # (PR 6), a decode pass re-derives only a handful of plans, so the
-    # plan cache saves milliseconds per batch. The build counters below
-    # quantify exactly how much work the cache dodges.
-    set_resample_plan_cache(False)
-    reset_resample_plan_builds()
-    try:
-        nc_results, _nc_stats, t_nocache = run_serial(modems, segments)
-    finally:
-        set_resample_plan_cache(True)
-    no_cache_plan_builds = resample_plan_builds()
-    plan_cache_speedup = t_nocache / t_serial
-    cache_equivalent = nc_results == ref_results
-    print(f"serial (no cache): {t_nocache:7.2f} s  {n_segments / t_nocache:6.3f} seg/s "
-          f"-> plan-cache speedup {plan_cache_speedup:.3f}x, "
-          f"identical={cache_equivalent} "
-          f"(plan builds: {no_cache_plan_builds} uncached "
-          f"vs {serial_plan_builds} cached)")
+          f"(plan cache: {cache_info.hits} hits / {cache_info.misses} misses, "
+          f"{serial_plan_builds} plan builds)")
 
     parallel_rows = []
-    equivalence_ok = cache_equivalent and engine_equivalent and backend_equivalent
+    equivalence_ok = True
     for workers in worker_counts:
         results, stats, elapsed = run_parallel(
             modems, segments, workers, args.executor
@@ -236,6 +181,7 @@ def main(argv: list[str] | None = None) -> int:
         parallel_rows.append(
             {
                 "workers": workers,
+                "underprovisioned": workers > cpu_count,
                 "executor": args.executor,
                 "seconds": elapsed,
                 "segments_per_sec": rate,
@@ -250,56 +196,19 @@ def main(argv: list[str] | None = None) -> int:
 
     payload = {
         "bench": "cloud_scaling",
-        "schema": 3,
+        "schema": 4,
         "smoke": bool(args.smoke),
         "cpu_count": cpu_count,
         "underprovisioned": underprovisioned,
         "n_segments": n_segments,
         "technologies": [m.name for m in modems],
         "serial": {"seconds": t_serial, "segments_per_sec": serial_rate},
-        "serial_engine_off": {
-            "seconds": t_engine_off,
-            "segments_per_sec": n_segments / t_engine_off,
-        },
-        "fastcorr_speedup": fastcorr_speedup,
-        "serial_backend_off": {
-            "seconds": t_backend_off,
-            "segments_per_sec": n_segments / t_backend_off,
-        },
-        "backend_speedup": backend_speedup,
-        "serial_no_plan_cache": {
-            "seconds": t_nocache,
-            "segments_per_sec": n_segments / t_nocache,
-        },
-        "plan_cache_speedup": plan_cache_speedup,
-        "plan_builds": {
-            "cached_leg": serial_plan_builds,
-            "uncached_leg": no_cache_plan_builds,
-        },
-        "plan_cache_note": (
-            "plan_cache_speedup ~ 1.0 is expected: the per-buffer "
-            "NativeRateCache already collapses per-call resampling, so "
-            "a decode pass re-derives only plan_builds.uncached_leg "
-            "plans (~ms of firwin work); the plan cache is retained for "
-            "code paths that bypass NativeRateCache, not for this one"
-        ),
+        "plan_builds": serial_plan_builds,
         "parallel": parallel_rows,
-        "engine_equivalence_ok": engine_equivalent,
-        "backend_equivalence_ok": backend_equivalent,
         "equivalence_ok": equivalence_ok,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
-    if not engine_equivalent:
-        print(
-            "ERROR: engine-on/off decode results diverged", file=sys.stderr
-        )
-        return 1
-    if not backend_equivalent:
-        print(
-            "ERROR: backend-on/off decode results diverged", file=sys.stderr
-        )
-        return 1
     if not equivalence_ok:
         print("ERROR: parallel/serial results diverged", file=sys.stderr)
         return 1

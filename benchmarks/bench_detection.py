@@ -1,21 +1,21 @@
 #!/usr/bin/env python
-"""Detection-front throughput: shared-FFT engine vs per-template FFTs.
+"""Detection-front throughput of the shared-FFT correlation engine.
 
-Times the three correlation detectors over a six-technology scene with
-the overlap-save engine (:mod:`repro.dsp.fastcorr`) on and off
-(``off`` == the legacy one-``fftconvolve``-per-template path), for both
-fully-coherent and CFO-tolerant blocked correlation. The blocked
+Times the preamble-bank and universal detectors over a six-technology
+scene, for both fully-coherent and CFO-tolerant blocked correlation, on
+the overlap-save engine (:mod:`repro.dsp.fastcorr`). The blocked
 per-technology bank is the workload the engine exists for: six
 templates cut into coherent sub-blocks share one forward FFT per
 overlap-save segment instead of recomputing it per sub-template.
 
-Every timed configuration is equivalence-checked: detection events must
-carry identical ``(index, detector, technology)`` engine-on vs
-engine-off, and the score entries must agree to float tolerance
-(different FFT lengths round differently — see the fastcorr module
-docstring). A streaming pass (chunked ``StreamingGateway``) is checked
-the same way. Thresholds are calibrated once with the engine *off* and
-frozen, so both engines run at the same operating point.
+Every timed configuration must detect at least one event, and every
+repeated detect must return the identical event list. Thresholds are
+calibrated once per configuration on a noise capture and frozen. A
+streaming pass (chunked ``StreamingGateway``) is recorded next to its
+monolithic twin for information: the two may legitimately differ on
+SigFox's dense near-tie score plateau, where FFT rounding at different
+buffer lengths flips greedy tie decisions. Event-level correctness is
+pinned by the golden detection fixture in the test suite.
 
 Unlike the pytest-benchmark files next to it, this is a standalone
 script: it emits a machine-readable ``BENCH_detection.json`` so
@@ -45,11 +45,7 @@ import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from repro.dsp.fastcorr import (  # noqa: E402
-    clear_spectrum_plan_cache,
-    set_fastcorr,
-    spectrum_plan,
-)
+from repro.dsp.fastcorr import clear_spectrum_plan_cache, spectrum_plan  # noqa: E402
 from repro.gateway import (  # noqa: E402
     GalioTGateway,
     StreamingGateway,
@@ -109,25 +105,18 @@ def event_keys(events):
     return [(e.index, e.detector, e.technology) for e in events]
 
 
-def events_equivalent(on, off):
-    """Exact (index, detector, technology) match + allclose scores."""
-    if event_keys(on) != event_keys(off):
-        return False, float("nan")
-    if not on:
-        return True, 0.0
-    delta = max(abs(a.score - b.score) for a, b in zip(on, off))
-    return delta < 1e-6, delta
-
-
 def timed_detect(detector, capture, repeats):
-    """Best-of-N wall clock plus the (deterministic) event list."""
+    """Best-of-N wall clock, the event list, and whether every repeat
+    returned that same list."""
     events = detector.detect(capture)
     best = float("inf")
+    deterministic = True
     for _ in range(repeats):
         t0 = time.perf_counter()
-        detector.detect(capture)
+        again = detector.detect(capture)
         best = min(best, time.perf_counter() - t0)
-    return events, best
+        deterministic = deterministic and again == events
+    return events, best, deterministic
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -159,52 +148,32 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     rows = []
-    equivalence_ok = True
+    checks_ok = True
     for detector_name, block in CONFIGS:
-        # Calibrate once with the engine OFF and freeze: both engines
-        # then decide at the identical operating point.
-        previous = set_fastcorr(False)
-        try:
-            probe = make_gateway(modems, detector_name, block)
-            threshold = probe.detector.calibrate(noise)
-            off_detector = make_gateway(
-                modems, detector_name, block, threshold
-            ).detector
-            off_events, t_off = timed_detect(off_detector, capture, repeats)
-        finally:
-            set_fastcorr(previous)
+        probe = make_gateway(modems, detector_name, block)
+        threshold = probe.detector.calibrate(noise)
         clear_spectrum_plan_cache()
-        on_detector = make_gateway(
-            modems, detector_name, block, threshold
-        ).detector
-        on_events, t_on = timed_detect(on_detector, capture, repeats)
-        ok, delta = events_equivalent(on_events, off_events)
-        equivalence_ok = equivalence_ok and ok and len(on_events) > 0
-        speedup = t_off / t_on
+        detector = make_gateway(modems, detector_name, block, threshold).detector
+        events, seconds, deterministic = timed_detect(detector, capture, repeats)
+        checks_ok = checks_ok and deterministic and len(events) > 0
         label = f"{detector_name:9s} block={block or '-':>5}"
         rows.append(
             {
                 "detector": detector_name,
                 "block": block,
-                "engine_off_s": t_off,
-                "engine_on_s": t_on,
-                "speedup": speedup,
-                "n_events": len(on_events),
-                "events_equivalent": ok,
-                "max_score_delta": delta,
+                "seconds": seconds,
+                "samples_per_sec": len(capture) / seconds,
+                "n_events": len(events),
+                "deterministic": deterministic,
             }
         )
         print(
-            f"{label}: off {t_off:6.3f} s  on {t_on:6.3f} s  "
-            f"-> {speedup:4.2f}x  ({len(on_events)} events, "
-            f"equivalent={ok}, max|ds|={delta:.2e})"
+            f"{label}: {seconds:6.3f} s  ({len(events)} events, "
+            f"deterministic={deterministic})"
         )
 
-    # The headline row: the blocked six-technology bank, where the
-    # engine shares one forward FFT across every technology and block.
-    headline = next(
-        r for r in rows if r["detector"] == "bank" and r["block"] == BLOCK
-    )
+    # The blocked six-technology bank's plan: the engine shares one
+    # forward FFT across every technology and block.
     bank_templates = make_gateway(modems, "bank", BLOCK).detector.templates
     max_len = max(len(t) for t in bank_templates.values())
     sub_lens = [
@@ -217,49 +186,26 @@ def main(argv: list[str] | None = None) -> int:
         len(capture), max(sub_lens), n_entries, min(sub_lens)
     )
     print(
-        f"headline: {headline['speedup']:.2f}x on bank/blocked "
-        f"({n_entries} sub-templates, max template {max_len}, "
-        f"nfft={plan.nfft}, {plan.n_segments} segments)"
+        f"bank/blocked: {n_entries} sub-templates, max template {max_len}, "
+        f"nfft={plan.nfft}, {plan.n_segments} segments"
     )
 
-    # Streaming equivalence: chunked StreamingGateway, engine on vs off.
-    # The gate is on-vs-off *within* each mode — chunked and monolithic
-    # runs of the same engine may legitimately differ on SigFox's dense
-    # near-tie score plateau, where FFT rounding at different buffer
-    # lengths flips greedy tie decisions (engine off included); that
-    # comparison is recorded informationally, not asserted.
+    # Streaming pass: chunked StreamingGateway next to its monolithic twin.
     chunk = max(len(capture) // 5, max_len + 1)
-
-    def stream_run(enabled):
-        previous = set_fastcorr(enabled)
-        try:
-            probe = make_gateway(modems, "bank", BLOCK)
-            threshold = probe.detector.calibrate(noise)
-            mono = make_gateway(modems, "bank", BLOCK, threshold)
-            reference = mono.process(capture)
-            stream = StreamingGateway(
-                make_gateway(modems, "bank", BLOCK, threshold)
-            )
-            merged = stream.process_stream(iter_chunks(capture, chunk))
-            return reference.events, merged.events
-        finally:
-            set_fastcorr(previous)
-
-    mono_on, stream_on = stream_run(True)
-    mono_off, stream_off = stream_run(False)
-    stream_ok = event_keys(stream_on) == event_keys(stream_off)
-    mono_ok = event_keys(mono_on) == event_keys(mono_off)
-    mono_vs_stream = event_keys(mono_on) == event_keys(stream_on)
-    equivalence_ok = equivalence_ok and stream_ok and mono_ok
+    probe = make_gateway(modems, "bank", BLOCK)
+    threshold = probe.detector.calibrate(noise)
+    mono = make_gateway(modems, "bank", BLOCK, threshold).process(capture).events
+    stream = StreamingGateway(make_gateway(modems, "bank", BLOCK, threshold))
+    streamed = stream.process_stream(iter_chunks(capture, chunk)).events
+    mono_vs_stream = event_keys(mono) == event_keys(streamed)
     print(
-        f"streaming (chunk={chunk}): {len(stream_on)} events, "
-        f"on==off streamed: {stream_ok}, on==off monolithic: {mono_ok}, "
+        f"streaming (chunk={chunk}): {len(streamed)} events, "
         f"mono==stream (informational): {mono_vs_stream}"
     )
 
     payload = {
         "bench": "detection",
-        "schema": 1,
+        "schema": 2,
         "smoke": bool(args.smoke),
         "cpu_count": os.cpu_count(),
         "n_samples": len(capture),
@@ -267,7 +213,6 @@ def main(argv: list[str] | None = None) -> int:
         "technologies": list(TECHNOLOGIES),
         "block": BLOCK,
         "configs": rows,
-        "headline_speedup": headline["speedup"],
         "plan": {
             "nfft": plan.nfft,
             "hop": plan.hop,
@@ -278,17 +223,18 @@ def main(argv: list[str] | None = None) -> int:
             "detector": "bank",
             "block": BLOCK,
             "chunk": chunk,
-            "n_events": len(stream_on),
-            "events_equivalent": stream_ok,
-            "monolithic_equivalent": mono_ok,
+            "n_events": len(streamed),
             "mono_vs_stream_informational": mono_vs_stream,
         },
-        "equivalence_ok": equivalence_ok,
+        "checks_ok": checks_ok,
     }
     args.out.write_text(json.dumps(payload, indent=2) + "\n")
     print(f"wrote {args.out}")
-    if not equivalence_ok:
-        print("ERROR: engine-on/off detection diverged", file=sys.stderr)
+    if not checks_ok:
+        print(
+            "ERROR: a configuration detected nothing or was not deterministic",
+            file=sys.stderr,
+        )
         return 1
     return 0
 

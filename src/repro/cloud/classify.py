@@ -11,13 +11,13 @@ Correlation runs on the shared-FFT engine (:mod:`repro.dsp.fastcorr`):
 modems are grouped by ``(native rate, correlation stride)`` and each
 group owns one persistent :class:`~repro.dsp.fastcorr.TemplateBank`
 holding every member's coherent sync sub-blocks, so one
-:func:`~repro.dsp.fastcorr.correlate_many` call per group shares a
-single forward FFT per overlap-save segment across every technology in
-the group — and the conjugate template spectra, cached on the bank, are
-paid once per FFT length rather than once per segment per SIC
-iteration. With ``GALIOT_FASTCORR=off`` the engine falls back to one
-``fftconvolve`` per sub-block, bit-identical to the historical
-per-modem :func:`~repro.gateway.detection.matched_filter_track` loop.
+:func:`~repro.dsp.fastcorr.correlate_accumulate` call per group shares
+a single forward FFT per overlap-save segment across every technology
+in the group — and the conjugate template spectra, cached on the bank,
+are paid once per FFT length rather than once per segment per SIC
+iteration. Each modem's score track equals
+:func:`~repro.gateway.detection.matched_filter_track` of its sync
+waveform up to FFT rounding.
 """
 
 from __future__ import annotations
@@ -27,9 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..contracts import iq_contract
-from ..dsp.backend import backend_enabled
 from ..dsp.correlation import find_peaks_above
-from ..dsp.fastcorr import TemplateBank, TrackSpec, correlate_accumulate, correlate_many
+from ..dsp.fastcorr import TemplateBank, TrackSpec, correlate_accumulate
 from ..dsp.resample import NativeRateCache, to_rate
 from ..errors import ConfigurationError
 from ..gateway.detection import cfar_threshold
@@ -187,29 +186,6 @@ class SegmentClassifier:
         freqs = np.fft.fftfreq(len(window), 1.0 / sample_rate_hz)
         return float(np.sum(spectrum * freqs) / total)
 
-    def _track(
-        self,
-        entry: _Ref,
-        tracks: dict[tuple[int, int], np.ndarray],
-        index: int,
-        sig_len: int,
-    ) -> np.ndarray:
-        """Combine one modem's sub-block correlations into a score track.
-
-        Replicates :func:`~repro.gateway.detection.matched_filter_track`
-        exactly: coherent blocks combine non-coherently (sum of
-        magnitude squares, CFO tolerance), normalized by the template
-        norm.
-        """
-        out_len = sig_len - len(entry.tpl) + 1
-        if entry.block is None:
-            return np.abs(tracks[(index, 0)]) / entry.tpl_norm
-        acc = np.zeros(out_len)
-        for offset in entry.offsets:
-            corr = np.abs(tracks[(index, offset)])
-            acc += corr[offset : offset + out_len] ** 2
-        return np.sqrt(acc) / entry.tpl_norm
-
     def _score_tracks(
         self,
         sig: np.ndarray,
@@ -218,48 +194,36 @@ class SegmentClassifier:
     ) -> dict[int, np.ndarray]:
         """Score tracks for every live modem of one bank group.
 
-        With the compute backend on, the per-modem sub-block magnitudes
-        are accumulated *inside* the correlation engine's chunk loop
-        (:func:`~repro.dsp.fastcorr.correlate_accumulate`), so the
-        classify pass never materializes the per-template complex
-        tracks it used to reduce immediately. Backend off keeps the
-        historical ``correlate_many`` + :meth:`_track` combination.
+        Coherent sub-blocks combine non-coherently (sum of magnitude
+        squares, for CFO tolerance), normalized by the template norm.
+        The magnitudes accumulate *inside* the correlation engine's
+        chunk loop (:func:`~repro.dsp.fastcorr.correlate_accumulate`),
+        so the classify pass never materializes per-template complex
+        tracks.
         """
-        bank = self._banks[group]
-        if backend_enabled():
-            specs = {
-                index: TrackSpec(
-                    pairs=tuple(
-                        ((index, offset), offset)
-                        for offset in self._refs[index].offsets
-                    ),
-                    out_len=len(sig) - len(self._refs[index].tpl) + 1,
-                    squared=self._refs[index].block is not None,
-                )
-                for index in live
-            }
-            combined = correlate_accumulate(
-                sig, bank, specs, telemetry=self.telemetry
+        specs = {
+            index: TrackSpec(
+                pairs=tuple(
+                    ((index, offset), offset)
+                    for offset in self._refs[index].offsets
+                ),
+                out_len=len(sig) - len(self._refs[index].tpl) + 1,
+                squared=self._refs[index].block is not None,
             )
-            tracks: dict[int, np.ndarray] = {}
-            for index in live:
-                entry = self._refs[index]
-                acc = combined[index]
-                if entry.block is None:
-                    tracks[index] = acc / entry.tpl_norm
-                else:
-                    tracks[index] = np.sqrt(acc) / entry.tpl_norm
-            return tracks
-        keys = [
-            (index, offset)
-            for index in live
-            for offset in self._refs[index].offsets
-        ]
-        raw = correlate_many(sig, bank, keys, telemetry=self.telemetry)
-        return {
-            index: self._track(self._refs[index], raw, index, len(sig))
             for index in live
         }
+        combined = correlate_accumulate(
+            sig, self._banks[group], specs, telemetry=self.telemetry
+        )
+        tracks: dict[int, np.ndarray] = {}
+        for index in live:
+            entry = self._refs[index]
+            acc = combined[index]
+            if entry.block is None:
+                tracks[index] = acc / entry.tpl_norm
+            else:
+                tracks[index] = np.sqrt(acc) / entry.tpl_norm
+        return tracks
 
     @iq_contract("samples")
     def classify(

@@ -29,9 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..contracts import iq_contract
-from ..dsp.backend import backend_enabled, blocked_ls_subtract
 from ..dsp.chirp import base_downchirp, base_upchirp
-from ..dsp.filters import fft_notch
+from ..dsp.filters import blocked_ls_subtract, fft_notch
 from ..errors import ConfigurationError
 from ..phy.base import Modem, ModulationClass
 from ..phy.fsk import fsk_modulate  # noqa: F401  (re-exported for tests)
@@ -251,19 +250,9 @@ class KillCodes:
         out = samples.copy()
         block = max(int(self.block_s * sample_rate_hz), 64)
         stop = min(start + len(wave), len(out))
-        ref = wave[: stop - start]
-        if backend_enabled():
-            fitted, _gain = blocked_ls_subtract(ref, out[start:stop], block)
-            out[start:stop] = fitted
-            return out
-        for pos in range(0, len(ref), block):
-            r = ref[pos : pos + block]
-            x = out[start + pos : start + pos + len(r)]
-            energy = float(np.sum(np.abs(r) ** 2))
-            if energy <= 0:
-                continue
-            gain = np.sum(np.conj(r) * x) / energy
-            out[start + pos : start + pos + len(r)] = x - gain * r
+        out[start:stop], _gain = blocked_ls_subtract(
+            wave[: stop - start], out[start:stop], block
+        )
         return out
 
 

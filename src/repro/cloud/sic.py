@@ -19,14 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..contracts import iq_contract
-from ..dsp.backend import backend_enabled, blocked_ls_subtract
-from ..dsp.fastcorr import (
-    TemplateBank,
-    TrackSpec,
-    correlate_accumulate,
-    correlate_many,
-    fastcorr_enabled,
-)
+from ..dsp.fastcorr import TemplateBank, TrackSpec, correlate_accumulate
+from ..dsp.filters import blocked_ls_subtract
 from ..dsp.resample import NativeRateCache, to_rate
 from ..errors import ReproError
 from ..phy.base import FrameResult, Modem
@@ -169,54 +163,25 @@ def _align_start(
     search would silently snap to the window edge, smearing short frames
     instead of cancelling them). Ties keep the earliest candidate.
 
-    With the shared-FFT engine on, all candidates are scored by one
-    :func:`~repro.dsp.fastcorr.correlate_many` call over the probe's
-    blocks — entry ``cand - lo + pos`` of block ``pos``'s correlation
-    track *is* that candidate's block inner product — instead of a
-    Python loop of ``O(half * blocks)`` ``vdot`` calls. Engine off keeps
-    the historical time-domain loop, bit-identical to prior releases at
-    equal rates.
+    All candidates are scored by one
+    :func:`~repro.dsp.fastcorr.correlate_accumulate` call over the
+    probe's blocks: entry ``cand - lo + pos`` of block ``pos``'s
+    correlation track *is* that candidate's block inner product, and
+    the block magnitudes accumulate inside the engine's chunk loop.
     """
     offsets = list(range(0, len(probe), block))
     lo = max(start - half, 0)
     hi = min(start + half, len(samples) - len(probe))
     if hi < lo or not offsets:
         return start
-    if fastcorr_enabled():
-        bank = TemplateBank(
-            {pos: probe[pos : pos + block] for pos in offsets}
-        )
-        region = samples[lo : hi + len(probe)]
-        out_len = hi - lo + 1
-        if backend_enabled():
-            # Fused: block magnitudes accumulate inside the engine's
-            # chunk loop instead of materializing per-block tracks.
-            spec = TrackSpec(
-                pairs=tuple((pos, pos) for pos in offsets),
-                out_len=out_len,
-                squared=False,
-            )
-            metric = correlate_accumulate(region, bank, {0: spec})[0]
-        else:
-            tracks = correlate_many(region, bank)
-            metric = np.zeros(out_len)
-            for pos in offsets:
-                track = tracks[pos]
-                metric += np.abs(track[pos : pos + out_len])
-        return lo + int(np.argmax(metric))
-    best_metric = -1.0
-    best_start = start
-    for cand in range(lo, hi + 1):
-        window = samples[cand : cand + len(probe)]
-        metric = 0.0
-        for pos in offsets:
-            metric += abs(
-                np.vdot(probe[pos : pos + block], window[pos : pos + block])
-            )
-        if metric > best_metric:
-            best_metric = metric
-            best_start = cand
-    return best_start
+    bank = TemplateBank({pos: probe[pos : pos + block] for pos in offsets})
+    spec = TrackSpec(
+        pairs=tuple((pos, pos) for pos in offsets),
+        out_len=hi - lo + 1,
+        squared=False,
+    )
+    metric = correlate_accumulate(samples[lo : hi + len(probe)], bank, {0: spec})[0]
+    return lo + int(np.argmax(metric))
 
 
 @iq_contract("samples")
@@ -273,23 +238,7 @@ def reconstruct_and_subtract(
     before = float(np.sum(np.abs(region) ** 2))
     block = max(int(block_s * sample_rate_hz), 128)
     residual = samples.copy()
-    if backend_enabled():
-        # Batched per-block LS: all full blocks fit in two einsum
-        # contractions instead of a Python loop of per-block sums.
-        fitted, first_gain = blocked_ls_subtract(ref, region, block)
-        residual[start:stop] = fitted
-    else:
-        first_gain = 0j
-        for pos in range(0, len(ref), block):
-            r = ref[pos : pos + block]
-            x = region[pos : pos + block]
-            energy = float(np.sum(np.abs(r) ** 2))
-            if energy <= 0:
-                continue
-            gain = complex(np.sum(np.conj(r) * x) / energy)
-            if pos == 0:
-                first_gain = gain
-            residual[start + pos : start + pos + len(r)] = x - gain * r
+    residual[start:stop], first_gain = blocked_ls_subtract(ref, region, block)
     after = float(np.sum(np.abs(residual[start:stop]) ** 2))
     cancelled_db = (
         10 * np.log10(before / after) if after > 0 and before > 0 else 0.0

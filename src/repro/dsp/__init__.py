@@ -5,12 +5,6 @@ baseband I/Q) and take explicit sample rates; there is no global state
 and every random operation takes an explicit ``numpy.random.Generator``.
 """
 
-from .backend import (
-    Backend,
-    backend_enabled,
-    get_backend,
-    set_backend,
-)
 from .channel import (
     add_at,
     awgn,
@@ -39,8 +33,6 @@ from .fastcorr import (
     blocked_bank,
     correlate_accumulate,
     correlate_many,
-    fastcorr_enabled,
-    set_fastcorr,
     spectrum_plan,
 )
 from .filters import (
@@ -83,11 +75,6 @@ from .resample import (
 from .spectrum import dominant_tones, stft, welch_psd
 
 __all__ = [
-    # backend
-    "Backend",
-    "backend_enabled",
-    "get_backend",
-    "set_backend",
     # channel
     "add_at",
     "awgn",
@@ -113,8 +100,6 @@ __all__ = [
     "blocked_bank",
     "correlate_accumulate",
     "correlate_many",
-    "fastcorr_enabled",
-    "set_fastcorr",
     "spectrum_plan",
     # filters
     "design_lowpass_fir",

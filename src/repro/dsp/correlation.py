@@ -19,8 +19,7 @@ packet produces one detection.
 Multi-template and blocked correlations run on the shared-FFT
 overlap-save engine in :mod:`repro.dsp.fastcorr`, which computes the
 forward FFT of the signal once per segment and reuses it across every
-template; set ``GALIOT_FASTCORR=off`` for the legacy one-``fftconvolve``
--per-template path.
+template.
 """
 
 from __future__ import annotations
@@ -31,14 +30,7 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from ..errors import ConfigurationError
-from .backend import backend_enabled
-from .fastcorr import (
-    TemplateBank,
-    TrackSpec,
-    blocked_bank,
-    correlate_accumulate,
-    correlate_many,
-)
+from .fastcorr import TemplateBank, TrackSpec, blocked_bank, correlate_accumulate
 
 __all__ = [
     "cross_correlate",
@@ -130,21 +122,14 @@ def segmented_correlation(
     bank = _segmented_bank(
         np.asarray(template[:used], dtype=np.complex128).tobytes(), block
     )
-    if backend_enabled():
-        # Fused path: block magnitudes fold into the accumulator inside
-        # the engine's chunk loop, skipping the per-block track arrays.
-        spec = TrackSpec(
-            pairs=tuple((offset, offset) for offset in bank.keys()),
-            out_len=out_len,
-            squared=False,
-        )
-        acc = correlate_accumulate(x, bank, {0: spec})[0]
-    else:
-        tracks = correlate_many(x, bank)
-        acc = np.zeros(out_len)
-        for offset in bank.keys():
-            corr = tracks[offset]
-            acc += np.abs(corr[offset : offset + out_len])
+    # Block magnitudes fold into the accumulator inside the engine's
+    # chunk loop, skipping the per-block track arrays.
+    spec = TrackSpec(
+        pairs=tuple((offset, offset) for offset in bank.keys()),
+        out_len=out_len,
+        squared=False,
+    )
+    acc = correlate_accumulate(x, bank, {0: spec})[0]
     template_norm = np.sqrt(np.sum(np.abs(template[:used]) ** 2)) + _EPS
     window_norm = np.sqrt(np.maximum(_window_energy(x, len(template)), 0.0))
     floor = max(float(window_norm.max(initial=0.0)), template_norm) * 1e-9 + _EPS
@@ -156,11 +141,7 @@ def segmented_correlation(
 
 
 def find_peaks_above(
-    scores: np.ndarray,
-    threshold: float,
-    min_distance: int,
-    *,
-    local_max_only: bool = False,
+    scores: np.ndarray, threshold: float, min_distance: int
 ) -> list[int]:
     """Greedy min-distance suppression of above-threshold samples.
 
@@ -183,12 +164,6 @@ def find_peaks_above(
         scores: Score track.
         threshold: Candidate floor (inclusive).
         min_distance: Minimum spacing between accepted peaks.
-        local_max_only: Prefilter candidates to true local maxima of
-            ``scores`` (one-sided at the track edges; plateau samples
-            all qualify) before the greedy pass. Off by default — the
-            greedy result is unchanged for clean peaks, but the
-            prefilter changes which sample of a noisy peak wins, so
-            compatibility keeps it opt-in.
 
     Raises:
         ConfigurationError: for ``min_distance < 1``.
@@ -197,15 +172,6 @@ def find_peaks_above(
         raise ConfigurationError("min_distance must be >= 1")
     scores = np.asarray(scores)
     candidates = np.flatnonzero(scores >= threshold)
-    if local_max_only and candidates.size:
-        not_rising = np.empty(len(scores), dtype=bool)
-        not_rising[0] = True
-        np.greater_equal(scores[1:], scores[:-1], out=not_rising[1:])
-        not_falling = np.empty(len(scores), dtype=bool)
-        not_falling[-1] = True
-        np.greater_equal(scores[:-1], scores[1:], out=not_falling[:-1])
-        is_peak = not_rising & not_falling
-        candidates = candidates[is_peak[candidates]]
     if candidates.size == 0:
         return []
     order = np.argsort(scores[candidates], kind="stable")[::-1]

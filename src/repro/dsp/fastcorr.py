@@ -54,19 +54,12 @@ shorter) length, so the last few ulps differ. Within the engine, an
 alias's magnitudes equal its representative's to rounding, and its
 complex track is ``conj(g)`` times the representative's. Event-level
 detector output is unaffected in practice (detection margins dwarf the
-ulp noise); the equivalence tests and ``benchmarks/bench_detection.py``
-assert exactly that.
-
-Set ``GALIOT_FASTCORR=off`` (or call :func:`set_fastcorr`) to fall back
-to the legacy per-template ``fftconvolve`` path, which *is*
-bit-identical to the pre-engine code — the equivalence tests diff the
-two engines against each other. The fallback correlates every template,
-aliases included, on its own.
+ulp noise); the reference tests in ``tests/test_fastcorr.py`` and the
+golden detection fixture assert exactly that.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from collections.abc import Hashable, Iterable, Iterator, Mapping
@@ -77,7 +70,6 @@ from math import ceil, log2
 import numpy as np
 import numpy.typing as npt
 from scipy import fft as sp_fft
-from scipy import signal as sp_signal
 
 from ..contracts import ensure_iq
 from ..errors import ConfigurationError
@@ -93,8 +85,6 @@ __all__ = [
     "blocked_bank",
     "correlate_many",
     "correlate_accumulate",
-    "fastcorr_enabled",
-    "set_fastcorr",
 ]
 
 #: Cap on the cached conjugate-spectra working set of one bank at one
@@ -121,34 +111,6 @@ BATCH_WORK_ELEMENTS = 2_097_152
 #: ``max|t - g r| <= ALIAS_RTOL * max|t|`` — float-rounding level, so
 #: only waveforms that are the same up to a carrier phase merge.
 ALIAS_RTOL = 1e-12
-
-
-_ENGINE_ENABLED = os.environ.get("GALIOT_FASTCORR", "on").strip().lower() not in {
-    "off",
-    "0",
-    "false",
-    "no",
-}
-
-
-def fastcorr_enabled() -> bool:
-    """Whether :func:`correlate_many` uses the shared-FFT engine."""
-    return _ENGINE_ENABLED
-
-
-def set_fastcorr(enabled: bool) -> bool:
-    """Enable/disable the engine process-wide; returns the old setting.
-
-    Disabled, :func:`correlate_many` runs one ``fftconvolve`` per
-    template — bit-identical to the pre-engine detection code, and the
-    reference the equivalence tests compare against. The initial value
-    comes from the ``GALIOT_FASTCORR`` environment variable
-    (``off``/``0``/``false`` disable).
-    """
-    global _ENGINE_ENABLED
-    previous = _ENGINE_ENABLED
-    _ENGINE_ENABLED = bool(enabled)
-    return previous
 
 
 @dataclass(frozen=True)
@@ -460,19 +422,6 @@ def blocked_bank(
     )
 
 
-def _fallback_correlate(
-    x: np.ndarray, bank: TemplateBank, keys: list[Hashable]
-) -> dict[Hashable, np.ndarray]:
-    """Legacy path: one full ``fftconvolve`` per template (bit-identical
-    to the pre-engine :func:`~repro.dsp.correlation.cross_correlate`)."""
-    return {
-        key: sp_signal.fftconvolve(
-            x, np.conj(bank.template(key)[::-1]), mode="valid"
-        )
-        for key in keys
-    }
-
-
 def _distinct_rows(
     bank: TemplateBank, keys: list[Hashable]
 ) -> tuple[list[int], dict[Hashable, int]]:
@@ -560,8 +509,7 @@ def correlate_many(
         keys: Subset of bank entries to score (default: all). Detectors
             pass the templates that fit the current buffer.
         telemetry: Metrics sink; spans ``fastcorr.correlate`` and counts
-            forward/inverse FFTs (or ``fastcorr.fallback_correlations``
-            when the engine is off).
+            forward/inverse FFTs.
 
     Raises:
         ConfigurationError: if any requested template is longer than
@@ -576,12 +524,6 @@ def correlate_many(
     n_samples = len(x)
     if max(lengths) > n_samples:
         raise ConfigurationError("template longer than signal")
-    if not _ENGINE_ENABLED:
-        with telemetry.span("fastcorr.correlate"):
-            out = _fallback_correlate(x, bank, requested)
-        telemetry.count("fastcorr.fallback_correlations", len(requested))
-        return out
-
     rows, local = _distinct_rows(bank, requested)
     out_lens = [n_samples - length + 1 for length in lengths]
     out = {
@@ -615,9 +557,8 @@ class TrackSpec:
         pairs: ``(bank_key, offset)`` terms; the accumulator at index
             ``n`` sums ``f(|corr_key[n + offset]|)`` over all pairs.
         out_len: Accumulator length (the caller's valid-track length).
-        squared: ``True`` sums magnitude *squares*
-            (:meth:`~repro.cloud.classify.SegmentClassifier._track`
-            semantics), ``False`` sums magnitudes
+        squared: ``True`` sums magnitude *squares* (the classifier's
+            score tracks), ``False`` sums magnitudes
             (:func:`~repro.dsp.correlation.segmented_correlation`
             semantics).
     """
@@ -658,10 +599,6 @@ def correlate_accumulate(
     Returns:
         ``{group_key: float64 accumulator}`` — un-normalized; callers
         apply their own ``sqrt``/norm scaling.
-
-    With the engine off the per-template tracks come from the legacy
-    ``fftconvolve`` fallback and are combined in pair order, matching
-    the historical accumulation loops exactly.
     """
     x = ensure_iq(x)
     requested: list[Hashable] = []
@@ -680,21 +617,6 @@ def correlate_accumulate(
     n_samples = len(x)
     if max(lengths) > n_samples:
         raise ConfigurationError("template longer than signal")
-    if not _ENGINE_ENABLED:
-        with telemetry.span("fastcorr.correlate"):
-            tracks = _fallback_correlate(x, bank, requested)
-            for group, spec in specs.items():
-                for key, offset in spec.pairs:
-                    magnitude = np.abs(
-                        tracks[key][offset : offset + spec.out_len]
-                    )
-                    if spec.squared:
-                        acc[group] += magnitude**2
-                    else:
-                        acc[group] += magnitude
-        telemetry.count("fastcorr.fallback_correlations", len(requested))
-        return acc
-
     rows, local = _distinct_rows(bank, requested)
     track_lens = {
         key: n_samples - length + 1

@@ -3,8 +3,9 @@
 Everything here is deliberately simple, deterministic DSP: windowed-sinc
 FIR design for channelization, a Gaussian pulse for GFSK shaping, a
 half-sine pulse for O-QPSK, moving-average smoothing for energy detection,
-and FFT-domain masks (notch / bandpass) that the cloud kill filters build
-on.
+FFT-domain masks (notch / bandpass) that the cloud kill filters build
+on, and the blocked least-squares subtraction that SIC and the DSSS kill
+filter remove a reconstructed waveform with.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ __all__ = [
     "fft_notch",
     "fft_bandpass",
     "frequency_shift",
+    "blocked_ls_subtract",
 ]
 
 
@@ -129,3 +131,55 @@ def frequency_shift(x: np.ndarray, shift_hz: float, sample_rate_hz: float) -> np
     """Mix ``x`` by ``exp(+j 2 pi shift_hz t)`` (moves energy up by shift)."""
     n = np.arange(len(x))
     return x * np.exp(2j * np.pi * shift_hz * n / sample_rate_hz)
+
+
+def blocked_ls_subtract(
+    ref: np.ndarray, region: np.ndarray, block: int
+) -> tuple[np.ndarray, complex]:
+    """Per-block least-squares subtraction of ``ref`` from ``region``.
+
+    Each ``block``-sample block of ``region`` loses its projection onto
+    the matching block of ``ref``: ``x - g r`` with ``g = <r, x> /
+    <r, r>``, so slow phase drift between the two does not cap the
+    cancellation depth. Full blocks reshape to a ``(n_blocks, block)``
+    matrix whose per-row energies and cross-correlations come from two
+    einsum contractions; the remainder block (if any) is fitted on its
+    own. Blocks with zero reference energy are left unchanged (the
+    subtraction never amplifies). ``region`` has ``ref``'s length.
+
+    Returns:
+        ``(residual_region, first_gain)`` where ``first_gain`` is the
+        fitted gain of the block at offset 0 (``0j`` when degenerate).
+    """
+    n = len(ref)
+    out = region.copy()
+    first_gain = 0j
+    n_full = n // block
+    if n_full:
+        ref_mat = np.asarray(ref[: n_full * block], dtype=np.complex128).reshape(
+            n_full, block
+        )
+        region_mat = np.asarray(
+            region[: n_full * block], dtype=np.complex128
+        ).reshape(n_full, block)
+        energies = np.einsum("ij,ij->i", ref_mat.real, ref_mat.real) + np.einsum(
+            "ij,ij->i", ref_mat.imag, ref_mat.imag
+        )
+        numerators = np.einsum("ij,ij->i", np.conj(ref_mat), region_mat)
+        good = energies > 0
+        gains = np.zeros(n_full, dtype=np.complex128)
+        gains[good] = numerators[good] / energies[good]
+        out[: n_full * block] = (region_mat - gains[:, None] * ref_mat).ravel()
+        if bool(good[0]):
+            first_gain = complex(gains[0])
+    pos = n_full * block
+    if pos < n:
+        tail_ref = ref[pos:]
+        tail = region[pos:]
+        energy = float(np.sum(np.abs(tail_ref) ** 2))
+        if energy > 0:
+            gain = complex(np.sum(np.conj(tail_ref) * tail) / energy)
+            if pos == 0:
+                first_gain = gain
+            out[pos:] = tail - gain * tail_ref
+    return out, first_gain

@@ -19,6 +19,7 @@ Two caches keep the cloud's hot path from repeating work:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Any
@@ -42,7 +43,6 @@ __all__ = [
     "resample_plan_builds",
     "reset_resample_plan_builds",
     "clear_resample_plan_cache",
-    "set_resample_plan_cache",
     "NativeRateCache",
 ]
 
@@ -159,31 +159,17 @@ def _build_plan(fs_in: float, fs_out: float) -> ResamplePlan:
     return ResamplePlan(up=up, down=down, window=_design_window(up, down))
 
 
-_PLAN_CACHE_ENABLED = True
-
-
-def set_resample_plan_cache(enabled: bool) -> bool:
-    """Enable/disable the plan cache (benchmark A/B); returns the old
-    setting. Disabled, :func:`to_rate` re-derives the ratio and lets
-    ``resample_poly`` design its filter on every call."""
-    global _PLAN_CACHE_ENABLED
-    previous = _PLAN_CACHE_ENABLED
-    _PLAN_CACHE_ENABLED = bool(enabled)
-    return previous
-
-
 def resample_plan(fs_in: float, fs_out: float) -> ResamplePlan:
     """The memoized plan converting ``fs_in`` to ``fs_out``.
 
     Raises:
-        ConfigurationError: if the rates are invalid or incommensurate
-            (denominator above 1e6).
+        ConfigurationError: if a rate is not a positive finite number,
+            or the rates are incommensurate (denominator above 1e6).
     """
-    if fs_in <= 0 or fs_out <= 0:
-        raise ConfigurationError("sample rates must be positive")
-    if _PLAN_CACHE_ENABLED:
-        return _cached_plan(float(fs_in), float(fs_out))
-    return _build_plan(float(fs_in), float(fs_out))
+    # Written so NaN fails too: every comparison with NaN is false.
+    if not (0 < fs_in < math.inf and 0 < fs_out < math.inf):
+        raise ConfigurationError("sample rates must be positive and finite")
+    return _cached_plan(float(fs_in), float(fs_out))
 
 
 def resample_plan_cache_info() -> Any:
@@ -207,17 +193,10 @@ def to_rate(x: np.ndarray, fs_in: float, fs_out: float) -> np.ndarray:
     rates skip straight to the polyphase convolution.
 
     Raises:
-        ConfigurationError: if the ratio cannot be expressed as a
-            rational with denominator <= 1e6.
+        ConfigurationError: if a rate is not a positive finite number,
+            or the ratio cannot be expressed as a rational with
+            denominator <= 1e6.
     """
-    if fs_in <= 0 or fs_out <= 0:
-        raise ConfigurationError("sample rates must be positive")
-    if not _PLAN_CACHE_ENABLED:
-        # Reference path: identical maths, nothing memoized.
-        if abs(fs_in - fs_out) < 1e-9 * fs_in:
-            return x.copy()
-        plan = _build_plan(float(fs_in), float(fs_out))
-        return sp_signal.resample_poly(x, plan.up, plan.down)
     return resample_plan(fs_in, fs_out).apply(x)
 
 

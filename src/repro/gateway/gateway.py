@@ -15,7 +15,6 @@ both fronts account identically.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -158,13 +157,6 @@ class GalioTGateway:
         telemetry: Telemetry | None = None,
         **detector_kwargs,
     ):
-        if "fs" in detector_kwargs:
-            warnings.warn(
-                "GalioTGateway(fs=...) is deprecated; use sample_rate_hz=...",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            sample_rate_hz = float(detector_kwargs.pop("fs"))
         self.modems = list(modems)
         self.sample_rate_hz = float(sample_rate_hz)
         self.front_end = front_end
@@ -211,16 +203,6 @@ class GalioTGateway:
             )
         else:
             raise ValueError(f"unknown detector {detector!r}")
-
-    @property
-    def fs(self) -> float:
-        """Deprecated alias for :attr:`sample_rate_hz`."""
-        warnings.warn(
-            "GalioTGateway.fs is deprecated; use .sample_rate_hz",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.sample_rate_hz
 
     @iq_contract("capture")
     def capture_front_end(

@@ -14,8 +14,6 @@ convention documented in :mod:`repro.dsp.channel`.
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..dsp.channel import add_at, scale_to_snr
@@ -52,16 +50,6 @@ class SceneBuilder:
         self.noise_power = float(noise_power)
         self._stream = np.zeros(self.n_samples, dtype=complex)
         self._packets: list[PacketTruth] = []
-
-    @property
-    def fs(self) -> float:
-        """Deprecated alias for :attr:`sample_rate_hz`."""
-        warnings.warn(
-            "SceneBuilder.fs is deprecated; use .sample_rate_hz",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.sample_rate_hz
 
     def add_packet(
         self,

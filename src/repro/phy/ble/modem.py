@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...dsp.backend import backend_enabled
 from ...errors import ChecksumError, ConfigurationError
 from ...phy.base import FrameResult, Modem, ModulationClass
 from ...phy.frames import sample_sync_strided
@@ -137,13 +136,9 @@ class BleModem(Modem):
         bound = 8 * (5 + 2 + self.max_payload + 3) * self._sps + self._sps
         iq = iq[start : start + bound]
         frame_start, start = start, 0
-        track = None
-        if backend_enabled():
-            # One discriminator pass over the bound slice feeds both the
-            # header read and the full-body read.
-            track = fsk_frequency_track(
-                iq, self.sample_rate, self._sps, self.bandwidth
-            )
+        # One discriminator pass over the bound slice feeds both the
+        # header read and the full-body read.
+        track = fsk_frequency_track(iq, self.sample_rate, self._sps, self.bandwidth)
         body_at = start + 8 * (len(_PREAMBLE) + len(_ACCESS_ADDRESS)) * self._sps
         head_bits = fsk_demodulate_bits(
             iq, body_at, 16, self._sps, self.sample_rate,

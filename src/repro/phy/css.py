@@ -13,8 +13,7 @@ import numpy as np
 import numpy.typing as npt
 
 from ..contracts import iq_contract
-from ..dsp.backend import backend_enabled
-from ..dsp.chirp import base_downchirp, base_upchirp, lora_symbol
+from ..dsp.chirp import base_downchirp, base_upchirp
 from ..dsp.filters import fft_bandpass
 from ..errors import ConfigurationError
 
@@ -41,16 +40,11 @@ def modulate_symbols(symbols: npt.ArrayLike, sf: int, oversample: int = 1) -> np
         raise ConfigurationError(f"symbols must be in 0..{n - 1}")
     if arr.size == 0:
         return np.zeros(0, dtype=complex)
-    if backend_enabled():
-        # Every symbol waveform is a cyclic shift of the base upchirp,
-        # so the whole frame is one fancy-index gather — bit-identical
-        # to concatenating per-symbol np.roll results.
-        base = base_upchirp(sf, oversample)
-        idx = (
-            np.arange(len(base))[None, :] + arr[:, None] * oversample
-        ) % len(base)
-        return base[idx].ravel()
-    return np.concatenate([lora_symbol(int(s), sf, oversample) for s in arr])
+    # Every symbol waveform is a cyclic shift of the base upchirp, so
+    # the whole frame is one fancy-index gather.
+    base = base_upchirp(sf, oversample)
+    idx = (np.arange(len(base))[None, :] + arr[:, None] * oversample) % len(base)
+    return base[idx].ravel()
 
 
 def _decimate_to_chip_rate(

@@ -16,12 +16,6 @@ import numpy as np
 import numpy.typing as npt
 
 from ..contracts import iq_contract
-from ..dsp.backend import (
-    backend_enabled,
-    nibble_bits,
-    oqpsk_rails_demodulate,
-    oqpsk_rails_modulate,
-)
 from ..dsp.filters import half_sine_pulse
 from ..errors import ConfigurationError, DecodeError
 from ..utils.bits import as_bit_array
@@ -82,12 +76,8 @@ def symbols_to_bits(symbols: npt.ArrayLike) -> np.ndarray:
     arr = np.asarray(symbols, dtype=np.uint8).ravel()
     if arr.size and arr.max() > 15:
         raise ConfigurationError("symbols must be in 0..15")
-    if backend_enabled():
-        return nibble_bits(arr)
-    out = np.empty(arr.size * 4, dtype=np.uint8)
-    for i, s in enumerate(arr):
-        out[4 * i : 4 * i + 4] = [(s >> b) & 1 for b in range(4)]
-    return out
+    shifts = np.arange(4, dtype=np.uint8)
+    return ((arr[:, None] >> shifts) & 1).astype(np.uint8).ravel()
 
 
 def spread_symbols(symbols: npt.ArrayLike) -> np.ndarray:
@@ -105,7 +95,9 @@ def chips_to_oqpsk(chips: npt.ArrayLike, sps: int = 2) -> np.ndarray:
 
     Even-index chips ride the I rail, odd-index chips the Q rail delayed
     by half a chip period. Output rate is ``sps`` samples per chip and
-    the waveform is normalized to unit RMS.
+    the waveform is normalized to unit RMS over the chip span; the Q
+    rail's half-chip tail is kept. Each rail's pulses are contiguous and
+    non-overlapping, so placing them is one outer product per rail.
     """
     arr = as_bit_array(chips)
     if arr.size % 2:
@@ -114,21 +106,14 @@ def chips_to_oqpsk(chips: npt.ArrayLike, sps: int = 2) -> np.ndarray:
         raise ConfigurationError("sps must be an even integer >= 2")
     levels = 2.0 * arr.astype(float) - 1.0
     pulse = half_sine_pulse(2 * sps)  # each rail symbol spans two chips
-    if backend_enabled():
-        return oqpsk_rails_modulate(levels, pulse, sps)
-    half = sps  # half-chip-pair offset between rails
-    n_pairs = arr.size // 2
-    length = (n_pairs + 1) * 2 * sps
-    i_rail = np.zeros(length)
-    q_rail = np.zeros(length)
-    for k in range(n_pairs):
-        pos = k * 2 * sps
-        i_rail[pos : pos + 2 * sps] += levels[2 * k] * pulse
-        qpos = pos + half
-        q_rail[qpos : qpos + 2 * sps] += levels[2 * k + 1] * pulse
+    span = arr.size * sps
+    i_rail = np.zeros(span + sps)
+    q_rail = np.zeros(span + sps)
+    i_rail[:span] = (levels[0::2, None] * pulse).ravel()
+    q_rail[sps:] = (levels[1::2, None] * pulse).ravel()
     wave = i_rail + 1j * q_rail
-    rms = np.sqrt(np.mean(np.abs(wave[: n_pairs * 2 * sps]) ** 2))
-    return wave[: n_pairs * 2 * sps + half] / max(rms, 1e-12)
+    rms = np.sqrt(np.mean(np.abs(wave[:span]) ** 2))
+    return wave / max(float(rms), 1e-12)
 
 
 @iq_contract("iq")
@@ -136,33 +121,32 @@ def oqpsk_to_chips(iq: np.ndarray, n_chips: int, sps: int = 2) -> np.ndarray:
     """Matched-filter chip decisions from an O-QPSK waveform.
 
     Assumes the waveform starts at chip 0 (frame sync done by the caller)
-    and that any carrier phase was corrected.
+    and that any carrier phase was corrected. The I rail's pulse windows
+    tile ``[0, n_pairs*2*sps)`` and the Q rail's the same span offset by
+    ``sps``, so the per-pair matched filters are two ``(n_pairs,
+    2*sps) @ pulse`` products; a decision is the correlation's sign.
+
+    Raises:
+        DecodeError: if ``iq`` ends before the last chip pair's Q window
+            (a residual that ran out under the frame is a decode
+            failure, not a caller bug).
     """
     if sps < 2 or sps % 2:
         raise ConfigurationError("sps must be an even integer >= 2")
     if n_chips % 2:
         raise ConfigurationError("n_chips must be even")
     pulse = half_sine_pulse(2 * sps)
-    if backend_enabled():
-        # The last chip pair's Q window reaches furthest: a segment is
-        # long enough iff it covers n_pairs*2*sps + sps samples —
-        # exactly the first-failure condition of the legacy loop below.
-        if len(iq) < (n_chips // 2) * 2 * sps + sps:
-            raise DecodeError("segment too short for requested chips")
-        return oqpsk_rails_demodulate(iq, n_chips, pulse, sps)
-    energy = pulse @ pulse
+    n_pairs = n_chips // 2
+    span = n_pairs * 2 * sps
+    # The last chip pair's Q window reaches furthest.
+    if len(iq) < span + sps:
+        raise DecodeError("segment too short for requested chips")
+    iq = np.asarray(iq, dtype=np.complex128)
+    i_corr = iq.real[:span].reshape(n_pairs, 2 * sps) @ pulse
+    q_corr = iq.imag[sps : sps + span].reshape(n_pairs, 2 * sps) @ pulse
     chips = np.empty(n_chips, dtype=np.uint8)
-    for k in range(n_chips // 2):
-        pos = k * 2 * sps
-        seg_i = iq.real[pos : pos + 2 * sps]
-        qpos = pos + sps
-        seg_q = iq.imag[qpos : qpos + 2 * sps]
-        if len(seg_i) < 2 * sps or len(seg_q) < 2 * sps:
-            # Data-dependent truncation is a decode failure, not a
-            # caller bug: the residual simply ran out under the frame.
-            raise DecodeError("segment too short for requested chips")
-        chips[2 * k] = 1 if (seg_i @ pulse) / energy > 0 else 0
-        chips[2 * k + 1] = 1 if (seg_q @ pulse) / energy > 0 else 0
+    chips[0::2] = i_corr > 0
+    chips[1::2] = q_corr > 0
     return chips
 
 

@@ -19,7 +19,6 @@ import numpy.typing as npt
 from scipy import signal as sp_signal
 
 from ..contracts import iq_contract
-from ..dsp.backend import backend_enabled, get_backend
 from ..dsp.filters import design_lowpass_fir, gaussian_pulse
 from ..dsp.fm import quadrature_demod
 from ..errors import ConfigurationError
@@ -30,13 +29,17 @@ __all__ = ["fsk_modulate", "fsk_demodulate_bits", "fsk_frequency_track"]
 
 @lru_cache(maxsize=64)
 def _channel_taps(n_taps: int, cutoff_hz: float, sample_rate_hz: float) -> np.ndarray:
-    """Cached (read-only) channel-select FIR design.
+    """Cached (read-only) channel-select FIR design, as complex128.
 
     The design is deterministic in its arguments, and the FSK modems
     redesign the same filter for every demodulate call; caching it is
-    bit-identical.
+    bit-identical. The taps are complex because the filter convolves
+    complex I/Q: real taps would send ``fftconvolve`` down a different
+    FFT path and move the frequency track in its last bits.
     """
-    taps = design_lowpass_fir(n_taps, cutoff_hz, sample_rate_hz)
+    taps = design_lowpass_fir(n_taps, cutoff_hz, sample_rate_hz).astype(
+        np.complex128
+    )
     taps.flags.writeable = False
     return taps
 
@@ -94,34 +97,18 @@ def fsk_frequency_track(
     """
     if len(iq) < 2:
         return np.zeros(len(iq))
-    fast = backend_enabled()
-    backend = get_backend()
+    iq = np.asarray(iq, dtype=np.complex128)
     if bandwidth_hz is not None and bandwidth_hz < sample_rate_hz * 0.9:
         cutoff = min(bandwidth_hz / 2, 0.45 * sample_rate_hz)
         taps = _channel_taps(129, float(cutoff), float(sample_rate_hz))
-        if fast:
-            # FFT convolution: the 129-tap channel filter is the single
-            # biggest cost of an FSK demodulate on long segments.
-            iq = sp_signal.fftconvolve(
-                backend.as_complex(iq), backend.as_complex(taps), mode="same"
-            )
-        else:
-            iq = np.convolve(iq, taps, mode="same")
-    inst = quadrature_demod(
-        np.asarray(iq, dtype=np.complex128),
-        gain=sample_rate_hz / (2 * np.pi),
-    )
-    kernel = np.ones(sps) / sps
-    if fast:
-        smooth = sp_signal.fftconvolve(
-            backend.as_real(inst), backend.as_real(kernel), mode="same"
-        )
-    else:
-        smooth = np.convolve(inst, kernel, mode="same")
+        # FFT convolution: the 129-tap channel filter is the single
+        # biggest cost of an FSK demodulate on long segments.
+        iq = sp_signal.fftconvolve(iq, taps, mode="same")
+    inst = quadrature_demod(iq, gain=sample_rate_hz / (2 * np.pi))
+    smooth = sp_signal.fftconvolve(inst, np.ones(sps) / sps, mode="same")
     # quadrature_demod output n sits between samples n and n+1; prepend
     # one element so indexing lines up with the input samples.
-    track = np.concatenate(([smooth[0]], smooth))
-    return np.asarray(track, dtype=np.float64)
+    return np.concatenate(([smooth[0]], smooth))
 
 
 @iq_contract("iq")

@@ -13,9 +13,10 @@ bandwidth so frames drop straight into a wider capture: the default
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from ...dsp.backend import backend_enabled, block_correlation_metrics, derotate
 from ...dsp.chirp import base_downchirp, base_upchirp, lora_symbol
 from ...errors import ConfigurationError, DecodeError
 from ...phy.base import FrameResult, Modem, ModulationClass
@@ -24,6 +25,47 @@ from ...phy.frames import sample_sync
 from . import encoding
 
 __all__ = ["LoRaModem"]
+
+
+@lru_cache(maxsize=64)
+def _index_ramp(n: int) -> np.ndarray:
+    """Cached read-only ``arange(n)``: the per-length half of the phasor
+    ramp, reused by every derotation of one spreading factor's frames."""
+    ramp = np.arange(n, dtype=np.float64)
+    ramp.flags.writeable = False
+    return ramp
+
+
+def _derotate(iq: np.ndarray, freq_hz: float, sample_rate_hz: float) -> np.ndarray:
+    """``iq * exp(-2j pi freq_hz/sample_rate_hz * arange(len(iq)))``."""
+    rotation = (-2j * np.pi * freq_hz / sample_rate_hz) * _index_ramp(len(iq))
+    return iq * np.exp(rotation)
+
+
+def _fine_sync_metrics(
+    iq: np.ndarray,
+    ref: np.ndarray,
+    lo: int,
+    n_candidates: int,
+    block: int,
+    n_blocks: int,
+) -> np.ndarray:
+    """Non-coherent blocked correlation metric for a run of candidates.
+
+    ``metric[c] = sum_b |vdot(ref[b*block:(b+1)*block],
+    iq[lo+c+b*block : lo+c+(b+1)*block])|`` for ``c`` in
+    ``0..n_candidates-1``, as one sliding-window einsum. The caller
+    guarantees ``lo + n_candidates - 1 + n_blocks*block <= len(iq)``.
+    """
+    used = n_blocks * block
+    region = np.asarray(iq[lo : lo + n_candidates - 1 + used], dtype=np.complex128)
+    ref_blocks = np.conj(np.asarray(ref[:used], dtype=np.complex128)).reshape(
+        n_blocks, block
+    )
+    windows = np.lib.stride_tricks.sliding_window_view(region, used)
+    stacked = windows.reshape(n_candidates, n_blocks, block)
+    per_block = np.einsum("cbk,bk->cb", stacked, ref_blocks)
+    return np.abs(per_block).sum(axis=1)
 
 
 class LoRaModem(Modem):
@@ -227,34 +269,15 @@ class LoRaModem(Modem):
         ref = self.sync_reference()
         block = max((1 << self.sf) // 4 * os_, 64)
         n_blocks = max(len(ref) // block, 1)
-        if backend_enabled():
-            lo = max(coarse - os_, 0)
-            # Candidates whose full-reference window would run past the
-            # segment score nothing in the legacy loop; clamp them out
-            # up front.
-            hi = min(coarse + os_, len(iq) - len(ref))
-            if hi < lo:
-                return coarse, score
-            metrics = block_correlation_metrics(
-                iq, ref, lo, hi - lo + 1, block, n_blocks
-            )
-            # argmax keeps the first maximum — same candidate the legacy
-            # strict-greater scan settles on.
-            return lo + int(np.argmax(metrics)), score
-        best = coarse
-        best_metric = -1.0
-        for cand in range(max(coarse - os_, 0), coarse + os_ + 1):
-            window = iq[cand : cand + len(ref)]
-            if len(window) < len(ref):
-                continue
-            metric = 0.0
-            for b in range(n_blocks):
-                seg = slice(b * block, (b + 1) * block)
-                metric += abs(np.vdot(ref[seg], window[seg]))
-            if metric > best_metric:
-                best_metric = metric
-                best = cand
-        return best, score
+        lo = max(coarse - os_, 0)
+        # Candidates whose full-reference window would run past the
+        # segment cannot be scored.
+        hi = min(coarse + os_, len(iq) - len(ref))
+        if hi < lo:
+            return coarse, score
+        metrics = _fine_sync_metrics(iq, ref, lo, hi - lo + 1, block, n_blocks)
+        # Ties keep the earliest candidate.
+        return lo + int(np.argmax(metrics)), score
 
     def _frame_span(self) -> int:
         """Upper bound on sync + data samples one frame can occupy."""
@@ -268,36 +291,21 @@ class LoRaModem(Modem):
     def demodulate(self, iq: np.ndarray) -> FrameResult:
         iq = np.asarray(iq, dtype=np.complex128)
         start, score = self._coarse_sync(iq)
-        abs_start = start
-        if backend_enabled():
-            # Work on the sync+frame span only: the derotations below
-            # then cost O(frame), not O(segment), and the cached-ramp
-            # kernel applies. Rebasing the index origin to the slice
-            # start adds a constant phase to the derotated samples,
-            # which the magnitude-domain dechirp FFT cannot see.
-            iq = iq[start : start + self._frame_span()]
-            start = 0
-        cfo_hz = self._combined_offset_hz(iq, start)
+        # Work on the sync+frame span only: the derotations below then
+        # cost O(frame), not O(segment). Rebasing the index origin to
+        # the frame start adds a constant phase to the derotated
+        # samples, which the magnitude-domain dechirp FFT cannot see.
+        iq = iq[start : start + self._frame_span()]
+        cfo_hz = self._combined_offset_hz(iq, 0)
         if abs(cfo_hz) > 1e-3:
-            if backend_enabled():
-                iq = derotate(iq, cfo_hz, self.sample_rate)
-            else:
-                n_idx = np.arange(len(iq))
-                iq = iq * np.exp(
-                    -2j * np.pi * cfo_hz * n_idx / self.sample_rate
-                )
+            iq = _derotate(iq, cfo_hz, self.sample_rate)
             # One refinement pass: the first estimate is biased by
             # spectral leakage at half-bin offsets.
-            residual = self._combined_offset_hz(iq, start)
+            residual = self._combined_offset_hz(iq, 0)
             if abs(residual) > 1e-3:
-                if backend_enabled():
-                    iq = derotate(iq, residual, self.sample_rate)
-                else:
-                    iq = iq * np.exp(
-                        -2j * np.pi * residual * n_idx / self.sample_rate
-                    )
+                iq = _derotate(iq, residual, self.sample_rate)
                 cfo_hz += residual
-        data_at = start + len(self.sync_reference())
+        data_at = len(self.sync_reference())
         block = 4 + self.cr
         n_sym = self.samples_per_symbol
 
@@ -333,7 +341,7 @@ class LoRaModem(Modem):
         return FrameResult(
             payload=payload,
             crc_ok=crc_ok,
-            start=abs_start,
+            start=start,
             sync_score=score,
             corrected_errors=corrected,
             extra={

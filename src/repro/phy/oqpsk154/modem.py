@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...dsp.backend import backend_enabled
-from ...dsp.correlation import cross_correlate
 from ...errors import ChecksumError, ConfigurationError
 from ...phy.base import FrameResult, Modem, ModulationClass
 from ...phy.dsss import (
@@ -127,12 +125,7 @@ class OQpsk154Modem(Modem):
         window = iq[start : start + len(ref)]
         if len(window) < len(ref):
             return iq
-        if backend_enabled():
-            # Only lag 0 of the correlation is consumed; a single inner
-            # product replaces the full FFT convolution that computed it.
-            corr = complex(np.vdot(ref, window))
-        else:
-            corr = cross_correlate(window, ref)[0]
+        corr = complex(np.vdot(ref, window))
         if abs(corr) == 0:
             return iq
         return iq * np.exp(-1j * np.angle(corr))

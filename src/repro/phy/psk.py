@@ -13,7 +13,6 @@ import numpy as np
 import numpy.typing as npt
 
 from ..contracts import iq_contract
-from ..dsp.backend import backend_enabled, cumulative_xor
 from ..errors import ConfigurationError
 from ..utils.bits import as_bit_array
 
@@ -64,15 +63,7 @@ def dbpsk_encode(bits: npt.ArrayLike) -> np.ndarray:
     The first output symbol is the reference (equal to the first bit's
     transition from an implicit leading 0).
     """
-    arr = as_bit_array(bits)
-    if backend_enabled():
-        return cumulative_xor(arr)
-    out = np.empty(arr.size, dtype=np.uint8)
-    state = 0
-    for i, bit in enumerate(arr):
-        state ^= int(bit)
-        out[i] = state
-    return out
+    return np.bitwise_xor.accumulate(as_bit_array(bits))
 
 
 def dbpsk_decode(symbol_bits: npt.ArrayLike) -> np.ndarray:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...dsp.backend import backend_enabled
 from ...errors import ChecksumError, ConfigurationError
 from ...phy.base import FrameResult, Modem, ModulationClass
 from ...phy.frames import sample_sync_strided
@@ -131,21 +130,9 @@ class XBeeModem(Modem):
 
     # -- demodulation ----------------------------------------------------------
 
-    def _estimate_cfo(
-        self, iq: np.ndarray, start: int, track: np.ndarray | None = None
-    ) -> float:
+    def _estimate_cfo(self, track: np.ndarray, start: int) -> float:
         """Mean frequency over the alternating preamble = carrier offset."""
-        span = 8 * len(_PREAMBLE) * self._sps
-        if track is None:
-            track = fsk_frequency_track(
-                iq[start : start + span],
-                self.sample_rate,
-                self._sps,
-                self.bandwidth,
-            )
-            window = track
-        else:
-            window = track[start : start + span]
+        window = track[start : start + 8 * len(_PREAMBLE) * self._sps]
         return float(np.mean(window)) if len(window) else 0.0
 
     def demodulate(self, iq: np.ndarray) -> FrameResult:
@@ -163,14 +150,10 @@ class XBeeModem(Modem):
         bound = 8 * (len(_PREAMBLE) + len(_SFD) + 1 + self.max_payload + 2)
         iq = iq[start : start + bound * self._sps + self._sps]
         frame_start, start = start, 0
-        track = None
-        if backend_enabled():
-            # One discriminator pass over the bound slice feeds the CFO
-            # estimate, the PHR read and the PSDU read.
-            track = fsk_frequency_track(
-                iq, self.sample_rate, self._sps, self.bandwidth
-            )
-        cfo = self._estimate_cfo(iq, start, track=track)
+        # One discriminator pass over the bound slice feeds the CFO
+        # estimate, the PHR read and the PSDU read.
+        track = fsk_frequency_track(iq, self.sample_rate, self._sps, self.bandwidth)
+        cfo = self._estimate_cfo(track, start)
         header_bits = 8 * (len(_PREAMBLE) + len(_SFD))
         phr_at = start + header_bits * self._sps
         phr = fsk_demodulate_bits(

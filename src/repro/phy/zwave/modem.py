@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...dsp.backend import backend_enabled
 from ...errors import ChecksumError, ConfigurationError
 from ...phy.base import FrameResult, Modem, ModulationClass
 from ...phy.frames import sample_sync_strided
@@ -166,7 +165,7 @@ class ZWaveModem(Modem):
         at: int,
         n_bits: int,
         cfo: float,
-        track: np.ndarray | None = None,
+        track: np.ndarray,
     ) -> np.ndarray:
         """Demodulate ``n_bits`` data bits starting at sample ``at``."""
         n_symbols = 2 * n_bits if self._manchester else n_bits
@@ -210,21 +209,9 @@ class ZWaveModem(Modem):
 
     # -- demodulation ----------------------------------------------------------
 
-    def _estimate_cfo(
-        self, iq: np.ndarray, start: int, track: np.ndarray | None = None
-    ) -> float:
+    def _estimate_cfo(self, track: np.ndarray, start: int) -> float:
         """Mean frequency over the alternating preamble = carrier offset."""
-        span = self._data_samples(8 * len(self._preamble))
-        if track is None:
-            track = fsk_frequency_track(
-                iq[start : start + span],
-                self.sample_rate,
-                self._sps,
-                self.bandwidth,
-            )
-            window = track
-        else:
-            window = track[start : start + span]
+        window = track[start : start + self._data_samples(8 * len(self._preamble))]
         return float(np.mean(window)) if len(window) else 0.0
 
     def demodulate(self, iq: np.ndarray) -> FrameResult:
@@ -240,22 +227,18 @@ class ZWaveModem(Modem):
         bound = self._data_samples(8 * (len(self._preamble) + 1 + 255)) + self._sps
         iq = iq[start : start + bound]
         frame_start, start = start, 0
-        track = None
-        if backend_enabled():
-            # One discriminator pass over the bound slice feeds the CFO
-            # estimate and both bit reads (legacy recomputes it thrice).
-            track = fsk_frequency_track(
-                iq, self.sample_rate, self._sps, self.bandwidth
-            )
-        cfo = self._estimate_cfo(iq, start, track=track)
+        # One discriminator pass over the bound slice feeds the CFO
+        # estimate and both bit reads.
+        track = fsk_frequency_track(iq, self.sample_rate, self._sps, self.bandwidth)
+        cfo = self._estimate_cfo(track, start)
         mpdu_at = start + self._data_samples(8 * (len(self._preamble) + 1))
         # Read up to the length field first (home + src + fc + length).
         fixed = 4 + 1 + 2 + 1
-        head_bits = self._read_bits(iq, mpdu_at, 8 * fixed, cfo, track=track)
+        head_bits = self._read_bits(iq, mpdu_at, 8 * fixed, cfo, track)
         length = bits_to_int(head_bits[-8:])
         if length < _MPDU_OVERHEAD or length > 255:
             raise ChecksumError(f"implausible MPDU length {length}")
-        mpdu_bits = self._read_bits(iq, mpdu_at, 8 * length, cfo, track=track)
+        mpdu_bits = self._read_bits(iq, mpdu_at, 8 * length, cfo, track)
         mpdu = bits_to_bytes(mpdu_bits)
         crc_ok = xor_checksum(mpdu[:-1]) == mpdu[-1]
         payload = mpdu[fixed + 1 : -1]

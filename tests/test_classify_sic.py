@@ -121,8 +121,8 @@ class TestClassifier:
     def test_equal_score_ties_keep_lowest_index(self, monkeypatch, rng):
         # The peak re-sort before the max_per_technology cut is pinned
         # to (score desc, index asc): equal scores must not depend on
-        # the peak finder's return order, or the engine-on/off
-        # equivalence gate could flip on suppression-order accidents.
+        # the peak finder's return order, or FFT rounding could flip
+        # the cut on suppression-order accidents.
         modem = _BrittleModem()
         clf = SegmentClassifier([modem], FS, max_per_technology=2)
         tpl_norm = float(np.sqrt(64.0))
@@ -130,17 +130,6 @@ class TestClassifier:
         for idx in (300, 50, 200, 100):  # deliberately unsorted spikes
             track[idx] = 5.0 * tpl_norm
 
-        def fake_correlate_many(sig, bank, keys, telemetry=None):
-            assert list(keys) == [(0, 0)]
-            return {(0, 0): track.copy()}
-
-        monkeypatch.setattr(
-            "repro.cloud.classify.correlate_many", fake_correlate_many
-        )
-
-        # The backend-on classify path accumulates inside the engine
-        # instead of materializing tracks; fake that entry point too so
-        # the tie-order pin holds on both paths.
         def fake_correlate_accumulate(sig, bank, specs, telemetry=None):
             assert list(specs) == [0]
             assert specs[0].pairs == (((0, 0), 0),)

@@ -2,13 +2,17 @@
 
 import pytest
 
+from repro.cloud import classify, sic
 from repro.cloud.decoder import CloudDecoder
 from repro.cloud.pipeline import CloudService
+from repro.dsp import correlation
 from repro.errors import ConfigurationError
 from repro.gateway.compression import SegmentCodec
 from repro.net.scene import SceneBuilder
 from repro.net.traffic import collision_scene
 from repro.types import Segment
+
+from .test_fastcorr import _fallback_accumulate
 
 FS = 1e6
 
@@ -140,14 +144,12 @@ class TestCollisionDecoding:
 
 class TestEngineEquivalence:
     """Algorithm 1 must decode identically with the fastcorr engine
-    on (shared-FFT overlap-save classify/SIC) and off (per-template
-    fftconvolve) — the engine is a performance lever, not a behaviour
-    change. This is the cloud-path analogue of the detector-event pin
-    in test_fastcorr.py."""
+    on (shared-FFT overlap-save classify, SIC alignment and sync search)
+    and off, i.e. with every ``correlate_accumulate`` call swapped for
+    the per-template ``fftconvolve`` reference of test_fastcorr.py: the
+    engine is a performance lever, not a behaviour change."""
 
-    def test_decode_results_match_engine_off(self, trio, rng):
-        from repro.dsp.fastcorr import set_fastcorr
-
+    def test_decode_results_match_engine_off(self, trio, rng, monkeypatch):
         by = {m.name: m for m in trio}
         captures = []
         builder = SceneBuilder(FS, 0.06)
@@ -158,15 +160,19 @@ class TestEngineEquivalence:
                 [by["lora"], by["xbee"]], [12, 12], FS, rng, payload_len=8
             )[0]
         )
-        on_decoder = CloudDecoder.galiot(trio, FS)
+        on_reports = [CloudDecoder.galiot(trio, FS).decode(c) for c in captures]
+        for module in (classify, sic, correlation):
+            monkeypatch.setattr(
+                module,
+                "correlate_accumulate",
+                lambda x, bank, specs, telemetry=None: _fallback_accumulate(
+                    x, bank, specs
+                ),
+            )
         off_decoder = CloudDecoder.galiot(trio, FS)
-        for capture in captures:
-            on_report = on_decoder.decode(capture)
-            previous = set_fastcorr(False)
-            try:
-                off_report = off_decoder.decode(capture)
-            finally:
-                set_fastcorr(previous)
+        for capture, on_report in zip(captures, on_reports, strict=True):
+            off_report = off_decoder.decode(capture)
+            assert on_report.results
             assert on_report.results == off_report.results
             assert on_report.sic_cancellations == off_report.sic_cancellations
             assert on_report.kill_invocations == off_report.kill_invocations

@@ -189,24 +189,3 @@ class TestGatewayRegression:
     def test_detection_boundary_guard(self, gateway):
         with sanitize("raise"), pytest.raises(ContractViolationError):
             gateway.detector.detect(np.array([np.nan + 0j] * 1024))
-
-
-class TestDeprecatedAliases:
-    def test_gateway_fs_kwarg_warns_and_maps(self, zwave):
-        with pytest.warns(DeprecationWarning, match="sample_rate_hz"):
-            gateway = GalioTGateway(
-                [zwave], detector="energy", use_edge=False, fs=2e6
-            )
-        assert gateway.sample_rate_hz == 2e6
-
-    def test_gateway_fs_property_warns(self, zwave):
-        gateway = GalioTGateway([zwave], 1e6, detector="energy", use_edge=False)
-        with pytest.warns(DeprecationWarning, match="sample_rate_hz"):
-            assert gateway.fs == 1e6
-
-    def test_scene_builder_fs_property_warns(self):
-        from repro.net.scene import SceneBuilder
-
-        builder = SceneBuilder(1e6, 0.001)
-        with pytest.warns(DeprecationWarning, match="sample_rate_hz"):
-            assert builder.fs == 1e6

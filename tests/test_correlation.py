@@ -173,19 +173,7 @@ class TestFindPeaksTieOrder:
 class TestFindPeaksLocalMax:
     def test_default_keeps_every_above_threshold_sample(self):
         # The docstring contract: candidates are NOT restricted to local
-        # maxima by default — a monotone ramp's top wins, but a sample on
-        # the rising flank survives when the summit is suppressed.
+        # maxima — a monotone ramp's top wins, but a sample on the
+        # rising flank survives when the summit is suppressed.
         scores = np.array([0.0, 0.6, 0.7, 0.8, 0.9, 1.0, 0.0])
         assert find_peaks_above(scores, 0.5, 3) == [2, 5]
-
-    def test_local_max_only_prefilters_flanks(self):
-        scores = np.array([0.0, 0.6, 0.7, 0.8, 0.9, 1.0, 0.0])
-        assert find_peaks_above(scores, 0.5, 3, local_max_only=True) == [5]
-
-    def test_local_max_plateau_and_edges(self):
-        # Plateau samples all qualify (ties resolve to the highest
-        # index); track edges are compared one-sided.
-        scores = np.array([1.0, 0.2, 0.8, 0.8, 0.8, 0.2, 1.0])
-        # Plateau: 4 wins the tie (highest index), 3 falls inside its
-        # exclusion zone, 2 sits exactly min_distance away and survives.
-        assert find_peaks_above(scores, 0.5, 2, local_max_only=True) == [0, 2, 4, 6]

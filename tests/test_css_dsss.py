@@ -149,25 +149,17 @@ class TestOqpskWaveform:
         with pytest.raises(ConfigurationError):
             chips_to_oqpsk(np.ones(4, dtype=np.uint8), sps=3)
 
-    @pytest.mark.parametrize("profile", ["numpy", "off"])
-    def test_truncated_waveform_is_a_decode_error(self, profile):
-        # Regression: the legacy loop raised ConfigurationError when a
-        # residual ran out under the frame, so the cloud's ReproError
-        # handling treated a data-dependent truncation as a caller bug
-        # instead of a clean miss. Both backend profiles must raise
-        # DecodeError (a ReproError) here.
-        from repro.dsp.backend import get_backend, set_backend
+    def test_truncated_waveform_is_a_decode_error(self):
+        # Regression: a residual that ran out under the frame used to
+        # raise ConfigurationError, so the cloud's ReproError handling
+        # treated a data-dependent truncation as a caller bug instead of
+        # a clean miss. It must raise DecodeError (a ReproError).
         from repro.errors import DecodeError, ReproError
 
         chips = np.ones(64, dtype=np.uint8)
         wave = chips_to_oqpsk(chips, sps=4)
-        previous = get_backend()
-        set_backend(profile)
-        try:
-            with pytest.raises(DecodeError) as excinfo:
-                oqpsk_to_chips(wave[: len(wave) // 2], len(chips), sps=4)
-        finally:
-            set_backend(previous)
+        with pytest.raises(DecodeError) as excinfo:
+            oqpsk_to_chips(wave[: len(wave) // 2], len(chips), sps=4)
         assert isinstance(excinfo.value, ReproError)
         assert not isinstance(excinfo.value, ConfigurationError)
 

@@ -8,7 +8,6 @@ PHY families and through :meth:`EdgeDecoder.try_decode_batch`.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.errors import ReproError

@@ -12,7 +12,6 @@ from repro.dsp.resample import (
     resample_plan,
     resample_plan_cache_info,
     resample_rational,
-    set_resample_plan_cache,
     to_rate,
     upsample_integer,
 )
@@ -84,6 +83,15 @@ class TestToRate:
         with pytest.raises(ConfigurationError):
             to_rate(np.ones(4, complex), 0, 1e6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1e6])
+    @pytest.mark.parametrize("side", ["in", "out"])
+    def test_non_finite_or_nonpositive_rate_is_configuration_error(self, bad, side):
+        # Regression: NaN slipped past a ``<= 0`` check and inf reached
+        # Fraction(), escaping as ValueError/OverflowError.
+        rates = (bad, 1e6) if side == "in" else (1e6, bad)
+        with pytest.raises(ConfigurationError):
+            to_rate(np.ones(4, complex), *rates)
+
 
 class TestResamplePlanCache:
     # Each modem pair in a decode session hits the same (fs_in, fs_out)
@@ -99,14 +107,14 @@ class TestResamplePlanCache:
             assert np.array_equal(plan.apply(x), direct), (fs_in, fs_out)
 
     def test_to_rate_unchanged_by_cache(self, rng):
+        # Cold and warm plans give what resample_poly designs itself.
         x = rng.normal(size=2048) + 1j * rng.normal(size=2048)
-        cached = to_rate(x, 1e6, 250e3)
-        old = set_resample_plan_cache(False)
-        try:
-            uncached = to_rate(x, 1e6, 250e3)
-        finally:
-            set_resample_plan_cache(old)
-        assert np.array_equal(cached, uncached)
+        clear_resample_plan_cache()
+        cold = to_rate(x, 1e6, 250e3)
+        warm = to_rate(x, 1e6, 250e3)
+        direct = sp_signal.resample_poly(x, 1, 4)
+        assert np.array_equal(cold, direct)
+        assert np.array_equal(warm, direct)
 
     def test_cache_hit_on_repeat(self):
         clear_resample_plan_cache()
