@@ -2,7 +2,7 @@
 """Adversarial robustness: per-scenario survival and acceptance hygiene.
 
 Runs every named :data:`~repro.net.adversary.ATTACK_SCENARIOS` scenario
-through :func:`~repro.net.attackdrill.run_attack_drill` — one clean
+through :func:`~repro.drill.run_attack_drill` — one clean
 baseline plus one attacked, hardened pass each — and records, per
 scenario:
 
@@ -42,7 +42,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.net.adversary import ATTACK_SCENARIOS  # noqa: E402
-from repro.net.attackdrill import run_attack_drill  # noqa: E402
+from repro.drill import run_attack_drill  # noqa: E402
 
 SEED = 0xC0FFEE
 SURVIVAL_FLOOR = 0.95

@@ -11,11 +11,12 @@ Two families of subcommands:
   the gateway and fan the shipped segments out over the
   :class:`~repro.cloud.parallel.ParallelCloudService` decode farm
   (``--workers 0`` decodes serially for comparison);
-* ``galiot chaos --scenario mixed`` — run the same end-to-end pipeline
-  under a seeded :class:`~repro.faults.FaultPlan` (backhaul outages,
-  worker crashes/hangs, poison segments, front-end dropouts) with the
-  resilience layer on, and report frame survival versus the fault-free
-  run;
+* ``galiot chaos --scenario mixed`` / ``galiot attack --scenario
+  mixed`` — one scored :mod:`repro.drill`: run the same end-to-end
+  pipeline under a seeded :class:`~repro.faults.FaultPlan` (backhaul
+  outages, worker crashes/hangs, poison segments, front-end dropouts)
+  or :class:`~repro.net.adversary.AttackPlan` (jammers, replays,
+  spoofs), and report frame survival versus a clean baseline run;
 * ``galiot serve --devices 1000000`` — offer a fleet-scale multi-tenant
   workload to the :class:`~repro.service.IngestionService` (admission
   control, per-tenant quotas, priority queues, autoscaled decode
@@ -212,215 +213,27 @@ def _run_cloud(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_chaos(args: argparse.Namespace) -> int:
-    """End-to-end chaos drill: fault-free baseline vs. resilient run."""
-    from .cloud import CloudResilience, CloudService, ParallelCloudService
-    from .faults import build_scenario
-    from .gateway import (
-        BackhaulLink,
-        DegradationLadder,
-        GalioTGateway,
-        ResilientBackhaul,
-        RtlSdrModel,
-        StreamingGateway,
-        iter_chunks,
+def _run_drill(args: argparse.Namespace) -> int:
+    """Scored drill (``chaos`` or ``attack``): baseline vs. perturbed run."""
+    from .drill import DrillScene, describe_plan, run_drill
+
+    scene = DrillScene(
+        seed=args.seed, duration_s=args.duration, packets=args.packets, snr_db=args.snr,
+        technologies=tuple(n.strip() for n in args.technologies.split(",")),
+        rate_mbps=args.rate_mbps, chunk=args.chunk,
     )
-    from .net.scene import SceneBuilder
-    from .phy import create_modem
-
-    fs = 1e6
-    rng = np.random.default_rng(args.seed)
-    # Compact-frame technologies by default: with LoRa in the mix its
-    # 2x-frame extraction windows merge every packet into one mega
-    # segment, which collapses the per-segment fault axes (poison,
-    # corruption) the drill exists to exercise.
-    modems = [create_modem(n.strip()) for n in args.technologies.split(",")]
-    builder = SceneBuilder(fs, args.duration)
-    n_samples = int(args.duration * fs)
-    for i in range(args.packets):
-        modem = modems[i % len(modems)]
-        start = int((i + 0.5) * n_samples / args.packets)
-        builder.add_packet(
-            modem, f"chaos-{i}".encode(), start, args.snr, rng,
-            snr_mode="capture",
-        )
-    capture, truth = builder.render(rng)
-    noise = (
-        rng.normal(size=200_000) + 1j * rng.normal(size=200_000)
-    ) * np.sqrt(truth.noise_power / 2)
-    plan = build_scenario(
-        args.scenario,
-        seed=args.seed,
-        duration_s=args.duration,
-        n_segments_hint=args.packets,
-    )
-
-    def run(faulty: bool):
-        telemetry = Telemetry()
-        front_end = (
-            RtlSdrModel(faults=plan if faulty else None)
-            if plan.sample_gaps
-            else None
-        )
-        if faulty:
-            backhaul = ResilientBackhaul(
-                BackhaulLink(rate_bps=args.rate_mbps * 1e6, max_queue_s=0.5),
-                faults=plan,
-            )
-            ladder = DegradationLadder()
-        else:
-            backhaul, ladder = None, None
-        gateway = GalioTGateway(
-            modems, fs, use_edge=False, front_end=front_end,
-            backhaul=backhaul, degradation=ladder, telemetry=telemetry,
-        )
-        gateway.detector.calibrate(noise)
-        if faulty:
-            farm = ParallelCloudService(
-                modems, fs, workers=args.workers, executor=args.executor,
-                telemetry=telemetry, faults=plan,
-                resilience=CloudResilience(decode_timeout_s=30.0),
-            )
-            stream = StreamingGateway(
-                gateway, on_shipped=farm.submit, fault_tolerant=True
-            )
-            try:
-                report = stream.process_stream(
-                    iter_chunks(capture, args.chunk)
-                )
-                results = farm.drain()
-                quarantined = list(farm.quarantine)
-                stats = farm.stats
-            finally:
-                # The drill injects crashes on purpose: an escaping
-                # fault must still tear the farm down.
-                farm.close()
-        else:
-            service = CloudService(modems, fs, telemetry=telemetry)
-            stream = StreamingGateway(gateway)
-            report = stream.process_stream(iter_chunks(capture, args.chunk))
-            results = [
-                r for s in report.shipped for r in service.process_segment(s)
-            ]
-            quarantined = []
-            stats = service.stats
-        return report, results, quarantined, stats, telemetry
-
+    plan = scene.plan(args.command, args.scenario)
     print(f"scenario {args.scenario!r} (seed {args.seed}):")
-    for w in plan.outages:
-        print(f"  outage          {w.start_s:.3f}s .. {w.end_s:.3f}s")
-    for s in plan.latency_spikes:
-        print(f"  latency spike   {s.start_s:.3f}s .. {s.end_s:.3f}s (+{s.extra_s*1e3:.0f} ms)")
-    for g in plan.sample_gaps:
-        print(f"  sample gap      {g.start} (+{g.length} samples)")
-    if plan.poison_segments:
-        print(f"  poison segments {sorted(plan.poison_segments)}")
-    if plan.corrupt_segments:
-        print(f"  corrupt segments {sorted(plan.corrupt_segments)}")
-    if plan.crash_submissions:
-        print(f"  worker crashes at submissions {sorted(plan.crash_submissions)}")
-    if plan.hang_submissions:
-        print(f"  worker hangs at submissions {sorted(plan.hang_submissions)}")
+    for line in describe_plan(plan):
+        print(f"  {line}")
     print()
-
-    _, base_results, _, _, _ = run(faulty=False)
-    report, results, quarantined, stats, telemetry = run(faulty=True)
-
-    base_frames = [(r.technology, r.payload) for r in base_results if r.ok]
-    frames = [(r.technology, r.payload) for r in results if r.ok]
-    survived = sum(1 for f in base_frames if f in frames)
-    ratio = survived / len(base_frames) if base_frames else 1.0
-    print(
-        f"fault-free frames: {len(base_frames)}  "
-        f"chaos frames: {len(frames)}  "
-        f"survival: {100 * ratio:.1f}%"
+    report = run_drill(
+        plan, args.scenario, scene,
+        hardened=not getattr(args, "unhardened", False),  # attack only
+        workers=getattr(args, "workers", 2),  # chaos only
+        executor=getattr(args, "executor", "thread"),
     )
-    print(
-        f"gateway: {len(report.shipped)} shipped, "
-        f"{report.degraded_segments} degraded (metadata-only), "
-        f"{report.dropped_segments} evicted"
-    )
-    print(
-        f"cloud: {stats.segments} decoded, {stats.retried} retried, "
-        f"{stats.requeued} requeued, {stats.quarantined} quarantined, "
-        f"{stats.degraded} degraded"
-    )
-    for q in quarantined:
-        print(f"  quarantined seq {q.seq}: {q.reason}")
-    print()
-    print(format_snapshot(telemetry.snapshot()))
-    return 0 if ratio >= 0.95 else 1
-
-
-def _run_attack(args: argparse.Namespace) -> int:
-    """Scored adversarial drill: legit-traffic survival under attack."""
-    from .net.adversary import build_attack_scenario
-    from .net.attackdrill import run_attack_drill
-
-    technologies = tuple(n.strip() for n in args.technologies.split(","))
-    plan = build_attack_scenario(
-        args.scenario,
-        seed=args.seed,
-        duration_s=args.duration,
-        technologies=technologies,
-        n_packets_hint=args.packets,
-    )
-    print(f"scenario {args.scenario!r} (seed {args.seed}):")
-    for j in plan.jammers:
-        extra = f" period {j.period_s * 1e3:.0f} ms duty {j.duty:.2f}" if j.kind == "pulse" else ""
-        print(
-            f"  {j.kind + ' jammer':<15} {j.start_s:.3f}s .. {j.end_s:.3f}s "
-            f"power {j.power:.1f}x{extra}"
-        )
-    for r in plan.replays:
-        print(
-            f"  replay          packet #{r.victim} after +{r.delay_s:.3f}s "
-            f"({r.gain_db:+.1f} dB)"
-        )
-    for s in plan.spoofs:
-        print(f"  spoof           {s.technology} preamble at {s.start_s:.3f}s")
-    if plan.is_empty():
-        print("  (no adversary: measures the hardening layer's clean-air overhead)")
-    print()
-
-    report = run_attack_drill(
-        args.scenario,
-        seed=args.seed,
-        duration_s=args.duration,
-        packets=args.packets,
-        snr_db=args.snr,
-        technologies=technologies,
-        rate_mbps=args.rate_mbps,
-        chunk=args.chunk,
-        hardened=not args.unhardened,
-    )
-    print(
-        f"baseline frames: {report.baseline_frames}  "
-        f"accepted under attack: {report.accepted_frames}  "
-        f"survival: {100 * report.survival:.1f}%"
-    )
-    print(
-        f"acceptance hygiene: {report.false_decodes} false decodes "
-        f"({100 * report.false_decode_rate:.2f}%), "
-        f"{report.replay_accepts} replays accepted "
-        f"(guard rejected {report.guard.replays_rejected} replays, "
-        f"{report.guard.duplicates_rejected} duplicates, "
-        f"{report.guard.corrupt_rejected} corrupt)"
-    )
-    latency = report.detection_latency_s
-    latency_str = (
-        "n/a (no jammers)" if latency is None
-        else "undetected" if latency == float("inf")
-        else f"{latency * 1e3:.1f} ms"
-    )
-    print(
-        f"jamming: {report.jamming_events} events, "
-        f"detection latency {latency_str}"
-    )
-    print(
-        f"gateway: {report.degraded_segments} degraded (metadata-only), "
-        f"{report.dropped_segments} evicted"
-    )
+    print("\n".join(report.summary()))
     print()
     print(format_snapshot(report.telemetry.snapshot()))
     return 0 if report.passed() else 1
@@ -586,6 +399,42 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_drill_args(parser: argparse.ArgumentParser) -> None:
+    """The scene and pipeline flags ``chaos`` and ``attack`` share, and
+    their shared runner."""
+    parser.add_argument(
+        "--chunk", type=_positive_int, default=262_144,
+        help="streaming chunk size in samples (default: 262144)",
+    )
+    parser.add_argument(
+        "--duration", type=float, default=2.0,
+        help="scene duration in seconds (default: 2.0)",
+    )
+    parser.add_argument(
+        "--packets", type=_positive_int, default=48,
+        help="honest packets placed in the scene (default: 48; the 95%% "
+        "survival bar needs a few dozen)",
+    )
+    parser.add_argument(
+        "--snr", type=float, default=12.0,
+        help="per-packet capture SNR in dB (default: 12)",
+    )
+    parser.add_argument(
+        "--rate-mbps", type=float, default=20.0,
+        help="backhaul link rate in Mbit/s (default: 20)",
+    )
+    parser.add_argument(
+        "--technologies", default="xbee,zwave",
+        help="comma-separated modem round-robin (default: xbee,zwave; "
+        "adding lora merges packets into few large segments)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0xC0FFEE,
+        help="scene + plan RNG seed",
+    )
+    parser.set_defaults(func=_run_drill)
+
+
 def main(argv: list[str] | None = None) -> int:
     """Parse arguments and dispatch one subcommand."""
     parser = argparse.ArgumentParser(
@@ -692,37 +541,7 @@ def main(argv: list[str] | None = None) -> int:
         "--executor", choices=["process", "thread"], default="thread",
         help="worker pool flavour (default: thread)",
     )
-    chaos.add_argument(
-        "--chunk", type=_positive_int, default=262_144,
-        help="streaming chunk size in samples (default: 262144)",
-    )
-    chaos.add_argument(
-        "--duration", type=float, default=2.0,
-        help="scene duration in seconds (default: 2.0)",
-    )
-    chaos.add_argument(
-        "--packets", type=_positive_int, default=48,
-        help="packets placed in the scene (default: 48 — the mixed "
-        "scenario loses ~2 segments, so the 95%% survival bar needs "
-        "a few dozen)",
-    )
-    chaos.add_argument(
-        "--snr", type=float, default=12.0,
-        help="per-packet capture SNR in dB (default: 12)",
-    )
-    chaos.add_argument(
-        "--rate-mbps", type=float, default=20.0,
-        help="backhaul link rate in Mbit/s (default: 20)",
-    )
-    chaos.add_argument(
-        "--technologies", default="xbee,zwave",
-        help="comma-separated modem round-robin (default: xbee,zwave; "
-        "adding lora merges packets into few large segments)",
-    )
-    chaos.add_argument(
-        "--seed", type=int, default=0xC0FFEE, help="scene + fault RNG seed"
-    )
-    chaos.set_defaults(func=_run_chaos)
+    _add_drill_args(chaos)
     attack = sub.add_parser(
         "attack",
         help="run a seeded adversary scenario against the hardened pipeline",
@@ -735,38 +554,10 @@ def main(argv: list[str] | None = None) -> int:
         "measures the hardening layer's clean-air overhead)",
     )
     attack.add_argument(
-        "--chunk", type=_positive_int, default=262_144,
-        help="streaming chunk size in samples (default: 262144)",
-    )
-    attack.add_argument(
-        "--duration", type=float, default=2.0,
-        help="scene duration in seconds (default: 2.0)",
-    )
-    attack.add_argument(
-        "--packets", type=_positive_int, default=48,
-        help="honest packets placed in the scene (default: 48)",
-    )
-    attack.add_argument(
-        "--snr", type=float, default=12.0,
-        help="per-packet capture SNR in dB (default: 12)",
-    )
-    attack.add_argument(
-        "--rate-mbps", type=float, default=20.0,
-        help="backhaul link rate in Mbit/s (default: 20)",
-    )
-    attack.add_argument(
-        "--technologies", default="xbee,zwave",
-        help="comma-separated modem round-robin (default: xbee,zwave)",
-    )
-    attack.add_argument(
         "--unhardened", action="store_true",
         help="disable the hardened receive path (what the guards are worth)",
     )
-    attack.add_argument(
-        "--seed", type=int, default=0xC0FFEE,
-        help="scene + attack-plan RNG seed",
-    )
-    attack.set_defaults(func=_run_attack)
+    _add_drill_args(attack)
     serve = sub.add_parser(
         "serve",
         help="offer a fleet-scale tenant workload to the ingestion service",

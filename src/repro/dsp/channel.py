@@ -86,8 +86,11 @@ def scale_to_snr(
     power (the scene's common noise floor), compute the amplitude at which
     a packet must be injected to achieve a target in-band SNR.
     """
-    if signal_bw <= 0 or sample_rate_hz <= 0 or signal_bw > sample_rate_hz:
+    if not 0 < signal_bw <= sample_rate_hz:
         raise ConfigurationError("need 0 < signal_bw <= sample_rate_hz")
+    if not np.isfinite(snr_db):
+        # A NaN/inf SNR would scale the packet to a NaN/inf waveform.
+        raise ConfigurationError(f"snr_db must be finite, got {snr_db}")
     current = signal_power(x)
     if current <= 0:
         raise ConfigurationError("cannot scale a zero-power signal")

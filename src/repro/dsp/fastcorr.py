@@ -375,11 +375,6 @@ class TemplateBank:
                 self._spectra_cache.popitem(last=False)
             return matrix
 
-    def clear_spectra(self) -> None:
-        """Drop the cached spectra (tests and memory pressure)."""
-        with self._spectra_lock:
-            self._spectra_cache.clear()
-
 
 def blocked_bank(
     template: npt.ArrayLike,

@@ -327,11 +327,6 @@ class PreambleBankDetector:
         """Template correlations per capture — grows with the bank size."""
         return len(self.templates)
 
-    def _score(self, samples: np.ndarray, template: np.ndarray) -> np.ndarray:
-        return matched_filter_track(
-            samples, template, self.block, telemetry=self.telemetry
-        )
-
     @iq_contract("samples")
     def detect(self, samples: np.ndarray) -> list[DetectionEvent]:
         """Per-technology correlation peaks above each CFAR threshold."""

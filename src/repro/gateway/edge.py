@@ -87,47 +87,3 @@ class EdgeDecoder:
         if not ship:
             self.telemetry.count("edge.resolved_locally")
         return EdgeOutcome(results=results, ship_to_cloud=ship)
-
-    def try_decode_batch(self, segments: list[Segment]) -> list[EdgeOutcome]:
-        """Edge pass over a batch of segments, one outcome per segment.
-
-        Per technology, every segment is resampled once and handed to
-        :meth:`~repro.phy.base.Modem.demodulate_many`, so the modem's
-        cached sync reference (and any PHY-level batch implementation)
-        is amortized over the whole batch instead of rebuilt per frame —
-        the modem-batched counterpart of the serial :meth:`try_decode`
-        loop, with identical per-segment outcomes.
-        """
-        per_segment: list[list[DecodeResult]] = [[] for _ in segments]
-        with self.telemetry.span("edge.batch"):
-            for modem in self.modems:
-                buffers = [
-                    to_rate(s.samples, self.sample_rate_hz, modem.sample_rate)
-                    for s in segments
-                ]
-                for slot, frame in zip(
-                    per_segment, modem.demodulate_many(buffers), strict=True
-                ):
-                    if frame is not None and frame.crc_ok:
-                        slot.append(
-                            DecodeResult(
-                                technology=modem.name,
-                                payload=frame.payload,
-                                ok=True,
-                                method="direct",
-                                start=frame.start,
-                            )
-                        )
-        outcomes: list[EdgeOutcome] = []
-        for segment, results in zip(segments, per_segment, strict=True):
-            ship = not results
-            if self.ship_on_multi_detection and len(segment.detections) > len(
-                results
-            ):
-                ship = True
-            self.telemetry.count("edge.segments")
-            self.telemetry.count("edge.frames", len(results))
-            if not ship:
-                self.telemetry.count("edge.resolved_locally")
-            outcomes.append(EdgeOutcome(results=results, ship_to_cloud=ship))
-        return outcomes

@@ -113,14 +113,18 @@ class ResilientBackhaul:
         seed: int | None = None,
         telemetry: Telemetry | None = None,
     ):
-        if max_spill_bits <= 0:
-            raise ConfigurationError("max_spill_bits must be positive")
-        if base_backoff_s <= 0 or max_backoff_s < base_backoff_s:
+        # Written as ``not (0 < x ...)``, not ``x <= 0``: NaN fails every
+        # comparison, so it must fail the check (a NaN backoff or jitter
+        # makes every spilled entry due on every flush; a NaN cap drops
+        # the cap). max_backoff_s=inf is a valid uncapped backoff.
+        if not 0 < max_spill_bits < np.inf:
+            raise ConfigurationError("max_spill_bits must be positive and finite")
+        if not (0 < base_backoff_s < np.inf and base_backoff_s <= max_backoff_s):
             raise ConfigurationError(
-                "need 0 < base_backoff_s <= max_backoff_s"
+                "need 0 < base_backoff_s <= max_backoff_s, base finite"
             )
-        if jitter < 0:
-            raise ConfigurationError("jitter must be >= 0")
+        if not 0 <= jitter < np.inf:
+            raise ConfigurationError("jitter must be >= 0 and finite")
         self.link = link
         self.faults = faults
         self.max_spill_bits = int(max_spill_bits)

@@ -12,7 +12,6 @@ from .adversary import (
     render_attack_plan,
 )
 from .airtime import frame_airtime, frame_samples_at, goodput_bits
-from .attackdrill import AttackDrillReport, run_attack_drill
 from .device import Device, EnergyProfile
 from .energy import EnergyLedger
 from .mac import MacState, PendingFrame
@@ -42,8 +41,6 @@ __all__ = [
     "SpoofSpec",
     "build_attack_scenario",
     "render_attack_plan",
-    "AttackDrillReport",
-    "run_attack_drill",
     "frame_airtime",
     "frame_samples_at",
     "goodput_bits",

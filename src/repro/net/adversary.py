@@ -257,11 +257,6 @@ class AttackLedger:
         """The spoof injections, in schedule order."""
         return [t for t in self.injected if t.kind == "spoof"]
 
-    @property
-    def jam_bursts(self) -> list[AttackTruth]:
-        """The jam injections, in schedule order."""
-        return [t for t in self.injected if t.kind.startswith("jam-")]
-
     def replayed_payloads(self) -> set[tuple[str, bytes]]:
         """``(technology, payload)`` pairs the replay attacker copied."""
         return {

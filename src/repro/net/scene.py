@@ -41,9 +41,13 @@ class SceneBuilder:
     def __init__(
         self, sample_rate_hz: float, duration_s: float, noise_power: float = NOISE_POWER
     ):
-        if sample_rate_hz <= 0 or duration_s <= 0:
-            raise ConfigurationError("sample_rate_hz and duration_s must be positive")
-        if noise_power < 0:
+        # Comparisons with NaN are false, so each check is written to
+        # fail on NaN (and inf), not pass it.
+        if not (0 < sample_rate_hz < np.inf and 0 < duration_s < np.inf):
+            raise ConfigurationError(
+                "sample_rate_hz and duration_s must be positive and finite"
+            )
+        if not noise_power >= 0:
             raise ConfigurationError("noise_power must be >= 0")
         self.sample_rate_hz = float(sample_rate_hz)
         self.n_samples = int(round(duration_s * sample_rate_hz))

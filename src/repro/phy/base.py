@@ -136,10 +136,10 @@ class Modem(abc.ABC):
         Demodulators correlate every segment against the same reference
         (``sync_waveform()`` where the PHY defines one, the preamble
         otherwise), and regenerating a multi-thousand-sample waveform
-        per :meth:`demodulate` call is pure waste on a batch path. The
-        cache is safe because the reference is a pure function of the
-        modem's fixed parameters; it is returned non-writeable so no
-        caller can corrupt it for the next frame.
+        per :meth:`demodulate` call is pure waste. The cache is safe
+        because the reference is a pure function of the modem's fixed
+        parameters; it is returned non-writeable so no caller can
+        corrupt it for the next frame.
         """
         cached = getattr(self, "_sync_reference_cache", None)
         if cached is None:
@@ -152,30 +152,6 @@ class Modem(abc.ABC):
             cached.flags.writeable = False
             self._sync_reference_cache = cached
         return cached
-
-    def demodulate_many(
-        self, buffers: list[np.ndarray]
-    ) -> list[FrameResult | None]:
-        """Demodulate a batch of independent segments.
-
-        The default walks :meth:`demodulate` with the cached
-        :meth:`sync_reference` warm, mapping the expected failures
-        (:class:`~repro.errors.ReproError`: no sync, bad decode) to
-        ``None`` — so batch consumers get one result slot per buffer
-        instead of an exception aborting the rest of the batch. PHYs
-        with genuinely vectorizable sync can override this with a true
-        batched implementation.
-        """
-        from ..errors import ReproError
-
-        self.sync_reference()
-        results: list[FrameResult | None] = []
-        for iq in buffers:
-            try:
-                results.append(self.demodulate(iq))
-            except ReproError:
-                results.append(None)
-        return results
 
     def frame_samples(self, payload_len: int) -> int:
         """Number of native samples a frame with this payload occupies."""

@@ -1,10 +1,10 @@
-"""Tests for the scored adversarial drill (repro.net.attackdrill) and
+"""Tests for the scored adversarial drill (repro.drill) and
 the ``galiot attack`` CLI entry point."""
 
 import pytest
 
 from repro.guard import GuardStats
-from repro.net.attackdrill import AttackDrillReport, run_attack_drill
+from repro.drill import DrillReport as AttackDrillReport, run_attack_drill
 
 # Small-but-representative drill fixture: same proportions as the CLI
 # defaults, sized for CI (matches bench_attack --smoke).

@@ -77,10 +77,11 @@ class TestEdge:
             detections=[DetectionEvent(0, 1.0, "u")] * detections,
         )
 
-    def test_clean_frame_resolved_locally(self, trio, rng):
-        xbee = next(m for m in trio if m.name == "xbee")
+    @pytest.mark.parametrize("name", ["lora", "xbee", "zwave"])
+    def test_clean_frame_resolved_locally(self, trio, rng, name):
+        modem = next(m for m in trio if m.name == name)
         builder = SceneBuilder(FS, 0.05)
-        builder.add_packet(xbee, b"local", 2000, 15, rng)
+        builder.add_packet(modem, b"local", 2000, 15, rng)
         capture, _ = builder.render(rng)
         edge = EdgeDecoder(trio, FS)
         outcome = edge.try_decode(self._segment(capture))

@@ -69,6 +69,15 @@ class TestBandSnr:
         with pytest.raises(ConfigurationError):
             scale_to_snr(np.zeros(10, complex), 0.0, 1.0, 1e5, 1e6)
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), -float("inf")])
+    def test_scale_non_finite_snr_rejected(self, snr_db):
+        with pytest.raises(ConfigurationError):
+            scale_to_snr(np.ones(10, complex), snr_db, 1.0, 1e5, 1e6)
+
+    def test_scale_nan_bandwidth_rejected(self):
+        with pytest.raises(ConfigurationError):
+            scale_to_snr(np.ones(10, complex), 0.0, 1.0, float("nan"), 1e6)
+
 
 class TestComplexGain:
     def test_amplitude_and_phase(self):

@@ -128,6 +128,31 @@ class TestSceneBuilder:
         with pytest.raises(ConfigurationError):
             builder.add_packet(xbee, b"x", 0, 0, rng, fading="nakagami")
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"sample_rate_hz": float("nan")},
+            {"sample_rate_hz": float("inf")},
+            {"duration_s": float("nan")},
+            {"duration_s": float("inf")},
+            {"noise_power": float("nan")},
+        ],
+    )
+    def test_non_finite_scene_parameters_rejected(self, kwargs):
+        # NaN slipped through the ``<= 0`` checks and failed later in
+        # int() with ValueError; inf failed with OverflowError.
+        args = {"sample_rate_hz": FS, "duration_s": 0.05, **kwargs}
+        with pytest.raises(ConfigurationError):
+            SceneBuilder(**args)
+
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_snr_rejected(self, xbee, rng, snr_db):
+        # A NaN SNR rendered an all-NaN capture, which a drill then
+        # scored as 100 % survival of an empty baseline.
+        builder = SceneBuilder(FS, 0.05)
+        with pytest.raises(ConfigurationError):
+            builder.add_packet(xbee, b"x", 0, snr_db, rng, snr_mode="capture")
+
 
 class TestTrafficGenerators:
     def test_poisson_scene_truth(self, trio, rng):

@@ -175,6 +175,31 @@ class TestResilientBackhaul:
         with pytest.raises(ConfigurationError):
             ResilientBackhaul(link, jitter=-0.1)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"base_backoff_s": float("nan")},
+            {"max_backoff_s": float("nan")},
+            {"jitter": float("nan")},
+            {"max_spill_bits": float("nan")},
+            {"max_spill_bits": float("inf")},
+            {"base_backoff_s": float("inf"), "max_backoff_s": float("inf")},
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, kwargs):
+        # NaN fails every comparison, so the ``<= 0`` / ``<`` checks let
+        # it through: a NaN backoff or jitter made every spilled entry
+        # due on every flush, a NaN cap dropped the cap, and a NaN spill
+        # bound failed in int() with ValueError.
+        with pytest.raises(ConfigurationError):
+            ResilientBackhaul(BackhaulLink(), **kwargs)
+
+    def test_uncapped_backoff_allowed(self):
+        wrapper = ResilientBackhaul(
+            BackhaulLink(), max_backoff_s=float("inf"), jitter=0.0
+        )
+        assert wrapper._backoff(10) == pytest.approx(0.05 * 2**10)
+
 
 class TestDegradationLadder:
     def test_escalates_after_sustained_pressure(self):
