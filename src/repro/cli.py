@@ -16,11 +16,7 @@ Two families of subcommands:
   pipeline under a seeded :class:`~repro.faults.FaultPlan` (backhaul
   outages, worker crashes/hangs, poison segments, front-end dropouts)
   or :class:`~repro.net.adversary.AttackPlan` (jammers, replays,
-  spoofs), and report frame survival versus a clean baseline run;
-* ``galiot serve --devices 1000000`` — offer a fleet-scale multi-tenant
-  workload to the :class:`~repro.service.IngestionService` (admission
-  control, per-tenant quotas, priority queues, autoscaled decode
-  workers) and print the deterministic ledger plus latency percentiles.
+  spoofs), and report frame survival versus a clean baseline run.
 """
 
 from __future__ import annotations
@@ -239,120 +235,6 @@ def _run_drill(args: argparse.Namespace) -> int:
     return 0 if report.passed() else 1
 
 
-def _run_serve(args: argparse.Namespace) -> int:
-    """Fleet-scale ingestion demo: load generator -> service -> farm."""
-    from .cloud import ParallelCloudService
-    from .net.traffic import DutyCycleProfile
-    from .phy import create_modem
-    from .service import (
-        AdmissionController,
-        AdmissionPolicy,
-        AutoscalePolicy,
-        AutoscalerModel,
-        IngestionService,
-        TenantQuota,
-        TenantWorkload,
-        generate_workload,
-        offered_rate_hz,
-    )
-
-    fs = 250e3
-    rng = np.random.default_rng(args.seed)
-    # Three tenants share the fleet: a dense LoRa metering estate, a
-    # chattier XBee sensor deployment and a small Z-Wave alarm fleet.
-    workloads = [
-        TenantWorkload(
-            "metering", "eu868",
-            DutyCycleProfile("lora", int(args.devices * 0.6), 0.001, 12),
-        ),
-        TenantWorkload(
-            "sensors", "us915",
-            DutyCycleProfile("xbee", int(args.devices * 0.3), 0.005, 16),
-        ),
-        TenantWorkload(
-            "alarms", "eu868",
-            DutyCycleProfile("zwave", int(args.devices * 0.1), 0.0005, 10),
-        ),
-    ]
-    modems = {
-        w.profile.technology: create_modem(w.profile.technology)
-        for w in workloads
-    }
-    offered = offered_rate_hz(workloads, modems)
-    print(
-        f"fleet: {args.devices:,} devices over {len(workloads)} tenants, "
-        f"offered load {offered:,.0f} segments/s (modeled)"
-    )
-    arrivals = generate_workload(
-        workloads, fs, args.duration, rng, max_requests=args.max_requests
-    )
-    print(
-        f"drawn: {len(arrivals)} arrivals over the first "
-        f"{arrivals[-1].arrival_s * 1e3:.2f} ms of modeled time"
-    )
-
-    admission = None
-    if not args.no_admission:
-        admission = AdmissionController(
-            AdmissionPolicy(
-                default_quota=TenantQuota(
-                    rate_hz=args.quota_hz, burst=args.quota_burst
-                ),
-                drain_rate_hz=args.drain_hz,
-                max_backlog=args.max_backlog,
-            )
-        )
-    if args.workers > 0:
-        policy = AutoscalePolicy(
-            min_workers=args.workers, max_workers=args.workers
-        )
-    else:
-        policy = AutoscalePolicy()
-    telemetry = Telemetry()
-    with ParallelCloudService(
-        list(modems.values()), fs, workers=max(policy.max_workers, 1),
-        executor=args.executor, telemetry=telemetry,
-    ) as farm:
-        service = IngestionService(
-            farm,
-            admission=admission,
-            autoscaler=AutoscalerModel(policy=policy),
-            telemetry=telemetry,
-        )
-        report = service.run(arrivals)
-
-    ledger = report.ledger
-    label = (
-        f"{args.workers} workers" if args.workers > 0
-        else f"autoscaled (peak {report.peak_workers})"
-    )
-    print(
-        f"\nserve [{label}]: {ledger.accepted}/{ledger.offered} admitted, "
-        f"{ledger.decoded_segments} decoded "
-        f"({ledger.ok_frames}/{ledger.decoded_frames} frames ok), "
-        f"{ledger.quarantined} quarantined in {report.elapsed_s:.2f} s "
-        f"({report.sustained_rate_hz:.1f} segments/s sustained)"
-    )
-    if ledger.rejected:
-        shed = ", ".join(
-            f"{reason}: {count}"
-            for reason, count in sorted(ledger.rejected.items())
-        )
-        print(f"  shed: {shed}")
-    for tenant, counts in sorted(ledger.by_tenant.items()):
-        detail = ", ".join(f"{k}={v}" for k, v in sorted(counts.items()))
-        print(f"  tenant {tenant}: {detail}")
-    print(
-        f"  latency: p50 {report.latency_percentile(50) * 1e3:.2f} ms, "
-        f"p99 {report.latency_percentile(99) * 1e3:.2f} ms"
-    )
-    if report.scale_events:
-        print(f"  autoscaler: {report.scale_events} scale events")
-    print()
-    print(format_snapshot(telemetry.snapshot()))
-    return 0
-
-
 def _run_lint(args: argparse.Namespace) -> int:
     """Run the repo's DSP-aware linter (``tools/galiot_lint``)."""
     try:
@@ -558,54 +440,6 @@ def main(argv: list[str] | None = None) -> int:
         help="disable the hardened receive path (what the guards are worth)",
     )
     _add_drill_args(attack)
-    serve = sub.add_parser(
-        "serve",
-        help="offer a fleet-scale tenant workload to the ingestion service",
-    )
-    serve.add_argument(
-        "--devices", type=_positive_int, default=1_000_000,
-        help="simulated device population across tenants (default: 10^6)",
-    )
-    serve.add_argument(
-        "--duration", type=float, default=30.0,
-        help="modeled horizon in seconds (default: 30)",
-    )
-    serve.add_argument(
-        "--max-requests", type=_positive_int, default=400,
-        help="arrival-stream budget (default: 400)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=0,
-        help="decode workers; 0 = queue-depth autoscaling (default: 0)",
-    )
-    serve.add_argument(
-        "--executor", choices=["process", "thread"], default="thread",
-        help="decode pool flavour (default: thread)",
-    )
-    serve.add_argument(
-        "--no-admission", action="store_true",
-        help="disable admission control (accept every arrival)",
-    )
-    serve.add_argument(
-        "--quota-hz", type=float, default=2000.0,
-        help="per-tenant sustained admission rate (default: 2000)",
-    )
-    serve.add_argument(
-        "--quota-burst", type=_positive_int, default=64,
-        help="per-tenant admission burst depth (default: 64)",
-    )
-    serve.add_argument(
-        "--drain-hz", type=float, default=5000.0,
-        help="modeled decode capacity for the backlog bound (default: 5000)",
-    )
-    serve.add_argument(
-        "--max-backlog", type=_positive_int, default=256,
-        help="modeled backlog bound before shedding (default: 256)",
-    )
-    serve.add_argument(
-        "--seed", type=int, default=0xC0FFEE, help="workload RNG seed"
-    )
-    serve.set_defaults(func=_run_serve)
     lint = sub.add_parser(
         "lint",
         help="run the DSP-aware static-analysis pass (galiot-lint)",

@@ -25,6 +25,7 @@ removing it cannot take S_i with it. Two flavours are exposed:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -97,6 +98,9 @@ class CloudDecoder:
             raise ConfigurationError("at least one modem is required")
         if sync_retries < 0:
             raise ConfigurationError("sync_retries must be >= 0")
+        # Written so NaN fails too: every comparison with NaN is false.
+        if not (0 < sample_rate_hz < math.inf):
+            raise ConfigurationError("sample_rate_hz must be positive and finite")
         self.modems = {m.name: m for m in modems}
         self.sample_rate_hz = float(sample_rate_hz)
         self.use_kill_filters = use_kill_filters

@@ -337,6 +337,8 @@ class ParallelCloudService:
     ):
         if not modems:
             raise ConfigurationError("at least one modem is required")
+        if not (0 < sample_rate_hz < math.inf):
+            raise ConfigurationError("sample_rate_hz must be positive and finite")
         if workers < 1:
             raise ConfigurationError("workers must be >= 1")
         if executor not in ("process", "thread"):
@@ -495,23 +497,24 @@ class ParallelCloudService:
     ) -> Future:
         """Out-of-band decode: submit one segment, get its Future back.
 
-        The per-segment handle the asyncio ingestion tier
-        (:mod:`repro.service`) is built on: the caller awaits each
-        segment individually (``asyncio.wrap_future``) instead of
-        batching through :meth:`drain`, so completions can be observed
-        — and latencies measured — as they happen. The future resolves
-        to the worker's raw ``(results, stats, telemetry_snapshot)``
-        triple; :meth:`absorb_result` folds one into the parent's
-        aggregates (call it in a deterministic order for reproducible
-        rollups).
+        The per-segment handle of a closed-loop caller that settles each
+        segment on its own instead of batching through :meth:`drain` —
+        the pipeline benchmark (``perfbench/harness.py``) keeps at most
+        ``workers`` segments in flight this way and times each one from
+        hand-off to completion. The future resolves to the worker's raw
+        ``(results, stats, telemetry_snapshot)`` triple;
+        :meth:`absorb_result` folds one into the parent's aggregates
+        (call it in submission order for reproducible rollups).
 
         Differences from the :meth:`submit`/:meth:`drain` path: the
         segment does not participate in :meth:`drain`'s merge or its
         retry/requeue bookkeeping — error policy belongs to the caller
-        (the service retries then quarantines at its own layer). A
-        broken pool is still respawned on submission, and a staged
+        (the benchmark counts a failed segment and moves on). A broken
+        pool is still respawned on submission, and a staged
         shared-memory block is released when the future settles,
-        whatever the outcome.
+        whatever the outcome. The release runs in a done callback, which
+        may fire just after ``result()`` returns; after :meth:`close`
+        every block is gone.
         """
         item = _Pending(
             seq=self._seq,

@@ -24,12 +24,7 @@ from .multigateway import (
 from .propagation import LinkBudget, PathLossModel, Position, deployment_snrs
 from .scene import NOISE_POWER, SceneBuilder
 from .simulator import NetworkSimulator, SimulationResult, match_decodes
-from .traffic import (
-    DutyCycleProfile,
-    collision_scene,
-    fleet_arrival_times,
-    poisson_scene,
-)
+from .traffic import collision_scene, poisson_scene
 
 __all__ = [
     "ATTACK_SCENARIOS",
@@ -64,6 +59,4 @@ __all__ = [
     "match_decodes",
     "collision_scene",
     "poisson_scene",
-    "DutyCycleProfile",
-    "fleet_arrival_times",
 ]

@@ -9,20 +9,9 @@ Two scene generators feed the experiments:
   technologies at chosen SNRs, used by the Figure 3(c) throughput
   experiment (the paper adjusts duty cycles "to capture all possible
   scenarios, including intertechnology collisions").
-
-On top of them sits the *fleet-scale* offered-load model used by the
-ingestion-service benchmark: :class:`DutyCycleProfile` turns a device
-population and a regulatory duty-cycle cap into an aggregate segment
-arrival rate via airtime math (a device that may occupy the channel for
-a fraction ``d`` of the time wakes up every ``airtime / d`` seconds on
-average), and :func:`fleet_arrival_times` draws one merged Poisson
-arrival stream at that aggregate rate — O(events), not O(devices), so a
-10^6-device fleet costs the same as a ten-device one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +24,6 @@ from .scene import SceneBuilder
 __all__ = [
     "poisson_scene",
     "collision_scene",
-    "DutyCycleProfile",
-    "fleet_arrival_times",
 ]
 
 
@@ -160,102 +147,3 @@ def collision_scene(
             snr_mode=snr_mode,
         )
     return builder.render(rng)
-
-
-@dataclass(frozen=True)
-class DutyCycleProfile:
-    """Aggregate traffic model of one homogeneous device population.
-
-    The IoT-realistic way to specify offered load: instead of a raw
-    "N segments per second", give the population size and the fraction
-    of airtime each device uses (regulatory duty-cycle caps are the
-    natural anchor — EU 868 MHz sub-bands allow 0.1%/1%/10%), and let
-    the technology's frame airtime convert that into wake-up and
-    arrival rates.
-
-    Attributes:
-        technology: Registry name of the population's radio technology.
-        population: Number of devices (scales the aggregate rate only —
-            no per-device state is ever materialized).
-        duty_cycle: Fraction of time each device occupies the channel
-            (e.g. ``0.01`` for the 1% regulatory cap).
-        payload_len: Payload size in bytes used for the airtime math.
-    """
-
-    technology: str
-    population: int
-    duty_cycle: float
-    payload_len: int = 16
-
-    def __post_init__(self) -> None:
-        if self.population < 1:
-            raise ConfigurationError("population must be >= 1")
-        if not 0.0 < self.duty_cycle <= 1.0:
-            raise ConfigurationError("duty_cycle must be in (0, 1]")
-        if self.payload_len < 1:
-            raise ConfigurationError("payload_len must be >= 1")
-
-    def mean_interval_s(self, airtime_s: float) -> float:
-        """Mean per-device wake-up interval implied by the duty cycle.
-
-        A device transmitting ``airtime_s``-long frames for a fraction
-        ``duty_cycle`` of the time wakes up every
-        ``airtime_s / duty_cycle`` seconds on average.
-        """
-        if airtime_s <= 0:
-            raise ConfigurationError("airtime_s must be positive")
-        return airtime_s / self.duty_cycle
-
-    def aggregate_rate_hz(self, airtime_s: float) -> float:
-        """Fleet-wide segment arrival rate (per second of channel time).
-
-        The superposition of ``population`` independent Poisson
-        processes is Poisson at the summed rate, which is what lets the
-        load generator draw one merged arrival stream instead of
-        simulating each device.
-        """
-        return self.population / self.mean_interval_s(airtime_s)
-
-
-def fleet_arrival_times(
-    rate_hz: float,
-    duration_s: float,
-    rng: np.random.Generator,
-    max_events: int | None = None,
-) -> np.ndarray:
-    """Arrival times of one merged Poisson stream at ``rate_hz``.
-
-    Draws exponential inter-arrival gaps until ``duration_s`` is covered
-    (or ``max_events`` reached — at fleet scale the horizon is usually
-    bounded by the event budget, not the clock). Cost is O(events)
-    regardless of the population behind the rate.
-
-    Raises:
-        ConfigurationError: on non-positive rate or duration.
-    """
-    if rate_hz <= 0:
-        raise ConfigurationError("rate_hz must be positive")
-    if duration_s <= 0:
-        raise ConfigurationError("duration_s must be positive")
-    # Draw in chunks: one exponential per event, vectorized, resuming
-    # until the horizon is covered or the budget is spent.
-    times: list[np.ndarray] = []
-    t = 0.0
-    budget = max_events if max_events is not None else np.inf
-    drawn = 0
-    while t < duration_s and drawn < budget:
-        chunk = min(4096, int(budget - drawn)) if np.isfinite(budget) else 4096
-        gaps = rng.exponential(1.0 / rate_hz, size=chunk)
-        arrivals = t + np.cumsum(gaps)
-        keep = arrivals < duration_s
-        times.append(arrivals[keep])
-        drawn += int(keep.sum())
-        if not keep.all():
-            break
-        t = float(arrivals[-1])
-    if not times:
-        return np.empty(0, dtype=float)
-    merged = np.concatenate(times)
-    if max_events is not None:
-        merged = merged[:max_events]
-    return merged

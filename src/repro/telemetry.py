@@ -36,7 +36,6 @@ __all__ = [
     "TimerStats",
     "Span",
     "Telemetry",
-    "ScopedTelemetry",
     "NullTelemetry",
     "NULL",
     "format_snapshot",
@@ -206,97 +205,6 @@ class Telemetry:
         self.gauges.clear()
         self.timers.clear()
 
-    def scoped(self, prefix: str) -> Telemetry:
-        """A prefixing view over this registry.
-
-        Everything recorded through the view lands in *this* registry
-        under ``"<prefix>.<name>"`` — the multi-tenant rollup idiom: the
-        ingestion service hands each tenant
-        ``telemetry.scoped(f"service.tenant.{tenant}")`` and one
-        :meth:`snapshot` of the parent shows every tenant side by side.
-        """
-        return ScopedTelemetry(self, prefix)
-
-
-class ScopedTelemetry(Telemetry):
-    """Prefixing façade created by :meth:`Telemetry.scoped`.
-
-    Holds no metrics of its own: every mutator delegates to the parent
-    registry with the prefix applied, so scoped and unscoped writes
-    aggregate in one place. :meth:`snapshot` filters the parent's view
-    down to this scope (names returned *without* the prefix).
-    """
-
-    def __init__(self, parent: Telemetry, prefix: str) -> None:
-        super().__init__()
-        self._parent = parent
-        self._prefix = prefix if prefix.endswith(".") else prefix + "."
-
-    @property
-    def enabled(self) -> bool:
-        return self._parent.enabled
-
-    def count(self, name: str, value: float = 1) -> None:
-        self._parent.count(self._prefix + name, value)
-
-    def gauge(self, name: str, value: float) -> None:
-        self._parent.gauge(self._prefix + name, value)
-
-    def observe(self, name: str, seconds: float) -> None:
-        self._parent.observe(self._prefix + name, seconds)
-
-    def span(self, stage: str) -> Span | _NullSpan:
-        return self._parent.span(self._prefix + stage)
-
-    def scoped(self, prefix: str) -> Telemetry:
-        return ScopedTelemetry(self._parent, self._prefix + prefix)
-
-    def snapshot(self) -> dict[str, dict[str, Any]]:
-        parent = self._parent.snapshot()
-        n = len(self._prefix)
-        return {
-            "counters": {
-                k[n:]: v
-                for k, v in parent["counters"].items()
-                if k.startswith(self._prefix)
-            },
-            "gauges": {
-                k[n:]: v
-                for k, v in parent["gauges"].items()
-                if k.startswith(self._prefix)
-            },
-            "timers": {
-                k[n:]: v
-                for k, v in parent["timers"].items()
-                if k.startswith(self._prefix)
-            },
-        }
-
-    def absorb_snapshot(self, snapshot: dict[str, dict[str, Any]]) -> None:
-        for name, value in snapshot.get("counters", {}).items():
-            self.count(name, float(value))
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name, float(value))
-        for name, stats in snapshot.get("timers", {}).items():
-            count = int(stats["count"])
-            incoming = TimerStats(
-                count=count,
-                total_s=float(stats["total_s"]),
-                min_s=float(stats["min_s"]) if count else float("inf"),
-                max_s=float(stats["max_s"]),
-            )
-            self._parent._timer(self._prefix + name).merge(incoming)
-
-    def reset(self) -> None:
-        """Drop only this scope's metrics from the parent registry."""
-        for registry in (
-            self._parent.counters,
-            self._parent.gauges,
-            self._parent.timers,
-        ):
-            for key in [k for k in registry if k.startswith(self._prefix)]:
-                del registry[key]
-
 
 class NullTelemetry(Telemetry):
     """No-op telemetry: the default everywhere instrumentation exists.
@@ -327,10 +235,6 @@ class NullTelemetry(Telemetry):
 
     def absorb_snapshot(self, snapshot: dict[str, dict[str, Any]]) -> None:
         return None
-
-    def scoped(self, prefix: str) -> Telemetry:
-        """Scoping a no-op registry is still a no-op."""
-        return self
 
 
 NULL = NullTelemetry()

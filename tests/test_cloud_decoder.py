@@ -141,6 +141,14 @@ class TestCollisionDecoding:
         with pytest.raises(ConfigurationError):
             CloudDecoder([], FS)
 
+    @pytest.mark.parametrize("rate", [float("nan"), 0.0, -1e6, float("inf")])
+    @pytest.mark.parametrize("cls", [CloudDecoder, CloudService])
+    def test_invalid_sample_rate_rejected(self, trio, cls, rate):
+        # Regression: a bad rate used to pass construction and fail only
+        # once a segment reached the resampler.
+        with pytest.raises(ConfigurationError):
+            cls(trio, rate)
+
 
 class TestEngineEquivalence:
     """Algorithm 1 must decode identically with the fastcorr engine

@@ -51,6 +51,39 @@ def serial_reference(trio, batch):
     return results, service.stats, telemetry.snapshot()
 
 
+def _shm_blocks():
+    """Names of the shared-memory blocks currently in ``/dev/shm``."""
+    try:
+        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+    except FileNotFoundError:  # non-Linux: nothing to leak-check
+        return set()
+
+
+@pytest.fixture(scope="module")
+def cross_rate(trio, sigfox):
+    """A modem set with a cross-rate member, two segments and their
+    serial decode.
+
+    Sigfox is 16 kHz native beside the trio's 1 MHz, so every classify
+    pass resamples. The segments are one solo LoRa frame and one
+    XBee+Z-Wave collision.
+    """
+    rng = np.random.default_rng(0xC0FFEE)
+    lora, xbee, zwave = trio
+    modems = [*trio, sigfox]
+    builder = SceneBuilder(FS, 0.05)
+    builder.add_packet(lora, b"seg-0", 3000, 15, rng)
+    solo, _ = builder.render(rng)
+    pair, _ = collision_scene([xbee, zwave], [12, 12], FS, rng, payload_len=6)
+    segments = [
+        Segment(start=0, samples=solo, sample_rate=FS),
+        Segment(start=100_000, samples=pair, sample_rate=FS),
+    ]
+    serial = CloudService(modems, FS)
+    results = [r for s in segments for r in serial.process_segment(s)]
+    return modems, segments, results, serial.stats
+
+
 def _strip_farm_metrics(snapshot):
     """Counters minus the farm's own bookkeeping (absent in serial runs)."""
     return {
@@ -80,6 +113,16 @@ class TestSerialEquivalence:
         ) as farm:
             results = farm.process_segments(batch)
             assert results == ref_results
+            assert farm.stats == ref_stats
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_cross_rate_modem_set_matches_serial(self, cross_rate, workers):
+        modems, segments, ref_results, ref_stats = cross_rate
+        assert ref_results  # the comparison below is not vacuous
+        with ParallelCloudService(
+            modems, FS, workers=workers, executor="process"
+        ) as farm:
+            assert farm.process_segments(segments) == ref_results
             assert farm.stats == ref_stats
 
     def test_telemetry_rollup_matches_serial(
@@ -129,25 +172,18 @@ class TestSerialEquivalence:
 class TestSharedMemoryHandoff:
     """The zero-copy segment path to process workers."""
 
-    @staticmethod
-    def _shm_blocks():
-        try:
-            return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-        except FileNotFoundError:  # non-Linux: nothing to leak-check
-            return set()
-
     def test_process_pool_stages_big_segments(self, trio, batch, serial_reference):
         ref_results, _, _ = serial_reference
         assert all(len(s.samples) >= SHM_MIN_SAMPLES for s in batch)
         telemetry = Telemetry()
-        before = self._shm_blocks()
+        before = _shm_blocks()
         with ParallelCloudService(
             trio, FS, workers=2, executor="process", telemetry=telemetry
         ) as farm:
             assert farm.process_segments(batch) == ref_results
         counters = telemetry.snapshot()["counters"]
         assert counters["cloud.parallel.shm_segments"] == len(batch)
-        assert self._shm_blocks() <= before  # nothing leaked
+        assert _shm_blocks() <= before  # nothing leaked
 
     def test_small_segments_keep_the_pickle_path(self, trio):
         small = Segment(
@@ -174,12 +210,41 @@ class TestSharedMemoryHandoff:
         assert "cloud.parallel.shm_segments" not in counters
 
     def test_close_releases_undrained_segments(self, trio, batch):
-        before = self._shm_blocks()
+        before = _shm_blocks()
         farm = ParallelCloudService(trio, FS, workers=1, executor="process")
         for segment in batch:
             farm.submit(segment)
         farm.close()  # never drained
-        assert self._shm_blocks() <= before
+        assert _shm_blocks() <= before
+
+
+class TestFutureApi:
+    """submit_future/absorb_result: the one-segment-at-a-time path a
+    closed-loop caller drives instead of submit/drain."""
+
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_absorbed_in_submission_order_matches_serial(
+        self, trio, batch, serial_reference, executor
+    ):
+        ref_results, ref_stats, ref_snapshot = serial_reference
+        assert all(len(s.samples) >= SHM_MIN_SAMPLES for s in batch)
+        telemetry = Telemetry()
+        before = _shm_blocks()
+        with ParallelCloudService(
+            trio, FS, workers=2, executor=executor, telemetry=telemetry
+        ) as farm:
+            futures = [farm.submit_future(s) for s in batch]
+            results = [r for f in futures for r in farm.absorb_result(f.result())]
+            assert farm.drain() == []  # future-API segments skip drain()
+        assert results == ref_results
+        assert farm.stats == ref_stats
+        snapshot = telemetry.snapshot()
+        assert _strip_farm_metrics(snapshot) == _strip_farm_metrics(ref_snapshot)
+        staged = snapshot["counters"].get("cloud.parallel.shm_segments", 0)
+        assert staged == (len(batch) if executor == "process" else 0)
+        # Checked after close(): a block is released by the future's
+        # done callback, which may run just after result() returns.
+        assert _shm_blocks() <= before
 
 
 class TestStreamingHook:
@@ -228,6 +293,13 @@ class TestValidation:
     def test_rejects_unknown_executor(self, trio):
         with pytest.raises(ConfigurationError):
             ParallelCloudService(trio, FS, executor="greenlet")
+
+    @pytest.mark.parametrize("rate", [float("nan"), 0.0, -1e6, float("inf")])
+    def test_rejects_invalid_sample_rate(self, trio, rate):
+        # Regression: a bad rate used to build the pool, then quarantine
+        # every segment as a decode failure and return [].
+        with pytest.raises(ConfigurationError):
+            ParallelCloudService(trio, rate, executor="thread")
 
 
 class TestMergePrimitives:

@@ -102,20 +102,3 @@ class TestCli:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["does-not-exist"])
-
-    def test_serve_runs(self, capsys):
-        assert (
-            main(
-                [
-                    "serve",
-                    "--devices", "100000",
-                    "--max-requests", "6",
-                    "--workers", "1",
-                    "--duration", "5",
-                ]
-            )
-            == 0
-        )
-        out = capsys.readouterr().out
-        assert "serve [1 workers]" in out
-        assert "latency: p50" in out

@@ -105,70 +105,3 @@ class TestFormatSnapshot:
 
     def test_empty_snapshot(self):
         assert format_snapshot(NULL.snapshot()) == "(no telemetry recorded)"
-
-
-class TestScopedTelemetry:
-    def test_writes_land_in_parent_with_prefix(self):
-        parent = Telemetry()
-        view = parent.scoped("service.tenant.acme")
-        view.count("accepted", 2)
-        view.gauge("depth", 5)
-        with view.span("decode"):
-            pass
-        counters = parent.snapshot()["counters"]
-        assert counters["service.tenant.acme.accepted"] == 2
-        assert parent.snapshot()["gauges"]["service.tenant.acme.depth"] == 5
-        assert "service.tenant.acme.decode.seconds" in (
-            parent.snapshot()["timers"]
-        )
-
-    def test_snapshot_filters_and_strips_prefix(self):
-        parent = Telemetry()
-        parent.count("other.noise", 9)
-        acme = parent.scoped("tenant.acme")
-        hydro = parent.scoped("tenant.hydro")
-        acme.count("accepted", 3)
-        hydro.count("accepted", 1)
-        snap = acme.snapshot()
-        assert snap["counters"] == {"accepted": 3}
-
-    def test_nested_scopes_compose(self):
-        parent = Telemetry()
-        inner = parent.scoped("service").scoped("tenant.acme")
-        inner.count("accepted")
-        assert (
-            parent.snapshot()["counters"]["service.tenant.acme.accepted"] == 1
-        )
-
-    def test_absorb_snapshot_prefixes(self):
-        remote = Telemetry()
-        remote.count("accepted", 4)
-        with remote.span("decode"):
-            pass
-        parent = Telemetry()
-        parent.scoped("tenant.acme").absorb_snapshot(remote.snapshot())
-        counters = parent.snapshot()["counters"]
-        assert counters["tenant.acme.accepted"] == 4
-        assert (
-            parent.snapshot()["timers"]["tenant.acme.decode.seconds"]["count"]
-            == 1
-        )
-
-    def test_reset_drops_only_the_scope(self):
-        parent = Telemetry()
-        parent.count("keep.me", 1)
-        view = parent.scoped("tenant.acme")
-        view.count("accepted", 2)
-        view.gauge("depth", 3)
-        view.reset()
-        counters = parent.snapshot()["counters"]
-        assert counters == {"keep.me": 1}
-        assert parent.snapshot()["gauges"] == {}
-
-    def test_enabled_follows_parent(self):
-        assert Telemetry().scoped("x").enabled
-        assert not NULL.scoped("x").enabled
-
-    def test_null_scoped_is_null(self):
-        assert NULL.scoped("anything") is NULL
-        assert isinstance(NULL.scoped("x"), NullTelemetry)

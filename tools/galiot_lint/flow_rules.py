@@ -30,22 +30,15 @@ from .semantic import (
 __all__ = ["FLOW_RULES"]
 
 #: Module prefixes that run on a *modelled* time axis: the fault plans,
-#: the network simulator, the backhaul/resilience clocks, the cloud
-#: dispatcher and the ingestion service's control plane (admission,
-#: queues, autoscaling model) all take time as data
-#: (``at_time``/``duration_s``), so a wall-clock read inside them
-#: silently couples results to host load. The service's *execution*
-#: plane (``repro.service.ingest``/``loadgen``) measures real latency
-#: and is deliberately absent.
+#: the network simulator, the backhaul/resilience clocks and the cloud
+#: dispatcher all take time as data (``at_time``/``duration_s``), so a
+#: wall-clock read inside them silently couples results to host load.
 SIM_TIME_PREFIXES = (
     "repro.faults",
     "repro.net",
     "repro.gateway.backhaul",
     "repro.gateway.resilience",
     "repro.cloud.dispatch",
-    "repro.service.admission",
-    "repro.service.autoscale",
-    "repro.service.queues",
 )
 
 #: Terminal callee names treated as executor/pool constructions.
