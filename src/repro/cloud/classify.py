@@ -18,10 +18,17 @@ are paid once per FFT length rather than once per segment per SIC
 iteration. Each modem's score track equals
 :func:`~repro.gateway.detection.matched_filter_track` of its sync
 waveform up to FFT rounding.
+
+Re-classifying a residual: a cancellation changes the residual only
+around the cancelled frame. :class:`ScoreState` keeps each group's last
+scored view and accumulators, and :meth:`SegmentClassifier.classify`
+re-scores only the overlap-save segments whose input moved; the score
+tracks equal a fresh pass bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +42,10 @@ from ..gateway.detection import cfar_threshold
 from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
 
-__all__ = ["ClassifiedSignal", "SegmentClassifier"]
+__all__ = ["ClassifiedSignal", "ScoreState", "SegmentClassifier"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ClassifiedSignal:
     """One candidate transmission found inside a segment.
 
@@ -64,6 +71,54 @@ class ClassifiedSignal:
     def power(self) -> float:
         """Estimated received power (|amplitude|^2, template-relative)."""
         return float(abs(self.amplitude) ** 2)
+
+
+class ScoreState:
+    """The last classify pass's score accumulators over one segment.
+
+    One state follows one segment through Algorithm 1: pass it to every
+    :meth:`SegmentClassifier.classify` over that segment's residuals.
+    Per bank group it keeps the strided native-rate view it scored and
+    the accumulators it got, so the next pass diffs the new view against
+    the old one and re-scores only what moved. The views are kept by
+    reference: the classified buffers must not be mutated in place
+    (Algorithm 1 replaces its residual, and
+    :class:`~repro.dsp.resample.NativeRateCache` views are read-only).
+    """
+
+    def __init__(self) -> None:
+        self._groups: dict[
+            tuple[float, int],
+            tuple[np.ndarray, tuple[int, ...], dict[int, np.ndarray]],
+        ] = {}
+
+    def diff(
+        self, group: tuple[float, int], sig: np.ndarray, live: tuple[int, ...]
+    ) -> tuple[dict[int, np.ndarray] | None, tuple[int, int] | None]:
+        """``(previous, changed)`` for re-scoring ``sig`` in ``group``.
+
+        ``(None, None)`` when the group has no comparable earlier pass
+        (first pass, another length or another set of live modems).
+        """
+        last = self._groups.get(group)
+        if last is None or last[0].shape != sig.shape or last[1] != live:
+            return None, None
+        moved = last[0] != sig
+        if not moved.any():
+            return last[2], (0, 0)
+        lo = int(np.argmax(moved))
+        hi = len(moved) - int(np.argmax(moved[::-1]))
+        return last[2], (lo, hi)
+
+    def store(
+        self,
+        group: tuple[float, int],
+        sig: np.ndarray,
+        live: tuple[int, ...],
+        acc: dict[int, np.ndarray],
+    ) -> None:
+        """Remember ``group``'s scored view and accumulators."""
+        self._groups[group] = (sig, live, acc)
 
 
 @dataclass
@@ -103,6 +158,11 @@ class SegmentClassifier:
     ):
         if not modems:
             raise ConfigurationError("at least one modem is required")
+        # Written so NaN fails too: every comparison with NaN is false.
+        if not (0 <= k < math.inf):
+            raise ConfigurationError("k must be finite and >= 0")
+        if not (max_per_technology >= 1):
+            raise ConfigurationError("max_per_technology must be >= 1")
         self.modems = list(modems)
         self.sample_rate_hz = float(sample_rate_hz)
         self.k = float(k)
@@ -190,7 +250,8 @@ class SegmentClassifier:
         self,
         sig: np.ndarray,
         group: tuple[float, int],
-        live: list[int],
+        live: tuple[int, ...],
+        state: ScoreState,
     ) -> dict[int, np.ndarray]:
         """Score tracks for every live modem of one bank group.
 
@@ -199,7 +260,8 @@ class SegmentClassifier:
         The magnitudes accumulate *inside* the correlation engine's
         chunk loop (:func:`~repro.dsp.fastcorr.correlate_accumulate`),
         so the classify pass never materializes per-template complex
-        tracks.
+        tracks. Against ``state``'s earlier pass over the group, only
+        the range where ``sig`` moved is re-scored.
         """
         specs = {
             index: TrackSpec(
@@ -212,9 +274,16 @@ class SegmentClassifier:
             )
             for index in live
         }
+        previous, changed = state.diff(group, sig, live)
         combined = correlate_accumulate(
-            sig, self._banks[group], specs, telemetry=self.telemetry
+            sig,
+            self._banks[group],
+            specs,
+            telemetry=self.telemetry,
+            previous=previous,
+            changed=changed,
         )
+        state.store(group, sig, live, combined)
         tracks: dict[int, np.ndarray] = {}
         for index in live:
             entry = self._refs[index]
@@ -227,7 +296,10 @@ class SegmentClassifier:
 
     @iq_contract("samples")
     def classify(
-        self, samples: np.ndarray, rates: NativeRateCache | None = None
+        self,
+        samples: np.ndarray,
+        rates: NativeRateCache | None = None,
+        state: ScoreState | None = None,
     ) -> list[ClassifiedSignal]:
         """Rank the transmissions present in ``samples`` by power.
 
@@ -237,7 +309,13 @@ class SegmentClassifier:
                 (must wrap the same buffer). Algorithm 1 passes one so
                 repeated classify/decode/kill calls in a single
                 iteration resample the residual once per distinct rate.
+            state: The segment's :class:`ScoreState`. Algorithm 1
+                passes one per segment, so each re-classification of a
+                residual re-scores only what the cancellation changed.
+                Without one the pass scores everything.
         """
+        if state is None:
+            state = ScoreState()
         # Candidates per registered modem, so the final list preserves
         # registration-order appends regardless of group iteration.
         per_ref: dict[int, list[ClassifiedSignal]] = {}
@@ -249,14 +327,14 @@ class SegmentClassifier:
             # Spread-spectrum references correlate at a stride (the
             # modem's fine sync absorbs the timing quantization).
             sig = native[::stride] if stride > 1 else native
-            live = [
+            live = tuple(
                 index
                 for index in indices
                 if len(self._refs[index].ref) <= len(native)
-            ]
+            )
             if not live:
                 continue
-            score_tracks = self._score_tracks(sig, (rate, stride), live)
+            score_tracks = self._score_tracks(sig, (rate, stride), live, state)
             for index in live:
                 entry = self._refs[index]
                 track = score_tracks[index]

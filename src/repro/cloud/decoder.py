@@ -21,6 +21,13 @@ removing it cannot take S_i with it. Two flavours are exposed:
 * :class:`CloudDecoder` with ``use_kill_filters=True`` — full GalioT.
 * ``use_kill_filters=False`` — the SIC-only strawman baseline used in
   Figure 3(c).
+
+Each piece of work runs once per residual. A decode attempt never sees
+the candidate's start, and a kill filter's output depends only on the
+victim and the residual, so while the residual is unchanged
+:class:`_Residual` keeps the plain attempt per technology, the kill
+output per victim and the filtered attempt per (technology, victim).
+A cancellation replaces the residual and with it all three.
 """
 
 from __future__ import annotations
@@ -30,13 +37,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..contracts import iq_contract
+from ..contracts import ensure_iq, iq_contract
 from ..dsp.resample import NativeRateCache, to_rate
 from ..errors import ConfigurationError
-from ..phy.base import Modem
+from ..phy.base import FrameResult, Modem
 from ..telemetry import NULL, Telemetry
 from ..types import DecodeResult
-from .classify import ClassifiedSignal, SegmentClassifier
+from .classify import ClassifiedSignal, ScoreState, SegmentClassifier
 from .kill_filters import kill_filter_for
 from .sic import FrameWaveformMemo, reconstruct_and_subtract, try_decode
 
@@ -50,7 +57,9 @@ class CloudDecodeReport:
     Attributes:
         results: Successfully decoded frames, in decode order.
         candidates: The classifier's initial view of the segment.
-        kill_invocations: How many kill-filter applications ran.
+        kill_invocations: Kill filters that actually ran: one per
+            (victim, residual) pair the decoder filtered. A kill output
+            reused from the residual's memo does not count again.
         sic_cancellations: How many reconstruct-and-subtract steps ran.
     """
 
@@ -58,6 +67,28 @@ class CloudDecodeReport:
     candidates: list[ClassifiedSignal] = field(default_factory=list)
     kill_invocations: int = 0
     sic_cancellations: int = 0
+
+
+class _Residual:
+    """One working residual and the work already done on it.
+
+    ``rates`` holds its native-rate views; ``plain`` the plain decode
+    attempt per technology; ``killed`` the kill-filter output per victim
+    (``None`` when the victim's modulation has no filter), shared by
+    every target technology; ``filtered`` the decode attempt per
+    (technology, victim) on that output. A cancellation builds a new
+    residual, which drops all of them.
+    """
+
+    def __init__(self, samples: np.ndarray, sample_rate_hz: float) -> None:
+        self.rates = NativeRateCache(ensure_iq(samples), sample_rate_hz)
+        self.plain: dict[str, FrameResult | None] = {}
+        self.killed: dict[ClassifiedSignal, np.ndarray | None] = {}
+        self.filtered: dict[tuple[str, ClassifiedSignal], FrameResult | None] = {}
+
+    @property
+    def samples(self) -> np.ndarray:
+        return self.rates.samples
 
 
 class CloudDecoder:
@@ -101,6 +132,8 @@ class CloudDecoder:
         # Written so NaN fails too: every comparison with NaN is false.
         if not (0 < sample_rate_hz < math.inf):
             raise ConfigurationError("sample_rate_hz must be positive and finite")
+        if not (max_iterations >= 1):
+            raise ConfigurationError("max_iterations must be >= 1")
         self.modems = {m.name: m for m in modems}
         self.sample_rate_hz = float(sample_rate_hz)
         self.use_kill_filters = use_kill_filters
@@ -126,39 +159,84 @@ class CloudDecoder:
 
     # -- internals --------------------------------------------------------
 
+    def _attempt(self, residual: _Residual, modem: Modem) -> FrameResult | None:
+        """The plain decode attempt of ``modem`` on the residual (memoized)."""
+        if modem.name in residual.plain:
+            self.telemetry.count("cloud.memo_hits")
+            return residual.plain[modem.name]
+        frame = try_decode(
+            modem, residual.samples, self.sample_rate_hz, rates=residual.rates,
+            telemetry=self.telemetry, sync_retries=self.sync_retries,
+        )
+        residual.plain[modem.name] = frame
+        return frame
+
     def _kill(
         self,
-        rates: NativeRateCache,
+        report: CloudDecodeReport,
+        residual: _Residual,
         victim: ClassifiedSignal,
     ) -> np.ndarray | None:
-        """Apply the victim's kill filter at its native rate.
+        """Apply the victim's kill filter at its native rate (memoized).
 
         Reads the working buffer through the shared native-rate view
         cache (every kill filter copies before mutating, so the cached
         view survives for the next victim).
         """
+        if victim in residual.killed:
+            self.telemetry.count("cloud.memo_hits")
+            return residual.killed[victim]
         modem = self.modems[victim.technology]
         try:
             kill = kill_filter_for(modem)
         except ConfigurationError:
-            return None
-        native = rates.view(modem.sample_rate)
-        filtered = kill.apply(native, modem.sample_rate, victim)
-        return to_rate(filtered, modem.sample_rate, self.sample_rate_hz)
+            filtered = None
+        else:
+            native = residual.rates.view(modem.sample_rate)
+            filtered = to_rate(
+                kill.apply(native, modem.sample_rate, victim),
+                modem.sample_rate,
+                self.sample_rate_hz,
+            )
+            report.kill_invocations += 1
+        residual.killed[victim] = filtered
+        return filtered
+
+    def _filtered_attempt(
+        self,
+        report: CloudDecodeReport,
+        residual: _Residual,
+        modem: Modem,
+        victim: ClassifiedSignal,
+    ) -> FrameResult | None:
+        """Decode ``modem`` after killing ``victim`` (memoized)."""
+        key = (modem.name, victim)
+        if key in residual.filtered:
+            self.telemetry.count("cloud.memo_hits")
+            return residual.filtered[key]
+        filtered = self._kill(report, residual, victim)
+        frame = None
+        if filtered is not None:
+            frame = try_decode(
+                modem, filtered, self.sample_rate_hz,
+                telemetry=self.telemetry, sync_retries=self.sync_retries,
+            )
+        residual.filtered[key] = frame
+        return frame
 
     def _record(
         self,
         report: CloudDecodeReport,
-        working: np.ndarray,
+        residual: _Residual,
         candidate: ClassifiedSignal,
         frame,
         method: str,
         memo: FrameWaveformMemo | None = None,
-    ) -> np.ndarray:
-        """Store a success and cancel the frame from the working signal."""
+    ) -> _Residual:
+        """Store a success, cancel the frame and return the new residual."""
         modem = self.modems[candidate.technology]
-        residual, recon = reconstruct_and_subtract(
-            working, self.sample_rate_hz, modem, frame, memo=memo
+        samples, recon = reconstruct_and_subtract(
+            residual.samples, self.sample_rate_hz, modem, frame, memo=memo
         )
         report.sic_cancellations += 1
         report.results.append(
@@ -171,7 +249,7 @@ class CloudDecoder:
                 start=frame.start,
             )
         )
-        return residual
+        return _Residual(samples, self.sample_rate_hz)
 
     @staticmethod
     def _same_frame(a: DecodeResult, frame_start: int, technology: str) -> bool:
@@ -179,7 +257,8 @@ class CloudDecoder:
 
     def _open_candidates(
         self,
-        rates: NativeRateCache,
+        residual: _Residual,
+        scores: ScoreState,
         report: CloudDecodeReport,
         failed: list,
     ) -> tuple[list[ClassifiedSignal], list[ClassifiedSignal]]:
@@ -192,7 +271,9 @@ class CloudDecoder:
             imperfect SIC cancellation (CFO, clock drift) leaves residue
             that an estimation-free kill filter can still remove.
         """
-        fresh = self.classifier.classify(rates.samples, rates=rates)
+        fresh = self.classifier.classify(
+            residual.samples, rates=residual.rates, state=scores
+        )
         targets: list[ClassifiedSignal] = []
         residuals: list[ClassifiedSignal] = []
         for cand in fresh:
@@ -229,13 +310,18 @@ class CloudDecoder:
         # same decoded frame (kill-filter retries, deep SIC stacks) skip
         # the remodulate + resample step.
         memo = FrameWaveformMemo()
-        working = np.asarray(samples, dtype=complex).copy()
-        # One native-rate view cache per working buffer: every classify,
-        # decode and kill attempt in an iteration shares the same
-        # resampled views (rebuilt only when a cancellation replaces the
-        # buffer), so the residual hits each modem's rate once.
-        rates = NativeRateCache(working, self.sample_rate_hz)
-        report.candidates = self.classifier.classify(working, rates=rates)
+        # One score state per segment: each re-classification re-scores
+        # only what the last cancellation changed.
+        scores = ScoreState()
+        # One residual per working buffer: every classify, decode and
+        # kill attempt on it shares the same resampled views and memo
+        # (rebuilt only when a cancellation replaces the buffer).
+        residual = _Residual(
+            np.asarray(samples, dtype=complex).copy(), self.sample_rate_hz
+        )
+        report.candidates = self.classifier.classify(
+            residual.samples, rates=residual.rates, state=scores
+        )
         failed: list[ClassifiedSignal] = []
         open_candidates = list(report.candidates)
         residuals: list[ClassifiedSignal] = []
@@ -245,23 +331,19 @@ class CloudDecoder:
             open_candidates.sort(key=lambda c: c.power, reverse=True)
             strongest = open_candidates[0]
             modem = self.modems[strongest.technology]
-            frame = try_decode(
-                modem, working, self.sample_rate_hz, rates=rates,
-                telemetry=self.telemetry, sync_retries=self.sync_retries,
-            )
+            frame = self._attempt(residual, modem)
             if frame is not None and not any(
                 self._same_frame(r, frame.start, strongest.technology)
                 for r in report.results
             ):
-                working = self._record(
-                    report, working, strongest, frame, method="sic",
+                residual = self._record(
+                    report, residual, strongest, frame, method="sic",
                     memo=memo,
                 )
-                rates = NativeRateCache(working, self.sample_rate_hz)
                 # Algorithm 1 line 6: cancel and *repeat* — the residual
                 # may now reveal transmissions the collision masked.
                 open_candidates, residuals = self._open_candidates(
-                    rates, report, failed
+                    residual, scores, report, failed
                 )
                 continue
             if frame is not None:
@@ -301,14 +383,8 @@ class CloudDecoder:
                     is not modem.modulation
                 ]
                 for victim in victims:
-                    filtered = self._kill(rates, victim)
-                    if filtered is None:
-                        continue
-                    report.kill_invocations += 1
-                    frame = try_decode(
-                        modem, filtered, self.sample_rate_hz,
-                        telemetry=self.telemetry,
-                        sync_retries=self.sync_retries,
+                    frame = self._filtered_attempt(
+                        report, residual, modem, victim
                     )
                     if frame is not None and any(
                         self._same_frame(r, frame.start, strongest.technology)
@@ -326,13 +402,12 @@ class CloudDecoder:
                         kill_name = kill_filter_for(
                             self.modems[victim.technology]
                         ).name
-                        working = self._record(
-                            report, working, strongest, frame,
+                        residual = self._record(
+                            report, residual, strongest, frame,
                             method=kill_name, memo=memo,
                         )
-                        rates = NativeRateCache(working, self.sample_rate_hz)
                         open_candidates, residuals = self._open_candidates(
-                            rates, report, failed
+                            residual, scores, report, failed
                         )
                         recovered = True
                         break

@@ -14,7 +14,8 @@ the modulation class of the technology to kill:
   per symbol window turns every chirp into a tone; nulling the dominant
   FFT bin(s) per window and re-chirping surgically removes the LoRa
   signal, leaving other signals untouched except for ~2/N of their
-  energy per symbol.
+  energy per symbol. The windows do not overlap, so all of them go
+  through one batched FFT as the rows of one matrix.
 * :class:`KillCodes` — DSSS. Each 32-chip symbol of the detected code
   sequence is projected out (per-symbol least-squares reconstruction of
   the spread waveform, subtracted in the time domain).
@@ -25,6 +26,8 @@ for the technology to remove, with sample indices at rate ``sample_rate_hz``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -60,6 +63,9 @@ class KillFrequency:
             raise ConfigurationError(
                 "KillFrequency applies to FSK/PSK technologies only"
             )
+        # Written so NaN fails too: every comparison with NaN is false.
+        if not (0 < width_factor < math.inf):
+            raise ConfigurationError("width_factor must be positive and finite")
         self.modem = modem
         self.width_factor = float(width_factor)
 
@@ -120,30 +126,10 @@ class KillCss:
     def __init__(self, modem: Modem, guard: int = 2):
         if modem.modulation is not ModulationClass.CSS:
             raise ConfigurationError("KillCss applies to CSS technologies only")
+        if not (guard >= 0):
+            raise ConfigurationError("guard must be >= 0")
         self.modem = modem
         self.guard = int(guard)
-
-    def _null_window(self, window: np.ndarray, ref: np.ndarray) -> np.ndarray:
-        """Dechirp one symbol window, null its tone(s), re-chirp.
-
-        When the processing grid is misaligned with the interferer's
-        symbol boundaries (the classifier's start estimate is only
-        sample-accurate), each window holds *two* tone segments — so the
-        two strongest peaks are nulled, each with its wrap-around alias.
-        """
-        tone = window * ref
-        spectrum = np.fft.fft(tone)
-        n = len(spectrum)
-        n_chips = 1 << self.modem.sf
-        magnitude = np.abs(spectrum)
-        for _ in range(2):
-            peak = int(np.argmax(magnitude))
-            for base in (peak, (peak - n_chips) % n, (peak + n_chips) % n):
-                for off in range(-self.guard, self.guard + 1):
-                    idx = (base + off) % n
-                    spectrum[idx] = 0
-                    magnitude[idx] = 0
-        return np.fft.ifft(spectrum) * np.conj(ref)
 
     @iq_contract("samples")
     def apply(
@@ -153,6 +139,16 @@ class KillCss:
 
         ``target.start`` must be expressed at rate ``sample_rate_hz`` and ``sample_rate_hz`` must
         equal the modem's native rate (the cloud pipeline arranges this).
+
+        The whole symbol windows from the start on form the rows of one
+        matrix: each row is dechirped, all rows go through one FFT, and
+        two row-wise ``argmax`` passes null each window's two strongest
+        bins. When the processing grid is misaligned with the
+        interferer's symbol boundaries (the classifier's start estimate
+        is only sample-accurate), each window holds *two* tone segments,
+        hence two peaks, each nulled with ``guard`` neighbours and its
+        ``±2^SF`` wrap-around aliases. One inverse FFT and a re-chirp
+        restore the rows.
         """
         if abs(sample_rate_hz - self.modem.sample_rate) > 1e-6 * sample_rate_hz:
             raise ConfigurationError(
@@ -160,24 +156,35 @@ class KillCss:
             )
         out = samples.copy()
         n_sym = self.modem.samples_per_symbol
-        down = base_downchirp(self.modem.sf, self.modem.oversample)
-        up = base_upchirp(self.modem.sf, self.modem.oversample)
         start = max(int(target.start), 0)
+        n_windows = max((len(out) - start) // n_sym, 0)
+        if n_windows == 0:
+            return out
+        stop = start + n_windows * n_sym
         # Frame layout: preamble + 2 sync (upchirps), 2.25 SFD downchirps,
-        # then data upchirps until the end of the segment.
-        n_up_head = self.modem.preamble_len + 2
-        sfd_start = start + n_up_head * n_sym
+        # then data upchirps until the end of the segment. SFD windows
+        # dechirp with the upchirp, every other window with the downchirp.
+        sfd_start = start + (self.modem.preamble_len + 2) * n_sym
         sfd_end = sfd_start + n_sym * 9 // 4
-        pos = start
-        while pos + n_sym <= len(out):
-            if sfd_start <= pos < sfd_end:
-                ref = up
-            else:
-                ref = down
-            out[pos : pos + n_sym] = self._null_window(
-                out[pos : pos + n_sym], ref
-            )
-            pos += n_sym
+        positions = start + n_sym * np.arange(n_windows)
+        in_sfd = (positions >= sfd_start) & (positions < sfd_end)
+        refs = np.where(
+            in_sfd[:, None],
+            base_upchirp(self.modem.sf, self.modem.oversample),
+            base_downchirp(self.modem.sf, self.modem.oversample),
+        )
+        spectrum = np.fft.fft(out[start:stop].reshape(n_windows, n_sym) * refs, axis=1)
+        magnitude = np.abs(spectrum)
+        n_chips = 1 << self.modem.sf
+        spread = np.arange(-self.guard, self.guard + 1)
+        rows = np.arange(n_windows)[:, None]
+        for _ in range(2):
+            peak = np.argmax(magnitude, axis=1)
+            bases = np.stack((peak, peak - n_chips, peak + n_chips), axis=1)
+            nulled = (bases[:, :, None] + spread).reshape(n_windows, -1) % n_sym
+            spectrum[rows, nulled] = 0
+            magnitude[rows, nulled] = 0
+        out[start:stop] = (np.fft.ifft(spectrum, axis=1) * np.conj(refs)).reshape(-1)
         # The partial quarter-SFD symbol and any trailing fraction are
         # left untouched; they carry <1 symbol of residual energy.
         return out

@@ -23,6 +23,12 @@ __all__ = ["CloudStats", "CloudService"]
 class CloudStats:
     """Aggregate counters across all processed segments.
 
+    ``kill_invocations`` sums the segments' kill filters that actually
+    ran (:attr:`CloudDecodeReport.kill_invocations
+    <repro.cloud.decoder.CloudDecodeReport.kill_invocations>`): within a
+    segment, each (victim, residual) pair is filtered once, however many
+    target technologies try it.
+
     The last four fields are resilience outcomes, written by the
     parallel decode farm's fault handling (a serial, fault-free run
     leaves them at zero):

@@ -14,7 +14,8 @@ capture. Three flavours are provided:
   and destroys coherent correlation, but barely rotates within one block.
 
 Peak picking (:func:`find_peaks_above`) enforces a minimum spacing so one
-packet produces one detection.
+packet produces one detection; its greedy suppression
+(:func:`greedy_suppress`) is shared with the streaming gateway.
 
 Multi-template and blocked correlations run on the shared-FFT
 overlap-save engine in :mod:`repro.dsp.fastcorr`, which computes the
@@ -24,6 +25,7 @@ template.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from functools import lru_cache
 
 import numpy as np
@@ -37,6 +39,7 @@ __all__ = [
     "normalized_correlation",
     "segmented_correlation",
     "find_peaks_above",
+    "greedy_suppress",
 ]
 
 _EPS = 1e-30
@@ -140,6 +143,69 @@ def segmented_correlation(
     return acc / (template_norm * window_norm[:out_len])
 
 
+def greedy_suppress(
+    indices: np.ndarray,
+    scores: np.ndarray,
+    min_distance: int,
+    accepted: Iterable[int] = (),
+) -> np.ndarray:
+    """Greedy min-distance suppression: which candidates survive.
+
+    Candidates (sample ``indices`` with their ``scores``) are visited in
+    descending score order — ties: the later candidate first, the order
+    of a reversed stable argsort — and each is accepted iff no accepted
+    peak lies within ``min_distance`` samples of it. ``accepted`` are
+    peaks accepted before this call: they suppress their neighbourhoods
+    from the start and are not part of the result.
+
+    Each acceptance knocks out its whole neighbourhood with one slice of
+    the index-sorted candidates, so a dense above-threshold track costs
+    ``O(peaks x log(candidates))`` plus a scan, not a Python step per
+    candidate.
+
+    Returns:
+        Boolean mask over ``indices``, True where a candidate is
+        accepted.
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    order = np.argsort(np.asarray(scores), kind="stable")[::-1]
+    ranked = indices[order]
+    # Rank positions in index order, through the inverse of ``order``:
+    # sorting ``indices`` is near free when they already ascend (peak
+    # picking's candidates always do), sorting ``ranked`` never is.
+    rank_of = np.empty_like(order)
+    rank_of[order] = np.arange(order.size)
+    by_index = rank_of[np.argsort(indices, kind="stable")]
+    sorted_idx = ranked[by_index]
+    alive = np.ones(ranked.size, dtype=bool)
+    fixed = np.sort(np.fromiter(accepted, dtype=np.int64))
+    if fixed.size and ranked.size:
+        # Distance to the nearest pre-accepted peak on either side.
+        right = np.searchsorted(fixed, ranked)
+        below = fixed[np.maximum(right - 1, 0)]
+        above = fixed[np.minimum(right, fixed.size - 1)]
+        alive &= (np.abs(ranked - below) >= min_distance) & (
+            np.abs(above - ranked) >= min_distance
+        )
+    mask = np.zeros(ranked.size, dtype=bool)
+    pos = 0
+    while pos < ranked.size:
+        if not alive[pos]:
+            # First still-alive candidate at or after pos (argmax finds
+            # the first True in C); none left ends the pass.
+            nxt = pos + int(np.argmax(alive[pos:]))
+            if not alive[nxt]:
+                break
+            pos = nxt
+        peak = ranked[pos]
+        mask[order[pos]] = True
+        lo = np.searchsorted(sorted_idx, peak - min_distance, side="right")
+        hi = np.searchsorted(sorted_idx, peak + min_distance, side="left")
+        alive[by_index[lo:hi]] = False
+        pos += 1
+    return mask
+
+
 def find_peaks_above(
     scores: np.ndarray, threshold: float, min_distance: int
 ) -> list[int]:
@@ -149,16 +215,10 @@ def find_peaks_above(
     ``threshold`` — not just local maxima. Candidates are then accepted
     in descending score order (ties: higher index first, the order of a
     reversed stable sort) and any candidate within ``min_distance``
-    samples of an already-accepted peak is suppressed; it is this
-    greedy suppression that makes the result peak-like, one survivor
-    per ``min_distance`` neighbourhood. Returned indices are ascending.
-
-    The suppression loop is vectorized: candidates are visited in one
-    pass over the descending-score order and each acceptance knocks out
-    its whole neighbourhood with one array mask, so dense
-    above-threshold tracks (a seconds-long SigFox frame lights up every
-    sample) cost ``O(peaks x candidates)`` array work instead of the
-    quadratic pure-Python scan this replaces.
+    samples of an already-accepted peak is suppressed
+    (:func:`greedy_suppress`); it is this greedy suppression that makes
+    the result peak-like, one survivor per ``min_distance``
+    neighbourhood. Returned indices are ascending.
 
     Args:
         scores: Score track.
@@ -172,24 +232,5 @@ def find_peaks_above(
         raise ConfigurationError("min_distance must be >= 1")
     scores = np.asarray(scores)
     candidates = np.flatnonzero(scores >= threshold)
-    if candidates.size == 0:
-        return []
-    order = np.argsort(scores[candidates], kind="stable")[::-1]
-    idx_desc = candidates[order]
-    alive = np.ones(idx_desc.size, dtype=bool)
-    accepted: list[int] = []
-    pos = 0
-    while pos < idx_desc.size:
-        if not alive[pos]:
-            # First still-alive candidate at or after pos (argmax finds
-            # the first True in C); none left ends the pass.
-            nxt = pos + int(np.argmax(alive[pos:]))
-            if not alive[nxt]:
-                break
-            pos = nxt
-        peak = int(idx_desc[pos])
-        accepted.append(peak)
-        alive[np.abs(idx_desc - peak) < min_distance] = False
-        pos += 1
-    accepted.sort()
-    return accepted
+    keep = greedy_suppress(candidates, scores[candidates], min_distance)
+    return candidates[keep].tolist()

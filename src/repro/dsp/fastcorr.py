@@ -28,7 +28,9 @@ Three pieces:
   ``len(x) - len(t_k) + 1`` and matches
   :func:`repro.dsp.correlation.cross_correlate` sample for sample.
   :func:`correlate_accumulate` runs the same segment loop and folds
-  block magnitudes into non-coherent accumulators as it goes.
+  block magnitudes into non-coherent accumulators as it goes. Given
+  the accumulators of an earlier signal and the range where the new
+  one differs, it transforms only the segments that range reaches.
 
 Row sharing: a preamble's coherent sub-blocks repeat, so a blocked bank
 holds the same waveform many times up to a carrier phase. At
@@ -56,6 +58,13 @@ complex track is ``conj(g)`` times the representative's. Event-level
 detector output is unaffected in practice (detection margins dwarf the
 ulp noise); the reference tests in ``tests/test_fastcorr.py`` and the
 golden detection fixture assert exactly that.
+
+A range call of :func:`correlate_accumulate` is bit-identical to a full
+call over the same signal. It keeps the full call's plan and runs its
+batches aligned to segment 0, so every entry it recomputes folds the
+same lags out of the same FFTs in the same order; a lag of a segment
+whose input did not change is the same bits either way (a row's FFT
+does not depend on the other rows of its batch).
 """
 
 from __future__ import annotations
@@ -431,8 +440,9 @@ def _overlap_save(
     x: np.ndarray,
     bank: TemplateBank,
     rows: list[int],
-    lengths: list[int],
+    plan: SpectrumPlan,
     telemetry: Telemetry,
+    segments: range | None = None,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The shared segment loop of :func:`correlate_many` and
     :func:`correlate_accumulate`, over distinct bank ``rows`` only.
@@ -440,13 +450,20 @@ def _overlap_save(
     Yields ``(pos0, corr)`` per batch of segments: ``corr`` has shape
     ``(segments, len(rows), hop)`` and ``corr[s, i]`` holds lags
     ``pos0 + s * hop`` to ``pos0 + (s + 1) * hop`` of row ``rows[i]``'s
-    valid-mode track (lags past a track's end are garbage). ``lengths``
-    are the requested templates' lengths; the shortest one's track is
-    the longest and sets the segment count.
+    valid-mode track (lags past a track's end are garbage).
+
+    ``segments`` (default: all of ``plan``'s) restricts the loop to a
+    contiguous run of segments. Batches stay aligned to segment 0 —
+    batch ``b`` covers segments ``[b * chunk, (b + 1) * chunk)``
+    clipped to the run — so every lag comes out of the batch it would
+    in a full call, and a caller folding batches in order sums each
+    output entry in the full call's order.
     """
+    nfft, hop = plan.nfft, plan.hop
+    if segments is None:
+        segments = range(plan.n_segments)
+    first, stop = segments.start, segments.stop
     n_samples = len(x)
-    plan = spectrum_plan(n_samples, max(lengths), len(rows), min(lengths))
-    nfft, hop, n_segments = plan.nfft, plan.hop, plan.n_segments
     with telemetry.span("fastcorr.correlate"):
         spectra = bank.spectra(nfft)
         # Every row requested (rows are ascending): use the cached matrix
@@ -456,11 +473,11 @@ def _overlap_save(
         # a small-template bank plans hundreds of short segments, and
         # paying a separate scipy dispatch per segment used to dominate
         # the actual FFT work on the cloud classify path.
-        segmat = np.zeros((n_segments, nfft), dtype=np.complex128)
-        for seg in range(n_segments):
+        segmat = np.zeros((stop - first, nfft), dtype=np.complex128)
+        for seg in segments:
             pos = seg * hop
-            stop = min(pos + nfft, n_samples)
-            segmat[seg, : stop - pos] = x[pos:stop]
+            end = min(pos + nfft, n_samples)
+            segmat[seg - first, : end - pos] = x[pos:end]
         fwd = sp_fft.fft(segmat, axis=1)
         # Inverse FFTs batch over (segments x rows), chunked so the
         # product tensor stays under BATCH_WORK_ELEMENTS. One product
@@ -468,18 +485,22 @@ def _overlap_save(
         # place on it, so each chunk costs one working set, not three.
         chunk = max(1, BATCH_WORK_ELEMENTS // (len(rows) * nfft))
         product = np.empty(
-            (min(chunk, n_segments), len(rows), nfft), dtype=np.complex128
+            (min(chunk, stop - first), len(rows), nfft), dtype=np.complex128
         )
-        for c0 in range(0, n_segments, chunk):
-            c1 = min(c0 + chunk, n_segments)
-            work = product[: c1 - c0]
-            np.multiply(fwd[c0:c1, None, :], row_spectra[None, :, :], out=work)
+        for c0 in range(first - first % chunk, stop, chunk):
+            s0, s1 = max(c0, first), min(c0 + chunk, stop)
+            work = product[: s1 - s0]
+            np.multiply(
+                fwd[s0 - first : s1 - first, None, :],
+                row_spectra[None, :, :],
+                out=work,
+            )
             corr = sp_fft.ifft(work, axis=2, overwrite_x=True)
             # Each segment's first ``hop`` lags are wrap-free, so
             # consecutive segments tile the track contiguously.
-            yield c0 * hop, corr[:, :, :hop]
-    telemetry.count("fastcorr.forward_ffts", n_segments)
-    telemetry.count("fastcorr.inverse_ffts", n_segments * len(rows))
+            yield s0 * hop, corr[:, :, :hop]
+    telemetry.count("fastcorr.forward_ffts", stop - first)
+    telemetry.count("fastcorr.inverse_ffts", (stop - first) * len(rows))
 
 
 def correlate_many(
@@ -520,12 +541,13 @@ def correlate_many(
     if max(lengths) > n_samples:
         raise ConfigurationError("template longer than signal")
     rows, local = _distinct_rows(bank, requested)
+    plan = spectrum_plan(n_samples, max(lengths), len(rows), min(lengths))
     out_lens = [n_samples - length + 1 for length in lengths]
     out = {
         key: np.empty(out_len, dtype=np.complex128)
         for key, out_len in zip(requested, out_lens, strict=True)
     }
-    for pos0, corr in _overlap_save(x, bank, rows, lengths, telemetry):
+    for pos0, corr in _overlap_save(x, bank, rows, plan, telemetry):
         span = corr.shape[0] * corr.shape[2]
         tracks: dict[int, np.ndarray] = {}
         for key, out_len in zip(requested, out_lens, strict=True):
@@ -563,11 +585,46 @@ class TrackSpec:
     squared: bool = True
 
 
+def _recompute_spans(
+    specs: Mapping[Hashable, TrackSpec],
+    plan: SpectrumPlan,
+    changed: tuple[int, int] | None,
+) -> dict[Hashable, tuple[int, int]]:
+    """Per group, the accumulator entries ``[e0, e1)`` to compute.
+
+    ``changed=None`` asks for every entry. Otherwise an entry is
+    recomputed iff one of its pairs reads a lag of an overlap-save
+    segment whose input window ``[s * hop, s * hop + nfft)`` meets the
+    changed sample range: the FFT mixes its whole window, so every lag
+    of such a segment may move, and every lag of any other segment is
+    bit for bit what it was. Over a spec's offsets the affected entries
+    are contiguous up to offset gaps; the span is their hull.
+    """
+    if changed is None:
+        return {group: (0, spec.out_len) for group, spec in specs.items()}
+    lo, hi = changed
+    nfft, hop = plan.nfft, plan.hop
+    first = max((lo - nfft) // hop + 1, 0)
+    stop = min(-(-hi // hop), plan.n_segments)
+    spans = {}
+    for group, spec in specs.items():
+        if lo >= hi or first >= stop or not spec.pairs:
+            spans[group] = (0, 0)
+            continue
+        offsets = [offset for _, offset in spec.pairs]
+        e0 = max(first * hop - max(offsets), 0)
+        e1 = min(stop * hop - min(offsets), spec.out_len)
+        spans[group] = (e0, max(e1, e0))
+    return spans
+
+
 def correlate_accumulate(
     x: npt.ArrayLike,
     bank: TemplateBank,
     specs: Mapping[Hashable, TrackSpec],
     telemetry: Telemetry = NULL,
+    previous: Mapping[Hashable, np.ndarray] | None = None,
+    changed: tuple[int, int] | None = None,
 ) -> dict[Hashable, np.ndarray]:
     """Fused correlate-and-combine for non-coherent blocked detection.
 
@@ -583,6 +640,14 @@ def correlate_accumulate(
     so an alias needs nothing of its own). The complex tracks are never
     stored.
 
+    Re-scoring an edited signal: pass the accumulators of the call over
+    the signal before the edit as ``previous`` and the edited samples as
+    ``changed``. Only entries fed by an overlap-save segment whose input
+    window meets ``changed`` are recomputed; the rest are copied. The
+    call keeps the full call's plan and batch alignment, so every
+    recomputed entry folds the same lags in the same order and the
+    result equals a full call over ``x`` bit for bit.
+
     Args:
         x: Received complex samples.
         bank: Prebuilt template bank (shared forward FFT across every
@@ -590,12 +655,34 @@ def correlate_accumulate(
         specs: Accumulator definitions keyed by caller-chosen group key.
         telemetry: Metrics sink (same spans/counts as
             :func:`correlate_many`).
+        previous: This function's result for the same ``bank`` and
+            ``specs`` over a signal of ``x``'s length that differs from
+            ``x`` only inside ``changed``.
+        changed: ``(lo, hi)``: the sample range where ``x`` may differ
+            from the signal ``previous`` was computed over. Given
+            together with ``previous``; an empty range copies it.
 
     Returns:
         ``{group_key: float64 accumulator}`` — un-normalized; callers
         apply their own ``sqrt``/norm scaling.
+
+    Raises:
+        ConfigurationError: if a template is longer than ``x``, if only
+            one of ``previous`` and ``changed`` is given, or if
+            ``previous`` does not match ``specs``.
     """
     x = ensure_iq(x)
+    if (previous is None) != (changed is None):
+        raise ConfigurationError("previous and changed go together")
+    if previous is None:
+        acc = {group: np.zeros(spec.out_len) for group, spec in specs.items()}
+    else:
+        if set(previous) != set(specs) or any(
+            previous[group].shape != (spec.out_len,)
+            for group, spec in specs.items()
+        ):
+            raise ConfigurationError("previous accumulators do not match specs")
+        acc = {group: np.array(previous[group], dtype=float) for group in specs}
     requested: list[Hashable] = []
     seen: set[Hashable] = set()
     for spec in specs.values():
@@ -603,9 +690,6 @@ def correlate_accumulate(
             if key not in seen:
                 seen.add(key)
                 requested.append(key)
-    acc = {
-        group: np.zeros(spec.out_len) for group, spec in specs.items()
-    }
     if not requested:
         return acc
     lengths = [bank.length(key) for key in requested]
@@ -613,13 +697,30 @@ def correlate_accumulate(
     if max(lengths) > n_samples:
         raise ConfigurationError("template longer than signal")
     rows, local = _distinct_rows(bank, requested)
+    plan = spectrum_plan(n_samples, max(lengths), len(rows), min(lengths))
+    hop = plan.hop
+    spans = _recompute_spans(specs, plan, changed)
+    # The segments whose lags the recomputed entries read.
+    first, stop = plan.n_segments, 0
+    for group, (e0, e1) in spans.items():
+        if e1 <= e0:
+            continue
+        acc[group][e0:e1] = 0.0
+        offsets = [offset for _, offset in specs[group].pairs]
+        first = min(first, (e0 + min(offsets)) // hop)
+        stop = max(stop, (e1 - 1 + max(offsets)) // hop + 1)
+    stop = min(stop, plan.n_segments)
+    if first >= stop:
+        return acc
     track_lens = {
         key: n_samples - length + 1
         for key, length in zip(requested, lengths, strict=True)
     }
     any_squared = any(spec.squared for spec in specs.values())
     all_squared = all(spec.squared for spec in specs.values())
-    for pos0, corr in _overlap_save(x, bank, rows, lengths, telemetry):
+    for pos0, corr in _overlap_save(
+        x, bank, rows, plan, telemetry, range(first, stop)
+    ):
         n_seg, n_rows, hop = corr.shape
         # Row-major magnitudes: row i's lags pos0.. are one contiguous run.
         magnitude = np.empty((n_rows, n_seg, hop))
@@ -630,6 +731,9 @@ def correlate_accumulate(
             # In place unless some spec still needs plain magnitudes.
             power = np.square(magnitude, out=magnitude if all_squared else None)
         for group, spec in specs.items():
+            e0, e1 = spans[group]
+            if e1 <= e0:
+                continue
             source = power if spec.squared else magnitude
             target = acc[group]
             for key, offset in spec.pairs:
@@ -639,9 +743,9 @@ def correlate_accumulate(
                 t_end = min(pos0 + n_seg * hop, track_len)
                 # Track positions [pos0, t_end) feed accumulator
                 # positions [pos0 - offset, t_end - offset), clipped
-                # to the accumulator's own range.
-                a0 = max(pos0 - offset, 0)
-                a1 = min(t_end - offset, spec.out_len)
+                # to the entries being computed.
+                a0 = max(pos0 - offset, e0)
+                a1 = min(t_end - offset, e1)
                 if a1 <= a0:
                     continue
                 target[a0:a1] += source[

@@ -21,13 +21,15 @@ the events, segments and shipped bits of one monolithic pass:
   the next chunk, resurrecting the neighbour. Detectors therefore hand
   the streaming layer their **raw threshold crossings**
   (:meth:`~repro.gateway.universal.UniversalPreambleDetector.stream_candidates`),
-  and the global greedy is replayed over a pending window every chunk.
-  A candidate is emitted (or discarded) only once its accept/reject
-  status is provably stable against *any* future candidate: instability
-  starts within ``min_distance`` of the scored frontier and propagates
-  backwards only through strictly priority-decreasing neighbour chains,
-  so a fixpoint marking finalizes everything the future can no longer
-  touch.
+  and the global greedy is replayed over a pending window every chunk
+  with the same :func:`~repro.dsp.correlation.greedy_suppress` the
+  monolithic peak finder runs, already-emitted peaks acting as
+  pre-accepted suppressors. A candidate is emitted (or discarded) only
+  once its accept/reject status is provably stable against *any*
+  future candidate: instability starts within ``min_distance`` of the
+  scored frontier and propagates backwards only through strictly
+  priority-decreasing neighbour chains, so a fixpoint marking finalizes
+  everything the future can no longer touch.
 * **In-flight extractor state.** Ship windows (``2x`` the largest frame
   around each event) routinely span chunk boundaries and can still
   *merge* with the next event's window. Open windows are carried across
@@ -48,13 +50,14 @@ event-level de-duplication instead (approximate near chunk joins).
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
+from bisect import insort
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 
 from ..contracts import iq_contract
+from ..dsp.correlation import greedy_suppress
 from ..errors import ConfigurationError
 from ..telemetry import Telemetry
 from ..types import DetectionEvent, DetectorLike, Segment
@@ -311,7 +314,10 @@ class StreamingGateway:
             idx = np.asarray(track.indices, dtype=np.int64)
             sc = np.asarray(track.scores, dtype=float)
             fixed = np.asarray(track.accepted, dtype=np.int64)
-            status = self._greedy(idx, sc, track.accepted, md)
+            # Already-emitted peaks suppress unconditionally: the
+            # stability proof guarantees no pending candidate outranks
+            # them in range.
+            status = greedy_suppress(idx, sc, md, track.accepted)
             if final:
                 marked = np.zeros(len(idx), dtype=bool)
             else:
@@ -359,32 +365,6 @@ class StreamingGateway:
             self._flushed_to = max(self._flushed_to, cutoff)
         emitted.sort(key=lambda e: e.index)
         return emitted
-
-    @staticmethod
-    def _greedy(
-        idx: np.ndarray, sc: np.ndarray, fixed: list[int], md: int
-    ) -> np.ndarray:
-        """Exactly :func:`~repro.dsp.correlation.find_peaks_above`:
-        candidates in descending score order (ties: later index first,
-        matching the reversed stable argsort), each accepted iff no
-        accepted peak lies within ``md``. Already-emitted peaks
-        (``fixed``) are unconditional suppressors — the stability proof
-        guarantees no pending candidate outranks them in range.
-        """
-        order = np.argsort(sc, kind="stable")[::-1]
-        accepted = list(fixed)
-        status = np.zeros(len(idx), dtype=bool)
-        for i in order:
-            v = int(idx[i])
-            j = bisect_left(accepted, v)
-            near = (j > 0 and v - accepted[j - 1] < md) or (
-                j < len(accepted) and accepted[j] - v < md
-            )
-            if near:
-                continue
-            insort(accepted, v)
-            status[i] = True
-        return status
 
     @staticmethod
     def _stabilize(

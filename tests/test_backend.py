@@ -5,8 +5,10 @@ kernel in the module that uses it. The per-element loops they replaced
 live only here, as the references:
 
 * *bit-identical*: integer/gather kernels (CSS symbol gather, D-BPSK
-  cumulative XOR, 802.15.4 nibble expansion) must match their loops
-  exactly — ``array_equal``, no tolerance.
+  cumulative XOR, 802.15.4 nibble expansion), the batched ``KillCss``
+  (row-wise FFTs round like one FFT per window) and the greedy
+  min-distance suppression must match their loops exactly —
+  ``array_equal``, no tolerance.
 * *allclose*: float kernels (O-QPSK rails, LoRa derotation and fine-sync
   metric, blocked least squares, the FSK frequency track, the SIC
   alignment metric) sum in a different order, so arrays match to a
@@ -22,8 +24,11 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from repro.cloud.classify import ClassifiedSignal
+from repro.cloud.kill_filters import KillCss
 from repro.cloud.sic import _align_start
-from repro.dsp.chirp import lora_symbol
+from repro.dsp.chirp import base_downchirp, base_upchirp, lora_symbol
+from repro.dsp.correlation import find_peaks_above, greedy_suppress
 from repro.dsp.filters import blocked_ls_subtract, design_lowpass_fir, half_sine_pulse
 from repro.dsp.fm import quadrature_demod
 from repro.errors import DecodeError
@@ -33,7 +38,7 @@ from repro.phy.css import modulate_symbols
 from repro.phy.dsss import chips_to_oqpsk, oqpsk_to_chips, symbols_to_bits
 from repro.phy.fsk import fsk_frequency_track, fsk_modulate
 from repro.phy.lora import modem as lora_modem
-from repro.phy.lora.modem import _derotate, _fine_sync_metrics
+from repro.phy.lora.modem import LoRaModem, _derotate, _fine_sync_metrics
 from repro.phy.oqpsk154 import modem as oqpsk_modem
 from repro.phy.psk import dbpsk_encode
 from repro.phy.sigfox import modem as sigfox_modem
@@ -159,6 +164,59 @@ def _loop_ls_subtract(ref, region, block):
     return out, first_gain
 
 
+def _loop_kill_css(modem, samples, start, guard=2):
+    """``KillCss.apply`` window by window (the loop the batched filter
+    replaced): dechirp, one FFT, null the two strongest bins with their
+    guard bins and +-2^SF aliases, inverse FFT, re-chirp."""
+    out = samples.copy()
+    n_sym = modem.samples_per_symbol
+    down = base_downchirp(modem.sf, modem.oversample)
+    up = base_upchirp(modem.sf, modem.oversample)
+    start = max(int(start), 0)
+    sfd_start = start + (modem.preamble_len + 2) * n_sym
+    sfd_end = sfd_start + n_sym * 9 // 4
+    n_chips = 1 << modem.sf
+    pos = start
+    while pos + n_sym <= len(out):
+        ref = up if sfd_start <= pos < sfd_end else down
+        spectrum = np.fft.fft(out[pos : pos + n_sym] * ref)
+        n = len(spectrum)
+        magnitude = np.abs(spectrum)
+        for _ in range(2):
+            peak = int(np.argmax(magnitude))
+            for base in (peak, (peak - n_chips) % n, (peak + n_chips) % n):
+                for off in range(-guard, guard + 1):
+                    idx = (base + off) % n
+                    spectrum[idx] = 0
+                    magnitude[idx] = 0
+        out[pos : pos + n_sym] = np.fft.ifft(spectrum) * np.conj(ref)
+        pos += n_sym
+    return out
+
+
+def _loop_greedy(idx, sc, fixed, md):
+    """The streaming gateway's bisect/insort greedy (the loop
+    ``greedy_suppress`` replaced): candidates in descending score order,
+    ties later-first, each accepted iff no accepted peak (``fixed``
+    included) lies within ``md``."""
+    from bisect import bisect_left, insort
+
+    order = np.argsort(sc, kind="stable")[::-1]
+    accepted = sorted(int(a) for a in fixed)
+    status = np.zeros(len(idx), dtype=bool)
+    for i in order:
+        v = int(idx[i])
+        j = bisect_left(accepted, v)
+        near = (j > 0 and v - accepted[j - 1] < md) or (
+            j < len(accepted) and accepted[j] - v < md
+        )
+        if near:
+            continue
+        insort(accepted, v)
+        status[i] = True
+    return status
+
+
 class TestKernelEquivalence:
     def test_derotate_matches_formula(self, rng):
         iq = _complex(rng, 512)
@@ -277,6 +335,97 @@ class TestKernelEquivalence:
             if metric > best_metric:
                 best, best_metric = cand, metric
         assert got == best
+
+
+class TestKillCssEquivalence:
+    """The batched ``KillCss.apply`` equals the per-window loop bit for
+    bit: same windows, same reference chirps, same nulled bins."""
+
+    MODEMS = {
+        "sf7x8": LoRaModem(),
+        "sf8x2": LoRaModem(sf=8, oversample=2, preamble_len=6),
+        "sf7x1": LoRaModem(oversample=1),
+    }
+
+    @staticmethod
+    def _frame_buffer(modem, rng, lead, tail):
+        wave = modem.modulate(b"kill-css-ref")
+        buffer = _complex(rng, lead + len(wave) + tail) * 0.1
+        buffer[lead : lead + len(wave)] += wave
+        return buffer
+
+    @pytest.mark.parametrize("name", list(MODEMS))
+    @pytest.mark.parametrize("with_frame", [False, True])
+    def test_random_buffers(self, rng, name, with_frame):
+        modem = self.MODEMS[name]
+        n_sym = modem.samples_per_symbol
+        kill = KillCss(modem)
+        for _ in range(12):
+            lead = int(rng.integers(0, 3 * n_sym))
+            if with_frame:
+                buffer = self._frame_buffer(
+                    modem, rng, lead, int(rng.integers(0, 2 * n_sym))
+                )
+            else:
+                buffer = _complex(rng, int(rng.integers(n_sym, 40 * n_sym)))
+            start = lead + int(rng.integers(-8, 9))
+            target = ClassifiedSignal("lora", start, 1.0, 1 + 0j)
+            got = kill.apply(buffer, modem.sample_rate, target)
+            assert np.array_equal(got, _loop_kill_css(modem, buffer, start))
+
+    @pytest.mark.parametrize(
+        "where", ["negative", "in_sfd", "past_end", "short", "partial_tail"]
+    )
+    def test_edge_starts_and_lengths(self, rng, where):
+        modem = self.MODEMS["sf7x8"]
+        n_sym = modem.samples_per_symbol
+        lead = 700
+        buffer = self._frame_buffer(modem, rng, lead, n_sym // 3)
+        start = {
+            "negative": -n_sym // 2,
+            "in_sfd": lead + (modem.preamble_len + 2) * n_sym + n_sym // 3,
+            "past_end": len(buffer) + 5,
+            "short": 0,
+            "partial_tail": lead + 17,
+        }[where]
+        if where == "short":
+            buffer = buffer[: n_sym - 1]
+        if where == "partial_tail":
+            assert (len(buffer) - start) % n_sym  # a trailing partial window
+        kill = KillCss(modem, guard=int(rng.integers(0, 4)))
+        target = ClassifiedSignal("lora", start, 1.0, 1 + 0j)
+        got = kill.apply(buffer, modem.sample_rate, target)
+        expected = _loop_kill_css(modem, buffer, start, kill.guard)
+        assert np.array_equal(got, expected)
+        if where in ("past_end", "short"):
+            assert np.array_equal(got, buffer)
+
+
+class TestGreedySuppression:
+    """``greedy_suppress`` equals the bisect/insort greedy exactly,
+    ties and pre-accepted peaks included."""
+
+    def test_matches_loop_on_random_cases(self, rng):
+        for _ in range(400):
+            n = int(rng.integers(0, 300))
+            idx = rng.choice(5000, size=n, replace=False)
+            if rng.random() < 0.5:
+                idx = np.sort(idx)
+            # Coarse scores force ties.
+            sc = rng.integers(0, int(rng.integers(1, 20)), size=n).astype(float)
+            md = int(rng.integers(1, 400))
+            fixed = rng.choice(5000, size=int(rng.integers(0, 5)), replace=False)
+            got = greedy_suppress(idx, sc, md, fixed.tolist())
+            assert np.array_equal(got, _loop_greedy(idx, sc, fixed, md))
+
+    def test_find_peaks_above_is_the_loop_over_crossings(self, rng):
+        for _ in range(100):
+            scores = rng.integers(0, 8, size=2000).astype(float)
+            threshold, md = 5.0, int(rng.integers(1, 200))
+            candidates = np.flatnonzero(scores >= threshold)
+            status = _loop_greedy(candidates, scores[candidates], (), md)
+            expected = candidates[status].tolist()
+            assert find_peaks_above(scores, threshold, md) == expected
 
 
 #: Per modem: the module its kernels are looked up in, and each kernel

@@ -118,6 +118,23 @@ class TestClassifier:
         with pytest.raises(ConfigurationError):
             SegmentClassifier([], FS)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"k": float("nan")},
+            {"k": float("inf")},
+            {"k": -0.5},
+            {"max_per_technology": 0},
+            {"max_per_technology": -1},
+        ],
+        ids=["k-nan", "k-inf", "k-negative", "cap-0", "cap-negative"],
+    )
+    def test_settings_that_find_nothing_rejected(self, trio, kwargs):
+        # Regression: each of these constructed fine and then classified
+        # every segment as empty.
+        with pytest.raises(ConfigurationError):
+            SegmentClassifier(trio, FS, **kwargs)
+
     def test_equal_score_ties_keep_lowest_index(self, monkeypatch, rng):
         # The peak re-sort before the max_per_technology cut is pinned
         # to (score desc, index asc): equal scores must not depend on
@@ -130,7 +147,9 @@ class TestClassifier:
         for idx in (300, 50, 200, 100):  # deliberately unsorted spikes
             track[idx] = 5.0 * tpl_norm
 
-        def fake_correlate_accumulate(sig, bank, specs, telemetry=None):
+        def fake_correlate_accumulate(
+            sig, bank, specs, telemetry=None, previous=None, changed=None
+        ):
             assert list(specs) == [0]
             assert specs[0].pairs == (((0, 0), 0),)
             return {0: np.abs(track)}

@@ -1,18 +1,27 @@
 """Tests for Algorithm 1 (CloudDecoder) and the cloud pipeline."""
 
+import dataclasses
+import hashlib
+
+import numpy as np
 import pytest
 
-from repro.cloud import classify, sic
+from repro.cloud import classify, decoder, sic
+from repro.cloud.classify import ScoreState, SegmentClassifier
 from repro.cloud.decoder import CloudDecoder
+from repro.cloud.kill_filters import KillCodes, KillCss, KillFrequency
 from repro.cloud.pipeline import CloudService
+from repro.cloud.sic import reconstruct_and_subtract, try_decode
 from repro.dsp import correlation
 from repro.errors import ConfigurationError
 from repro.gateway.compression import SegmentCodec
 from repro.net.scene import SceneBuilder
 from repro.net.traffic import collision_scene
+from repro.telemetry import Telemetry
 from repro.types import Segment
 
 from .test_fastcorr import _fallback_accumulate
+from .test_golden_decode import scene_segments
 
 FS = 1e6
 
@@ -149,6 +158,24 @@ class TestCollisionDecoding:
         with pytest.raises(ConfigurationError):
             cls(trio, rate)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"classifier_k": float("nan")},
+            {"classifier_k": float("inf")},
+            {"classifier_k": -1.0},
+            {"max_iterations": 0},
+            {"max_iterations": -3},
+        ],
+        ids=["k-nan", "k-inf", "k-negative", "iterations-0", "iterations-negative"],
+    )
+    def test_settings_that_decode_nothing_rejected(self, trio, kwargs):
+        # Regression: each of these constructed fine and then silently
+        # decoded nothing (k=nan: no candidates; max_iterations=0:
+        # candidates but no decode attempt).
+        with pytest.raises(ConfigurationError):
+            CloudDecoder(trio, FS, **kwargs)
+
 
 class TestEngineEquivalence:
     """Algorithm 1 must decode identically with the fastcorr engine
@@ -173,8 +200,10 @@ class TestEngineEquivalence:
             monkeypatch.setattr(
                 module,
                 "correlate_accumulate",
-                lambda x, bank, specs, telemetry=None: _fallback_accumulate(
-                    x, bank, specs
+                # Always the full accumulators, whatever range changed:
+                # the reference stays an oracle for the incremental path.
+                lambda x, bank, specs, telemetry=None, previous=None, changed=None: (
+                    _fallback_accumulate(x, bank, specs)
                 ),
             )
         off_decoder = CloudDecoder.galiot(trio, FS)
@@ -184,6 +213,76 @@ class TestEngineEquivalence:
             assert on_report.results == off_report.results
             assert on_report.sic_cancellations == off_report.sic_cancellations
             assert on_report.kill_invocations == off_report.kill_invocations
+
+
+def _digest(samples):
+    return hashlib.sha1(np.ascontiguousarray(samples).tobytes()).hexdigest()
+
+
+class TestNeverTwice:
+    """Within one ``decode()`` each piece of Algorithm 1's work runs once
+    per residual: no decode attempt sees the same (modem, input) twice
+    and no kill filter the same (filter, victim, input)."""
+
+    def test_no_attempt_or_kill_repeats_on_golden_scene(self, monkeypatch):
+        modems, segments = scene_segments()
+        attempts: list = []
+        kills: list = []
+        real_try = decoder.try_decode
+
+        def logged_try(modem, samples, *args, **kwargs):
+            attempts.append((modem.name, _digest(samples)))
+            return real_try(modem, samples, *args, **kwargs)
+
+        monkeypatch.setattr(decoder, "try_decode", logged_try)
+        for cls in (KillFrequency, KillCss, KillCodes):
+
+            def logged_apply(self, samples, sample_rate_hz, target, _real=cls.apply):
+                victim = dataclasses.astuple(target)
+                kills.append((type(self).__name__, victim, _digest(samples)))
+                return _real(self, samples, sample_rate_hz, target)
+
+            monkeypatch.setattr(cls, "apply", logged_apply)
+        telemetry = Telemetry()
+        cloud = CloudDecoder.galiot(modems, FS, telemetry=telemetry)
+        n_attempts = n_kills = 0
+        for segment in segments:
+            attempts.clear()
+            kills.clear()
+            report = cloud.decode(segment.samples)
+            assert len(set(attempts)) == len(attempts)
+            assert len(set(kills)) == len(kills)
+            assert report.kill_invocations == len(kills)
+            n_attempts += len(attempts)
+            n_kills += len(kills)
+        # The scene exercises both paths, and the memo saved work.
+        assert n_attempts > 0 and n_kills > 0
+        assert telemetry.counters["cloud.memo_hits"] > 0
+
+    def test_classify_with_state_equals_fresh_after_cancellation(self):
+        modems, segments = scene_segments()
+        by_name = {m.name: m for m in modems}
+        samples = segments[1].samples  # the 3-deep slot
+        telemetry = Telemetry()
+        stateful = SegmentClassifier(modems, FS, telemetry=telemetry)
+        state = ScoreState()
+        first = stateful.classify(samples, state=state)
+        frames = (
+            (by_name[c.technology], try_decode(by_name[c.technology], samples, FS))
+            for c in first
+        )
+        modem, frame = next((m, f) for m, f in frames if f is not None)
+        residual, _ = reconstruct_and_subtract(samples, FS, modem, frame)
+        assert not np.array_equal(residual, samples)
+        before = telemetry.counters["fastcorr.forward_ffts"]
+        again = stateful.classify(residual, state=state)
+        ranged_ffts = telemetry.counters["fastcorr.forward_ffts"] - before
+        fresh_telemetry = Telemetry()
+        fresh = SegmentClassifier(modems, FS, telemetry=fresh_telemetry).classify(
+            residual
+        )
+        assert again == fresh
+        assert ranged_ffts < fresh_telemetry.counters["fastcorr.forward_ffts"]
 
 
 class TestCloudService:

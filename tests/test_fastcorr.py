@@ -13,7 +13,11 @@ the engine replaced):
   one row (one inverse FFT per segment) and still agree with the
   references; anything else stays a row of its own;
 * streamed detection equals monolithic detection exactly. Event-level
-  output is pinned by the golden detection fixture.
+  output is pinned by the golden detection fixture;
+* **range calls**: ``correlate_accumulate`` handed the previous
+  signal's accumulators and the changed range equals a full call over
+  the edited signal bit for bit (``array_equal``), and transforms fewer
+  segments.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from repro.cloud.classify import SegmentClassifier
+from repro.dsp import fastcorr
 from repro.dsp.correlation import cross_correlate, segmented_correlation
 from repro.dsp.fastcorr import (
     MAX_SPECTRA_ELEMENTS,
@@ -453,3 +459,126 @@ class TestStreamingEquivalence:
         assert [s.start for s in merged.segments] == [
             s.start for s in reference.segments
         ]
+
+
+def _classify_banks(modems, n_samples):
+    """Each classify group's bank and specs for a signal of ``n_samples``
+    at that group's rate and stride, built as the classifier builds them."""
+    clf = SegmentClassifier(modems, FS)
+    banks = []
+    for group, indices in clf._groups.items():
+        specs = {
+            index: TrackSpec(
+                pairs=tuple(
+                    ((index, offset), offset) for offset in clf._refs[index].offsets
+                ),
+                out_len=n_samples - len(clf._refs[index].tpl) + 1,
+                squared=clf._refs[index].block is not None,
+            )
+            for index in indices
+        }
+        banks.append((group, clf._banks[group], specs))
+    return banks
+
+
+def _edits(rng, x, template):
+    """Edited copies of ``x`` and their changed ranges: a zeroed span, a
+    subtracted waveform, edits at either end, and no edit."""
+    n = len(x)
+    lo = int(rng.integers(n // 8, n // 2))
+    zeroed = x.copy()
+    zeroed[lo : lo + 3000] = 0
+    at = int(rng.integers(0, n - len(template)))
+    subtracted = x.copy()
+    subtracted[at : at + len(template)] -= 0.7 * template
+    head, tail = x.copy(), x.copy()
+    head[:500] *= 0.5
+    tail[-700:] = _noise(rng, 700)
+    return {
+        "zeroed": (zeroed, (lo, lo + 3000)),
+        "subtracted": (subtracted, (at, at + len(template))),
+        "head": (head, (0, 500)),
+        "tail": (tail, (n - 700, n)),
+        "none": (x.copy(), (0, 0)),
+    }
+
+
+class TestRangeCalls:
+    """A range call equals a full call over the edited signal bit for
+    bit: it keeps the full call's plan and batch alignment, so every
+    recomputed entry folds the same lags in the same order."""
+
+    def _check(self, rng, bank, specs, x, template):
+        previous = correlate_accumulate(x, bank, specs)
+        for name, (edited, changed) in _edits(rng, x, template).items():
+            full_tel, range_tel = Telemetry(), Telemetry()
+            full = correlate_accumulate(edited, bank, specs, telemetry=full_tel)
+            ranged = correlate_accumulate(
+                edited, bank, specs, telemetry=range_tel,
+                previous=previous, changed=changed,
+            )
+            for group in specs:
+                assert np.array_equal(ranged[group], full[group]), (name, group)
+                assert ranged[group] is not previous[group]
+            full_ffts = full_tel.counters["fastcorr.forward_ffts"]
+            assert range_tel.counters.get("fastcorr.forward_ffts", 0) < full_ffts
+
+    def test_classify_banks(self, trio, rng):
+        n = 120_000
+        for _, bank, specs in _classify_banks(trio, n):
+            x = _noise(rng, n)
+            template = bank.template(bank.keys()[0])
+            self._check(rng, bank, specs, x, np.tile(template, 4)[:4000])
+
+    def test_partial_tail_bank(self, rng):
+        template = _noise(rng, 1000)
+        bank = blocked_bank(template, 96)  # 10 full blocks + a 40-sample tail
+        assert bank.length(960) == 40
+        n = 30_000
+        specs = {
+            "sq": TrackSpec(
+                pairs=tuple((key, key) for key in bank.keys()), out_len=n - 999
+            ),
+            "abs": TrackSpec(
+                pairs=tuple((key, key) for key in bank.keys()),
+                out_len=n - 999,
+                squared=False,
+            ),
+        }
+        self._check(rng, bank, specs, _noise(rng, n), template)
+
+    def test_multi_batch_plan(self, zwave, rng, monkeypatch):
+        bank = _zwave_sync_bank(zwave)
+        n = 60_000
+        spec = _blocked_spec(bank, n, squared=True)
+        # Pairs in descending offset order fold each entry's lags batch
+        # by batch out of pair order, so a batch grid shifted off
+        # segment 0 would change the summation order.
+        specs = {
+            "up": spec,
+            "down": TrackSpec(spec.pairs[::-1], spec.out_len, squared=True),
+        }
+        plan = spectrum_plan(n, bank.max_template_len, bank.n_distinct)
+        # Three segments per batch, so the zeroed span and the
+        # subtracted waveform each meet several batches.
+        monkeypatch.setattr(
+            fastcorr, "BATCH_WORK_ELEMENTS", 3 * bank.n_distinct * plan.nfft
+        )
+        assert 3 * plan.hop < 2500 and plan.n_segments > 9
+        template = zwave.sync_reference()[:2500]
+        self._check(rng, bank, specs, _noise(rng, n), template)
+
+    def test_previous_and_changed_go_together(self, rng):
+        bank = blocked_bank(_noise(rng, 200), 50)
+        x = _noise(rng, 2000)
+        specs = {0: TrackSpec(pairs=((0, 0), (50, 50)), out_len=1801)}
+        previous = correlate_accumulate(x, bank, specs)
+        with pytest.raises(ConfigurationError):
+            correlate_accumulate(x, bank, specs, previous=previous)
+        with pytest.raises(ConfigurationError):
+            correlate_accumulate(x, bank, specs, changed=(0, 10))
+        with pytest.raises(ConfigurationError):
+            correlate_accumulate(
+                x[:-1], bank, {0: TrackSpec(((0, 0),), 1800)},
+                previous=previous, changed=(0, 10),
+            )

@@ -55,8 +55,8 @@ PRE, POST = 20_532, 100_000
 DURATION_S = 0.8
 
 
-def decode_scene() -> list[list]:
-    """Render the scene and decode each slot's segment in the cloud."""
+def scene_segments() -> tuple[list, list[Segment]]:
+    """Render the scene: its modems and one segment per slot."""
     modems = {name: create_modem(name) for name in ("lora", "xbee", "zwave")}
     rng = np.random.default_rng(SEED)
     scene = SceneBuilder(FS, DURATION_S, NOISE_POWER)
@@ -75,15 +75,25 @@ def decode_scene() -> list[list]:
                 cfo_hz=cfo_hz,
             )
     capture, _ = scene.render(rng)
-    cloud = CloudService(list(modems.values()), FS)
-    frames: list[list] = []
+    segments = []
     for slot, base in zip(SLOTS, SLOT_STARTS, strict=True):
         end = base + max(
             offset + modems[tech].frame_samples(PAYLOAD_LEN)
             for tech, _, offset, _ in slot
         )
         lo, hi = base - PRE, end + POST
-        segment = Segment(start=lo, samples=capture[lo:hi].copy(), sample_rate=FS)
+        segments.append(
+            Segment(start=lo, samples=capture[lo:hi].copy(), sample_rate=FS)
+        )
+    return list(modems.values()), segments
+
+
+def decode_scene() -> list[list]:
+    """Render the scene and decode each slot's segment in the cloud."""
+    modems, segments = scene_segments()
+    cloud = CloudService(modems, FS)
+    frames: list[list] = []
+    for segment in segments:
         frames.extend(
             [
                 r.technology,

@@ -42,6 +42,20 @@ class TestDispatch:
         with pytest.raises(ConfigurationError):
             KillCodes(create_modem("zwave"))
 
+    @pytest.mark.parametrize(
+        "width_factor", [float("nan"), float("inf"), 0.0, -0.8]
+    )
+    def test_width_factor_that_notches_nothing_rejected(self, width_factor):
+        # Regression: width_factor=nan built NaN bands that notch nothing.
+        with pytest.raises(ConfigurationError):
+            KillFrequency(create_modem("xbee"), width_factor=width_factor)
+
+    @pytest.mark.parametrize("guard", [-1, -3])
+    def test_negative_guard_rejected(self, guard):
+        # Regression: guard=-1 nulled no bin at all.
+        with pytest.raises(ConfigurationError):
+            KillCss(create_modem("lora"), guard=guard)
+
 
 class TestKillFrequency:
     def test_suppresses_fsk_target(self, rng):
