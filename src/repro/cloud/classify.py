@@ -15,9 +15,9 @@ holding every member's coherent sync sub-blocks, so one
 a single forward FFT per overlap-save segment across every technology
 in the group — and the conjugate template spectra, cached on the bank,
 are paid once per FFT length rather than once per segment per SIC
-iteration. Each modem's score track equals
-:func:`~repro.gateway.detection.matched_filter_track` of its sync
-waveform up to FFT rounding.
+iteration. Each modem's score track equals the gateway
+:class:`~repro.gateway.detection.CorrelationDetector` score track of its
+sync waveform up to FFT rounding.
 
 Re-classifying a residual: a cancellation changes the residual only
 around the cancelled frame. :class:`ScoreState` keeps each group's last

@@ -398,8 +398,8 @@ def blocked_bank(
         block: Coherent block length in samples; ``None`` yields a
             single entry (key ``0``) holding the whole template.
         partial_tail: Include the final short block when ``block`` does
-            not divide the template length (:func:`matched_filter_track
-            <repro.gateway.detection.matched_filter_track>` semantics);
+            not divide the template length (the gateway
+            :class:`~repro.gateway.detection.CorrelationDetector`'s blocks);
             ``False`` drops it (:func:`segmented_correlation
             <repro.dsp.correlation.segmented_correlation>` semantics).
 

@@ -10,12 +10,12 @@ from .backhaul import BackhaulLink, Shipment
 from .channelizer import Channelizer
 from .compression import CompressedSegment, CompressionStats, SegmentCodec
 from .detection import (
+    CorrelationDetector,
     EnergyDetector,
     PreambleBankDetector,
     cfar_threshold,
     detection_ratio,
     match_events,
-    matched_filter_track,
     packet_detected,
 )
 from .edge import EdgeDecoder, EdgeOutcome
@@ -36,7 +36,7 @@ from .resilience import (
     SpillEntry,
 )
 from .rtlsdr import RtlSdrConfig, RtlSdrModel
-from .streaming import StreamingGateway, detector_context, iter_chunks
+from .streaming import StreamingGateway, iter_chunks
 from .universal import UniversalPreamble, UniversalPreambleDetector
 
 __all__ = [
@@ -46,10 +46,10 @@ __all__ = [
     "CompressedSegment",
     "CompressionStats",
     "SegmentCodec",
+    "CorrelationDetector",
     "EnergyDetector",
     "PreambleBankDetector",
     "cfar_threshold",
-    "matched_filter_track",
     "match_events",
     "packet_detected",
     "detection_ratio",
@@ -73,7 +73,6 @@ __all__ = [
     "RtlSdrConfig",
     "RtlSdrModel",
     "StreamingGateway",
-    "detector_context",
     "iter_chunks",
     "UniversalPreamble",
     "UniversalPreambleDetector",

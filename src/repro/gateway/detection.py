@@ -1,4 +1,4 @@
-"""Packet detectors: the energy baseline and the optimal preamble bank.
+"""Packet detectors: the energy baseline and preamble correlation.
 
 Three detectors are compared in Figure 3(b) of the paper:
 
@@ -9,24 +9,31 @@ Three detectors are compared in Figure 3(b) of the paper:
   optimal scheme: correlate with every technology's own preamble and
   take the per-technology peaks. Detection cost grows linearly with the
   number of technologies.
-* **Universal preamble** (:mod:`repro.gateway.universal`) — GalioT's
-  single-template detector, implemented in its own module.
+* **Universal preamble**
+  (:class:`~repro.gateway.universal.UniversalPreambleDetector`) —
+  GalioT's detector: the same correlation over **one** summed template.
 
-All detectors share a constant-false-alarm-rate (CFAR) thresholding
-scheme: the decision threshold is a robust location/scale estimate of
-the *score* distribution (median + k·MAD), so the same ``k`` works at
-any absolute noise level.
+Both correlation detectors are one :class:`CorrelationDetector` over
+different template banks. All detectors share a constant-false-alarm-rate
+(CFAR) thresholding scheme: the decision threshold is a robust
+location/scale estimate of the *score* distribution, so the same ``k``
+works at any absolute noise level. Each detector also tells the gateway
+how much history a stream must carry (``context``), whether a chunked
+stream reproduces a monolithic pass (``streams_exactly``) and whether an
+event still stands out over a jammer-raised floor (``clears_floor``).
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Hashable
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..contracts import iq_contract
-from ..dsp.correlation import find_peaks_above
-from ..dsp.fastcorr import TemplateBank, blocked_bank, correlate_many
+from ..dsp.correlation import greedy_suppress
+from ..dsp.fastcorr import TemplateBank, correlate_many
 from ..dsp.filters import moving_average
 from ..dsp.resample import to_rate
 from ..errors import ConfigurationError
@@ -36,7 +43,7 @@ from ..types import DetectionEvent
 
 __all__ = [
     "cfar_threshold",
-    "matched_filter_track",
+    "CorrelationDetector",
     "EnergyDetector",
     "PreambleBankDetector",
     "match_events",
@@ -64,63 +71,30 @@ def cfar_threshold(scores: np.ndarray, k: float) -> float:
     return p10 + (2.39 + 2.21 * k) * scale
 
 
-def matched_filter_track(
-    x: np.ndarray,
-    template: np.ndarray,
-    block: int | None = None,
-    *,
-    bank: TemplateBank | None = None,
-    telemetry: Telemetry = NULL,
-) -> np.ndarray:
-    """Matched-filter magnitude track, normalized by the template norm.
-
-    Unlike :func:`repro.dsp.correlation.normalized_correlation`, the
-    score is *not* divided by the local window energy. For sub-noise
-    detection this is the optimal statistic, and it does not penalize
-    templates with zero-padded tails (the universal preamble pads every
-    representative to the longest one). The CFAR threshold supplies the
-    noise calibration that local normalization would otherwise provide.
-
-    Correlation runs on the shared-FFT engine
-    (:mod:`repro.dsp.fastcorr`): in blocked mode every sub-template
-    reuses one forward FFT per overlap-save segment instead of paying a
-    full ``fftconvolve`` each.
-
-    Args:
-        x: Received samples.
-        template: Reference waveform.
-        block: When set, correlate coherently per ``block`` samples and
-            combine magnitudes non-coherently (CFO tolerance).
-        bank: Prebuilt ``blocked_bank(template, block)`` so a detector
-            scoring many chunks caches the template spectra across
-            calls; built transiently when omitted.
-        telemetry: Metrics sink threaded into the correlation engine.
-    """
-    norm = float(np.sqrt(np.sum(np.abs(template) ** 2)))
-    if norm <= 0:
-        raise ConfigurationError("template has zero energy")
-    out_len = len(x) - len(template) + 1
-    if out_len <= 0:
-        raise ConfigurationError("template longer than signal")
-    if bank is None:
-        # Ceiling division (partial tail kept): the final short block
-        # must enter the accumulation, otherwise the remainder tail's
-        # energy is correlated by nobody while ``norm`` still charges
-        # for it, biasing every score low when len(template) % block != 0.
-        bank = blocked_bank(template, block, partial_tail=True)
-    tracks = correlate_many(x, bank, telemetry=telemetry)
-    if block is None:
-        return np.abs(tracks[0]) / norm
-    acc = np.zeros(out_len)
-    for offset in bank.keys():
-        corr = np.abs(tracks[offset])
-        acc += corr[offset : offset + out_len] ** 2
-    return np.sqrt(acc) / norm
+def _validate(
+    k: float,
+    min_distance: int,
+    threshold: float | dict[Hashable, float] | None,
+    **lengths: int | None,
+) -> None:
+    """Reject settings under which a detector would silently find nothing."""
+    fixed = threshold.values() if isinstance(threshold, dict) else [threshold]
+    if not (math.isfinite(k) and k >= 0):
+        raise ConfigurationError(f"k must be finite and >= 0, got {k!r}")
+    if any(value is not None and not math.isfinite(value) for value in fixed):
+        raise ConfigurationError(f"threshold must be finite, got {threshold!r}")
+    for name, value in {"min_distance": min_distance, **lengths}.items():
+        if value is not None and value < 1:
+            raise ConfigurationError(f"{name} must be >= 1")
 
 
 @dataclass
 class EnergyDetector:
     """Moving-average energy detector (the baseline of [14] in the paper).
+
+    Its rising-edge state machine is whole-track, so it does not stream
+    exactly: the streaming front de-duplicates its events near chunk
+    joins instead.
 
     Attributes:
         window: Averaging window in samples.
@@ -129,10 +103,11 @@ class EnergyDetector:
         threshold: Fixed decision threshold. ``None`` (the default)
             re-estimates the CFAR threshold from each capture; a fixed
             value (set directly or via :meth:`calibrate`) keeps the
-            operating point identical across captures — what a
-            continuously-running gateway wants, and what makes chunked
-            streaming bit-identical to a monolithic pass.
+            operating point identical across captures.
         telemetry: Metrics sink (the shared no-op by default).
+
+    Raises:
+        ConfigurationError: for settings that would find nothing.
     """
 
     window: int = 256
@@ -142,6 +117,22 @@ class EnergyDetector:
 
     name: str = "energy"
     telemetry: Telemetry = field(default=NULL, repr=False, compare=False)
+
+    streams_exactly = False
+
+    def __post_init__(self) -> None:
+        _validate(self.k, self.min_distance, self.threshold, window=self.window)
+
+    @property
+    def context(self) -> int:
+        """Samples of history a stream carries into each chunk."""
+        return self.window
+
+    def clears_floor(self, event: DetectionEvent, rise_db: float) -> bool:
+        """Whether ``event`` stands out over a floor raised by ``rise_db``:
+        its score is already power over the power threshold, so it must
+        clear the floor's power ratio, whatever the capture's scale."""
+        return event.score >= 10 ** (rise_db / 10)
 
     @iq_contract("samples")
     def calibrate(self, samples: np.ndarray) -> float:
@@ -193,8 +184,206 @@ class EnergyDetector:
         return events
 
 
-class PreambleBankDetector:
-    """Optimal per-technology preamble correlation.
+class CorrelationDetector:
+    """Matched-filter detection against a bank of preamble templates.
+
+    Both correlation detectors are this class: :class:`PreambleBankDetector`
+    holds one template per technology, and
+    :class:`~repro.gateway.universal.UniversalPreambleDetector` the
+    summed universal template under the key ``None`` (its events carry
+    no technology). Each template's track is thresholded and
+    peak-picked on its own.
+
+    The score is the matched-filter magnitude over the template norm,
+    *not* divided by the local window energy: for sub-noise detection
+    this is the optimal statistic, and it does not penalize the
+    universal preamble's zero-padded representatives. The CFAR
+    threshold supplies the noise calibration. With ``block`` set, each
+    template correlates coherently per block and the magnitudes combine
+    non-coherently (CFO tolerance), the final short block included so
+    its energy is not charged to the norm uncorrelated. One persistent
+    :class:`~repro.dsp.fastcorr.TemplateBank` holds every template and
+    block: one :func:`~repro.dsp.fastcorr.correlate_many` call scores
+    them all off one forward FFT per overlap-save segment, with the
+    template spectra cached across chunks.
+
+    Args:
+        templates: Reference waveform per technology key.
+        k: CFAR factor on each template's score track.
+        min_distance: Minimum spacing between events of one template.
+        block: Coherent block length (``None`` = fully coherent).
+        threshold: Fixed decision threshold(s): a float applied to every
+            template's track, or a per-technology dict. ``None``
+            re-estimates CFAR per capture; freeze it (e.g. with
+            :meth:`calibrate`) for a stable operating point across
+            captures and chunks.
+        telemetry: Metrics sink (the shared no-op by default).
+
+    Raises:
+        ConfigurationError: for an empty bank, a zero-energy template,
+            or settings that would find nothing.
+    """
+
+    name = "correlation"
+    streams_exactly = True
+
+    def __init__(
+        self,
+        templates: dict[Hashable, np.ndarray],
+        k: float = 7.0,
+        min_distance: int = 1024,
+        block: int | None = None,
+        threshold: float | dict[Hashable, float] | None = None,
+        telemetry: Telemetry = NULL,
+    ):
+        if not templates:
+            raise ConfigurationError("at least one template is required")
+        _validate(k, min_distance, threshold, block=block)
+        self.templates = dict(templates)
+        self.k = float(k)
+        self.min_distance = int(min_distance)
+        self.block = block
+        self.threshold = threshold
+        self.telemetry = telemetry
+        self._norms: dict[Hashable, float] = {}
+        # Block offsets per template; bank keys are (technology, offset).
+        self._offsets: dict[Hashable, list[int]] = {}
+        entries: dict[tuple[Hashable, int], np.ndarray] = {}
+        for tech, template in self.templates.items():
+            norm = float(np.sqrt(np.sum(np.abs(template) ** 2)))
+            if norm <= 0:
+                raise ConfigurationError("template has zero energy")
+            self._norms[tech] = norm
+            step = len(template) if block is None else block
+            self._offsets[tech] = list(range(0, len(template), step))
+            for offset in self._offsets[tech]:
+                entries[(tech, offset)] = template[offset : offset + step]
+        self._bank = TemplateBank(entries)
+
+    @property
+    def context(self) -> int:
+        """Samples of history a stream carries into each chunk: with
+        ``len(template) - 1`` of the longest template, consecutive
+        chunks' score tracks partition the monolithic track."""
+        return max(len(t) for t in self.templates.values()) - 1
+
+    @property
+    def n_correlations(self) -> int:
+        """Template correlations per capture: one per technology for the
+        bank, always one for the universal preamble."""
+        return len(self.templates)
+
+    @iq_contract("samples")
+    def score_tracks(self, samples: np.ndarray) -> dict[Hashable, np.ndarray]:
+        """Matched-filter score track of every template that fits ``samples``."""
+        feasible = [
+            tech
+            for tech, template in self.templates.items()
+            if len(template) <= len(samples)
+        ]
+        keys = [(tech, off) for tech in feasible for off in self._offsets[tech]]
+        tracks = correlate_many(
+            samples, self._bank, keys=keys, telemetry=self.telemetry
+        )
+        out: dict[Hashable, np.ndarray] = {}
+        for tech in feasible:
+            norm = self._norms[tech]
+            if self.block is None:
+                out[tech] = np.abs(tracks[(tech, 0)]) / norm
+                continue
+            out_len = len(samples) - len(self.templates[tech]) + 1
+            acc = np.zeros(out_len)
+            for offset in self._offsets[tech]:
+                corr = np.abs(tracks[(tech, offset)])
+                acc += corr[offset : offset + out_len] ** 2
+            out[tech] = np.sqrt(acc) / norm
+        return out
+
+    def _fixed_threshold(self, tech: Hashable) -> float | None:
+        if isinstance(self.threshold, dict):
+            return self.threshold.get(tech)
+        return self.threshold
+
+    @iq_contract("samples")
+    def calibrate(self, samples: np.ndarray) -> float | dict[Hashable, float]:
+        """Freeze the threshold(s) from a calibration capture.
+
+        Returns the frozen value, ready to pass back as ``threshold=``:
+        a float for the universal preamble's ``None`` template, a
+        per-technology dict for a bank.
+
+        Raises:
+            ConfigurationError: when every template is longer than the
+                capture.
+        """
+        thresholds = {
+            tech: cfar_threshold(scores, self.k)
+            for tech, scores in self.score_tracks(samples).items()
+        }
+        if not thresholds:
+            raise ConfigurationError("template longer than signal")
+        self.threshold = thresholds[None] if None in thresholds else thresholds
+        return self.threshold
+
+    def clears_floor(self, event: DetectionEvent, rise_db: float) -> bool:
+        """Whether ``event`` stands out over a floor raised by ``rise_db``.
+
+        The raised floor lifts noise's matched-filter scores by its
+        *amplitude* ratio, so the event must clear its frozen threshold
+        scaled by that ratio — well inside a real preamble's headroom.
+        With no frozen threshold there is nothing to scale: it clears.
+        """
+        threshold = self._fixed_threshold(event.technology)
+        if not threshold:
+            return True
+        return event.score >= threshold * 10 ** (rise_db / 20)
+
+    @iq_contract("samples")
+    def stream_candidates(
+        self, samples: np.ndarray
+    ) -> list[tuple[Hashable, int, np.ndarray, np.ndarray]]:
+        """Raw per-template threshold crossings, before min-distance
+        suppression: :meth:`detect` suppresses over the whole buffer, the
+        streaming front replays it across chunk joins. Freeze
+        :attr:`threshold` for streamed results identical to a monolithic
+        pass (per-chunk CFAR is data-dependent).
+
+        Returns:
+            ``[(technology, template_len, indices, scores)]``, one entry
+            per template short enough to score this buffer.
+        """
+        self.telemetry.count("detect.samples_in", len(samples))
+        out: list[tuple[Hashable, int, np.ndarray, np.ndarray]] = []
+        with self.telemetry.span("detect"):
+            for tech, scores in self.score_tracks(samples).items():
+                fixed = self._fixed_threshold(tech)
+                threshold = cfar_threshold(scores, self.k) if fixed is None else fixed
+                idx = np.flatnonzero(scores >= threshold)
+                out.append((tech, len(self.templates[tech]), idx, scores[idx]))
+        return out
+
+    @iq_contract("samples")
+    def detect(self, samples: np.ndarray) -> list[DetectionEvent]:
+        """Correlation peaks, sorted by index: :meth:`stream_candidates`
+        plus, per template, the greedy min-distance suppression of
+        :func:`~repro.dsp.correlation.find_peaks_above`."""
+        events: list[DetectionEvent] = []
+        for tech, _, idx, sc in self.stream_candidates(samples):
+            keep = greedy_suppress(idx, sc, self.min_distance)
+            for i, s in zip(idx[keep].tolist(), sc[keep].tolist(), strict=True):
+                events.append(
+                    DetectionEvent(
+                        index=i, score=s, detector=self.name, technology=tech
+                    )
+                )
+        events.sort(key=lambda e: e.index)
+        self.telemetry.count("detect.events", len(events))
+        return events
+
+
+class PreambleBankDetector(CorrelationDetector):
+    """Optimal per-technology preamble correlation: one template per
+    technology, so detection cost grows linearly with their number.
 
     Args:
         modems: The technologies to detect.
@@ -203,6 +392,7 @@ class PreambleBankDetector:
         min_distance: Minimum spacing between events of one technology.
         block: Coherent block length for CFO-tolerant correlation
             (``None`` = fully coherent).
+        max_template_s: Cap on each preamble template's duration.
         threshold: Fixed decision threshold(s): a float applied to every
             technology's track, or a per-technology dict (the shape
             :meth:`calibrate` produces). ``None`` re-estimates CFAR per
@@ -226,152 +416,12 @@ class PreambleBankDetector:
         if not modems:
             raise ConfigurationError("at least one modem is required")
         self.sample_rate_hz = float(sample_rate_hz)
-        self.k = float(k)
-        self.min_distance = int(min_distance)
-        self.block = block
-        self.threshold = threshold
-        self.telemetry = telemetry
         cap = max(int(max_template_s * sample_rate_hz), 1)
-        self.templates = {
+        templates = {
             m.name: to_rate(m.preamble_waveform(), m.sample_rate, self.sample_rate_hz)[:cap]
             for m in modems
         }
-        self._bank: TemplateBank | None = None
-        self._block_plan: dict[str, list[tuple[tuple[str, int], int]]] = {}
-
-    def _ensure_bank(self) -> TemplateBank:
-        """Bank of every technology's (sub-)templates, built once.
-
-        Entry keys are ``(technology, block_offset)``; ``_block_plan``
-        maps each technology to its entries in accumulation order, so
-        one :func:`~repro.dsp.fastcorr.correlate_many` call scores the
-        whole bank off a single forward FFT per overlap-save segment.
-        """
-        if self._bank is None:
-            entries: dict[tuple[str, int], np.ndarray] = {}
-            for name, template in self.templates.items():
-                if self.block is None:
-                    plan = [((name, 0), 0)]
-                    entries[(name, 0)] = template
-                else:
-                    n_blocks = -(-len(template) // self.block)
-                    plan = []
-                    for b in range(n_blocks):
-                        offset = b * self.block
-                        entries[(name, offset)] = template[
-                            offset : offset + self.block
-                        ]
-                        plan.append(((name, offset), offset))
-                self._block_plan[name] = plan
-            self._bank = TemplateBank(entries)
-        return self._bank
-
-    def _score_tracks(self, samples: np.ndarray) -> dict[str, np.ndarray]:
-        """Matched-filter tracks for every template that fits ``samples``.
-
-        Combination matches :func:`matched_filter_track` exactly
-        (coherent, or non-coherent across blocks with the partial tail
-        kept); the correlations themselves share forward FFTs across
-        all technologies and blocks.
-        """
-        bank = self._ensure_bank()
-        feasible = [
-            name
-            for name, template in self.templates.items()
-            if len(template) <= len(samples)
-        ]
-        keys = [
-            key for name in feasible for key, _ in self._block_plan[name]
-        ]
-        tracks = correlate_many(
-            samples, bank, keys=keys, telemetry=self.telemetry
-        )
-        out: dict[str, np.ndarray] = {}
-        for name in feasible:
-            template = self.templates[name]
-            norm = float(np.sqrt(np.sum(np.abs(template) ** 2)))
-            if norm <= 0:
-                raise ConfigurationError("template has zero energy")
-            out_len = len(samples) - len(template) + 1
-            if self.block is None:
-                out[name] = np.abs(tracks[(name, 0)]) / norm
-            else:
-                acc = np.zeros(out_len)
-                for key, offset in self._block_plan[name]:
-                    corr = np.abs(tracks[key])
-                    acc += corr[offset : offset + out_len] ** 2
-                out[name] = np.sqrt(acc) / norm
-        return out
-
-    @iq_contract("samples")
-    def calibrate(self, samples: np.ndarray) -> dict[str, float]:
-        """Freeze per-technology thresholds from a calibration capture."""
-        self.threshold = {
-            name: cfar_threshold(scores, self.k)
-            for name, scores in self._score_tracks(samples).items()
-        }
-        return self.threshold
-
-    def _threshold_for(self, name: str, scores: np.ndarray) -> float:
-        if self.threshold is None:
-            return cfar_threshold(scores, self.k)
-        if isinstance(self.threshold, dict):
-            fixed = self.threshold.get(name)
-            if fixed is None:
-                return cfar_threshold(scores, self.k)
-            return float(fixed)
-        return float(self.threshold)
-
-    @property
-    def n_correlations(self) -> int:
-        """Template correlations per capture — grows with the bank size."""
-        return len(self.templates)
-
-    @iq_contract("samples")
-    def detect(self, samples: np.ndarray) -> list[DetectionEvent]:
-        """Per-technology correlation peaks above each CFAR threshold."""
-        self.telemetry.count("detect.samples_in", len(samples))
-        events: list[DetectionEvent] = []
-        with self.telemetry.span("detect"):
-            for name, scores in self._score_tracks(samples).items():
-                threshold = self._threshold_for(name, scores)
-                for idx in find_peaks_above(scores, threshold, self.min_distance):
-                    events.append(
-                        DetectionEvent(
-                            index=idx,
-                            score=float(scores[idx]),
-                            detector=self.name,
-                            technology=name,
-                        )
-                    )
-        self.telemetry.count("detect.events", len(events))
-        return sorted(events, key=lambda e: e.index)
-
-    @iq_contract("samples")
-    def stream_candidates(
-        self, samples: np.ndarray
-    ) -> list[tuple[str | None, int, np.ndarray, np.ndarray]]:
-        """Raw per-technology threshold crossings for chunked streaming.
-
-        No min-distance suppression is applied; the streaming layer
-        replays :func:`~repro.dsp.correlation.find_peaks_above`'s greedy
-        suppression incrementally across chunk joins (independently per
-        technology, as :meth:`detect` does). Freeze :attr:`threshold`
-        (e.g. via :meth:`calibrate`) for results identical to a
-        monolithic pass.
-
-        Returns:
-            ``[(technology, template_len, indices, scores)]``, one entry
-            per template short enough to score this buffer.
-        """
-        self.telemetry.count("detect.samples_in", len(samples))
-        out: list[tuple[str | None, int, np.ndarray, np.ndarray]] = []
-        with self.telemetry.span("detect"):
-            for name, scores in self._score_tracks(samples).items():
-                threshold = self._threshold_for(name, scores)
-                idx = np.flatnonzero(scores >= threshold)
-                out.append((name, len(self.templates[name]), idx, scores[idx]))
-        return out
+        super().__init__(templates, k, min_distance, block, threshold, telemetry)
 
 
 def match_events(

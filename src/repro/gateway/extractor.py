@@ -6,11 +6,17 @@ around the detected preamble*". The extractor turns detection events
 into such segments and merges overlapping ones, so a collision is
 shipped as a single contiguous segment containing every colliding
 packet.
+
+The window rule lives once, in :class:`ExtractorStream`: each sample
+stream keeps one, and :meth:`SegmentExtractor.extract` runs one over a
+whole capture.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,7 +26,7 @@ from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
 from ..types import DetectionEvent, Segment
 
-__all__ = ["SegmentExtractor", "max_frame_samples"]
+__all__ = ["ExtractorStream", "SegmentExtractor", "max_frame_samples"]
 
 
 def max_frame_samples(modems: list[Modem], sample_rate_hz: float, payload_len: int) -> int:
@@ -67,11 +73,16 @@ class SegmentExtractor:
         self.pre = math.ceil(self.span * pre_fraction)
         self.telemetry = telemetry
 
+    def stream(self) -> ExtractorStream:
+        """Fresh window state for one sample stream."""
+        return ExtractorStream(self)
+
     @iq_contract("samples")
     def extract(
         self, samples: np.ndarray, events: list[DetectionEvent]
     ) -> list[Segment]:
-        """Cut (merged) segments around ``events``.
+        """Cut (merged) segments around ``events``: one
+        :class:`ExtractorStream` over the whole capture.
 
         Returns:
             Segments sorted by start; each carries the events it covers.
@@ -79,25 +90,10 @@ class SegmentExtractor:
         if not events:
             return []
         with self.telemetry.span("extract"):
-            windows: list[tuple[int, int]] = []
+            stream = self.stream()
             for event in sorted(events, key=lambda e: e.index):
-                lo = max(event.index - self.pre, 0)
-                hi = min(event.index - self.pre + self.span, len(samples))
-                if windows and lo <= windows[-1][1]:
-                    windows[-1] = (windows[-1][0], max(windows[-1][1], hi))
-                else:
-                    windows.append((lo, hi))
-            segments = []
-            for lo, hi in windows:
-                covered = [e for e in events if lo <= e.index < hi]
-                segments.append(
-                    Segment(
-                        start=lo,
-                        samples=samples[lo:hi].copy(),
-                        sample_rate=self.sample_rate_hz,
-                        detections=covered,
-                    )
-                )
+                stream.add(event)
+            segments = list(stream.close(samples, 0, horizon=None))
         self.telemetry.count("extract.segments", len(segments))
         self.telemetry.count(
             "extract.samples_out", sum(s.length for s in segments)
@@ -109,3 +105,88 @@ class SegmentExtractor:
         if n_samples <= 0:
             raise ConfigurationError("n_samples must be positive")
         return sum(s.length for s in segments) / n_samples
+
+
+@dataclass
+class _Window:
+    """One open extraction window (absolute sample indices)."""
+
+    lo: int
+    hi: int
+    events: list[DetectionEvent] = field(default_factory=list)
+
+
+class ExtractorStream:
+    """The extraction windows of one sample stream.
+
+    An event at ``index`` asks for the window
+    ``[index - pre, index - pre + span)``, clamped at the stream start;
+    a window overlapping (or touching) the last open one merges into
+    it; a window closes once its samples have arrived and no future
+    event can merge into it; at stream end the open windows close,
+    clamped to the samples that exist. So a packet bisected by a chunk
+    boundary ships once, in one piece, and any chunking yields the
+    segments of one whole-capture pass. Events must arrive in index
+    order; build one per stream with :meth:`SegmentExtractor.stream`.
+    """
+
+    def __init__(self, extractor: SegmentExtractor):
+        self.extractor = extractor
+        self._windows: list[_Window] = []
+
+    def add(self, event: DetectionEvent) -> None:
+        """Open a window for ``event`` or merge it into the last one."""
+        lo = max(event.index - self.extractor.pre, 0)
+        hi = event.index - self.extractor.pre + self.extractor.span
+        if self._windows and lo <= self._windows[-1].hi:
+            last = self._windows[-1]
+            last.hi = max(last.hi, hi)
+            last.events.append(event)
+        else:
+            self._windows.append(_Window(lo=lo, hi=hi, events=[event]))
+
+    def first_needed(self, horizon: int) -> int:
+        """Earliest sample a window can still cut, when every future
+        event lies at ``horizon`` or later."""
+        first = horizon - self.extractor.pre
+        if self._windows:
+            first = min(first, self._windows[0].lo)
+        return first
+
+    @iq_contract("samples")
+    def close(
+        self, samples: np.ndarray, start: int, horizon: int | None
+    ) -> Iterator[Segment]:
+        """Cut every window that can no longer change, oldest first.
+
+        A window leaves the stream only as its segment is taken, so a
+        consumer that stops early (a raising ship hook) loses none.
+
+        Args:
+            samples: The stream's samples from absolute index ``start``
+                to the newest sample that has arrived.
+            start: Absolute index of ``samples[0]``.
+            horizon: Lowest index a future event can have; ``None`` once
+                the stream has ended, which closes every window.
+        """
+        end = start + len(samples)
+        while self._windows:
+            window = self._windows[0]
+            if horizon is None:
+                hi = min(window.hi, end)
+            else:
+                if window.hi > end:
+                    return  # its samples have not all arrived yet
+                if (
+                    len(self._windows) == 1
+                    and horizon - self.extractor.pre <= window.hi
+                ):
+                    return  # a future event could still extend it
+                hi = window.hi
+            self._windows.pop(0)
+            yield Segment(
+                start=window.lo,
+                samples=samples[window.lo - start : hi - start].copy(),
+                sample_rate=self.extractor.sample_rate_hz,
+                detections=window.events,
+            )

@@ -226,32 +226,31 @@ class GalioTGateway:
             self.jamming.feed(samples)
         return samples, raw_bits
 
+    def reset_stream(self) -> None:
+        """Start a new sample stream: rewind the front end's sample
+        cursor and reset the jamming detector's baseline and blocks."""
+        if self.front_end is not None:
+            self.front_end.reset_stream()
+        if self.jamming is not None:
+            self.jamming.reset()
+
     def admit_event(self, event: DetectionEvent) -> bool:
         """Jam-gated detection admission.
 
         A wideband jammer raises the noise floor, and with it the
-        matched-filter scores of pure noise — without a gate, every
-        burst floods the extractor with spurious events whose segments
-        then drown the backhaul (jamming-induced backpressure). During
-        a block the jamming detector attributes to sustained
-        interference, a detection must clear the calibrated threshold
-        scaled by the measured floor's *amplitude* ratio — exactly the
-        margin the raised floor hands to noise, and comfortably inside
-        a real preamble's matched-filter headroom. Without a jamming
-        detector, a frozen threshold, or a floor rise, every event is
-        admitted unchanged.
+        scores of pure noise — without a gate, every burst floods the
+        extractor with spurious events whose segments then drown the
+        backhaul (jamming-induced backpressure). During a block the
+        jamming detector attributes to sustained interference, a
+        detection must still stand out over the measured floor rise;
+        the detector judges that in its own score's units
+        (``clears_floor``). Without a jamming detector or a floor rise,
+        every event is admitted unchanged.
         """
         if self.jamming is None:
             return True
         rise_db = self.jamming.rise_at(event.index / self.sample_rate_hz)
-        if rise_db <= 0:
-            return True
-        threshold = getattr(self.detector, "threshold", None)
-        if isinstance(threshold, dict):
-            threshold = threshold.get(event.technology)
-        if not threshold:
-            return True
-        if event.score >= threshold * 10 ** (rise_db / 20):
+        if rise_db <= 0 or self.detector.clears_floor(event, rise_db):
             return True
         self.telemetry.count("attack.gated_detections")
         return False
@@ -388,8 +387,7 @@ class GalioTGateway:
         """Run the full gateway pipeline over one capture."""
         report = GatewayReport()
         with self.telemetry.span("gateway"):
-            if self.jamming is not None:
-                self.jamming.reset()  # one capture = one stream
+            self.reset_stream()  # one capture = one stream
             samples, report.raw_bits = self.capture_front_end(capture, rng)
             self.telemetry.count("gateway.samples_in", len(samples))
             report.events = [

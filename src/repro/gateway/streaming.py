@@ -20,7 +20,7 @@ the events, segments and shipped bits of one monolithic pass:
   kept peak may suppress a neighbour and then itself lose to a peak in
   the next chunk, resurrecting the neighbour. Detectors therefore hand
   the streaming layer their **raw threshold crossings**
-  (:meth:`~repro.gateway.universal.UniversalPreambleDetector.stream_candidates`),
+  (:meth:`~repro.gateway.detection.CorrelationDetector.stream_candidates`),
   and the global greedy is replayed over a pending window every chunk
   with the same :func:`~repro.dsp.correlation.greedy_suppress` the
   monolithic peak finder runs, already-emitted peaks acting as
@@ -32,10 +32,12 @@ the events, segments and shipped bits of one monolithic pass:
   everything the future can no longer touch.
 * **In-flight extractor state.** Ship windows (``2x`` the largest frame
   around each event) routinely span chunk boundaries and can still
-  *merge* with the next event's window. Open windows are carried across
-  chunks and a segment is emitted only when no future event can merge
-  into it and all of its samples have arrived, so a packet bisected by
-  a chunk boundary is shipped once, in one piece.
+  *merge* with the next event's window. Each stream feeds its own
+  :class:`~repro.gateway.extractor.ExtractorStream` (the extractor's
+  one window rule) every admitted event and the emission watermark; a
+  segment is cut once no future event can merge into it and all of its
+  samples have arrived, so a packet bisected by a chunk boundary is
+  shipped once, in one piece.
 
 Each processed chunk yields an incremental
 :class:`~repro.gateway.gateway.GatewayReport`;
@@ -43,9 +45,10 @@ Each processed chunk yields an incremental
 merges them into totals identical to one monolithic ``process()`` call
 over the concatenated stream. Two caveats: per-capture CFAR thresholds
 are data-dependent (freeze the operating point with
-``detector.calibrate(...)`` for exactness), and the energy detector's
-rising-edge state machine is inherently whole-track, so it streams via
-event-level de-duplication instead (approximate near chunk joins).
+``detector.calibrate(...)`` for exactness), and a detector that does
+not ``streams_exactly`` (the energy detector's whole-track rising-edge
+state machine) streams via event-level de-duplication instead
+(approximate near chunk joins).
 """
 
 from __future__ import annotations
@@ -60,31 +63,11 @@ from ..contracts import iq_contract
 from ..dsp.correlation import greedy_suppress
 from ..errors import ConfigurationError
 from ..telemetry import Telemetry
-from ..types import DetectionEvent, DetectorLike, Segment
-from .detection import EnergyDetector, PreambleBankDetector
+from ..types import DetectionEvent, Segment
 from .gateway import GalioTGateway, GatewayReport
 from .resilience import ResilientBackhaul
-from .universal import UniversalPreambleDetector
 
-__all__ = ["StreamingGateway", "detector_context", "iter_chunks"]
-
-
-def detector_context(detector: DetectorLike) -> int:
-    """Samples of history a detector needs to re-score a chunk boundary.
-
-    For correlation detectors this is ``len(template) - 1``: carrying
-    exactly that much makes consecutive chunks' valid-mode score tracks
-    partition the monolithic track with no gap and no overlap (for the
-    longest template; shorter bank templates re-score a short strip that
-    per-technology ``scored_to`` bookkeeping drops).
-    """
-    if isinstance(detector, UniversalPreambleDetector):
-        return detector.universal.length - 1
-    if isinstance(detector, PreambleBankDetector):
-        return max(len(t) for t in detector.templates.values()) - 1
-    if isinstance(detector, EnergyDetector):
-        return detector.window
-    return 0
+__all__ = ["StreamingGateway", "iter_chunks"]
 
 
 @iq_contract("capture")
@@ -95,15 +78,6 @@ def iter_chunks(capture: np.ndarray, chunk_size: int) -> Iterator[np.ndarray]:
         raise ConfigurationError("chunk_size must be >= 1")
     for lo in range(0, len(capture), chunk_size):
         yield capture[lo : lo + chunk_size]
-
-
-@dataclass
-class _Window:
-    """One in-flight extraction window (absolute sample indices)."""
-
-    lo: int
-    hi: int
-    events: list[DetectionEvent] = field(default_factory=list)
 
 
 @dataclass
@@ -160,24 +134,20 @@ class StreamingGateway:
         )
         self.on_shipped = on_shipped
         self.fault_tolerant = bool(fault_tolerant)
-        self.context = detector_context(gateway.detector)
-        self.min_distance = int(getattr(gateway.detector, "min_distance", 0))
+        self.context = gateway.detector.context
+        self.min_distance = gateway.detector.min_distance
         self.reset()
 
     def reset(self) -> None:
         """Forget all carried state; ready for a new stream."""
-        front_end = self.gateway.front_end
-        if front_end is not None and hasattr(front_end, "reset_stream"):
-            front_end.reset_stream()
-        if self.gateway.jamming is not None:
-            self.gateway.jamming.reset()
+        self.gateway.reset_stream()
         self._pos = 0  # absolute index of the next sample to arrive
         self._buffer = np.zeros(0, dtype=complex)
         self._buf_start = 0  # absolute index of _buffer[0]
         self._tracks: dict[str | None, _TechTrack] = {}
         self._pending: list[DetectionEvent] = []  # legacy (energy) path
         self._flushed_to = 0  # emitted events are below, future ones above
-        self._windows: list[_Window] = []
+        self._segments = self.gateway.extractor.stream()
         self._ended = False
 
     # -- public API -------------------------------------------------------
@@ -232,7 +202,7 @@ class StreamingGateway:
                 if not self.gateway.admit_event(event):
                     continue
                 report.events.append(event)
-                self._feed_extractor(event)
+                self._segments.add(event)
             self._close_ready(report, final=False)
             self._flush_backhaul(report, final=False)
             self._trim_buffer()
@@ -267,7 +237,7 @@ class StreamingGateway:
                 if not self.gateway.admit_event(event):
                     continue
                 report.events.append(event)
-                self._feed_extractor(event)
+                self._segments.add(event)
             self._close_ready(report, final=True)
             self._flush_backhaul(report, final=True)
             if self.gateway.jamming is not None:
@@ -282,7 +252,7 @@ class StreamingGateway:
         det_lo = max(chunk_start - self.context, 0)
         det_buf = self._buffer[det_lo - self._buf_start :]
         detector = self.gateway.detector
-        if not hasattr(detector, "stream_candidates"):
+        if not detector.streams_exactly:
             return self._legacy_detect(detector, det_lo, det_buf)
         for tech, tlen, idx, sc in detector.stream_candidates(det_buf):
             track = self._tracks.setdefault(tech, _TechTrack(tlen))
@@ -303,7 +273,7 @@ class StreamingGateway:
         (capped at the scored frontier), so events always reach the
         extractor in ascending index order across chunks.
         """
-        md = max(self.min_distance, 1)
+        md = self.min_distance
         known = max(self._pos - self.context, 0)
         frontier = known - md
         states: dict[str | None, tuple] = {}
@@ -451,7 +421,7 @@ class StreamingGateway:
             p
             for p in self._pending
             if p.technology == cand.technology
-            and abs(p.index - cand.index) < max(self.min_distance, 1)
+            and abs(p.index - cand.index) < self.min_distance
         ]
         if rivals:
             if all(cand.score > r.score for r in rivals):
@@ -464,44 +434,12 @@ class StreamingGateway:
 
     # -- extraction -------------------------------------------------------
 
-    def _feed_extractor(self, event: DetectionEvent) -> None:
-        """Incremental version of :meth:`SegmentExtractor.extract`'s
-        window merge: same ``pre``/``span``, same last-window rule."""
-        extractor = self.gateway.extractor
-        lo = max(event.index - extractor.pre, 0)
-        hi = event.index - extractor.pre + extractor.span
-        if self._windows and lo <= self._windows[-1].hi:
-            last = self._windows[-1]
-            last.hi = max(last.hi, hi)
-            last.events.append(event)
-        else:
-            self._windows.append(_Window(lo=lo, hi=hi, events=[event]))
-
     def _close_ready(self, report: GatewayReport, final: bool) -> None:
-        """Emit every window that can no longer change."""
-        extractor = self.gateway.extractor
-        while self._windows:
-            window = self._windows[0]
-            if final:
-                hi = min(window.hi, self._pos)
-            else:
-                if window.hi > self._pos:
-                    break  # its samples have not all arrived yet
-                mergeable = len(self._windows) == 1 and (
-                    self._flushed_to - extractor.pre <= window.hi
-                )
-                if mergeable:
-                    break  # a future event could still extend it
-                hi = window.hi
-            self._windows.pop(0)
-            segment = Segment(
-                start=window.lo,
-                samples=self._buffer[
-                    window.lo - self._buf_start : hi - self._buf_start
-                ].copy(),
-                sample_rate=self.gateway.sample_rate_hz,
-                detections=list(window.events),
-            )
+        """Ship every segment the extractor stream can cut now."""
+        horizon = None if final else self._flushed_to
+        for segment in self._segments.close(
+            self._buffer, self._buf_start, horizon
+        ):
             report.segments.append(segment)
             shipped_before = len(report.shipped)
             self.gateway.ship_segment(segment, report)
@@ -553,17 +491,13 @@ class StreamingGateway:
     def _trim_buffer(self) -> None:
         """Drop samples nothing can reference any more.
 
-        Retention floor: the next chunk's detection carry, the earliest
-        open window, and the earliest window any future event could open
-        (``pre`` before the emission watermark).
+        Retention floor: the next chunk's detection carry and the
+        earliest sample the extractor stream can still cut.
         """
-        extractor = self.gateway.extractor
         keep_from = min(
             self._pos - self.context,
-            self._flushed_to - self.min_distance - extractor.pre,
+            self._segments.first_needed(self._flushed_to - self.min_distance),
         )
-        if self._windows:
-            keep_from = min(keep_from, self._windows[0].lo)
         keep_from = max(keep_from, self._buf_start)
         drop = keep_from - self._buf_start
         if drop > 0:

@@ -22,19 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dsp.correlation import (
-    cross_correlate,
-    find_peaks_above,
-    normalized_correlation,
-)
-from ..contracts import iq_contract
-from ..dsp.fastcorr import TemplateBank, blocked_bank
+from ..dsp.correlation import cross_correlate, normalized_correlation
 from ..dsp.resample import to_rate
 from ..errors import ConfigurationError
 from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
-from ..types import DetectionEvent
-from .detection import cfar_threshold, matched_filter_track
+from .detection import CorrelationDetector
 
 __all__ = ["UniversalPreamble", "UniversalPreambleDetector"]
 
@@ -158,8 +151,13 @@ class UniversalPreamble:
         )
 
 
-class UniversalPreambleDetector:
+class UniversalPreambleDetector(CorrelationDetector):
     """Single-correlation packet detector built on the universal preamble.
+
+    A :class:`~repro.gateway.detection.CorrelationDetector` over the one
+    template ``{None: universal.waveform}``: one correlation per capture
+    however many technologies are registered; events carry no
+    technology, and :meth:`calibrate` freezes a single float.
 
     Args:
         universal: A built :class:`UniversalPreamble`.
@@ -185,88 +183,16 @@ class UniversalPreambleDetector:
         threshold: float | None = None,
         telemetry: Telemetry = NULL,
     ):
-        self.universal = universal
-        self.k = float(k)
-        self.min_distance = int(min_distance)
-        self.block = block
-        self.threshold = threshold
-        self.telemetry = telemetry
-        # Persistent sub-template bank: the shared-FFT engine caches the
-        # conjugate template spectra across every scored chunk.
-        self._bank: TemplateBank = blocked_bank(universal.waveform, block)
-
-    @iq_contract("samples")
-    def calibrate(self, samples: np.ndarray) -> float:
-        """Freeze the threshold from a calibration capture."""
-        self.threshold = cfar_threshold(self.scores(samples), self.k)
-        return self.threshold
-
-    @property
-    def n_correlations(self) -> int:
-        """Always one — the point of the universal preamble."""
-        return 1
-
-    @iq_contract("samples")
-    def scores(self, samples: np.ndarray) -> np.ndarray:
-        """Matched-filter score track against the universal template."""
-        return matched_filter_track(
-            samples,
-            self.universal.waveform,
-            self.block,
-            bank=self._bank,
-            telemetry=self.telemetry,
+        super().__init__(
+            {None: universal.waveform},
+            k=k,
+            min_distance=min_distance,
+            block=block,
+            threshold=threshold,
+            telemetry=telemetry,
         )
+        self.universal = universal
 
-    @iq_contract("samples")
-    def detect(self, samples: np.ndarray) -> list[DetectionEvent]:
-        """Correlation peaks above the CFAR threshold."""
-        self.telemetry.count("detect.samples_in", len(samples))
-        if len(samples) < self.universal.length:
-            return []
-        with self.telemetry.span("detect"):
-            scores = self.scores(samples)
-            threshold = (
-                self.threshold
-                if self.threshold is not None
-                else cfar_threshold(scores, self.k)
-            )
-            events = [
-                DetectionEvent(
-                    index=idx, score=float(scores[idx]), detector=self.name
-                )
-                for idx in find_peaks_above(scores, threshold, self.min_distance)
-            ]
-        self.telemetry.count("detect.events", len(events))
-        return events
-
-    @iq_contract("samples")
-    def stream_candidates(
-        self, samples: np.ndarray
-    ) -> list[tuple[str | None, int, np.ndarray, np.ndarray]]:
-        """Raw threshold crossings for the chunked streaming front.
-
-        Unlike :meth:`detect`, no min-distance suppression is applied —
-        the streaming layer replays
-        :func:`~repro.dsp.correlation.find_peaks_above`'s greedy
-        suppression incrementally across chunk joins, which requires the
-        un-suppressed candidate set. Freeze :attr:`threshold` for results
-        identical to a monolithic pass (per-chunk CFAR re-estimation is
-        data-dependent).
-
-        Returns:
-            ``[(technology, template_len, indices, scores)]`` with one
-            entry (``technology`` is ``None`` — the universal template
-            is technology-agnostic).
-        """
-        self.telemetry.count("detect.samples_in", len(samples))
-        if len(samples) < self.universal.length:
-            return []
-        with self.telemetry.span("detect"):
-            scores = self.scores(samples)
-            threshold = (
-                self.threshold
-                if self.threshold is not None
-                else cfar_threshold(scores, self.k)
-            )
-            idx = np.flatnonzero(scores >= threshold)
-        return [(None, self.universal.length, idx, scores[idx])]
+    # The universal detector's own entry point, so per-class
+    # instrumentation (perfbench's tracer) can wrap it alone.
+    stream_candidates = CorrelationDetector.stream_candidates

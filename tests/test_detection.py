@@ -1,22 +1,24 @@
-"""Unit tests for the gateway detectors (energy + preamble bank)."""
+"""Unit tests for the gateway detectors (energy + preamble correlation)."""
 
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.gateway.detection import (
+    CorrelationDetector,
     EnergyDetector,
     PreambleBankDetector,
     cfar_threshold,
     detection_ratio,
     match_events,
-    matched_filter_track,
     packet_detected,
 )
+from repro.gateway.universal import UniversalPreamble, UniversalPreambleDetector
 from repro.net.scene import SceneBuilder
 from repro.types import DetectionEvent, PacketTruth
 
 FS = 1e6
+NAN, INF = float("nan"), float("inf")
 
 
 def _scene(trio, rng, snr, starts=(30_000, 150_000), techs=("xbee", "zwave")):
@@ -38,6 +40,11 @@ class TestCfar:
     def test_monotone_in_k(self, rng):
         scores = rng.rayleigh(1.0, 5_000)
         assert cfar_threshold(scores, 9.0) > cfar_threshold(scores, 3.0)
+
+
+def matched_filter_track(x, template, block=None):
+    """The correlation detector's score track over one template."""
+    return CorrelationDetector({None: template}, block=block).score_tracks(x)[None]
 
 
 class TestMatchedFilterTrack:
@@ -82,7 +89,7 @@ class TestMatchedFilterTrack:
 
     def test_zero_template_rejected(self):
         with pytest.raises(ConfigurationError):
-            matched_filter_track(np.ones(64, complex), np.zeros(16, complex))
+            CorrelationDetector({None: np.zeros(16, complex)})
 
 
 class TestEnergyDetector:
@@ -131,6 +138,41 @@ class TestPreambleBank:
     def test_empty_bank_rejected(self):
         with pytest.raises(ConfigurationError):
             PreambleBankDetector([], FS)
+
+
+def _detector(kind, trio, **kwargs):
+    if kind == "energy":
+        return EnergyDetector(**kwargs)
+    if kind == "bank":
+        return PreambleBankDetector(trio, FS, **kwargs)
+    return UniversalPreambleDetector(UniversalPreamble.build(trio, FS), **kwargs)
+
+
+#: Settings under which a detector would silently find nothing.
+_SILENT = [{"k": NAN}, {"k": INF}, {"k": -INF}, {"k": -1.0}]
+_SILENT += [{"threshold": NAN}, {"threshold": INF}, {"min_distance": 0}]
+
+
+class TestSettingsValidation:
+    @pytest.mark.parametrize(
+        "kind,kwargs",
+        [(kind, kw) for kind in ("energy", "bank", "universal") for kw in _SILENT]
+        + [
+            ("energy", {"window": 0}),
+            ("bank", {"block": 0}),
+            ("universal", {"block": 0}),
+            ("bank", {"threshold": {"lora": NAN}}),
+            ("bank", {"threshold": {"xbee": -INF}}),
+        ],
+    )
+    def test_silent_settings_rejected(self, trio, kind, kwargs):
+        with pytest.raises(ConfigurationError):
+            _detector(kind, trio, **kwargs)
+
+    @pytest.mark.parametrize("kind", ["energy", "bank", "universal"])
+    def test_edge_values_accepted(self, trio, kind):
+        detector = _detector(kind, trio, k=0.0, min_distance=1, threshold=0.0)
+        assert detector.k == 0.0
 
 
 class TestMatching:

@@ -78,6 +78,40 @@ class TestExtractor:
         segments = ex.extract(samples, [DetectionEvent(5 * ex.span, 1.0, "u")])
         assert ex.shipped_fraction(segments, len(samples)) == pytest.approx(0.1)
 
+    def test_chunked_stream_matches_extract(self, trio, rng):
+        # The streaming gateway's use of the window rule: events arrive
+        # in index order once their samples have, and windows close
+        # chunk by chunk.
+        ex = self._extractor(trio)
+        n = 5 * ex.span + ex.span // 2
+        samples = rng.normal(size=n) + 1j * rng.normal(size=n)
+        # Clamped at the stream start; merged before the window's samples
+        # have all arrived; merged after they have (a window must wait
+        # for the horizon, not just for its samples); alone; clamped at
+        # the stream end.
+        first_hi = ex.span // 2 - ex.pre + ex.span
+        indices = (10, ex.span // 2, first_hi + ex.pre // 2, 3 * ex.span, 5 * ex.span)
+        events = [DetectionEvent(i, 1.0, "u") for i in indices]
+        whole = ex.extract(samples, events)
+        stream = ex.stream()
+        pending = list(events)
+        cut = []
+        for end in range(ex.pre // 4, n, ex.pre // 4):
+            while pending and pending[0].index < end:
+                stream.add(pending.pop(0))
+            # Every future event lies at or beyond ``end``.
+            cut.extend(stream.close(samples[:end], 0, horizon=end))
+        for event in pending:
+            stream.add(event)
+        cut.extend(stream.close(samples, 0, horizon=None))
+        assert [len(s.detections) for s in whole] == [3, 1, 1]
+        assert whole[-1].end == n
+        assert [(s.start, s.length, s.detections) for s in cut] == [
+            (s.start, s.length, s.detections) for s in whole
+        ]
+        for a, b in zip(cut, whole, strict=True):
+            assert np.array_equal(a.samples, b.samples)
+
     def test_invalid_params_rejected(self, trio):
         with pytest.raises(ConfigurationError):
             SegmentExtractor(trio, FS, span_factor=0)

@@ -43,7 +43,7 @@ from repro.dsp.fastcorr import (
 )
 from repro.errors import ConfigurationError
 from repro.gateway import GalioTGateway, StreamingGateway, iter_chunks
-from repro.gateway.detection import PreambleBankDetector, matched_filter_track
+from repro.gateway.detection import CorrelationDetector, PreambleBankDetector
 from repro.gateway.universal import UniversalPreamble, UniversalPreambleDetector
 from repro.telemetry import Telemetry
 
@@ -369,9 +369,9 @@ class TestScoreTrackEquivalence:
     def test_matched_filter_track(self, rng, block):
         x = _noise(rng, 20_000)
         template = _noise(rng, 1000)
-        on = matched_filter_track(x, template, block)
+        on = CorrelationDetector({None: template}, block=block).score_tracks(x)
         legacy = _legacy_matched_filter_track(x, template, block)
-        assert np.allclose(on, legacy, rtol=1e-9, atol=1e-11)
+        assert np.allclose(on[None], legacy, rtol=1e-9, atol=1e-11)
 
     @pytest.mark.parametrize("block", [64, 333])
     def test_segmented_correlation(self, rng, block):
@@ -385,7 +385,7 @@ class TestScoreTrackEquivalence:
     def test_bank_detector_tracks(self, trio, rng, block):
         detector = PreambleBankDetector(trio, FS, block=block)
         samples = _noise(rng, 40_000)
-        on = detector._score_tracks(samples)
+        on = detector.score_tracks(samples)
         assert list(on) == list(detector.templates)
         for name in on:
             legacy = _legacy_matched_filter_track(
@@ -398,9 +398,10 @@ class TestScoreTrackEquivalence:
         universal = UniversalPreamble.build(trio, FS)
         detector = UniversalPreambleDetector(universal, block=block)
         samples = _noise(rng, 40_000)
-        on = detector.scores(samples)
+        on = detector.score_tracks(samples)
+        assert list(on) == [None]
         legacy = _legacy_matched_filter_track(samples, universal.waveform, block)
-        assert np.allclose(on, legacy, rtol=1e-9, atol=1e-11)
+        assert np.allclose(on[None], legacy, rtol=1e-9, atol=1e-11)
 
 
 def _scene(trio, rng, duration_s=0.3):

@@ -1,12 +1,16 @@
 """Tests for the GalioT gateway orchestrator (Figure 2, gateway side)."""
 
+import numpy as np
 import pytest
 
+from repro.faults import FaultPlan, SampleGap
 from repro.gateway.backhaul import BackhaulLink
+from repro.gateway.detection import EnergyDetector, PreambleBankDetector
 from repro.gateway.gateway import GalioTGateway, GatewayReport
 from repro.gateway.rtlsdr import RtlSdrConfig, RtlSdrModel
 from repro.net.scene import SceneBuilder
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL, Telemetry
+from repro.types import DetectionEvent
 
 FS = 1e6
 
@@ -124,3 +128,81 @@ class TestGatewayPipeline:
         assert counters["gateway.dropped_segments"] == report.dropped_segments
         assert counters["backhaul.drops"] == report.dropped_segments
         assert counters["gateway.shipped_segments"] == len(report.shipped)
+
+
+class TestRepeatedProcess:
+    def test_each_process_is_a_new_front_end_stream(self, trio, rng):
+        # Sample gaps sit at absolute stream samples; one process() call
+        # is one capture, so a second pass over the same capture must
+        # meet the same gap, not a cursor already past it.
+        gaps = FaultPlan(sample_gaps=(SampleGap(30_000, 60_000),))
+        front = RtlSdrModel(faults=gaps)
+        gateway = GalioTGateway(trio, FS, front_end=front, use_edge=False)
+        capture, _ = _scene(trio, rng)
+        runs = []
+        for _ in range(2):
+            report = gateway.process(capture)
+            events = [(e.index, e.score) for e in report.events]
+            runs.append((events, front.dropped_samples))
+        assert runs[0] == runs[1]
+        assert runs[0][1] == 60_000
+
+
+class _FloorRise:
+    """Jamming-detector stand-in: one constant noise-floor rise."""
+
+    telemetry = NULL
+
+    def __init__(self, rise_db):
+        self.rise_db = rise_db
+
+    def reset(self):
+        pass
+
+    def feed(self, samples):
+        return []
+
+    def flush(self):
+        return []
+
+    def drain_events(self):
+        return []
+
+    def rise_at(self, at_time):
+        return self.rise_db
+
+
+class TestJammingAdmission:
+    def test_energy_admission_ignores_capture_scale(self, trio):
+        rng = np.random.default_rng(3)
+        capture, truth = _scene(trio, rng, snr=20)
+        noise = (rng.normal(size=100_000) + 1j * rng.normal(size=100_000)) * np.sqrt(
+            truth.noise_power / 2
+        )
+        admitted = []
+        for scale in (0.5, 1.0, 2.0):
+            probe = EnergyDetector()
+            threshold = probe.calibrate(noise * scale)
+            kwargs = dict(detector="energy", use_edge=False, threshold=threshold)
+            clean = GalioTGateway(trio, FS, **kwargs).process(capture * scale)
+            jammed = GalioTGateway(trio, FS, jamming=_FloorRise(3.0), **kwargs)
+            events = jammed.process(capture * scale).events
+            assert clean.events
+            assert events == [e for e in clean.events if e.score >= 10**0.3]
+            admitted.append([e.index for e in events])
+        assert admitted[0] == admitted[1] == admitted[2]
+
+    def test_detectors_compare_in_their_own_units(self, trio):
+        # Energy scores are power over the power threshold: a 3 dB rise
+        # asks for a power ratio of 10**0.3 ~ 1.995.
+        energy = EnergyDetector()
+        assert energy.clears_floor(DetectionEvent(0, 2.0, "energy"), 3.0)
+        assert not energy.clears_floor(DetectionEvent(0, 1.99, "energy"), 3.0)
+        # Correlation scores are amplitudes: the frozen threshold scales
+        # by 10**0.15 ~ 1.413; a technology without one is not gated.
+        bank = PreambleBankDetector(trio, FS, threshold={"lora": 10.0})
+        lora = DetectionEvent(0, 14.2, "preamble-bank", "lora")
+        weak = DetectionEvent(0, 14.0, "preamble-bank", "lora")
+        assert bank.clears_floor(lora, 3.0)
+        assert not bank.clears_floor(weak, 3.0)
+        assert bank.clears_floor(DetectionEvent(0, 0.1, "preamble-bank", "xbee"), 3.0)

@@ -6,7 +6,10 @@ against ``tests/fixtures/golden_detection.json``. One fixed-seed scene
 with a LoRa, an XBee and a Z-Wave frame is rendered; each detector
 configuration calibrates its threshold on a separate noise capture and
 detects over the scene. Every event's ``(index, detector, technology)``
-must match exactly and its score to a relative 1e-9.
+must match exactly and its score to a relative 1e-9. The same rows pin
+the streamed path: the scene chunked through
+:class:`~repro.gateway.streaming.StreamingGateway`, with a chunk boundary
+bisecting the LoRa preamble, must give them too.
 
 A change to the correlation engine or the detectors that moves an event
 fails here. Regenerate the fixture only for an intended change of
@@ -24,7 +27,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.gateway import GalioTGateway
+from repro.gateway import GalioTGateway, StreamingGateway, iter_chunks
 from repro.net.scene import SceneBuilder
 from repro.phy import create_modem
 
@@ -42,6 +45,10 @@ CONFIGS = {
     "universal-blocked": ("universal", 700),
 }
 SCORE_RTOL = 1e-9
+#: Streamed chunk size: the first boundary (45_000) falls inside the
+#: 8192-sample LoRa preamble that starts at 40_000, so its
+#: symbol-spaced correlation sidelobes straddle a chunk join.
+STREAM_CHUNK = 45_000
 
 
 def _modems():
@@ -61,8 +68,9 @@ def _scene(modems) -> tuple[np.ndarray, np.ndarray]:
     return capture, noise * np.sqrt(truth.noise_power)
 
 
-def detect(config: str) -> list[list]:
-    """``[index, detector, technology, score]`` of every event."""
+def detect(config: str, chunk_size: int | None = None) -> list[list]:
+    """``[index, detector, technology, score]`` of every event, from one
+    monolithic pass or, with ``chunk_size``, a chunked stream."""
     detector, block = CONFIGS[config]
     kwargs = {} if block is None else {"block": block}
     modems = _modems()
@@ -77,10 +85,12 @@ def detect(config: str) -> list[list]:
         threshold=threshold,
         **kwargs,
     )
-    return [
-        [e.index, e.detector, e.technology, e.score]
-        for e in gateway.detector.detect(capture)
-    ]
+    if chunk_size is None:
+        events = gateway.detector.detect(capture)
+    else:
+        stream = StreamingGateway(gateway)
+        events = stream.process_stream(iter_chunks(capture, chunk_size)).events
+    return [[e.index, e.detector, e.technology, e.score] for e in events]
 
 
 @pytest.fixture(scope="module")
@@ -92,16 +102,23 @@ def golden() -> dict[str, list[list]]:
     return out
 
 
-@pytest.mark.parametrize("config", list(CONFIGS))
-def test_events_match_golden_fixture(golden, config):
-    expected = golden[config]
-    got = detect(config)
+def _check(got: list[list], expected: list[list]) -> None:
     # Every packet fires at least once.
     assert len(expected) >= len(PACKETS)
     assert [row[:3] for row in got] == [row[:3] for row in expected]
     np.testing.assert_allclose(
         [row[3] for row in got], [row[3] for row in expected], rtol=SCORE_RTOL
     )
+
+
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_events_match_golden_fixture(golden, config):
+    _check(detect(config), golden[config])
+
+
+@pytest.mark.parametrize("config", list(CONFIGS))
+def test_streamed_events_match_golden_fixture(golden, config):
+    _check(detect(config, STREAM_CHUNK), golden[config])
 
 
 if __name__ == "__main__":

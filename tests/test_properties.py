@@ -15,7 +15,7 @@ from repro.dsp.filters import fft_bandpass, fft_notch
 from repro.dsp.impairments import apply_cfo, apply_phase, quantize
 from repro.dsp.resample import to_rate
 from repro.gateway.compression import SegmentCodec
-from repro.gateway.detection import matched_filter_track
+from repro.gateway.detection import CorrelationDetector
 from repro.types import Segment
 
 FS = 1e6
@@ -91,8 +91,9 @@ class TestCorrelationInvariants:
         rng = np.random.default_rng(seed)
         t = rng.normal(size=64) + 1j * rng.normal(size=64)
         x = np.concatenate([np.zeros(32, complex), t, np.zeros(32, complex)])
-        a = matched_filter_track(x, t)
-        b = matched_filter_track(scale * x, t)
+        detector = CorrelationDetector({None: t})
+        a = detector.score_tracks(x)[None]
+        b = detector.score_tracks(scale * x)[None]
         assert int(np.argmax(a)) == int(np.argmax(b))
 
 

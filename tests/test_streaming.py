@@ -14,7 +14,6 @@ from repro.gateway import (
     GalioTGateway,
     GatewayReport,
     StreamingGateway,
-    detector_context,
     iter_chunks,
 )
 from repro.net.scene import SceneBuilder
@@ -116,6 +115,26 @@ class TestExactEquivalence:
         assert len(set(indices)) == len(indices)
 
 
+    def test_streams_over_one_gateway_are_independent(self, stream_scene):
+        # Window state belongs to each stream, not to the shared gateway
+        # or its extractor: two interleaved streams each match the
+        # monolithic pass.
+        modems, capture, threshold, reference = stream_scene
+        gateway = _gateway(modems, threshold)
+        streams = [StreamingGateway(gateway), StreamingGateway(gateway)]
+        reports = [[], []]
+        for chunk in iter_chunks(capture, 41_000):
+            for stream, out in zip(streams, reports, strict=True):
+                out.append(stream.process_chunk(chunk))
+        for stream, out in zip(streams, reports, strict=True):
+            out.append(stream.finalize())
+            merged = GatewayReport.merged(out)
+            assert [(s.start, s.length) for s in merged.segments] == [
+                (s.start, s.length) for s in reference.segments
+            ]
+            assert merged.shipped_bits == reference.shipped_bits
+
+
 class TestStreamingLifecycle:
     def test_finalize_is_idempotent(self, stream_scene):
         modems, capture, threshold, _ = stream_scene
@@ -205,12 +224,10 @@ class TestHelpers:
     def test_detector_context(self, stream_scene):
         modems, _, threshold, _ = stream_scene
         gateway = _gateway(modems, threshold)
-        assert (
-            detector_context(gateway.detector)
-            == gateway.detector.universal.length - 1
-        )
+        assert gateway.detector.context == gateway.detector.universal.length - 1
+        assert StreamingGateway(gateway).context == gateway.detector.context
         bank = GalioTGateway(modems, FS, detector="bank", use_edge=False)
         longest = max(len(t) for t in bank.detector.templates.values())
-        assert detector_context(bank.detector) == longest - 1
+        assert bank.detector.context == longest - 1
         energy = GalioTGateway(modems, FS, detector="energy", use_edge=False)
-        assert detector_context(energy.detector) == energy.detector.window
+        assert energy.detector.context == energy.detector.window
