@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..gateway.compression import CompressedSegment, SegmentCodec
+from ..gateway.edge import rebase_starts
 from ..guard import DecodeGuard
 from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
@@ -134,35 +135,18 @@ class CloudService:
         self.stats = CloudStats()
 
     def process_segment(self, segment: Segment) -> list[DecodeResult]:
-        """Joint-decode one (already decompressed) segment."""
+        """Joint-decode one (already decompressed) segment; frame starts
+        come back as capture-time sample indices."""
         with self.telemetry.span("cloud.pipeline"):
             report = self.decoder.decode(segment.samples)
         self.stats.absorb(report)
-        # Re-base frame starts onto capture-time sample indices. The
-        # decoder reports starts in the *decoding modem's native-rate*
-        # samples, so each must be converted to the capture rate before
-        # the segment offset (capture-rate samples) is added — adding
-        # them raw misplaces every frame of a modem whose native rate
-        # differs from the capture rate.
         capture_rate = self.decoder.sample_rate_hz
-        results = [
-            DecodeResult(
-                technology=r.technology,
-                payload=r.payload,
-                ok=r.ok,
-                method=r.method,
-                power_db=r.power_db,
-                start=segment.start
-                + int(
-                    round(
-                        r.start
-                        * capture_rate
-                        / self.decoder.modems[r.technology].sample_rate
-                    )
-                ),
-            )
-            for r in report.results
-        ]
+        results = rebase_starts(
+            report.results,
+            segment.start,
+            capture_rate,
+            {name: m.sample_rate for name, m in self.decoder.modems.items()},
+        )
         if self.guard is not None:
             results = self.guard.filter(results, capture_rate)
         return results

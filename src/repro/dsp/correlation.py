@@ -90,7 +90,7 @@ SEGMENTED_BANK_SLOTS = 32
 def _segmented_bank(template: bytes, block: int) -> TemplateBank:
     """The full-block bank of one template (raw complex128 bytes)."""
     waveform = np.frombuffer(template, dtype=np.complex128)
-    return blocked_bank(waveform, block, partial_tail=False)
+    return blocked_bank(waveform, block)
 
 
 def segmented_correlation(

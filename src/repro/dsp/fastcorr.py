@@ -385,39 +385,30 @@ class TemplateBank:
             return matrix
 
 
-def blocked_bank(
-    template: npt.ArrayLike,
-    block: int | None = None,
-    *,
-    partial_tail: bool = True,
-) -> TemplateBank:
-    """Bank of one template's coherent sub-blocks, keyed by offset.
+def blocked_bank(template: npt.ArrayLike, block: int | None = None) -> TemplateBank:
+    """Bank of one template's full coherent sub-blocks, keyed by offset.
+
+    A final short block, when ``block`` does not divide the template
+    length, is dropped (:func:`segmented_correlation
+    <repro.dsp.correlation.segmented_correlation>` semantics).
 
     Args:
         template: The full reference waveform.
         block: Coherent block length in samples; ``None`` yields a
             single entry (key ``0``) holding the whole template.
-        partial_tail: Include the final short block when ``block`` does
-            not divide the template length (the gateway
-            :class:`~repro.gateway.detection.CorrelationDetector`'s blocks);
-            ``False`` drops it (:func:`segmented_correlation
-            <repro.dsp.correlation.segmented_correlation>` semantics).
 
     Raises:
         ConfigurationError: for ``block < 1`` or a template shorter
-            than one block with ``partial_tail=False``.
+            than one block.
     """
     template = ensure_iq(template)
     if block is None:
         return TemplateBank({0: template})
     if block < 1:
         raise ConfigurationError("block must be >= 1")
-    if partial_tail:
-        n_blocks = -(-len(template) // block)
-    else:
-        n_blocks = len(template) // block
-        if n_blocks == 0:
-            raise ConfigurationError("template shorter than one block")
+    n_blocks = len(template) // block
+    if n_blocks == 0:
+        raise ConfigurationError("template shorter than one block")
     return TemplateBank(
         {
             b * block: template[b * block : (b + 1) * block]

@@ -17,10 +17,12 @@ Both correlation detectors are one :class:`CorrelationDetector` over
 different template banks. All detectors share a constant-false-alarm-rate
 (CFAR) thresholding scheme: the decision threshold is a robust
 location/scale estimate of the *score* distribution, so the same ``k``
-works at any absolute noise level. Each detector also tells the gateway
-how much history a stream must carry (``context``), whether a chunked
-stream reproduces a monolithic pass (``streams_exactly``) and whether an
-event still stands out over a jammer-raised floor (``clears_floor``).
+works at any absolute noise level. All three are a
+:class:`CandidateDetector`: each yields per-template candidates
+(``stream_candidates``), and one ``detect`` suppresses them. Each also
+tells the gateway how much history a stream must carry (``context``)
+and whether an event still stands out over a jammer-raised floor
+(``clears_floor``).
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from ..types import DetectionEvent
 
 __all__ = [
     "cfar_threshold",
+    "CandidateDetector",
     "CorrelationDetector",
     "EnergyDetector",
     "PreambleBankDetector",
@@ -88,13 +91,46 @@ def _validate(
             raise ConfigurationError(f"{name} must be >= 1")
 
 
+class CandidateDetector:
+    """What every gateway detector shares: :meth:`detect` is the
+    detector's :meth:`stream_candidates` plus, per template, the greedy
+    min-distance suppression of
+    :func:`~repro.dsp.correlation.find_peaks_above`, which the streaming
+    front replays across chunk joins.
+
+    A subclass provides ``name``, ``min_distance``, ``telemetry`` and
+    ``stream_candidates(samples)``, returning
+    ``[(technology, template_len, indices, scores)]``: its candidates
+    over ``samples``, where a score index ``n`` depends on samples
+    before ``n + template_len`` only.
+    """
+
+    @iq_contract("samples")
+    def detect(self, samples: np.ndarray) -> list[DetectionEvent]:
+        """Events sorted by index: the candidates that survive greedy
+        min-distance suppression, per template."""
+        events: list[DetectionEvent] = []
+        for tech, _, idx, sc in self.stream_candidates(samples):
+            keep = greedy_suppress(idx, sc, self.min_distance)
+            for i, s in zip(idx[keep].tolist(), sc[keep].tolist(), strict=True):
+                events.append(
+                    DetectionEvent(
+                        index=i, score=s, detector=self.name, technology=tech
+                    )
+                )
+        events.sort(key=lambda e: e.index)
+        self.telemetry.count("detect.events", len(events))
+        return events
+
+
 @dataclass
-class EnergyDetector:
+class EnergyDetector(CandidateDetector):
     """Moving-average energy detector (the baseline of [14] in the paper).
 
-    Its rising-edge state machine is whole-track, so it does not stream
-    exactly: the streaming front de-duplicates its events near chunk
-    joins instead.
+    Events sit at rising edges of the smoothed power over the threshold;
+    an edge counts only ``min_distance`` or more after the last counted
+    edge. Streamed, that keep-first-edge rule restarts in every buffer,
+    so a chunked stream only approximates a monolithic pass.
 
     Attributes:
         window: Averaging window in samples.
@@ -118,15 +154,16 @@ class EnergyDetector:
     name: str = "energy"
     telemetry: Telemetry = field(default=NULL, repr=False, compare=False)
 
-    streams_exactly = False
-
     def __post_init__(self) -> None:
         _validate(self.k, self.min_distance, self.threshold, window=self.window)
 
     @property
     def context(self) -> int:
-        """Samples of history a stream carries into each chunk."""
-        return self.window
+        """Samples of history a stream carries into each chunk: every
+        score index a chunk takes as new (see :meth:`stream_candidates`)
+        has its whole ``same``-mode averaging window, and the sample
+        before it, in the buffer."""
+        return self.window + self.window // 2
 
     def clears_floor(self, event: DetectionEvent, rise_db: float) -> bool:
         """Whether ``event`` stands out over a floor raised by ``rise_db``:
@@ -146,45 +183,38 @@ class EnergyDetector:
         return moving_average(np.abs(samples) ** 2, self.window)
 
     @iq_contract("samples")
-    def detect(self, samples: np.ndarray) -> list[DetectionEvent]:
-        """Events at the rising edge of every above-threshold region."""
+    def stream_candidates(
+        self, samples: np.ndarray
+    ) -> list[tuple[None, int, np.ndarray, np.ndarray]]:
+        """The rising edges the keep-first-edge rule keeps, already
+        ``min_distance`` apart, with their power over the threshold.
+
+        Returns:
+            ``[(None, window, indices, scores)]``, or ``[]`` for a buffer
+            shorter than one window.
+        """
         self.telemetry.count("detect.samples_in", len(samples))
         if len(samples) < self.window:
             return []
         with self.telemetry.span("detect"):
-            events = self._detect(samples)
-        self.telemetry.count("detect.events", len(events))
-        return events
-
-    def _detect(self, samples: np.ndarray) -> list[DetectionEvent]:
-        track = self.scores(samples)
-        threshold = (
-            self.threshold
-            if self.threshold is not None
-            else cfar_threshold(track, self.k)
-        )
-        above = track > threshold
-        # Rising edges: index i where above[i] and not above[i-1].
-        edges = np.flatnonzero(above & ~np.roll(above, 1))
-        if above[0]:
-            edges = np.unique(np.concatenate(([0], edges)))
-        events = []
-        last = -self.min_distance
-        for idx in edges:
-            if idx - last < self.min_distance:
-                continue
-            events.append(
-                DetectionEvent(
-                    index=int(idx),
-                    score=float(track[idx] / max(threshold, 1e-30)),
-                    detector=self.name,
-                )
+            track = self.scores(samples)
+            threshold = (
+                self.threshold
+                if self.threshold is not None
+                else cfar_threshold(track, self.k)
             )
-            last = idx
-        return events
+            above = track > threshold
+            rising = above & ~np.concatenate(([False], above[:-1]))
+            kept: list[int] = []
+            for edge in np.flatnonzero(rising).tolist():
+                if not kept or edge - kept[-1] >= self.min_distance:
+                    kept.append(edge)
+            idx = np.asarray(kept, dtype=np.int64)
+            scores = track[idx] / max(threshold, 1e-30)
+        return [(None, self.window, idx, scores)]
 
 
-class CorrelationDetector:
+class CorrelationDetector(CandidateDetector):
     """Matched-filter detection against a bank of preamble templates.
 
     Both correlation detectors are this class: :class:`PreambleBankDetector`
@@ -225,7 +255,6 @@ class CorrelationDetector:
     """
 
     name = "correlation"
-    streams_exactly = True
 
     def __init__(
         self,
@@ -361,24 +390,6 @@ class CorrelationDetector:
                 idx = np.flatnonzero(scores >= threshold)
                 out.append((tech, len(self.templates[tech]), idx, scores[idx]))
         return out
-
-    @iq_contract("samples")
-    def detect(self, samples: np.ndarray) -> list[DetectionEvent]:
-        """Correlation peaks, sorted by index: :meth:`stream_candidates`
-        plus, per template, the greedy min-distance suppression of
-        :func:`~repro.dsp.correlation.find_peaks_above`."""
-        events: list[DetectionEvent] = []
-        for tech, _, idx, sc in self.stream_candidates(samples):
-            keep = greedy_suppress(idx, sc, self.min_distance)
-            for i, s in zip(idx[keep].tolist(), sc[keep].tolist(), strict=True):
-                events.append(
-                    DetectionEvent(
-                        index=i, score=s, detector=self.name, technology=tech
-                    )
-                )
-        events.sort(key=lambda e: e.index)
-        self.telemetry.count("detect.events", len(events))
-        return events
 
 
 class PreambleBankDetector(CorrelationDetector):

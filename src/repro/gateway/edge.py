@@ -10,7 +10,8 @@ cloud.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass, replace
 
 from ..dsp.resample import to_rate
 from ..errors import ReproError
@@ -18,7 +19,37 @@ from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
 from ..types import DecodeResult, Segment
 
-__all__ = ["EdgeOutcome", "EdgeDecoder"]
+__all__ = ["EdgeOutcome", "EdgeDecoder", "rebase_starts"]
+
+
+def rebase_starts(
+    results: Iterable[DecodeResult],
+    segment_start: int,
+    sample_rate_hz: float,
+    native_rates: Mapping[str, float],
+) -> list[DecodeResult]:
+    """Frames with their starts re-based onto capture-time sample indices.
+
+    A decoder (the edge's or the cloud's) reports a frame's start in the
+    decoding modem's native-rate samples, counted from the segment
+    start. Each start is converted to the capture rate before the
+    segment's capture-rate offset is added, so every technology's frames
+    land on the capture's own sample axis.
+
+    Args:
+        results: Frames decoded from one segment.
+        segment_start: Capture index of the segment's first sample.
+        sample_rate_hz: Capture sample rate the segment was decoded at.
+        native_rates: Native sample rate per technology name.
+    """
+    return [
+        replace(
+            r,
+            start=segment_start
+            + int(round(r.start * sample_rate_hz / native_rates[r.technology])),
+        )
+        for r in results
+    ]
 
 
 @dataclass

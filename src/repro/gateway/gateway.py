@@ -1,16 +1,16 @@
 """The GalioT gateway: front end -> detect -> extract -> compress -> ship.
 
-This is the orchestrator tying the gateway-side pieces together exactly
-as Figure 2 of the paper draws them. One call to
-:meth:`GalioTGateway.process` takes a clean scene capture and returns
-everything downstream layers need: the shipped segments (optionally
-after an edge decode pass), the backhaul accounting and the detection
-events themselves.
-
-For unbounded sample streams, :class:`repro.gateway.streaming.
-StreamingGateway` drives the same pipeline chunk by chunk; the
-per-segment ship path (:meth:`GalioTGateway.ship_segment`) is shared so
-both fronts account identically.
+:class:`GalioTGateway` holds the gateway-side pieces exactly as Figure 2
+of the paper draws them, and the per-segment stages: the front end
+(:meth:`~GalioTGateway.capture_front_end`), jam-gated admission
+(:meth:`~GalioTGateway.admit_event`) and edge -> compress -> backhaul
+(:meth:`~GalioTGateway.ship_segment`).
+:class:`repro.gateway.streaming.StreamingGateway` drives them over a
+sample stream, chunk by chunk. :meth:`GalioTGateway.process` is that
+stream over one chunk: it takes a scene capture and returns everything
+downstream layers need — the shipped segments (optionally after an
+edge decode pass), the backhaul accounting and the detection events
+themselves. So a capture and a chunked stream share one receive path.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from ..types import DecodeResult, DetectionEvent, Segment
 from .backhaul import BackhaulLink
 from .compression import SegmentCodec
 from .detection import EnergyDetector, PreambleBankDetector
-from .edge import EdgeDecoder
+from .edge import EdgeDecoder, rebase_starts
 from .extractor import SegmentExtractor
 from .resilience import DegradationLadder, ResilientBackhaul, SpillEntry
 from .rtlsdr import RtlSdrModel
@@ -46,7 +46,8 @@ class GatewayReport:
         events: Raw detection events.
         segments: Extracted segments (pre-compression).
         shipped: Segments destined for the cloud (post-edge filtering).
-        edge_results: Frames the edge resolved locally.
+        edge_results: Frames the edge resolved locally, with
+            capture-time starts like the cloud's.
         shipped_bits: Total bits placed on the backhaul.
         raw_bits: Bits a ship-everything design would have sent.
         dropped_segments: Segments lost to backhaul overload (with a
@@ -221,8 +222,6 @@ class GalioTGateway:
             samples = capture
             raw_bits = len(samples) * 2 * 8
         if self.jamming is not None:
-            # Shared choke point of the monolithic and streaming fronts:
-            # feeding here keeps their jamming timelines identical.
             self.jamming.feed(samples)
         return samples, raw_bits
 
@@ -265,8 +264,8 @@ class GalioTGateway:
         """Run one segment through edge -> compress -> backhaul.
 
         Mutates ``report`` (edge results, shipped list, bit and drop
-        counters). Shared by the monolithic and streaming fronts so
-        their accounting is identical by construction.
+        counters). Edge frames carry capture-time starts, as cloud
+        frames do.
 
         With a plain :class:`BackhaulLink`, overload drops the segment
         (counted). With a :class:`ResilientBackhaul`, refusals spill and
@@ -277,18 +276,14 @@ class GalioTGateway:
         ship = True
         if self.edge is not None:
             outcome = self.edge.try_decode(segment)
-            results = outcome.results
+            results = rebase_starts(
+                outcome.results,
+                segment.start,
+                self.sample_rate_hz,
+                {m.name: m.sample_rate for m in self.modems},
+            )
             if self.guard is not None:
-                # Edge starts are native-rate offsets inside the
-                # segment; rebase onto capture time for the guard's
-                # freshness window.
-                base = segment.start / self.sample_rate_hz
-                rates = {m.name: m.sample_rate for m in self.modems}
-                results = [
-                    r
-                    for r in results
-                    if self.guard.admit(r, base + r.start / rates[r.technology])
-                ]
+                results = self.guard.filter(results, self.sample_rate_hz)
             report.edge_results.extend(results)
             ship = outcome.ship_to_cloud
         if not ship:
@@ -384,24 +379,10 @@ class GalioTGateway:
     def process(
         self, capture: np.ndarray, rng: np.random.Generator | None = None
     ) -> GatewayReport:
-        """Run the full gateway pipeline over one capture."""
-        report = GatewayReport()
+        """Run the full gateway pipeline over one capture: a
+        :class:`~repro.gateway.streaming.StreamingGateway` stream of one
+        chunk."""
+        from .streaming import StreamingGateway  # streaming imports this module
+
         with self.telemetry.span("gateway"):
-            self.reset_stream()  # one capture = one stream
-            samples, report.raw_bits = self.capture_front_end(capture, rng)
-            self.telemetry.count("gateway.samples_in", len(samples))
-            report.events = [
-                e for e in self.detector.detect(samples) if self.admit_event(e)
-            ]
-            report.segments = self.extractor.extract(samples, report.events)
-            for segment in report.segments:
-                self.ship_segment(segment, report)
-            if isinstance(self.backhaul, ResilientBackhaul):
-                delivered = self.backhaul.drain(
-                    len(samples) / self.sample_rate_hz
-                )
-                self.account_deliveries(delivered, (), report)
-            if self.jamming is not None:
-                self.jamming.flush()
-                report.jamming_events = self.jamming.drain_events()
-        return report
+            return StreamingGateway(self).process_stream([capture], rng)

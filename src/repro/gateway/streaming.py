@@ -1,11 +1,10 @@
-"""Chunked streaming front for the GalioT gateway.
+"""Chunked streaming front for the GalioT gateway: its one receive path.
 
 The paper's gateway runs *continuously* on a Raspberry-Pi-class device,
-but :meth:`~repro.gateway.gateway.GalioTGateway.process` wants the whole
-capture in memory at once. :class:`StreamingGateway` drives the same
+fed an endless sample stream. :class:`StreamingGateway` drives the
 Figure-2 pipeline over an unbounded iterator of capture chunks and, for
 the correlation detectors with a frozen threshold, produces *exactly*
-the events, segments and shipped bits of one monolithic pass:
+the events, segments and shipped bits of one whole-capture pass:
 
 * **Overlap carry.** The matched-filter score at index ``n`` depends on
   samples ``x[n : n + L]`` (``L`` = template length), so each chunk is
@@ -13,14 +12,18 @@ the events, segments and shipped bits of one monolithic pass:
   exactly that much carry the per-chunk score tracks *partition* the
   monolithic track — every score index is computed exactly once, by
   exactly one chunk (per-technology ``scored_to`` bookkeeping drops the
-  short strip the preamble bank's shorter templates re-score).
+  short strip the preamble bank's shorter templates re-score). A
+  detector whose scores also look back (the energy detector's centred
+  average) carries more history, and a score whose window the buffer
+  end cut short waits for the next chunk, or for the stream's end.
 * **Incremental greedy suppression.**
   :func:`~repro.dsp.correlation.find_peaks_above` accepts candidates in
   descending score order and is *not* decomposable per chunk: a locally
   kept peak may suppress a neighbour and then itself lose to a peak in
   the next chunk, resurrecting the neighbour. Detectors therefore hand
-  the streaming layer their **raw threshold crossings**
-  (:meth:`~repro.gateway.detection.CorrelationDetector.stream_candidates`),
+  the streaming layer their **candidates** before suppression
+  (:meth:`~repro.gateway.detection.CorrelationDetector.stream_candidates`:
+  raw threshold crossings; the energy detector's kept rising edges),
   and the global greedy is replayed over a pending window every chunk
   with the same :func:`~repro.dsp.correlation.greedy_suppress` the
   monolithic peak finder runs, already-emitted peaks acting as
@@ -42,20 +45,21 @@ the events, segments and shipped bits of one monolithic pass:
 Each processed chunk yields an incremental
 :class:`~repro.gateway.gateway.GatewayReport`;
 :meth:`GatewayReport.absorb <repro.gateway.gateway.GatewayReport.absorb>`
-merges them into totals identical to one monolithic ``process()`` call
-over the concatenated stream. Two caveats: per-capture CFAR thresholds
+merges them into totals identical to one
+:meth:`~repro.gateway.gateway.GalioTGateway.process` call over the
+concatenated stream, which is itself this stream over one chunk: the
+gateway has one receive path. Two caveats: per-capture CFAR thresholds
 are data-dependent (freeze the operating point with
-``detector.calibrate(...)`` for exactness), and a detector that does
-not ``streams_exactly`` (the energy detector's whole-track rising-edge
-state machine) streams via event-level de-duplication instead
-(approximate near chunk joins).
+``detector.calibrate(...)`` for exactness), and the energy detector
+streams only approximately, because its keep-first-edge rule restarts
+in every buffer.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -84,11 +88,14 @@ def iter_chunks(capture: np.ndarray, chunk_size: int) -> Iterator[np.ndarray]:
 class _TechTrack:
     """Pending suppression state of one technology's score track."""
 
-    template_len: int
     indices: list[int] = field(default_factory=list)  # ascending
     scores: list[float] = field(default_factory=list)
     scored_to: int = 0  # score indices below this are already ingested
     accepted: list[int] = field(default_factory=list)  # finalized, sorted
+    # Candidates at or past scored_to, whose window the buffer end cut
+    # short: the next chunk scores them again; at stream end they stand,
+    # as in a monolithic pass.
+    tail: tuple[Sequence[int], Sequence[float]] = ((), ())
 
 
 class StreamingGateway:
@@ -145,7 +152,6 @@ class StreamingGateway:
         self._buffer = np.zeros(0, dtype=complex)
         self._buf_start = 0  # absolute index of _buffer[0]
         self._tracks: dict[str | None, _TechTrack] = {}
-        self._pending: list[DetectionEvent] = []  # legacy (energy) path
         self._flushed_to = 0  # emitted events are below, future ones above
         self._segments = self.gateway.extractor.stream()
         self._ended = False
@@ -198,11 +204,8 @@ class StreamingGateway:
                 [self._buffer, np.asarray(samples, dtype=complex)]
             )
             self._pos += len(samples)
-            for event in self._detect(chunk_start):
-                if not self.gateway.admit_event(event):
-                    continue
-                report.events.append(event)
-                self._segments.add(event)
+            self._ingest(chunk_start)
+            self._admit(self._resolve(final=False), report)
             self._close_ready(report, final=False)
             self._flush_backhaul(report, final=False)
             self._trim_buffer()
@@ -228,16 +231,10 @@ class StreamingGateway:
         self._ended = True
         report = GatewayReport()
         with self.telemetry.span("stream.finalize"):
-            emitted = self._resolve(final=True)
-            for event in self._pending:  # legacy (energy) path
-                emitted.append(event)
-            self._pending = []
-            self._flushed_to = self._pos
-            for event in emitted:
-                if not self.gateway.admit_event(event):
-                    continue
-                report.events.append(event)
-                self._segments.add(event)
+            for track in self._tracks.values():
+                track.indices.extend(track.tail[0])
+                track.scores.extend(track.tail[1])
+            self._admit(self._resolve(final=True), report)
             self._close_ready(report, final=True)
             self._flush_backhaul(report, final=True)
             if self.gateway.jamming is not None:
@@ -247,23 +244,35 @@ class StreamingGateway:
 
     # -- detection --------------------------------------------------------
 
-    def _detect(self, chunk_start: int) -> list[DetectionEvent]:
-        """Score [carry + chunk], merge candidates, emit finalized events."""
+    def _ingest(self, chunk_start: int) -> None:
+        """Score [carry + chunk] and add its new candidates to the tracks.
+
+        A chunk takes the score indices from its track's ``scored_to`` up
+        to the last one the buffer holds every sample of; later ones wait
+        in the track's ``tail``.
+        """
         det_lo = max(chunk_start - self.context, 0)
         det_buf = self._buffer[det_lo - self._buf_start :]
-        detector = self.gateway.detector
-        if not detector.streams_exactly:
-            return self._legacy_detect(detector, det_lo, det_buf)
-        for tech, tlen, idx, sc in detector.stream_candidates(det_buf):
-            track = self._tracks.setdefault(tech, _TechTrack(tlen))
+        for tech, tlen, idx, sc in self.gateway.detector.stream_candidates(det_buf):
+            track = self._tracks.setdefault(tech, _TechTrack())
             absolute = np.asarray(idx, dtype=np.int64) + det_lo
-            fresh = absolute >= track.scored_to
+            sc = np.asarray(sc, dtype=float)
+            complete = self._pos - tlen + 1
+            fresh = (absolute >= track.scored_to) & (absolute < complete)
             track.indices.extend(absolute[fresh].tolist())
-            track.scores.extend(np.asarray(sc)[fresh].tolist())
-            track.scored_to = max(track.scored_to, self._pos - tlen + 1)
-        emitted = self._resolve(final=False)
-        self.telemetry.count("detect.events", len(emitted))
-        return emitted
+            track.scores.extend(sc[fresh].tolist())
+            cut = absolute >= complete
+            track.tail = (absolute[cut].tolist(), sc[cut].tolist())
+            track.scored_to = max(track.scored_to, complete)
+
+    def _admit(self, events: list[DetectionEvent], report: GatewayReport) -> None:
+        """Pass emitted events through the gateway's admission gate into
+        ``report`` and the extractor stream."""
+        self.telemetry.count("detect.events", len(events))
+        for event in events:
+            if self.gateway.admit_event(event):
+                report.events.append(event)
+                self._segments.add(event)
 
     def _resolve(self, final: bool) -> list[DetectionEvent]:
         """Replay the global greedy suppression over pending candidates
@@ -353,84 +362,37 @@ class StreamingGateway:
         instability propagates through neighbour chains of strictly
         decreasing priority. The greatest stable set is the fixpoint of:
 
-        * a rejected candidate is stable iff some suppressor within
-          ``md`` is itself stable (emitted, or accepted-and-unmarked);
+        * a rejected candidate is stable iff an emitted peak, or an
+          unmarked accepted candidate of higher priority, lies within
+          ``md`` (a lower-priority one cannot be what rejected it);
         * an accepted candidate is stable iff no *marked* candidate of
           higher priority lies within ``md``.
         """
+        rank = np.empty(idx.size, dtype=np.int64)  # greedy visiting order
+        rank[np.argsort(sc, kind="stable")[::-1]] = np.arange(idx.size)
+        lo = np.searchsorted(fixed, idx - md, side="right")
+        near_emitted = np.searchsorted(fixed, idx + md, side="left") > lo
         while True:
-            stable_acc = np.concatenate([fixed, idx[status & ~marked]])
-            stable_acc.sort()
-            lo = np.searchsorted(stable_acc, idx - md, side="right")
-            hi = np.searchsorted(stable_acc, idx + md, side="left")
-            has_stable_suppressor = hi > lo
-            grew = (~status) & (~marked) & (~has_stable_suppressor)
-            m_idx = idx[marked]
-            m_sc = sc[marked]
-            for i in np.flatnonzero(status & ~marked):
+            stable = status & ~marked
+            s_idx, s_rank = idx[stable], rank[stable]
+            held = near_emitted.copy()
+            if s_idx.size:
+                lo = np.searchsorted(s_idx, idx - md, side="right")
+                hi = np.searchsorted(s_idx, idx + md, side="left")
+                # Accepted candidates lie md apart: at most two in range.
+                for k in (lo, hi - 1):
+                    k = np.clip(k, 0, s_idx.size - 1)
+                    held |= (hi > lo) & (s_rank[k] < rank)
+            grew = (~status) & (~marked) & (~held)
+            m_idx, m_rank = idx[marked], rank[marked]
+            for i in np.flatnonzero(stable):
                 a = np.searchsorted(m_idx, idx[i] - md, side="right")
                 b = np.searchsorted(m_idx, idx[i] + md, side="left")
-                if a >= b:
-                    continue
-                peak = m_sc[a:b].max()
-                outranked = peak > sc[i] or (
-                    peak == sc[i]
-                    and bool(
-                        np.any(
-                            (m_sc[a:b] == sc[i]) & (m_idx[a:b] > idx[i])
-                        )
-                    )
-                )
-                if outranked:
+                if a < b and m_rank[a:b].min() < rank[i]:
                     grew[i] = True
             if not grew.any():
                 return
             marked |= grew
-
-    def _legacy_detect(
-        self, detector, det_lo: int, det_buf: np.ndarray
-    ) -> list[DetectionEvent]:
-        """Event-level de-duplication for detectors without raw candidate
-        access (the energy detector's rising-edge state machine is
-        whole-track anyway, so streaming it is inherently approximate)."""
-        for event in detector.detect(det_buf):
-            absolute = DetectionEvent(
-                index=event.index + det_lo,
-                score=event.score,
-                detector=event.detector,
-                technology=event.technology,
-            )
-            self._suppress_or_keep(absolute)
-        watermark = self._pos - self.context - self.min_distance
-        emitted: list[DetectionEvent] = []
-        if watermark > self._flushed_to:
-            emitted = [e for e in self._pending if e.index < watermark]
-            self._pending = [
-                e for e in self._pending if e.index >= watermark
-            ]
-            self._flushed_to = watermark
-        return emitted
-
-    def _suppress_or_keep(self, cand: DetectionEvent) -> None:
-        """Score-greedy min-distance suppression across chunk joins."""
-        if cand.index < self._flushed_to:
-            # Already-finalized region: this is a boundary re-score of
-            # an event an earlier chunk reported.
-            return
-        rivals = [
-            p
-            for p in self._pending
-            if p.technology == cand.technology
-            and abs(p.index - cand.index) < self.min_distance
-        ]
-        if rivals:
-            if all(cand.score > r.score for r in rivals):
-                for r in rivals:
-                    self._pending.remove(r)
-            else:
-                self.telemetry.count("stream.boundary_duplicates")
-                return
-        insort(self._pending, cand, key=lambda e: e.index)
 
     # -- extraction -------------------------------------------------------
 

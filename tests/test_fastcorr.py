@@ -154,11 +154,8 @@ class TestTemplateBank:
 
     def test_blocked_bank_offsets(self, rng):
         template = _noise(rng, 10)
-        bank = blocked_bank(template, 4, partial_tail=True)
-        assert bank.keys() == [0, 4, 8]
-        assert bank.length(8) == 2  # partial tail kept
-        bank = blocked_bank(template, 4, partial_tail=False)
-        assert bank.keys() == [0, 4]  # tail dropped
+        bank = blocked_bank(template, 4)
+        assert bank.keys() == [0, 4]  # short tail dropped
         solo = blocked_bank(template, None)
         assert solo.keys() == [0]
         assert len(solo.template(0)) == 10
@@ -167,7 +164,7 @@ class TestTemplateBank:
         with pytest.raises(ConfigurationError):
             blocked_bank(_noise(rng, 10), 0)
         with pytest.raises(ConfigurationError):
-            blocked_bank(_noise(rng, 3), 4, partial_tail=False)
+            blocked_bank(_noise(rng, 3), 4)
 
 
 class TestCorrelateMany:
@@ -244,7 +241,7 @@ def _zwave_sync_bank(zwave):
     only (``segmented_correlation``)."""
     stride = max(zwave._sps // 10, 1)
     block = max(2 * zwave._sps // stride, 4)
-    return blocked_bank(zwave.sync_reference()[::stride], block, partial_tail=False)
+    return blocked_bank(zwave.sync_reference()[::stride], block)
 
 
 def _blocked_spec(bank, n_samples, squared=False):
@@ -533,7 +530,10 @@ class TestRangeCalls:
 
     def test_partial_tail_bank(self, rng):
         template = _noise(rng, 1000)
-        bank = blocked_bank(template, 96)  # 10 full blocks + a 40-sample tail
+        # 10 full blocks + a 40-sample tail
+        bank = TemplateBank(
+            {off: template[off : off + 96] for off in range(0, 1000, 96)}
+        )
         assert bank.length(960) == 40
         n = 30_000
         specs = {

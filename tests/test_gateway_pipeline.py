@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cloud.pipeline import CloudService
 from repro.faults import FaultPlan, SampleGap
 from repro.gateway.backhaul import BackhaulLink
 from repro.gateway.detection import EnergyDetector, PreambleBankDetector
@@ -128,6 +129,29 @@ class TestGatewayPipeline:
         assert counters["gateway.dropped_segments"] == report.dropped_segments
         assert counters["backhaul.drops"] == report.dropped_segments
         assert counters["gateway.shipped_segments"] == len(report.shipped)
+
+
+class TestFrameStarts:
+    def test_edge_and_cloud_report_the_same_capture_start(self, trio, rng):
+        # Both decoders report a frame's start as a capture sample
+        # index, not as an offset inside the segment that carried it.
+        by = {m.name: m for m in trio}
+        builder = SceneBuilder(FS, 1.0)
+        builder.add_packet(by["xbee"], b"at-300k", 300_000, 12, rng, snr_mode="capture")
+        builder.add_packet(by["zwave"], b"at-600k", 600_000, 12, rng, snr_mode="capture")
+        capture, truth = builder.render(rng)
+        report = GalioTGateway(trio, FS, use_edge=True).process(capture)
+        cloud = CloudService(trio, FS)
+        cloud_starts = {
+            r.payload: r.start
+            for segment in report.segments
+            for r in cloud.process_segment(segment)
+        }
+        edge_starts = {r.payload: r.start for r in report.edge_results}
+        assert edge_starts == cloud_starts
+        assert set(edge_starts) == {p.payload for p in truth.packets}
+        for packet in truth.packets:
+            assert abs(edge_starts[packet.payload] - packet.start) <= 2
 
 
 class TestRepeatedProcess:

@@ -7,7 +7,8 @@ with a LoRa, an XBee and a Z-Wave frame is rendered; each detector
 configuration calibrates its threshold on a separate noise capture and
 detects over the scene. Every event's ``(index, detector, technology)``
 must match exactly and its score to a relative 1e-9. The same rows pin
-the streamed path: the scene chunked through
+the gateway's receive path: ``GalioTGateway.process`` (a one-chunk
+stream) and the scene chunked through
 :class:`~repro.gateway.streaming.StreamingGateway`, with a chunk boundary
 bisecting the LoRa preamble, must give them too.
 
@@ -68,9 +69,8 @@ def _scene(modems) -> tuple[np.ndarray, np.ndarray]:
     return capture, noise * np.sqrt(truth.noise_power)
 
 
-def detect(config: str, chunk_size: int | None = None) -> list[list]:
-    """``[index, detector, technology, score]`` of every event, from one
-    monolithic pass or, with ``chunk_size``, a chunked stream."""
+def _gateway(config: str) -> tuple[GalioTGateway, np.ndarray]:
+    """The configured gateway, its threshold calibrated, and the scene."""
     detector, block = CONFIGS[config]
     kwargs = {} if block is None else {"block": block}
     modems = _modems()
@@ -85,12 +85,18 @@ def detect(config: str, chunk_size: int | None = None) -> list[list]:
         threshold=threshold,
         **kwargs,
     )
-    if chunk_size is None:
-        events = gateway.detector.detect(capture)
-    else:
-        stream = StreamingGateway(gateway)
-        events = stream.process_stream(iter_chunks(capture, chunk_size)).events
+    return gateway, capture
+
+
+def _rows(events) -> list[list]:
     return [[e.index, e.detector, e.technology, e.score] for e in events]
+
+
+def detect(config: str) -> list[list]:
+    """``[index, detector, technology, score]`` of every event the
+    detector finds over the whole scene."""
+    gateway, capture = _gateway(config)
+    return _rows(gateway.detector.detect(capture))
 
 
 @pytest.fixture(scope="module")
@@ -117,8 +123,17 @@ def test_events_match_golden_fixture(golden, config):
 
 
 @pytest.mark.parametrize("config", list(CONFIGS))
+def test_processed_events_match_golden_fixture(golden, config):
+    gateway, capture = _gateway(config)
+    _check(_rows(gateway.process(capture).events), golden[config])
+
+
+@pytest.mark.parametrize("config", list(CONFIGS))
 def test_streamed_events_match_golden_fixture(golden, config):
-    _check(detect(config, STREAM_CHUNK), golden[config])
+    gateway, capture = _gateway(config)
+    stream = StreamingGateway(gateway)
+    events = stream.process_stream(iter_chunks(capture, STREAM_CHUNK)).events
+    _check(_rows(events), golden[config])
 
 
 if __name__ == "__main__":

@@ -1,12 +1,13 @@
 """Property-based invariants over the DSP and gateway substrates.
 
 These are the laws the rest of the system silently relies on; each is
-checked over randomized inputs with hypothesis.
+checked over randomized inputs with hypothesis, from bit utilities and
+kernels up to the receive path (streaming equals ``process()``).
 """
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dsp.channel import signal_power
@@ -14,11 +15,17 @@ from repro.dsp.correlation import normalized_correlation
 from repro.dsp.filters import fft_bandpass, fft_notch
 from repro.dsp.impairments import apply_cfo, apply_phase, quantize
 from repro.dsp.resample import to_rate
+from repro.gateway import GalioTGateway, StreamingGateway
 from repro.gateway.compression import SegmentCodec
 from repro.gateway.detection import CorrelationDetector
+from repro.net.scene import SceneBuilder
+from repro.phy import create_modem
 from repro.types import Segment
 
 FS = 1e6
+#: (technology, frame start) of the receive-path scene's three frames.
+STREAM_PACKETS = (("lora", 30_000), ("xbee", 110_000), ("zwave", 170_000))
+STREAM_SAMPLES = 250_000
 
 
 def _complex_arrays(min_size=16, max_size=256):
@@ -138,3 +145,67 @@ class TestCodecInvariants:
         out = codec.decompress(codec.compress(seg)[0])
         assert out.start == start
         assert out.length == n
+
+
+@pytest.fixture(scope="module")
+def processed_scene():
+    """One fixed three-frame scene and, per correlation detector, a
+    frozen threshold and ``process()``'s report."""
+    rng = np.random.default_rng(21)
+    modems = [create_modem(name) for name, _ in STREAM_PACKETS]
+    builder = SceneBuilder(FS, STREAM_SAMPLES / FS)
+    for i, (modem, (_, start)) in enumerate(zip(modems, STREAM_PACKETS, strict=True)):
+        builder.add_packet(
+            modem, f"prop-{i}".encode(), start, 12, rng, snr_mode="capture"
+        )
+    capture, truth = builder.render(rng)
+    noise = (
+        rng.normal(size=80_000) + 1j * rng.normal(size=80_000)
+    ) * np.sqrt(truth.noise_power / 2)
+    references = {}
+    for detector in ("universal", "bank"):
+        probe = GalioTGateway(modems, FS, detector=detector, use_edge=False)
+        threshold = probe.detector.calibrate(noise)
+        gateway = GalioTGateway(
+            modems, FS, detector=detector, use_edge=False, threshold=threshold
+        )
+        references[detector] = (threshold, gateway.process(capture))
+    return modems, capture, references
+
+
+class TestReceivePath:
+    @given(
+        st.sampled_from(["universal", "bank"]),
+        st.integers(1, 24),
+        st.integers(0, 2**32 - 1),
+    )
+    # Cuts under which a rejected candidate and a lower-priority accepted
+    # neighbour once held each other stable, emitting an event early.
+    @example("universal", 20, 23)
+    @example("bank", 20, 27)
+    @settings(max_examples=20, deadline=None)
+    def test_streaming_equals_process(self, processed_scene, detector, n_cuts, seed):
+        modems, capture, references = processed_scene
+        threshold, reference = references[detector]
+        gateway = GalioTGateway(
+            modems, FS, detector=detector, use_edge=False, threshold=threshold
+        )
+        # Cut points uniform over the scene, so joins land inside the
+        # frames, where suppression outcomes can flip (integers drawn
+        # by hypothesis itself crowd near the ends of their range).
+        cuts = np.random.default_rng(seed).choice(
+            np.arange(1, STREAM_SAMPLES), size=n_cuts, replace=False
+        )
+        chunks = np.split(capture, np.sort(cuts))
+        merged = StreamingGateway(gateway).process_stream(chunks)
+        assert [(e.index, e.technology) for e in merged.events] == [
+            (e.index, e.technology) for e in reference.events
+        ]
+        np.testing.assert_allclose(
+            [e.score for e in merged.events],
+            [e.score for e in reference.events],
+            rtol=1e-9,
+        )
+        assert [(s.start, s.length) for s in merged.segments] == [
+            (s.start, s.length) for s in reference.segments
+        ]

@@ -2,8 +2,8 @@
 
 The core contract: with a frozen detection threshold, streaming a
 capture in chunks of *any* size produces exactly the events, segments
-and shipped bits of one monolithic ``process()`` call — including when
-a chunk boundary bisects a preamble or a ship window.
+and shipped bits of one ``process()`` call (a one-chunk stream) —
+including when a chunk boundary bisects a preamble or a ship window.
 """
 
 import numpy as np
@@ -11,6 +11,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.gateway import (
+    EnergyDetector,
     GalioTGateway,
     GatewayReport,
     StreamingGateway,
@@ -26,6 +27,12 @@ FS = 1e6
 # thousand samples, so a 41_000-sample chunk boundary bisects it.
 PACKETS = (("xbee", 40_000), ("zwave", 300_000), ("lora", 650_000))
 CHUNK_SIZES = (41_000, 100_000, 262_144)
+#: Energy scene: each of ENERGY_CHUNK_SIZES puts a chunk join inside a
+#: packet, past the first rising edge of its power.
+ENERGY_PACKETS = (
+    ("xbee", 40_000), ("lora", 195_000), ("zwave", 420_000), ("xbee", 600_000)
+)
+ENERGY_CHUNK_SIZES = (7_000, 41_000, 100_000)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +55,27 @@ def stream_scene():
     mono = GalioTGateway(modems, FS, use_edge=False, threshold=threshold)
     reference = mono.process(capture)
     assert len(reference.segments) == len(PACKETS)  # sanity: all separate
+    return modems, capture, threshold, reference
+
+
+@pytest.fixture(scope="module")
+def energy_scene():
+    """A multi-packet scene, a frozen energy threshold and ``process()``."""
+    rng = np.random.default_rng(0xE7)
+    modems = [create_modem(n) for n in ("lora", "xbee", "zwave")]
+    builder = SceneBuilder(FS, 0.8)
+    by = {m.name: m for m in modems}
+    for i, (name, start) in enumerate(ENERGY_PACKETS):
+        builder.add_packet(
+            by[name], f"energy-{i}".encode(), start, 12, rng, snr_mode="capture"
+        )
+    capture, truth = builder.render(rng)
+    noise = (
+        rng.normal(size=100_000) + 1j * rng.normal(size=100_000)
+    ) * np.sqrt(truth.noise_power / 2)
+    threshold = EnergyDetector().calibrate(noise)
+    reference = _gateway(modems, threshold, detector="energy").process(capture)
+    assert len(reference.events) == len(ENERGY_PACKETS)  # sanity
     return modems, capture, threshold, reference
 
 
@@ -170,10 +198,9 @@ class TestStreamingLifecycle:
         assert len(merged.events) == len(reference.events)
         assert merged.shipped_bits == reference.shipped_bits
 
-    def test_energy_detector_uses_legacy_path(self, stream_scene):
-        # The energy detector's rising-edge logic is whole-track, so it
-        # streams by event de-duplication — approximate, but it must
-        # still find an isolated loud packet once.
+    def test_energy_detector_streams_with_per_chunk_cfar(self, stream_scene):
+        # Per-chunk CFAR thresholds differ per chunk, so this stream is
+        # approximate, but it must still find the loud packets.
         modems, capture, _, _ = stream_scene
         gateway = GalioTGateway(modems, FS, detector="energy", use_edge=False)
         merged = StreamingGateway(gateway).process_stream(
@@ -181,6 +208,42 @@ class TestStreamingLifecycle:
         )
         assert merged.events
         assert merged.segments
+
+
+class TestEnergyStreaming:
+    @pytest.mark.parametrize("chunk_size", ENERGY_CHUNK_SIZES)
+    def test_matches_process(self, energy_scene, chunk_size):
+        # The energy detector streams through the correlation detectors'
+        # candidate replay. Its keep-first-edge rule restarts in every
+        # buffer, so the stream stays approximate in general, but a join
+        # inside a packet no longer adds an event there.
+        modems, capture, threshold, reference = energy_scene
+        stream = StreamingGateway(_gateway(modems, threshold, detector="energy"))
+        merged = stream.process_stream(iter_chunks(capture, chunk_size))
+        assert [e.index for e in merged.events] == [
+            e.index for e in reference.events
+        ]
+        np.testing.assert_allclose(
+            [e.score for e in merged.events],
+            [e.score for e in reference.events],
+            rtol=1e-9,
+        )
+        assert [(s.start, s.length) for s in merged.segments] == [
+            (s.start, s.length) for s in reference.segments
+        ]
+
+    def test_process_keeps_an_edge_in_the_last_window(self):
+        # No score within one averaging window of the capture end has
+        # its whole window; process() still reports the rising edge
+        # there, as the detector does over the whole capture.
+        rng = np.random.default_rng(9)
+        capture = (rng.normal(size=60_000) + 1j * rng.normal(size=60_000)) / np.sqrt(2)
+        threshold = EnergyDetector().calibrate(capture[:50_000])
+        capture[-100:] *= 10
+        gateway = _gateway([create_modem("xbee")], threshold, detector="energy")
+        events = gateway.process(capture).events
+        assert events == gateway.detector.detect(capture)
+        assert events[-1].index > len(capture) - gateway.detector.window
 
 
 class TestStreamingTelemetry:
@@ -198,6 +261,35 @@ class TestStreamingTelemetry:
         assert snap["counters"]["stream.chunks"] == n_chunks
         assert snap["counters"]["detect.events"] > 0
         assert snap["counters"]["gateway.shipped_segments"] == len(PACKETS)
+
+    @pytest.mark.parametrize("detector", ["universal", "bank"])
+    def test_detect_events_counts_what_the_stream_emits(self, detector):
+        # The second frame ends the capture: its events are still
+        # contestable after the last chunk, so finalize() emits them.
+        rng = np.random.default_rng(5)
+        modems = [create_modem(n) for n in ("lora", "xbee", "zwave")]
+        builder = SceneBuilder(FS, 0.5)
+        for i, start in enumerate((40_000, 492_000)):
+            builder.add_packet(
+                modems[1], f"tail-{i}".encode(), start, 12, rng, snr_mode="capture"
+            )
+        capture, truth = builder.render(rng)
+        noise = (
+            rng.normal(size=100_000) + 1j * rng.normal(size=100_000)
+        ) * np.sqrt(truth.noise_power / 2)
+        probe = GalioTGateway(modems, FS, detector=detector, use_edge=False)
+        threshold = probe.detector.calibrate(noise)
+        for chunk_size in (100_000, len(capture)):
+            telemetry = Telemetry()
+            gateway = _gateway(
+                modems, threshold, detector=detector, telemetry=telemetry
+            )
+            merged = StreamingGateway(gateway).process_stream(
+                iter_chunks(capture, chunk_size)
+            )
+            assert merged.events
+            counters = telemetry.snapshot()["counters"]
+            assert counters["detect.events"] == len(merged.events), chunk_size
 
     def test_default_telemetry_is_shared_noop(self, stream_scene):
         modems, capture, threshold, _ = stream_scene
@@ -230,4 +322,5 @@ class TestHelpers:
         longest = max(len(t) for t in bank.detector.templates.values())
         assert bank.detector.context == longest - 1
         energy = GalioTGateway(modems, FS, detector="energy", use_edge=False)
-        assert energy.detector.context == energy.detector.window
+        window = energy.detector.window
+        assert energy.detector.context == window + window // 2
