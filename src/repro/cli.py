@@ -171,11 +171,10 @@ def _run_cloud(args: argparse.Namespace) -> int:
         label = "serial"
     else:
         service = ParallelCloudService(
-            modems, fs, workers=args.workers, telemetry=telemetry,
-            executor=args.executor,
+            modems, fs, workers=args.workers, telemetry=telemetry
         )
         stream = StreamingGateway(gateway, on_shipped=service.submit)
-        label = f"{args.workers} workers ({args.executor})"
+        label = f"{args.workers} workers"
 
     results = []
     t0 = time.perf_counter()
@@ -227,7 +226,6 @@ def _run_drill(args: argparse.Namespace) -> int:
         plan, args.scenario, scene,
         hardened=not getattr(args, "unhardened", False),  # attack only
         workers=getattr(args, "workers", 2),  # chaos only
-        executor=getattr(args, "executor", "thread"),
     )
     print("\n".join(report.summary()))
     print()
@@ -382,10 +380,6 @@ def main(argv: list[str] | None = None) -> int:
         help="decode farm size; 0 = serial CloudService (default: 2)",
     )
     cloud.add_argument(
-        "--executor", choices=["process", "thread"], default="process",
-        help="worker pool flavour (default: process)",
-    )
-    cloud.add_argument(
         "--chunk", type=_positive_int, default=262_144,
         help="streaming chunk size in samples (default: 262144)",
     )
@@ -418,10 +412,6 @@ def main(argv: list[str] | None = None) -> int:
     chaos.add_argument(
         "--workers", type=_positive_int, default=2,
         help="decode farm size (default: 2)",
-    )
-    chaos.add_argument(
-        "--executor", choices=["process", "thread"], default="thread",
-        help="worker pool flavour (default: thread)",
     )
     _add_drill_args(chaos)
     attack = sub.add_parser(

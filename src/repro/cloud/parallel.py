@@ -4,8 +4,8 @@ The paper's cloud absorbs every detected segment from every gateway, and
 Algorithm 1's cost is superlinear in collision depth — so the cloud
 side, not the Pi-class front end, is the throughput bottleneck of a
 deployment. :class:`ParallelCloudService` fans decompressed segments out
-over a ``concurrent.futures`` pool while keeping the three properties
-the serial :class:`~repro.cloud.pipeline.CloudService` guarantees:
+over a process pool while keeping the three properties the serial
+:class:`~repro.cloud.pipeline.CloudService` guarantees:
 
 * **Determinism.** Results are merged in *submission* order, never
   completion order, so a parallel run is result-identical to the serial
@@ -30,30 +30,32 @@ overhead when unused):
   decode_timeout_s`): a segment that overruns its budget is counted
   ``degraded`` and requeued; one that keeps overrunning is quarantined
   instead of wedging ``drain()`` forever.
-* **Crash recovery.** A dead process-pool worker surfaces as
-  ``BrokenProcessPool``, which poisons *every* in-flight future; the
-  farm respawns the pool once per breakage and requeues everything that
-  had not already finished. A breakage also poisons ``submit()`` itself,
-  so new arrivals (e.g. from the streaming gateway's ``on_shipped``
-  hook) trigger the same respawn instead of being rejected at the door.
-  Thread-pool crash injection raises
-  :class:`~repro.errors.InjectedCrash` and takes the same requeue path
-  (minus the respawn — the pool itself is intact).
+* **Crash recovery.** A dead worker surfaces as ``BrokenProcessPool``,
+  which poisons *every* future its pool holds, however many happened to
+  be in flight. The farm respawns the pool once per breakage and
+  resubmits every poisoned segment, but only the segments whose
+  current submission the :class:`~repro.faults.FaultPlan` schedules as
+  a crash are requeued (a new submission number, one requeue); the
+  others re-run under their old numbers and count nowhere, so the
+  requeue count does not depend on timing. A breakage the plan does not
+  explain (a real worker death) requeues every segment it poisoned. A
+  breakage also poisons ``submit()`` itself, so new arrivals (e.g. from
+  the streaming gateway's ``on_shipped`` hook) trigger the same respawn
+  instead of being rejected at the door.
 * **Retry-once-then-quarantine.** A decode exception (poison segment,
-  corrupt blob, injected fault) is retried up to
+  injected fault) is retried up to
   :attr:`CloudResilience.max_retries` times; a segment that still
   fails lands in :attr:`ParallelCloudService.quarantine` with its
   reason, and the pipeline moves on.
 
 All outcomes are surfaced twice: as telemetry counters
 (``cloud.parallel.retried`` / ``requeued`` / ``quarantined`` /
-``degraded`` / ``timeouts`` / ``crashes`` / ``pool_respawns``) and in
+``degraded`` / ``timeouts`` / ``crashes``, one per breakage) and in
 :class:`CloudStats`.
 
 Worker state (one :class:`CloudService` per worker, built once by the
-pool initializer) lives in a ``threading.local``: a process-pool worker
-runs tasks on its single main thread and a thread-pool worker is a
-thread, so the same initializer serves both executors.
+pool initializer) lives in the module-level ``threading.local``
+``_worker``; a worker process runs its tasks on its main thread.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from concurrent.futures import (
     BrokenExecutor,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
 )
 from concurrent.futures import (
     TimeoutError as FutureTimeoutError,
@@ -76,9 +77,8 @@ from typing import Any
 
 import numpy as np
 
-from ..errors import ConfigurationError, InjectedCrash
+from ..errors import ConfigurationError
 from ..faults import FaultPlan
-from ..gateway.compression import CompressedSegment, SegmentCodec
 from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
 from ..types import DecodeResult, DetectionEvent, Segment
@@ -98,16 +98,13 @@ class CloudResilience:
         max_retries: Decode-exception retries before quarantine
             (retry *once* then quarantine, by default).
         max_requeues: Crash/timeout requeues before quarantine — bounds
-            how long a persistently hanging segment can churn the pool.
-        propagate_errors: Re-raise decode exceptions instead of
-            quarantining (restores the fail-fast behaviour; crash and
-            timeout handling stay active).
+            how long a persistently hanging or crashing segment can
+            churn the pool.
     """
 
     decode_timeout_s: float | None = None
     max_retries: int = 1
     max_requeues: int = 3
-    propagate_errors: bool = False
 
     def __post_init__(self) -> None:
         # ``not (x > 0)`` also rejects NaN, which would time out every
@@ -125,7 +122,7 @@ class QuarantinedSegment:
     """One segment the farm gave up on, with the evidence."""
 
     seq: int
-    payload: Segment | CompressedSegment
+    payload: Segment
     reason: str
     attempts: int
     requeues: int
@@ -191,9 +188,7 @@ class _WorkerConfig:
     sample_rate_hz: float
     use_kill_filters: bool
     strict_order: bool
-    codec: SegmentCodec | None
     faults: FaultPlan | None = None
-    is_process: bool = True
 
 
 _worker = threading.local()
@@ -201,41 +196,35 @@ _worker = threading.local()
 
 def _init_worker(config: _WorkerConfig) -> None:
     """Pool initializer: build one serial service per worker."""
-    # A worker *is* a composition root: it lives in another process (or
-    # thread) and its private sink is snapshotted back to the parent
-    # after every segment, which is the rollup GL005 wants.
+    # A worker *is* a composition root: it lives in another process and
+    # its private sink is snapshotted back to the parent after every
+    # segment, which is the rollup GL005 wants.
     telemetry = Telemetry()  # noqa: GL005
-    service = CloudService(
+    _worker.service = CloudService(
         list(config.modems),
         config.sample_rate_hz,
         use_kill_filters=config.use_kill_filters,
         strict_order=config.strict_order,
-        codec=config.codec,
         telemetry=telemetry,
     )
-    # The codec crossed a pickle boundary, so identity checks against
-    # the NULL singleton no longer apply — rewire it explicitly.
-    service.codec.telemetry = telemetry
-    _worker.service = service
     _worker.telemetry = telemetry
     _worker.faults = config.faults
-    _worker.is_process = config.is_process
 
 
 _WorkerResult = tuple[list[DecodeResult], CloudStats, dict[str, dict[str, Any]]]
 
 
 def _run_one(
-    payload: Segment | CompressedSegment | _ShmSegment,
+    payload: Segment | _ShmSegment,
     seq: int,
     submission: int,
 ) -> _WorkerResult:
     """Decode one segment in a worker; return (results, stats, telemetry).
 
     ``seq`` is the segment's stable sequence number (identical across
-    retries), ``submission`` the retry-inclusive pool-submission counter
-    — the two axes a :class:`~repro.faults.FaultPlan` keys its worker
-    faults on.
+    retries), ``submission`` the number of its current trip through the
+    pool — the two axes a :class:`~repro.faults.FaultPlan` keys its
+    worker faults on.
     """
     shm = None
     if isinstance(payload, _ShmSegment):
@@ -245,24 +234,16 @@ def _run_one(
         telemetry: Telemetry = _worker.telemetry
         faults: FaultPlan | None = getattr(_worker, "faults", None)
         if faults is not None:
-            faults.apply_in_worker(seq, submission, _worker.is_process)
-            if isinstance(payload, Segment):
-                payload = Segment(
-                    start=payload.start,
-                    samples=faults.corrupt_samples(seq, payload.samples),
-                    sample_rate=payload.sample_rate,
-                    detections=payload.detections,
-                )
-            else:
-                payload = CompressedSegment(
-                    blob=faults.corrupt_blob(seq, payload.blob)
-                )
+            faults.apply_in_worker(seq, submission)
+            payload = Segment(
+                start=payload.start,
+                samples=faults.corrupt_samples(seq, payload.samples),
+                sample_rate=payload.sample_rate,
+                detections=payload.detections,
+            )
         service.stats = CloudStats()
         telemetry.reset()
-        if isinstance(payload, CompressedSegment):
-            results = service.process_compressed(payload)
-        else:
-            results = service.process_segment(payload)
+        results = service.process_segment(payload)
         return results, service.stats, telemetry.snapshot()
     finally:
         if shm is not None:
@@ -283,38 +264,37 @@ class _Pending:
     its samples were staged into a shared-memory block, in which case
     the descriptor is what crosses the pool boundary and the parent
     unlinks the block once the segment is finished or given up on.
+    ``future`` and ``generation`` belong to the current submission,
+    ``submission`` is the number of the current trip through the pool.
     """
 
     seq: int
-    payload: Segment | CompressedSegment
-    future: Future
-    generation: int
+    payload: Segment
+    future: Future | None = None
+    generation: int = 0
+    submission: int = 0
     attempts: int = 0
     requeues: int = 0
-    timed_out: bool = False
     wire: _ShmSegment | None = None
     shm: shared_memory.SharedMemory | None = None
 
 
 class ParallelCloudService:
-    """Fan segments out over a worker pool; merge in submission order.
+    """Fan segments out over a process pool; merge in submission order.
 
     Drop-in for the serial service at the workload level: ``submit()``
-    segments (or compressed wire blobs) as they arrive — e.g. from the
-    streaming gateway's ``on_shipped`` hook — then ``drain()`` for the
-    merged results. :meth:`process_segments` wraps both for batch use.
+    segments as they arrive — e.g. from the streaming gateway's
+    ``on_shipped`` hook — then ``drain()`` for the merged results.
+    :meth:`process_segments` wraps both for batch use.
 
     Args:
-        modems: Registered technologies (pickled to process workers).
+        modems: Registered technologies (pickled to the workers).
         sample_rate_hz: Capture sample rate of arriving segments.
         workers: Pool size.
         use_kill_filters: False runs the SIC-only baseline.
         strict_order: Classic-SIC decode order (see ``CloudDecoder``).
-        codec: Wire codec for compressed segments.
         telemetry: Parent sink receiving the per-worker rollups.
-        executor: ``"process"`` (default — real parallelism for the
-            CPU-bound decode) or ``"thread"`` (cheaper startup, shared
-            memory; useful for tests and I/O-bound deployments).
+        executor: The pool kind; only ``"process"`` is supported.
         faults: Optional :class:`~repro.faults.FaultPlan` shipped to
             every worker (chaos testing).
         resilience: Fault-handling policy; the default behaves like the
@@ -329,7 +309,6 @@ class ParallelCloudService:
         workers: int = 2,
         use_kill_filters: bool = True,
         strict_order: bool = False,
-        codec: SegmentCodec | None = None,
         telemetry: Telemetry = NULL,
         executor: str = "process",
         faults: FaultPlan | None = None,
@@ -339,15 +318,16 @@ class ParallelCloudService:
             raise ConfigurationError("at least one modem is required")
         if not (0 < sample_rate_hz < math.inf):
             raise ConfigurationError("sample_rate_hz must be positive and finite")
-        if workers < 1:
-            raise ConfigurationError("workers must be >= 1")
-        if executor not in ("process", "thread"):
+        # The chained form also rejects NaN, which int() would raise on
+        # as a bare ValueError (and inf as an OverflowError).
+        if not (1 <= workers < math.inf):
+            raise ConfigurationError("workers must be a finite count >= 1")
+        if executor != "process":
             raise ConfigurationError(
-                f"executor must be 'process' or 'thread', got {executor!r}"
+                f"executor must be 'process', got {executor!r}"
             )
         self.telemetry = telemetry
         self.workers = int(workers)
-        self.executor_kind = executor
         self.resilience = resilience if resilience is not None else CloudResilience()
         self.stats = CloudStats()
         self.quarantine: list[QuarantinedSegment] = []
@@ -356,41 +336,38 @@ class ParallelCloudService:
             sample_rate_hz=float(sample_rate_hz),
             use_kill_filters=bool(use_kill_filters),
             strict_order=bool(strict_order),
-            codec=codec,
             faults=faults,
-            is_process=executor == "process",
         )
         self._generation = 0
         self._seq = 0
         self._submissions = 0
         self._closed = False
-        if executor == "process":
-            # Start the resource tracker *before* the pool forks workers
-            # so every worker inherits the parent's tracker: attach-side
-            # registrations then dedupe against the parent's and the
-            # single unlink here leaves nothing for trackers to clean.
-            resource_tracker.ensure_running()
+        # Start the resource tracker *before* the pool forks workers so
+        # every worker inherits the parent's tracker: attach-side
+        # registrations then dedupe against the parent's and the single
+        # unlink here leaves nothing for trackers to clean.
+        resource_tracker.ensure_running()
         self._pool = self._make_pool()
         self._pending: list[_Pending] = []
 
     # -- pool lifecycle ---------------------------------------------------
 
-    def _make_pool(self):
-        pool_cls = (
-            ProcessPoolExecutor
-            if self.executor_kind == "process"
-            else ThreadPoolExecutor
-        )
-        return pool_cls(
+    def _make_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
             max_workers=self.workers,
             initializer=_init_worker,
             initargs=(self._config,),
         )
 
     def _respawn(self) -> None:
-        """Replace a broken pool; in-flight work must be resubmitted."""
+        """Replace a broken pool; in-flight work must be resubmitted.
+
+        Called once per breakage, which it counts as
+        ``cloud.parallel.crashes``.
+        """
         old = self._pool
         self._generation += 1
+        self.telemetry.count("cloud.parallel.crashes")
         try:
             old.shutdown(wait=False, cancel_futures=True)
         except Exception:
@@ -398,47 +375,48 @@ class ParallelCloudService:
             # leave a trace so leaked pools show up in telemetry.
             self.telemetry.count("cloud.parallel.shutdown_errors")
         self._pool = self._make_pool()
-        self.telemetry.count("cloud.parallel.pool_respawns")
 
     # -- submission -------------------------------------------------------
 
     def _dispatch(self, item: _Pending) -> None:
-        """(Re-)submit one pending item to the current pool.
+        """Send ``item`` on a new trip through the pool.
 
-        A broken process pool poisons ``submit()`` itself, not just the
-        in-flight futures — without this respawn-and-resubmit, every
-        segment arriving between a worker crash and the next ``drain()``
-        (e.g. from the streaming gateway's ``on_shipped`` hook) would be
-        rejected at the door and lost outside the requeue accounting.
+        Every trip — a first dispatch, a retry or a requeue — takes
+        exactly one submission number, so the numbers a
+        :class:`~repro.faults.FaultPlan` schedules land on the same
+        trips in every run.
         """
-        try:
-            item.future = self._submit(item)
-        except BrokenExecutor:
-            self.telemetry.count("cloud.parallel.crashes")
-            self._respawn()
-            item.future = self._submit(item)
-
-    def _submit(self, item: _Pending) -> Future:
-        submission = self._submissions
+        item.submission = self._submissions
         self._submissions += 1
-        item.generation = self._generation
+        self._submit(item)
+
+    def _submit(self, item: _Pending) -> None:
+        """Submit ``item`` to the current pool under its current number.
+
+        A broken pool poisons ``submit()`` itself, not just the in-flight
+        futures — without this respawn-and-resubmit, every segment
+        arriving between a worker crash and the next ``drain()`` (e.g.
+        from the streaming gateway's ``on_shipped`` hook) would be
+        rejected at the door and lost outside the requeue accounting.
+        Finding the pool broken is not a trip: the number stays.
+        """
         wire = item.wire if item.wire is not None else item.payload
-        return self._pool.submit(_run_one, wire, item.seq, submission)
+        args = (_run_one, wire, item.seq, item.submission)
+        try:
+            item.future = self._pool.submit(*args)
+        except BrokenExecutor:
+            self._respawn()
+            item.future = self._pool.submit(*args)
+        item.generation = self._generation
 
     def _stage_shm(self, item: _Pending) -> None:
         """Stage a big segment's samples into a shared-memory block.
 
-        Process workers then receive a tiny pickled descriptor instead
-        of a multi-megabyte serialized ndarray. Anything that cannot or
-        should not be staged — thread pools (already zero-copy), small
-        segments, compressed blobs (decompressed worker-side), or an
-        exhausted ``/dev/shm`` — silently keeps the pickle path, which
+        Workers then receive a tiny pickled descriptor instead of a
+        multi-megabyte serialized ndarray. Small segments and an
+        exhausted ``/dev/shm`` silently keep the pickle path, which
         decodes identically.
         """
-        if self.executor_kind != "process":
-            return
-        if not isinstance(item.payload, Segment):
-            return
         samples = np.ascontiguousarray(item.payload.samples)
         if len(samples) < SHM_MIN_SAMPLES:
             return
@@ -473,28 +451,19 @@ class ParallelCloudService:
         item.shm = None
         item.wire = None
 
-    def _enqueue(self, payload: Segment | CompressedSegment) -> None:
-        item = _Pending(
-            seq=self._seq, payload=payload, future=None, generation=self._generation
-        )
+    def _enqueue(self, segment: Segment) -> _Pending:
+        item = _Pending(seq=self._seq, payload=segment)
         self._seq += 1
         self._stage_shm(item)
         self._dispatch(item)
-        self._pending.append(item)
         self.telemetry.count("cloud.parallel.submitted")
+        return item
 
     def submit(self, segment: Segment) -> None:
         """Queue one decompressed segment for decoding."""
-        self._enqueue(segment)
+        self._pending.append(self._enqueue(segment))
 
-    def submit_compressed(self, compressed: CompressedSegment) -> None:
-        """Queue one wire blob; the worker decompresses it (so codec
-        telemetry lands in the worker sink, exactly as in a serial run)."""
-        self._enqueue(compressed)
-
-    def submit_future(
-        self, payload: Segment | CompressedSegment
-    ) -> Future:
+    def submit_future(self, segment: Segment) -> Future:
         """Out-of-band decode: submit one segment, get its Future back.
 
         The per-segment handle of a closed-loop caller that settles each
@@ -516,22 +485,13 @@ class ParallelCloudService:
         may fire just after ``result()`` returns; after :meth:`close`
         every block is gone.
         """
-        item = _Pending(
-            seq=self._seq,
-            payload=payload,
-            future=None,
-            generation=self._generation,
-        )
-        self._seq += 1
-        self._stage_shm(item)
-        self._dispatch(item)
+        item = self._enqueue(segment)
         if item.shm is not None:
             # The parent owns the unlink; the callback fires on
             # completion, cancellation and error alike.
             item.future.add_done_callback(
                 lambda _f, it=item: self._release_shm(it)
             )
-        self.telemetry.count("cloud.parallel.submitted")
         return item.future
 
     def absorb_result(self, result: _WorkerResult) -> list[DecodeResult]:
@@ -557,8 +517,8 @@ class ParallelCloudService:
         over the same segments produce identical aggregates regardless
         of worker scheduling — with or without injected faults. Crashed
         or timed-out submissions are requeued (bounded), failing decodes
-        retried then quarantined; ``drain()`` itself only raises when
-        :attr:`CloudResilience.propagate_errors` is set.
+        retried then quarantined, so ``drain()`` raises only what no
+        policy handles (e.g. ``KeyboardInterrupt``).
         """
         pending, self._pending = self._pending, []
         queue = deque(pending)
@@ -566,8 +526,8 @@ class ParallelCloudService:
         try:
             self._drain_queue(queue, done)
         except BaseException:
-            # The propagate_errors escape hatch (or a KeyboardInterrupt)
-            # must not leak /dev/shm blocks of the abandoned queue.
+            # An escaping exception (e.g. KeyboardInterrupt) must not
+            # leak /dev/shm blocks of the abandoned queue.
             for item in queue:
                 self._release_shm(item)
             raise
@@ -594,23 +554,16 @@ class ParallelCloudService:
                     self._release_shm(item)
                 except FutureTimeoutError:
                     item.future.cancel()
-                    item.timed_out = True
                     self.stats.degraded += 1
                     self.telemetry.count("cloud.parallel.timeouts")
                     self.telemetry.count("cloud.parallel.degraded")
                     self._requeue(item, queue, reason="decode timeout")
-                except (BrokenExecutor, InjectedCrash) as exc:
-                    self.telemetry.count("cloud.parallel.crashes")
-                    if (
-                        isinstance(exc, BrokenExecutor)
-                        and item.generation == self._generation
-                    ):
-                        self._respawn()
-                    self._requeue(item, queue, reason=f"worker crash: {exc!r}")
+                except BrokenExecutor as exc:
+                    if self._rerun_poisoned(item, queue):
+                        queue.appendleft(item)  # wait on it again, in place
+                    else:
+                        self._requeue(item, queue, reason=f"worker crash: {exc!r}")
                 except Exception as exc:
-                    if self.resilience.propagate_errors:
-                        self._release_shm(item)
-                        raise
                     if item.attempts < self.resilience.max_retries:
                         item.attempts += 1
                         self.stats.retried += 1
@@ -625,8 +578,38 @@ class ParallelCloudService:
                     self._release_shm(item)
                     raise
 
+    def _rerun_poisoned(self, item: _Pending, queue: deque[_Pending]) -> bool:
+        """Resubmit the segments poisoned by the breakage ``item`` hit.
+
+        The breakage is attributed to the poisoned segments whose current
+        submission the fault plan schedules as a crash, or to all of them
+        when it names none (no plan, or a real worker death); the caller
+        requeues those as it reaches them. Every other poisoned segment
+        is resubmitted here under its old number and keeps its place in
+        ``queue``. Returns whether ``item`` was resubmitted. Calling this
+        again for the same breakage is harmless: what it leaves behind is
+        exactly what the breakage is attributed to.
+        """
+        broken = item.generation
+        if broken == self._generation:
+            self._respawn()  # the first sign of this breakage
+        poisoned = [item] + [
+            other
+            for other in queue
+            if other.generation == broken
+            and isinstance(other.future.exception(), BrokenExecutor)
+        ]
+        faults = self._config.faults
+        crashes = faults.crash_submissions if faults is not None else frozenset()
+        if not any(p.submission in crashes for p in poisoned):
+            return False
+        for p in poisoned:
+            if p.submission not in crashes:
+                self._submit(p)
+        return item.submission not in crashes
+
     def _requeue(self, item: _Pending, queue: deque, reason: str) -> None:
-        """Give a crashed/timed-out submission another trip, bounded."""
+        """Give a crashed/timed-out segment another trip, bounded."""
         if item.requeues < self.resilience.max_requeues:
             item.requeues += 1
             self.stats.requeued += 1
@@ -654,14 +637,6 @@ class ParallelCloudService:
         """Batch convenience: submit every segment, then drain."""
         for segment in segments:
             self.submit(segment)
-        return self.drain()
-
-    def process_compressed_batch(
-        self, blobs: list[CompressedSegment]
-    ) -> list[DecodeResult]:
-        """Batch convenience for wire blobs."""
-        for blob in blobs:
-            self.submit_compressed(blob)
         return self.drain()
 
     # -- lifecycle --------------------------------------------------------

@@ -160,7 +160,7 @@ class DrillReport:
         """Deterministic per-run ledger: two same-seed drills must
         produce identical lines (the reproducibility acceptance check).
         """
-        g = self.guard
+        g, c = self.guard, self.cloud
         lines = [
             f"scenario={self.scenario} seed={self.seed}",
             f"survival={self.survived}/{self.baseline_frames}",
@@ -169,6 +169,8 @@ class DrillReport:
             f"guard accepted={g.accepted} replays={g.replays_rejected} "
             f"duplicates={g.duplicates_rejected} corrupt={g.corrupt_rejected}",
             f"jamming_events={self.jamming_events}",
+            # Not ``degraded``: it counts wall-clock decode timeouts.
+            f"cloud decoded={c.segments} retried={c.retried} requeued={c.requeued}",
         ]
         if self.quarantined:
             lines.append(
@@ -268,7 +270,7 @@ def _render(
 def _run_pipeline(
     capture: np.ndarray, noise: np.ndarray, modems: list[Modem], scene: DrillScene, *,
     gapped: bool = False, faults: FaultPlan | None = None, hardened: bool = False,
-    workers: int = 2, executor: str = "thread",
+    workers: int = 2,
 ) -> tuple[
     GatewayReport, list[DecodeResult], CloudStats, list[QuarantinedSegment],
     GuardStats, Telemetry,
@@ -314,7 +316,7 @@ def _run_pipeline(
         guard_stats = guard.stats if guard is not None else GuardStats()
         return report, results, service.stats, [], guard_stats, telemetry
     farm = ParallelCloudService(
-        modems, FS, workers=workers, executor=executor, telemetry=telemetry,
+        modems, FS, workers=workers, telemetry=telemetry,
         faults=faults, resilience=CloudResilience(decode_timeout_s=30.0),
     )
     try:
@@ -341,7 +343,7 @@ def _detection_latency(plan_jammers, jamming_events) -> float | None:
 
 def run_drill(
     plan: FaultPlan | AttackPlan, scenario: str, scene: DrillScene = DrillScene(), *,
-    hardened: bool = True, workers: int = 2, executor: str = "thread",
+    hardened: bool = True, workers: int = 2,
 ) -> DrillReport:
     """Run one scored drill: clean baseline vs. ``plan``.
 
@@ -354,7 +356,6 @@ def run_drill(
         hardened: Attack only: defend the attacked capture with the
             hardened receive path (off: what the guards are worth).
         workers: Chaos only: decode farm size.
-        executor: Chaos only: ``"thread"`` or ``"process"`` farm.
     """
     chaos = isinstance(plan, FaultPlan)
     label = "chaos" if chaos else "legit"
@@ -365,7 +366,7 @@ def run_drill(
     if chaos:
         run = _run_pipeline(
             capture, noise, modems, scene, gapped=gapped, faults=plan,
-            workers=workers, executor=executor,
+            workers=workers,
         )
     else:
         attacked, _, _, ledger = _render(scene, modems, label, plan)

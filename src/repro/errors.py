@@ -51,14 +51,5 @@ class InjectedFault(DecodeError):
     """
 
 
-class InjectedCrash(ReproError):
-    """A scheduled worker crash fired in a thread-pool worker.
-
-    Process-pool workers crash for real (``os._exit``) and surface as
-    ``BrokenProcessPool``; thread-pool workers raise this instead, and
-    the decode farm treats both as the same transient worker loss.
-    """
-
-
 class UnknownTechnologyError(ReproError, KeyError):
     """A technology name is not present in the PHY registry."""

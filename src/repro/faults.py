@@ -18,23 +18,25 @@ Fault classes, and the component each one plugs into:
   :class:`~repro.gateway.rtlsdr.RtlSdrModel`: the affected capture
   ranges are zeroed, modelling USB drops / front-end dropouts.
 * **Segment corruption** — consumed by the cloud decode workers: the
-  listed segments arrive with their payload deterministically mangled
-  (I/Q replaced by seeded noise, or a compressed blob with flipped
-  bytes), so decoding fails or yields nothing.
+  listed segments arrive with their I/Q deterministically replaced by
+  seeded noise, so decoding yields nothing.
 * **Worker crashes / hangs** — consumed by
   :class:`~repro.cloud.parallel.ParallelCloudService` workers: the
-  listed *submissions* (a global, retry-inclusive counter) kill the
-  worker process (``os._exit``) or nap for :attr:`FaultPlan.hang_s`
-  before decoding.
+  listed *submissions* kill the worker process (``os._exit``) or nap
+  for :attr:`FaultPlan.hang_s` before decoding.
 
 Determinism contract: everything a plan does is a pure function of
 ``(seed, scheduled fault sets, query arguments)``. Crash/hang faults
-are keyed by the **submission counter** (which advances on every pool
-submit, including requeues), so a fault is transient: the retry of a
-crashed submission is a *different* submission and proceeds. Poison and
-corruption are keyed by the **segment sequence number** (stable across
-retries), so a poison segment fails deterministically on every attempt
-— that is what the retry-then-quarantine policy is tested against.
+are keyed by the **submission counter**, which takes one number per
+trip through the pool (a first dispatch, a retry or a requeue), so a
+fault is transient: the requeue of a crashed submission is a
+*different* submission and proceeds. A crash breaks the whole pool, and
+the farm attributes the breakage to the segment whose submission this
+plan scheduled; the other segments it poisoned re-run under their old
+numbers. Poison and corruption are keyed by the **segment sequence
+number** (stable across retries), so a poison segment fails
+deterministically on every attempt — that is what the
+retry-then-quarantine policy is tested against.
 
 Everything here is picklable (plans cross the process-pool boundary via
 the worker initializer) and the no-fault default everywhere is ``None``,
@@ -46,12 +48,12 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .contracts import iq_contract
-from .errors import InjectedCrash, InjectedFault
+from .errors import InjectedFault
 
 __all__ = [
     "OutageWindow",
@@ -161,21 +163,15 @@ class FaultPlan:
 
     # -- cloud workers ----------------------------------------------------
 
-    def apply_in_worker(self, seq: int, submission: int, is_process: bool) -> None:
+    def apply_in_worker(self, seq: int, submission: int) -> None:
         """Run the scheduled worker faults for one decode attempt.
 
-        Called by the pool worker before decoding segment ``seq`` (its
-        ``submission``-th trip through the pool). May kill the worker
-        (process pools), raise :class:`~repro.errors.InjectedCrash`
-        (thread pools, where ``os._exit`` would take the whole suite
-        down), sleep, or raise :class:`~repro.errors.InjectedFault`.
+        Called by the pool worker before decoding segment ``seq`` on its
+        trip numbered ``submission``. May kill the worker process, sleep,
+        or raise :class:`~repro.errors.InjectedFault`.
         """
         if submission in self.crash_submissions:
-            if is_process:
-                os._exit(13)
-            raise InjectedCrash(
-                f"injected worker crash at submission {submission}"
-            )
+            os._exit(13)
         if submission in self.hang_submissions:
             # Real wall-clock on purpose: a hang fault must burn actual
             # time inside the worker so the parent's *real* decode
@@ -198,34 +194,6 @@ class FaultPlan:
         rng = np.random.default_rng((self.seed, seq))
         noise = rng.normal(size=len(samples)) + 1j * rng.normal(size=len(samples))
         return (noise / np.sqrt(2)).astype(samples.dtype, copy=False)
-
-    def corrupt_blob(self, seq: int, blob: bytes, header_size: int = 0) -> bytes:
-        """Flip bytes in a wire blob if segment ``seq`` is scheduled.
-
-        Flips land after ``header_size``, so the corruption hits the
-        entropy-coded payload and the codec raises on decompression —
-        the organic poison-segment path.
-        """
-        if seq not in self.corrupt_segments or len(blob) <= header_size:
-            return blob
-        rng = np.random.default_rng((self.seed, seq))
-        mangled = bytearray(blob)
-        body = len(blob) - header_size
-        for offset in rng.integers(0, body, size=min(8, body)):
-            mangled[header_size + int(offset)] ^= 0xFF
-        return bytes(mangled)
-
-    # -- derivation -------------------------------------------------------
-
-    def without_worker_faults(self) -> FaultPlan:
-        """A copy with crash/hang/poison/corruption cleared (link-only)."""
-        return replace(
-            self,
-            poison_segments=frozenset(),
-            corrupt_segments=frozenset(),
-            crash_submissions=frozenset(),
-            hang_submissions=frozenset(),
-        )
 
 
 def periodic_outages(

@@ -21,7 +21,6 @@ from .detection import (
 from .edge import EdgeDecoder, EdgeOutcome
 from .extractor import SegmentExtractor, max_frame_samples
 from .gateway import GalioTGateway, GatewayReport
-from .monitor import OccupancyMonitor, TechnologyStats
 from .hopping import (
     ChannelPlan,
     DwellResult,
@@ -59,8 +58,6 @@ __all__ = [
     "max_frame_samples",
     "GalioTGateway",
     "GatewayReport",
-    "OccupancyMonitor",
-    "TechnologyStats",
     "ChannelPlan",
     "HoppingFrontend",
     "HopScheduler",

@@ -9,6 +9,7 @@ proportional to channel occupancy.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..errors import CapacityError, ConfigurationError
@@ -75,11 +76,18 @@ class BackhaulLink:
 
         Raises:
             CapacityError: when the queue backlog exceeds the bound.
-            ConfigurationError: on negative ``n_bits`` or an ``at_time``
-                earlier than an already-accepted submission.
+            ConfigurationError: on a negative or non-finite ``n_bits``, a
+                non-finite ``at_time``, or an ``at_time`` earlier than an
+                already-accepted submission.
         """
-        if n_bits < 0:
-            raise ConfigurationError("n_bits must be >= 0")
+        # Chained and isfinite checks, not ``< 0`` alone: NaN fails every
+        # comparison, so a NaN size or time would slip through and turn
+        # the link's clock into NaN (and an inf time would refuse every
+        # later shipment).
+        if not (0 <= n_bits < math.inf):
+            raise ConfigurationError("n_bits must be a finite count >= 0")
+        if not math.isfinite(at_time):
+            raise ConfigurationError("at_time must be finite")
         if at_time < self._last_submit:
             raise ConfigurationError(
                 f"non-monotonic submission: at_time {at_time:.6f}s is "

@@ -61,6 +61,28 @@ class TestBackhaul:
         with pytest.raises(ConfigurationError):
             BackhaulLink(**kwargs)
 
+    @pytest.mark.parametrize(
+        "n_bits, at_time",
+        [
+            (float("nan"), 0.0),
+            (float("inf"), 0.0),
+            (100, float("nan")),
+            (100, float("inf")),
+            (100, float("-inf")),
+        ],
+    )
+    def test_non_finite_ship_rejected(self, n_bits, at_time):
+        # NaN fails every comparison, so ``< 0`` and the monotonic check
+        # alone let it through: the link's clock became NaN, the next ship
+        # at t = 0 passed, and the NaN ship's bits left the backlog. An
+        # accepted inf time would refuse every later ship.
+        link = BackhaulLink(rate_bps=1e6, latency_s=0.0)
+        with pytest.raises(ConfigurationError):
+            link.ship(n_bits, at_time=at_time)
+        assert link.shipments == []
+        assert link.ship(1_000_000, at_time=0.0).arrived_at == pytest.approx(1.0)
+        assert link.ship(1, at_time=0.5).started_at == pytest.approx(1.0)
+
     def test_infinite_parameters_allowed(self):
         link = BackhaulLink(rate_bps=float("inf"), max_queue_s=float("inf"))
         assert link.ship(10_000, at_time=0.0).arrived_at == pytest.approx(0.02)

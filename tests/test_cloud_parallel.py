@@ -8,7 +8,6 @@ import pytest
 from repro.cloud.parallel import SHM_MIN_SAMPLES, ParallelCloudService
 from repro.cloud.pipeline import CloudService, CloudStats
 from repro.errors import ConfigurationError
-from repro.gateway.compression import SegmentCodec
 from repro.net.scene import SceneBuilder
 from repro.net.traffic import collision_scene
 from repro.telemetry import Telemetry, TimerStats
@@ -99,18 +98,7 @@ class TestSerialEquivalence:
         self, trio, batch, serial_reference, workers
     ):
         ref_results, ref_stats, _ = serial_reference
-        with ParallelCloudService(
-            trio, FS, workers=workers, executor="thread"
-        ) as farm:
-            results = farm.process_segments(batch)
-            assert results == ref_results
-            assert farm.stats == ref_stats
-
-    def test_process_pool_matches_serial(self, trio, batch, serial_reference):
-        ref_results, ref_stats, _ = serial_reference
-        with ParallelCloudService(
-            trio, FS, workers=2, executor="process"
-        ) as farm:
+        with ParallelCloudService(trio, FS, workers=workers) as farm:
             results = farm.process_segments(batch)
             assert results == ref_results
             assert farm.stats == ref_stats
@@ -119,9 +107,7 @@ class TestSerialEquivalence:
     def test_cross_rate_modem_set_matches_serial(self, cross_rate, workers):
         modems, segments, ref_results, ref_stats = cross_rate
         assert ref_results  # the comparison below is not vacuous
-        with ParallelCloudService(
-            modems, FS, workers=workers, executor="process"
-        ) as farm:
+        with ParallelCloudService(modems, FS, workers=workers) as farm:
             assert farm.process_segments(segments) == ref_results
             assert farm.stats == ref_stats
 
@@ -131,7 +117,7 @@ class TestSerialEquivalence:
         _, _, ref_snapshot = serial_reference
         telemetry = Telemetry()
         with ParallelCloudService(
-            trio, FS, workers=2, executor="thread", telemetry=telemetry
+            trio, FS, workers=2, telemetry=telemetry
         ) as farm:
             farm.process_segments(batch)
         merged = telemetry.snapshot()
@@ -146,27 +132,11 @@ class TestSerialEquivalence:
         self, trio, batch, serial_reference
     ):
         ref_results, _, _ = serial_reference
-        with ParallelCloudService(
-            trio, FS, workers=2, executor="thread"
-        ) as farm:
+        with ParallelCloudService(trio, FS, workers=2) as farm:
             for segment in batch:
                 farm.submit(segment)
             assert farm.drain() == ref_results
             assert farm.drain() == []  # nothing pending after a drain
-
-    def test_compressed_path_matches_serial(self, trio, batch):
-        # Compare against a *serial compressed* run: the wire codec is
-        # lossy, so compressed results differ (slightly) from raw ones.
-        codec = SegmentCodec()
-        blobs = [codec.compress(s)[0] for s in batch]
-        serial = CloudService(trio, FS, codec=codec)
-        ref_results = [r for b in blobs for r in serial.process_compressed(b)]
-        with ParallelCloudService(
-            trio, FS, workers=2, executor="thread", codec=codec
-        ) as farm:
-            results = farm.process_compressed_batch(blobs)
-            assert results == ref_results
-            assert farm.stats == serial.stats
 
 
 class TestSharedMemoryHandoff:
@@ -178,7 +148,7 @@ class TestSharedMemoryHandoff:
         telemetry = Telemetry()
         before = _shm_blocks()
         with ParallelCloudService(
-            trio, FS, workers=2, executor="process", telemetry=telemetry
+            trio, FS, workers=2, telemetry=telemetry
         ) as farm:
             assert farm.process_segments(batch) == ref_results
         counters = telemetry.snapshot()["counters"]
@@ -193,25 +163,15 @@ class TestSharedMemoryHandoff:
         )
         telemetry = Telemetry()
         with ParallelCloudService(
-            trio, FS, workers=1, executor="process", telemetry=telemetry
+            trio, FS, workers=1, telemetry=telemetry
         ) as farm:
             farm.process_segments([small])
         counters = telemetry.snapshot()["counters"]
         assert "cloud.parallel.shm_segments" not in counters
 
-    def test_thread_pool_never_stages(self, trio, batch, serial_reference):
-        ref_results, _, _ = serial_reference
-        telemetry = Telemetry()
-        with ParallelCloudService(
-            trio, FS, workers=2, executor="thread", telemetry=telemetry
-        ) as farm:
-            assert farm.process_segments(batch) == ref_results
-        counters = telemetry.snapshot()["counters"]
-        assert "cloud.parallel.shm_segments" not in counters
-
     def test_close_releases_undrained_segments(self, trio, batch):
         before = _shm_blocks()
-        farm = ParallelCloudService(trio, FS, workers=1, executor="process")
+        farm = ParallelCloudService(trio, FS, workers=1)
         for segment in batch:
             farm.submit(segment)
         farm.close()  # never drained
@@ -222,16 +182,15 @@ class TestFutureApi:
     """submit_future/absorb_result: the one-segment-at-a-time path a
     closed-loop caller drives instead of submit/drain."""
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
     def test_absorbed_in_submission_order_matches_serial(
-        self, trio, batch, serial_reference, executor
+        self, trio, batch, serial_reference
     ):
         ref_results, ref_stats, ref_snapshot = serial_reference
         assert all(len(s.samples) >= SHM_MIN_SAMPLES for s in batch)
         telemetry = Telemetry()
         before = _shm_blocks()
         with ParallelCloudService(
-            trio, FS, workers=2, executor=executor, telemetry=telemetry
+            trio, FS, workers=2, telemetry=telemetry
         ) as farm:
             futures = [farm.submit_future(s) for s in batch]
             results = [r for f in futures for r in farm.absorb_result(f.result())]
@@ -240,8 +199,7 @@ class TestFutureApi:
         assert farm.stats == ref_stats
         snapshot = telemetry.snapshot()
         assert _strip_farm_metrics(snapshot) == _strip_farm_metrics(ref_snapshot)
-        staged = snapshot["counters"].get("cloud.parallel.shm_segments", 0)
-        assert staged == (len(batch) if executor == "process" else 0)
+        assert snapshot["counters"]["cloud.parallel.shm_segments"] == len(batch)
         # Checked after close(): a block is released by the future's
         # done callback, which may run just after result() returns.
         assert _shm_blocks() <= before
@@ -261,9 +219,7 @@ class TestStreamingHook:
             rng.normal(size=100_000) + 1j * rng.normal(size=100_000)
         ) * np.sqrt(truth.noise_power / 2)
         gateway.detector.calibrate(noise)
-        with ParallelCloudService(
-            trio, FS, workers=2, executor="thread"
-        ) as farm:
+        with ParallelCloudService(trio, FS, workers=2) as farm:
             stream = StreamingGateway(gateway, on_shipped=farm.submit)
             for _ in stream.run(iter_chunks(capture, 65_536)):
                 pass
@@ -287,19 +243,24 @@ class TestValidation:
             ParallelCloudService([], FS)
 
     def test_rejects_zero_workers(self, trio):
-        with pytest.raises(ConfigurationError):
-            ParallelCloudService(trio, FS, workers=0)
+        # int() would raise a bare ValueError on NaN and an
+        # OverflowError on inf.
+        for workers in (0, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                ParallelCloudService(trio, FS, workers=workers)
 
     def test_rejects_unknown_executor(self, trio):
-        with pytest.raises(ConfigurationError):
-            ParallelCloudService(trio, FS, executor="greenlet")
+        # The process pool is the only one.
+        for executor in ("thread", "greenlet"):
+            with pytest.raises(ConfigurationError):
+                ParallelCloudService(trio, FS, executor=executor)
 
     @pytest.mark.parametrize("rate", [float("nan"), 0.0, -1e6, float("inf")])
     def test_rejects_invalid_sample_rate(self, trio, rate):
         # Regression: a bad rate used to build the pool, then quarantine
         # every segment as a decode failure and return [].
         with pytest.raises(ConfigurationError):
-            ParallelCloudService(trio, rate, executor="thread")
+            ParallelCloudService(trio, rate)
 
 
 class TestMergePrimitives:

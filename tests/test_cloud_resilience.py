@@ -1,6 +1,8 @@
 """Tests for the decode farm's fault handling (repro.cloud.parallel)."""
 
+import os
 from concurrent.futures import BrokenExecutor
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from repro.cloud import (
     CloudService,
     ParallelCloudService,
 )
-from repro.errors import ConfigurationError, InjectedFault
+from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, OutageWindow
 from repro.gateway import (
     BackhaulLink,
@@ -60,8 +62,20 @@ def serial_reference(duo, batch):
 
 def _farm(duo, **kwargs):
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("executor", "thread")
     return ParallelCloudService(duo, FS, **kwargs)
+
+
+@dataclass(frozen=True)
+class _DoomedSegmentPlan(FaultPlan):
+    """Segment ``doomed`` kills its worker on every trip, like a decoder
+    crash no plan can name: ``crash_submissions`` stays empty."""
+
+    doomed: int = 0
+
+    def apply_in_worker(self, seq, submission):
+        if seq == self.doomed:
+            os._exit(11)
+        super().apply_in_worker(seq, submission)
 
 
 class TestPoisonSegments:
@@ -89,13 +103,6 @@ class TestPoisonSegments:
             farm.process_segments(batch[:1])
         assert farm.quarantine[0].payload is batch[0]
 
-    def test_propagate_errors_restores_fail_fast(self, duo, batch):
-        plan = FaultPlan(poison_segments=frozenset({0}))
-        resilience = CloudResilience(propagate_errors=True)
-        with _farm(duo, faults=plan, resilience=resilience) as farm:
-            with pytest.raises(InjectedFault):
-                farm.process_segments(batch[:1])
-
     def test_corrupt_segment_decodes_nothing_quietly(self, duo, batch):
         plan = FaultPlan(corrupt_segments=frozenset({2}))
         with _farm(duo, faults=plan) as farm:
@@ -107,9 +114,12 @@ class TestPoisonSegments:
 
 
 class TestCrashes:
-    def test_thread_crash_is_requeued_and_recovers(
+    def test_process_pool_crash_respawns_and_recovers(
         self, duo, batch, serial_reference
     ):
+        # The crash breaks the pool and fails whatever else was in
+        # flight, but only the segment whose submission crashed spends a
+        # requeue: the count is the plan's, not the scheduler's.
         plan = FaultPlan(crash_submissions=frozenset({0}))
         telemetry = Telemetry()
         with _farm(duo, faults=plan, telemetry=telemetry) as farm:
@@ -131,31 +141,33 @@ class TestCrashes:
         assert farm.stats.requeued == 2
         assert farm.stats.quarantined == 1
 
-    def test_process_pool_crash_respawns_and_recovers(
+    def test_unexplained_breakage_requeues_until_quarantine(
         self, duo, batch, serial_reference
     ):
-        plan = FaultPlan(crash_submissions=frozenset({0}))
+        plan = _DoomedSegmentPlan(doomed=0)
+        resilience = CloudResilience(max_requeues=2)
         telemetry = Telemetry()
-        with ParallelCloudService(
-            duo,
-            FS,
-            workers=2,
-            executor="process",
-            faults=plan,
-            telemetry=telemetry,
+        with _farm(
+            duo, faults=plan, resilience=resilience, telemetry=telemetry
         ) as farm:
-            results = farm.process_segments(batch)
-        assert results == serial_reference
-        assert farm.quarantine == []
-        assert telemetry.counters["cloud.parallel.pool_respawns"] >= 1
-        assert farm.stats.requeued >= 1
+            assert farm.process_segments(batch[:1]) == []
+            assert [q.seq for q in farm.quarantine] == [0]
+            assert farm.quarantine[0].requeues == 2
+            assert "BrokenProcessPool" in farm.quarantine[0].reason
+            assert farm.stats.requeued == 2
+            assert telemetry.counters["cloud.parallel.crashes"] == 3
+            # The respawned pool still decodes the healthy segments.
+            healthy = [r for r in serial_reference if r.payload != b"seg0"]
+            assert farm.process_segments(batch[1:]) == healthy
 
     def test_submit_after_pool_breakage_respawns_not_rejects(
         self, duo, batch, serial_reference
     ):
         """A broken pool poisons submit() itself; arrivals between a
         crash and the next drain() must trigger a respawn, not bubble
-        BrokenExecutor out of the on_shipped hook and get lost."""
+        BrokenExecutor out of the on_shipped hook and get lost. The
+        breakage found at the door takes no submission number, so the
+        plan's crash at submission 0 still hits segment 0's first trip."""
 
         class _BrokenOnSubmitPool:
             def submit(self, *args, **kwargs):
@@ -164,17 +176,19 @@ class TestCrashes:
             def shutdown(self, *args, **kwargs):
                 pass
 
+        plan = FaultPlan(crash_submissions=frozenset({0}))
         telemetry = Telemetry()
-        with _farm(duo, telemetry=telemetry) as farm:
+        with _farm(duo, faults=plan, telemetry=telemetry) as farm:
+            farm._pool.shutdown()
             farm._pool = _BrokenOnSubmitPool()
             for segment in batch:
                 farm.submit(segment)  # must not raise
             results = farm.drain()
         assert results == serial_reference
         assert farm.quarantine == []
-        assert farm.stats.requeued == 0
-        assert telemetry.counters["cloud.parallel.crashes"] == 1
-        assert telemetry.counters["cloud.parallel.pool_respawns"] == 1
+        assert farm.stats.requeued == 1
+        # One breakage at the door, one from the planned crash.
+        assert telemetry.counters["cloud.parallel.crashes"] == 2
         assert telemetry.counters["cloud.parallel.submitted"] == len(batch)
 
     def test_hang_trips_timeout_and_requeues(self, duo, module_rng):
@@ -223,8 +237,7 @@ class TestCloseLifecycle:
         plan = FaultPlan(crash_submissions=frozenset({0, 1}))
         resilience = CloudResilience(max_requeues=1)
         farm = ParallelCloudService(
-            duo, FS, workers=1, executor="process",
-            faults=plan, resilience=resilience,
+            duo, FS, workers=1, faults=plan, resilience=resilience,
         )
         try:
             farm.process_segments(batch[:1])
@@ -277,7 +290,6 @@ class TestDeterminism:
                 duo,
                 FS,
                 workers=4,
-                executor="thread",
                 faults=plan,
                 telemetry=telemetry,
             ) as farm:
@@ -371,7 +383,6 @@ class TestChaosEndToEnd:
             duo,
             FS,
             workers=2,
-            executor="thread",
             faults=plan,
             resilience=CloudResilience(decode_timeout_s=30.0),
             telemetry=telemetry,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.errors import InjectedCrash, InjectedFault
+from repro.errors import InjectedFault
 from repro.faults import (
     SCENARIOS,
     FaultPlan,
@@ -56,7 +56,7 @@ class TestFaultPlanQueries:
         assert not plan.backhaul_down(0.0)
         assert plan.extra_latency_s(0.0) == 0.0
         assert plan.gaps_overlapping(0, 1 << 30) == []
-        plan.apply_in_worker(seq=0, submission=0, is_process=False)
+        plan.apply_in_worker(seq=0, submission=0)
 
 
 class TestWorkerFaults:
@@ -64,15 +64,8 @@ class TestWorkerFaults:
         plan = FaultPlan(poison_segments=frozenset({3}))
         for submission in (0, 7, 99):  # seq-keyed: retries fail too
             with pytest.raises(InjectedFault):
-                plan.apply_in_worker(3, submission, is_process=False)
-        plan.apply_in_worker(2, 0, is_process=False)  # other seqs fine
-
-    def test_thread_crash_raises_injected_crash(self):
-        plan = FaultPlan(crash_submissions=frozenset({5}))
-        with pytest.raises(InjectedCrash):
-            plan.apply_in_worker(0, 5, is_process=False)
-        # Submission-keyed: the same segment's next trip proceeds.
-        plan.apply_in_worker(0, 6, is_process=False)
+                plan.apply_in_worker(3, submission)
+        plan.apply_in_worker(2, 0)  # other seqs fine
 
     def test_corrupt_samples_is_deterministic(self):
         plan = FaultPlan(seed=7, corrupt_segments=frozenset({1}))
@@ -83,30 +76,6 @@ class TestWorkerFaults:
         assert not np.array_equal(a, samples)
         # Unscheduled segments pass through untouched.
         assert plan.corrupt_samples(0, samples) is samples
-
-    def test_corrupt_blob_spares_the_header(self):
-        plan = FaultPlan(seed=7, corrupt_segments=frozenset({2}))
-        blob = bytes(range(64))
-        mangled = plan.corrupt_blob(2, blob, header_size=16)
-        assert mangled != blob
-        assert mangled[:16] == blob[:16]
-        assert plan.corrupt_blob(2, blob, header_size=16) == mangled
-        assert plan.corrupt_blob(1, blob) == blob
-
-    def test_without_worker_faults_keeps_link_faults(self):
-        plan = FaultPlan(
-            outages=(OutageWindow(0.0, 0.1),),
-            poison_segments=frozenset({1}),
-            crash_submissions=frozenset({2}),
-            hang_submissions=frozenset({3}),
-            corrupt_segments=frozenset({4}),
-        )
-        calm = plan.without_worker_faults()
-        assert calm.outages == plan.outages
-        assert not calm.poison_segments
-        assert not calm.crash_submissions
-        assert not calm.hang_submissions
-        assert not calm.corrupt_segments
 
 
 class TestScenarios:
