@@ -3,14 +3,23 @@
 Everything here is deliberately simple, deterministic DSP: windowed-sinc
 FIR design for channelization, a Gaussian pulse for GFSK shaping, a
 half-sine pulse for O-QPSK, moving-average smoothing for energy detection,
-FFT-domain masks (notch / bandpass) that the cloud kill filters build
-on, and the blocked least-squares subtraction that SIC and the DSSS kill
-filter remove a reconstructed waveform with.
+FFT-domain masks (notch / bandpass) that the cloud kill filters, the
+LoRa dechirp and the channelizers build on, and the blocked
+least-squares subtraction that SIC and the DSSS kill filter remove a
+reconstructed waveform with.
+
+The two masks zero-pad their input to ``scipy.fft.next_fast_len`` and
+mask the bins of that padded grid: a shipped segment's raw length can
+carry a large prime factor, which drives the FFT onto its slow
+large-prime path.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
 from ..errors import ConfigurationError
@@ -105,6 +114,35 @@ def _band_mask(n: int, sample_rate_hz: float, bands: list[tuple[float, float]]) 
     return mask
 
 
+def _masked(
+    x: np.ndarray,
+    sample_rate_hz: float,
+    bands: list[tuple[float, float]],
+    zero_inside: bool,
+) -> np.ndarray:
+    """Zero the bins inside (or outside) ``bands`` on the fast-length grid.
+
+    ``x`` is zero-padded to ``next_fast_len(len(x))``, masked on that
+    grid and cut back to ``len(x)`` samples, so a notch and a bandpass
+    of the same band still sum to ``x``.
+
+    Raises:
+        ConfigurationError: for a non-finite or non-positive sample rate
+            or a non-finite band edge (either would silently mask
+            nothing).
+    """
+    if not 0 < sample_rate_hz < math.inf:
+        raise ConfigurationError("sample_rate_hz must be positive and finite")
+    if not all(math.isfinite(edge) for band in bands for edge in band):
+        raise ConfigurationError("band edges must be finite")
+    n = len(x)
+    nfft = sp_fft.next_fast_len(n)
+    spectrum = sp_fft.fft(x, nfft)
+    inside = _band_mask(nfft, sample_rate_hz, bands)
+    spectrum[inside if zero_inside else ~inside] = 0
+    return sp_fft.ifft(spectrum)[:n]
+
+
 def fft_notch(
     x: np.ndarray, sample_rate_hz: float, bands: list[tuple[float, float]]
 ) -> np.ndarray:
@@ -113,18 +151,29 @@ def fft_notch(
     This is the primitive behind KILL-FREQUENCY: FSK concentrates its
     energy at a handful of tones, so zeroing narrow bands around those
     tones removes the FSK signal while barely touching a co-channel
-    spread-spectrum signal.
+    spread-spectrum signal. The bins are those of ``x`` zero-padded to
+    ``scipy.fft.next_fast_len(len(x))``; the result has ``len(x)``
+    samples.
+
+    Raises:
+        ConfigurationError: for a non-finite or non-positive
+            ``sample_rate_hz`` or a non-finite band edge.
     """
-    spectrum = np.fft.fft(x)
-    spectrum[_band_mask(len(x), sample_rate_hz, bands)] = 0
-    return np.fft.ifft(spectrum)
+    return _masked(x, sample_rate_hz, bands, zero_inside=True)
 
 
 def fft_bandpass(x: np.ndarray, sample_rate_hz: float, band: tuple[float, float]) -> np.ndarray:
-    """Keep only the FFT bins inside ``band`` (brick-wall bandpass)."""
-    spectrum = np.fft.fft(x)
-    spectrum[~_band_mask(len(x), sample_rate_hz, [band])] = 0
-    return np.fft.ifft(spectrum)
+    """Keep only the FFT bins inside ``band`` (brick-wall bandpass).
+
+    Masks the same padded grid as :func:`fft_notch`, so
+    ``fft_bandpass(x, fs, b) + fft_notch(x, fs, [b])`` is ``x`` up to
+    rounding.
+
+    Raises:
+        ConfigurationError: for a non-finite or non-positive
+            ``sample_rate_hz`` or a non-finite band edge.
+    """
+    return _masked(x, sample_rate_hz, [band], zero_inside=False)
 
 
 def frequency_shift(x: np.ndarray, shift_hz: float, sample_rate_hz: float) -> np.ndarray:

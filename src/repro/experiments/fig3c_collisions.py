@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..cloud.decoder import CloudDecoder
-from ..net.traffic import collision_scene
+from ..net.traffic import packet_scene
 from ..phy.base import Modem
 from ..phy.registry import create_modem
 from .common import DEFAULT_SEED, ExperimentTable
@@ -155,7 +155,9 @@ def run_fig3c(
         for _ in range(episodes_per_bucket):
             episode_modems = _draw_episode(rng, modems)
             snrs = [float(rng.uniform(lo, hi)) for _ in episode_modems]
-            capture, truth = collision_scene(
+            # Episodes hold 1-3 packets: collision_scene would reject a
+            # lone one, so every episode renders through packet_scene.
+            capture, truth = packet_scene(
                 episode_modems,
                 snrs,
                 fs,

@@ -64,8 +64,7 @@ def cfar_threshold(scores: np.ndarray, k: float) -> float:
     (SigFox frames last seconds) is in the band. For a clean Gaussian
     track the formula reduces to ``mean + k * std``.
     """
-    p10 = float(np.percentile(scores, 10))
-    p25 = float(np.percentile(scores, 25))
+    p10, p25 = map(float, np.percentile(scores, [10, 25]))
     scale = max(p25 - p10, 1e-30)
     # Calibrated on the Rayleigh envelope of a matched filter against
     # noise (p10 = 0.459 s, p25 = 0.759 s, median = 1.177 s,

@@ -24,7 +24,7 @@ from .multigateway import (
 from .propagation import LinkBudget, PathLossModel, Position, deployment_snrs
 from .scene import NOISE_POWER, SceneBuilder
 from .simulator import NetworkSimulator, SimulationResult, match_decodes
-from .traffic import collision_scene, poisson_scene
+from .traffic import collision_scene, packet_scene, poisson_scene
 
 __all__ = [
     "ATTACK_SCENARIOS",
@@ -58,5 +58,6 @@ __all__ = [
     "SimulationResult",
     "match_decodes",
     "collision_scene",
+    "packet_scene",
     "poisson_scene",
 ]

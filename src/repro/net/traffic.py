@@ -5,13 +5,17 @@ Two scene generators feed the experiments:
 * :func:`poisson_scene` — every device wakes up on its own Poisson
   clock, exactly the uncoordinated "wake up and transmit" behaviour the
   paper describes; collisions happen by chance.
-* :func:`collision_scene` — deliberately overlapping packets of chosen
+* :func:`packet_scene` — deliberately overlapping packets of chosen
   technologies at chosen SNRs, used by the Figure 3(c) throughput
   experiment (the paper adjusts duty cycles "to capture all possible
-  scenarios, including intertechnology collisions").
+  scenarios, including intertechnology collisions", lone packets
+  included). :func:`collision_scene` is the same render for 2 or more
+  packets.
 """
 
 from __future__ import annotations
+
+from typing import Any
 
 import numpy as np
 
@@ -23,6 +27,7 @@ from .scene import SceneBuilder
 
 __all__ = [
     "poisson_scene",
+    "packet_scene",
     "collision_scene",
 ]
 
@@ -70,7 +75,7 @@ def poisson_scene(
     return builder.render(rng)
 
 
-def collision_scene(
+def packet_scene(
     modems: list[Modem],
     snrs_db: list[float],
     sample_rate_hz: float,
@@ -83,10 +88,10 @@ def collision_scene(
     cfo_ppm_range: float = 0.0,
     carrier_hz: float = 868e6,
 ) -> tuple[np.ndarray, SceneTruth]:
-    """Render one deliberate collision of ``len(modems)`` packets.
+    """Render ``len(modems)`` deliberately overlapping packets.
 
     Args:
-        modems: Colliding technologies (2 or more).
+        modems: Transmitting technologies (1 or more).
         snrs_db: In-band SNR per packet (same length as ``modems``).
         sample_rate_hz: Capture sample rate.
         rng: Random source (phases + payloads).
@@ -109,11 +114,8 @@ def collision_scene(
     """
     if len(modems) != len(snrs_db):
         raise ConfigurationError("modems and snrs_db must have equal length")
-    if len(modems) < 2:
-        raise ConfigurationError(
-            "a collision needs 2 or more modems "
-            "(use SceneBuilder directly for a single packet)"
-        )
+    if not modems:
+        raise ConfigurationError("at least one modem is required")
     if not 0.0 <= overlap <= 1.0:
         raise ConfigurationError("overlap must be in [0, 1]")
     airtimes = [m.frame_airtime(payload_len) for m in modems]
@@ -147,3 +149,25 @@ def collision_scene(
             snr_mode=snr_mode,
         )
     return builder.render(rng)
+
+
+def collision_scene(
+    modems: list[Modem],
+    snrs_db: list[float],
+    sample_rate_hz: float,
+    rng: np.random.Generator,
+    **options: Any,
+) -> tuple[np.ndarray, SceneTruth]:
+    """Render one deliberate collision: a :func:`packet_scene` of 2 or
+    more packets. ``options`` are :func:`packet_scene`'s keywords.
+
+    Raises:
+        ConfigurationError: for fewer than 2 modems, and as
+            :func:`packet_scene`.
+    """
+    if len(modems) < 2:
+        raise ConfigurationError(
+            "a collision needs 2 or more modems "
+            "(use packet_scene for a single packet)"
+        )
+    return packet_scene(modems, snrs_db, sample_rate_hz, rng, **options)

@@ -16,7 +16,7 @@ from ..contracts import iq_contract
 from ..dsp.correlation import normalized_correlation, segmented_correlation
 from ..errors import FrameSyncError
 
-__all__ = ["sample_sync", "best_sync_score"]
+__all__ = ["sample_sync"]
 
 
 @iq_contract("iq")
@@ -89,15 +89,3 @@ def sample_sync_strided(
         block=max(block // stride, 4),
     )
     return start * stride, score
-
-
-@iq_contract("iq")
-def best_sync_score(iq: np.ndarray, reference: np.ndarray) -> float:
-    """Best normalized correlation of ``reference`` in ``iq`` (0 if too short).
-
-    Used by the cloud classifier to rank which technologies are present
-    in a collision without committing to a decode.
-    """
-    if len(reference) > len(iq) or len(reference) == 0:
-        return 0.0
-    return float(np.max(normalized_correlation(iq, reference)))

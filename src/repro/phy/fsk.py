@@ -24,7 +24,12 @@ from ..dsp.fm import quadrature_demod
 from ..errors import ConfigurationError
 from ..utils.bits import as_bit_array
 
-__all__ = ["fsk_modulate", "fsk_demodulate_bits", "fsk_frequency_track"]
+__all__ = [
+    "fsk_modulate",
+    "fsk_demodulate_bits",
+    "fsk_frequency_track",
+    "track_margin",
+]
 
 
 @lru_cache(maxsize=64)
@@ -109,6 +114,19 @@ def fsk_frequency_track(
     # quadrature_demod output n sits between samples n and n+1; prepend
     # one element so indexing lines up with the input samples.
     return np.concatenate(([smooth[0]], smooth))
+
+
+def track_margin(sps: int) -> int:
+    """Samples a track's input needs past the last bit it is read at.
+
+    The track at a bit centre sees input up to half the 129-tap channel
+    filter plus half the ``sps``-sample smoother beyond it (~65 + sps/2
+    samples); this margin covers that reach with room to spare. A slice
+    ending this far past its last bit gives that bit the inputs a track
+    of the whole segment would, up to FFT rounding. The FSK modems size
+    their header and frame tracks with it.
+    """
+    return 2 * sps + 256
 
 
 @iq_contract("iq")

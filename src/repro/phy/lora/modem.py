@@ -291,19 +291,25 @@ class LoRaModem(Modem):
     def demodulate(self, iq: np.ndarray) -> FrameResult:
         iq = np.asarray(iq, dtype=np.complex128)
         start, score = self._coarse_sync(iq)
-        # Work on the sync+frame span only: the derotations below then
-        # cost O(frame), not O(segment). Rebasing the index origin to
+        # Work on the sync+frame span only. Rebasing the index origin to
         # the frame start adds a constant phase to the derotated
         # samples, which the magnitude-domain dechirp FFT cannot see.
         iq = iq[start : start + self._frame_span()]
-        cfo_hz = self._combined_offset_hz(iq, 0)
+        # Both offsets come from the 4-symbol preamble probe, and each
+        # read derotates only the prefix it consumes: the work is
+        # O(frame read), not O(span).
+        probe = iq[: min(self.preamble_len, 4) * self.samples_per_symbol]
+        offsets: list[float] = []
+        cfo_hz = self._combined_offset_hz(probe, 0)
         if abs(cfo_hz) > 1e-3:
-            iq = _derotate(iq, cfo_hz, self.sample_rate)
+            offsets.append(cfo_hz)
             # One refinement pass: the first estimate is biased by
             # spectral leakage at half-bin offsets.
-            residual = self._combined_offset_hz(iq, 0)
+            residual = self._combined_offset_hz(
+                _derotate(probe, cfo_hz, self.sample_rate), 0
+            )
             if abs(residual) > 1e-3:
-                iq = _derotate(iq, residual, self.sample_rate)
+                offsets.append(residual)
                 cfo_hz += residual
         data_at = len(self.sync_reference())
         block = 4 + self.cr
@@ -313,8 +319,11 @@ class LoRaModem(Modem):
             needed = data_at + n_symbols * n_sym
             if needed > len(iq):
                 raise DecodeError("segment too short for the LoRa frame")
+            prefix = iq[:needed]
+            for offset_hz in offsets:
+                prefix = _derotate(prefix, offset_hz, self.sample_rate)
             symbols, _ = demodulate_symbols(
-                iq[data_at:needed], n_symbols, self.sf, self.oversample, self.bw
+                prefix[data_at:], n_symbols, self.sf, self.oversample, self.bw
             )
             return symbols
 

@@ -21,7 +21,12 @@ import numpy as np
 from ...errors import ChecksumError, ConfigurationError
 from ...phy.base import FrameResult, Modem, ModulationClass
 from ...phy.frames import sample_sync_strided
-from ...phy.fsk import fsk_demodulate_bits, fsk_frequency_track, fsk_modulate
+from ...phy.fsk import (
+    fsk_demodulate_bits,
+    fsk_frequency_track,
+    fsk_modulate,
+    track_margin,
+)
 from ...utils.bits import bits_to_bytes, bits_to_int, bytes_to_bits, int_to_bits
 from ...utils.crc import CRC16_CCITT
 from ...utils.whitening import Pn9Whitener
@@ -144,36 +149,39 @@ class XBeeModem(Modem):
             block=2 * self._sps,
             stride=max(self._sps // 10, 1),
         )
-        # Work on a frame-sized slice: the discriminator's channel
-        # filter would otherwise run over the entire (possibly huge)
-        # segment on every read.
-        bound = 8 * (len(_PREAMBLE) + len(_SFD) + 1 + self.max_payload + 2)
-        iq = iq[start : start + bound * self._sps + self._sps]
-        frame_start, start = start, 0
-        # One discriminator pass over the bound slice feeds the CFO
-        # estimate, the PHR read and the PSDU read.
-        track = fsk_frequency_track(iq, self.sample_rate, self._sps, self.bandwidth)
-        cfo = self._estimate_cfo(track, start)
-        header_bits = 8 * (len(_PREAMBLE) + len(_SFD))
-        phr_at = start + header_bits * self._sps
+        iq = iq[start:]
+        margin = track_margin(self._sps)
+        phr_at = 8 * (len(_PREAMBLE) + len(_SFD)) * self._sps
+        psdu_at = phr_at + 8 * self._sps
+        # Two discriminator passes, each over only what its reads need:
+        # the header track feeds the CFO estimate and the PHR read, and
+        # the frame track, sized by the PHR, feeds the PSDU read.
+        head = iq[: psdu_at + margin]
+        head_track = fsk_frequency_track(
+            head, self.sample_rate, self._sps, self.bandwidth
+        )
+        cfo = self._estimate_cfo(head_track, 0)
         phr = fsk_demodulate_bits(
-            iq, phr_at, 8, self._sps, self.sample_rate,
-            threshold_hz=cfo, bandwidth_hz=self.bandwidth, track=track,
+            head, phr_at, 8, self._sps, self.sample_rate,
+            threshold_hz=cfo, bandwidth_hz=self.bandwidth, track=head_track,
         )
         psdu_len = bits_to_int(phr)
         if psdu_len < 2 or psdu_len > self.max_payload + 2:
             raise ChecksumError(f"implausible PHR length {psdu_len}")
-        psdu_at = phr_at + 8 * self._sps
+        frame = iq[: psdu_at + 8 * psdu_len * self._sps + margin]
+        frame_track = fsk_frequency_track(
+            frame, self.sample_rate, self._sps, self.bandwidth
+        )
         psdu_bits = fsk_demodulate_bits(
-            iq, psdu_at, 8 * psdu_len, self._sps, self.sample_rate,
-            threshold_hz=cfo, bandwidth_hz=self.bandwidth, track=track,
+            frame, psdu_at, 8 * psdu_len, self._sps, self.sample_rate,
+            threshold_hz=cfo, bandwidth_hz=self.bandwidth, track=frame_track,
         )
         psdu = self._whitener.whiten_bytes(bits_to_bytes(psdu_bits))
         crc_ok = CRC16_CCITT.check(psdu)
         return FrameResult(
             payload=psdu[:-2],
             crc_ok=crc_ok,
-            start=frame_start,
+            start=start,
             sync_score=score,
             extra={"psdu_len": psdu_len, "cfo_hz": cfo},
         )

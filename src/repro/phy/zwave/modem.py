@@ -31,7 +31,12 @@ import numpy as np
 from ...errors import ChecksumError, ConfigurationError
 from ...phy.base import FrameResult, Modem, ModulationClass
 from ...phy.frames import sample_sync_strided
-from ...phy.fsk import fsk_demodulate_bits, fsk_frequency_track, fsk_modulate
+from ...phy.fsk import (
+    fsk_demodulate_bits,
+    fsk_frequency_track,
+    fsk_modulate,
+    track_margin,
+)
 from ...utils.bits import as_bit_array, bits_to_bytes, bits_to_int, bytes_to_bits
 from ...utils.crc import xor_checksum
 from ...utils.line_coding import manchester_decode, manchester_encode
@@ -223,29 +228,35 @@ class ZWaveModem(Modem):
             block=2 * self._sps,
             stride=max(self._sps // 10, 1),
         )
-        # Frame-sized slice: bound the discriminator's filtering work.
-        bound = self._data_samples(8 * (len(self._preamble) + 1 + 255)) + self._sps
-        iq = iq[start : start + bound]
-        frame_start, start = start, 0
-        # One discriminator pass over the bound slice feeds the CFO
-        # estimate and both bit reads.
-        track = fsk_frequency_track(iq, self.sample_rate, self._sps, self.bandwidth)
-        cfo = self._estimate_cfo(track, start)
-        mpdu_at = start + self._data_samples(8 * (len(self._preamble) + 1))
-        # Read up to the length field first (home + src + fc + length).
-        fixed = 4 + 1 + 2 + 1
-        head_bits = self._read_bits(iq, mpdu_at, 8 * fixed, cfo, track)
+        iq = iq[start:]
+        margin = track_margin(self._sps)
+        mpdu_at = self._data_samples(8 * (len(self._preamble) + 1))
+        # Two discriminator passes, each over only what its reads need:
+        # the header track (through the length field) feeds the CFO
+        # estimate and the length read, and the frame track, sized by
+        # that length, feeds the MPDU read.
+        fixed = 4 + 1 + 2 + 1  # home + src + fc + length
+        head = iq[: mpdu_at + self._data_samples(8 * fixed) + margin]
+        head_track = fsk_frequency_track(
+            head, self.sample_rate, self._sps, self.bandwidth
+        )
+        cfo = self._estimate_cfo(head_track, 0)
+        head_bits = self._read_bits(head, mpdu_at, 8 * fixed, cfo, head_track)
         length = bits_to_int(head_bits[-8:])
         if length < _MPDU_OVERHEAD or length > 255:
             raise ChecksumError(f"implausible MPDU length {length}")
-        mpdu_bits = self._read_bits(iq, mpdu_at, 8 * length, cfo, track)
+        frame = iq[: mpdu_at + self._data_samples(8 * length) + margin]
+        frame_track = fsk_frequency_track(
+            frame, self.sample_rate, self._sps, self.bandwidth
+        )
+        mpdu_bits = self._read_bits(frame, mpdu_at, 8 * length, cfo, frame_track)
         mpdu = bits_to_bytes(mpdu_bits)
         crc_ok = xor_checksum(mpdu[:-1]) == mpdu[-1]
         payload = mpdu[fixed + 1 : -1]
         return FrameResult(
             payload=payload,
             crc_ok=crc_ok,
-            start=frame_start,
+            start=start,
             sync_score=score,
             extra={"home_id": mpdu[:4], "length": length},
         )

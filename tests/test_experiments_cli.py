@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.experiments import (
+    fig3c_collisions,
     format_table,
     run_compression,
     run_edge_cloud,
@@ -87,6 +88,18 @@ class TestAblations:
         bank_corrs = [row[2] for row in table.rows]
         assert all(c == 1 for c in uni_corrs)
         assert bank_corrs == [row[0] for row in table.rows]
+
+
+class TestFig3c:
+    def test_single_packet_episodes_run(self, monkeypatch):
+        # EPISODE_MIX draws lone packets (no collision); they must render
+        # and decode like any other episode.
+        monkeypatch.setattr(fig3c_collisions, "EPISODE_MIX", [(1, 1.0)])
+        result = fig3c_collisions.run_fig3c(episodes_per_bucket=1)
+        for bucket in result.buckets:
+            for mode in ("sic", "galiot"):
+                assert result.frames[bucket][mode][1] == 1
+        assert result.frames["High"] == {"sic": (1, 1), "galiot": (1, 1)}
 
 
 class TestCli:

@@ -1,7 +1,10 @@
 """Unit tests for repro.dsp.filters."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import fft as sp_fft
 
 from repro.dsp.filters import (
     design_lowpass_fir,
@@ -121,6 +124,42 @@ class TestFftMasks:
         x = _tone(0, fs)
         out = fft_notch(x, fs, [(10e3, -10e3)])
         assert np.mean(np.abs(out) ** 2) < 1e-12
+
+    def test_masks_transform_at_next_fast_len(self, rng):
+        # 10007 is prime: both masks pad to next_fast_len(n), mask that
+        # grid's bins and return the first n samples.
+        fs, n, band = 1e6, 10007, (-120e3, 80e3)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        nfft = sp_fft.next_fast_len(n)
+        assert nfft != n
+        freqs = np.fft.fftfreq(nfft, 1 / fs)
+        inside = (freqs >= band[0]) & (freqs <= band[1])
+        spectrum = sp_fft.fft(x, nfft)
+        for out, zeroed in (
+            (fft_notch(x, fs, [band]), inside),
+            (fft_bandpass(x, fs, band), ~inside),
+        ):
+            assert len(out) == n
+            expected = sp_fft.ifft(np.where(zeroed, 0, spectrum))[:n]
+            np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("fs", [math.nan, math.inf, 0.0, -1e6])
+    def test_bad_sample_rate_rejected(self, fs):
+        x = _tone(10e3, 1e6)
+        with pytest.raises(ConfigurationError):
+            fft_notch(x, fs, [(-10e3, 10e3)])
+        with pytest.raises(ConfigurationError):
+            fft_bandpass(x, fs, (-10e3, 10e3))
+
+    @pytest.mark.parametrize("edge", [math.nan, math.inf, -math.inf])
+    def test_non_finite_band_edge_rejected(self, edge):
+        # A NaN edge used to notch nothing: a kill filter whose target
+        # carries a NaN centre silently killed nothing.
+        x = _tone(10e3, 1e6)
+        with pytest.raises(ConfigurationError):
+            fft_notch(x, 1e6, [(-10e3, 10e3), (edge, 10e3)])
+        with pytest.raises(ConfigurationError):
+            fft_bandpass(x, 1e6, (-10e3, edge))
 
 
 class TestFrequencyShift:

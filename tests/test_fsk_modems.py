@@ -5,8 +5,11 @@ import pytest
 
 from repro.dsp.impairments import apply_cfo
 from repro.errors import ChecksumError, ConfigurationError
+from repro.phy.fsk import track_margin
 from repro.phy.xbee import XBeeModem
+from repro.phy.xbee import modem as xbee_modem
 from repro.phy.zwave import ZWaveModem
+from repro.phy.zwave import modem as zwave_modem
 
 
 def _padded(iq, n=300):
@@ -105,6 +108,33 @@ class TestZWave:
         wave = apply_cfo(zwave.modulate(payload), 3000.0, zwave.sample_rate)
         frame = zwave.demodulate(_padded(wave))
         assert frame.crc_ok and frame.payload == payload
+
+
+@pytest.mark.parametrize(
+    "module,make",
+    [(xbee_modem, XBeeModem), (zwave_modem, ZWaveModem)],
+    ids=["xbee", "zwave"],
+)
+def test_tracks_cover_only_the_frame(module, make, monkeypatch):
+    # A 16-byte frame in a buffer longer than a max-payload frame: the
+    # header and frame tracks each stop a margin past what they read.
+    modem = make()
+    payload = bytes(range(16))
+    wave = apply_cfo(modem.modulate(payload), 1500.0, modem.sample_rate)
+    buf = np.zeros(80_000, complex)
+    buf[3_000 : 3_000 + len(wave)] = wave
+    lengths = []
+    track = module.fsk_frequency_track
+
+    def recording(iq, *args, **kwargs):
+        lengths.append(len(iq))
+        return track(iq, *args, **kwargs)
+
+    monkeypatch.setattr(module, "fsk_frequency_track", recording)
+    frame = modem.demodulate(buf)
+    assert frame.crc_ok and frame.payload == payload
+    assert len(lengths) == 2
+    assert lengths[0] < lengths[1] <= len(wave) + track_margin(modem.sps)
 
 
 class TestBle:

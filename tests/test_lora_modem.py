@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.dsp.impairments import apply_cfo
 from repro.errors import ChecksumError, ConfigurationError
 from repro.phy.lora import LoRaModem, encoding
+from repro.phy.lora import modem as lora_modem
 
 
 def _padded(iq, n=400):
@@ -163,3 +164,23 @@ class TestLoRaCfo:
         modem = LoRaModem()
         frame = modem.demodulate(_padded(modem.modulate(b"x")))
         assert abs(frame.extra["cfo_hz"]) < 100.0
+
+    def test_derotates_no_more_than_it_reads(self, monkeypatch):
+        # A 16-byte frame inside a shipped-segment-sized buffer: every
+        # derotation covers at most the frame, not the 255-byte span.
+        modem = LoRaModem()
+        payload = bytes(range(16))
+        wave = apply_cfo(modem.modulate(payload), 1200.0, modem.sample_rate)
+        buf = np.zeros(270_000, complex)
+        buf[5_000 : 5_000 + len(wave)] = wave
+        lengths = []
+        derotate = lora_modem._derotate
+
+        def recording(iq, freq_hz, sample_rate_hz):
+            lengths.append(len(iq))
+            return derotate(iq, freq_hz, sample_rate_hz)
+
+        monkeypatch.setattr(lora_modem, "_derotate", recording)
+        frame = modem.demodulate(buf)
+        assert frame.crc_ok and frame.payload == payload
+        assert lengths and max(lengths) <= len(wave)
