@@ -41,12 +41,7 @@ def build_devices(modems, rng):
 
 def run(mode: str, devices, modems, rounds: int, seed: int):
     gateway = GalioTGateway(modems, FS, detector="universal", use_edge=True)
-    cloud = CloudService(
-        modems,
-        FS,
-        use_kill_filters=(mode == "galiot"),
-        strict_order=(mode == "sic"),
-    )
+    cloud = CloudService(modems, FS, use_kill_filters=(mode == "galiot"))
     sim = NetworkSimulator(
         devices, gateway, cloud, FS, round_s=0.5, max_attempts=3
     )

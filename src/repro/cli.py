@@ -248,28 +248,7 @@ def _run_lint(args: argparse.Namespace) -> int:
             return 2
         sys.path.insert(0, str(tools))
         from galiot_lint.cli import main as lint_main
-    argv = list(args.paths)
-    for selected in args.select or []:
-        argv += ["--select", selected]
-    for ignored in args.ignore or []:
-        argv += ["--ignore", ignored]
-    if args.list_rules:
-        argv.append("--list-rules")
-    if args.format != "text":
-        argv += ["--format", args.format]
-    if args.fix:
-        argv.append("--fix")
-    if args.baseline is not None:
-        argv += ["--baseline", args.baseline]
-    if args.no_baseline:
-        argv.append("--no-baseline")
-    if args.update_baseline:
-        argv.append("--update-baseline")
-    if args.no_cache:
-        argv.append("--no-cache")
-    if args.stats:
-        argv.append("--stats")
-    return lint_main(argv)
+    return lint_main(args.lint_argv)
 
 
 def _positive_int(text: str) -> int:
@@ -430,57 +409,20 @@ def main(argv: list[str] | None = None) -> int:
         help="disable the hardened receive path (what the guards are worth)",
     )
     _add_drill_args(attack)
+    # Every argument after ``lint`` goes to galiot-lint unchanged, so
+    # its own parser (and ``galiot lint --help``) is the one reference.
     lint = sub.add_parser(
         "lint",
-        help="run the DSP-aware static-analysis pass (galiot-lint)",
-    )
-    lint.add_argument(
-        "paths", nargs="*", default=["src"],
-        help="files or directories to lint (default: src)",
-    )
-    lint.add_argument(
-        "--select", action="append", default=None, metavar="CODES",
-        help="comma-separated rule codes/prefixes to enable (e.g. GL001,GL004)",
-    )
-    lint.add_argument(
-        "--ignore", action="append", default=None, metavar="CODES",
-        help="comma-separated rule codes/prefixes to disable",
-    )
-    lint.add_argument(
-        "--list-rules", action="store_true",
-        help="list the available rules and exit",
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json", "sarif"), default="text",
-        help="output format (default: text)",
-    )
-    lint.add_argument(
-        "--fix", action="store_true",
-        help="apply available autofixes, then re-lint",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="baseline file of tolerated findings "
-        "(default: ./.galiot-lint-baseline.json if present)",
-    )
-    lint.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file and report every finding",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="rewrite the baseline from the current findings and exit 0",
-    )
-    lint.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the per-file analysis cache",
-    )
-    lint.add_argument(
-        "--stats", action="store_true",
-        help="print cache/timing statistics to stderr",
+        add_help=False,
+        help="run the DSP-aware static-analysis pass (galiot-lint); "
+        "see `galiot lint --help`",
     )
     lint.set_defaults(func=_run_lint)
-    args = parser.parse_args(argv)
+    args, rest = parser.parse_known_args(argv)
+    if args.func is _run_lint:
+        args.lint_argv = rest
+    elif rest:
+        parser.error(f"unrecognized arguments: {' '.join(rest)}")
     if args.sanitize is not None:
         set_sanitize_mode(args.sanitize)
     return args.func(args)

@@ -28,7 +28,6 @@ tracks equal a fresh pass bit for bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +42,13 @@ from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
 
 __all__ = ["ClassifiedSignal", "ScoreState", "SegmentClassifier"]
+
+#: CFAR factor for declaring a technology present.
+CFAR_K = 8.0
+#: Cap on same-technology candidates per segment: each extra candidate
+#: costs the decoder a decode attempt, and same-technology collisions
+#: inside one segment are rare.
+MAX_PER_TECHNOLOGY = 2
 
 
 @dataclass(frozen=True)
@@ -141,10 +147,6 @@ class SegmentClassifier:
     Args:
         modems: Registered technologies.
         sample_rate_hz: Sample rate of incoming segments.
-        k: CFAR factor for declaring a technology present.
-        max_per_technology: Cap on same-technology frames per segment
-            (each extra candidate costs the decoder a decode attempt,
-            and same-technology collisions inside one segment are rare).
         telemetry: Metrics sink threaded into the correlation engine.
     """
 
@@ -152,21 +154,12 @@ class SegmentClassifier:
         self,
         modems: list[Modem],
         sample_rate_hz: float,
-        k: float = 8.0,
-        max_per_technology: int = 2,
         telemetry: Telemetry = NULL,
     ):
         if not modems:
             raise ConfigurationError("at least one modem is required")
-        # Written so NaN fails too: every comparison with NaN is false.
-        if not (0 <= k < math.inf):
-            raise ConfigurationError("k must be finite and >= 0")
-        if not (max_per_technology >= 1):
-            raise ConfigurationError("max_per_technology must be >= 1")
         self.modems = list(modems)
         self.sample_rate_hz = float(sample_rate_hz)
-        self.k = float(k)
-        self.max_per_technology = int(max_per_technology)
         self.telemetry = telemetry
         # Precompute per-modem sync references once: classify() runs
         # repeatedly (Algorithm 1 re-classifies after every
@@ -338,7 +331,7 @@ class SegmentClassifier:
             for index in live:
                 entry = self._refs[index]
                 track = score_tracks[index]
-                threshold = cfar_threshold(track, self.k)
+                threshold = cfar_threshold(track, CFAR_K)
                 min_dist = max(len(entry.tpl) // 2, 1)
                 peaks = find_peaks_above(track, threshold, min_dist)
                 # Pin the tie order (score desc, then index asc): equal
@@ -347,7 +340,7 @@ class SegmentClassifier:
                 # pass or fail on suppression-order accidents.
                 peaks = sorted(peaks, key=lambda i: (-track[i], i))
                 candidates: list[ClassifiedSignal] = []
-                for idx in peaks[: self.max_per_technology]:
+                for idx in peaks[:MAX_PER_TECHNOLOGY]:
                     start = int(idx) * entry.stride
                     window = native[start : start + len(entry.ref)]
                     if len(window) < len(entry.ref):

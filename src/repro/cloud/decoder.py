@@ -20,7 +20,9 @@ removing it cannot take S_i with it. Two flavours are exposed:
 
 * :class:`CloudDecoder` with ``use_kill_filters=True`` — full GalioT.
 * ``use_kill_filters=False`` — the SIC-only strawman baseline used in
-  Figure 3(c).
+  Figure 3(c): a classic SIC receiver that decodes strictly in
+  decreasing power order and stops at the first failure (you cannot
+  cancel what you cannot decode).
 
 Each piece of work runs once per residual. A decode attempt never sees
 the candidate's start, and a kill filter's output depends only on the
@@ -97,15 +99,11 @@ class CloudDecoder:
     Args:
         modems: Registered technologies.
         sample_rate_hz: Sample rate of incoming segments.
-        use_kill_filters: False disables the kill filters.
-        strict_order: True makes the decoder a *classic* SIC receiver:
-            it decodes strictly in decreasing power order and stops at
-            the first failure (you cannot cancel what you cannot
-            decode). The paper's baseline is
-            ``use_kill_filters=False, strict_order=True``; full GalioT
-            is ``use_kill_filters=True, strict_order=False``.
+        use_kill_filters: True runs full GalioT: kill filters, and on a
+            failed decode the next strongest candidate. False runs the
+            paper's classic-SIC baseline, which stops at the first
+            failure.
         max_iterations: Safety bound on the decode loop.
-        classifier_k: CFAR factor handed to the classifier.
         sync_retries: Per-decode re-sync attempts after a CRC failure
             (see :func:`~repro.cloud.sic.try_decode`). Zero — the
             default, bit-identical to prior releases — lets one forged
@@ -119,9 +117,7 @@ class CloudDecoder:
         modems: list[Modem],
         sample_rate_hz: float,
         use_kill_filters: bool = True,
-        strict_order: bool = False,
         max_iterations: int = 12,
-        classifier_k: float = 8.0,
         sync_retries: int = 0,
         telemetry: Telemetry = NULL,
     ):
@@ -137,25 +133,24 @@ class CloudDecoder:
         self.modems = {m.name: m for m in modems}
         self.sample_rate_hz = float(sample_rate_hz)
         self.use_kill_filters = use_kill_filters
-        self.strict_order = strict_order
         self.max_iterations = int(max_iterations)
         self.sync_retries = int(sync_retries)
         self.classifier = SegmentClassifier(
-            modems, sample_rate_hz, k=classifier_k, telemetry=telemetry
+            modems, sample_rate_hz, telemetry=telemetry
         )
         self.telemetry = telemetry
 
     @classmethod
     def galiot(cls, modems: list[Modem], sample_rate_hz: float, **kwargs) -> CloudDecoder:
         """Full GalioT decoder (kill filters + power-order fallback)."""
-        return cls(modems, sample_rate_hz, use_kill_filters=True, strict_order=False, **kwargs)
+        return cls(modems, sample_rate_hz, use_kill_filters=True, **kwargs)
 
     @classmethod
     def sic_baseline(
         cls, modems: list[Modem], sample_rate_hz: float, **kwargs
     ) -> CloudDecoder:
         """The paper's strawman: classic SIC, stop at the first failure."""
-        return cls(modems, sample_rate_hz, use_kill_filters=False, strict_order=True, **kwargs)
+        return cls(modems, sample_rate_hz, use_kill_filters=False, **kwargs)
 
     # -- internals --------------------------------------------------------
 
@@ -412,7 +407,7 @@ class CloudDecoder:
                         recovered = True
                         break
             if not recovered:
-                if self.strict_order:
+                if not self.use_kill_filters:
                     # Classic SIC: the strongest signal could not be
                     # decoded, so nothing can be cancelled — stop.
                     break

@@ -27,8 +27,6 @@ for the technology to remove, with sample indices at rate ``sample_rate_hz``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from ..contracts import iq_contract
@@ -36,8 +34,8 @@ from ..dsp.chirp import base_downchirp, base_upchirp
 from ..dsp.filters import blocked_ls_subtract, fft_notch
 from ..errors import ConfigurationError
 from ..phy.base import Modem, ModulationClass
-from ..phy.fsk import fsk_modulate  # noqa: F401  (re-exported for tests)
 from .classify import ClassifiedSignal
+from .sic import GAIN_BLOCK_S
 
 __all__ = [
     "KillFrequency",
@@ -46,33 +44,35 @@ __all__ = [
     "kill_filter_for",
 ]
 
+#: Half-width of each frequency notch as a fraction of the bit rate.
+NOTCH_WIDTH_FACTOR = 0.8
+#: FFT bins nulled on each side of a dechirped CSS peak.
+CSS_GUARD_BINS = 2
+
 
 class KillFrequency:
     """Notch out the tone bands of an FSK (or the band of a PSK) signal.
 
+    Each notch is :data:`NOTCH_WIDTH_FACTOR` bit rates wide on each
+    side of its tone.
+
     Args:
         modem: The technology to kill (defines tones and widths).
-        width_factor: Half-width of each notch as a fraction of the
-            modem's bit rate.
     """
 
     name = "kill-frequency"
 
-    def __init__(self, modem: Modem, width_factor: float = 0.8):
+    def __init__(self, modem: Modem):
         if modem.modulation not in (ModulationClass.FSK, ModulationClass.PSK):
             raise ConfigurationError(
                 "KillFrequency applies to FSK/PSK technologies only"
             )
-        # Written so NaN fails too: every comparison with NaN is false.
-        if not (0 < width_factor < math.inf):
-            raise ConfigurationError("width_factor must be positive and finite")
         self.modem = modem
-        self.width_factor = float(width_factor)
 
     def bands(self, center_hz: float = 0.0) -> list[tuple[float, float]]:
         """The frequency bands this filter notches."""
         rate = self.modem.bit_rate
-        width = self.width_factor * rate
+        width = NOTCH_WIDTH_FACTOR * rate
         if self.modem.modulation is ModulationClass.FSK:
             deviation = getattr(self.modem, "_deviation", None)
             if deviation is None:
@@ -113,23 +113,19 @@ class KillCss:
     Preamble/data windows are dechirped with the downchirp; the 2.25-
     symbol SFD is dechirped with the upchirp. In every window the
     dominant FFT bin — wherever it is, so no demodulation is required —
-    is nulled together with ``guard`` neighbours and its wrap-around
-    alias, then the window is re-chirped.
+    is nulled together with :data:`CSS_GUARD_BINS` neighbours on each
+    side and its wrap-around alias, then the window is re-chirped.
 
     Args:
         modem: The LoRa modem describing sf/bw/oversampling/frame shape.
-        guard: Bins nulled on each side of the dominant bin.
     """
 
     name = "kill-css"
 
-    def __init__(self, modem: Modem, guard: int = 2):
+    def __init__(self, modem: Modem):
         if modem.modulation is not ModulationClass.CSS:
             raise ConfigurationError("KillCss applies to CSS technologies only")
-        if not (guard >= 0):
-            raise ConfigurationError("guard must be >= 0")
         self.modem = modem
-        self.guard = int(guard)
 
     @iq_contract("samples")
     def apply(
@@ -146,7 +142,7 @@ class KillCss:
         bins. When the processing grid is misaligned with the
         interferer's symbol boundaries (the classifier's start estimate
         is only sample-accurate), each window holds *two* tone segments,
-        hence two peaks, each nulled with ``guard`` neighbours and its
+        hence two peaks, each nulled with its guard neighbours and its
         ``±2^SF`` wrap-around aliases. One inverse FFT and a re-chirp
         restore the rows.
         """
@@ -176,7 +172,7 @@ class KillCss:
         spectrum = np.fft.fft(out[start:stop].reshape(n_windows, n_sym) * refs, axis=1)
         magnitude = np.abs(spectrum)
         n_chips = 1 << self.modem.sf
-        spread = np.arange(-self.guard, self.guard + 1)
+        spread = np.arange(-CSS_GUARD_BINS, CSS_GUARD_BINS + 1)
         rows = np.arange(n_windows)[:, None]
         for _ in range(2):
             peak = np.argmax(magnitude, axis=1)
@@ -198,22 +194,21 @@ class KillCodes:
     "apply the well-known orthogonal code" step — hard decisions are
     dominated by the signal being killed), and the *continuous* waveform
     of that chip stream is regenerated and subtracted with per-block
-    least-squares gains. Rebuilding one continuous waveform matters:
-    O-QPSK half-sine pulses straddle symbol boundaries, so per-window
-    subtraction would leave a comb of edge residuals.
+    least-squares gains over :data:`~repro.cloud.sic.GAIN_BLOCK_S`
+    blocks. Rebuilding one continuous waveform matters: O-QPSK half-sine
+    pulses straddle symbol boundaries, so per-window subtraction would
+    leave a comb of edge residuals.
 
     Args:
         modem: The DSSS modem (defines chip rate, pulse and codes).
-        block_s: Gain-fit block length in seconds.
     """
 
     name = "kill-codes"
 
-    def __init__(self, modem: Modem, block_s: float = 0.25e-3):
+    def __init__(self, modem: Modem):
         if modem.modulation is not ModulationClass.DSSS:
             raise ConfigurationError("KillCodes applies to DSSS technologies only")
         self.modem = modem
-        self.block_s = float(block_s)
 
     @iq_contract("samples")
     def apply(
@@ -255,7 +250,7 @@ class KillCodes:
         wave = chips_to_oqpsk(clean_chips, sps) * np.exp(1j * best_phi)
         # Per-block LS subtraction of the reconstructed stream.
         out = samples.copy()
-        block = max(int(self.block_s * sample_rate_hz), 64)
+        block = max(int(GAIN_BLOCK_S * sample_rate_hz), 64)
         stop = min(start + len(wave), len(out))
         out[start:stop], _gain = blocked_ls_subtract(
             wave[: stop - start], out[start:stop], block

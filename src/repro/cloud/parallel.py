@@ -186,8 +186,6 @@ class _WorkerConfig:
 
     modems: tuple[Modem, ...]
     sample_rate_hz: float
-    use_kill_filters: bool
-    strict_order: bool
     faults: FaultPlan | None = None
 
 
@@ -201,11 +199,7 @@ def _init_worker(config: _WorkerConfig) -> None:
     # segment, which is the rollup GL005 wants.
     telemetry = Telemetry()  # noqa: GL005
     _worker.service = CloudService(
-        list(config.modems),
-        config.sample_rate_hz,
-        use_kill_filters=config.use_kill_filters,
-        strict_order=config.strict_order,
-        telemetry=telemetry,
+        list(config.modems), config.sample_rate_hz, telemetry=telemetry
     )
     _worker.telemetry = telemetry
     _worker.faults = config.faults
@@ -285,14 +279,13 @@ class ParallelCloudService:
     Drop-in for the serial service at the workload level: ``submit()``
     segments as they arrive — e.g. from the streaming gateway's
     ``on_shipped`` hook — then ``drain()`` for the merged results.
-    :meth:`process_segments` wraps both for batch use.
+    :meth:`process_segments` wraps both for batch use. Every worker
+    runs the full GalioT decoder (kill filters on).
 
     Args:
         modems: Registered technologies (pickled to the workers).
         sample_rate_hz: Capture sample rate of arriving segments.
         workers: Pool size.
-        use_kill_filters: False runs the SIC-only baseline.
-        strict_order: Classic-SIC decode order (see ``CloudDecoder``).
         telemetry: Parent sink receiving the per-worker rollups.
         executor: The pool kind; only ``"process"`` is supported.
         faults: Optional :class:`~repro.faults.FaultPlan` shipped to
@@ -307,8 +300,6 @@ class ParallelCloudService:
         modems: list[Modem],
         sample_rate_hz: float,
         workers: int = 2,
-        use_kill_filters: bool = True,
-        strict_order: bool = False,
         telemetry: Telemetry = NULL,
         executor: str = "process",
         faults: FaultPlan | None = None,
@@ -334,8 +325,6 @@ class ParallelCloudService:
         self._config = _WorkerConfig(
             modems=tuple(modems),
             sample_rate_hz=float(sample_rate_hz),
-            use_kill_filters=bool(use_kill_filters),
-            strict_order=bool(strict_order),
             faults=faults,
         )
         self._generation = 0

@@ -96,7 +96,8 @@ class CloudService:
     Args:
         modems: Registered technologies.
         sample_rate_hz: Capture sample rate of arriving segments.
-        use_kill_filters: False runs the SIC-only baseline.
+        use_kill_filters: False runs the classic-SIC baseline (see
+            :class:`~repro.cloud.decoder.CloudDecoder`).
         codec: Wire codec for compressed segments.
         guard: Optional :class:`~repro.guard.DecodeGuard` applied to
             every decoded frame (replay / duplicate / false-decode
@@ -111,7 +112,6 @@ class CloudService:
         modems: list[Modem],
         sample_rate_hz: float,
         use_kill_filters: bool = True,
-        strict_order: bool = False,
         codec: SegmentCodec | None = None,
         guard: DecodeGuard | None = None,
         sync_retries: int = 0,
@@ -122,7 +122,6 @@ class CloudService:
             modems,
             sample_rate_hz,
             use_kill_filters=use_kill_filters,
-            strict_order=strict_order,
             sync_retries=sync_retries,
             telemetry=telemetry,
         )

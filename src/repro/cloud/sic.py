@@ -40,6 +40,10 @@ __all__ = [
 #: full-segment scan.
 MAX_ALIGN_HALF_WIDTH = 512
 
+#: Block length (seconds) of the per-block least-squares gain fits that
+#: subtract a reconstructed waveform (SIC here, and ``KillCodes``).
+GAIN_BLOCK_S = 0.25e-3
+
 
 class FrameWaveformMemo:
     """Per-segment cache of remodulated + resampled frame waveforms.
@@ -190,7 +194,6 @@ def reconstruct_and_subtract(
     sample_rate_hz: float,
     modem: Modem,
     frame: FrameResult,
-    block_s: float = 0.25e-3,
     memo: FrameWaveformMemo | None = None,
 ) -> tuple[np.ndarray, ReconstructionReport]:
     """Subtract a decoded frame's waveform from ``samples``.
@@ -200,7 +203,6 @@ def reconstruct_and_subtract(
         sample_rate_hz: Segment sample rate.
         modem: Technology of the decoded frame.
         frame: The decode result (``payload`` + native-rate ``start``).
-        block_s: Gain-fit block length in seconds.
         memo: Optional per-segment :class:`FrameWaveformMemo`; repeated
             reconstructions of the same frame then skip the
             remodulate + resample step.
@@ -221,7 +223,7 @@ def reconstruct_and_subtract(
     # misaligned subtraction smears instead of cancelling. Score small
     # offsets with non-coherent block correlation and keep the best.
     probe = wave[: min(len(wave), int(8e-3 * sample_rate_hz))]
-    block = max(int(0.25e-3 * sample_rate_hz), 128)
+    block = max(int(GAIN_BLOCK_S * sample_rate_hz), 128)
     # The timing bias is native to the *modem's* rate (a chirp peak
     # lands a few native samples early under CFO), so the search window
     # must cover that many native samples expressed at the segment
@@ -236,7 +238,6 @@ def reconstruct_and_subtract(
     ref = wave[: stop - start]
     region = samples[start:stop]
     before = float(np.sum(np.abs(region) ** 2))
-    block = max(int(block_s * sample_rate_hz), 128)
     residual = samples.copy()
     residual[start:stop], first_gain = blocked_ls_subtract(ref, region, block)
     after = float(np.sum(np.abs(residual[start:stop]) ** 2))

@@ -7,8 +7,6 @@ and every random operation takes an explicit ``numpy.random.Generator``.
 
 from .channel import (
     add_at,
-    awgn,
-    complex_gain,
     noise_for_band_snr,
     scale_to_snr,
     signal_power,
@@ -16,9 +14,7 @@ from .channel import (
 from .chirp import (
     base_downchirp,
     base_upchirp,
-    linear_chirp,
     lora_symbol,
-    oversampling_factor,
 )
 from .correlation import (
     cross_correlate,
@@ -48,7 +44,6 @@ from .filters import (
 from .fm import instantaneous_frequency, quadrature_demod
 from .impairments import (
     apply_cfo,
-    apply_clock_drift,
     apply_dc_offset,
     apply_iq_imbalance,
     apply_phase,
@@ -56,38 +51,19 @@ from .impairments import (
     quantize,
 )
 from .jam import cw_tone, pulsed_noise, swept_tone
-from .measure import (
-    estimate_noise_floor,
-    estimate_snr_db,
-    occupied_bandwidth,
-    papr_db,
-    power,
-    power_db,
-    rms,
-)
-from .resample import (
-    to_rate,
-    decimate_integer,
-    fractional_delay,
-    resample_rational,
-    upsample_integer,
-)
-from .spectrum import dominant_tones, stft, welch_psd
+from .measure import occupied_bandwidth
+from .resample import to_rate
 
 __all__ = [
     # channel
     "add_at",
-    "awgn",
-    "complex_gain",
     "noise_for_band_snr",
     "scale_to_snr",
     "signal_power",
     # chirp
     "base_downchirp",
     "base_upchirp",
-    "linear_chirp",
     "lora_symbol",
-    "oversampling_factor",
     # correlation
     "cross_correlate",
     "find_peaks_above",
@@ -115,7 +91,6 @@ __all__ = [
     "quadrature_demod",
     # impairments
     "apply_cfo",
-    "apply_clock_drift",
     "apply_dc_offset",
     "apply_iq_imbalance",
     "apply_phase",
@@ -126,21 +101,7 @@ __all__ = [
     "pulsed_noise",
     "swept_tone",
     # measure
-    "estimate_noise_floor",
-    "estimate_snr_db",
     "occupied_bandwidth",
-    "papr_db",
-    "power",
-    "power_db",
-    "rms",
     # resample
-    "decimate_integer",
-    "fractional_delay",
-    "resample_rational",
-    "upsample_integer",
     "to_rate",
-    # spectrum
-    "dominant_tones",
-    "stft",
-    "welch_psd",
 ]

@@ -1,4 +1,4 @@
-"""Channel models: AWGN, complex gains and packet placement.
+"""Channel models: noise levels, SNR scaling and packet placement.
 
 SNR convention
 --------------
@@ -23,10 +23,8 @@ from ..errors import ConfigurationError
 
 __all__ = [
     "signal_power",
-    "awgn",
     "noise_for_band_snr",
     "scale_to_snr",
-    "complex_gain",
     "add_at",
 ]
 
@@ -36,30 +34,6 @@ def signal_power(x: np.ndarray) -> float:
     if len(x) == 0:
         return 0.0
     return float(np.mean(np.abs(x) ** 2))
-
-
-def awgn(
-    x: np.ndarray,
-    snr_db: float,
-    rng: np.random.Generator,
-    measured_power: float | None = None,
-) -> np.ndarray:
-    """Add complex white Gaussian noise at the given SNR.
-
-    Args:
-        x: Clean complex signal.
-        snr_db: Desired ratio of signal power to total noise power at the
-            signal's sample rate.
-        rng: Random generator (callers must pass one; no global state).
-        measured_power: Override for the signal power (useful when ``x``
-            contains silence that would bias the estimate).
-    """
-    power = signal_power(x) if measured_power is None else measured_power
-    if power <= 0:
-        raise ConfigurationError("cannot set an SNR for a zero-power signal")
-    noise_power = power / (10 ** (snr_db / 10))
-    noise = rng.normal(scale=np.sqrt(noise_power / 2), size=(len(x), 2))
-    return x + noise[:, 0] + 1j * noise[:, 1]
 
 
 def noise_for_band_snr(
@@ -97,13 +71,6 @@ def scale_to_snr(
     in_band_noise = noise_power * signal_bw / sample_rate_hz
     target = in_band_noise * (10 ** (snr_db / 10))
     return x * np.sqrt(target / current)
-
-
-def complex_gain(
-    x: np.ndarray, amplitude: float = 1.0, phase_rad: float = 0.0
-) -> np.ndarray:
-    """Apply a flat complex channel gain."""
-    return x * (amplitude * np.exp(1j * phase_rad))
 
 
 def add_at(buffer: np.ndarray, offset: int, x: np.ndarray) -> None:

@@ -26,24 +26,7 @@ __all__ = [
     "base_upchirp",
     "base_downchirp",
     "lora_symbol",
-    "linear_chirp",
-    "oversampling_factor",
 ]
-
-
-def oversampling_factor(sample_rate_hz: float, bw: float) -> int:
-    """Integer oversampling factor ``sample_rate_hz / bw``.
-
-    Raises:
-        ConfigurationError: if ``sample_rate_hz`` is not an integer multiple of ``bw``.
-    """
-    ratio = sample_rate_hz / bw
-    factor = int(round(ratio))
-    if factor < 1 or abs(ratio - factor) > 1e-9:
-        raise ConfigurationError(
-            f"sample rate {sample_rate_hz} must be an integer multiple of bandwidth {bw}"
-        )
-    return factor
 
 
 def base_upchirp(sf: int, oversample: int = 1) -> np.ndarray:
@@ -75,16 +58,3 @@ def lora_symbol(symbol: int, sf: int, oversample: int = 1) -> np.ndarray:
         raise ConfigurationError(f"symbol must be in 0..{n_chips - 1}")
     base = base_upchirp(sf, oversample)
     return np.roll(base, -symbol * oversample)
-
-
-def linear_chirp(
-    f_start: float, f_stop: float, duration: float, sample_rate_hz: float, phase0: float = 0.0
-) -> np.ndarray:
-    """Generic complex linear chirp from ``f_start`` to ``f_stop`` Hz."""
-    if duration <= 0:
-        raise ConfigurationError("duration must be positive")
-    n = int(round(duration * sample_rate_hz))
-    t = np.arange(n) / sample_rate_hz
-    sweep_rate = (f_stop - f_start) / duration
-    phase = 2 * np.pi * (f_start * t + 0.5 * sweep_rate * t**2) + phase0
-    return np.exp(1j * phase)

@@ -4,7 +4,7 @@ The paper's gateway is an RTL-SDR: an 8-bit ADC behind a consumer tuner.
 These helpers model the impairments that matter for detection and joint
 decoding: carrier frequency offset (crystal ppm error), static phase,
 IQ gain/phase imbalance, DC offset (the RTL-SDR's well-known centre
-spike), ADC quantization/clipping, and sample-clock drift.
+spike) and ADC quantization/clipping.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ __all__ = [
     "apply_iq_imbalance",
     "apply_dc_offset",
     "quantize",
-    "apply_clock_drift",
     "cfo_from_ppm",
 ]
 
@@ -85,20 +84,3 @@ def quantize(x: np.ndarray, n_bits: int, full_scale: float) -> np.ndarray:
         return (np.floor(clipped / step) + 0.5) * step
 
     return _quant(x.real) + 1j * _quant(x.imag)
-
-
-def apply_clock_drift(x: np.ndarray, ppm: float) -> np.ndarray:
-    """Resample ``x`` by a factor ``1 + ppm * 1e-6`` (linear interp).
-
-    Positive ppm means the transmitter clock runs fast relative to the
-    receiver, so the received waveform appears slightly compressed.
-    """
-    if len(x) < 2 or ppm == 0:
-        return x.copy()
-    factor = 1 + ppm * 1e-6
-    positions = np.arange(len(x)) * factor
-    positions = positions[positions <= len(x) - 1]
-    idx = positions.astype(int)
-    frac = positions - idx
-    idx_next = np.minimum(idx + 1, len(x) - 1)
-    return (1 - frac) * x[idx] + frac * x[idx_next]

@@ -21,11 +21,19 @@ lives in :class:`repro.net.adversary.AttackPlan`.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigurationError
 
 __all__ = ["cw_tone", "swept_tone", "pulsed_noise"]
+
+
+def _require_positive_finite(name: str, value: float) -> None:
+    # Written so NaN fails too: every comparison with NaN is false.
+    if not (0 < value < math.inf):
+        raise ConfigurationError(f"{name} must be positive and finite")
 
 
 def cw_tone(
@@ -44,14 +52,16 @@ def cw_tone(
         phase_rad: Initial carrier phase.
 
     Raises:
-        ConfigurationError: for a non-positive rate, negative length, or
-            a tone outside the representable band.
+        ConfigurationError: for a rate that is not positive and finite, a
+            negative length, a non-finite phase, or a tone that is NaN or
+            outside the representable band.
     """
-    if sample_rate_hz <= 0:
-        raise ConfigurationError("sample_rate_hz must be positive")
+    _require_positive_finite("sample_rate_hz", sample_rate_hz)
     if n_samples < 0:
         raise ConfigurationError("n_samples must be >= 0")
-    if abs(freq_hz) > sample_rate_hz / 2:
+    if not math.isfinite(phase_rad):
+        raise ConfigurationError("phase_rad must be finite")
+    if not abs(freq_hz) <= sample_rate_hz / 2:
         raise ConfigurationError(
             f"tone at {freq_hz:g} Hz is outside the ±{sample_rate_hz / 2:g} Hz band"
         )
@@ -76,17 +86,18 @@ def swept_tone(
     continuous within each sweep.
 
     Raises:
-        ConfigurationError: for an empty span, non-positive period, or a
-            span outside the representable band.
+        ConfigurationError: for a rate or period that is not positive and
+            finite, a negative length, a non-finite phase, an empty or
+            NaN span, or a span outside the representable band.
     """
-    if sample_rate_hz <= 0:
-        raise ConfigurationError("sample_rate_hz must be positive")
+    _require_positive_finite("sample_rate_hz", sample_rate_hz)
     if n_samples < 0:
         raise ConfigurationError("n_samples must be >= 0")
-    if f_hi_hz <= f_lo_hz:
+    if not f_lo_hz < f_hi_hz:
         raise ConfigurationError("need f_lo_hz < f_hi_hz")
-    if period_s <= 0:
-        raise ConfigurationError("period_s must be positive")
+    _require_positive_finite("period_s", period_s)
+    if not math.isfinite(phase_rad):
+        raise ConfigurationError("phase_rad must be finite")
     if abs(f_lo_hz) > sample_rate_hz / 2 or abs(f_hi_hz) > sample_rate_hz / 2:
         raise ConfigurationError(
             f"sweep span [{f_lo_hz:g}, {f_hi_hz:g}] Hz exceeds the "
@@ -119,15 +130,13 @@ def pulsed_noise(
             plan so the burst is bit-identical across runs.
 
     Raises:
-        ConfigurationError: for a non-positive period or a duty outside
-            ``[0, 1]``.
+        ConfigurationError: for a rate or period that is not positive and
+            finite, a negative length, or a duty outside ``[0, 1]``.
     """
-    if sample_rate_hz <= 0:
-        raise ConfigurationError("sample_rate_hz must be positive")
+    _require_positive_finite("sample_rate_hz", sample_rate_hz)
     if n_samples < 0:
         raise ConfigurationError("n_samples must be >= 0")
-    if period_s <= 0:
-        raise ConfigurationError("period_s must be positive")
+    _require_positive_finite("period_s", period_s)
     if not 0.0 <= duty <= 1.0:
         raise ConfigurationError("duty must be in [0, 1]")
     if duty == 0.0 or n_samples == 0:

@@ -1,8 +1,8 @@
-"""Signal measurements: power, SNR estimation, occupied bandwidth.
+"""Signal measurement: occupied bandwidth.
 
-The conventions here back the SNR definition documented in
-:mod:`repro.dsp.channel`: packet SNR is measured inside the signal's own
-occupied bandwidth, not across the full capture.
+It backs the SNR definition documented in :mod:`repro.dsp.channel`:
+packet SNR is measured inside the signal's own occupied bandwidth, not
+across the full capture.
 """
 
 from __future__ import annotations
@@ -11,78 +11,7 @@ import numpy as np
 
 from ..errors import ConfigurationError
 
-__all__ = [
-    "power",
-    "power_db",
-    "rms",
-    "papr_db",
-    "estimate_noise_floor",
-    "estimate_snr_db",
-    "occupied_bandwidth",
-]
-
-
-def power(x: np.ndarray) -> float:
-    """Mean power (|x|^2 averaged)."""
-    if len(x) == 0:
-        return 0.0
-    return float(np.mean(np.abs(x) ** 2))
-
-
-def power_db(x: np.ndarray, floor_db: float = -300.0) -> float:
-    """Mean power in dB, clamped at ``floor_db`` for silent input."""
-    p = power(x)
-    if p <= 0:
-        return floor_db
-    return float(10 * np.log10(p))
-
-
-def rms(x: np.ndarray) -> float:
-    """Root-mean-square amplitude."""
-    return float(np.sqrt(power(x)))
-
-
-def papr_db(x: np.ndarray) -> float:
-    """Peak-to-average power ratio in dB."""
-    p = power(x)
-    if p <= 0:
-        raise ConfigurationError("PAPR undefined for a zero-power signal")
-    peak = float(np.max(np.abs(x) ** 2))
-    return float(10 * np.log10(peak / p))
-
-
-def estimate_noise_floor(x: np.ndarray, window: int = 64, percentile: float = 25.0) -> float:
-    """Estimate the noise power of a stream with intermittent packets.
-
-    Splits the stream into windows, computes per-window power and takes a
-    low percentile — packets occupy a minority of windows in a
-    duty-cycled IoT band, so the quiet windows reveal the floor.
-    """
-    if window < 1:
-        raise ConfigurationError("window must be >= 1")
-    if len(x) < window:
-        return power(x)
-    n_windows = len(x) // window
-    trimmed = x[: n_windows * window]
-    window_power = np.mean(
-        np.abs(trimmed.reshape(n_windows, window)) ** 2, axis=1
-    )
-    return float(np.percentile(window_power, percentile))
-
-
-def estimate_snr_db(signal_region: np.ndarray, noise_region: np.ndarray) -> float:
-    """SNR estimate from a packet region and a known-quiet region.
-
-    The packet region contains signal + noise, so the noise power is
-    subtracted before forming the ratio (clamped to a tiny positive value
-    when the estimate goes negative).
-    """
-    noise_p = power(noise_region)
-    total_p = power(signal_region)
-    if noise_p <= 0:
-        raise ConfigurationError("noise region has zero power")
-    sig_p = max(total_p - noise_p, noise_p * 1e-6)
-    return float(10 * np.log10(sig_p / noise_p))
+__all__ = ["occupied_bandwidth"]
 
 
 def occupied_bandwidth(x: np.ndarray, sample_rate_hz: float, fraction: float = 0.99) -> float:

@@ -63,11 +63,9 @@ def run_battery(
             "mJ per delivered kbit",
         ],
     )
-    for label, kill, strict in (("sic", False, True), ("galiot", True, False)):
+    for label, kill in (("sic", False), ("galiot", True)):
         gateway = GalioTGateway(modems, fs, detector="universal", use_edge=True)
-        cloud = CloudService(
-            modems, fs, use_kill_filters=kill, strict_order=strict
-        )
+        cloud = CloudService(modems, fs, use_kill_filters=kill)
         sim = NetworkSimulator(
             devices, gateway, cloud, fs, round_s=0.5, max_attempts=3
         )

@@ -16,7 +16,6 @@ from .detection import (
     cfar_threshold,
     detection_ratio,
     match_events,
-    packet_detected,
 )
 from .edge import EdgeDecoder, EdgeOutcome
 from .extractor import SegmentExtractor, max_frame_samples
@@ -50,7 +49,6 @@ __all__ = [
     "PreambleBankDetector",
     "cfar_threshold",
     "match_events",
-    "packet_detected",
     "detection_ratio",
     "EdgeDecoder",
     "EdgeOutcome",

@@ -89,12 +89,3 @@ class Channelizer:
             # scalloping (documented bank-mode trade-off).
             out[c] = spectra[:, k]
         return out
-
-    def best_mapping(self) -> dict[int, int]:
-        """Bank-mode DFT bin used for each channel (for diagnostics)."""
-        m = self.plan.decimation
-        bin_spacing = self.plan.wide_fs / m
-        return {
-            c: int(round(centre / bin_spacing)) % m
-            for c, centre in enumerate(self.plan.centers_hz)
-        }

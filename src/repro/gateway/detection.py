@@ -50,9 +50,16 @@ __all__ = [
     "EnergyDetector",
     "PreambleBankDetector",
     "match_events",
-    "packet_detected",
     "detection_ratio",
 ]
+
+#: Cap (seconds) on every preamble template, per-technology or
+#: universal. The paper sets the template length to the *maximum*
+#: preamble length, which is fine for the prototype trio but explodes
+#: for ultra-narrow-band entries (a SigFox preamble lasts hundreds of
+#: milliseconds); truncating a very long preamble costs only part of its
+#: correlation gain while keeping one bounded correlation per capture.
+MAX_TEMPLATE_S = 0.05
 
 
 def cfar_threshold(scores: np.ndarray, k: float) -> float:
@@ -402,7 +409,6 @@ class PreambleBankDetector(CorrelationDetector):
         min_distance: Minimum spacing between events of one technology.
         block: Coherent block length for CFO-tolerant correlation
             (``None`` = fully coherent).
-        max_template_s: Cap on each preamble template's duration.
         threshold: Fixed decision threshold(s): a float applied to every
             technology's track, or a per-technology dict (the shape
             :meth:`calibrate` produces). ``None`` re-estimates CFAR per
@@ -419,14 +425,13 @@ class PreambleBankDetector(CorrelationDetector):
         k: float = 7.0,
         min_distance: int = 1024,
         block: int | None = None,
-        max_template_s: float = 0.05,
         threshold: float | dict[str, float] | None = None,
         telemetry: Telemetry = NULL,
     ):
         if not modems:
             raise ConfigurationError("at least one modem is required")
         self.sample_rate_hz = float(sample_rate_hz)
-        cap = max(int(max_template_s * sample_rate_hz), 1)
+        cap = max(int(MAX_TEMPLATE_S * sample_rate_hz), 1)
         templates = {
             m.name: to_rate(m.preamble_waveform(), m.sample_rate, self.sample_rate_hz)[:cap]
             for m in modems
@@ -527,14 +532,6 @@ def match_events(
         else:
             detected.add(packets[best_pos].packet_id)
     return detected, false_alarms
-
-
-def packet_detected(
-    events: list[DetectionEvent], start: int, end: int, tolerance: int = 0
-) -> bool:
-    """Whether any event falls within a single packet's extent."""
-    lo = start - tolerance
-    return any(lo <= e.index < end for e in events)
 
 
 def detection_ratio(

@@ -71,10 +71,6 @@ class EdgeDecoder:
     Args:
         modems: Registered technologies.
         sample_rate_hz: Capture sample rate of incoming segments.
-        ship_on_multi_detection: Treat segments whose detector found
-            more than one event as potential collisions and ship them
-            even if one frame decoded locally (the cloud may recover
-            the rest).
         telemetry: Metrics sink (the shared no-op by default).
     """
 
@@ -82,16 +78,19 @@ class EdgeDecoder:
         self,
         modems: list[Modem],
         sample_rate_hz: float,
-        ship_on_multi_detection: bool = True,
         telemetry: Telemetry = NULL,
     ):
         self.modems = list(modems)
         self.sample_rate_hz = float(sample_rate_hz)
-        self.ship_on_multi_detection = ship_on_multi_detection
         self.telemetry = telemetry
 
     def try_decode(self, segment: Segment) -> EdgeOutcome:
-        """Attempt a plain decode of every technology on the segment."""
+        """Attempt a plain decode of every technology on the segment.
+
+        The segment ships when nothing decoded, and also when its
+        detector found more events than frames decoded: a potential
+        collision, whose other frames the cloud may recover.
+        """
         results: list[DecodeResult] = []
         with self.telemetry.span("edge"):
             for modem in self.modems:
@@ -110,9 +109,7 @@ class EdgeDecoder:
                             start=frame.start,
                         )
                     )
-        ship = not results
-        if self.ship_on_multi_detection and len(segment.detections) > len(results):
-            ship = True
+        ship = not results or len(segment.detections) > len(results)
         self.telemetry.count("edge.segments")
         self.telemetry.count("edge.frames", len(results))
         if not ship:

@@ -28,6 +28,14 @@ from ..types import DetectionEvent, Segment
 
 __all__ = ["ExtractorStream", "SegmentExtractor", "max_frame_samples"]
 
+#: Payload size (bytes) used to bound the frame length.
+TYPICAL_PAYLOAD = 32
+#: Segment length as a multiple of the maximum frame (the paper ships 2x).
+SPAN_FACTOR = 2.0
+#: Portion of the segment placed *before* the event (detectors fire at
+#: the preamble, so most of the span goes after it).
+PRE_FRACTION = 0.1
+
 
 def max_frame_samples(modems: list[Modem], sample_rate_hz: float, payload_len: int) -> int:
     """Largest frame length across technologies, in capture samples."""
@@ -45,32 +53,25 @@ class SegmentExtractor:
     Args:
         modems: Registered technologies (to size the maximum packet).
         sample_rate_hz: Capture sample rate.
-        typical_payload: Payload size used to bound the frame length.
-        span_factor: Segment length as a multiple of the maximum frame
-            (the paper ships 2x).
-        pre_fraction: Portion of the segment placed *before* the event
-            (detectors fire at the preamble, so most of the span goes
-            after it).
         telemetry: Metrics sink (the shared no-op by default).
+
+    Attributes:
+        max_frame: Longest frame of a :data:`TYPICAL_PAYLOAD`-byte
+            payload across ``modems``, in capture samples.
+        span: Segment length, :data:`SPAN_FACTOR` times ``max_frame``.
+        pre: Samples of the span placed before the event.
     """
 
     def __init__(
         self,
         modems: list[Modem],
         sample_rate_hz: float,
-        typical_payload: int = 32,
-        span_factor: float = 2.0,
-        pre_fraction: float = 0.1,
         telemetry: Telemetry = NULL,
     ):
-        if span_factor <= 0:
-            raise ConfigurationError("span_factor must be positive")
-        if not 0 <= pre_fraction < 1:
-            raise ConfigurationError("pre_fraction must be in [0, 1)")
         self.sample_rate_hz = float(sample_rate_hz)
-        self.max_frame = max_frame_samples(modems, sample_rate_hz, typical_payload)
-        self.span = math.ceil(span_factor * self.max_frame)
-        self.pre = math.ceil(self.span * pre_fraction)
+        self.max_frame = max_frame_samples(modems, sample_rate_hz, TYPICAL_PAYLOAD)
+        self.span = math.ceil(SPAN_FACTOR * self.max_frame)
+        self.pre = math.ceil(self.span * PRE_FRACTION)
         self.telemetry = telemetry
 
     def stream(self) -> ExtractorStream:
@@ -99,12 +100,6 @@ class SegmentExtractor:
             "extract.samples_out", sum(s.length for s in segments)
         )
         return segments
-
-    def shipped_fraction(self, segments: list[Segment], n_samples: int) -> float:
-        """Fraction of the capture that was shipped (backhaul proxy)."""
-        if n_samples <= 0:
-            raise ConfigurationError("n_samples must be positive")
-        return sum(s.length for s in segments) / n_samples
 
 
 @dataclass

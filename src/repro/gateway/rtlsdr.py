@@ -156,7 +156,3 @@ class RtlSdrModel:
             out[a:b] = 0
             self.dropped_samples += b - a
         return out
-
-    def bits_per_second_raw(self) -> float:
-        """Backhaul cost of shipping the raw stream (2 rails x adc_bits)."""
-        return self.config.sample_rate * 2 * self.config.adc_bits

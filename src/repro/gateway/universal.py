@@ -27,7 +27,7 @@ from ..dsp.resample import to_rate
 from ..errors import ConfigurationError
 from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
-from .detection import CorrelationDetector
+from .detection import MAX_TEMPLATE_S, CorrelationDetector
 
 __all__ = ["UniversalPreamble", "UniversalPreambleDetector"]
 
@@ -72,9 +72,11 @@ class UniversalPreamble:
         modems: list[Modem],
         sample_rate_hz: float,
         coalesce_threshold: float = 0.5,
-        max_len_s: float = 0.05,
     ) -> UniversalPreamble:
         """Construct the universal preamble for a set of technologies.
+
+        Each preamble is first truncated to
+        :data:`~repro.gateway.detection.MAX_TEMPLATE_S`.
 
         Args:
             modems: Registered technologies (order matters only for
@@ -82,20 +84,13 @@ class UniversalPreamble:
             sample_rate_hz: Capture sample rate.
             coalesce_threshold: Peak sliding correlation above which two
                 preambles are considered "common" and merged.
-            max_len_s: Cap on any representative's duration. The paper
-                sets the template length to the *maximum* preamble
-                length, which is fine for the prototype trio but
-                explodes for ultra-narrow-band entries (a SigFox
-                preamble lasts hundreds of milliseconds); truncating a
-                very long preamble costs only part of its correlation
-                gain while keeping one bounded correlation per capture.
 
         Raises:
             ConfigurationError: when ``modems`` is empty.
         """
         if not modems:
             raise ConfigurationError("at least one modem is required")
-        cap = max(int(max_len_s * sample_rate_hz), 1)
+        cap = max(int(MAX_TEMPLATE_S * sample_rate_hz), 1)
         templates = {
             m.name: _unit_energy(
                 to_rate(m.preamble_waveform(), m.sample_rate, sample_rate_hz)[:cap]

@@ -11,7 +11,6 @@ from .adversary import (
     build_attack_scenario,
     render_attack_plan,
 )
-from .airtime import frame_airtime, frame_samples_at, goodput_bits
 from .device import Device, EnergyProfile
 from .energy import EnergyLedger
 from .mac import MacState, PendingFrame
@@ -21,7 +20,6 @@ from .multigateway import (
     receive_at_gateways,
     selection_diversity,
 )
-from .propagation import LinkBudget, PathLossModel, Position, deployment_snrs
 from .scene import NOISE_POWER, SceneBuilder
 from .simulator import NetworkSimulator, SimulationResult, match_decodes
 from .traffic import collision_scene, packet_scene, poisson_scene
@@ -36,9 +34,6 @@ __all__ = [
     "SpoofSpec",
     "build_attack_scenario",
     "render_attack_plan",
-    "frame_airtime",
-    "frame_samples_at",
-    "goodput_bits",
     "Device",
     "EnergyProfile",
     "EnergyLedger",
@@ -48,10 +43,6 @@ __all__ = [
     "combine_segments",
     "receive_at_gateways",
     "selection_diversity",
-    "PathLossModel",
-    "LinkBudget",
-    "Position",
-    "deployment_snrs",
     "NOISE_POWER",
     "SceneBuilder",
     "NetworkSimulator",

@@ -105,10 +105,6 @@ class JammerSpec:
         if self.kind == "sweep" and self.span_hz <= 0:
             raise ConfigurationError("sweep jammers need span_hz > 0")
 
-    def covers(self, at_time: float) -> bool:
-        """Whether ``at_time`` falls inside the burst."""
-        return self.start_s <= at_time < self.end_s
-
 
 @dataclass(frozen=True)
 class ReplaySpec:
@@ -182,34 +178,6 @@ class AttackPlan:
     def is_empty(self) -> bool:
         """Whether the plan schedules no attack at all."""
         return not (self.jammers or self.replays or self.spoofs)
-
-    def jam_windows(self) -> tuple[tuple[float, float], ...]:
-        """The scheduled jam bursts as ``(start_s, end_s)`` pairs."""
-        return tuple((j.start_s, j.end_s) for j in self.jammers)
-
-    def jammed(self, at_time: float) -> bool:
-        """Whether any jammer is on the air at ``at_time``."""
-        return any(j.covers(at_time) for j in self.jammers)
-
-    def jam_duty_cycle(self, duration_s: float) -> float:
-        """Fraction of ``[0, duration_s)`` covered by at least one jammer.
-
-        Overlapping bursts are unioned, not double-counted.
-        """
-        if duration_s <= 0:
-            return 0.0
-        spans = sorted(
-            (max(j.start_s, 0.0), min(j.end_s, duration_s))
-            for j in self.jammers
-        )
-        covered = 0.0
-        cursor = 0.0
-        for lo, hi in spans:
-            if hi <= cursor:
-                continue
-            covered += hi - max(lo, cursor)
-            cursor = hi
-        return min(covered / duration_s, 1.0)
 
 
 @dataclass(frozen=True)

@@ -47,21 +47,3 @@ class EnergyLedger:
         if seconds < 0:
             raise ConfigurationError("seconds must be >= 0")
         self.elapsed_s += seconds
-
-    def average_power_w(self, device: Device) -> float:
-        """Mean power draw of a device over the simulated interval."""
-        if self.elapsed_s <= 0:
-            raise ConfigurationError("no simulated time elapsed")
-        tx = self.tx_energy_j.get(device.device_id, 0.0)
-        sleep_time = max(
-            self.elapsed_s - self.tx_time_s.get(device.device_id, 0.0), 0.0
-        )
-        sleep = device.energy.sleep_power_w * sleep_time
-        return (tx + sleep) / self.elapsed_s
-
-    def battery_life_days(self, device: Device) -> float:
-        """Projected battery life at the observed duty cycle."""
-        power = self.average_power_w(device)
-        if power <= 0:
-            return float("inf")
-        return device.energy.battery_j / power / 86400.0

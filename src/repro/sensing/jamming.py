@@ -27,6 +27,7 @@ drowning the backhaul in garbage segments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,31 @@ from ..errors import ConfigurationError
 from ..telemetry import NULL, Telemetry
 
 __all__ = ["JammingEvent", "JammingDetector"]
+
+#: Analysis block length in seconds.
+BLOCK_S = 0.005
+#: Noise-floor rise (dB over baseline) that flags a block.
+FLOOR_RISE_DB = 2.0
+#: Hot-bin fraction that flags a block.
+OCCUPANCY_RATIO = 0.35
+#: Single-bin rise (dB over the baseline floor) that flags a block.
+PEAK_DB = 18.0
+#: Per-bin threshold over the baseline floor for the occupancy statistic.
+HOT_BIN_DB = 8.0
+#: Consecutive anomalous blocks required to open an event.
+MIN_BLOCKS = 3
+#: Consecutive clean blocks required to close it.
+RECOVER_BLOCKS = 4
+#: Anomalous blocks a run must accumulate before
+#: :meth:`JammingDetector.rise_at` reports a jam-attributed rise.
+#: Deliberately stiffer than :data:`MIN_BLOCKS`: with gap tolerance, two
+#: legitimate frames bracketing a short burst can chain into a run of
+#: 3-4 and must never raise the detection bar against their own
+#: preambles, while a real jammer accumulates runs of dozens within its
+#: first few duty cycles.
+GATE_MIN_BLOCKS = 6
+#: Blocks used to train the initial baseline.
+BASELINE_BLOCKS = 8
 
 
 @dataclass(frozen=True)
@@ -69,80 +95,42 @@ class JammingDetector:
 
     * ``floor``: the 25th-percentile bin power — a noise-floor estimate
       robust to packets (which occupy bins, not the lower quartile);
-    * ``occupancy``: the fraction of bins more than ``hot_bin_db`` above
-      the *baseline* floor;
+    * ``occupancy``: the fraction of bins more than :data:`HOT_BIN_DB`
+      above the *baseline* floor;
     * ``peak``: the hottest bin over the baseline floor (catches a CW
       tone, which moves neither the floor nor the occupancy).
 
-    The baseline floor is learned from the first ``baseline_blocks``
+    The baseline floor is learned from the first :data:`BASELINE_BLOCKS`
     blocks and then slowly tracks clean blocks only, so a long jam burst
     cannot absorb itself into the baseline. A block is *anomalous* when
     any statistic crosses its threshold; an event opens once
-    ``min_blocks`` anomalous blocks accumulate in a run and closes after
-    ``recover_blocks`` consecutive clean ones. Short clean gaps (fewer
-    than ``recover_blocks``) do not reset a run — a duty-cycled pulse
-    jammer is off most of the time and must still accumulate into one
-    event — while a lone loud packet's single anomalous block dies with
-    the next ``recover_blocks`` of clean air.
+    :data:`MIN_BLOCKS` anomalous blocks accumulate in a run and closes
+    after :data:`RECOVER_BLOCKS` consecutive clean ones. Short clean
+    gaps (fewer than :data:`RECOVER_BLOCKS`) do not reset a run — a
+    duty-cycled pulse jammer is off most of the time and must still
+    accumulate into one event — while a lone loud packet's single
+    anomalous block dies with the next :data:`RECOVER_BLOCKS` of clean
+    air.
 
     Args:
         sample_rate_hz: Capture sample rate.
-        block_s: Analysis block length in seconds.
-        floor_rise_db: Noise-floor rise (dB over baseline) that flags a
-            block.
-        occupancy_ratio: Hot-bin fraction that flags a block.
-        peak_db: Single-bin rise (dB over baseline floor) that flags a
-            block.
-        hot_bin_db: Per-bin threshold over the baseline floor for the
-            occupancy statistic.
-        min_blocks: Consecutive anomalous blocks required to open an
-            event.
-        recover_blocks: Consecutive clean blocks required to close it.
-        gate_min_blocks: Anomalous blocks a run must accumulate before
-            :meth:`rise_at` reports a jam-attributed rise. Deliberately
-            stiffer than ``min_blocks``: with gap tolerance, two
-            legitimate frames bracketing a short burst can chain into a
-            run of 3-4 and must never raise the detection bar against
-            their own preambles, while a real jammer accumulates runs of
-            dozens within its first few duty cycles.
-        baseline_blocks: Blocks used to train the initial baseline.
         telemetry: Metrics sink (``attack.*`` counters).
+
+    Raises:
+        ConfigurationError: if ``sample_rate_hz`` is not a positive
+            finite number.
     """
 
     def __init__(
         self,
         sample_rate_hz: float,
-        block_s: float = 0.005,
-        floor_rise_db: float = 2.0,
-        occupancy_ratio: float = 0.35,
-        peak_db: float = 18.0,
-        hot_bin_db: float = 8.0,
-        min_blocks: int = 3,
-        recover_blocks: int = 4,
-        gate_min_blocks: int = 6,
-        baseline_blocks: int = 8,
         telemetry: Telemetry | None = None,
     ):
-        if sample_rate_hz <= 0:
-            raise ConfigurationError("sample_rate_hz must be positive")
-        if block_s <= 0:
-            raise ConfigurationError("block_s must be positive")
-        if min_blocks < 1 or recover_blocks < 1 or baseline_blocks < 1:
-            raise ConfigurationError(
-                "min_blocks, recover_blocks and baseline_blocks must be >= 1"
-            )
-        if gate_min_blocks < min_blocks:
-            raise ConfigurationError("gate_min_blocks must be >= min_blocks")
+        # Written so NaN fails too: every comparison with NaN is false.
+        if not (0 < sample_rate_hz < math.inf):
+            raise ConfigurationError("sample_rate_hz must be positive and finite")
         self.sample_rate_hz = float(sample_rate_hz)
-        self.block = max(int(round(block_s * sample_rate_hz)), 8)
-        self.floor_rise_db = float(floor_rise_db)
-        self.occupancy_ratio = float(occupancy_ratio)
-        self.peak_db = float(peak_db)
-        self.hot_bin_db = float(hot_bin_db)
-        self.min_blocks = int(min_blocks)
-        self.recover_blocks = int(recover_blocks)
-        self.gate_min_blocks = int(gate_min_blocks)
-        self.baseline_blocks = int(baseline_blocks)
+        self.block = max(int(round(BLOCK_S * sample_rate_hz)), 8)
         self.telemetry = telemetry if telemetry is not None else NULL
         self.reset()
 
@@ -182,7 +170,7 @@ class JammingDetector:
         """Close any open event at end of stream (tail samples shorter
         than one block are dropped, as a monolithic pass drops them)."""
         closed_before = len(self._closed)
-        if self._run >= self.min_blocks:
+        if self._run >= MIN_BLOCKS:
             self._close_event()
         self._run = 0
         self._clean = 0
@@ -217,7 +205,7 @@ class JammingDetector:
         """Jam-attributed noise-floor rise (dB) of the block at ``at_time``.
 
         Non-zero only once an anomaly run has persisted past
-        ``gate_min_blocks`` — a lone loud packet never raises it, so a
+        :data:`GATE_MIN_BLOCKS` — a lone loud packet never raises it, so a
         detection-threshold gate keyed on this signal cannot suppress
         the packet's own preamble. Causal: only ingested blocks answer,
         so monolithic and chunked feeding agree.
@@ -242,18 +230,18 @@ class JammingDetector:
             self._train.append(floor)
             self._severity.append(0.0)
             self._gate_rise.append(0.0)
-            if len(self._train) >= self.baseline_blocks:
+            if len(self._train) >= BASELINE_BLOCKS:
                 self._baseline = float(np.median(self._train))
             return
         baseline = max(self._baseline, 1e-30)
         rise_db = 10.0 * np.log10(max(floor, 1e-30) / baseline)
-        hot = psd > baseline * 10.0 ** (self.hot_bin_db / 10.0)
+        hot = psd > baseline * 10.0 ** (HOT_BIN_DB / 10.0)
         occupancy = float(np.mean(hot))
         peak_db = 10.0 * np.log10(max(float(psd.max()), 1e-30) / baseline)
         anomalous = (
-            rise_db >= self.floor_rise_db
-            or occupancy >= self.occupancy_ratio
-            or peak_db >= self.peak_db
+            rise_db >= FLOOR_RISE_DB
+            or occupancy >= OCCUPANCY_RATIO
+            or peak_db >= PEAK_DB
         )
         if anomalous:
             # Calibrated against DegradationLadder's 0.6 escalation
@@ -273,11 +261,11 @@ class JammingDetector:
             self._baseline = 0.98 * self._baseline + 0.02 * floor
         self._severity.append(severity)
         # The gate timeline only reports a floor rise once the anomaly
-        # run has persisted (>= gate_min_blocks including this block) —
+        # run has persisted (>= GATE_MIN_BLOCKS including this block) —
         # a lone loud packet's block, or a frame/burst/frame chain held
         # together by gap tolerance, must never raise the detection bar
         # against a legitimate preamble.
-        persisted = anomalous and (self._run + 1) >= self.gate_min_blocks
+        persisted = anomalous and (self._run + 1) >= GATE_MIN_BLOCKS
         self._gate_rise.append(max(rise_db, 0.0) if persisted else 0.0)
         self._advance_state(index, anomalous, rise_db, occupancy, severity)
 
@@ -293,16 +281,16 @@ class JammingDetector:
             self._clean = 0
             self._run += 1
             self._open.append((index, rise_db, occupancy, severity))
-            if self._run == self.min_blocks:
+            if self._run == MIN_BLOCKS:
                 self.telemetry.count("attack.jamming_events")
             return
         if self._run == 0:
             return
         # Gap tolerance: a duty-cycled jammer is off most of the time, so
-        # clean blocks only end a run once recover_blocks arrive in a row.
+        # clean blocks only end a run once RECOVER_BLOCKS arrive in a row.
         self._clean += 1
-        if self._clean >= self.recover_blocks:
-            if self._run >= self.min_blocks:
+        if self._clean >= RECOVER_BLOCKS:
+            if self._run >= MIN_BLOCKS:
                 self._close_event()
             self._run = 0
             self._clean = 0

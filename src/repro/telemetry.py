@@ -137,11 +137,6 @@ class Telemetry:
     gauges: dict[str, float] = field(default_factory=dict)
     timers: dict[str, TimerStats] = field(default_factory=dict)
 
-    @property
-    def enabled(self) -> bool:
-        """False only for the :class:`NullTelemetry` no-op."""
-        return True
-
     def count(self, name: str, value: float = 1) -> None:
         """Increment counter ``name`` by ``value``."""
         self.counters[name] = self.counters.get(name, 0) + value
@@ -213,10 +208,6 @@ class NullTelemetry(Telemetry):
     shared object whose enter/exit never read the clock, so the
     instrumented hot paths cost one attribute lookup and a call.
     """
-
-    @property
-    def enabled(self) -> bool:
-        return False
 
     def count(self, name: str, value: float = 1) -> None:
         return None

@@ -51,10 +51,6 @@ class PacketTruth:
         """One past the last sample index of the packet."""
         return self.start + self.length
 
-    def overlaps(self, other: PacketTruth) -> bool:
-        """Whether this packet overlaps ``other`` in time."""
-        return self.start < other.end and other.start < self.end
-
 
 @dataclass(frozen=True)
 class DetectionEvent:
@@ -162,11 +158,3 @@ class SceneTruth:
                     break
                 pairs.append((first, second))
         return pairs
-
-    def collided_ids(self) -> set[int]:
-        """Ids of packets involved in at least one collision."""
-        ids: set[int] = set()
-        for first, second in self.collisions():
-            ids.add(first.packet_id)
-            ids.add(second.packet_id)
-        return ids

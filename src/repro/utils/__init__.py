@@ -17,7 +17,7 @@ from .bits import (
 from .crc import CRC8_ATM, CRC16_CCITT, CRC16_CCITT_FALSE, CrcEngine, xor_checksum
 from .gray import gray_decode, gray_decode_array, gray_encode, gray_encode_array
 from .hamming import DecodedNibble, HammingCodec
-from .interleaver import BlockInterleaver, LoraDiagonalInterleaver
+from .interleaver import LoraDiagonalInterleaver
 from .line_coding import manchester_decode, manchester_encode
 from .whitening import LfsrWhitener, LoraWhitener, Pn9Whitener
 
@@ -40,7 +40,6 @@ __all__ = [
     "gray_decode_array",
     "HammingCodec",
     "DecodedNibble",
-    "BlockInterleaver",
     "LoraDiagonalInterleaver",
     "manchester_encode",
     "manchester_decode",

@@ -1,17 +1,13 @@
-"""Bit interleavers.
+"""LoRa's diagonal bit interleaver.
 
-Two interleavers are provided:
+:class:`LoraDiagonalInterleaver` writes a block of ``4 + CR`` Hamming
+codewords of ``SF`` bits each as a ``(4+CR) x SF`` matrix and reads it
+out along shifted diagonals, producing ``SF`` on-air symbols of
+``4 + CR`` bits. The diagonal shift means one corrupted chirp symbol
+injects at most one bit error into each codeword, which matches the
+single-error-correcting Hamming code.
 
-* :class:`BlockInterleaver` — a plain rows-in / columns-out matrix
-  interleaver used by generic burst-error spreading.
-* :class:`LoraDiagonalInterleaver` — LoRa's diagonal interleaver. A block
-  of ``4 + CR`` Hamming codewords of ``SF`` bits each is written as a
-  ``(4+CR) x SF`` matrix and read out along shifted diagonals, producing
-  ``SF`` on-air symbols of ``4 + CR`` bits. The diagonal shift means one
-  corrupted chirp symbol injects at most one bit error into each codeword,
-  which matches the single-error-correcting Hamming code.
-
-Both classes expose exact inverses; the property tests assert
+The class exposes exact inverses; the property tests assert
 ``deinterleave(interleave(x)) == x`` for random blocks.
 """
 
@@ -22,42 +18,7 @@ import numpy.typing as npt
 
 from .bits import as_bit_array
 
-__all__ = ["BlockInterleaver", "LoraDiagonalInterleaver"]
-
-
-class BlockInterleaver:
-    """Write row-wise, read column-wise over an ``(n_rows, n_cols)`` grid."""
-
-    def __init__(self, n_rows: int, n_cols: int):
-        if n_rows <= 0 or n_cols <= 0:
-            raise ValueError("interleaver dimensions must be positive")
-        self.n_rows = n_rows
-        self.n_cols = n_cols
-
-    @property
-    def block_size(self) -> int:
-        """Number of bits per interleaver block."""
-        return self.n_rows * self.n_cols
-
-    def interleave(self, bits: npt.ArrayLike) -> np.ndarray:
-        """Permute one or more blocks of bits."""
-        arr = as_bit_array(bits)
-        if arr.size % self.block_size:
-            raise ValueError("bit count is not a multiple of the block size")
-        out = []
-        for block in arr.reshape(-1, self.block_size):
-            out.append(block.reshape(self.n_rows, self.n_cols).T.ravel())
-        return np.concatenate(out) if out else arr
-
-    def deinterleave(self, bits: npt.ArrayLike) -> np.ndarray:
-        """Exact inverse of :meth:`interleave`."""
-        arr = as_bit_array(bits)
-        if arr.size % self.block_size:
-            raise ValueError("bit count is not a multiple of the block size")
-        out = []
-        for block in arr.reshape(-1, self.block_size):
-            out.append(block.reshape(self.n_cols, self.n_rows).T.ravel())
-        return np.concatenate(out) if out else arr
+__all__ = ["LoraDiagonalInterleaver"]
 
 
 class LoraDiagonalInterleaver:

@@ -392,10 +392,10 @@ class TestKillCssEquivalence:
             buffer = buffer[: n_sym - 1]
         if where == "partial_tail":
             assert (len(buffer) - start) % n_sym  # a trailing partial window
-        kill = KillCss(modem, guard=int(rng.integers(0, 4)))
+        kill = KillCss(modem)
         target = ClassifiedSignal("lora", start, 1.0, 1 + 0j)
         got = kill.apply(buffer, modem.sample_rate, target)
-        expected = _loop_kill_css(modem, buffer, start, kill.guard)
+        expected = _loop_kill_css(modem, buffer, start)
         assert np.array_equal(got, expected)
         if where in ("past_end", "short"):
             assert np.array_equal(got, buffer)

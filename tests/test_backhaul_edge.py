@@ -124,17 +124,8 @@ class TestEdge:
         builder.add_packet(lora, b"strong", 2000, 12, rng)
         builder.add_packet(xbee, b"masked", 2000, 12, rng)
         capture, _ = builder.render(rng)
-        edge = EdgeDecoder(trio, FS, ship_on_multi_detection=True)
+        edge = EdgeDecoder(trio, FS)
         outcome = edge.try_decode(self._segment(capture, detections=2))
         # Whatever the edge got, two detections > decoded frames means
         # the cloud must still see this segment.
         assert outcome.ship_to_cloud
-
-    def test_ship_on_multi_detection_disabled(self, trio, rng):
-        xbee = next(m for m in trio if m.name == "xbee")
-        builder = SceneBuilder(FS, 0.05)
-        builder.add_packet(xbee, b"only", 2000, 15, rng)
-        capture, _ = builder.render(rng)
-        edge = EdgeDecoder(trio, FS, ship_on_multi_detection=False)
-        outcome = edge.try_decode(self._segment(capture, detections=3))
-        assert not outcome.ship_to_cloud

@@ -5,8 +5,6 @@ import pytest
 
 from repro.dsp.channel import (
     add_at,
-    awgn,
-    complex_gain,
     noise_for_band_snr,
     scale_to_snr,
     signal_power,
@@ -21,27 +19,6 @@ class TestSignalPower:
 
     def test_empty(self):
         assert signal_power(np.zeros(0, complex)) == 0.0
-
-
-class TestAwgn:
-    def test_snr_is_accurate(self, rng):
-        x = np.exp(2j * np.pi * 0.01 * np.arange(100_000))
-        noisy = awgn(x, 10.0, rng)
-        noise = noisy - x
-        snr = 10 * np.log10(signal_power(x) / signal_power(noise))
-        assert snr == pytest.approx(10.0, abs=0.3)
-
-    def test_measured_power_override(self, rng):
-        x = np.concatenate(
-            [np.zeros(1000, complex), np.ones(1000, complex)]
-        )  # half silence
-        noisy = awgn(x, 0.0, rng, measured_power=1.0)
-        noise_p = signal_power(noisy - x)
-        assert noise_p == pytest.approx(1.0, rel=0.1)
-
-    def test_zero_power_rejected(self, rng):
-        with pytest.raises(ConfigurationError):
-            awgn(np.zeros(100, complex), 10.0, rng)
 
 
 class TestBandSnr:
@@ -77,13 +54,6 @@ class TestBandSnr:
     def test_scale_nan_bandwidth_rejected(self):
         with pytest.raises(ConfigurationError):
             scale_to_snr(np.ones(10, complex), 0.0, 1.0, float("nan"), 1e6)
-
-
-class TestComplexGain:
-    def test_amplitude_and_phase(self):
-        x = np.ones(4, complex)
-        y = complex_gain(x, amplitude=2.0, phase_rad=np.pi / 2)
-        assert np.allclose(y, 2j)
 
 
 class TestAddAt:

@@ -83,11 +83,6 @@ class TestBankMode:
         )
         assert all(len(x) == 0 for x in channels.values())
 
-    def test_mapping_diagnostics(self, on_bin_plan):
-        mapping = Channelizer(on_bin_plan, mode="bank").best_mapping()
-        assert set(mapping) == {0, 1, 2}
-        assert len(set(mapping.values())) == 3
-
 
 class TestValidation:
     def test_unknown_mode_rejected(self, plan):

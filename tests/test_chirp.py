@@ -6,23 +6,9 @@ import pytest
 from repro.dsp.chirp import (
     base_downchirp,
     base_upchirp,
-    linear_chirp,
     lora_symbol,
-    oversampling_factor,
 )
 from repro.errors import ConfigurationError
-
-
-class TestOversampling:
-    def test_exact_ratio(self):
-        assert oversampling_factor(1e6, 125e3) == 8
-
-    def test_unity(self):
-        assert oversampling_factor(125e3, 125e3) == 1
-
-    def test_non_integer_rejected(self):
-        with pytest.raises(ConfigurationError):
-            oversampling_factor(1e6, 300e3)
 
 
 class TestBaseChirps:
@@ -84,17 +70,3 @@ class TestLoraSymbol:
         b = lora_symbol(60, 7)
         corr = abs(np.vdot(a, b)) / len(a)
         assert corr < 0.15
-
-
-class TestLinearChirp:
-    def test_length(self):
-        assert len(linear_chirp(0, 1000, 0.01, 100e3)) == 1000
-
-    def test_constant_tone_special_case(self):
-        wave = linear_chirp(100.0, 100.0, 0.01, 10e3)
-        freq = np.diff(np.unwrap(np.angle(wave))) * 10e3 / (2 * np.pi)
-        assert np.allclose(freq, 100.0, atol=1.0)
-
-    def test_zero_duration_rejected(self):
-        with pytest.raises(ConfigurationError):
-            linear_chirp(0, 100, 0, 1e3)

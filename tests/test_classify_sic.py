@@ -118,30 +118,13 @@ class TestClassifier:
         with pytest.raises(ConfigurationError):
             SegmentClassifier([], FS)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"k": float("nan")},
-            {"k": float("inf")},
-            {"k": -0.5},
-            {"max_per_technology": 0},
-            {"max_per_technology": -1},
-        ],
-        ids=["k-nan", "k-inf", "k-negative", "cap-0", "cap-negative"],
-    )
-    def test_settings_that_find_nothing_rejected(self, trio, kwargs):
-        # Regression: each of these constructed fine and then classified
-        # every segment as empty.
-        with pytest.raises(ConfigurationError):
-            SegmentClassifier(trio, FS, **kwargs)
-
     def test_equal_score_ties_keep_lowest_index(self, monkeypatch, rng):
-        # The peak re-sort before the max_per_technology cut is pinned
+        # The peak re-sort before the per-technology cap is pinned
         # to (score desc, index asc): equal scores must not depend on
         # the peak finder's return order, or FFT rounding could flip
         # the cut on suppression-order accidents.
         modem = _BrittleModem()
-        clf = SegmentClassifier([modem], FS, max_per_technology=2)
+        clf = SegmentClassifier([modem], FS)
         tpl_norm = float(np.sqrt(64.0))
         track = np.zeros(1024 - 64 + 1, dtype=complex)
         for idx in (300, 50, 200, 100):  # deliberately unsorted spikes

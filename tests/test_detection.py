@@ -11,7 +11,6 @@ from repro.gateway.detection import (
     cfar_threshold,
     detection_ratio,
     match_events,
-    packet_detected,
 )
 from repro.gateway.universal import UniversalPreamble, UniversalPreambleDetector
 from repro.net.scene import SceneBuilder
@@ -201,12 +200,6 @@ class TestMatching:
         events = [DetectionEvent(30_000, 1.0, "t")]
         detected, _ = match_events(events, self._packets(), gate=512)
         assert detected == {1}
-
-    def test_packet_detected_helper(self):
-        events = [DetectionEvent(100, 1.0, "t")]
-        assert packet_detected(events, 90, 500)
-        assert not packet_detected(events, 300, 500)
-        assert packet_detected(events, 150, 500, tolerance=64)
 
     def test_empty_packets_gives_nan(self):
         assert np.isnan(detection_ratio([], []))

@@ -115,3 +115,8 @@ class TestCli:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["does-not-exist"])
+
+    def test_unknown_option_rejected(self):
+        # Only ``lint`` forwards arguments it does not know.
+        with pytest.raises(SystemExit):
+            main(["table1", "--bogus"])

@@ -24,7 +24,7 @@ class TestMaxFrameSamples:
 
 class TestExtractor:
     def _extractor(self, trio):
-        return SegmentExtractor(trio, FS, typical_payload=16)
+        return SegmentExtractor(trio, FS)
 
     def test_span_is_twice_max_frame(self, trio):
         ex = self._extractor(trio)
@@ -72,12 +72,6 @@ class TestExtractor:
         assert segments[0].start == 0
         assert segments[0].end <= len(samples)
 
-    def test_shipped_fraction(self, trio, rng):
-        ex = self._extractor(trio)
-        samples = rng.normal(size=10 * ex.span) + 0j
-        segments = ex.extract(samples, [DetectionEvent(5 * ex.span, 1.0, "u")])
-        assert ex.shipped_fraction(segments, len(samples)) == pytest.approx(0.1)
-
     def test_chunked_stream_matches_extract(self, trio, rng):
         # The streaming gateway's use of the window rule: events arrive
         # in index order once their samples have, and windows close
@@ -111,12 +105,6 @@ class TestExtractor:
         ]
         for a, b in zip(cut, whole, strict=True):
             assert np.array_equal(a.samples, b.samples)
-
-    def test_invalid_params_rejected(self, trio):
-        with pytest.raises(ConfigurationError):
-            SegmentExtractor(trio, FS, span_factor=0)
-        with pytest.raises(ConfigurationError):
-            SegmentExtractor(trio, FS, pre_fraction=1.0)
 
 
 class TestCodec:

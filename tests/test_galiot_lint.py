@@ -345,6 +345,14 @@ class TestCli:
         for rule in ALL_RULES:
             assert rule.code in out
 
+    def test_galiot_lint_forwards_every_argument(self, capsys):
+        # ``galiot lint`` passes its arguments to galiot-lint unchanged,
+        # so options it never declared itself (--explain) work too.
+        from repro.cli import main as galiot_main
+
+        assert galiot_main(["lint", "--explain", "GL104"]) == 0
+        assert capsys.readouterr().out.startswith("GL104:")
+
 
 def test_repo_source_tree_is_lint_clean():
     """The CI gate, as a test: ``galiot-lint src/`` must stay clean."""

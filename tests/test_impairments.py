@@ -5,7 +5,6 @@ import pytest
 
 from repro.dsp.impairments import (
     apply_cfo,
-    apply_clock_drift,
     apply_dc_offset,
     apply_iq_imbalance,
     apply_phase,
@@ -93,22 +92,3 @@ class TestQuantize:
             quantize(np.zeros(4, complex), 0, 1.0)
         with pytest.raises(ConfigurationError):
             quantize(np.zeros(4, complex), 8, 0.0)
-
-
-class TestClockDrift:
-    def test_zero_ppm_is_identity(self):
-        x = np.exp(1j * np.linspace(0, 3, 100))
-        assert np.allclose(apply_clock_drift(x, 0.0), x)
-
-    def test_positive_ppm_compresses(self):
-        x = np.exp(2j * np.pi * 0.01 * np.arange(100_000))
-        y = apply_clock_drift(x, 100.0)
-        assert len(y) < len(x)
-
-    def test_interpolation_accuracy(self):
-        # A slow tone survives 10 ppm drift with small error.
-        n = 10_000
-        x = np.exp(2j * np.pi * 1e-4 * np.arange(n))
-        y = apply_clock_drift(x, 10.0)
-        ref = np.exp(2j * np.pi * 1e-4 * np.arange(len(y)) * (1 + 10e-6))
-        assert np.max(np.abs(y - ref)) < 1e-3

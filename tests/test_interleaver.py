@@ -2,45 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.utils.interleaver import BlockInterleaver, LoraDiagonalInterleaver
-
-
-class TestBlockInterleaver:
-    def test_rows_to_columns(self):
-        il = BlockInterleaver(2, 3)
-        out = il.interleave([1, 0, 1, 0, 1, 0])
-        # matrix [[1,0,1],[0,1,0]] read column-wise: 1,0, 0,1, 1,0
-        assert out.tolist() == [1, 0, 0, 1, 1, 0]
-
-    def test_bad_dimensions_rejected(self):
-        with pytest.raises(ValueError):
-            BlockInterleaver(0, 3)
-
-    def test_partial_block_rejected(self):
-        with pytest.raises(ValueError):
-            BlockInterleaver(2, 3).interleave([1, 0, 1])
-
-    @given(
-        st.integers(2, 6),
-        st.integers(2, 6),
-        st.integers(1, 3),
-        st.data(),
-    )
-    @settings(max_examples=40)
-    def test_roundtrip_property(self, rows, cols, blocks, data):
-        il = BlockInterleaver(rows, cols)
-        bits = data.draw(
-            st.lists(
-                st.integers(0, 1),
-                min_size=blocks * il.block_size,
-                max_size=blocks * il.block_size,
-            )
-        )
-        out = il.deinterleave(il.interleave(bits))
-        assert out.tolist() == bits
+from repro.utils.interleaver import LoraDiagonalInterleaver
 
 
 class TestLoraDiagonalInterleaver:

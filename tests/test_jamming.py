@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.dsp.jam import cw_tone, pulsed_noise
+from repro.dsp.jam import cw_tone, pulsed_noise, swept_tone
 from repro.errors import ConfigurationError
 from repro.sensing import JammingDetector
 from repro.telemetry import Telemetry
 
 FS = 1e6
+NAN, INF = float("nan"), float("inf")
 
 
 def _noise(n, rng, power=1.0):
@@ -21,14 +22,49 @@ def _detector(**kwargs):
 
 class TestValidation:
     def test_rejects_bad_config(self):
+        # NaN used to escape as a bare ValueError and inf as an
+        # OverflowError, both from the block-length rounding.
+        for rate in (0.0, -1e6, NAN, INF):
+            with pytest.raises(ConfigurationError):
+                JammingDetector(rate)
+
+
+class TestGeneratorValidation:
+    # Each of these returned NaN samples, or a waveform at an infinite
+    # rate, instead of raising.
+    @pytest.mark.parametrize(
+        "args",
+        [(64, NAN, 1e3), (64, INF, 1e3), (64, FS, NAN), (64, FS, 1e3, NAN)],
+        ids=["rate-nan", "rate-inf", "freq-nan", "phase-nan"],
+    )
+    def test_cw_tone(self, args):
         with pytest.raises(ConfigurationError):
-            JammingDetector(0.0)
+            cw_tone(*args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (64, NAN, -1e3, 1e3, 0.01),
+            (64, INF, -1e3, 1e3, 0.01),
+            (64, FS, -1e3, 1e3, NAN),
+            (64, FS, -1e3, 1e3, INF),
+            (64, FS, NAN, 1e3, 0.01),
+            (64, FS, -1e3, 1e3, 0.01, INF),
+        ],
+        ids=["rate-nan", "rate-inf", "period-nan", "period-inf", "span-nan", "phase-inf"],
+    )
+    def test_swept_tone(self, args):
         with pytest.raises(ConfigurationError):
-            JammingDetector(FS, block_s=0.0)
+            swept_tone(*args)
+
+    @pytest.mark.parametrize(
+        "args",
+        [(64, INF, 0.01, 0.5), (64, NAN, 0.01, 0.5), (64, FS, NAN, 0.5), (64, FS, INF, 0.5)],
+        ids=["rate-inf", "rate-nan", "period-nan", "period-inf"],
+    )
+    def test_pulsed_noise(self, args, rng):
         with pytest.raises(ConfigurationError):
-            JammingDetector(FS, min_blocks=0)
-        with pytest.raises(ConfigurationError):
-            JammingDetector(FS, min_blocks=4, gate_min_blocks=2)
+            pulsed_noise(*args, rng)
 
 
 class TestDetection:
@@ -162,7 +198,7 @@ class TestPressureAndGate:
 
     def test_gate_rise_needs_persistence(self):
         rng = np.random.default_rng(2)
-        det = _detector(gate_min_blocks=6)
+        det = _detector()
         block = det.block
         # Baseline, then exactly three anomalous blocks: enough to open
         # an event (min_blocks=3) but below the gate's persistence bar.
@@ -172,7 +208,7 @@ class TestPressureAndGate:
         det.feed(capture)
         assert det.rise_at(12.5 * block / FS) == 0.0
         # A long run does raise the gate.
-        det2 = _detector(gate_min_blocks=6)
+        det2 = _detector()
         det2.feed(
             np.concatenate(
                 [_noise(10 * block, rng), _noise(10 * block, rng, power=16.0)]

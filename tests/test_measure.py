@@ -3,78 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.dsp.measure import (
-    estimate_noise_floor,
-    estimate_snr_db,
-    occupied_bandwidth,
-    papr_db,
-    power,
-    power_db,
-    rms,
-)
+from repro.dsp.measure import occupied_bandwidth
 from repro.errors import ConfigurationError
-
-
-class TestPower:
-    def test_unit_tone(self):
-        x = np.exp(1j * np.linspace(0, 20, 1000))
-        assert power(x) == pytest.approx(1.0)
-        assert rms(x) == pytest.approx(1.0)
-
-    def test_db(self):
-        assert power_db(np.full(10, 10.0 + 0j)) == pytest.approx(20.0)
-
-    def test_silent_floor(self):
-        assert power_db(np.zeros(5, complex)) == -300.0
-
-    def test_papr_constant_envelope(self):
-        x = np.exp(1j * np.linspace(0, 30, 500))
-        assert papr_db(x) == pytest.approx(0.0, abs=1e-9)
-
-    def test_papr_impulse(self):
-        x = np.zeros(100, complex)
-        x[0] = 10.0
-        assert papr_db(x) == pytest.approx(20.0)
-
-    def test_papr_zero_rejected(self):
-        with pytest.raises(ConfigurationError):
-            papr_db(np.zeros(4, complex))
-
-
-class TestNoiseFloor:
-    def test_pure_noise(self, rng):
-        noise = (rng.normal(size=50_000) + 1j * rng.normal(size=50_000)) / np.sqrt(2)
-        floor = estimate_noise_floor(noise)
-        assert floor == pytest.approx(1.0, rel=0.15)
-
-    def test_ignores_sparse_packets(self, rng):
-        n = 50_000
-        noise = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
-        noise[5_000:7_000] += 10.0  # a loud packet in 4% of the stream
-        floor = estimate_noise_floor(noise)
-        assert floor == pytest.approx(1.0, rel=0.2)
-
-    def test_short_input_falls_back(self):
-        x = np.ones(10, complex)
-        assert estimate_noise_floor(x, window=64) == pytest.approx(1.0)
-
-    def test_invalid_window_rejected(self):
-        with pytest.raises(ConfigurationError):
-            estimate_noise_floor(np.ones(10, complex), window=0)
-
-
-class TestSnrEstimate:
-    def test_known_snr(self, rng):
-        n = 20_000
-        noise = (rng.normal(size=2 * n) + 1j * rng.normal(size=2 * n)) / np.sqrt(2)
-        signal = np.exp(2j * np.pi * 0.01 * np.arange(n)) * np.sqrt(10.0)
-        region = signal + noise[:n]
-        est = estimate_snr_db(region, noise[n:])
-        assert est == pytest.approx(10.0, abs=0.5)
-
-    def test_zero_noise_rejected(self):
-        with pytest.raises(ConfigurationError):
-            estimate_snr_db(np.ones(10, complex), np.zeros(10, complex))
 
 
 class TestOccupiedBandwidth:

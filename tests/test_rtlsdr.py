@@ -74,10 +74,6 @@ class TestCapture:
         y = model.capture(np.zeros(64, complex), rng)
         assert np.all(y == 0)
 
-    def test_raw_backhaul_cost(self):
-        model = RtlSdrModel()
-        assert model.bits_per_second_raw() == 16e6  # 1 MHz x 2 x 8 bit
-
     def test_decode_survives_front_end(self, rng, xbee):
         # End-to-end sanity: the 8-bit front end must not break decoding.
         model = RtlSdrModel(RtlSdrConfig(dc_offset=0.01, iq_gain_db=0.2))

@@ -1,71 +1,12 @@
-"""Unit tests for repro.dsp.spectrum and repro.dsp.fm."""
+"""Unit tests for repro.dsp.fm."""
 
 import numpy as np
-import pytest
 
 from repro.dsp.fm import instantaneous_frequency, quadrature_demod
-from repro.dsp.spectrum import dominant_tones, stft, welch_psd
-from repro.errors import ConfigurationError
 
 
 def _tone(freq, fs, n=8192):
     return np.exp(2j * np.pi * freq * np.arange(n) / fs)
-
-
-class TestWelch:
-    def test_peak_at_tone(self):
-        fs = 1e6
-        freqs, psd = welch_psd(_tone(150e3, fs), fs)
-        assert freqs[np.argmax(psd)] == pytest.approx(150e3, abs=fs / 256)
-
-    def test_frequencies_sorted(self):
-        fs = 1e6
-        freqs, _ = welch_psd(_tone(0, fs), fs)
-        assert np.all(np.diff(freqs) > 0)
-
-    def test_too_short_rejected(self):
-        with pytest.raises(ConfigurationError):
-            welch_psd(np.ones(1, complex), 1e6)
-
-
-class TestStft:
-    def test_shapes(self):
-        fs = 1e6
-        times, freqs, mags = stft(_tone(0, fs, 2048), fs, nfft=256, hop=128)
-        assert mags.shape == (256, len(times))
-        assert len(freqs) == 256
-
-    def test_chirp_frequency_rises(self):
-        from repro.dsp.chirp import linear_chirp
-
-        fs = 1e6
-        x = linear_chirp(-400e3, 400e3, 4e-3, fs)
-        times, freqs, mags = stft(x, fs, nfft=256, hop=256)
-        ridge = freqs[np.argmax(mags, axis=0)]
-        assert ridge[2] < ridge[len(ridge) // 2] < ridge[-3]
-
-    def test_invalid_nfft_rejected(self):
-        with pytest.raises(ConfigurationError):
-            stft(np.ones(100, complex), 1e6, nfft=1)
-
-
-class TestDominantTones:
-    def test_fsk_tone_pair(self):
-        fs = 1e6
-        x = _tone(25e3, fs) + _tone(-25e3, fs)
-        tones = dominant_tones(x, fs, n_tones=2, min_separation_hz=10e3)
-        assert sorted(round(t / 1e3) for t in tones) == [-25, 25]
-
-    def test_separation_respected(self):
-        fs = 1e6
-        x = _tone(25e3, fs)
-        tones = dominant_tones(x, fs, n_tones=2, min_separation_hz=50e3)
-        assert abs(tones[0] - 25e3) < 500
-        assert abs(tones[1] - tones[0]) >= 50e3
-
-    def test_invalid_count_rejected(self):
-        with pytest.raises(ConfigurationError):
-            dominant_tones(np.ones(64, complex), 1e6, 0, 1e3)
 
 
 class TestQuadratureDemod:

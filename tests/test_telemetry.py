@@ -6,7 +6,6 @@ import pytest
 
 from repro.telemetry import (
     NULL,
-    NullTelemetry,
     Telemetry,
     TimerStats,
     format_snapshot,
@@ -71,10 +70,6 @@ class TestTelemetry:
         t.observe("c", 0.1)
         t.reset()
         assert t.snapshot() == {"counters": {}, "gauges": {}, "timers": {}}
-
-    def test_enabled(self):
-        assert Telemetry().enabled
-        assert not NullTelemetry().enabled
 
 
 class TestNullTelemetry:
