@@ -46,7 +46,12 @@ shipped sync banks: Z-Wave at its demodulator's stride has 44 blocks in
 The distinct counts are the same for any tolerance from 1e-12 to 1e-6
 (repeats match to ~1e-15; the closest distinct pair differs by ~4e-5).
 A one-row bank — the coherent universal template — has nothing to
-share and runs exactly as before.
+share, so its segment spectra double as the product buffer: the
+forward FFT overwrites the loaded segments, the template product and
+the inverse FFT overwrite that, and a one-segment call returns its
+track as a view of the same buffer. A chunk of the gateway's stream
+thus costs one buffer and one pass per step, with the same bits as a
+row of a wider bank.
 
 Numerical contract: results are ``allclose`` to the single-shot
 ``fftconvolve`` path but **not** bit-identical — ``fftconvolve`` rounds
@@ -427,6 +432,32 @@ def _distinct_rows(
     return rows, {key: index[bank.row(key)] for key in keys}
 
 
+def _load_segments(
+    x: np.ndarray, nfft: int, hop: int, first: int, stop: int
+) -> np.ndarray:
+    """Segments ``[first, stop)`` of ``x`` as rows of a new matrix: row
+    ``s - first`` holds ``x[s * hop : s * hop + nfft]``, zero-padded
+    past the end of ``x``.
+
+    The segments that lie wholly inside ``x`` are copied from one
+    strided view in one assignment; only the tail segments that run
+    past the end (at most ``ceil(nfft / hop)`` of them) are filled one
+    by one, and only their padding is zeroed.
+    """
+    n_samples = len(x)
+    segmat = np.empty((stop - first, nfft), dtype=np.complex128)
+    whole = min(stop, (n_samples - nfft) // hop + 1) if n_samples >= nfft else 0
+    if whole > first:
+        windows = np.lib.stride_tricks.sliding_window_view(x, nfft)
+        segmat[: whole - first] = windows[first * hop : whole * hop : hop]
+    for seg in range(max(whole, first), stop):
+        pos = seg * hop
+        filled = n_samples - pos
+        segmat[seg - first, :filled] = x[pos:]
+        segmat[seg - first, filled:] = 0
+    return segmat
+
+
 def _overlap_save(
     x: np.ndarray,
     bank: TemplateBank,
@@ -441,7 +472,9 @@ def _overlap_save(
     Yields ``(pos0, corr)`` per batch of segments: ``corr`` has shape
     ``(segments, len(rows), hop)`` and ``corr[s, i]`` holds lags
     ``pos0 + s * hop`` to ``pos0 + (s + 1) * hop`` of row ``rows[i]``'s
-    valid-mode track (lags past a track's end are garbage).
+    valid-mode track (lags past a track's end are garbage). With one
+    row, every batch is a view of its own segments' spectra, which no
+    later batch reuses; with more, every batch reuses one buffer.
 
     ``segments`` (default: all of ``plan``'s) restricts the loop to a
     contiguous run of segments. Batches stay aligned to segment 0 —
@@ -454,38 +487,35 @@ def _overlap_save(
     if segments is None:
         segments = range(plan.n_segments)
     first, stop = segments.start, segments.stop
-    n_samples = len(x)
     with telemetry.span("fastcorr.correlate"):
         spectra = bank.spectra(nfft)
         # Every row requested (rows are ascending): use the cached matrix
         # as is instead of copying it on every call.
         row_spectra = spectra if len(rows) == len(spectra) else spectra[rows]
-        # All overlap-save segments go through ONE batched forward FFT:
-        # a small-template bank plans hundreds of short segments, and
-        # paying a separate scipy dispatch per segment used to dominate
-        # the actual FFT work on the cloud classify path.
-        segmat = np.zeros((stop - first, nfft), dtype=np.complex128)
-        for seg in segments:
-            pos = seg * hop
-            end = min(pos + nfft, n_samples)
-            segmat[seg - first, : end - pos] = x[pos:end]
-        fwd = sp_fft.fft(segmat, axis=1)
-        # Inverse FFTs batch over (segments x rows), chunked so the
-        # product tensor stays under BATCH_WORK_ELEMENTS. One product
-        # buffer is reused across chunks and the inverse FFT works in
-        # place on it, so each chunk costs one working set, not three.
-        chunk = max(1, BATCH_WORK_ELEMENTS // (len(rows) * nfft))
-        product = np.empty(
-            (min(chunk, stop - first), len(rows), nfft), dtype=np.complex128
+        # All overlap-save segments go through ONE batched forward FFT,
+        # which overwrites the segment matrix: a small-template bank
+        # plans hundreds of short segments, and paying a separate scipy
+        # dispatch per segment used to dominate the actual FFT work on
+        # the cloud classify path.
+        fwd = sp_fft.fft(
+            _load_segments(x, nfft, hop, first, stop), axis=1, overwrite_x=True
         )
+        # Inverse FFTs batch over (segments x rows), chunked so the
+        # product tensor stays under BATCH_WORK_ELEMENTS, and work in
+        # place. One row multiplies each segment's spectrum in place;
+        # more rows share one product buffer across chunks, so each
+        # chunk costs one working set, not three.
+        chunk = max(1, BATCH_WORK_ELEMENTS // (len(rows) * nfft))
+        product = None
+        if len(rows) > 1:
+            product = np.empty(
+                (min(chunk, stop - first), len(rows), nfft), dtype=np.complex128
+            )
         for c0 in range(first - first % chunk, stop, chunk):
             s0, s1 = max(c0, first), min(c0 + chunk, stop)
-            work = product[: s1 - s0]
-            np.multiply(
-                fwd[s0 - first : s1 - first, None, :],
-                row_spectra[None, :, :],
-                out=work,
-            )
+            segment_spectra = fwd[s0 - first : s1 - first, None, :]
+            work = segment_spectra if product is None else product[: s1 - s0]
+            np.multiply(segment_spectra, row_spectra[None, :, :], out=work)
             corr = sp_fft.ifft(work, axis=2, overwrite_x=True)
             # Each segment's first ``hop`` lags are wrap-free, so
             # consecutive segments tile the track contiguously.
@@ -508,7 +538,10 @@ def correlate_many(
     template ``r`` gets ``conj(g)`` times ``r``'s track. Entry ``k`` of
     the result is exactly ``cross_correlate(x, bank.template(k))`` up
     to FFT rounding: ``c[n] = sum_j conj(t[j]) x[n + j]``, length
-    ``len(x) - len(t) + 1``.
+    ``len(x) - len(t) + 1``. Every returned track is the caller's to
+    keep or overwrite: no two keys share memory, and none shares it
+    with ``x``; on a one-segment plan a track is a view of the call's
+    own inverse-FFT buffer rather than a copy of it.
 
     Args:
         x: Received complex samples.
@@ -534,6 +567,24 @@ def correlate_many(
     rows, local = _distinct_rows(bank, requested)
     plan = spectrum_plan(n_samples, max(lengths), len(rows), min(lengths))
     out_lens = [n_samples - length + 1 for length in lengths]
+    if plan.n_segments == 1:
+        # One segment is one batch, and its buffer is this call's alone:
+        # each row's track is a contiguous run of it, returned as is.
+        # The row's last key takes the run; earlier keys of the row
+        # copy it first, so no two keys share memory.
+        ((_, corr),) = _overlap_save(x, bank, rows, plan, telemetry)
+        owner = {local[key]: key for key in requested}
+        out: dict[Hashable, np.ndarray] = {}
+        for key, out_len in zip(requested, out_lens, strict=True):
+            track = corr[0, local[key], :out_len]
+            phase = bank.phase(key)
+            if owner[local[key]] != key:
+                out[key] = track * phase.conjugate() if phase != 1 else track.copy()
+            elif phase != 1:
+                out[key] = np.multiply(track, phase.conjugate(), out=track)
+            else:
+                out[key] = track
+        return out
     out = {
         key: np.empty(out_len, dtype=np.complex128)
         for key, out_len in zip(requested, out_lens, strict=True)

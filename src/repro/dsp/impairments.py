@@ -9,6 +9,8 @@ spike) and ADC quantization/clipping.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import ConfigurationError
@@ -69,18 +71,35 @@ def quantize(x: np.ndarray, n_bits: int, full_scale: float) -> np.ndarray:
     Models a mid-rise uniform ADC: values are clipped to
     ``[-full_scale, +full_scale]`` then rounded to ``2**n_bits`` levels.
 
+    Every rail gets ``(floor(clip(v) / step) + 0.5) * step``, bit for
+    bit, at the precision of ``x`` and ``full_scale`` (complex64 samples
+    and a float full scale stay complex64). The clip reads a contiguous
+    complex input's interleaved I/Q samples where they lie (any other
+    input is converted once) into the one output buffer; the other
+    steps run in place on that buffer's interleaved real view.
+
     Raises:
-        ConfigurationError: for a non-positive bit depth or full scale.
+        ConfigurationError: for a bit depth below 1, or a full scale
+            that is not positive and finite.
     """
     if n_bits < 1:
         raise ConfigurationError("n_bits must be >= 1")
-    if full_scale <= 0:
-        raise ConfigurationError("full_scale must be positive")
+    if not (0 < full_scale < math.inf):
+        raise ConfigurationError(
+            f"full_scale must be positive and finite, got {full_scale!r}"
+        )
     levels = 1 << n_bits
     step = 2 * full_scale / levels
-
-    def _quant(real: np.ndarray) -> np.ndarray:
-        clipped = np.clip(real, -full_scale, full_scale - step / 2)
-        return (np.floor(clipped / step) + 0.5) * step
-
-    return _quant(x.real) + 1j * _quant(x.imag)
+    low, high = -full_scale, full_scale - step / 2
+    x = np.asarray(x)
+    dtype = np.result_type(x.real, low, high, step, 1j)
+    real = np.finfo(dtype).dtype
+    out = np.empty(x.shape, dtype)
+    rails = out.reshape(-1).view(real)
+    samples = np.asarray(x, dtype, order="C").reshape(-1).view(real)
+    np.clip(samples, low, high, out=rails)
+    np.divide(rails, step, out=rails)
+    np.floor(rails, out=rails)
+    np.add(rails, 0.5, out=rails)
+    np.multiply(rails, step, out=rails)
+    return out

@@ -322,16 +322,17 @@ class CorrelationDetector(CandidateDetector):
         )
         out: dict[Hashable, np.ndarray] = {}
         for tech in feasible:
-            norm = self._norms[tech]
+            # Each step after the first magnitude runs in place.
             if self.block is None:
-                out[tech] = np.abs(tracks[(tech, 0)]) / norm
-                continue
-            out_len = len(samples) - len(self.templates[tech]) + 1
-            acc = np.zeros(out_len)
-            for offset in self._offsets[tech]:
-                corr = np.abs(tracks[(tech, offset)])
-                acc += corr[offset : offset + out_len] ** 2
-            out[tech] = np.sqrt(acc) / norm
+                score = np.abs(tracks[(tech, 0)])
+            else:
+                out_len = len(samples) - len(self.templates[tech]) + 1
+                score = np.zeros(out_len)
+                for offset in self._offsets[tech]:
+                    corr = np.abs(tracks[(tech, offset)][offset : offset + out_len])
+                    score += np.square(corr, out=corr)
+                np.sqrt(score, out=score)
+            out[tech] = np.divide(score, self._norms[tech], out=score)
         return out
 
     def _fixed_threshold(self, tech: Hashable) -> float | None:

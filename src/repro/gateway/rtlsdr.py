@@ -14,6 +14,7 @@ detectors operate on.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -33,6 +34,20 @@ if TYPE_CHECKING:
 
 __all__ = ["RtlSdrConfig", "RtlSdrModel"]
 
+#: The :class:`RtlSdrConfig` fields that must be finite (complex for
+#: ``dc_offset``): a NaN or inf in any of them turns every captured
+#: sample into NaN, which the detectors would score as silence.
+_FINITE_FIELDS = (
+    "sample_rate",
+    "carrier_hz",
+    "ppm",
+    "iq_gain_db",
+    "iq_phase_deg",
+    "dc_offset",
+    "noise_floor",
+    "agc_headroom_db",
+)
+
 
 @dataclass(frozen=True)
 class RtlSdrConfig:
@@ -50,6 +65,11 @@ class RtlSdrConfig:
             usually carry their own channel noise already).
         agc_headroom_db: Backoff between the signal's RMS and ADC full
             scale; models the dongle's gain staging.
+
+    Raises:
+        ConfigurationError: for a NaN or infinite value, a non-positive
+            sample rate, fewer than 1 ADC bit, or a negative noise floor
+            or AGC headroom.
     """
 
     sample_rate: float = 1e6
@@ -63,10 +83,16 @@ class RtlSdrConfig:
     agc_headroom_db: float = 12.0
 
     def __post_init__(self) -> None:
+        for name in _FINITE_FIELDS:
+            value = getattr(self, name)
+            if not cmath.isfinite(value):
+                raise ConfigurationError(f"{name} must be finite, got {value!r}")
         if self.sample_rate <= 0:
             raise ConfigurationError("sample_rate must be positive")
         if self.adc_bits < 1:
             raise ConfigurationError("adc_bits must be >= 1")
+        if self.noise_floor < 0:
+            raise ConfigurationError("noise_floor must be >= 0")
         if self.agc_headroom_db < 0:
             raise ConfigurationError("agc_headroom_db must be >= 0")
 
@@ -119,6 +145,11 @@ class RtlSdrModel:
             The quantized capture, scaled back so sample values are
             comparable with the input (the AGC gain is undone after
             quantization, leaving only quantization error and clipping).
+
+        Raises:
+            ConfigurationError: when ``noise_floor`` > 0 and ``rng`` is
+                missing, or when a NaN or infinite sample leaves the AGC
+                no finite full scale.
         """
         cfg = self.config
         y = x
@@ -133,7 +164,10 @@ class RtlSdrModel:
             y = y + rng.normal(scale=scale, size=len(y)) + 1j * rng.normal(
                 scale=scale, size=len(y)
             )
-        rms = float(np.sqrt(np.mean(np.abs(y) ** 2))) if len(y) else 0.0
+        rms = 0.0
+        if len(y):
+            power = np.abs(y)
+            rms = float(np.sqrt(np.mean(np.square(power, out=power))))
         if rms <= 0:
             self._cursor += len(x)
             return np.zeros_like(x)

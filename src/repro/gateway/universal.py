@@ -31,6 +31,10 @@ from .detection import MAX_TEMPLATE_S, CorrelationDetector
 
 __all__ = ["UniversalPreamble", "UniversalPreambleDetector"]
 
+#: Peak sliding correlation at or above which two preambles are
+#: "common" and coalesce into one group (step 1 of the construction).
+COALESCE_THRESHOLD = 0.5
+
 
 def _unit_energy(x: np.ndarray) -> np.ndarray:
     energy = float(np.sum(np.abs(x) ** 2))
@@ -71,19 +75,18 @@ class UniversalPreamble:
         cls,
         modems: list[Modem],
         sample_rate_hz: float,
-        coalesce_threshold: float = 0.5,
     ) -> UniversalPreamble:
         """Construct the universal preamble for a set of technologies.
 
         Each preamble is first truncated to
-        :data:`~repro.gateway.detection.MAX_TEMPLATE_S`.
+        :data:`~repro.gateway.detection.MAX_TEMPLATE_S`; two preambles
+        whose peak sliding correlation reaches :data:`COALESCE_THRESHOLD`
+        share a group.
 
         Args:
             modems: Registered technologies (order matters only for
                 tie-breaking).
             sample_rate_hz: Capture sample rate.
-            coalesce_threshold: Peak sliding correlation above which two
-                preambles are considered "common" and merged.
 
         Raises:
             ConfigurationError: when ``modems`` is empty.
@@ -103,7 +106,7 @@ class UniversalPreamble:
             placed = False
             for group in groups:
                 rep = templates[group[0]]
-                if _peak_correlation(wave, rep) >= coalesce_threshold:
+                if _peak_correlation(wave, rep) >= COALESCE_THRESHOLD:
                     group.append(name)
                     group.sort(key=lambda n: len(templates[n]))
                     placed = True

@@ -17,7 +17,10 @@ the engine replaced):
 * **range calls**: ``correlate_accumulate`` handed the previous
   signal's accumulators and the changed range equals a full call over
   the edited signal bit for bit (``array_equal``), and transforms fewer
-  segments.
+  segments;
+* **buffers**: a template scored alone equals its row in a two-row
+  bank, and a strided input its contiguous copy, bit for bit; tracks
+  returned without a copy share no memory with each other or the input.
 """
 
 from __future__ import annotations
@@ -233,6 +236,94 @@ class TestCorrelateMany:
         assert snapshot["counters"]["fastcorr.forward_ffts"] >= 1
         assert snapshot["counters"]["fastcorr.inverse_ffts"] >= 4
         assert "fastcorr.correlate.seconds" in snapshot["timers"]
+
+
+class TestBuffers:
+    """The segment loop's buffer handling changes no bit: a one-row
+    bank multiplies its segment spectra in place, a two-row bank uses a
+    product buffer; segments load from strided views; a one-segment
+    call returns tracks without copying them."""
+
+    def test_alone_equals_its_row_in_a_two_row_bank_on_one_segment(self, rng):
+        x = _noise(rng, 20_000)
+        t, u = _noise(rng, 4000), _noise(rng, 4000)
+        assert spectrum_plan(len(x), len(t), 1).n_segments == 1
+        assert spectrum_plan(len(x), len(t), 2).n_segments == 1
+        alone = correlate_many(x, TemplateBank({"t": t}))["t"]
+        pair = correlate_many(x, TemplateBank({"t": t, "u": u}))["t"]
+        assert np.array_equal(alone, pair)
+
+    def test_alone_equals_its_row_in_a_two_row_bank_multi_batch(
+        self, rng, monkeypatch
+    ):
+        x = _noise(rng, 200_000)
+        t, u = _noise(rng, 512), _noise(rng, 512)
+        plan = spectrum_plan(len(x), len(t), 2)
+        assert plan == spectrum_plan(len(x), len(t), 1)
+        # Three segments per two-row batch and six per one-row batch.
+        monkeypatch.setattr(fastcorr, "BATCH_WORK_ELEMENTS", 6 * plan.nfft)
+        assert plan.n_segments > 12
+        alone = correlate_many(x, TemplateBank({"t": t}))["t"]
+        pair = correlate_many(x, TemplateBank({"t": t, "u": u}))["t"]
+        assert np.array_equal(alone, pair)
+        spec = {0: TrackSpec(pairs=(("t", 0),), out_len=len(x) - 511)}
+        alone = correlate_accumulate(x, TemplateBank({"t": t}), spec)[0]
+        pair = correlate_accumulate(x, TemplateBank({"t": t, "u": u}), spec)[0]
+        assert np.array_equal(alone, pair)
+
+    @pytest.mark.parametrize("n", [30_000, 400_000])
+    def test_strided_input_equals_contiguous_copy(self, rng, n):
+        x = _noise(rng, 4 * n)[::4]
+        assert not x.flags.c_contiguous
+        bank = TemplateBank({"a": _noise(rng, 3000), "b": _noise(rng, 200)})
+        strided = correlate_many(x, bank)
+        contiguous = correlate_many(x.copy(), bank)
+        for key in bank.keys():
+            assert np.array_equal(strided[key], contiguous[key])
+        spec = {0: TrackSpec(pairs=(("a", 0), ("b", 7)), out_len=n - 2999)}
+        assert np.array_equal(
+            correlate_accumulate(x, bank, spec)[0],
+            correlate_accumulate(x.copy(), bank, spec)[0],
+        )
+
+    def test_range_call_in_last_partial_segment(self, rng):
+        n = 50_000
+        bank = blocked_bank(_noise(rng, 400), 100)
+        spec = {0: _blocked_spec(bank, n, squared=True)}
+        plan = spectrum_plan(n, 100, bank.n_distinct)
+        last = (plan.n_segments - 1) * plan.hop
+        # The last segment runs past the end of the signal, and only it
+        # reads the changed span.
+        assert last + plan.nfft > n
+        lo = last - plan.hop + plan.nfft
+        assert lo < n - 10
+        x = _noise(rng, n)
+        previous = correlate_accumulate(x, bank, spec)
+        edited = x.copy()
+        edited[lo:] = _noise(rng, n - lo)
+        telemetry = Telemetry()
+        ranged = correlate_accumulate(
+            edited, bank, spec, telemetry=telemetry,
+            previous=previous, changed=(lo, n),
+        )
+        assert telemetry.counters["fastcorr.forward_ffts"] < plan.n_segments
+        assert np.array_equal(ranged[0], correlate_accumulate(edited, bank, spec)[0])
+
+    @pytest.mark.parametrize("n, one_segment", [(2_000, True), (200_000, False)])
+    def test_aliased_keys_share_no_memory(self, rng, n, one_segment):
+        t = _noise(rng, 300)
+        bank = TemplateBank({"t": t, "alias": np.exp(0.7j) * t, "copy": t.copy()})
+        assert bank.n_distinct == 1 and bank.phase("copy") == 1
+        assert (spectrum_plan(n, 300, 1).n_segments == 1) == one_segment
+        x = _noise(rng, n)
+        out = correlate_many(x, bank)
+        for a, b in [("t", "alias"), ("t", "copy"), ("alias", "copy")]:
+            assert not np.shares_memory(out[a], out[b])
+        assert not any(np.shares_memory(track, x) for track in out.values())
+        assert np.array_equal(out["copy"], out["t"])
+        assert np.array_equal(out["alias"], out["t"] * np.conj(bank.phase("alias")))
+        alone = correlate_many(x, bank, keys=["alias"])["alias"]
+        assert np.array_equal(alone, out["alias"])
 
 
 def _zwave_sync_bank(zwave):

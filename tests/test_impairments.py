@@ -1,5 +1,7 @@
 """Unit tests for repro.dsp.impairments."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -92,3 +94,58 @@ class TestQuantize:
             quantize(np.zeros(4, complex), 0, 1.0)
         with pytest.raises(ConfigurationError):
             quantize(np.zeros(4, complex), 8, 0.0)
+
+    @pytest.mark.parametrize("full_scale", [math.nan, math.inf])
+    def test_non_finite_full_scale_rejected(self, full_scale):
+        with pytest.raises(ConfigurationError):
+            quantize(np.ones(4, complex), 8, full_scale)
+
+
+def _two_rail_quantize(x, n_bits, full_scale):
+    """The reference quantizer: each rail clipped, divided, floored,
+    offset by half a step and scaled back, then recombined."""
+    step = 2 * full_scale / (1 << n_bits)
+
+    def _quant(real):
+        clipped = np.clip(real, -full_scale, full_scale - step / 2)
+        return (np.floor(clipped / step) + 0.5) * step
+
+    return _quant(x.real) + 1j * _quant(x.imag)
+
+
+class TestQuantizeBitIdentity:
+    """``quantize`` equals the two-rail reference bit for bit, dtype
+    included, whatever the layout and precision of its input."""
+
+    FULL_SCALE = 2.0
+
+    @pytest.fixture()
+    def samples(self, rng):
+        x = 3 * (rng.normal(size=4099) + 1j * rng.normal(size=4099))
+        # Both rails clip on both sides.
+        for rail in (x.real, x.imag):
+            assert rail.max() > self.FULL_SCALE and rail.min() < -self.FULL_SCALE
+        return x
+
+    @pytest.mark.parametrize("n_bits", [1, 8])
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            lambda x: x,
+            lambda x: x[::4],
+            lambda x: x.astype(np.complex64),
+            lambda x: x.real.copy(),
+        ],
+        ids=["contiguous", "strided", "complex64", "real"],
+    )
+    def test_matches_two_rail_formula(self, samples, layout, n_bits):
+        x = layout(samples)
+        out = quantize(x, n_bits, self.FULL_SCALE)
+        reference = _two_rail_quantize(x, n_bits, self.FULL_SCALE)
+        assert out.dtype == reference.dtype
+        assert np.array_equal(out, reference)
+
+    def test_leaves_its_input_unchanged(self, samples):
+        before = samples.copy()
+        quantize(samples, 8, self.FULL_SCALE)
+        assert np.array_equal(samples, before)

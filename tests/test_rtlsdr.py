@@ -1,8 +1,11 @@
 """Unit tests for the RTL-SDR front-end model."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.dsp.impairments import quantize
 from repro.errors import ConfigurationError
 from repro.gateway.rtlsdr import RtlSdrConfig, RtlSdrModel
 
@@ -25,6 +28,38 @@ class TestConfig:
             RtlSdrConfig(adc_bits=0)
         with pytest.raises(ConfigurationError):
             RtlSdrConfig(agc_headroom_db=-1)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("sample_rate", math.nan),
+            ("sample_rate", math.inf),
+            ("carrier_hz", math.nan),
+            ("carrier_hz", math.inf),
+            ("carrier_hz", -math.inf),
+            ("ppm", math.nan),
+            ("ppm", math.inf),
+            ("ppm", -math.inf),
+            ("iq_gain_db", math.nan),
+            ("iq_gain_db", math.inf),
+            ("iq_gain_db", -math.inf),
+            ("iq_phase_deg", math.nan),
+            ("iq_phase_deg", math.inf),
+            ("iq_phase_deg", -math.inf),
+            ("dc_offset", math.nan),
+            ("dc_offset", complex(0.0, math.nan)),
+            ("dc_offset", complex(math.inf, 0.0)),
+            ("noise_floor", math.nan),
+            ("noise_floor", math.inf),
+            ("noise_floor", -math.inf),
+            ("noise_floor", -0.1),
+            ("agc_headroom_db", math.nan),
+            ("agc_headroom_db", math.inf),
+        ],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=field):
+            RtlSdrConfig(**{field: value})
 
 
 class TestCapture:
@@ -68,6 +103,22 @@ class TestCapture:
         model = RtlSdrModel(RtlSdrConfig(noise_floor=0.1))
         with pytest.raises(ConfigurationError):
             model.capture(np.ones(16, complex), None)
+
+    def test_output_is_the_quantizer_at_the_agc_full_scale(self, rng):
+        # tests/test_impairments.py pins quantize to the two-rail formula.
+        x = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+        x[::97] *= 20  # clip some samples on both rails
+        rms = float(np.sqrt(np.mean(np.abs(x) ** 2)))
+        full_scale = rms * 10 ** (RtlSdrConfig().agc_headroom_db / 20)
+        expected = quantize(x, 8, full_scale)
+        assert np.array_equal(RtlSdrModel().capture(x), expected)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        x = np.ones(64, complex)
+        x[10] = bad
+        with pytest.raises(ConfigurationError):
+            RtlSdrModel().capture(x)
 
     def test_silent_input(self, rng):
         model = RtlSdrModel()

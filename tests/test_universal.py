@@ -58,10 +58,6 @@ class TestConstruction:
                     by[other].preamble_waveform()
                 )
 
-    def test_high_threshold_keeps_groups_apart(self, trio):
-        up = UniversalPreamble.build(trio, FS, coalesce_threshold=0.99)
-        assert len(up.groups) == 3
-
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):
             UniversalPreamble.build([], FS)
