@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.cloud import CloudDecoder
 from repro.io import load_scene, read_rtl_u8, save_scene, write_rtl_u8
-from repro.net import collision_scene
+from repro.net import packet_scene
 from repro.phy import create_modem
 
 FS = 1e6
@@ -29,7 +29,7 @@ def main() -> None:
     rng = np.random.default_rng(21)
     modems = [create_modem(n) for n in ("lora", "xbee", "zwave")]
 
-    capture, truth = collision_scene(
+    capture, truth = packet_scene(
         [modems[0], modems[1]], [12.0, 12.0], FS, rng, payload_len=10
     )
     print(f"rendered a LoRa+XBee collision: {len(truth.packets)} packets, "

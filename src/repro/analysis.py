@@ -85,13 +85,13 @@ class CollisionFeasibility:
 def collision_feasible(
     modems: list[Modem],
     snrs_db: list[float],
-    shared_bandwidth_hz: float | None = None,
 ) -> CollisionFeasibility:
     """Check a collision against the multiple-access capacity region.
 
     Each transmission ``i`` offers rate ``R_i`` (the modem's bit rate)
-    at in-band SNR ``snr_i``. Over a shared band ``B`` the Gaussian
-    MAC requires, for every subset ``S``::
+    at in-band SNR ``snr_i``. Over the shared band ``B`` (the widest
+    colliding signal's bandwidth) the Gaussian MAC requires, for every
+    subset ``S``::
 
         sum_{i in S} R_i  <=  B log2(1 + sum_{i in S} SNR_i)
 
@@ -102,15 +102,13 @@ def collision_feasible(
     Args:
         modems: Colliding technologies.
         snrs_db: In-band SNR per transmission.
-        shared_bandwidth_hz: The common band; defaults to the widest
-            colliding signal's bandwidth.
 
     Raises:
         ConfigurationError: on mismatched inputs.
     """
     if len(modems) != len(snrs_db) or not modems:
         raise ConfigurationError("modems and snrs_db must align and be non-empty")
-    band = shared_bandwidth_hz or max(m.bandwidth for m in modems)
+    band = max(m.bandwidth for m in modems)
     n = len(modems)
     worst = float("inf")
     feasible = True

@@ -21,6 +21,7 @@ decode pipeline itself lives in :mod:`repro.cloud.pipeline`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..errors import ConfigurationError
@@ -49,10 +50,13 @@ class ComputeNode:
     _busy_until: float = field(default=0.0, repr=False)
 
     def __post_init__(self) -> None:
-        if self.speed <= 0:
-            raise ConfigurationError("speed must be positive")
-        if self.rtt_s < 0:
-            raise ConfigurationError("rtt_s must be >= 0")
+        # Written so NaN and inf fail: a NaN speed or RTT makes every
+        # completion time NaN, and the dispatcher then never picks the
+        # node.
+        if not 0 < self.speed < math.inf:
+            raise ConfigurationError("speed must be positive and finite")
+        if not 0 <= self.rtt_s < math.inf:
+            raise ConfigurationError("rtt_s must be >= 0 and finite")
 
     def completion_time(self, duration_s: float, at_time: float) -> float:
         """When a segment of ``duration_s`` submitted at ``at_time``

@@ -19,6 +19,7 @@ import numpy as np
 
 from .cloud import CloudResilience, CloudService, CloudStats, ParallelCloudService
 from .cloud.parallel import QuarantinedSegment
+from .errors import ConfigurationError
 from .faults import FaultPlan, build_scenario
 from .gateway import (
     BackhaulLink,
@@ -78,7 +79,7 @@ class DrillScene:
                 scenario, seed=self.seed, duration_s=self.duration_s,
                 technologies=self.technologies, n_packets_hint=self.packets,
             )
-        raise ValueError(f"unknown drill kind {kind!r}; choose chaos or attack")
+        raise ConfigurationError(f"unknown drill kind {kind!r}; choose chaos or attack")
 
 
 @dataclass
@@ -211,10 +212,6 @@ def describe_plan(plan: FaultPlan | AttackPlan) -> list[str]:
     """The plan's timeline, one line per scheduled perturbation."""
     if isinstance(plan, FaultPlan):
         lines = [f"outage          {w.start_s:.3f}s .. {w.end_s:.3f}s" for w in plan.outages]
-        lines += [
-            f"latency spike   {s.start_s:.3f}s .. {s.end_s:.3f}s (+{s.extra_s*1e3:.0f} ms)"
-            for s in plan.latency_spikes
-        ]
         lines += [f"sample gap      {g.start} (+{g.length} samples)" for g in plan.sample_gaps]
         for label, scheduled in (
             ("poison segments", plan.poison_segments),

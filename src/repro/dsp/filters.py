@@ -36,17 +36,17 @@ __all__ = [
     "blocked_ls_subtract",
 ]
 
+#: Length of the GFSK Gaussian shaping pulse, in symbols.
+GAUSSIAN_SPAN = 4
 
-def design_lowpass_fir(
-    num_taps: int, cutoff_hz: float, sample_rate_hz: float, window: str = "hamming"
-) -> np.ndarray:
-    """Windowed-sinc linear-phase lowpass FIR.
+
+def design_lowpass_fir(num_taps: int, cutoff_hz: float, sample_rate_hz: float) -> np.ndarray:
+    """Hamming-windowed-sinc linear-phase lowpass FIR.
 
     Args:
         num_taps: Filter length (odd lengths give integer group delay).
         cutoff_hz: One-sided cutoff frequency.
         sample_rate_hz: Sample rate.
-        window: Any window name accepted by scipy.
 
     Raises:
         ConfigurationError: if the cutoff is not inside (0, sample_rate_hz/2).
@@ -55,21 +55,21 @@ def design_lowpass_fir(
         raise ConfigurationError("cutoff must be inside (0, sample_rate_hz/2)")
     if num_taps < 3:
         raise ConfigurationError("num_taps must be >= 3")
-    return sp_signal.firwin(num_taps, cutoff_hz, fs=sample_rate_hz, window=window)
+    return sp_signal.firwin(num_taps, cutoff_hz, fs=sample_rate_hz, window="hamming")
 
 
-def fir_filter(x: np.ndarray, taps: np.ndarray, mode: str = "same") -> np.ndarray:
-    """Apply an FIR filter via FFT convolution."""
-    return sp_signal.fftconvolve(x, taps, mode=mode)
+def fir_filter(x: np.ndarray, taps: np.ndarray) -> np.ndarray:
+    """Apply an FIR filter via FFT convolution (output length of ``x``)."""
+    return sp_signal.fftconvolve(x, taps, mode="same")
 
 
-def gaussian_pulse(bt: float, sps: int, span: int = 4) -> np.ndarray:
-    """Gaussian frequency-shaping pulse for GFSK.
+def gaussian_pulse(bt: float, sps: int) -> np.ndarray:
+    """Gaussian frequency-shaping pulse for GFSK, :data:`GAUSSIAN_SPAN`
+    symbols long (``GAUSSIAN_SPAN * sps + 1`` taps).
 
     Args:
         bt: Bandwidth-time product (0.5 for BLE/802.15.4-FSK).
         sps: Samples per symbol.
-        span: Pulse length in symbols (total taps = span * sps + 1).
 
     Returns:
         Pulse normalized so its sum is 1 (it shapes a +-1 NRZ frequency
@@ -79,7 +79,7 @@ def gaussian_pulse(bt: float, sps: int, span: int = 4) -> np.ndarray:
         raise ConfigurationError("bt must be positive")
     if sps < 1:
         raise ConfigurationError("sps must be >= 1")
-    t = np.arange(-span * sps / 2, span * sps / 2 + 1) / sps
+    t = np.arange(-GAUSSIAN_SPAN * sps / 2, GAUSSIAN_SPAN * sps / 2 + 1) / sps
     alpha = np.sqrt(np.log(2) / 2) / bt
     pulse = (np.sqrt(np.pi) / alpha) * np.exp(-((np.pi * t / alpha) ** 2))
     return pulse / pulse.sum()

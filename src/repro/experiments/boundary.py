@@ -20,7 +20,7 @@ import numpy as np
 
 from ..analysis import collision_feasible
 from ..cloud.decoder import CloudDecoder
-from ..net.traffic import collision_scene
+from ..net.traffic import packet_scene
 from ..phy.registry import create_modem
 from .common import DEFAULT_SEED, ExperimentTable
 
@@ -59,7 +59,7 @@ def run_boundary(
         decoded = 0
         total = 0
         for _ in range(trials):
-            capture, truth = collision_scene(
+            capture, truth = packet_scene(
                 [lora, xbee], [snr, snr], fs, rng, payload_len=10
             )
             want = {(p.technology, p.payload) for p in truth.packets}

@@ -10,8 +10,8 @@ once with full GalioT (Algorithm 1: kill filters + fallback ordering).
 Throughput is delivered payload bits per second of channel time. The
 paper attributes part of its gain to devices being able to "transmit at
 one rate higher" once collisions stop costing retransmissions; the
-optional rate-adaptation factor models exactly that (delivery failures
-push a device to a half-rate tier, doubling its airtime).
+rate-adaptation factor models exactly that (delivery failures push a
+device to a half-rate tier, doubling its airtime).
 """
 
 from __future__ import annotations
@@ -45,6 +45,9 @@ PAPER_FIG3C = {
 
 #: Episode mix: (number of colliding technologies, weight).
 EPISODE_MIX = [(1, 0.15), (2, 0.60), (3, 0.25)]
+
+#: Per-packet crystal error range (±ppm of the 868 MHz carrier).
+CFO_PPM = 2.0
 
 
 @dataclass
@@ -125,20 +128,18 @@ def _draw_episode(
 def run_fig3c(
     episodes_per_bucket: int = 10,
     seed: int = DEFAULT_SEED,
-    cfo_ppm: float = 2.0,
-    rate_adaptation: bool = True,
 ) -> Fig3cResult:
     """Run the collision-throughput comparison.
+
+    Every packet carries a crystal error within :data:`CFO_PPM` of the
+    carrier. Throughput models the paper's rate effect: a device whose
+    frame was lost falls back to a half-rate tier, so its *next*
+    delivery costs twice the airtime. Throughput then reflects both
+    lost frames and the slower rates lost frames force.
 
     Args:
         episodes_per_bucket: Collision episodes per SNR bucket.
         seed: RNG seed.
-        cfo_ppm: Per-packet crystal error range (±ppm at 868 MHz).
-        rate_adaptation: Model the paper's rate effect — a device whose
-            frame was lost falls back to a half-rate tier, so its
-            *next* delivery costs twice the airtime. Throughput then
-            reflects both lost frames and the slower rates lost frames
-            force.
     """
     fs = 1e6
     modems = [create_modem(n) for n in ("lora", "xbee", "zwave")]
@@ -155,8 +156,7 @@ def run_fig3c(
         for _ in range(episodes_per_bucket):
             episode_modems = _draw_episode(rng, modems)
             snrs = [float(rng.uniform(lo, hi)) for _ in episode_modems]
-            # Episodes hold 1-3 packets: collision_scene would reject a
-            # lone one, so every episode renders through packet_scene.
+            # Episodes hold 1-3 packets, lone ones included.
             capture, truth = packet_scene(
                 episode_modems,
                 snrs,
@@ -164,7 +164,7 @@ def run_fig3c(
                 rng,
                 payload_len=12,
                 snr_mode="capture",
-                cfo_ppm_range=cfo_ppm,
+                cfo_ppm_range=CFO_PPM,
             )
             want = {(p.technology, p.payload) for p in truth.packets}
             frames_all += len(want)
@@ -189,13 +189,12 @@ def run_fig3c(
                     if (tech, payload) in delivered:
                         # Delivered at the current tier: bits land, but a
                         # half-rate tier spends 2**t the airtime.
-                        if rate_adaptation:
-                            airtime[mode] += duration * (2**t - 1) / max(
-                                len(want), 1
-                            )
-                            tier[key] = max(t - 1, 0)
+                        airtime[mode] += duration * (2**t - 1) / max(
+                            len(want), 1
+                        )
+                        tier[key] = max(t - 1, 0)
                         bits[mode] += 8 * len(payload)
-                    elif rate_adaptation:
+                    else:
                         tier[key] = min(t + 1, 3)
         result.throughput_bps[bucket] = {
             m: bits[m] / airtime[m] if airtime[m] > 0 else 0.0

@@ -21,7 +21,7 @@ from ..gateway.compression import SegmentCodec
 from ..gateway.detection import match_events
 from ..gateway.universal import UniversalPreamble, UniversalPreambleDetector
 from ..net.scene import SceneBuilder
-from ..net.traffic import collision_scene
+from ..net.traffic import packet_scene
 from ..phy.registry import create_modem
 from ..types import Segment
 from .common import DEFAULT_SEED, ExperimentTable
@@ -150,7 +150,7 @@ def run_overlap(
         counts = {"sic": 0, "galiot": 0}
         total = 0
         for _ in range(trials):
-            capture, truth = collision_scene(
+            capture, truth = packet_scene(
                 [lora, xbee],
                 [snr_db, snr_db],
                 fs,

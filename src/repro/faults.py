@@ -10,7 +10,7 @@ allocation-free queries.
 
 Fault classes, and the component each one plugs into:
 
-* **Backhaul outages / latency spikes** — consumed by
+* **Backhaul outages** — consumed by
   :class:`~repro.gateway.resilience.ResilientBackhaul`: during an outage
   window nothing gets onto the uplink and shipments spill into the
   bounded retry buffer.
@@ -46,6 +46,7 @@ off.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -53,11 +54,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .contracts import iq_contract
-from .errors import InjectedFault
+from .errors import ConfigurationError, InjectedFault
 
 __all__ = [
     "OutageWindow",
-    "LatencySpike",
     "SampleGap",
     "FaultPlan",
     "SCENARIOS",
@@ -74,19 +74,6 @@ class OutageWindow:
 
     def covers(self, at_time: float) -> bool:
         """Whether ``at_time`` falls inside the outage."""
-        return self.start_s <= at_time < self.end_s
-
-
-@dataclass(frozen=True)
-class LatencySpike:
-    """Extra one-way latency applied to shipments inside the window."""
-
-    start_s: float
-    end_s: float
-    extra_s: float
-
-    def covers(self, at_time: float) -> bool:
-        """Whether ``at_time`` falls inside the spike window."""
         return self.start_s <= at_time < self.end_s
 
 
@@ -112,7 +99,6 @@ class FaultPlan:
             it, so two runs of the same plan are bit-identical.
         outages: Backhaul blackout windows (wall-clock of the modelled
             capture, i.e. the ``at_time`` axis of the backhaul).
-        latency_spikes: Extra-latency windows on the same axis.
         sample_gaps: Front-end dropouts in absolute capture samples.
         poison_segments: Segment sequence numbers whose decode raises
             :class:`~repro.errors.InjectedFault` on *every* attempt.
@@ -127,7 +113,6 @@ class FaultPlan:
 
     seed: int = 0
     outages: tuple[OutageWindow, ...] = ()
-    latency_spikes: tuple[LatencySpike, ...] = ()
     sample_gaps: tuple[SampleGap, ...] = ()
     poison_segments: frozenset[int] = field(default_factory=frozenset)
     corrupt_segments: frozenset[int] = field(default_factory=frozenset)
@@ -140,10 +125,6 @@ class FaultPlan:
     def backhaul_down(self, at_time: float) -> bool:
         """Whether the uplink is inside an outage window at ``at_time``."""
         return any(w.covers(at_time) for w in self.outages)
-
-    def extra_latency_s(self, at_time: float) -> float:
-        """Total extra one-way latency active at ``at_time``."""
-        return sum(s.extra_s for s in self.latency_spikes if s.covers(at_time))
 
     def outage_duty_cycle(self, duration_s: float) -> float:
         """Fraction of ``[0, duration_s)`` the uplink is down."""
@@ -204,11 +185,20 @@ def periodic_outages(
     Each period ``[k*period, (k+1)*period)`` starts with ``duty*period``
     seconds of blackout — the 10 %-duty scenario of the resilience
     benchmark is ``periodic_outages(d, 1.0, 0.10)``.
+
+    Raises:
+        ConfigurationError: unless ``0 < period_s < inf``,
+            ``0 <= duration_s < inf`` and ``0 <= duty <= 1``.
     """
-    if period_s <= 0:
-        raise ValueError("period_s must be positive")
+    # Written so NaN fails every check: a NaN period would yield one
+    # outage ending at NaN, and an infinite duration would never end the
+    # loop below.
+    if not 0 < period_s < math.inf:
+        raise ConfigurationError("period_s must be positive and finite")
+    if not 0 <= duration_s < math.inf:
+        raise ConfigurationError("duration_s must be >= 0 and finite")
     if not 0.0 <= duty <= 1.0:
-        raise ValueError("duty must be in [0, 1]")
+        raise ConfigurationError("duty must be in [0, 1]")
     if duty == 0.0:
         return ()
     windows = []
@@ -241,16 +231,13 @@ def build_scenario(
             segments corrupted, one poison, one crash, one hang).
     """
     if name not in SCENARIOS:
-        raise ValueError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
+        raise ConfigurationError(f"unknown scenario {name!r}; choose from {SCENARIOS}")
     if name == "none":
         return FaultPlan(seed=seed)
     rng = np.random.default_rng((seed, SCENARIOS.index(name)))
     outages = periodic_outages(duration_s, duration_s / 4, 0.10)
-    spikes = (
-        LatencySpike(0.55 * duration_s, 0.70 * duration_s, extra_s=0.050),
-    )
     if name == "outages":
-        return FaultPlan(seed=seed, outages=outages, latency_spikes=spikes)
+        return FaultPlan(seed=seed, outages=outages)
     if name == "gaps":
         n_samples = int(duration_s * 1e6)
         starts = rng.integers(0, max(n_samples - 256, 1), size=3)
@@ -276,7 +263,6 @@ def build_scenario(
     return FaultPlan(
         seed=seed,
         outages=outages,
-        latency_spikes=spikes,
         poison_segments=poison,
         corrupt_segments=corrupt,
         crash_submissions=crashes,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..contracts import iq_contract
-from ..errors import CapacityError
+from ..errors import CapacityError, ConfigurationError
 from ..guard import DecodeGuard
 from ..phy.base import Modem
 from ..sensing.jamming import JammingDetector, JammingEvent
@@ -203,7 +203,7 @@ class GalioTGateway:
                 telemetry=self.telemetry, **detector_kwargs
             )
         else:
-            raise ValueError(f"unknown detector {detector!r}")
+            raise ConfigurationError(f"unknown detector {detector!r}")
 
     @iq_contract("capture")
     def capture_front_end(

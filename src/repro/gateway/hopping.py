@@ -33,6 +33,11 @@ __all__ = [
     "run_hopping_campaign",
 ]
 
+#: :class:`HopScheduler`'s multiplicative weight update per detection.
+LEARNING_RATE = 1.6
+#: :class:`HopScheduler`'s weight decay on an empty dwell.
+DECAY = 0.85
+
 
 @dataclass(frozen=True)
 class ChannelPlan:
@@ -133,17 +138,16 @@ class HopScheduler:
     weight, with an exploration floor so quiet channels are still
     revisited (the "dynamically learns the schedule" behaviour).
 
+    A detection multiplies the visited channel's weight by
+    :data:`LEARNING_RATE` (per detection, up to 4), and an empty dwell
+    by :data:`DECAY`.
+
     Attributes:
         n_channels: Number of channels.
-        learning_rate: Multiplicative update per detection.
-        decay: Weight decay applied to the visited channel on an empty
-            dwell.
         explore: Probability mass spread uniformly across all channels.
     """
 
     n_channels: int
-    learning_rate: float = 1.6
-    decay: float = 0.85
     explore: float = 0.2
     weights: np.ndarray = field(default=None)  # type: ignore[assignment]
 
@@ -168,9 +172,9 @@ class HopScheduler:
     def update(self, channel: int, detections: int) -> None:
         """Feed back the dwell outcome."""
         if detections > 0:
-            self.weights[channel] *= self.learning_rate ** min(detections, 4)
+            self.weights[channel] *= LEARNING_RATE ** min(detections, 4)
         else:
-            self.weights[channel] *= self.decay
+            self.weights[channel] *= DECAY
         # Keep weights bounded for numerical hygiene.
         self.weights = np.clip(self.weights, 1e-6, 1e6)
 

@@ -36,7 +36,7 @@ import numpy as np
 from ..errors import CapacityError, ConfigurationError
 from ..faults import FaultPlan
 from ..telemetry import NULL, Telemetry
-from .backhaul import BackhaulLink, Shipment
+from .backhaul import BackhaulLink
 
 __all__ = ["SpillEntry", "ShipOutcome", "ResilientBackhaul", "DegradationLadder"]
 
@@ -243,15 +243,9 @@ class ResilientBackhaul:
 
     def _attempt(self, entry: SpillEntry, at_time: float) -> bool:
         try:
-            shipment: Shipment = self.link.ship(entry.n_bits, at_time)
+            self.link.ship(entry.n_bits, at_time)
         except CapacityError:
             return False
-        extra = 0.0 if self.faults is None else self.faults.extra_latency_s(at_time)
-        if extra > 0:
-            self.telemetry.count("backhaul.latency_spikes")
-            self.telemetry.gauge(
-                "backhaul.last_delay_s", shipment.delay + extra
-            )
         return True
 
     def _spill(self, entry: SpillEntry, at_time: float) -> None:

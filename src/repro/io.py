@@ -25,6 +25,7 @@ import numpy as np
 
 from .contracts import iq_contract
 from .errors import ConfigurationError
+from .net.scene import CARRIER_HZ
 from .types import PacketTruth, SceneTruth
 
 __all__ = [
@@ -54,7 +55,7 @@ class CaptureMeta:
     """
 
     sample_rate: float
-    carrier_hz: float = 868e6
+    carrier_hz: float = CARRIER_HZ
     datatype: str = "cf32_le"
     description: str = ""
     annotations: list[dict] = field(default_factory=list)
@@ -79,9 +80,9 @@ class CaptureMeta:
         captures = doc.get("captures", [{}])
         return cls(
             sample_rate=float(glob.get("core:sample_rate", 0.0)),
-            carrier_hz=float(captures[0].get("core:frequency", 868e6))
+            carrier_hz=float(captures[0].get("core:frequency", CARRIER_HZ))
             if captures
-            else 868e6,
+            else CARRIER_HZ,
             datatype=str(glob.get("core:datatype", "cf32_le")),
             description=str(glob.get("core:description", "")),
             annotations=list(doc.get("annotations", [])),
@@ -100,19 +101,17 @@ def read_cfile(path: str | Path) -> np.ndarray:
 
 
 @iq_contract("samples")
-def write_rtl_u8(path: str | Path, samples: np.ndarray, full_scale: float | None = None) -> None:
+def write_rtl_u8(path: str | Path, samples: np.ndarray) -> None:
     """Write rtl_sdr-style offset-uint8 interleaved I/Q.
 
-    Args:
-        samples: Complex samples.
-        full_scale: Clip level mapped to 0/255; defaults to the peak.
+    The peak rail magnitude of ``samples`` maps to 0/255 (1 for an
+    all-zero or empty capture).
     """
     x = np.asarray(samples)
-    if full_scale is None:
-        peak = float(
-            np.max(np.abs(np.concatenate([x.real, x.imag]))) if len(x) else 1.0
-        )
-        full_scale = peak if peak > 0 else 1.0
+    peak = float(
+        np.max(np.abs(np.concatenate([x.real, x.imag]))) if len(x) else 1.0
+    )
+    full_scale = peak if peak > 0 else 1.0
     inter = np.empty(2 * len(x))
     inter[0::2] = x.real
     inter[1::2] = x.imag
@@ -162,10 +161,10 @@ def save_scene(
     basepath: str | Path,
     samples: np.ndarray,
     truth: SceneTruth,
-    carrier_hz: float = 868e6,
     description: str = "",
 ) -> tuple[Path, Path]:
-    """Persist a synthetic scene as ``<base>.cfile`` + ``<base>.sigmf-meta``.
+    """Persist a synthetic scene as ``<base>.cfile`` + ``<base>.sigmf-meta``,
+    recorded at the scenes' carrier :data:`~repro.net.scene.CARRIER_HZ`.
 
     Returns:
         ``(data_path, meta_path)``.
@@ -176,7 +175,7 @@ def save_scene(
     write_cfile(data_path, samples)
     meta = CaptureMeta(
         sample_rate=truth.sample_rate,
-        carrier_hz=carrier_hz,
+        carrier_hz=CARRIER_HZ,
         datatype="cf32_le",
         description=description,
         annotations=_truth_annotations(truth),

@@ -22,7 +22,7 @@ from .multigateway import (
 )
 from .scene import NOISE_POWER, SceneBuilder
 from .simulator import NetworkSimulator, SimulationResult, match_decodes
-from .traffic import collision_scene, packet_scene, poisson_scene
+from .traffic import packet_scene, poisson_scene
 
 __all__ = [
     "ATTACK_SCENARIOS",
@@ -48,7 +48,6 @@ __all__ = [
     "NetworkSimulator",
     "SimulationResult",
     "match_decodes",
-    "collision_scene",
     "packet_scene",
     "poisson_scene",
 ]

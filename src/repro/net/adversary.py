@@ -268,7 +268,6 @@ def render_attack_plan(
     builder: SceneBuilder,
     plan: AttackPlan | None,
     modems: list[Modem] | dict[str, Modem],
-    snr_mode: str = "capture",
 ) -> AttackLedger:
     """Inject a plan's attack timeline into a scene under construction.
 
@@ -278,27 +277,24 @@ def render_attack_plan(
     from the scene's own generator — so a scene with ``plan=None`` (or
     an empty plan) is bit-identical to one built without this call, and
     two same-seed renders of the same plan are bit-identical to each
-    other.
+    other. Replay and spoof SNRs are per-sample SNRs over the full
+    capture band (``snr_mode="capture"`` in
+    :meth:`~repro.net.scene.SceneBuilder.add_packet`), the convention
+    the drills place honest packets with.
 
     Args:
         builder: The scene, with legitimate traffic already placed.
         plan: The attack schedule (``None`` → no-op, empty ledger).
         modems: The registered technologies (replays and spoofs
             re-modulate through them).
-        snr_mode: SNR convention for replay/spoof amplitudes —
-            ``"capture"`` or ``"inband"``, matching the convention the
-            legitimate packets were added with.
 
     Raises:
-        ConfigurationError: for an unknown ``snr_mode``, a replay against
-            a scene with no packets, or a spoofed technology that is not
-            registered.
+        ConfigurationError: for a replay against a scene with no
+            packets, or a spoofed technology that is not registered.
     """
     ledger = AttackLedger()
     if plan is None or plan.is_empty():
         return ledger
-    if snr_mode not in ("inband", "capture"):
-        raise ConfigurationError(f"unknown snr_mode {snr_mode!r}")
     modem_map = _as_modem_map(modems)
     fs = builder.sample_rate_hz
     noise_power = builder.noise_power
@@ -330,13 +326,8 @@ def render_attack_plan(
         wave = to_rate(modem.modulate(target.payload), modem.sample_rate, fs)
         wave = apply_phase(wave, float(rng.uniform(0, 2 * np.pi)))
         if noise_power > 0:
-            ref_bw = modem.bandwidth if snr_mode == "inband" else fs
             wave = scale_to_snr(
-                wave,
-                target.snr_db + replay.gain_db,
-                noise_power,
-                min(ref_bw, fs),
-                fs,
+                wave, target.snr_db + replay.gain_db, noise_power, fs, fs
             )
         start = target.start + int(round(replay.delay_s * fs))
         builder.add_interference(wave, start)
@@ -376,10 +367,7 @@ def render_attack_plan(
         wave = to_rate(wave, modem.sample_rate, fs)
         wave = apply_phase(wave, float(rng.uniform(0, 2 * np.pi)))
         if noise_power > 0:
-            ref_bw = modem.bandwidth if snr_mode == "inband" else fs
-            wave = scale_to_snr(
-                wave, spoof.snr_db, noise_power, min(ref_bw, fs), fs
-            )
+            wave = scale_to_snr(wave, spoof.snr_db, noise_power, fs, fs)
         start = int(round(spoof.start_s * fs))
         builder.add_interference(wave, start)
         ledger.injected.append(
@@ -430,7 +418,7 @@ def build_attack_scenario(
             are spread across it.
     """
     if name not in ATTACK_SCENARIOS:
-        raise ValueError(
+        raise ConfigurationError(
             f"unknown scenario {name!r}; choose from {ATTACK_SCENARIOS}"
         )
     if name == "none":

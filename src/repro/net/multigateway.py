@@ -36,6 +36,14 @@ __all__ = [
     "selection_diversity",
 ]
 
+#: Noise-only samples before and after the frame in each gateway copy.
+PAD_SAMPLES = 2000
+#: Largest integer propagation/trigger skew between gateways, in samples.
+MAX_DELAY = 8
+#: Lead/lag samples around the first copy's peak that
+#: :func:`combine_segments` searches when aligning the other copies.
+ALIGN_SEARCH = 64
+
 
 @dataclass
 class GatewayCopy:
@@ -58,26 +66,25 @@ def receive_at_gateways(
     payload: bytes,
     snrs_db: list[float],
     rng: np.random.Generator,
-    pad: int = 2000,
-    max_delay: int = 8,
 ) -> list[GatewayCopy]:
     """Render one transmission as captured by several gateways.
 
     Each gateway sees the same waveform with its own complex channel
     gain (amplitude set by its SNR, uniform random phase), an integer
-    propagation/trigger skew of up to ``max_delay`` samples, and
-    independent AWGN.
+    propagation/trigger skew of up to :data:`MAX_DELAY` samples, and
+    independent AWGN, with :data:`PAD_SAMPLES` of noise on each side.
     """
     if not snrs_db:
         raise ConfigurationError("at least one gateway is required")
     wave = modem.modulate(payload)
     copies = []
     for gid, snr in enumerate(snrs_db):
-        delay = int(rng.integers(0, max_delay + 1))
-        buf = np.zeros(pad * 2 + len(wave) + max_delay, dtype=complex)
+        delay = int(rng.integers(0, MAX_DELAY + 1))
+        buf = np.zeros(PAD_SAMPLES * 2 + len(wave) + MAX_DELAY, dtype=complex)
         phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
         amplitude = 10 ** (snr / 20)  # unit noise per sample below
-        buf[pad + delay : pad + delay + len(wave)] = wave * amplitude * phase
+        at = PAD_SAMPLES + delay
+        buf[at : at + len(wave)] = wave * amplitude * phase
         noise = (
             rng.normal(size=len(buf)) + 1j * rng.normal(size=len(buf))
         ) / np.sqrt(2)
@@ -90,7 +97,6 @@ def receive_at_gateways(
 def combine_segments(
     copies: list[GatewayCopy],
     reference: np.ndarray,
-    search: int = 64,
 ) -> np.ndarray:
     """Align and max-ratio combine gateway copies of one transmission.
 
@@ -100,11 +106,12 @@ def combine_segments(
         reference: A known waveform present in every copy (the
             technology's sync waveform) used to estimate each copy's
             delay, phase and amplitude.
-        search: How many lead/lag samples around the first copy's peak
-            to search when aligning the other copies. Gateways trigger
-            on the same transmission, so relative delays are small;
-            bounding the search keeps a noise or sidelobe peak far away
-            in the capture from hijacking a copy's alignment.
+
+    The other copies are aligned within :data:`ALIGN_SEARCH` samples of
+    the first copy's peak. Gateways trigger on the same transmission, so
+    relative delays are small; bounding the search keeps a noise or
+    sidelobe peak far away in the capture from hijacking a copy's
+    alignment.
 
     Returns:
         The combined stream, cropped to the shortest aligned copy. Each
@@ -112,15 +119,13 @@ def combine_segments(
         which is maximal-ratio combining when noise is equal per copy.
 
     Raises:
-        ConfigurationError: on empty input or a non-positive ``search``.
+        ConfigurationError: on empty input.
     """
     if not copies:
         raise ConfigurationError("no copies to combine")
-    if search < 1:
-        raise ConfigurationError("search must be >= 1")
     # Estimate per-copy delay and complex gain against the reference.
     # The first copy's global peak anchors the frame position; every
-    # other copy's peak is constrained to ±search samples of it.
+    # other copy's peak is constrained to ±ALIGN_SEARCH samples of it.
     aligned: list[tuple[np.ndarray, complex]] = []
     ref_energy = float(np.sum(np.abs(reference) ** 2))
     anchor: int | None = None
@@ -132,8 +137,8 @@ def combine_segments(
         else:
             # Clamp the window into the valid correlation range (a
             # short copy may not even reach the anchor).
-            lo = max(0, min(anchor - search, len(corr) - 1))
-            hi = max(lo + 1, min(len(corr), anchor + search + 1))
+            lo = max(0, min(anchor - ALIGN_SEARCH, len(corr) - 1))
+            hi = max(lo + 1, min(len(corr), anchor + ALIGN_SEARCH + 1))
             peak = lo + int(np.argmax(np.abs(corr[lo:hi])))
         gain = complex(corr[peak] / ref_energy)
         aligned.append((copy.samples[peak:], gain))

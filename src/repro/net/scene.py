@@ -23,10 +23,15 @@ from ..errors import ConfigurationError
 from ..phy.base import Modem
 from ..types import PacketTruth, SceneTruth
 
-__all__ = ["NOISE_POWER", "SceneBuilder"]
+__all__ = ["CARRIER_HZ", "NOISE_POWER", "SceneBuilder"]
 
 #: Common full-band noise power of every scene (linear, arbitrary ref).
 NOISE_POWER = 1.0
+
+#: RF carrier of every scene (the paper's 868 MHz ISM band): the
+#: reference for ppm crystal errors and the centre a saved capture
+#: records.
+CARRIER_HZ = 868e6
 
 
 class SceneBuilder:
@@ -64,9 +69,7 @@ class SceneBuilder:
         rng: np.random.Generator,
         device_id: int = 0,
         cfo_hz: float = 0.0,
-        random_phase: bool = True,
         snr_mode: str = "inband",
-        fading: str | None = None,
     ) -> PacketTruth:
         """Modulate and inject one packet.
 
@@ -76,46 +79,34 @@ class SceneBuilder:
             start: First sample index in the capture.
             snr_db: SNR against the scene's noise floor; interpreted per
                 ``snr_mode``.
-            rng: Source of the random carrier phase.
+            rng: Source of the carrier phase, drawn uniformly (real
+                radios are never phase-aligned).
             device_id: Transmitting device id recorded in the truth.
             cfo_hz: Transmitter carrier offset applied to the waveform.
-            random_phase: Draw a uniform carrier phase (real radios are
-                never phase-aligned).
             snr_mode: ``"inband"`` — SNR inside the signal's own occupied
                 bandwidth (the decoding-relevant figure); ``"capture"`` —
                 per-sample SNR over the full capture bandwidth (what you
                 get when injecting AWGN onto an RTL-SDR trace, as the
                 paper's detection experiment does).
-            fading: ``None`` for a fixed channel gain, ``"rayleigh"`` to
-                draw the packet's flat-fading amplitude from a Rayleigh
-                distribution (the SNR then becomes the *average* SNR).
 
         Returns:
             The ground-truth record appended to the scene.
 
         Raises:
-            ConfigurationError: for an unknown ``snr_mode`` or fading
-                model.
+            ConfigurationError: for an unknown ``snr_mode``.
         """
         if snr_mode not in ("inband", "capture"):
             raise ConfigurationError(f"unknown snr_mode {snr_mode!r}")
-        if fading not in (None, "rayleigh"):
-            raise ConfigurationError(f"unknown fading model {fading!r}")
         wave = modem.modulate(payload)
         wave = to_rate(wave, modem.sample_rate, self.sample_rate_hz)
         if cfo_hz:
             wave = apply_cfo(wave, cfo_hz, self.sample_rate_hz)
-        if random_phase:
-            wave = apply_phase(wave, float(rng.uniform(0, 2 * np.pi)))
+        wave = apply_phase(wave, float(rng.uniform(0, 2 * np.pi)))
         if self.noise_power > 0:
             ref_bw = modem.bandwidth if snr_mode == "inband" else self.sample_rate_hz
             wave = scale_to_snr(
                 wave, snr_db, self.noise_power, min(ref_bw, self.sample_rate_hz), self.sample_rate_hz
             )
-        if fading == "rayleigh":
-            # Unit-mean-square Rayleigh draw: |h|^2 ~ Exp(1), so the
-            # configured SNR is the average over fades.
-            wave = wave * float(rng.rayleigh(scale=np.sqrt(0.5)))
         add_at(self._stream, start, wave)
         truth = PacketTruth(
             packet_id=len(self._packets),

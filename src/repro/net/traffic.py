@@ -9,13 +9,10 @@ Two scene generators feed the experiments:
   technologies at chosen SNRs, used by the Figure 3(c) throughput
   experiment (the paper adjusts duty cycles "to capture all possible
   scenarios, including intertechnology collisions", lone packets
-  included). :func:`collision_scene` is the same render for 2 or more
-  packets.
+  included) and by the collision experiments.
 """
 
 from __future__ import annotations
-
-from typing import Any
 
 import numpy as np
 
@@ -23,13 +20,16 @@ from ..errors import ConfigurationError
 from ..phy.base import Modem
 from ..types import SceneTruth
 from .device import Device
-from .scene import SceneBuilder
+from .scene import CARRIER_HZ, SceneBuilder
 
 __all__ = [
     "poisson_scene",
     "packet_scene",
-    "collision_scene",
 ]
+
+#: Silence before the first and after the last packet of a
+#: :func:`packet_scene`.
+GUARD_S = 2e-3
 
 
 def poisson_scene(
@@ -37,32 +37,22 @@ def poisson_scene(
     sample_rate_hz: float,
     duration_s: float,
     rng: np.random.Generator,
-    noise_power: float = 1.0,
-    cfo_ppm_range: float = 0.0,
-    carrier_hz: float = 868e6,
 ) -> tuple[np.ndarray, SceneTruth]:
-    """Render a scene of independent Poisson transmitters.
+    """Render a scene of independent Poisson transmitters over the
+    common noise floor (no carrier offsets).
 
     Args:
         devices: Transmitting devices (each with its own SNR and rate).
         sample_rate_hz: Capture sample rate.
         duration_s: Scene length.
         rng: Random source.
-        noise_power: Scene noise floor.
-        cfo_ppm_range: Each packet draws a crystal error uniform in
-            ±``cfo_ppm_range`` ppm of ``carrier_hz``.
-        carrier_hz: Carrier for the ppm→Hz conversion.
     """
     if not devices:
         raise ConfigurationError("at least one device is required")
-    builder = SceneBuilder(sample_rate_hz, duration_s, noise_power)
+    builder = SceneBuilder(sample_rate_hz, duration_s)
     for dev in devices:
         for t in dev.draw_arrivals(duration_s, rng):
             payload = dev.draw_payload(rng)
-            cfo = 0.0
-            if cfo_ppm_range > 0:
-                cfo = float(rng.uniform(-cfo_ppm_range, cfo_ppm_range))
-                cfo = cfo * 1e-6 * carrier_hz
             builder.add_packet(
                 dev.modem,
                 payload,
@@ -70,7 +60,6 @@ def poisson_scene(
                 snr_db=dev.snr_db,
                 rng=rng,
                 device_id=dev.device_id,
-                cfo_hz=cfo,
             )
     return builder.render(rng)
 
@@ -82,13 +71,11 @@ def packet_scene(
     rng: np.random.Generator,
     payload_len: int = 16,
     overlap: float = 1.0,
-    noise_power: float = 1.0,
-    guard_s: float = 2e-3,
     snr_mode: str = "inband",
     cfo_ppm_range: float = 0.0,
-    carrier_hz: float = 868e6,
 ) -> tuple[np.ndarray, SceneTruth]:
-    """Render ``len(modems)`` deliberately overlapping packets.
+    """Render ``len(modems)`` deliberately overlapping packets over the
+    common noise floor, with :data:`GUARD_S` of silence at each end.
 
     Args:
         modems: Transmitting technologies (1 or more).
@@ -102,12 +89,10 @@ def packet_scene(
             packet's own airtime, so with heterogeneous technologies
             every consecutive pair overlaps for the same fraction of
             the earlier packet's frame.
-        noise_power: Scene noise floor.
-        guard_s: Silence before the first and after the last packet.
         snr_mode: SNR convention, see
             :meth:`repro.net.scene.SceneBuilder.add_packet`.
-        cfo_ppm_range: Per-packet crystal error drawn uniform in ±range.
-        carrier_hz: Carrier for the ppm→Hz conversion.
+        cfo_ppm_range: Per-packet crystal error drawn uniform in ±range
+            ppm of :data:`~repro.net.scene.CARRIER_HZ`.
 
     Raises:
         ConfigurationError: on mismatched list lengths or bad overlap.
@@ -119,17 +104,16 @@ def packet_scene(
     if not 0.0 <= overlap <= 1.0:
         raise ConfigurationError("overlap must be in [0, 1]")
     airtimes = [m.frame_airtime(payload_len) for m in modems]
-    guard = guard_s
     starts_s = []
-    t = guard
+    t = GUARD_S
     for i, _ in enumerate(modems):
         starts_s.append(t)
         if i + 1 < len(modems):
             t += airtimes[i] * (1.0 - overlap)
     duration = max(
         s + a for s, a in zip(starts_s, airtimes, strict=True)
-    ) + guard
-    builder = SceneBuilder(sample_rate_hz, duration, noise_power)
+    ) + GUARD_S
+    builder = SceneBuilder(sample_rate_hz, duration)
     for dev_id, (modem, snr, start_s) in enumerate(
         zip(modems, snrs_db, starts_s, strict=True)
     ):
@@ -137,7 +121,7 @@ def packet_scene(
         cfo = 0.0
         if cfo_ppm_range > 0:
             cfo = float(rng.uniform(-cfo_ppm_range, cfo_ppm_range))
-            cfo = cfo * 1e-6 * carrier_hz
+            cfo = cfo * 1e-6 * CARRIER_HZ
         builder.add_packet(
             modem,
             payload,
@@ -150,24 +134,3 @@ def packet_scene(
         )
     return builder.render(rng)
 
-
-def collision_scene(
-    modems: list[Modem],
-    snrs_db: list[float],
-    sample_rate_hz: float,
-    rng: np.random.Generator,
-    **options: Any,
-) -> tuple[np.ndarray, SceneTruth]:
-    """Render one deliberate collision: a :func:`packet_scene` of 2 or
-    more packets. ``options`` are :func:`packet_scene`'s keywords.
-
-    Raises:
-        ConfigurationError: for fewer than 2 modems, and as
-            :func:`packet_scene`.
-    """
-    if len(modems) < 2:
-        raise ConfigurationError(
-            "a collision needs 2 or more modems "
-            "(use packet_scene for a single packet)"
-        )
-    return packet_scene(modems, snrs_db, sample_rate_hz, rng, **options)

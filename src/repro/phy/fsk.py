@@ -55,7 +55,6 @@ def fsk_modulate(
     deviation_hz: float,
     sample_rate_hz: float,
     bt: float | None = None,
-    span: int = 4,
 ) -> np.ndarray:
     """Modulate a bit array into constant-envelope (G)FSK I/Q.
 
@@ -64,9 +63,9 @@ def fsk_modulate(
         sps: Samples per bit.
         deviation_hz: Peak frequency deviation (half the tone spacing).
         sample_rate_hz: Output sample rate.
-        bt: Gaussian bandwidth-time product; ``None`` means plain
-            rectangular 2-FSK (Z-Wave style).
-        span: Gaussian pulse span in bits (ignored for ``bt=None``).
+        bt: Gaussian bandwidth-time product (pulse of
+            :data:`~repro.dsp.filters.GAUSSIAN_SPAN` bits); ``None``
+            means plain rectangular 2-FSK (Z-Wave style).
 
     Returns:
         Unit-amplitude complex waveform of ``len(bits) * sps`` samples.
@@ -79,7 +78,7 @@ def fsk_modulate(
     nrz = 2.0 * arr.astype(float) - 1.0
     freq = np.repeat(nrz, sps)
     if bt is not None:
-        pulse = gaussian_pulse(bt, sps, span)
+        pulse = gaussian_pulse(bt, sps)
         # 'same' keeps bit centers aligned with the unshaped waveform.
         freq = np.convolve(freq, pulse, mode="same")
     phase = 2 * np.pi * deviation_hz / sample_rate_hz * np.cumsum(freq)

@@ -48,8 +48,6 @@ __all__ = [
     "symbols_for_body",
     "blocks_for_body",
     "decode_symbols",
-    "encode_implicit",
-    "decode_implicit",
 ]
 
 HEADER_BYTES = 2
@@ -122,50 +120,6 @@ def decode_header(
     if length ^ check != 0xFF:
         raise ChecksumError("LoRa header length check failed")
     return length
-
-
-def encode_implicit(payload: bytes, sf: int, cr: int) -> np.ndarray:
-    """Implicit-header transmit chain: payload + CRC only, no length.
-
-    Real LoRa's implicit (headerless) mode: both ends agree on the
-    payload length out of band, saving the header airtime. Used for
-    fixed-format beacons and class-B downlinks.
-    """
-    payload = bytes(payload)
-    if len(payload) > 255:
-        raise ConfigurationError("LoRa payload must be at most 255 bytes")
-    hamming, interleaver = _chain(sf, cr)
-    body = CRC16_CCITT.append(payload)
-    white = LoraWhitener().whiten_bytes(body)
-    nibbles = bytes_to_nibbles(white).tolist()
-    while len(nibbles) % sf:
-        nibbles.append(0)
-    codeword_bits = hamming.encode_nibbles(np.array(nibbles, dtype=np.uint8))
-    interleaved = interleaver.interleave(codeword_bits)
-    groups = interleaved.reshape(-1, sf)
-    values = np.array([bits_to_int(g) for g in groups], dtype=int)
-    return gray_decode_array(values)
-
-
-def decode_implicit(
-    symbols: np.ndarray, payload_len: int, sf: int, cr: int
-) -> tuple[bytes, bool, int, int]:
-    """Implicit-header receive chain for a known ``payload_len``.
-
-    Returns:
-        ``(payload, crc_ok, corrected, uncorrectable)``.
-    """
-    arr = np.asarray(symbols, dtype=int)
-    if arr.size % (4 + cr):
-        raise ConfigurationError("symbol count must be a multiple of 4 + cr")
-    nibbles, corrected, uncorrectable = _symbols_to_nibbles(arr, sf, cr)
-    white = nibbles_to_bytes(nibbles[: 2 * (len(nibbles) // 2)])
-    body = LoraWhitener().whiten_bytes(white)
-    frame = body[: payload_len + 2]
-    if len(frame) < payload_len + 2:
-        raise ChecksumError("segment shorter than the agreed frame length")
-    crc_ok = CRC16_CCITT.check(frame)
-    return frame[:-2], crc_ok, corrected, uncorrectable
 
 
 def decode_symbols(

@@ -79,9 +79,6 @@ class LoRaModem(Modem):
         preamble_len: Number of preamble upchirps.
         sync_word: One-byte network sync word.
         sync_threshold: Normalized correlation needed to declare sync.
-        implicit_length: When set, run in LoRa's implicit-header mode:
-            no length header is transmitted and every frame carries
-            exactly this many payload bytes (agreed out of band).
     """
 
     name = "lora"
@@ -96,7 +93,6 @@ class LoRaModem(Modem):
         preamble_len: int = 8,
         sync_word: int = 0x12,
         sync_threshold: float = 0.30,
-        implicit_length: int | None = None,
     ):
         if not 5 <= sf <= 12:
             raise ConfigurationError("sf must be in 5..12")
@@ -113,9 +109,6 @@ class LoRaModem(Modem):
         self.preamble_len = int(preamble_len)
         self.sync_word = int(sync_word) & 0xFF
         self._threshold = float(sync_threshold)
-        if implicit_length is not None and not 0 <= implicit_length <= 255:
-            raise ConfigurationError("implicit_length must be in 0..255")
-        self.implicit_length = implicit_length
 
     # -- characteristics -----------------------------------------------------
 
@@ -180,15 +173,7 @@ class LoRaModem(Modem):
         return np.concatenate([self.preamble_waveform(), sync, self._sfd_waveform()])
 
     def modulate(self, payload: bytes) -> np.ndarray:
-        if self.implicit_length is not None:
-            if len(payload) != self.implicit_length:
-                raise ConfigurationError(
-                    f"implicit mode expects exactly {self.implicit_length} "
-                    f"payload bytes, got {len(payload)}"
-                )
-            symbols = encoding.encode_implicit(payload, self.sf, self.cr)
-        else:
-            symbols = encoding.encode_to_symbols(payload, self.sf, self.cr)
+        symbols = encoding.encode_to_symbols(payload, self.sf, self.cr)
         data = modulate_symbols(symbols, self.sf, self.oversample)
         return np.concatenate([self.sync_reference(), data])
 
@@ -281,10 +266,7 @@ class LoRaModem(Modem):
 
     def _frame_span(self) -> int:
         """Upper bound on sync + data samples one frame can occupy."""
-        if self.implicit_length is not None:
-            max_body = self.implicit_length + 2
-        else:
-            max_body = encoding.HEADER_BYTES + self.max_payload + 2
+        max_body = encoding.HEADER_BYTES + self.max_payload + 2
         n_data = encoding.symbols_for_body(max_body, self.sf, self.cr)
         return len(self.sync_reference()) + n_data * self.samples_per_symbol
 
@@ -327,26 +309,14 @@ class LoRaModem(Modem):
             )
             return symbols
 
-        if self.implicit_length is not None:
-            body_len = self.implicit_length + 2
-            total_symbols = encoding.symbols_for_body(
-                body_len, self.sf, self.cr
-            )
-            symbols = _read(total_symbols)
-            payload, crc_ok, corrected, bad = encoding.decode_implicit(
-                symbols, self.implicit_length, self.sf, self.cr
-            )
-        else:
-            first = _read(block)
-            length = encoding.decode_header(first, self.sf, self.cr)
-            body_len = encoding.HEADER_BYTES + length + 2
-            total_symbols = encoding.symbols_for_body(
-                body_len, self.sf, self.cr
-            )
-            symbols = _read(total_symbols)
-            payload, crc_ok, corrected, bad = encoding.decode_symbols(
-                symbols, self.sf, self.cr
-            )
+        first = _read(block)
+        length = encoding.decode_header(first, self.sf, self.cr)
+        body_len = encoding.HEADER_BYTES + length + 2
+        total_symbols = encoding.symbols_for_body(body_len, self.sf, self.cr)
+        symbols = _read(total_symbols)
+        payload, crc_ok, corrected, bad = encoding.decode_symbols(
+            symbols, self.sf, self.cr
+        )
         return FrameResult(
             payload=payload,
             crc_ok=crc_ok,

@@ -26,19 +26,19 @@ __all__ = [
 ]
 
 
-def bpsk_modulate(bits: npt.ArrayLike, sps: int, smooth: bool = True) -> np.ndarray:
-    """BPSK with rectangular (optionally edge-smoothed) pulses.
+def bpsk_modulate(bits: npt.ArrayLike, sps: int) -> np.ndarray:
+    """BPSK with edge-smoothed rectangular pulses.
 
-    Bit 1 maps to +1, bit 0 to -1. ``smooth`` applies a short raised
-    transition at symbol edges to bound the occupied bandwidth, mimicking
-    the ultra-narrow-band shaping SigFox uses.
+    Bit 1 maps to +1, bit 0 to -1. From 8 samples per symbol up, a short
+    raised transition at symbol edges bounds the occupied bandwidth,
+    mimicking the ultra-narrow-band shaping SigFox uses.
     """
     arr = as_bit_array(bits)
     if sps < 2:
         raise ConfigurationError("sps must be >= 2")
     symbols = 2.0 * arr.astype(float) - 1.0
     wave = np.repeat(symbols, sps).astype(complex)
-    if smooth and sps >= 8:
+    if sps >= 8:
         ramp = max(2, sps // 8)
         kernel = np.ones(ramp) / ramp
         wave = np.convolve(wave, kernel, mode="same")

@@ -62,6 +62,8 @@ RECOVER_BLOCKS = 4
 GATE_MIN_BLOCKS = 6
 #: Blocks used to train the initial baseline.
 BASELINE_BLOCKS = 8
+#: Look-back of :meth:`JammingDetector.pressure_at`, in seconds.
+PRESSURE_WINDOW_S = 0.05
 
 
 @dataclass(frozen=True)
@@ -184,11 +186,11 @@ class JammingDetector:
 
     # -- queries ----------------------------------------------------------
 
-    def pressure_at(self, at_time: float, window_s: float = 0.05) -> float:
+    def pressure_at(self, at_time: float) -> float:
         """Jamming pressure in [0, 1] at ``at_time``.
 
-        The maximum per-block severity over ``[at_time - window_s,
-        at_time]``. Only already-ingested blocks contribute, so the
+        The maximum per-block severity over ``[at_time -``
+        :data:`PRESSURE_WINDOW_S` ``, at_time]``. Only already-ingested blocks contribute, so the
         answer is identical whether the stream arrived monolithically or
         chunk by chunk (the signal is causal either way).
         """
@@ -196,7 +198,7 @@ class JammingDetector:
             return 0.0
         block_s = self.block / self.sample_rate_hz
         hi = min(int(at_time / block_s) + 1, len(self._severity))
-        lo = max(int((at_time - window_s) / block_s), 0)
+        lo = max(int((at_time - PRESSURE_WINDOW_S) / block_s), 0)
         if hi <= lo:
             return 0.0
         return max(self._severity[lo:hi])

@@ -23,6 +23,10 @@ from .features import ChannelSnapshot
 
 __all__ = ["OccupancyEvent", "OccupancyDetector"]
 
+#: Snapshots per device required before its measurements contribute
+#: (the baseline must be established first).
+MIN_BASELINE = 4
+
 
 @dataclass(frozen=True)
 class OccupancyEvent:
@@ -41,19 +45,19 @@ class OccupancyDetector:
     Attributes:
         window_s: Analysis window length.
         threshold: Pooled |z|-score above which a window is flagged.
-        min_baseline: Snapshots per device required before its
-            measurements contribute (the baseline must be established).
+
+    A device's measurements contribute once it has
+    :data:`MIN_BASELINE` snapshots.
     """
 
     window_s: float = 5.0
     threshold: float = 2.5
-    min_baseline: int = 4
     _history: dict[int, list[float]] = field(default_factory=dict)
 
     def _deviation(self, snap: ChannelSnapshot) -> float | None:
         """Normalized amplitude deviation against the device baseline."""
         history = self._history.setdefault(snap.device_id, [])
-        if len(history) < self.min_baseline:
+        if len(history) < MIN_BASELINE:
             history.append(snap.amplitude)
             return None
         baseline = float(np.median(history))

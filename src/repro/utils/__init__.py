@@ -18,7 +18,6 @@ from .crc import CRC8_ATM, CRC16_CCITT, CRC16_CCITT_FALSE, CrcEngine, xor_checks
 from .gray import gray_decode, gray_decode_array, gray_encode, gray_encode_array
 from .hamming import DecodedNibble, HammingCodec
 from .interleaver import LoraDiagonalInterleaver
-from .line_coding import manchester_decode, manchester_encode
 from .whitening import LfsrWhitener, LoraWhitener, Pn9Whitener
 
 __all__ = [
@@ -41,8 +40,6 @@ __all__ = [
     "HammingCodec",
     "DecodedNibble",
     "LoraDiagonalInterleaver",
-    "manchester_encode",
-    "manchester_decode",
     "LfsrWhitener",
     "Pn9Whitener",
     "LoraWhitener",

@@ -200,7 +200,7 @@ class TestScenarios:
                 assert not plan.is_empty()
 
     def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             build_attack_scenario("zerg_rush")
 
     def test_scenarios_are_seed_deterministic(self):

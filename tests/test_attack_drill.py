@@ -3,6 +3,7 @@ the ``galiot attack`` CLI entry point."""
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.guard import GuardStats
 from repro.drill import DrillReport as AttackDrillReport, run_attack_drill
 
@@ -37,7 +38,7 @@ def _report(**overrides):
 
 class TestGates:
     def test_unknown_scenario_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             run_attack_drill("zerg_rush")
 
     def test_survival_floor(self):

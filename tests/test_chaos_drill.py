@@ -97,3 +97,14 @@ class TestEmptyBaselineGate:
                     "--duration", "0.4",
                 ]
             )
+
+
+class TestPlanNames:
+    @pytest.mark.parametrize(
+        "kind, scenario", [("nope", "none"), ("chaos", "nope"), ("attack", "nope")]
+    )
+    def test_unknown_kind_or_scenario_is_a_repro_error(self, kind, scenario):
+        # These raised a bare ValueError, outside the package's
+        # ReproError hierarchy.
+        with pytest.raises(ConfigurationError):
+            DrillScene().plan(kind, scenario)

@@ -8,7 +8,7 @@ from repro.cloud.sic import reconstruct_and_subtract, try_decode
 from repro.dsp.resample import to_rate
 from repro.errors import ConfigurationError
 from repro.net.scene import SceneBuilder
-from repro.net.traffic import collision_scene
+from repro.net.traffic import packet_scene
 from repro.phy.base import FrameResult, Modem, ModulationClass
 from repro.telemetry import Telemetry
 
@@ -56,7 +56,7 @@ class TestClassifier:
 
     def test_collision_finds_both(self, trio, rng):
         by = {m.name: m for m in trio}
-        capture, truth = collision_scene(
+        capture, truth = packet_scene(
             [by["lora"], by["zwave"]], [12, 12], FS, rng, payload_len=10
         )
         found = SegmentClassifier(trio, FS).classify(capture)
@@ -65,7 +65,7 @@ class TestClassifier:
 
     def test_power_ordering(self, trio, rng):
         by = {m.name: m for m in trio}
-        capture, _ = collision_scene(
+        capture, _ = packet_scene(
             [by["lora"], by["xbee"]],
             [22, 10],
             FS,
@@ -235,7 +235,7 @@ class TestReconstruction:
 
     def test_reveals_weaker_signal(self, trio, rng):
         by = {m.name: m for m in trio}
-        capture, truth = collision_scene(
+        capture, truth = packet_scene(
             [by["lora"], by["xbee"]],
             [25, 10],
             FS,

@@ -16,7 +16,7 @@ from repro.dsp import correlation
 from repro.errors import ConfigurationError
 from repro.gateway.compression import SegmentCodec
 from repro.net.scene import SceneBuilder
-from repro.net.traffic import collision_scene
+from repro.net.traffic import packet_scene
 from repro.telemetry import Telemetry
 from repro.types import Segment
 
@@ -53,7 +53,7 @@ class TestNoCollisionPath:
 class TestCollisionDecoding:
     def test_css_fsk_equal_power(self, trio, rng):
         by = {m.name: m for m in trio}
-        capture, truth = collision_scene(
+        capture, truth = packet_scene(
             [by["lora"], by["xbee"]], [12, 12], FS, rng, payload_len=10
         )
         report = CloudDecoder.galiot(trio, FS).decode(capture)
@@ -63,7 +63,7 @@ class TestCollisionDecoding:
         # Same-class FSK pair at equal power: nothing decodes, and the
         # strict baseline must not loop forever trying.
         by = {m.name: m for m in trio}
-        capture, truth = collision_scene(
+        capture, truth = packet_scene(
             [by["xbee"], by["zwave"]], [12, 12], FS, rng, payload_len=10
         )
         report = CloudDecoder.sic_baseline(trio, FS).decode(capture)
@@ -77,7 +77,7 @@ class TestCollisionDecoding:
         wins = 0
         trials = 3
         for _ in range(trials):
-            capture, truth = collision_scene(
+            capture, truth = packet_scene(
                 [by["lora"], by["xbee"]],
                 [10, 10],
                 FS,
@@ -96,7 +96,7 @@ class TestCollisionDecoding:
         by = {m.name: m for m in trio}
         found_kill = False
         for _ in range(4):
-            capture, truth = collision_scene(
+            capture, truth = packet_scene(
                 [by["lora"], by["xbee"]],
                 [6, 6],
                 FS,
@@ -113,7 +113,7 @@ class TestCollisionDecoding:
 
     def test_decode_order_is_power_based(self, trio, rng):
         by = {m.name: m for m in trio}
-        capture, truth = collision_scene(
+        capture, truth = packet_scene(
             [by["lora"], by["xbee"]],
             [25, 10],
             FS,
@@ -184,7 +184,7 @@ class TestEngineEquivalence:
         builder.add_packet(by["zwave"], b"clean", 3000, 15, rng)
         captures.append(builder.render(rng)[0])
         captures.append(
-            collision_scene(
+            packet_scene(
                 [by["lora"], by["xbee"]], [12, 12], FS, rng, payload_len=8
             )[0]
         )

@@ -9,7 +9,7 @@ from repro.cloud.parallel import SHM_MIN_SAMPLES, ParallelCloudService
 from repro.cloud.pipeline import CloudService, CloudStats
 from repro.errors import ConfigurationError
 from repro.net.scene import SceneBuilder
-from repro.net.traffic import collision_scene
+from repro.net.traffic import packet_scene
 from repro.telemetry import Telemetry, TimerStats
 from repro.types import Segment
 
@@ -25,7 +25,7 @@ def batch(trio, module_rng):
     builder.add_packet(by["zwave"], b"first", 3000, 15, module_rng)
     capture, _ = builder.render(module_rng)
     segments.append(Segment(start=10_000, samples=capture, sample_rate=FS))
-    capture, _ = collision_scene(
+    capture, _ = packet_scene(
         [by["lora"], by["xbee"]], [12, 12], FS, module_rng, payload_len=8
     )
     segments.append(Segment(start=250_000, samples=capture, sample_rate=FS))
@@ -73,7 +73,7 @@ def cross_rate(trio, sigfox):
     builder = SceneBuilder(FS, 0.05)
     builder.add_packet(lora, b"seg-0", 3000, 15, rng)
     solo, _ = builder.render(rng)
-    pair, _ = collision_scene([xbee, zwave], [12, 12], FS, rng, payload_len=6)
+    pair, _ = packet_scene([xbee, zwave], [12, 12], FS, rng, payload_len=6)
     segments = [
         Segment(start=0, samples=solo, sample_rate=FS),
         Segment(start=100_000, samples=pair, sample_rate=FS),

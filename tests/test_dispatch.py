@@ -36,6 +36,21 @@ class TestComputeNode:
         with pytest.raises(ConfigurationError):
             ComputeNode("bad", speed=0.0)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"speed": float("nan")},
+            {"speed": float("inf")},
+            {"speed": 1.0, "rtt_s": float("nan")},
+            {"speed": 1.0, "rtt_s": float("inf")},
+        ],
+    )
+    def test_non_finite_speed_or_rtt_rejected(self, kwargs):
+        # A NaN made every completion time NaN, so the dispatcher
+        # silently never picked the node.
+        with pytest.raises(ConfigurationError):
+            ComputeNode("bad", **kwargs)
+
 
 class TestSlaPolicy:
     def test_per_technology(self):

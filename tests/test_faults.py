@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.errors import InjectedFault
+from repro.errors import ConfigurationError, InjectedFault
 from repro.faults import (
     SCENARIOS,
     FaultPlan,
-    LatencySpike,
     OutageWindow,
     SampleGap,
     build_scenario,
@@ -33,17 +32,6 @@ class TestFaultPlanQueries:
         assert plan.outage_duty_cycle(0.55) == pytest.approx(0.15 / 0.55)
         assert plan.outage_duty_cycle(0.0) == 0.0
 
-    def test_latency_spikes_sum_when_overlapping(self):
-        plan = FaultPlan(
-            latency_spikes=(
-                LatencySpike(0.0, 0.5, extra_s=0.02),
-                LatencySpike(0.4, 0.6, extra_s=0.03),
-            )
-        )
-        assert plan.extra_latency_s(0.1) == pytest.approx(0.02)
-        assert plan.extra_latency_s(0.45) == pytest.approx(0.05)
-        assert plan.extra_latency_s(0.9) == 0.0
-
     def test_gaps_overlapping_selects_intersections(self):
         gaps = (SampleGap(100, 50), SampleGap(1000, 10))
         plan = FaultPlan(sample_gaps=gaps)
@@ -54,7 +42,6 @@ class TestFaultPlanQueries:
     def test_empty_plan_is_inert(self):
         plan = FaultPlan()
         assert not plan.backhaul_down(0.0)
-        assert plan.extra_latency_s(0.0) == 0.0
         assert plan.gaps_overlapping(0, 1 << 30) == []
         plan.apply_in_worker(seq=0, submission=0)
 
@@ -93,10 +80,28 @@ class TestScenarios:
         assert periodic_outages(1.0, 0.25, 0.0) == ()
 
     def test_periodic_outages_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             periodic_outages(1.0, 0.0, 0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             periodic_outages(1.0, 1.0, 1.5)
+
+    @pytest.mark.parametrize(
+        "duration_s, period_s, duty",
+        [
+            (1.0, float("nan"), 0.1),
+            (1.0, float("inf"), 0.1),
+            (float("nan"), 1.0, 0.1),
+            (-1.0, 1.0, 0.1),
+            (1.0, 1.0, float("nan")),
+            (float("inf"), 1.0, 0.1),
+        ],
+    )
+    def test_periodic_outages_rejects_non_finite(self, duration_s, period_s, duty):
+        # A NaN period returned (OutageWindow(0.0, nan),), an outage
+        # that covers no time; an infinite duration never left the
+        # window loop.
+        with pytest.raises(ConfigurationError):
+            periodic_outages(duration_s, period_s, duty)
 
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_build_scenario_is_deterministic(self, name):
@@ -117,7 +122,7 @@ class TestScenarios:
         assert mixed.crash_submissions and mixed.hang_submissions
 
     def test_build_scenario_rejects_unknown(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             build_scenario("earthquake")
 
 

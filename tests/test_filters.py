@@ -55,7 +55,7 @@ class TestGaussianPulse:
         assert np.sum(pulse) == pytest.approx(1.0)
 
     def test_symmetry(self):
-        pulse = gaussian_pulse(0.5, 10, span=4)
+        pulse = gaussian_pulse(0.5, 10)
         assert np.allclose(pulse, pulse[::-1])
 
     def test_narrower_bt_means_wider_pulse(self):

@@ -67,6 +67,17 @@ class TestXBee:
 
 
 class TestZWave:
+    def test_native_rate(self, zwave):
+        # G.9959 R2: 40 kb/s NRZ at ±20 kHz, 25 samples per bit.
+        assert zwave.bit_rate == pytest.approx(40e3)
+        assert zwave.sample_rate == pytest.approx(1e6)
+        assert zwave.bandwidth == pytest.approx(2 * (20e3 + 20e3))
+
+    def test_custom_rate_config(self):
+        modem = ZWaveModem(bit_rate=50e3, sps=20)
+        assert modem.bit_rate == pytest.approx(50e3)
+        assert modem.sample_rate == pytest.approx(1e6)
+
     def test_frame_carries_home_id(self, zwave):
         frame = zwave.demodulate(_padded(zwave.modulate(b"cmd")))
         assert frame.extra["home_id"] == b"\xde\xad\xbe\xef"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.cloud.pipeline import CloudService
+from repro.errors import ConfigurationError
 from repro.faults import FaultPlan, SampleGap
 from repro.gateway.backhaul import BackhaulLink
 from repro.gateway.detection import EnergyDetector, PreambleBankDetector
@@ -65,7 +66,7 @@ class TestGatewayPipeline:
             assert report.events, detector
 
     def test_unknown_detector_rejected(self, trio):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             GalioTGateway(trio, FS, detector="oracle")
 
     def test_backhaul_accounting(self, trio, rng):

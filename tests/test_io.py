@@ -39,8 +39,9 @@ class TestRtlU8:
     def test_roundtrip_within_quantization(self, tmp_path, rng):
         x = 0.8 * (rng.normal(size=500) + 1j * rng.normal(size=500))
         x = np.clip(x.real, -1, 1) + 1j * np.clip(x.imag, -1, 1)
+        assert np.max(np.abs(np.concatenate([x.real, x.imag]))) == 1.0  # peak full scale
         path = tmp_path / "capture.u8iq"
-        write_rtl_u8(path, x, full_scale=1.0)
+        write_rtl_u8(path, x)
         y = read_rtl_u8(path)
         assert np.max(np.abs(y - x)) < 1 / 127
 

@@ -95,14 +95,14 @@ class TestKillFrequency:
     def test_functional_rescue_of_blocked_lora(self, rng):
         # The Algorithm-1 use case: an FSK transmitter ~15 dB above a
         # LoRa packet blocks it; notching the FSK tones unblocks it.
-        from repro.net.traffic import collision_scene
+        from repro.net.traffic import packet_scene
 
         lora = create_modem("lora")
         xbee = create_modem("xbee")
         rescued = 0
         trials = 4
         for _ in range(trials):
-            cap, truth = collision_scene(
+            cap, truth = packet_scene(
                 [xbee, lora], [22.0, 8.0], FS, rng,
                 payload_len=10, snr_mode="capture",
             )

@@ -108,37 +108,6 @@ class TestLoRaModemConfigs:
         assert not np.allclose(a, b)
 
 
-class TestImplicitHeader:
-    def test_roundtrip(self):
-        modem = LoRaModem(implicit_length=12, oversample=2)
-        payload = b"implicit-pkt"
-        frame = modem.demodulate(_padded(modem.modulate(payload)))
-        assert frame.crc_ok and frame.payload == payload
-
-    def test_shorter_than_explicit(self):
-        explicit = LoRaModem(oversample=2)
-        implicit = LoRaModem(implicit_length=12, oversample=2)
-        assert len(implicit.modulate(b"x" * 12)) < len(
-            explicit.modulate(b"x" * 12)
-        )
-
-    def test_wrong_length_rejected(self):
-        modem = LoRaModem(implicit_length=8, oversample=2)
-        with pytest.raises(ConfigurationError):
-            modem.modulate(b"too-long-payload")
-
-    def test_invalid_config_rejected(self):
-        with pytest.raises(ConfigurationError):
-            LoRaModem(implicit_length=300)
-
-    def test_encoding_roundtrip_sizes(self):
-        for size in (0, 1, 7, 16):
-            payload = bytes(range(size))
-            symbols = encoding.encode_implicit(payload, 7, 4)
-            out, crc_ok, _, _ = encoding.decode_implicit(symbols, size, 7, 4)
-            assert crc_ok and out == payload
-
-
 class TestLoRaCfo:
     @pytest.mark.parametrize("cfo_hz", [-3000.0, -976.0, 500.0, 1740.0, 3000.0])
     def test_decodes_under_cfo(self, cfo_hz):

@@ -20,8 +20,6 @@ PROFILES = {
     "lora-bw250": lambda: create_modem(
         "lora", bw=250e3, oversample=4, cr=2
     ),
-    "zwave-r1": lambda: create_modem("zwave", profile="R1"),
-    "zwave-r3": lambda: create_modem("zwave", profile="R3"),
 }
 
 

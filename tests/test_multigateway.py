@@ -6,6 +6,7 @@ import pytest
 from repro.dsp.correlation import cross_correlate
 from repro.errors import ConfigurationError
 from repro.net.multigateway import (
+    ALIGN_SEARCH,
     combine_segments,
     receive_at_gateways,
     selection_diversity,
@@ -63,14 +64,9 @@ class TestCombining:
         with pytest.raises(ConfigurationError):
             combine_segments([], xbee.sync_waveform())
 
-    def test_invalid_search_rejected(self, xbee, rng):
-        copies = receive_at_gateways(xbee, b"x", [10.0], rng)
-        with pytest.raises(ConfigurationError):
-            combine_segments(copies, xbee.sync_waveform(), search=0)
-
     def test_search_window_bounds_alignment(self, xbee, rng):
         # Regression: the alignment peak used to be the *global* argmax
-        # of each copy's correlation, silently ignoring ``search``. A
+        # of each copy's correlation, silently ignoring the search window. A
         # strong burst far from the true position (here: a loud echo of
         # the sync waveform injected into one copy's leading noise,
         # ~1900 samples before the frame) hijacked that copy's
@@ -84,9 +80,9 @@ class TestCombining:
             np.argmax(np.abs(cross_correlate(decoy.samples, sync)))
         )
         bogus = true_peak - len(sync) - 40  # ends before the frame
-        assert bogus > 0 and true_peak - bogus > 64
+        assert bogus > 0 and true_peak - bogus > ALIGN_SEARCH
         decoy.samples[bogus : bogus + len(sync)] += 50.0 * sync
-        combined = combine_segments(copies, sync, search=64)
+        combined = combine_segments(copies, sync)
         frame = try_decode(xbee, combined, fs)
         assert frame is not None and frame.payload == payload
 

@@ -7,7 +7,7 @@ from repro.errors import ConfigurationError
 from repro.net.device import Device, EnergyProfile
 from repro.net.mac import MacState
 from repro.net.scene import SceneBuilder
-from repro.net.traffic import collision_scene, poisson_scene
+from repro.net.traffic import packet_scene, poisson_scene
 
 FS = 1e6
 
@@ -98,24 +98,6 @@ class TestSceneBuilder:
         capture, _ = builder.render(rng)
         assert np.all(capture[:1000] == 0)
 
-    def test_rayleigh_fading_varies_amplitude(self, xbee, rng):
-        powers = []
-        for _ in range(12):
-            builder = SceneBuilder(FS, 0.05, noise_power=0.0)
-            p = builder.add_packet(
-                xbee, b"fade", 1000, 10, rng, fading="rayleigh"
-            )
-            capture, _ = builder.render(rng)
-            powers.append(float(np.mean(np.abs(capture[p.start : p.end]) ** 2)))
-        # Fades spread the received power over at least an order of
-        # magnitude across draws.
-        assert max(powers) > 5 * min(powers)
-
-    def test_unknown_fading_rejected(self, xbee, rng):
-        builder = SceneBuilder(FS, 0.05)
-        with pytest.raises(ConfigurationError):
-            builder.add_packet(xbee, b"x", 0, 0, rng, fading="nakagami")
-
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -153,25 +135,19 @@ class TestTrafficGenerators:
         assert {p.device_id for p in truth.packets} <= {0, 1, 2}
 
     def test_collision_scene_full_overlap(self, trio, rng):
-        capture, truth = collision_scene(trio[:2], [10, 10], FS, rng)
+        capture, truth = packet_scene(trio[:2], [10, 10], FS, rng)
         assert truth.packets[0].start == truth.packets[1].start
         assert [(a.packet_id, b.packet_id) for a, b in truth.collisions()] == [(0, 1)]
 
     def test_collision_scene_no_overlap(self, trio, rng):
-        capture, truth = collision_scene(
+        capture, truth = packet_scene(
             trio[:2], [10, 10], FS, rng, overlap=0.0
         )
         assert not truth.collisions()
 
     def test_mismatched_lengths_rejected(self, trio, rng):
         with pytest.raises(ConfigurationError):
-            collision_scene(trio[:2], [10.0], FS, rng)
-
-    def test_single_modem_rejected(self, trio, rng):
-        # Regression: the docstring always promised "2 or more", but
-        # the code only rejected the empty list.
-        with pytest.raises(ConfigurationError):
-            collision_scene(trio[:1], [10.0], FS, rng)
+            packet_scene(trio[:2], [10.0], FS, rng)
 
     def test_partial_overlap_slides_by_preceding_airtime(self, trio, rng):
         # Pinned semantics: packet i+1 starts (1 - overlap) of packet
@@ -181,7 +157,7 @@ class TestTrafficGenerators:
         # was a fraction of the *first* airtime).
         overlap = 0.5
         payload_len = 16
-        capture, truth = collision_scene(
+        capture, truth = packet_scene(
             trio, [10, 10, 10], FS, rng,
             payload_len=payload_len, overlap=overlap,
         )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
-from repro.faults import FaultPlan, LatencySpike, OutageWindow
+from repro.faults import FaultPlan, OutageWindow
 from repro.gateway import (
     BackhaulLink,
     DegradationLadder,
@@ -148,13 +148,6 @@ class TestResilientBackhaul:
         assert wrapper.pressure(0.55) == 1.0  # outage dominates
         wrapper.ship(5_000, at_time=0.55)  # spills: outage
         assert wrapper.pressure(0.7) == pytest.approx(0.5)  # spill fill
-
-    def test_latency_spike_is_counted(self):
-        plan = FaultPlan(latency_spikes=(LatencySpike(0.0, 1.0, 0.05),))
-        telemetry = Telemetry()
-        wrapper = _wrapper(faults=plan, telemetry=telemetry)
-        wrapper.ship(1000, at_time=0.5)
-        assert telemetry.counters["backhaul.latency_spikes"] == 1
 
     def test_out_of_order_ship_times_are_clamped(self):
         # The wrapper interleaves segment-start and chunk-end time axes;

@@ -16,9 +16,7 @@ def _snapshot_at(rng, modem, amplitude, time_s, device_id=0):
     """Render a packet through a channel of the given amplitude and
     extract its snapshot."""
     builder = SceneBuilder(FS, modem.frame_airtime(8) + 0.01, noise_power=1e-6)
-    builder.add_packet(
-        modem, b"sens-pkt", 2000, 40, rng, snr_mode="capture", random_phase=True
-    )
+    builder.add_packet(modem, b"sens-pkt", 2000, 40, rng, snr_mode="capture")
     capture, _ = builder.render(rng)
     capture = capture * amplitude
     frame = try_decode(modem, capture, FS)
@@ -91,8 +89,8 @@ class TestOccupancy:
             detector.detect(snaps)
 
     def test_baseline_period_silent(self):
-        # Events cannot fire before min_baseline snapshots per device.
-        detector = OccupancyDetector(min_baseline=4)
+        # Events cannot fire before MIN_BASELINE snapshots per device.
+        detector = OccupancyDetector()
         events = detector.detect(self._stream(jump_at=0, n=10))
         assert all(e.start_s >= 3 for e in events)
 

@@ -1,4 +1,4 @@
-"""Simulator parameter behaviours: backoff randomization and CFO."""
+"""Simulator parameter behaviours: backoff randomization."""
 
 import numpy as np
 import pytest
@@ -49,24 +49,3 @@ class TestRetransmitBackoff:
             mac.take_round(rng, tx_prob=0.0)
         with pytest.raises(ConfigurationError):
             mac.take_round(rng, tx_prob=1.5)
-
-
-class TestSimulatorConfig:
-    def test_cfo_and_backoff_parameters_stored(self, trio):
-        from repro.cloud.pipeline import CloudService
-        from repro.gateway.gateway import GalioTGateway
-        from repro.net.device import Device
-        from repro.net.simulator import NetworkSimulator
-
-        devices = [
-            Device(0, trio[0].name, trio[0], mean_interval_s=1.0, snr_db=12)
-        ]
-        sim = NetworkSimulator(
-            devices,
-            GalioTGateway(trio, 1e6),
-            CloudService(trio, 1e6),
-            retransmit_prob=0.4,
-            cfo_ppm_range=1.5,
-        )
-        assert sim.retransmit_prob == 0.4
-        assert sim.cfo_ppm_range == 1.5
