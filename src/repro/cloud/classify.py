@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..contracts import iq_contract
-from ..dsp.correlation import find_peaks_above
+from ..dsp.correlation import top_peaks
 from ..dsp.fastcorr import TemplateBank, TrackSpec, correlate_accumulate
 from ..dsp.resample import NativeRateCache, to_rate
 from ..errors import ConfigurationError
@@ -333,14 +333,11 @@ class SegmentClassifier:
                 track = score_tracks[index]
                 threshold = cfar_threshold(track, CFAR_K)
                 min_dist = max(len(entry.tpl) // 2, 1)
-                peaks = find_peaks_above(track, threshold, min_dist)
-                # Pin the tie order (score desc, then index asc): equal
-                # scores must not depend on the peak finder's return
-                # order, or the engine-on/off equivalence gate would
-                # pass or fail on suppression-order accidents.
-                peaks = sorted(peaks, key=lambda i: (-track[i], i))
+                # Best first (score desc, then index asc), so equal
+                # scores do not depend on the suppression order.
+                peaks = top_peaks(track, threshold, min_dist, MAX_PER_TECHNOLOGY)
                 candidates: list[ClassifiedSignal] = []
-                for idx in peaks[:MAX_PER_TECHNOLOGY]:
+                for idx in peaks:
                     start = int(idx) * entry.stride
                     window = native[start : start + len(entry.ref)]
                     if len(window) < len(entry.ref):

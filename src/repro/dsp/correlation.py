@@ -15,7 +15,8 @@ capture. Three flavours are provided:
 
 Peak picking (:func:`find_peaks_above`) enforces a minimum spacing so one
 packet produces one detection; its greedy suppression
-(:func:`greedy_suppress`) is shared with the streaming gateway.
+(:func:`greedy_suppress`) is shared with the streaming gateway, and
+:func:`top_peaks` runs it only as far as its best ``k`` peaks.
 
 Multi-template and blocked correlations run on the shared-FFT
 overlap-save engine in :mod:`repro.dsp.fastcorr`, which computes the
@@ -40,6 +41,7 @@ __all__ = [
     "segmented_correlation",
     "find_peaks_above",
     "greedy_suppress",
+    "top_peaks",
 ]
 
 _EPS = 1e-30
@@ -234,3 +236,44 @@ def find_peaks_above(
     candidates = np.flatnonzero(scores >= threshold)
     keep = greedy_suppress(candidates, scores[candidates], min_distance)
     return candidates[keep].tolist()
+
+
+def top_peaks(
+    scores: np.ndarray, threshold: float, min_distance: int, k: int
+) -> list[int]:
+    """The ``k`` best peaks of :func:`find_peaks_above`, best first.
+
+    Equals ``sorted(find_peaks_above(scores, threshold, min_distance),
+    key=lambda i: (-scores[i], i))[:k]`` without suppressing the whole
+    track: repeated argmax over the samples still alive (at or above
+    ``threshold`` and not yet suppressed; the later index on ties)
+    replays the greedy's acceptance order, and each accepted peak
+    suppresses the ``min_distance - 1`` samples on each side. The
+    greedy accepts in descending score order, so it stops once the next
+    alive sample scores strictly below the ``k``-th accepted peak; a
+    tie with it is still accepted, since the index order may rank it
+    first.
+
+    Args:
+        scores: Score track.
+        threshold: Candidate floor (inclusive).
+        min_distance: Minimum spacing between accepted peaks.
+        k: Peaks to return (at most).
+
+    Raises:
+        ConfigurationError: for ``min_distance < 1``.
+    """
+    if min_distance < 1:
+        raise ConfigurationError("min_distance must be >= 1")
+    scores = np.asarray(scores)
+    # Samples below the threshold (and NaN) are never candidates.
+    alive = np.where(scores >= threshold, scores, -np.inf)
+    kept: list[int] = []
+    while alive.size and k > 0:
+        pos = alive.size - 1 - int(np.argmax(alive[::-1]))
+        best = alive[pos]
+        if best == -np.inf or (len(kept) >= k and best < scores[kept[k - 1]]):
+            break
+        kept.append(pos)
+        alive[max(pos - min_distance + 1, 0) : pos + min_distance] = -np.inf
+    return sorted(kept, key=lambda i: (-scores[i], i))[:k]

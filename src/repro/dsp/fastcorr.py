@@ -9,7 +9,7 @@ This module restores the classic fix: compute ``FFT(x)`` once per
 overlap-save segment and reuse it across every template, block and
 detector.
 
-Three pieces:
+Four pieces:
 
 * :class:`SpectrumPlan` / :func:`spectrum_plan` — a memoized choice of
   FFT length for one ``(n_samples, max_template_len, n_templates)``
@@ -19,9 +19,9 @@ Three pieces:
   template-spectra working set so a wide bank never materializes a
   multi-hundred-megabyte spectra matrix.
 * :class:`TemplateBank` — the templates of one detector, with their
-  conjugate spectra precomputed per FFT length and cached on the bank
-  (a detector correlates thousands of chunks of the same length, so the
-  template FFTs are paid once, not per chunk).
+  conjugate spectra precomputed per FFT length and precision and cached
+  on the bank (a detector correlates thousands of chunks of the same
+  length, so the template FFTs are paid once, not per chunk).
 * :func:`correlate_many` — one forward FFT per overlap-save segment,
   one (batched) inverse FFT per *distinct* template per segment, with
   exact "valid"-mode indexing: entry ``k`` of the result has length
@@ -31,6 +31,11 @@ Three pieces:
   block magnitudes into non-coherent accumulators as it goes. Given
   the accumulators of an earlier signal and the range where the new
   one differs, it transforms only the segments that range reaches.
+* :func:`peak_magnitudes` — the same segment loop in single precision
+  (complex64), reduced to each template's peak magnitude together with
+  a proven bound on its error. A detector uses it to show that a
+  buffer holds no score at its threshold before it pays for the
+  complex128 tracks; no single-precision value is returned as a score.
 
 Row sharing: a preamble's coherent sub-blocks repeat, so a blocked bank
 holds the same waveform many times up to a carrier phase. At
@@ -99,6 +104,7 @@ __all__ = [
     "blocked_bank",
     "correlate_many",
     "correlate_accumulate",
+    "peak_magnitudes",
 ]
 
 #: Cap on the cached conjugate-spectra working set of one bank at one
@@ -125,6 +131,28 @@ BATCH_WORK_ELEMENTS = 2_097_152
 #: ``max|t - g r| <= ALIAS_RTOL * max|t|`` — float-rounding level, so
 #: only waveforms that are the same up to a carrier phase merge.
 ALIAS_RTOL = 1e-12
+
+#: FFT length of :func:`peak_magnitudes`, in longest templates: its
+#: segments are the power of two at or above this many (or one segment
+#: for the whole buffer, when that is shorter). The N log N planner
+#: picks one 270,336-point FFT for a 270,335-sample gateway buffer; in
+#: single precision that pair of FFTs takes about 13.5 ms on a 2-vCPU
+#: x86 box (scipy 1.17.1), five 65,536-point segments about 7.4 ms, and
+#: the complex128 pair the exact path runs about 18 ms. Lengths such as
+#: 40,960 save another ~0.5 ms, but a power of two is the length the
+#: bound's :data:`SCREEN_KAPPA` is derived for.
+SCREEN_TEMPLATES = 8
+
+#: ``kappa`` of :func:`peak_magnitudes`' error bound (derived there:
+#: the first-order terms sum to about 14; 16 also covers the
+#: second-order terms and the complex128 path's own rounding).
+SCREEN_KAPPA = 16.0
+
+#: Scale floor of :func:`peak_magnitudes`: below it the bound is
+#: infinite, since float32's gradual underflow (an absolute error of up
+#: to ``2**-150`` per rounding, which the relative bound does not
+#: cover) could then matter. Far below any real capture's scale.
+SCREEN_MIN_SCALE = 2.0**-60
 
 
 @dataclass(frozen=True)
@@ -326,7 +354,9 @@ class TemplateBank:
             key: row_of[rep] for key, rep in zip(self._templates, reps, strict=True)
         }
         self._phases = dict(zip(self._templates, phases, strict=True))
-        self._spectra_cache: OrderedDict[int, np.ndarray] = OrderedDict()
+        self._spectra_cache: OrderedDict[tuple[int, np.dtype], np.ndarray] = (
+            OrderedDict()
+        )
         # Banks can be shared across decode threads (the persistent
         # sync banks of repro.dsp.correlation); guard the LRU.
         self._spectra_lock = threading.Lock()
@@ -368,23 +398,28 @@ class TemplateBank:
         """Length of the longest template in the bank."""
         return max(len(t) for t in self._templates.values())
 
-    def spectra(self, nfft: int) -> np.ndarray:
+    def spectra(
+        self, nfft: int, dtype: npt.DTypeLike = np.complex128
+    ) -> np.ndarray:
         """Stacked conjugate spectra ``conj(FFT(t_k, nfft))``.
 
         Shape ``(n_distinct, nfft)``, one row per distinct template;
-        :meth:`row` maps keys onto it. Cached per ``nfft`` (LRU over
-        :data:`SPECTRA_CACHE_SLOTS`).
+        :meth:`row` maps keys onto it. ``dtype`` is the working
+        precision: the spectra are always computed in complex128, and a
+        complex64 matrix holds them rounded once. Cached per ``(nfft,
+        dtype)`` (LRU over :data:`SPECTRA_CACHE_SLOTS`).
         """
+        key = (nfft, np.dtype(dtype))
         with self._spectra_lock:
-            cached = self._spectra_cache.get(nfft)
+            cached = self._spectra_cache.get(key)
             if cached is not None:
-                self._spectra_cache.move_to_end(nfft)
+                self._spectra_cache.move_to_end(key)
                 return cached
-            matrix = np.empty((len(self._distinct), nfft), dtype=np.complex128)
+            matrix = np.empty((len(self._distinct), nfft), dtype=dtype)
             for row, template in enumerate(self._distinct):
                 matrix[row] = np.conj(sp_fft.fft(template, n=nfft))
             matrix.flags.writeable = False
-            self._spectra_cache[nfft] = matrix
+            self._spectra_cache[key] = matrix
             while len(self._spectra_cache) > SPECTRA_CACHE_SLOTS:
                 self._spectra_cache.popitem(last=False)
             return matrix
@@ -432,12 +467,33 @@ def _distinct_rows(
     return rows, {key: index[bank.row(key)] for key in keys}
 
 
+def _requested(
+    bank: TemplateBank, keys: Iterable[Hashable] | None, n_samples: int
+) -> tuple[list[Hashable], list[int]]:
+    """The requested keys (default: all) and their template lengths.
+
+    Raises:
+        ConfigurationError: if a requested template is longer than the
+            signal.
+    """
+    requested = bank.keys() if keys is None else list(keys)
+    lengths = [bank.length(key) for key in requested]
+    if lengths and max(lengths) > n_samples:
+        raise ConfigurationError("template longer than signal")
+    return requested, lengths
+
+
 def _load_segments(
-    x: np.ndarray, nfft: int, hop: int, first: int, stop: int
+    x: np.ndarray,
+    nfft: int,
+    hop: int,
+    first: int,
+    stop: int,
+    dtype: npt.DTypeLike = np.complex128,
 ) -> np.ndarray:
-    """Segments ``[first, stop)`` of ``x`` as rows of a new matrix: row
-    ``s - first`` holds ``x[s * hop : s * hop + nfft]``, zero-padded
-    past the end of ``x``.
+    """Segments ``[first, stop)`` of ``x`` as rows of a new ``dtype``
+    matrix: row ``s - first`` holds ``x[s * hop : s * hop + nfft]``,
+    zero-padded past the end of ``x``.
 
     The segments that lie wholly inside ``x`` are copied from one
     strided view in one assignment; only the tail segments that run
@@ -445,7 +501,7 @@ def _load_segments(
     by one, and only their padding is zeroed.
     """
     n_samples = len(x)
-    segmat = np.empty((stop - first, nfft), dtype=np.complex128)
+    segmat = np.empty((stop - first, nfft), dtype=dtype)
     whole = min(stop, (n_samples - nfft) // hop + 1) if n_samples >= nfft else 0
     if whole > first:
         windows = np.lib.stride_tricks.sliding_window_view(x, nfft)
@@ -465,9 +521,11 @@ def _overlap_save(
     plan: SpectrumPlan,
     telemetry: Telemetry,
     segments: range | None = None,
+    dtype: npt.DTypeLike = np.complex128,
 ) -> Iterator[tuple[int, np.ndarray]]:
-    """The shared segment loop of :func:`correlate_many` and
-    :func:`correlate_accumulate`, over distinct bank ``rows`` only.
+    """The shared segment loop of :func:`correlate_many`,
+    :func:`correlate_accumulate` and :func:`peak_magnitudes`, over
+    distinct bank ``rows`` only, in working precision ``dtype``.
 
     Yields ``(pos0, corr)`` per batch of segments: ``corr`` has shape
     ``(segments, len(rows), hop)`` and ``corr[s, i]`` holds lags
@@ -488,7 +546,7 @@ def _overlap_save(
         segments = range(plan.n_segments)
     first, stop = segments.start, segments.stop
     with telemetry.span("fastcorr.correlate"):
-        spectra = bank.spectra(nfft)
+        spectra = bank.spectra(nfft, dtype)
         # Every row requested (rows are ascending): use the cached matrix
         # as is instead of copying it on every call.
         row_spectra = spectra if len(rows) == len(spectra) else spectra[rows]
@@ -498,7 +556,9 @@ def _overlap_save(
         # dispatch per segment used to dominate the actual FFT work on
         # the cloud classify path.
         fwd = sp_fft.fft(
-            _load_segments(x, nfft, hop, first, stop), axis=1, overwrite_x=True
+            _load_segments(x, nfft, hop, first, stop, dtype),
+            axis=1,
+            overwrite_x=True,
         )
         # Inverse FFTs batch over (segments x rows), chunked so the
         # product tensor stays under BATCH_WORK_ELEMENTS, and work in
@@ -509,7 +569,7 @@ def _overlap_save(
         product = None
         if len(rows) > 1:
             product = np.empty(
-                (min(chunk, stop - first), len(rows), nfft), dtype=np.complex128
+                (min(chunk, stop - first), len(rows), nfft), dtype=dtype
             )
         for c0 in range(first - first % chunk, stop, chunk):
             s0, s1 = max(c0, first), min(c0 + chunk, stop)
@@ -557,13 +617,10 @@ def correlate_many(
             :func:`~repro.dsp.correlation.cross_correlate`).
     """
     x = ensure_iq(x)
-    requested = bank.keys() if keys is None else list(keys)
+    n_samples = len(x)
+    requested, lengths = _requested(bank, keys, n_samples)
     if not requested:
         return {}
-    lengths = [bank.length(key) for key in requested]
-    n_samples = len(x)
-    if max(lengths) > n_samples:
-        raise ConfigurationError("template longer than signal")
     rows, local = _distinct_rows(bank, requested)
     plan = spectrum_plan(n_samples, max(lengths), len(rows), min(lengths))
     out_lens = [n_samples - length + 1 for length in lengths]
@@ -794,3 +851,131 @@ def correlate_accumulate(
                     local[key], a0 + offset - pos0 : a1 + offset - pos0
                 ]
     return acc
+
+
+def _screen_plan(
+    n_samples: int, max_template_len: int, min_template_len: int
+) -> SpectrumPlan:
+    """The overlap-save layout of :func:`peak_magnitudes`: segments of
+    the power of two at or above :data:`SCREEN_TEMPLATES` longest
+    templates, or one segment for the whole buffer when that is
+    shorter, and never below 16 samples (the bound needs
+    ``log2(nfft) >= 3``)."""
+    # One segment holds every lag of the shortest template's track
+    # with the longest template's overlap.
+    whole = n_samples - min_template_len + max_template_len
+    span = max(min(SCREEN_TEMPLATES * max_template_len, whole), 16)
+    nfft = 1 << (span - 1).bit_length()
+    return SpectrumPlan(
+        n_samples=n_samples,
+        max_template_len=max_template_len,
+        min_template_len=min_template_len,
+        nfft=nfft,
+        hop=nfft - (max_template_len - 1),
+    )
+
+
+def peak_magnitudes(
+    x: npt.ArrayLike,
+    bank: TemplateBank,
+    keys: Iterable[Hashable] | None = None,
+    telemetry: Telemetry = NULL,
+) -> dict[Hashable, tuple[float, float]]:
+    """Each template's peak correlation magnitude in single precision,
+    with a proven bound on its error.
+
+    For every requested key returns ``(peak, bound)``. ``peak`` is the
+    largest magnitude of the key's valid-mode track (the track
+    :func:`correlate_many` returns), computed by the same overlap-save
+    loop in complex64 on power-of-two segments
+    (:data:`SCREEN_TEMPLATES`). Every entry of the exact track, and of
+    the complex128 track :func:`correlate_many` computes, lies within
+    ``bound`` of its single-precision value. So no complex128 magnitude
+    exceeds ``peak + bound``: a caller that finds that sum below a
+    threshold knows, without computing one, that no complex128 score
+    reaches it.
+
+    The bound. For a segment ``x_s`` of ``N = 2**t`` samples, with
+    ``u = 2**-24`` (float32's unit roundoff) and ``T`` the template's
+    spectrum at length ``N``::
+
+        |c32[n] - c[n]| <= kappa * u * log2(N) * max|T| * ||x_s||_2
+
+    ``bound`` is this with the largest segment norm of the buffer, the
+    segment energies summed in float64 from the complex128 input and
+    ``max|T|`` read from the complex64 spectra. Derivation, to first
+    order in ``u`` and in 2-norms over one segment (Higham, *Accuracy
+    and Stability of Numerical Algorithms*, 2nd ed., Thm. 24.2 for the
+    FFT, Lemma 3.5 for the complex product): a radix-2 FFT of length
+    ``2**t`` has relative error at most ``t * eta``, with ``eta = mu +
+    gamma_4 * (sqrt(2) + mu)``, about ``6.66 u`` for twiddles rounded
+    once (``mu = u``), and Parseval (``||F x||_2 = sqrt(N) ||x||_2``)
+    carries every term to the output at the scale ``max|T| ||x_s||_2``.
+    Rounding ``x`` to complex64 adds ``u``, the forward FFT ``6.66 t
+    u``, rounding ``T`` ``u``, the complex product ``2 sqrt(2) u``, the
+    inverse FFT ``6.66 t u``, its ``1/N`` scaling ``u`` and the float32
+    magnitude ``u``: ``(13.3 t + 6.8) u`` in all, below ``14 t u`` from
+    ``t = 10`` and below ``16 t u`` from ``t = 3``, the shortest
+    segment the screen plans; one lag's error is at most the segment's
+    2-norm. ``kappa = 16`` (:data:`SCREEN_KAPPA`) leaves the rest for
+    the second-order terms and for the complex128 track's own error:
+    the same form at ``u = 2**-53`` with its own ``kappa'``, whose
+    ``max|T|`` is at most ``sqrt(N)`` times this one and whose segment
+    norm is at most the buffer's (at most ``sqrt(segments)`` times the
+    largest here). For buffers under ``2**30`` samples that is below
+    ``2**-11 * kappa' / kappa`` of this bound, inside the room for any
+    ``kappa'`` up to 50 times ``kappa``. scipy's pocketfft runs a power
+    of two as radix-4 passes
+    (and one radix-2 pass); a radix-4 pass rounds each element no more
+    often than the two radix-2 stages it replaces. The largest error
+    measured, over the perfbench gateway buffers of ``sparse_air`` and
+    ``collision_dense`` (seed 3) and the golden detection scene, is
+    ``0.0098 u log2(N) max|T| ||x_s||_2``: ``kappa`` is 1,600 times the
+    error seen.
+
+    The rest is exact or infinite. A non-finite or overflowing
+    complex64 value leaves ``peak`` infinite or NaN, which no
+    ``peak + bound < threshold`` test passes. Below
+    :data:`SCREEN_MIN_SCALE` (for ``||x_s||_2`` or ``max|T| ||x_s||_2``,
+    largest segment) ``bound`` is infinite: there, gradual underflow's
+    absolute errors are not covered by the relative bound.
+
+    Raises:
+        ConfigurationError: if a requested template is longer than
+            ``x``.
+    """
+    x = ensure_iq(x)
+    n_samples = len(x)
+    requested, lengths = _requested(bank, keys, n_samples)
+    if not requested:
+        return {}
+    rows, local = _distinct_rows(bank, requested)
+    plan = _screen_plan(n_samples, max(lengths), min(lengths))
+    nfft, hop = plan.nfft, plan.hop
+    starts = range(0, plan.n_segments * hop, hop)
+    energy = max(np.vdot(x[a : a + nfft], x[a : a + nfft]).real for a in starts)
+    scale = float(np.sqrt(energy))
+    spectrum_peak = np.abs(bank.spectra(nfft, np.complex64)[rows]).max(axis=1)
+    track_lens = [n_samples - length + 1 for length in lengths]
+    # np.maximum, not max(): a NaN peak must survive every batch.
+    peak = dict.fromkeys(requested, np.float32(0))
+    for pos0, corr in _overlap_save(
+        x, bank, rows, plan, telemetry, dtype=np.complex64
+    ):
+        n_seg, n_rows, _ = corr.shape
+        magnitude = np.empty((n_rows, n_seg, hop), dtype=np.float32)
+        np.abs(corr, out=magnitude.transpose(1, 0, 2))
+        magnitude = magnitude.reshape(n_rows, n_seg * hop)
+        for key, track_len in zip(requested, track_lens, strict=True):
+            if pos0 < track_len:
+                batch = magnitude[local[key], : track_len - pos0].max()
+                peak[key] = np.maximum(peak[key], batch)
+    out: dict[Hashable, tuple[float, float]] = {}
+    for key in requested:
+        t_peak = float(spectrum_peak[local[key]])
+        if min(scale, t_peak * scale) >= SCREEN_MIN_SCALE:
+            bound = SCREEN_KAPPA * 2.0**-24 * log2(nfft) * t_peak * scale
+        else:
+            bound = float("inf")
+        out[key] = (float(peak[key]), bound)
+    return out

@@ -35,7 +35,7 @@ import numpy as np
 
 from ..contracts import iq_contract
 from ..dsp.correlation import greedy_suppress
-from ..dsp.fastcorr import TemplateBank, correlate_many
+from ..dsp.fastcorr import TemplateBank, correlate_many, peak_magnitudes
 from ..dsp.filters import moving_average
 from ..dsp.resample import to_rate
 from ..errors import ConfigurationError
@@ -241,7 +241,10 @@ class CorrelationDetector(CandidateDetector):
     :class:`~repro.dsp.fastcorr.TemplateBank` holds every template and
     block: one :func:`~repro.dsp.fastcorr.correlate_many` call scores
     them all off one forward FFT per overlap-save segment, with the
-    template spectra cached across chunks.
+    template spectra cached across chunks. Coherent templates with
+    frozen thresholds first screen each buffer in single precision
+    (:meth:`stream_candidates`): a buffer proven to hold no candidate
+    is never scored in complex128.
 
     Args:
         templates: Reference waveform per technology key.
@@ -308,14 +311,18 @@ class CorrelationDetector(CandidateDetector):
         bank, always one for the universal preamble."""
         return len(self.templates)
 
-    @iq_contract("samples")
-    def score_tracks(self, samples: np.ndarray) -> dict[Hashable, np.ndarray]:
-        """Matched-filter score track of every template that fits ``samples``."""
-        feasible = [
+    def _feasible(self, samples: np.ndarray) -> list[Hashable]:
+        """The technologies whose template fits ``samples``."""
+        return [
             tech
             for tech, template in self.templates.items()
             if len(template) <= len(samples)
         ]
+
+    @iq_contract("samples")
+    def score_tracks(self, samples: np.ndarray) -> dict[Hashable, np.ndarray]:
+        """Matched-filter score track of every template that fits ``samples``."""
+        feasible = self._feasible(samples)
         keys = [(tech, off) for tech in feasible for off in self._offsets[tech]]
         tracks = correlate_many(
             samples, self._bank, keys=keys, telemetry=self.telemetry
@@ -374,6 +381,32 @@ class CorrelationDetector(CandidateDetector):
             return True
         return event.score >= threshold * 10 ** (rise_db / 20)
 
+    def _quiet(self, samples: np.ndarray, feasible: list[Hashable]) -> bool:
+        """Whether the single-precision screen proves that no template
+        scores at its threshold anywhere in ``samples``.
+
+        It runs for coherent templates (``block=None``) with frozen
+        thresholds only; blocked banks and per-capture CFAR always take
+        the exact path. A template is proven quiet when its complex64
+        peak plus the error bound of
+        :func:`~repro.dsp.fastcorr.peak_magnitudes` stays below its
+        threshold, so the complex128 path would find no candidate.
+        """
+        thresholds = [self._fixed_threshold(tech) for tech in feasible]
+        if self.block is not None or not feasible or None in thresholds:
+            return False
+        peaks = peak_magnitudes(
+            samples,
+            self._bank,
+            keys=[(tech, 0) for tech in feasible],
+            telemetry=self.telemetry,
+        )
+        return all(
+            (peak + bound) / self._norms[tech] < threshold
+            for tech, threshold in zip(feasible, thresholds, strict=True)
+            for peak, bound in [peaks[(tech, 0)]]
+        )
+
     @iq_contract("samples")
     def stream_candidates(
         self, samples: np.ndarray
@@ -384,6 +417,11 @@ class CorrelationDetector(CandidateDetector):
         :attr:`threshold` for streamed results identical to a monolithic
         pass (per-chunk CFAR is data-dependent).
 
+        A buffer the single-precision screen proves quiet (see
+        :meth:`_quiet`) returns the empty candidate lists the complex128
+        path would, without computing its tracks; counters
+        ``detect.screened`` and ``detect.exact`` count the two outcomes.
+
         Returns:
             ``[(technology, template_len, indices, scores)]``, one entry
             per template short enough to score this buffer.
@@ -391,6 +429,19 @@ class CorrelationDetector(CandidateDetector):
         self.telemetry.count("detect.samples_in", len(samples))
         out: list[tuple[Hashable, int, np.ndarray, np.ndarray]] = []
         with self.telemetry.span("detect"):
+            feasible = self._feasible(samples)
+            if self._quiet(samples, feasible):
+                self.telemetry.count("detect.screened")
+                return [
+                    (
+                        tech,
+                        len(self.templates[tech]),
+                        np.empty(0, dtype=np.intp),
+                        np.empty(0),
+                    )
+                    for tech in feasible
+                ]
+            self.telemetry.count("detect.exact")
             for tech, scores in self.score_tracks(samples).items():
                 fixed = self._fixed_threshold(tech)
                 threshold = cfar_threshold(scores, self.k) if fixed is None else fixed

@@ -12,6 +12,8 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
+from ..errors import ConfigurationError
+
 __all__ = [
     "bytes_to_bits",
     "bits_to_bytes",
@@ -27,11 +29,11 @@ def as_bit_array(bits: npt.ArrayLike) -> np.ndarray:
     """Coerce a sequence of 0/1 values into a uint8 bit array.
 
     Raises:
-        ValueError: if any element is not 0 or 1.
+        ConfigurationError: if any element is not 0 or 1.
     """
     arr = np.asarray(bits, dtype=np.uint8).ravel()
     if arr.size and not np.all((arr == 0) | (arr == 1)):
-        raise ValueError("bit array may only contain 0 and 1")
+        raise ConfigurationError("bit array may only contain 0 and 1")
     return arr
 
 
@@ -48,11 +50,11 @@ def bits_to_bytes(bits: npt.ArrayLike, msb_first: bool = True) -> bytes:
     """Pack a 0/1 array into bytes. Length must be a multiple of 8.
 
     Raises:
-        ValueError: if ``len(bits)`` is not a multiple of 8.
+        ConfigurationError: if ``len(bits)`` is not a multiple of 8.
     """
     arr = as_bit_array(bits)
     if arr.size % 8:
-        raise ValueError(f"bit count {arr.size} is not a multiple of 8")
+        raise ConfigurationError(f"bit count {arr.size} is not a multiple of 8")
     if not msb_first:
         arr = arr.reshape(-1, 8)[:, ::-1].ravel()
     return np.packbits(arr).tobytes()
@@ -62,13 +64,13 @@ def int_to_bits(value: int, width: int, msb_first: bool = True) -> np.ndarray:
     """Represent ``value`` as a fixed-width bit array.
 
     Raises:
-        ValueError: if ``value`` does not fit in ``width`` bits or is
+        ConfigurationError: if ``value`` does not fit in ``width`` bits or is
             negative.
     """
     if width <= 0:
-        raise ValueError("width must be positive")
+        raise ConfigurationError("width must be positive")
     if value < 0 or value >= (1 << width):
-        raise ValueError(f"value {value} does not fit in {width} bits")
+        raise ConfigurationError(f"value {value} does not fit in {width} bits")
     bits = np.array([(value >> i) & 1 for i in range(width)], dtype=np.uint8)
     if msb_first:
         bits = bits[::-1]
@@ -99,13 +101,13 @@ def nibbles_to_bytes(nibbles: npt.ArrayLike, high_first: bool = True) -> bytes:
     """Join 4-bit nibbles (values 0..15) into bytes.
 
     Raises:
-        ValueError: if the count is odd or any value exceeds 15.
+        ConfigurationError: if the count is odd or any value exceeds 15.
     """
     arr = np.asarray(nibbles, dtype=np.uint8).ravel()
     if arr.size % 2:
-        raise ValueError("nibble count must be even")
+        raise ConfigurationError("nibble count must be even")
     if arr.size and arr.max() > 0x0F:
-        raise ValueError("nibble values must be in 0..15")
+        raise ConfigurationError("nibble values must be in 0..15")
     pairs = arr.reshape(-1, 2)
     if high_first:
         joined = (pairs[:, 0] << 4) | pairs[:, 1]

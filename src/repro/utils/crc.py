@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from ..errors import ConfigurationError
+
 __all__ = [
     "CrcEngine",
     "CRC16_CCITT",
@@ -58,7 +60,7 @@ class CrcEngine:
 
     def __post_init__(self) -> None:
         if not 1 <= self.width <= 32:
-            raise ValueError("CRC width must be in 1..32")
+            raise ConfigurationError("CRC width must be in 1..32")
 
     @property
     def _mask(self) -> int:

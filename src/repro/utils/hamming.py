@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
+from ..errors import ConfigurationError
 from .bits import as_bit_array
 
 __all__ = ["HammingCodec", "DecodedNibble"]
@@ -59,12 +60,12 @@ class HammingCodec:
         cr: Coding-rate index, 1..4 (codeword length ``4 + cr``).
 
     Raises:
-        ValueError: if ``cr`` is outside 1..4.
+        ConfigurationError: if ``cr`` is outside 1..4.
     """
 
     def __init__(self, cr: int):
         if cr not in (1, 2, 3, 4):
-            raise ValueError("cr must be in 1..4")
+            raise ConfigurationError("cr must be in 1..4")
         self.cr = cr
 
     @property
@@ -77,7 +78,7 @@ class HammingCodec:
     def encode_nibble(self, nibble: int) -> np.ndarray:
         """Encode a 4-bit value into one codeword (uint8 bit array)."""
         if not 0 <= nibble <= 0x0F:
-            raise ValueError("nibble must be in 0..15")
+            raise ConfigurationError("nibble must be in 0..15")
         d1 = (nibble >> 3) & 1
         d2 = (nibble >> 2) & 1
         d3 = (nibble >> 1) & 1
@@ -104,7 +105,7 @@ class HammingCodec:
         """Decode one codeword, correcting when the code allows it."""
         bits = as_bit_array(codeword)
         if bits.size != self.codeword_length:
-            raise ValueError(
+            raise ConfigurationError(
                 f"codeword length {bits.size} != expected {self.codeword_length}"
             )
         if self.cr == 1:
@@ -151,12 +152,12 @@ class HammingCodec:
             uint8 array of recovered 4-bit values.
 
         Raises:
-            ValueError: if the bit count is not a multiple of the
+            ConfigurationError: if the bit count is not a multiple of the
                 codeword length.
         """
         arr = as_bit_array(bits)
         if arr.size % self.codeword_length:
-            raise ValueError("bit count is not a multiple of the codeword length")
+            raise ConfigurationError("bit count is not a multiple of the codeword length")
         nibbles = []
         corrected = 0
         errors = 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
+from ..errors import ConfigurationError
 from .bits import as_bit_array
 
 __all__ = ["LoraDiagonalInterleaver"]
@@ -30,9 +31,9 @@ class LoraDiagonalInterleaver:
 
     def __init__(self, sf: int, cr: int):
         if not 5 <= sf <= 12:
-            raise ValueError("sf must be in 5..12")
+            raise ConfigurationError("sf must be in 5..12")
         if cr not in (1, 2, 3, 4):
-            raise ValueError("cr must be in 1..4")
+            raise ConfigurationError("cr must be in 1..4")
         self.sf = sf
         self.cr = cr
 
@@ -59,7 +60,7 @@ class LoraDiagonalInterleaver:
         """
         arr = as_bit_array(codeword_bits)
         if arr.size != self.block_bits:
-            raise ValueError(
+            raise ConfigurationError(
                 f"expected {self.block_bits} bits per block, got {arr.size}"
             )
         cw = arr.reshape(self.sf, self.codeword_length)
@@ -75,7 +76,7 @@ class LoraDiagonalInterleaver:
         """Exact inverse of :meth:`interleave_block`."""
         arr = as_bit_array(symbol_bits)
         if arr.size != self.block_bits:
-            raise ValueError(
+            raise ConfigurationError(
                 f"expected {self.block_bits} bits per block, got {arr.size}"
             )
         symbols = arr.reshape(self.codeword_length, self.sf)
@@ -89,7 +90,7 @@ class LoraDiagonalInterleaver:
         """Interleave any whole number of blocks."""
         arr = as_bit_array(bits)
         if arr.size % self.block_bits:
-            raise ValueError("bit count is not a multiple of the block size")
+            raise ConfigurationError("bit count is not a multiple of the block size")
         blocks = [self.interleave_block(b) for b in arr.reshape(-1, self.block_bits)]
         return np.concatenate(blocks) if blocks else arr
 
@@ -97,6 +98,6 @@ class LoraDiagonalInterleaver:
         """Inverse of :meth:`interleave`."""
         arr = as_bit_array(bits)
         if arr.size % self.block_bits:
-            raise ValueError("bit count is not a multiple of the block size")
+            raise ConfigurationError("bit count is not a multiple of the block size")
         blocks = [self.deinterleave_block(b) for b in arr.reshape(-1, self.block_bits)]
         return np.concatenate(blocks) if blocks else arr

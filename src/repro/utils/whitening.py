@@ -19,6 +19,7 @@ from __future__ import annotations
 import numpy as np
 import numpy.typing as npt
 
+from ..errors import ConfigurationError
 from .bits import as_bit_array
 
 __all__ = ["LfsrWhitener", "Pn9Whitener", "LoraWhitener"]
@@ -39,13 +40,13 @@ class LfsrWhitener:
 
     def __init__(self, taps: tuple[int, ...], seed: int, width: int | None = None):
         if not taps:
-            raise ValueError("at least one tap is required")
+            raise ConfigurationError("at least one tap is required")
         self._taps = tuple(sorted(set(taps), reverse=True))
         self._width = width if width is not None else max(self._taps)
         if max(self._taps) > self._width:
-            raise ValueError("tap position exceeds register width")
+            raise ConfigurationError("tap position exceeds register width")
         if seed <= 0 or seed >= (1 << self._width):
-            raise ValueError("seed must be a non-zero value fitting the register")
+            raise ConfigurationError("seed must be a non-zero value fitting the register")
         self._seed = seed
 
     def keystream(self, n_bits: int) -> np.ndarray:

@@ -28,7 +28,7 @@ from repro.cloud.classify import ClassifiedSignal
 from repro.cloud.kill_filters import KillCss
 from repro.cloud.sic import _align_start
 from repro.dsp.chirp import base_downchirp, base_upchirp, lora_symbol
-from repro.dsp.correlation import find_peaks_above, greedy_suppress
+from repro.dsp.correlation import find_peaks_above, greedy_suppress, top_peaks
 from repro.dsp.filters import blocked_ls_subtract, design_lowpass_fir, half_sine_pulse
 from repro.dsp.fm import quadrature_demod
 from repro.errors import DecodeError
@@ -426,6 +426,29 @@ class TestGreedySuppression:
             status = _loop_greedy(candidates, scores[candidates], (), md)
             expected = candidates[status].tolist()
             assert find_peaks_above(scores, threshold, md) == expected
+
+    def test_top_peaks_are_the_best_of_find_peaks_above(self, rng):
+        # The classifier keeps the best k peaks by (score desc, index
+        # asc); top_peaks must pick exactly those, ties included.
+        for trial in range(3000):
+            n = int(rng.integers(0, 400))
+            if trial % 3 == 0:
+                scores = rng.integers(0, 6, size=n).astype(float)
+            elif trial % 3 == 1:
+                scores = np.round(rng.random(n), 2)
+            else:
+                scores = rng.random(n)
+            threshold = float(rng.choice([0.0, 0.5, 1.0, 2.0, 4.0]))
+            md, k = int(rng.integers(1, 40)), int(rng.integers(1, 4))
+            expected = sorted(
+                find_peaks_above(scores, threshold, md),
+                key=lambda i: (-scores[i], i),
+            )[:k]
+            assert top_peaks(scores, threshold, md, k) == expected
+
+    def test_top_peaks_skips_nan(self):
+        scores = np.array([np.nan, 3.0, np.nan, 1.0, 2.0])
+        assert top_peaks(scores, 1.0, 1, 2) == [1, 4]
 
 
 #: Per modem: the module its kernels are looked up in, and each kernel

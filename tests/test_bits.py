@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.utils.bits import (
     as_bit_array,
     bits_to_bytes,
@@ -23,7 +24,7 @@ class TestAsBitArray:
         assert out.tolist() == [0, 1, 1, 0]
 
     def test_rejects_non_binary(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             as_bit_array([0, 2])
 
     def test_empty(self):
@@ -55,7 +56,7 @@ class TestBytesBits:
         )
 
     def test_non_multiple_of_eight_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             bits_to_bytes([1, 0, 1])
 
     @given(st.binary(max_size=64), st.booleans())
@@ -69,15 +70,15 @@ class TestIntBits:
         assert int_to_bits(5, 4, msb_first=False).tolist() == [1, 0, 1, 0]
 
     def test_too_large_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             int_to_bits(16, 4)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             int_to_bits(-1, 4)
 
     def test_zero_width_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             int_to_bits(0, 0)
 
     @given(st.integers(0, 2**16 - 1), st.booleans())
@@ -93,11 +94,11 @@ class TestNibbles:
         assert bytes_to_nibbles(b"\xab", high_first=False).tolist() == [0xB, 0xA]
 
     def test_join_rejects_odd(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             nibbles_to_bytes([1, 2, 3])
 
     def test_join_rejects_large_values(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             nibbles_to_bytes([16, 0])
 
     @given(st.binary(max_size=32), st.booleans())

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.utils.crc import (
     CRC8_ATM,
     CRC16_CCITT,
@@ -62,9 +63,9 @@ class TestAppendCheck:
 
 class TestEngineValidation:
     def test_bad_width_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             CrcEngine(width=0, poly=0x07)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             CrcEngine(width=33, poly=0x07)
 
     def test_crc24_ble_polynomial(self):

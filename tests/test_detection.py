@@ -14,6 +14,7 @@ from repro.gateway.detection import (
 )
 from repro.gateway.universal import UniversalPreamble, UniversalPreambleDetector
 from repro.net.scene import SceneBuilder
+from repro.telemetry import Telemetry
 from repro.types import DetectionEvent, PacketTruth
 
 FS = 1e6
@@ -145,6 +146,100 @@ def _detector(kind, trio, **kwargs):
     if kind == "bank":
         return PreambleBankDetector(trio, FS, **kwargs)
     return UniversalPreambleDetector(UniversalPreamble.build(trio, FS), **kwargs)
+
+
+def _unit_noise(rng, n):
+    return (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
+
+
+def _frozen(kind, trio, rng, **kwargs):
+    """A detector with its threshold frozen on unit-power noise, and
+    its telemetry."""
+    threshold = _detector(kind, trio, **kwargs).calibrate(_unit_noise(rng, 120_000))
+    telemetry = Telemetry()
+    detector = _detector(
+        kind, trio, threshold=threshold, telemetry=telemetry, **kwargs
+    )
+    return detector, telemetry
+
+
+def exact_candidates(detector, samples):
+    """The complex128 path: every score track against its threshold."""
+    out = []
+    for tech, scores in detector.score_tracks(samples).items():
+        threshold = detector._fixed_threshold(tech)
+        if threshold is None:
+            threshold = cfar_threshold(scores, detector.k)
+        idx = np.flatnonzero(scores >= threshold)
+        out.append((tech, len(detector.templates[tech]), idx, scores[idx]))
+    return out
+
+
+def assert_same_candidates(got, want):
+    """Same templates, indices and scores, bit for bit and dtype for dtype."""
+    assert [(tech, n) for tech, n, _, _ in got] == [
+        (tech, n) for tech, n, _, _ in want
+    ]
+    for (_, _, idx, sc), (_, _, ref_idx, ref_sc) in zip(got, want, strict=True):
+        assert idx.dtype == ref_idx.dtype and sc.dtype == ref_sc.dtype
+        assert np.array_equal(idx, ref_idx)
+        assert np.array_equal(sc, ref_sc)
+
+
+class TestScreen:
+    """Coherent detectors with frozen thresholds screen every buffer in
+    single precision first; every other configuration takes the exact
+    path. Either way the candidates are the exact path's."""
+
+    @pytest.mark.parametrize("kind", ["universal", "bank"])
+    def test_noise_only_buffer_is_screened(self, trio, rng, kind):
+        detector, telemetry = _frozen(kind, trio, rng)
+        noise = _unit_noise(rng, 100_000)
+        got = detector.stream_candidates(noise)
+        assert telemetry.counters["detect.screened"] == 1
+        assert "detect.exact" not in telemetry.counters
+        assert_same_candidates(got, exact_candidates(detector, noise))
+        assert detector.detect(noise) == []
+
+    @pytest.mark.parametrize("kind", ["universal", "bank"])
+    def test_buffer_with_a_preamble_runs_the_exact_path(self, trio, rng, kind):
+        detector, telemetry = _frozen(kind, trio, rng)
+        capture, _ = _scene(trio, rng, snr=10)
+        got = detector.stream_candidates(capture)
+        assert telemetry.counters["detect.exact"] == 1
+        assert "detect.screened" not in telemetry.counters
+        assert any(len(idx) for _, _, idx, _ in got)
+        assert_same_candidates(got, exact_candidates(detector, capture))
+
+    @pytest.mark.parametrize(
+        "kind,block", [("universal", 700), ("bank", 1024)]
+    )
+    def test_blocked_detector_is_not_screened(self, trio, rng, kind, block):
+        detector, telemetry = _frozen(kind, trio, rng, block=block)
+        noise = _unit_noise(rng, 100_000)
+        assert_same_candidates(
+            detector.stream_candidates(noise), exact_candidates(detector, noise)
+        )
+        assert telemetry.counters["detect.exact"] == 1
+        assert "detect.screened" not in telemetry.counters
+
+    def test_per_capture_cfar_is_not_screened(self, trio, rng):
+        # No frozen threshold at all, and a bank freezing one technology
+        # only: either way a template is scored against its own CFAR.
+        noise = _unit_noise(rng, 100_000)
+        bank, _ = _frozen("bank", trio, rng)
+        partial = {"lora": bank.threshold["lora"]}
+        for threshold in (None, partial):
+            telemetry = Telemetry()
+            detector = _detector(
+                "bank", trio, threshold=threshold, telemetry=telemetry
+            )
+            assert_same_candidates(
+                detector.stream_candidates(noise),
+                exact_candidates(detector, noise),
+            )
+            assert telemetry.counters["detect.exact"] == 1
+            assert "detect.screened" not in telemetry.counters
 
 
 #: Settings under which a detector would silently find nothing.

@@ -20,7 +20,12 @@ the engine replaced):
   segments;
 * **buffers**: a template scored alone equals its row in a two-row
   bank, and a strided input its contiguous copy, bit for bit; tracks
-  returned without a copy share no memory with each other or the input.
+  returned without a copy share no memory with each other or the input;
+* **single-precision screen**: ``peak_magnitudes``' peak is the peak of
+  the engine's own complex64 track, that track stays within a hundredth
+  of the returned bound of the complex128 one, and non-finite, tiny or
+  overflowing input never yields a finite ``peak + bound`` below the
+  exact peak.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from repro.dsp.fastcorr import (
     clear_spectrum_plan_cache,
     correlate_accumulate,
     correlate_many,
+    peak_magnitudes,
     spectrum_plan,
     spectrum_plan_cache_info,
 )
@@ -236,6 +242,136 @@ class TestCorrelateMany:
         assert snapshot["counters"]["fastcorr.forward_ffts"] >= 1
         assert snapshot["counters"]["fastcorr.inverse_ffts"] >= 4
         assert "fastcorr.correlate.seconds" in snapshot["timers"]
+
+
+def single_precision_tracks(x, bank, keys):
+    """The complex64 tracks ``peak_magnitudes`` reduces to peaks: the
+    engine's segment loop at the screen's layout, kept whole."""
+    x = np.asarray(x, dtype=complex)
+    lengths = [bank.length(key) for key in keys]
+    rows, local = fastcorr._distinct_rows(bank, keys)
+    plan = fastcorr._screen_plan(len(x), max(lengths), min(lengths))
+    batches = [
+        corr.transpose(1, 0, 2).reshape(len(rows), -1).copy()
+        for _, corr in fastcorr._overlap_save(
+            x, bank, rows, plan, fastcorr.NULL, dtype=np.complex64
+        )
+    ]
+    tracks = np.concatenate(batches, axis=1)
+    return {
+        key: tracks[local[key], : len(x) - length + 1]
+        for key, length in zip(keys, lengths, strict=True)
+    }
+
+
+def screen_error(x, bank, keys):
+    """Per key: ``(peak, bound)``, the largest magnitude difference
+    between the complex64 and complex128 tracks, and the complex128
+    peak."""
+    screened = peak_magnitudes(x, bank, keys=keys)
+    single = single_precision_tracks(x, bank, keys)
+    exact = correlate_many(x, bank, keys=keys)
+    out = {}
+    for key in keys:
+        mag32 = np.abs(single[key])
+        mag64 = np.abs(exact[key])
+        err = float(np.max(np.abs(mag32.astype(float) - mag64)))
+        out[key] = (*screened[key], err, float(mag64.max()), float(mag32.max()))
+    return out
+
+
+class TestPeakMagnitudes:
+    """The screen's single-precision peak and its error bound."""
+
+    @pytest.mark.parametrize("n", [5000, 5001, 70_000, 300_000])
+    def test_peak_and_bound_against_the_complex128_tracks(self, rng, n):
+        templates = {"long": _noise(rng, 5000), "short": _noise(rng, 700)}
+        bank = TemplateBank(templates)
+        x = _noise(rng, n)
+        at = (n - 5000) // 3
+        x[at : at + 5000] += 0.5 * templates["long"]
+        for key, (peak, bound, err, peak64, peak32) in screen_error(
+            x, bank, list(templates)
+        ).items():
+            assert peak == peak32, key
+            assert err <= bound / 100, key
+            assert peak64 <= peak + bound, key
+
+    def test_several_batches_equal_one(self, rng, monkeypatch):
+        # The peak sits in the middle one of five batches of one segment.
+        template = _noise(rng, 1000)
+        bank = TemplateBank({0: template})
+        x = _noise(rng, 30_000)
+        x[15_000:16_000] += 0.2 * template
+        one = peak_magnitudes(x, bank)
+        assert fastcorr._screen_plan(len(x), 1000, 1000).n_segments == 5
+        monkeypatch.setattr(fastcorr, "BATCH_WORK_ELEMENTS", 8192)
+        assert peak_magnitudes(x, bank) == one
+
+    def test_bound_follows_the_loudest_segment(self, rng):
+        template = _noise(rng, 1000)
+        bank = TemplateBank({0: template})
+        x = _noise(rng, 60_000)
+        (_, quiet_bound), = peak_magnitudes(x, bank).values()
+        loud = x.copy()
+        loud[40_000:41_000] += 1000 * _noise(rng, 1000)
+        (_, loud_bound), = peak_magnitudes(loud, bank).values()
+        assert loud_bound > 100 * quiet_bound
+        (peak, bound, err, peak64, _), = screen_error(loud, bank, [0]).values()
+        assert err <= bound / 100
+        assert peak64 <= peak + bound
+
+    def test_spectra_cached_per_precision(self, rng):
+        template = _noise(rng, 48)
+        bank = TemplateBank({"t": template})
+        double = bank.spectra(256)
+        single = bank.spectra(256, np.complex64)
+        assert double.dtype == np.complex128
+        assert single.dtype == np.complex64
+        assert bank.spectra(256, np.complex64) is single
+        assert bank.spectra(256) is double
+        assert np.array_equal(single, double.astype(np.complex64))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e36])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_or_overflowing_input_never_passes(self, rng, bad):
+        bank = TemplateBank({0: _noise(rng, 256)})
+        x = _noise(rng, 4096)
+        x[1000] = bad
+        ((peak, bound),) = peak_magnitudes(x, bank).values()
+        assert not peak + bound < np.finfo(float).max
+
+    @pytest.mark.parametrize("scale", [0.0, 2.0**-70])
+    def test_tiny_input_has_an_infinite_bound(self, rng, scale):
+        bank = TemplateBank({0: _noise(rng, 256)})
+        ((_, bound),) = peak_magnitudes(scale * _noise(rng, 4096), bank).values()
+        assert bound == np.inf
+
+    def test_keys_and_validation(self, rng):
+        bank = TemplateBank({"a": _noise(rng, 64), "b": _noise(rng, 1999)})
+        assert set(peak_magnitudes(_noise(rng, 2000), bank, keys=["a"])) == {"a"}
+        assert peak_magnitudes(_noise(rng, 2000), bank, keys=[]) == {}
+        with pytest.raises(ConfigurationError):
+            peak_magnitudes(_noise(rng, 1000), bank)
+
+    def test_short_buffer_is_one_segment(self):
+        # Not thousands of one-lag segments: a bank mixing an 8,192- and
+        # a 1,280-sample template over an 8,192-sample buffer has 6,913
+        # lags of its shorter template to cover.
+        plan = fastcorr._screen_plan(8192, 8192, 1280)
+        assert (plan.nfft, plan.n_segments) == (16384, 1)
+        plan = fastcorr._screen_plan(270_335, 8192, 8192)
+        assert (plan.nfft, plan.n_segments) == (65536, 5)
+
+    def test_short_buffer_plans_at_least_16_points(self, rng):
+        # log2(nfft) >= 3 is what the bound's kappa is derived for.
+        template = _noise(rng, 3)
+        bank = TemplateBank({0: template})
+        x = _noise(rng, 5)
+        assert fastcorr._screen_plan(5, 3, 3).nfft == 16
+        (peak, bound, err, peak64, _), = screen_error(x, bank, [0]).values()
+        assert err <= bound / 100
+        assert peak64 <= peak + bound
 
 
 class TestBuffers:

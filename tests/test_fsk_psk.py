@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.dsp.fm import instantaneous_frequency
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, ReproError
 from repro.phy.fsk import fsk_demodulate_bits, fsk_frequency_track, fsk_modulate
 from repro.phy.psk import (
     bpsk_demodulate_bits,
@@ -52,6 +52,12 @@ class TestFskModulate:
             fsk_modulate([1, 0], 1, DEV, FS)
         with pytest.raises(ConfigurationError):
             fsk_modulate([1, 0], SPS, 600e3, FS)
+
+    def test_non_binary_bits_raise_a_repro_error(self):
+        # The bit check lives in repro.utils.bits; it raised a bare
+        # ValueError, outside the package's error hierarchy.
+        with pytest.raises(ReproError):
+            fsk_modulate([2, 0], 10, 25e3, 1e6)
 
 
 class TestFskDemodulate:

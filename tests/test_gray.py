@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.utils.gray import (
     gray_decode,
     gray_decode_array,
@@ -33,9 +34,9 @@ class TestScalar:
     def test_negative_rejected(self):
         import pytest
 
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             gray_encode(-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             gray_decode(-3)
 
 

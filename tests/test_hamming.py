@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.utils.hamming import HammingCodec
 
 
@@ -15,7 +16,7 @@ class TestConstruction:
 
     def test_invalid_cr_rejected(self):
         for cr in (0, 5, -1):
-            with pytest.raises(ValueError):
+            with pytest.raises(ConfigurationError):
                 HammingCodec(cr)
 
 
@@ -30,11 +31,11 @@ class TestRoundTrip:
             assert not result.error
 
     def test_invalid_nibble_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             HammingCodec(4).encode_nibble(16)
 
     def test_wrong_codeword_length_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             HammingCodec(4).decode_codeword([0] * 7)
 
 
@@ -99,7 +100,7 @@ class TestBulk:
         assert errors == 0
 
     def test_decode_bits_rejects_partial_codeword(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             HammingCodec(4).decode_bits([0] * 9)
 
     def test_empty(self):

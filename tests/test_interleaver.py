@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.utils.interleaver import LoraDiagonalInterleaver
 
 
@@ -13,16 +14,16 @@ class TestLoraDiagonalInterleaver:
         assert il.block_bits == 56
 
     def test_invalid_sf_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LoraDiagonalInterleaver(4, 4)
 
     def test_invalid_cr_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LoraDiagonalInterleaver(7, 0)
 
     def test_wrong_block_size_rejected(self):
         il = LoraDiagonalInterleaver(7, 4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             il.interleave_block([0] * 55)
 
     @pytest.mark.parametrize("sf,cr", [(7, 4), (7, 1), (9, 2), (12, 4), (5, 3)])

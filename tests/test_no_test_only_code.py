@@ -59,6 +59,9 @@ KEPT = {
     "repro.utils.gray.gray_decode",
     # Oracle for the collision placement of the traffic generators.
     "repro.types.SceneTruth.collisions",
+    # Oracle of the greedy peak picking that top_peaks (the classifier)
+    # and the streaming replay (greedy_suppress) define themselves by.
+    "repro.dsp.correlation.find_peaks_above",
     # Drivers of behaviour that stays.
     "repro.cloud.parallel.ParallelCloudService.process_segments",
     "repro.dsp.fastcorr.spectrum_plan_cache_info",

@@ -2,7 +2,8 @@
 
 These are the laws the rest of the system silently relies on; each is
 checked over randomized inputs with hypothesis, from bit utilities and
-kernels up to the receive path (streaming equals ``process()``).
+kernels up to the receive path (streaming equals ``process()``, and the
+detectors' single-precision screen equals their exact path).
 """
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.dsp.channel import signal_power
 from repro.dsp.correlation import normalized_correlation
+from repro.dsp.fastcorr import SCREEN_TEMPLATES, correlate_many
 from repro.dsp.filters import fft_bandpass, fft_notch
 from repro.dsp.impairments import apply_cfo, apply_phase, quantize
 from repro.dsp.resample import to_rate
@@ -21,6 +23,9 @@ from repro.gateway.detection import CorrelationDetector
 from repro.net.scene import SceneBuilder
 from repro.phy import create_modem
 from repro.types import Segment
+
+from .test_detection import assert_same_candidates, exact_candidates
+from .test_fastcorr import screen_error
 
 FS = 1e6
 #: (technology, frame start) of the receive-path scene's three frames.
@@ -209,3 +214,100 @@ class TestReceivePath:
         assert [(s.start, s.length) for s in merged.segments] == [
             (s.start, s.length) for s in reference.segments
         ]
+
+
+@pytest.fixture(scope="module")
+def screened_detectors():
+    """The coherent universal and bank detectors, thresholds frozen on
+    unit-power noise: the configurations the screen serves."""
+    rng = np.random.default_rng(31)
+    modems = [create_modem(name) for name in ("lora", "xbee", "zwave")]
+    noise = (rng.normal(size=120_000) + 1j * rng.normal(size=120_000)) / np.sqrt(2)
+    detectors = {}
+    for kind in ("universal", "bank"):
+        probe = GalioTGateway(modems, FS, detector=kind, use_edge=False)
+        threshold = probe.detector.calibrate(noise)
+        detectors[kind] = GalioTGateway(
+            modems, FS, detector=kind, use_edge=False, threshold=threshold
+        ).detector
+    return detectors
+
+
+def _scale_for_peak(detector, base, preamble, tech, target):
+    """The factor ``a`` at which ``base + a * preamble`` peaks at
+    ``target`` on ``tech``'s score track: bisection over the sum of the
+    two complex tracks, where the preamble's track is not zero."""
+    key = (tech, 0)
+    base_track = correlate_many(base, detector._bank, keys=[key])[key]
+    pre_track = correlate_many(preamble, detector._bank, keys=[key])[key]
+    support = np.flatnonzero(preamble)
+    lo_lag = max(support[0] - len(detector.templates[tech]) + 1, 0)
+    hi_lag = min(support[-1] + 1, len(base_track))
+    outside = np.abs(np.concatenate([base_track[:lo_lag], base_track[hi_lag:]]))
+    floor = outside.max(initial=0.0)
+    norm = detector._norms[tech]
+
+    def peak(a):
+        inside = np.abs(base_track[lo_lag:hi_lag] + a * pre_track[lo_lag:hi_lag])
+        return max(floor, inside.max()) / norm
+
+    lo, hi = 0.0, 1.0
+    while peak(hi) < target:
+        lo, hi = hi, 2 * hi
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if peak(mid) < target else (lo, mid)
+    return hi
+
+
+class TestScreenEqualsExactPath:
+    """``stream_candidates`` with its single-precision screen equals the
+    complex128 path, index for index and score for score, on noise with
+    a preamble peaking within 2 % of the threshold, an optional strong
+    interferer, and buffers from one template up to three screen
+    segments; the complex64 track stays within a hundredth of the
+    screen's error bound."""
+
+    @given(
+        st.sampled_from(["universal", "bank"]),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 1.0),
+        st.none() | st.floats(0.98, 1.02),
+        st.sampled_from([None, "cw", "wideband"]),
+        st.floats(0.0, 40.0),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_stream_candidates_equal_the_exact_path(
+        self, screened_detectors, kind, seed, length, level, interferer, over_db
+    ):
+        detector = screened_detectors[kind]
+        rng = np.random.default_rng(seed)
+        longest = max(len(t) for t in detector.templates.values())
+        n = longest + int(length * 3 * SCREEN_TEMPLATES * longest)
+        x = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
+        amplitude = 10 ** (over_db / 20)
+        if interferer == "cw":
+            x += amplitude * np.exp(
+                2j * np.pi * (rng.uniform(-0.5, 0.5) * np.arange(n) + rng.uniform())
+            )
+        elif interferer == "wideband":
+            lo, hi = np.sort(rng.integers(0, n + 1, size=2))
+            burst = rng.normal(size=hi - lo) + 1j * rng.normal(size=hi - lo)
+            x[lo:hi] += amplitude * burst / np.sqrt(2)
+        if level is not None:
+            techs = list(detector.templates)
+            tech = techs[rng.integers(len(techs))]
+            template = detector.templates[tech]
+            at = int(rng.integers(0, n - len(template) + 1))
+            preamble = np.zeros(n, dtype=complex)
+            preamble[at : at + len(template)] = template
+            target = level * detector._fixed_threshold(tech)
+            x = x + _scale_for_peak(detector, x, preamble, tech, target) * preamble
+        assert_same_candidates(
+            detector.stream_candidates(x), exact_candidates(detector, x)
+        )
+        keys = [(tech, 0) for tech in detector.templates]
+        for key, (_, bound, err, _, _) in screen_error(
+            x, detector._bank, keys
+        ).items():
+            assert err <= bound / 100, key

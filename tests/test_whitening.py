@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import ConfigurationError
 from repro.utils.whitening import LfsrWhitener, LoraWhitener, Pn9Whitener
 
 
@@ -67,19 +68,19 @@ class TestInvolution:
 
 class TestValidation:
     def test_zero_seed_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LfsrWhitener(taps=(9, 5), seed=0)
 
     def test_oversized_seed_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LfsrWhitener(taps=(9, 5), seed=1 << 9)
 
     def test_no_taps_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LfsrWhitener(taps=(), seed=1)
 
     def test_tap_exceeding_width_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigurationError):
             LfsrWhitener(taps=(9,), seed=1, width=8)
 
     def test_ble_channel37_whitener_valid(self):
