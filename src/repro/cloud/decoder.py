@@ -24,12 +24,19 @@ removing it cannot take S_i with it. Two flavours are exposed:
   decreasing power order and stops at the first failure (you cannot
   cancel what you cannot decode).
 
+Each iteration of the loop makes the plain attempt on the strongest
+candidate, then (kill filters on, plain attempt failed) one attempt per
+victim until one finds a frame, and then decides the candidate's fate
+in one place: no frame fails it (classic SIC stops instead), a frame
+already decoded drops it, and any other frame is recorded and
+cancelled.
+
 Each piece of work runs once per residual. A decode attempt never sees
 the candidate's start, and a kill filter's output depends only on the
 victim and the residual, so while the residual is unchanged
-:class:`_Residual` keeps the plain attempt per technology, the kill
-output per victim and the filtered attempt per (technology, victim).
-A cancellation replaces the residual and with it all three.
+:class:`_Residual` keeps every attempt per (technology, victim), the
+plain attempt under victim ``None``, and the kill output per victim. A
+cancellation replaces the residual and with it both.
 """
 
 from __future__ import annotations
@@ -47,9 +54,23 @@ from ..telemetry import NULL, Telemetry
 from ..types import DecodeResult
 from .classify import ClassifiedSignal, ScoreState, SegmentClassifier
 from .kill_filters import kill_filter_for
-from .sic import FrameWaveformMemo, reconstruct_and_subtract, try_decode
+from .sic import reconstruct_and_subtract, try_decode
 
 __all__ = ["CloudDecodeReport", "CloudDecoder"]
+
+#: Two frames or candidates of one technology whose starts lie closer
+#: than this many native samples are the same transmission.
+SAME_FRAME_SAMPLES = 256
+
+
+def _has_frame(
+    signals: list[DecodeResult] | list[ClassifiedSignal], technology: str, start: int
+) -> bool:
+    """Whether ``signals`` hold ``technology``'s frame at ``start``."""
+    return any(
+        s.technology == technology and abs(s.start - start) < SAME_FRAME_SAMPLES
+        for s in signals
+    )
 
 
 @dataclass
@@ -74,19 +95,18 @@ class CloudDecodeReport:
 class _Residual:
     """One working residual and the work already done on it.
 
-    ``rates`` holds its native-rate views; ``plain`` the plain decode
-    attempt per technology; ``killed`` the kill-filter output per victim
-    (``None`` when the victim's modulation has no filter), shared by
-    every target technology; ``filtered`` the decode attempt per
-    (technology, victim) on that output. A cancellation builds a new
-    residual, which drops all of them.
+    ``rates`` holds its native-rate views; ``attempts`` the decode
+    attempt per (technology, victim), with victim ``None`` for the plain
+    attempt; ``killed`` the kill-filter output per victim (``None`` when
+    the victim's modulation has no filter), shared by every target
+    technology. A cancellation builds a new residual, which drops all
+    of them.
     """
 
     def __init__(self, samples: np.ndarray, sample_rate_hz: float) -> None:
         self.rates = NativeRateCache(ensure_iq(samples), sample_rate_hz)
-        self.plain: dict[str, FrameResult | None] = {}
+        self.attempts: dict[tuple[str, ClassifiedSignal | None], FrameResult | None] = {}
         self.killed: dict[ClassifiedSignal, np.ndarray | None] = {}
-        self.filtered: dict[tuple[str, ClassifiedSignal], FrameResult | None] = {}
 
     @property
     def samples(self) -> np.ndarray:
@@ -123,13 +143,13 @@ class CloudDecoder:
     ):
         if not modems:
             raise ConfigurationError("at least one modem is required")
-        if sync_retries < 0:
-            raise ConfigurationError("sync_retries must be >= 0")
         # Written so NaN fails too: every comparison with NaN is false.
+        if not (0 <= sync_retries < math.inf):
+            raise ConfigurationError("sync_retries must be a finite count >= 0")
         if not (0 < sample_rate_hz < math.inf):
             raise ConfigurationError("sample_rate_hz must be positive and finite")
-        if not (max_iterations >= 1):
-            raise ConfigurationError("max_iterations must be >= 1")
+        if not (1 <= max_iterations < math.inf):
+            raise ConfigurationError("max_iterations must be a finite count >= 1")
         self.modems = {m.name: m for m in modems}
         self.sample_rate_hz = float(sample_rate_hz)
         self.use_kill_filters = use_kill_filters
@@ -154,16 +174,30 @@ class CloudDecoder:
 
     # -- internals --------------------------------------------------------
 
-    def _attempt(self, residual: _Residual, modem: Modem) -> FrameResult | None:
-        """The plain decode attempt of ``modem`` on the residual (memoized)."""
-        if modem.name in residual.plain:
+    def _attempt(
+        self,
+        report: CloudDecodeReport,
+        residual: _Residual,
+        modem: Modem,
+        victim: ClassifiedSignal | None = None,
+    ) -> FrameResult | None:
+        """Decode ``modem`` on the residual, after killing ``victim`` if
+        one is given (memoized)."""
+        key = (modem.name, victim)
+        if key in residual.attempts:
             self.telemetry.count("cloud.memo_hits")
-            return residual.plain[modem.name]
-        frame = try_decode(
-            modem, residual.samples, self.sample_rate_hz, rates=residual.rates,
-            telemetry=self.telemetry, sync_retries=self.sync_retries,
-        )
-        residual.plain[modem.name] = frame
+            return residual.attempts[key]
+        if victim is None:
+            samples, rates = residual.samples, residual.rates
+        else:
+            samples, rates = self._kill(report, residual, victim), None
+        frame = None
+        if samples is not None:
+            frame = try_decode(
+                modem, samples, self.sample_rate_hz, rates=rates,
+                telemetry=self.telemetry, sync_retries=self.sync_retries,
+            )
+        residual.attempts[key] = frame
         return frame
 
     def _kill(
@@ -197,27 +231,35 @@ class CloudDecoder:
         residual.killed[victim] = filtered
         return filtered
 
-    def _filtered_attempt(
+    def _victims(
         self,
         report: CloudDecodeReport,
-        residual: _Residual,
         modem: Modem,
-        victim: ClassifiedSignal,
-    ) -> FrameResult | None:
-        """Decode ``modem`` after killing ``victim`` (memoized)."""
-        key = (modem.name, victim)
-        if key in residual.filtered:
-            self.telemetry.count("cloud.memo_hits")
-            return residual.filtered[key]
-        filtered = self._kill(report, residual, victim)
-        frame = None
-        if filtered is not None:
-            frame = try_decode(
-                modem, filtered, self.sample_rate_hz,
-                telemetry=self.telemetry, sync_retries=self.sync_retries,
+        others: list[ClassifiedSignal],
+    ) -> list[ClassifiedSignal]:
+        """Kill-filter victims for a ``modem`` target, in trial order.
+
+        Victims are of a *different* modulation class. Cancellation
+        residue of already-decoded frames comes first: its position is
+        known exactly, and the kill filters remove it without any
+        channel estimate. The other open candidates and residuals
+        follow, weakest first.
+        """
+        decoded = [
+            ClassifiedSignal(
+                technology=r.technology, start=r.start, score=0.0, amplitude=0j
             )
-        residual.filtered[key] = frame
-        return frame
+            for r in report.results
+        ]
+        undecoded = sorted(
+            (c for c in others
+             if not _has_frame(report.results, c.technology, c.start)),
+            key=lambda c: c.power,
+        )
+        return [
+            v for v in decoded + undecoded
+            if self.modems[v.technology].modulation is not modem.modulation
+        ]
 
     def _record(
         self,
@@ -226,12 +268,15 @@ class CloudDecoder:
         candidate: ClassifiedSignal,
         frame,
         method: str,
-        memo: FrameWaveformMemo | None = None,
     ) -> _Residual:
-        """Store a success, cancel the frame and return the new residual."""
+        """Store a success, cancel the frame and return the new residual.
+
+        The frame is subtracted from the *unfiltered* residual, so a
+        killed victim is still there for the next iteration.
+        """
         modem = self.modems[candidate.technology]
         samples, recon = reconstruct_and_subtract(
-            residual.samples, self.sample_rate_hz, modem, frame, memo=memo
+            residual.samples, self.sample_rate_hz, modem, frame
         )
         report.sic_cancellations += 1
         report.results.append(
@@ -245,10 +290,6 @@ class CloudDecoder:
             )
         )
         return _Residual(samples, self.sample_rate_hz)
-
-    @staticmethod
-    def _same_frame(a: DecodeResult, frame_start: int, technology: str) -> bool:
-        return a.technology == technology and abs(a.start - frame_start) < 256
 
     def _open_candidates(
         self,
@@ -272,18 +313,10 @@ class CloudDecoder:
         targets: list[ClassifiedSignal] = []
         residuals: list[ClassifiedSignal] = []
         for cand in fresh:
-            if any(
-                self._same_frame(r, cand.start, cand.technology)
-                for r in report.results
-            ):
+            if _has_frame(report.results, cand.technology, cand.start):
                 residuals.append(cand)
-                continue
-            if any(
-                cand.technology == f.technology and abs(cand.start - f.start) < 256
-                for f in failed
-            ):
-                continue
-            targets.append(cand)
+            elif not _has_frame(failed, cand.technology, cand.start):
+                targets.append(cand)
         return targets, residuals
 
     # -- the algorithm -------------------------------------------------------
@@ -301,10 +334,6 @@ class CloudDecoder:
 
     def _decode(self, samples: np.ndarray) -> CloudDecodeReport:
         report = CloudDecodeReport()
-        # One waveform memo per segment: repeated reconstructions of the
-        # same decoded frame (kill-filter retries, deep SIC stacks) skip
-        # the remodulate + resample step.
-        memo = FrameWaveformMemo()
         # One score state per segment: each re-classification re-scores
         # only what the last cancellation changed.
         scores = ScoreState()
@@ -320,93 +349,24 @@ class CloudDecoder:
         failed: list[ClassifiedSignal] = []
         open_candidates = list(report.candidates)
         residuals: list[ClassifiedSignal] = []
-        iterations = 0
-        while open_candidates and iterations < self.max_iterations:
-            iterations += 1
+        for _ in range(self.max_iterations):
+            if not open_candidates:
+                break
             open_candidates.sort(key=lambda c: c.power, reverse=True)
             strongest = open_candidates[0]
             modem = self.modems[strongest.technology]
-            frame = self._attempt(residual, modem)
-            if frame is not None and not any(
-                self._same_frame(r, frame.start, strongest.technology)
-                for r in report.results
-            ):
-                residual = self._record(
-                    report, residual, strongest, frame, method="sic",
-                    memo=memo,
-                )
-                # Algorithm 1 line 6: cancel and *repeat* — the residual
-                # may now reveal transmissions the collision masked.
-                open_candidates, residuals = self._open_candidates(
-                    residual, scores, report, failed
-                )
-                continue
-            if frame is not None:
-                # Already decoded this frame (duplicate classification).
-                open_candidates.pop(0)
-                continue
-            recovered = False
-            if self.use_kill_filters:
-                # Victims of a *different* modulation class, weakest first.
-                # Cancellation residue of already-decoded frames is always
-                # a victim: its position is known exactly, and the kill
-                # filters remove it without any channel estimate.
-                decoded_victims = [
-                    ClassifiedSignal(
-                        technology=r.technology,
-                        start=r.start,
-                        score=0.0,
-                        amplitude=0j,
-                    )
-                    for r in report.results
-                ]
-                victims = decoded_victims + sorted(
-                    (
-                        c
-                        for c in open_candidates[1:] + residuals
-                        if not any(
-                            self._same_frame(r, c.start, c.technology)
-                            for r in report.results
-                        )
-                    ),
-                    key=lambda c: c.power,
-                )
-                victims = [
-                    v
-                    for v in victims
-                    if self.modems[v.technology].modulation
-                    is not modem.modulation
-                ]
-                for victim in victims:
-                    frame = self._filtered_attempt(
-                        report, residual, modem, victim
-                    )
-                    if frame is not None and any(
-                        self._same_frame(r, frame.start, strongest.technology)
-                        for r in report.results
-                    ):
-                        # The filter exposed a frame we already decoded —
-                        # drop this candidate instead of recording a dupe.
-                        frame = None
-                        open_candidates.pop(0)
-                        recovered = True
-                        break
+            method = "sic"
+            frame = self._attempt(report, residual, modem)
+            if frame is None and self.use_kill_filters:
+                others = open_candidates[1:] + residuals
+                for victim in self._victims(report, modem, others):
+                    frame = self._attempt(report, residual, modem, victim)
                     if frame is not None:
-                        # Subtract the recovered frame from the *unfiltered*
-                        # signal so the victim is still there for SIC.
-                        kill_name = kill_filter_for(
+                        method = kill_filter_for(
                             self.modems[victim.technology]
                         ).name
-                        residual = self._record(
-                            report, residual, strongest, frame,
-                            method=kill_name, memo=memo,
-                        )
-                        open_candidates, residuals = self._open_candidates(
-                            residual, scores, report, failed
-                        )
-                        recovered = True
                         break
-            if not recovered:
+            if frame is None:
                 if not self.use_kill_filters:
                     # Classic SIC: the strongest signal could not be
                     # decoded, so nothing can be cancelled — stop.
@@ -415,4 +375,17 @@ class CloudDecoder:
                 # of Algorithm 1).
                 failed.append(strongest)
                 open_candidates.pop(0)
+            elif _has_frame(report.results, strongest.technology, frame.start):
+                # Already decoded this frame (duplicate classification,
+                # or a kill filter exposed it again): drop the candidate.
+                open_candidates.pop(0)
+            else:
+                residual = self._record(
+                    report, residual, strongest, frame, method
+                )
+                # Algorithm 1 line 6: cancel and *repeat* — the residual
+                # may now reveal transmissions the collision masked.
+                open_candidates, residuals = self._open_candidates(
+                    residual, scores, report, failed
+                )
         return report

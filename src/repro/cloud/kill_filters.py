@@ -252,7 +252,7 @@ class KillCodes:
         out = samples.copy()
         block = max(int(GAIN_BLOCK_S * sample_rate_hz), 64)
         stop = min(start + len(wave), len(out))
-        out[start:stop], _gain = blocked_ls_subtract(
+        out[start:stop] = blocked_ls_subtract(
             wave[: stop - start], out[start:stop], block
         )
         return out

@@ -111,9 +111,10 @@ class CloudResilience:
         # wait and quarantine every segment; inf means no budget.
         if self.decode_timeout_s is not None and not self.decode_timeout_s > 0:
             raise ConfigurationError("decode_timeout_s must be positive")
-        if self.max_retries < 0 or self.max_requeues < 0:
+        # Chained so NaN fails; inf would retry a poison segment forever.
+        if not (0 <= self.max_retries < math.inf and 0 <= self.max_requeues < math.inf):
             raise ConfigurationError(
-                "max_retries and max_requeues must be >= 0"
+                "max_retries and max_requeues must be finite counts >= 0"
             )
 
 

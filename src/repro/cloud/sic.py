@@ -26,12 +26,7 @@ from ..errors import ReproError
 from ..phy.base import FrameResult, Modem
 from ..telemetry import NULL, Telemetry
 
-__all__ = [
-    "FrameWaveformMemo",
-    "ReconstructionReport",
-    "reconstruct_and_subtract",
-    "try_decode",
-]
+__all__ = ["ReconstructionReport", "reconstruct_and_subtract", "try_decode"]
 
 #: Cap on the alignment-search half-width in segment-rate samples. The
 #: half-width scales with ``sample_rate_hz / modem.sample_rate`` (a
@@ -45,48 +40,15 @@ MAX_ALIGN_HALF_WIDTH = 512
 GAIN_BLOCK_S = 0.25e-3
 
 
-class FrameWaveformMemo:
-    """Per-segment cache of remodulated + resampled frame waveforms.
-
-    Algorithm 1 reconstructs the *same* decoded frame more than once per
-    segment: a kill-filter retry that re-decodes the victim, or repeated
-    SIC passes over a multi-collision, each pay ``modulate()`` plus
-    ``to_rate()`` for an identical ``(technology, payload, rate)``
-    triple. The memo returns a read-only waveform so every consumer can
-    share one buffer safely. Scope it to one segment: payload bytes are
-    arbitrary, so an unbounded process-wide cache would grow without
-    limit.
-    """
-
-    def __init__(self) -> None:
-        self._waves: dict[tuple[str, bytes, float], np.ndarray] = {}
-
-    def wave(
-        self, modem: Modem, payload: bytes, sample_rate_hz: float
-    ) -> np.ndarray:
-        """The frame waveform of ``payload`` resampled to ``sample_rate_hz``."""
-        key = (modem.name, bytes(payload), float(sample_rate_hz))
-        wave = self._waves.get(key)
-        if wave is None:
-            wave = to_rate(
-                modem.modulate(payload), modem.sample_rate, sample_rate_hz
-            )
-            wave.flags.writeable = False
-            self._waves[key] = wave
-        return wave
-
-
 @dataclass(frozen=True)
 class ReconstructionReport:
     """Accounting for one cancellation step.
 
     Attributes:
-        gain: Fitted complex gain of the first block.
         cancelled_db: Power removed from the overlap region, in dB
             (larger is deeper cancellation).
     """
 
-    gain: complex
     cancelled_db: float
 
 
@@ -122,27 +84,22 @@ def try_decode(
     are shared) and re-syncs, up to ``sync_retries`` times. Zero keeps
     the historical single-lock behavior bit-identical.
     """
-    try:
-        if rates is not None:
-            native = rates.view(modem.sample_rate)
-        else:
-            native = to_rate(samples, sample_rate_hz, modem.sample_rate)
-        frame = modem.demodulate(native)
-    except ReproError:
-        return None
-    except Exception:
-        telemetry.count("cloud.decode_errors")
-        return None
-    for _ in range(sync_retries):
-        if frame.crc_ok:
-            break
-        lo = max(int(frame.start), 0)
-        if lo >= len(native):
-            break
-        telemetry.count("cloud.sync_retries")
-        native = np.array(native, copy=True)
-        native[lo : lo + len(modem.sync_reference())] = 0
+    frame = None
+    for _ in range(sync_retries + 1):
+        if frame is not None:
+            # A retry: null the failed lock's sync region and re-sync.
+            lo = max(int(frame.start), 0)
+            if frame.crc_ok or lo >= len(native):
+                break
+            telemetry.count("cloud.sync_retries")
+            native = np.array(native, copy=True)
+            native[lo : lo + len(modem.sync_reference())] = 0
         try:
+            if frame is None:
+                native = (
+                    rates.view(modem.sample_rate) if rates is not None
+                    else to_rate(samples, sample_rate_hz, modem.sample_rate)
+                )
             frame = modem.demodulate(native)
         except ReproError:
             return None
@@ -194,7 +151,6 @@ def reconstruct_and_subtract(
     sample_rate_hz: float,
     modem: Modem,
     frame: FrameResult,
-    memo: FrameWaveformMemo | None = None,
 ) -> tuple[np.ndarray, ReconstructionReport]:
     """Subtract a decoded frame's waveform from ``samples``.
 
@@ -203,20 +159,12 @@ def reconstruct_and_subtract(
         sample_rate_hz: Segment sample rate.
         modem: Technology of the decoded frame.
         frame: The decode result (``payload`` + native-rate ``start``).
-        memo: Optional per-segment :class:`FrameWaveformMemo`; repeated
-            reconstructions of the same frame then skip the
-            remodulate + resample step.
 
     Returns:
         ``(residual, report)``. The subtraction never amplifies: blocks
         where the LS fit is degenerate are left unchanged.
     """
-    if memo is not None:
-        wave = memo.wave(modem, frame.payload, sample_rate_hz)
-    else:
-        wave = to_rate(
-            modem.modulate(frame.payload), modem.sample_rate, sample_rate_hz
-        )
+    wave = to_rate(modem.modulate(frame.payload), modem.sample_rate, sample_rate_hz)
     start = int(round(frame.start * sample_rate_hz / modem.sample_rate))
     # Local alignment search: a carrier offset biases chirp correlation
     # peaks by several samples (time-frequency coupling), and a
@@ -234,16 +182,14 @@ def reconstruct_and_subtract(
     start = _align_start(samples, probe, start, half, block)
     stop = min(start + len(wave), len(samples))
     if stop <= start:
-        return samples.copy(), ReconstructionReport(gain=0j, cancelled_db=0.0)
+        return samples.copy(), ReconstructionReport(cancelled_db=0.0)
     ref = wave[: stop - start]
     region = samples[start:stop]
     before = float(np.sum(np.abs(region) ** 2))
     residual = samples.copy()
-    residual[start:stop], first_gain = blocked_ls_subtract(ref, region, block)
+    residual[start:stop] = blocked_ls_subtract(ref, region, block)
     after = float(np.sum(np.abs(residual[start:stop]) ** 2))
     cancelled_db = (
         10 * np.log10(before / after) if after > 0 and before > 0 else 0.0
     )
-    return residual, ReconstructionReport(
-        gain=first_gain, cancelled_db=float(cancelled_db)
-    )
+    return residual, ReconstructionReport(cancelled_db=float(cancelled_db))

@@ -184,7 +184,7 @@ def frequency_shift(x: np.ndarray, shift_hz: float, sample_rate_hz: float) -> np
 
 def blocked_ls_subtract(
     ref: np.ndarray, region: np.ndarray, block: int
-) -> tuple[np.ndarray, complex]:
+) -> np.ndarray:
     """Per-block least-squares subtraction of ``ref`` from ``region``.
 
     Each ``block``-sample block of ``region`` loses its projection onto
@@ -194,15 +194,11 @@ def blocked_ls_subtract(
     matrix whose per-row energies and cross-correlations come from two
     einsum contractions; the remainder block (if any) is fitted on its
     own. Blocks with zero reference energy are left unchanged (the
-    subtraction never amplifies). ``region`` has ``ref``'s length.
-
-    Returns:
-        ``(residual_region, first_gain)`` where ``first_gain`` is the
-        fitted gain of the block at offset 0 (``0j`` when degenerate).
+    subtraction never amplifies). ``region`` has ``ref``'s length;
+    returns the residual region.
     """
     n = len(ref)
     out = region.copy()
-    first_gain = 0j
     n_full = n // block
     if n_full:
         ref_mat = np.asarray(ref[: n_full * block], dtype=np.complex128).reshape(
@@ -219,8 +215,6 @@ def blocked_ls_subtract(
         gains = np.zeros(n_full, dtype=np.complex128)
         gains[good] = numerators[good] / energies[good]
         out[: n_full * block] = (region_mat - gains[:, None] * ref_mat).ravel()
-        if bool(good[0]):
-            first_gain = complex(gains[0])
     pos = n_full * block
     if pos < n:
         tail_ref = ref[pos:]
@@ -228,7 +222,5 @@ def blocked_ls_subtract(
         energy = float(np.sum(np.abs(tail_ref) ** 2))
         if energy > 0:
             gain = complex(np.sum(np.conj(tail_ref) * tail) / energy)
-            if pos == 0:
-                first_gain = gain
             out[pos:] = tail - gain * tail_ref
-    return out, first_gain
+    return out

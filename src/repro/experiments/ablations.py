@@ -29,7 +29,7 @@ from ..gateway.detection import PreambleBankDetector
 from ..gateway.extractor import SegmentExtractor
 from ..gateway.gateway import GalioTGateway
 from ..gateway.universal import UniversalPreamble, UniversalPreambleDetector
-from ..net.scene import SceneBuilder
+from ..net.scene import CARRIER_HZ, SceneBuilder
 from ..phy.registry import create_modem
 from .common import DEFAULT_SEED, ExperimentTable
 
@@ -257,7 +257,7 @@ def run_sic_depth(seed: int = DEFAULT_SEED) -> ExperimentTable:
         columns=["cfo ppm", "cfo Hz", "cancelled dB"],
     )
     for ppm in (0.0, 0.5, 1.0, 2.0, 5.0):
-        cfo = ppm * 1e-6 * 868e6
+        cfo = ppm * 1e-6 * CARRIER_HZ
         builder = SceneBuilder(fs, 0.1, noise_power=1e-9)
         payload = bytes(rng.integers(0, 256, 12, dtype=np.uint8))
         builder.add_packet(

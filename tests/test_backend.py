@@ -148,9 +148,8 @@ def _loop_oqpsk_chips(iq: np.ndarray, n_chips: int, sps: int) -> np.ndarray:
 
 def _loop_ls_subtract(ref, region, block):
     """Per-block least-squares fit (the loop ``blocked_ls_subtract``
-    replaced); returns the residual and the first block's gain."""
+    replaced); returns the residual."""
     out = region.copy()
-    first_gain = 0j
     for pos in range(0, len(ref), block):
         r = ref[pos : pos + block]
         x = region[pos : pos + block]
@@ -158,10 +157,8 @@ def _loop_ls_subtract(ref, region, block):
         if energy <= 0:
             continue
         gain = complex(np.sum(np.conj(r) * x) / energy)
-        if pos == 0:
-            first_gain = gain
         out[pos : pos + len(r)] = x - gain * r
-    return out, first_gain
+    return out
 
 
 def _loop_kill_css(modem, samples, start, guard=2):
@@ -282,17 +279,15 @@ class TestKernelEquivalence:
     def test_blocked_ls_matches_per_block_fit(self, rng):
         ref = _complex(rng, 300)
         region = 1.7j * ref + 0.01 * _complex(rng, 300)
-        got, first_gain = blocked_ls_subtract(ref, region, 64)
-        expected, expected_gain = _loop_ls_subtract(ref, region, 64)
+        got = blocked_ls_subtract(ref, region, 64)
+        expected = _loop_ls_subtract(ref, region, 64)
         np.testing.assert_allclose(got, expected, rtol=1e-10, atol=1e-12)
-        assert first_gain == pytest.approx(expected_gain)
 
     def test_blocked_ls_zero_energy_block_untouched(self):
         ref = np.zeros(128, complex)
         region = np.ones(128, complex)
-        out, first_gain = blocked_ls_subtract(ref, region, 64)
+        out = blocked_ls_subtract(ref, region, 64)
         assert np.array_equal(out, region)
-        assert first_gain == 0j
 
     def test_fsk_track_matches_direct_convolution(self, rng):
         fs, sps, bandwidth = 1e6, 25, 80e3

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from repro.cloud import classify, decoder, sic
-from repro.cloud.classify import ScoreState, SegmentClassifier
-from repro.cloud.decoder import CloudDecoder
+from repro.cloud.classify import ClassifiedSignal, ScoreState, SegmentClassifier
+from repro.cloud.decoder import SAME_FRAME_SAMPLES, CloudDecoder
 from repro.cloud.kill_filters import KillCodes, KillCss, KillFrequency
 from repro.cloud.pipeline import CloudService
 from repro.cloud.sic import reconstruct_and_subtract, try_decode
@@ -17,6 +17,7 @@ from repro.errors import ConfigurationError
 from repro.gateway.compression import SegmentCodec
 from repro.net.scene import SceneBuilder
 from repro.net.traffic import packet_scene
+from repro.phy.base import FrameResult
 from repro.telemetry import Telemetry
 from repro.types import Segment
 
@@ -160,12 +161,23 @@ class TestCollisionDecoding:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"max_iterations": 0}, {"max_iterations": -3}],
-        ids=["iterations-0", "iterations-negative"],
+        [
+            {"max_iterations": 0},
+            {"max_iterations": -3},
+            {"max_iterations": float("inf")},
+            {"sync_retries": float("nan")},
+            {"sync_retries": float("inf")},
+        ],
+        ids=[
+            "iterations-0", "iterations-negative", "iterations-inf",
+            "retries-nan", "retries-inf",
+        ],
     )
     def test_settings_that_decode_nothing_rejected(self, trio, kwargs):
-        # Regression: each of these constructed fine and then silently
-        # decoded nothing (candidates but no decode attempt).
+        # Regression: the first two constructed fine and then silently
+        # decoded nothing (candidates but no decode attempt); the
+        # non-finite counts raised a bare OverflowError or ValueError
+        # from ``int()``.
         with pytest.raises(ConfigurationError):
             CloudDecoder(trio, FS, **kwargs)
 
@@ -215,7 +227,39 @@ def _digest(samples):
 class TestNeverTwice:
     """Within one ``decode()`` each piece of Algorithm 1's work runs once
     per residual: no decode attempt sees the same (modem, input) twice
-    and no kill filter the same (filter, victim, input)."""
+    and no kill filter the same (filter, victim, input). The totals pin
+    how much work that is, so a change to the work that leaves the
+    frames alone still fails here."""
+
+    #: Per golden-scene segment: ``try_decode`` calls; the victims kill
+    #: filters ran on, as ``(technology, start)`` in trial order (decoded
+    #: frames' residue first, then the other candidates, weakest first);
+    #: ``report.kill_invocations``; ``report.sic_cancellations``;
+    #: ``cloud.memo_hits``; and each frame's ``(technology, method)``.
+    GOLDEN_WORK = {
+        "galiot": [
+            (
+                6,
+                [("lora", 57248), ("lora", 20536), ("lora", 20532)],
+                3, 2, 2,
+                [("zwave", "kill-css"), ("lora", "sic")],
+            ),
+            (
+                18,
+                [
+                    ("lora", 54512), ("lora", 20536), ("lora", 20538),
+                    ("lora", 40336), ("zwave", 65532), ("xbee", 40532),
+                ],
+                6, 3, 7,
+                [("zwave", "sic"), ("xbee", "sic"), ("lora", "sic")],
+            ),
+        ],
+        # Classic SIC stops at its first failure and never kills.
+        "sic_baseline": [
+            (1, [], 0, 0, 0, []),
+            (3, [], 0, 2, 0, [("zwave", "sic"), ("xbee", "sic")]),
+        ],
+    }
 
     def test_no_attempt_or_kill_repeats_on_golden_scene(self, monkeypatch):
         modems, segments = scene_segments()
@@ -236,21 +280,26 @@ class TestNeverTwice:
                 return _real(self, samples, sample_rate_hz, target)
 
             monkeypatch.setattr(cls, "apply", logged_apply)
-        telemetry = Telemetry()
-        cloud = CloudDecoder.galiot(modems, FS, telemetry=telemetry)
-        n_attempts = n_kills = 0
-        for segment in segments:
-            attempts.clear()
-            kills.clear()
-            report = cloud.decode(segment.samples)
-            assert len(set(attempts)) == len(attempts)
-            assert len(set(kills)) == len(kills)
-            assert report.kill_invocations == len(kills)
-            n_attempts += len(attempts)
-            n_kills += len(kills)
-        # The scene exercises both paths, and the memo saved work.
-        assert n_attempts > 0 and n_kills > 0
-        assert telemetry.counters["cloud.memo_hits"] > 0
+        for flavour, expected in self.GOLDEN_WORK.items():
+            telemetry = Telemetry()
+            cloud = getattr(CloudDecoder, flavour)(modems, FS, telemetry=telemetry)
+            work = []
+            for segment in segments:
+                attempts.clear()
+                kills.clear()
+                hits = telemetry.counters.get("cloud.memo_hits", 0)
+                report = cloud.decode(segment.samples)
+                assert len(set(attempts)) == len(attempts)
+                assert len(set(kills)) == len(kills)
+                work.append((
+                    len(attempts),
+                    [victim[:2] for _, victim, _ in kills],
+                    report.kill_invocations,
+                    report.sic_cancellations,
+                    telemetry.counters.get("cloud.memo_hits", 0) - hits,
+                    [(r.technology, r.method) for r in report.results],
+                ))
+            assert work == expected, flavour
 
     def test_classify_with_state_equals_fresh_after_cancellation(self):
         modems, segments = scene_segments()
@@ -276,6 +325,67 @@ class TestNeverTwice:
         )
         assert again == fresh
         assert ranged_ffts < fresh_telemetry.counters["fastcorr.forward_ffts"]
+
+
+class TestSameFrameRule:
+    """One rule says two frames are the same: one technology, starts
+    under ``SAME_FRAME_SAMPLES`` apart. A candidate whose attempt finds
+    a frame already decoded is dropped, not recorded twice, and a failed
+    candidate is not retried after a later cancellation. The classifier,
+    the decode attempts and the cancellation are stubbed, so only
+    Algorithm 1's bookkeeping runs."""
+
+    @staticmethod
+    def _decode(monkeypatch, trio, candidates, frames):
+        """Decode with ``candidates`` from every classify pass and each
+        technology's attempts returning ``frames[technology]`` in turn
+        (``None`` is a miss); returns the report and the attempts."""
+        cloud = CloudDecoder.galiot(trio, FS)
+        attempts = []
+
+        def fake_try(modem, samples, *args, **kwargs):
+            attempts.append(modem.name)
+            return frames[modem.name].pop(0)
+
+        monkeypatch.setattr(cloud.classifier, "classify", lambda *a, **k: list(candidates))
+        monkeypatch.setattr(decoder, "try_decode", fake_try)
+        monkeypatch.setattr(
+            decoder, "reconstruct_and_subtract", lambda samples, *a: (samples.copy(), None)
+        )
+        return cloud.decode(np.zeros(4096, complex)), attempts
+
+    @staticmethod
+    def _signal(technology, start, amplitude):
+        return ClassifiedSignal(technology, start, score=1.0, amplitude=amplitude)
+
+    @pytest.mark.parametrize(
+        "offset, recorded", [(0, 1), (SAME_FRAME_SAMPLES - 1, 1), (SAME_FRAME_SAMPLES, 2)]
+    )
+    def test_a_frame_already_decoded_is_dropped(self, trio, monkeypatch, offset, recorded):
+        # The weaker LoRa candidate's attempt locks onto the frame the
+        # stronger one decoded, ``offset`` samples from it.
+        frames = [FrameResult(b"a", True, 1_000), FrameResult(b"a", True, 1_000 + offset), None]
+        report, _ = self._decode(
+            monkeypatch,
+            trio,
+            [self._signal("lora", 1_000, 2.0), self._signal("lora", 50_000, 1.0)],
+            {"lora": frames},
+        )
+        assert [r.start for r in report.results] == [1_000, 1_000 + offset][:recorded]
+        assert report.sic_cancellations == recorded
+
+    def test_a_failed_candidate_is_not_retried(self, trio, monkeypatch):
+        # XBee and Z-Wave are both FSK, so no kill filter can help the
+        # XBee candidate; after Z-Wave's cancellation the re-classified
+        # XBee candidate is skipped.
+        report, attempts = self._decode(
+            monkeypatch,
+            trio,
+            [self._signal("xbee", 1_000, 2.0), self._signal("zwave", 9_000, 1.0)],
+            {"xbee": [None, None], "zwave": [FrameResult(b"z", True, 9_000)]},
+        )
+        assert [r.technology for r in report.results] == ["zwave"]
+        assert attempts == ["xbee", "zwave"]
 
 
 class TestCloudService:

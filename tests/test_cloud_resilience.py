@@ -269,10 +269,14 @@ class TestCloseLifecycle:
         # segment was requeued and then quarantined.
         with pytest.raises(ConfigurationError):
             CloudResilience(decode_timeout_s=float("nan"))
-        with pytest.raises(ConfigurationError):
-            CloudResilience(max_retries=-1)
-        with pytest.raises(ConfigurationError):
-            CloudResilience(max_requeues=-1)
+        # NaN slipped past ``< 0`` and no failing segment got its retry
+        # or requeue; inf re-dispatched a poison segment forever (only
+        # construction is tested: a drain with it would never return).
+        for bad in (-1, float("nan"), float("inf")):
+            with pytest.raises(ConfigurationError):
+                CloudResilience(max_retries=bad)
+            with pytest.raises(ConfigurationError):
+                CloudResilience(max_requeues=bad)
 
 
 class TestDeterminism:
