@@ -12,6 +12,9 @@ capture. Three flavours are provided:
   non-coherently. This trades a little processing gain for robustness to
   carrier frequency offset: CFO rotates the phase across a long template
   and destroys coherent correlation, but barely rotates within one block.
+  :func:`segmented_peak` returns the same track's peak, exactly,
+  scoring every lag in single precision first and in complex128 only
+  where the peak can be.
 
 Peak picking (:func:`find_peaks_above`) enforces a minimum spacing so one
 packet produces one detection; its greedy suppression
@@ -33,12 +36,20 @@ import numpy as np
 from scipy import signal as sp_signal
 
 from ..errors import ConfigurationError
-from .fastcorr import TemplateBank, TrackSpec, blocked_bank, correlate_accumulate
+from .fastcorr import (
+    TemplateBank,
+    TrackSpec,
+    accumulate_at,
+    blocked_bank,
+    correlate_accumulate,
+    screen_accumulate,
+)
 
 __all__ = [
     "cross_correlate",
     "normalized_correlation",
     "segmented_correlation",
+    "segmented_peak",
     "find_peaks_above",
     "greedy_suppress",
     "top_peaks",
@@ -95,22 +106,11 @@ def _segmented_bank(template: bytes, block: int) -> TemplateBank:
     return blocked_bank(waveform, block)
 
 
-def segmented_correlation(
+def _segmented_parts(
     x: np.ndarray, template: np.ndarray, block: int
-) -> np.ndarray:
-    """CFO-tolerant correlation: coherent per block, non-coherent across.
-
-    Args:
-        x: Received samples.
-        template: Reference waveform.
-        block: Coherent block length in samples. The template is cut into
-            ``floor(L / block)`` full blocks; a short tail is dropped.
-
-    Returns:
-        Score array in [0, 1] with the same indexing as
-        :func:`normalized_correlation`. Each block's correlation magnitude
-        is accumulated and the sum is normalized by the combined energies.
-    """
+) -> tuple[TemplateBank, TrackSpec, np.ndarray]:
+    """The bank, accumulator spec and per-lag norm of one segmented
+    correlation: its score track is ``accumulator / norm``."""
     if block < 1:
         raise ConfigurationError("block must be >= 1")
     n_blocks = len(template) // block
@@ -134,7 +134,6 @@ def segmented_correlation(
         out_len=out_len,
         squared=False,
     )
-    acc = correlate_accumulate(x, bank, {0: spec})[0]
     template_norm = np.sqrt(np.sum(np.abs(template[:used]) ** 2)) + _EPS
     window_norm = np.sqrt(np.maximum(_window_energy(x, len(template)), 0.0))
     floor = max(float(window_norm.max(initial=0.0)), template_norm) * 1e-9 + _EPS
@@ -142,7 +141,70 @@ def segmented_correlation(
     # A perfect noiseless match accumulates sum_b ||t_b||^2 = ||t||^2 and
     # scores 1; the noise floor rises ~sqrt(n_blocks) over coherent
     # correlation, which is exactly the non-coherent combining loss.
-    return acc / (template_norm * window_norm[:out_len])
+    return bank, spec, template_norm * window_norm[:out_len]
+
+
+def segmented_correlation(
+    x: np.ndarray, template: np.ndarray, block: int
+) -> np.ndarray:
+    """CFO-tolerant correlation: coherent per block, non-coherent across.
+
+    Args:
+        x: Received samples.
+        template: Reference waveform.
+        block: Coherent block length in samples. The template is cut into
+            ``floor(L / block)`` full blocks; a short tail is dropped.
+
+    Returns:
+        Score array in [0, 1] with the same indexing as
+        :func:`normalized_correlation`. Each block's correlation magnitude
+        is accumulated and the sum is normalized by the combined energies.
+    """
+    bank, spec, norm = _segmented_parts(x, template, block)
+    return correlate_accumulate(x, bank, {0: spec})[0] / norm
+
+
+def segmented_peak(
+    x: np.ndarray, template: np.ndarray, block: int, threshold: float
+) -> tuple[int | None, float]:
+    """The peak of :func:`segmented_correlation`, exactly, unless a
+    single-precision screen proves it below ``threshold``.
+
+    Returns ``(argmax, max)`` of ``segmented_correlation(x, template,
+    block)``, the same bits, or ``(None, bound)`` when every score is
+    proven below ``threshold``; ``bound`` is then the largest upper
+    bound, and no complex128 correlation was computed.
+
+    The screen (:func:`~repro.dsp.fastcorr.screen_accumulate`) folds
+    complex64 magnitudes and bounds their accumulator's distance to the
+    complex128 one. Divided by the norm the exact path divides by, that
+    gives an upper and a lower bound on every lag's score. The exact
+    peak's upper bound reaches the best lower bound, so only lags whose
+    upper bound does are candidates; their exact accumulators come from
+    the overlap-save segments they read
+    (:func:`~repro.dsp.fastcorr.accumulate_at`), and the first of them
+    with the largest exact score is the track's first argmax. When the
+    bound is not finite (NaN, infinite, overflowing or vanishing input)
+    nothing is proven, and the whole track is computed.
+
+    Raises:
+        ConfigurationError: as :func:`segmented_correlation`.
+    """
+    bank, spec, norm = _segmented_parts(x, template, block)
+    approx, bound = screen_accumulate(x, bank, spec)
+    if not np.isfinite(bound):
+        scores = correlate_accumulate(x, bank, {0: spec})[0] / norm
+        best = int(np.argmax(scores))
+        return best, float(scores[best])
+    upper = (approx + bound) / norm
+    top = float(upper.max())
+    if top < threshold:
+        return None, top
+    lower = (approx - bound) / norm
+    lags = np.flatnonzero(upper >= lower.max())
+    exact = accumulate_at(x, bank, spec, lags) / norm[lags]
+    best = int(np.argmax(exact))
+    return int(lags[best]), float(exact[best])
 
 
 def greedy_suppress(

@@ -36,6 +36,12 @@ Four pieces:
   a proven bound on its error. A detector uses it to show that a
   buffer holds no score at its threshold before it pays for the
   complex128 tracks; no single-precision value is returned as a score.
+  :func:`screen_accumulate` is its counterpart for one non-coherent
+  accumulator, and :func:`accumulate_at` computes chosen entries of
+  :func:`correlate_accumulate`'s accumulator, bit for bit, from the
+  segments they read only: together they let a sync search find the
+  exact peak of a blocked correlation without the whole complex128
+  track.
 
 Row sharing: a preamble's coherent sub-blocks repeat, so a blocked bank
 holds the same waveform many times up to a carrier phase. At
@@ -74,7 +80,9 @@ call over the same signal. It keeps the full call's plan and runs its
 batches aligned to segment 0, so every entry it recomputes folds the
 same lags out of the same FFTs in the same order; a lag of a segment
 whose input did not change is the same bits either way (a row's FFT
-does not depend on the other rows of its batch).
+does not depend on the other rows of its batch). :func:`accumulate_at`
+computes its entries the same way, and is bit-identical for the same
+reason.
 """
 
 from __future__ import annotations
@@ -104,7 +112,9 @@ __all__ = [
     "blocked_bank",
     "correlate_many",
     "correlate_accumulate",
+    "accumulate_at",
     "peak_magnitudes",
+    "screen_accumulate",
 ]
 
 #: Cap on the cached conjugate-spectra working set of one bank at one
@@ -717,6 +727,100 @@ def _recompute_spans(
     return spans
 
 
+def _pair_keys(specs: Iterable[TrackSpec]) -> list[Hashable]:
+    """The bank keys the specs' pairs read, each once, in first-use
+    order."""
+    return list(dict.fromkeys(key for spec in specs for key, _ in spec.pairs))
+
+
+def _fold(
+    x: np.ndarray,
+    bank: TemplateBank,
+    specs: Mapping[Hashable, TrackSpec],
+    plan: SpectrumPlan,
+    spans: Mapping[Hashable, tuple[int, int]],
+    acc: Mapping[Hashable, np.ndarray],
+    telemetry: Telemetry,
+    dtype: npt.DTypeLike = np.complex128,
+) -> None:
+    """The accumulation loop of :func:`correlate_accumulate`,
+    :func:`accumulate_at` and :func:`screen_accumulate`: zero entries
+    ``spans[group]`` of ``acc[group]`` and fold into them every pair's
+    magnitudes (or squares), from the ``plan`` segments they read only,
+    in working precision ``dtype`` (magnitudes in ``acc``'s dtype).
+
+    Batches stay aligned to segment 0 (see :func:`_overlap_save`), so
+    an entry gets the same terms in the same order whatever the spans:
+    batch by batch, and pair by pair within a batch.
+    """
+    requested = _pair_keys(specs.values())
+    rows, local = _distinct_rows(bank, requested)
+    n_samples, hop = len(x), plan.hop
+    # The segments whose lags the computed entries read.
+    first, stop = plan.n_segments, 0
+    for group, (e0, e1) in spans.items():
+        if e1 <= e0:
+            continue
+        acc[group][e0:e1] = 0
+        offsets = [offset for _, offset in specs[group].pairs]
+        first = min(first, (e0 + min(offsets)) // hop)
+        stop = max(stop, (e1 - 1 + max(offsets)) // hop + 1)
+    stop = min(stop, plan.n_segments)
+    if first >= stop:
+        return
+    track_lens = {key: n_samples - bank.length(key) + 1 for key in requested}
+    any_squared = any(spec.squared for spec in specs.values())
+    all_squared = all(spec.squared for spec in specs.values())
+    real = next(iter(acc.values())).dtype
+    for pos0, corr in _overlap_save(
+        x, bank, rows, plan, telemetry, range(first, stop), dtype
+    ):
+        n_seg, n_rows, hop = corr.shape
+        # Row-major magnitudes: row i's lags pos0.. are one contiguous run.
+        magnitude = np.empty((n_rows, n_seg, hop), dtype=real)
+        np.abs(corr, out=magnitude.transpose(1, 0, 2))
+        magnitude = magnitude.reshape(n_rows, n_seg * hop)
+        power = None
+        if any_squared:
+            # In place unless some spec still needs plain magnitudes.
+            power = np.square(magnitude, out=magnitude if all_squared else None)
+        for group, spec in specs.items():
+            e0, e1 = spans[group]
+            if e1 <= e0:
+                continue
+            source = power if spec.squared else magnitude
+            target = acc[group]
+            for key, offset in spec.pairs:
+                track_len = track_lens[key]
+                if pos0 >= track_len:
+                    continue
+                t_end = min(pos0 + n_seg * hop, track_len)
+                # Track positions [pos0, t_end) feed accumulator
+                # positions [pos0 - offset, t_end - offset), clipped
+                # to the entries being computed.
+                a0 = max(pos0 - offset, e0)
+                a1 = min(t_end - offset, e1)
+                if a1 <= a0:
+                    continue
+                target[a0:a1] += source[
+                    local[key], a0 + offset - pos0 : a1 + offset - pos0
+                ]
+
+
+def _exact_plan(
+    bank: TemplateBank, keys: list[Hashable], n_samples: int
+) -> SpectrumPlan:
+    """The complex128 layout :func:`correlate_accumulate` plans for
+    ``keys`` (non-empty).
+
+    Raises:
+        ConfigurationError: if a template is longer than the signal.
+    """
+    _, lengths = _requested(bank, keys, n_samples)
+    rows, _ = _distinct_rows(bank, keys)
+    return spectrum_plan(n_samples, max(lengths), len(rows), min(lengths))
+
+
 def correlate_accumulate(
     x: npt.ArrayLike,
     bank: TemplateBank,
@@ -782,75 +886,51 @@ def correlate_accumulate(
         ):
             raise ConfigurationError("previous accumulators do not match specs")
         acc = {group: np.array(previous[group], dtype=float) for group in specs}
-    requested: list[Hashable] = []
-    seen: set[Hashable] = set()
-    for spec in specs.values():
-        for key, _ in spec.pairs:
-            if key not in seen:
-                seen.add(key)
-                requested.append(key)
+    requested = _pair_keys(specs.values())
     if not requested:
         return acc
-    lengths = [bank.length(key) for key in requested]
-    n_samples = len(x)
-    if max(lengths) > n_samples:
-        raise ConfigurationError("template longer than signal")
-    rows, local = _distinct_rows(bank, requested)
-    plan = spectrum_plan(n_samples, max(lengths), len(rows), min(lengths))
-    hop = plan.hop
+    plan = _exact_plan(bank, requested, len(x))
     spans = _recompute_spans(specs, plan, changed)
-    # The segments whose lags the recomputed entries read.
-    first, stop = plan.n_segments, 0
-    for group, (e0, e1) in spans.items():
-        if e1 <= e0:
-            continue
-        acc[group][e0:e1] = 0.0
-        offsets = [offset for _, offset in specs[group].pairs]
-        first = min(first, (e0 + min(offsets)) // hop)
-        stop = max(stop, (e1 - 1 + max(offsets)) // hop + 1)
-    stop = min(stop, plan.n_segments)
-    if first >= stop:
-        return acc
-    track_lens = {
-        key: n_samples - length + 1
-        for key, length in zip(requested, lengths, strict=True)
-    }
-    any_squared = any(spec.squared for spec in specs.values())
-    all_squared = all(spec.squared for spec in specs.values())
-    for pos0, corr in _overlap_save(
-        x, bank, rows, plan, telemetry, range(first, stop)
-    ):
-        n_seg, n_rows, hop = corr.shape
-        # Row-major magnitudes: row i's lags pos0.. are one contiguous run.
-        magnitude = np.empty((n_rows, n_seg, hop))
-        np.abs(corr, out=magnitude.transpose(1, 0, 2))
-        magnitude = magnitude.reshape(n_rows, n_seg * hop)
-        power = None
-        if any_squared:
-            # In place unless some spec still needs plain magnitudes.
-            power = np.square(magnitude, out=magnitude if all_squared else None)
-        for group, spec in specs.items():
-            e0, e1 = spans[group]
-            if e1 <= e0:
-                continue
-            source = power if spec.squared else magnitude
-            target = acc[group]
-            for key, offset in spec.pairs:
-                track_len = track_lens[key]
-                if pos0 >= track_len:
-                    continue
-                t_end = min(pos0 + n_seg * hop, track_len)
-                # Track positions [pos0, t_end) feed accumulator
-                # positions [pos0 - offset, t_end - offset), clipped
-                # to the entries being computed.
-                a0 = max(pos0 - offset, e0)
-                a1 = min(t_end - offset, e1)
-                if a1 <= a0:
-                    continue
-                target[a0:a1] += source[
-                    local[key], a0 + offset - pos0 : a1 + offset - pos0
-                ]
+    _fold(x, bank, specs, plan, spans, acc, telemetry)
     return acc
+
+
+def accumulate_at(
+    x: npt.ArrayLike,
+    bank: TemplateBank,
+    spec: TrackSpec,
+    lags: npt.ArrayLike,
+) -> np.ndarray:
+    """Entries ``lags`` of ``correlate_accumulate(x, bank, {0: spec})[0]``,
+    bit for bit, computed from the segments they read only.
+
+    ``lags`` (ascending, within ``spec.out_len``) split into runs whose
+    segments do not meet; each run is one range of the full call's
+    segment loop, with its plan and batch alignment, so every entry
+    folds the same lags of the same FFTs in the same order
+    (:func:`_fold`). A run also computes the entries between its lags;
+    only the requested ones are returned.
+
+    Raises:
+        ConfigurationError: if a template is longer than ``x``.
+    """
+    x = ensure_iq(x)
+    lags = np.asarray(lags, dtype=np.intp)
+    keys = _pair_keys([spec])
+    if not keys or not lags.size:
+        return np.zeros(lags.size)
+    plan = _exact_plan(bank, keys, len(x))
+    offsets = [offset for _, offset in spec.pairs]
+    low = (lags + min(offsets)) // plan.hop
+    high = (lags + max(offsets)) // plan.hop
+    # A new run starts where a lag's first segment lies past the
+    # previous lag's last segment plus one.
+    breaks = np.flatnonzero(low[1:] > high[:-1] + 1) + 1
+    acc = {0: np.zeros(spec.out_len)}
+    for run in np.split(lags, breaks):
+        spans = {0: (int(run[0]), int(run[-1]) + 1)}
+        _fold(x, bank, {0: spec}, plan, spans, acc, NULL)
+    return acc[0][lags]
 
 
 def _screen_plan(
@@ -873,6 +953,42 @@ def _screen_plan(
         nfft=nfft,
         hop=nfft - (max_template_len - 1),
     )
+
+
+def _row_bounds(
+    x: np.ndarray, bank: TemplateBank, rows: list[int], plan: SpectrumPlan
+) -> np.ndarray:
+    """:func:`peak_magnitudes`' error bound for each of ``rows`` on the
+    screen ``plan``: ``kappa * u * log2(N) * max|T_row| * max_s
+    ||x_s||_2``, or infinite where ``||x_s||_2`` or ``max|T_row|
+    ||x_s||_2`` (largest segment) is below :data:`SCREEN_MIN_SCALE`,
+    NaN or infinite.
+
+    The segment energies are summed in float64 from the complex128
+    input: the segments that lie wholly inside ``x`` in one vectorized
+    pass over one strided view, and the few that run past its end (zero
+    padded) one by one.
+    """
+    nfft, hop = plan.nfft, plan.hop
+    n_samples = len(x)
+    whole = (n_samples - nfft) // hop + 1 if n_samples >= nfft else 0
+    whole = min(whole, plan.n_segments)
+    # np.maximum, not max(): a NaN energy must survive every segment.
+    energy = np.float64(0)
+    if whole:
+        windows = np.lib.stride_tricks.sliding_window_view(x, nfft)
+        segments = windows[: whole * hop : hop]
+        energy = np.vecdot(segments, segments).real.max()
+    for seg in range(whole, plan.n_segments):
+        tail = x[seg * hop :]
+        energy = np.maximum(energy, np.vdot(tail, tail).real)
+    scale = np.sqrt(energy)
+    spectrum_peak = np.abs(bank.spectra(nfft, np.complex64)[rows]).max(axis=1)
+    reach = spectrum_peak.astype(np.float64) * scale
+    # NaN fails the comparison and so gets the infinite bound too.
+    sound = np.minimum(scale, reach) >= SCREEN_MIN_SCALE
+    bound = SCREEN_KAPPA * 2.0**-24 * log2(nfft) * reach
+    return np.where(sound, bound, np.inf)
 
 
 def peak_magnitudes(
@@ -951,11 +1067,8 @@ def peak_magnitudes(
         return {}
     rows, local = _distinct_rows(bank, requested)
     plan = _screen_plan(n_samples, max(lengths), min(lengths))
-    nfft, hop = plan.nfft, plan.hop
-    starts = range(0, plan.n_segments * hop, hop)
-    energy = max(np.vdot(x[a : a + nfft], x[a : a + nfft]).real for a in starts)
-    scale = float(np.sqrt(energy))
-    spectrum_peak = np.abs(bank.spectra(nfft, np.complex64)[rows]).max(axis=1)
+    hop = plan.hop
+    bounds = _row_bounds(x, bank, rows, plan)
     track_lens = [n_samples - length + 1 for length in lengths]
     # np.maximum, not max(): a NaN peak must survive every batch.
     peak = dict.fromkeys(requested, np.float32(0))
@@ -970,12 +1083,74 @@ def peak_magnitudes(
             if pos0 < track_len:
                 batch = magnitude[local[key], : track_len - pos0].max()
                 peak[key] = np.maximum(peak[key], batch)
-    out: dict[Hashable, tuple[float, float]] = {}
-    for key in requested:
-        t_peak = float(spectrum_peak[local[key]])
-        if min(scale, t_peak * scale) >= SCREEN_MIN_SCALE:
-            bound = SCREEN_KAPPA * 2.0**-24 * log2(nfft) * t_peak * scale
-        else:
-            bound = float("inf")
-        out[key] = (float(peak[key]), bound)
-    return out
+    return {
+        key: (float(peak[key]), float(bounds[local[key]])) for key in requested
+    }
+
+
+def screen_accumulate(
+    x: npt.ArrayLike,
+    bank: TemplateBank,
+    spec: TrackSpec,
+) -> tuple[np.ndarray, float]:
+    """Single-precision counterpart of :func:`correlate_accumulate` for
+    one non-squared accumulator, with a proven bound on its error.
+
+    Returns ``(approx, bound)``: ``approx`` (float64 holding float32
+    values) is the accumulator folded from complex64 magnitudes on
+    :func:`peak_magnitudes`' power-of-two segments, and every entry of
+    the complex128 accumulator ``correlate_accumulate(x, bank, {0:
+    spec})[0]`` lies within ``bound`` of it. So ``approx + bound`` and
+    ``approx - bound`` bound the exact accumulator entry by entry, and
+    still do after one more float64 rounding each (an addition, or a
+    division by a positive norm: rounding is monotone).
+
+    The bound, over ``P`` pairs with ``A = max(approx)``::
+
+        bound = (sum_p E_row(p) + P * 2**-24 * A) * (1 + 2**-20)
+
+    ``E_row`` is :func:`peak_magnitudes`' per-row bound, which holds for
+    every lag of the row's complex64 magnitude against the exact and the
+    complex128 one, so the exact sums of the pairs' terms differ by at
+    most ``sum_p E_row(p)``. Summing ``P`` non-negative float32 terms
+    errs by at most ``gamma_{P-1}`` times their sum (Higham, Lemma 3.1,
+    eq. 4.4), below ``P * 2**-24 * A`` while ``P * 2**-24 <= 2**-10``.
+    The float64 sum of the complex128 path errs by ``gamma_{P-1}`` in
+    double, and the roundings of the bound itself and of ``approx +-
+    bound`` by ``2**-53`` of a value below ``A + bound`` each: all of
+    that is far below ``2**-20`` of the float32 term, which the last
+    factor adds.
+
+    A NaN, infinite or overflowing value makes ``A`` and so ``bound``
+    NaN or infinite, and so does a scale below
+    :data:`SCREEN_MIN_SCALE`: a caller that finds ``bound`` not finite
+    has nothing proven and takes the exact path.
+
+    Raises:
+        ConfigurationError: for a squared spec, or a template longer
+            than ``x``.
+    """
+    if spec.squared:
+        raise ConfigurationError("the screen folds magnitudes, not squares")
+    x = ensure_iq(x)
+    n_samples = len(x)
+    keys = _pair_keys([spec])
+    approx = np.zeros(spec.out_len, dtype=np.float32)
+    if not keys:
+        return approx.astype(np.float64), 0.0
+    _, lengths = _requested(bank, keys, n_samples)
+    rows, local = _distinct_rows(bank, keys)
+    plan = _screen_plan(n_samples, max(lengths), min(lengths))
+    n_pairs = len(spec.pairs)
+    if n_pairs * 2.0**-24 > 2.0**-10:
+        return approx.astype(np.float64), float("inf")
+    _fold(
+        x, bank, {0: spec}, plan, {0: (0, spec.out_len)}, {0: approx},
+        NULL, np.complex64,
+    )
+    approx = approx.astype(np.float64)
+    bounds = _row_bounds(x, bank, rows, plan)
+    per_pair = sum(float(bounds[local[key]]) for key, _ in spec.pairs)
+    top = float(approx.max(initial=0.0))
+    bound = (per_pair + n_pairs * 2.0**-24 * top) * (1 + 2.0**-20)
+    return approx, bound

@@ -23,7 +23,7 @@ import numpy as np
 
 from ...errors import ChecksumError, ConfigurationError
 from ...phy.base import FrameResult, Modem, ModulationClass
-from ...phy.frames import sample_sync_strided
+from ...phy.frames import checked_sync_threshold, sample_sync_strided
 from ...phy.fsk import fsk_demodulate_bits, fsk_frequency_track, fsk_modulate
 from ...utils.bits import bits_to_bytes, bytes_to_bits
 from ...utils.crc import CrcEngine
@@ -57,7 +57,7 @@ class BleModem(Modem):
         self._sps = int(sps)
         self._deviation = float(deviation_hz)
         self._bt = float(bt)
-        self._threshold = float(sync_threshold)
+        self._threshold = checked_sync_threshold(sync_threshold)
 
     @property
     def sample_rate(self) -> float:

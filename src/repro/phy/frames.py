@@ -13,10 +13,25 @@ from __future__ import annotations
 import numpy as np
 
 from ..contracts import iq_contract
-from ..dsp.correlation import normalized_correlation, segmented_correlation
-from ..errors import FrameSyncError
+from ..dsp.correlation import normalized_correlation, segmented_peak
+from ..errors import ConfigurationError, FrameSyncError
 
-__all__ = ["sample_sync"]
+__all__ = ["checked_sync_threshold", "sample_sync"]
+
+
+def checked_sync_threshold(value: float) -> float:
+    """``value`` as a modem's sync threshold: a normalized correlation
+    in [0, 1].
+
+    Raises:
+        ConfigurationError: for a value outside [0, 1], NaN included
+            (a NaN or negative threshold would sync onto noise, one
+            above 1 would never sync).
+    """
+    threshold = float(value)
+    if not 0.0 <= threshold <= 1.0:
+        raise ConfigurationError(f"sync_threshold must be in [0, 1], got {value}")
+    return threshold
 
 
 @iq_contract("iq")
@@ -39,6 +54,16 @@ def sample_sync(
             non-coherent combining keeps the peak at the cost of a
             little processing gain.
 
+    The blocked search returns exactly ``(argmax, max)`` of
+    :func:`~repro.dsp.correlation.segmented_correlation` without
+    computing its whole complex128 track
+    (:func:`~repro.dsp.correlation.segmented_peak`): a complex64 pass
+    with a proven error bound scores every lag, and complex128 runs only
+    on the overlap-save segments that feed lags whose upper bound
+    reaches the best lower bound. When even the best upper bound is
+    below ``threshold``, it raises with no complex128 work, and the
+    message reports that bound.
+
     Returns:
         ``(start_index, score)`` of the strongest correlation peak.
 
@@ -49,11 +74,16 @@ def sample_sync(
     if len(reference) > len(iq):
         raise FrameSyncError("segment shorter than the sync reference")
     if block is not None and block < len(reference):
-        scores = segmented_correlation(iq, reference, block)
+        best, score = segmented_peak(iq, reference, block, threshold)
+        if best is None:
+            raise FrameSyncError(
+                f"no sync: best correlation at most {score:.3f} "
+                f"below threshold {threshold:.3f}"
+            )
     else:
         scores = normalized_correlation(iq, reference)
-    best = int(np.argmax(scores))
-    score = float(scores[best])
+        best = int(np.argmax(scores))
+        score = float(scores[best])
     if score < threshold:
         raise FrameSyncError(
             f"no sync: best correlation {score:.3f} below threshold {threshold:.3f}"

@@ -21,7 +21,7 @@ from ...dsp.chirp import base_downchirp, base_upchirp, lora_symbol
 from ...errors import ConfigurationError, DecodeError
 from ...phy.base import FrameResult, Modem, ModulationClass
 from ...phy.css import dechirp, demodulate_symbols, modulate_symbols
-from ...phy.frames import sample_sync
+from ...phy.frames import checked_sync_threshold, sample_sync
 from . import encoding
 
 __all__ = ["LoRaModem"]
@@ -108,7 +108,7 @@ class LoRaModem(Modem):
         self.cr = cr
         self.preamble_len = int(preamble_len)
         self.sync_word = int(sync_word) & 0xFF
-        self._threshold = float(sync_threshold)
+        self._threshold = checked_sync_threshold(sync_threshold)
 
     # -- characteristics -----------------------------------------------------
 

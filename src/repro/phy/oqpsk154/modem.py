@@ -29,7 +29,7 @@ from ...phy.dsss import (
     spread_symbols,
     symbols_to_bits,
 )
-from ...phy.frames import sample_sync
+from ...phy.frames import checked_sync_threshold, sample_sync
 from ...utils.bits import bits_to_bytes, bytes_to_bits
 from ...utils.crc import CRC16_CCITT
 
@@ -62,7 +62,7 @@ class OQpsk154Modem(Modem):
             raise ConfigurationError("sps must be an even integer >= 2")
         self._chip_rate = float(chip_rate)
         self._sps = int(sps)
-        self._threshold = float(sync_threshold)
+        self._threshold = checked_sync_threshold(sync_threshold)
 
     @property
     def sample_rate(self) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from ...errors import ChecksumError, ConfigurationError
 from ...phy.base import FrameResult, Modem, ModulationClass
-from ...phy.frames import sample_sync
+from ...phy.frames import checked_sync_threshold, sample_sync
 from ...phy.psk import bpsk_modulate, dbpsk_demodulate_bits, dbpsk_encode
 from ...utils.bits import bits_to_bytes, bits_to_int, bytes_to_bits
 from ...utils.crc import CRC16_CCITT
@@ -50,7 +50,7 @@ class SigfoxModem(Modem):
             raise ConfigurationError("sps must be >= 8 for UNB shaping")
         self._bit_rate = float(bit_rate)
         self._sps = int(sps)
-        self._threshold = float(sync_threshold)
+        self._threshold = checked_sync_threshold(sync_threshold)
         self._whitener = Pn9Whitener()
 
     @property

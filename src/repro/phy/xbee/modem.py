@@ -20,7 +20,7 @@ import numpy as np
 
 from ...errors import ChecksumError, ConfigurationError
 from ...phy.base import FrameResult, Modem, ModulationClass
-from ...phy.frames import sample_sync_strided
+from ...phy.frames import checked_sync_threshold, sample_sync_strided
 from ...phy.fsk import (
     fsk_demodulate_bits,
     fsk_frequency_track,
@@ -67,7 +67,7 @@ class XBeeModem(Modem):
         self._sps = int(sps)
         self._deviation = float(deviation_hz)
         self._bt = None if bt is None else float(bt)
-        self._threshold = float(sync_threshold)
+        self._threshold = checked_sync_threshold(sync_threshold)
         self._whitener = Pn9Whitener()
 
     # -- characteristics ---------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 
 from ...errors import ChecksumError, ConfigurationError
 from ...phy.base import FrameResult, Modem, ModulationClass
-from ...phy.frames import sample_sync_strided
+from ...phy.frames import checked_sync_threshold, sample_sync_strided
 from ...phy.fsk import (
     fsk_demodulate_bits,
     fsk_frequency_track,
@@ -41,7 +41,8 @@ class ZWaveModem(Modem):
         sps: Samples per bit.
         deviation_hz: Peak frequency deviation.
         preamble_bytes: Number of 0x55 preamble bytes (>= 10 per spec).
-        home_id: 4-byte network identifier placed in every frame.
+        home_id: 4-byte network identifier placed in every frame; a
+            frame carrying another one is not CRC-clean.
         sync_threshold: Normalized correlation needed to declare sync.
     """
 
@@ -72,7 +73,7 @@ class ZWaveModem(Modem):
         self._home_id = bytes(home_id)
         self._src = int(src) & 0xFF
         self._dst = int(dst) & 0xFF
-        self._threshold = float(sync_threshold)
+        self._threshold = checked_sync_threshold(sync_threshold)
 
     # -- characteristics ---------------------------------------------------
 
@@ -191,7 +192,9 @@ class ZWaveModem(Modem):
         )
         mpdu_bits = self._read_bits(frame, mpdu_at, 8 * length, cfo, frame_track)
         mpdu = bits_to_bytes(mpdu_bits)
-        crc_ok = xor_checksum(mpdu[:-1]) == mpdu[-1]
+        # A frame of another network is not this network's frame, even
+        # when its 8-bit checksum (1 in 256 for any bits) matches.
+        crc_ok = xor_checksum(mpdu[:-1]) == mpdu[-1] and mpdu[:4] == self._home_id
         payload = mpdu[fixed + 1 : -1]
         return FrameResult(
             payload=payload,

@@ -1,10 +1,12 @@
 """Tests for the parallel cloud decode farm (repro.cloud.parallel)."""
 
-import os
+from multiprocessing import resource_tracker, shared_memory
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.cloud import parallel
 from repro.cloud.parallel import SHM_MIN_SAMPLES, ParallelCloudService
 from repro.cloud.pipeline import CloudService, CloudStats
 from repro.errors import ConfigurationError
@@ -50,12 +52,39 @@ def serial_reference(trio, batch):
     return results, service.stats, telemetry.snapshot()
 
 
-def _shm_blocks():
-    """Names of the shared-memory blocks currently in ``/dev/shm``."""
+@pytest.fixture
+def farm_blocks(monkeypatch):
+    """Names of the shared-memory blocks the farm creates during a test.
+
+    ``repro.cloud.parallel`` sees a ``shared_memory`` whose
+    ``SharedMemory`` records every block it creates, so a leak check
+    looks at the farm's own blocks only, not at the machine's.
+    """
+    created: list[str] = []
+
+    class Recording(shared_memory.SharedMemory):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if kwargs.get("create"):
+                created.append(self.name)
+
+    monkeypatch.setattr(
+        parallel, "shared_memory", SimpleNamespace(SharedMemory=Recording)
+    )
+    return created
+
+
+def _still_there(name):
+    """Whether the shared-memory block ``name`` still exists."""
     try:
-        return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
-    except FileNotFoundError:  # non-Linux: nothing to leak-check
-        return set()
+        block = shared_memory.SharedMemory(name=name)
+    except FileNotFoundError:
+        return False
+    # Attaching registered the block with this process's resource
+    # tracker; unregister it so the tracker does not unlink it later.
+    resource_tracker.unregister(block._name, "shared_memory")
+    block.close()
+    return True
 
 
 @pytest.fixture(scope="module")
@@ -142,18 +171,20 @@ class TestSerialEquivalence:
 class TestSharedMemoryHandoff:
     """The zero-copy segment path to process workers."""
 
-    def test_process_pool_stages_big_segments(self, trio, batch, serial_reference):
+    def test_process_pool_stages_big_segments(
+        self, trio, batch, serial_reference, farm_blocks
+    ):
         ref_results, _, _ = serial_reference
         assert all(len(s.samples) >= SHM_MIN_SAMPLES for s in batch)
         telemetry = Telemetry()
-        before = _shm_blocks()
         with ParallelCloudService(
             trio, FS, workers=2, telemetry=telemetry
         ) as farm:
             assert farm.process_segments(batch) == ref_results
         counters = telemetry.snapshot()["counters"]
         assert counters["cloud.parallel.shm_segments"] == len(batch)
-        assert _shm_blocks() <= before  # nothing leaked
+        assert len(farm_blocks) == len(batch)
+        assert not [n for n in farm_blocks if _still_there(n)]  # nothing leaked
 
     def test_small_segments_keep_the_pickle_path(self, trio):
         small = Segment(
@@ -169,13 +200,13 @@ class TestSharedMemoryHandoff:
         counters = telemetry.snapshot()["counters"]
         assert "cloud.parallel.shm_segments" not in counters
 
-    def test_close_releases_undrained_segments(self, trio, batch):
-        before = _shm_blocks()
+    def test_close_releases_undrained_segments(self, trio, batch, farm_blocks):
         farm = ParallelCloudService(trio, FS, workers=1)
         for segment in batch:
             farm.submit(segment)
         farm.close()  # never drained
-        assert _shm_blocks() <= before
+        assert len(farm_blocks) == len(batch)
+        assert not [n for n in farm_blocks if _still_there(n)]
 
 
 class TestFutureApi:
@@ -183,12 +214,11 @@ class TestFutureApi:
     closed-loop caller drives instead of submit/drain."""
 
     def test_absorbed_in_submission_order_matches_serial(
-        self, trio, batch, serial_reference
+        self, trio, batch, serial_reference, farm_blocks
     ):
         ref_results, ref_stats, ref_snapshot = serial_reference
         assert all(len(s.samples) >= SHM_MIN_SAMPLES for s in batch)
         telemetry = Telemetry()
-        before = _shm_blocks()
         with ParallelCloudService(
             trio, FS, workers=2, telemetry=telemetry
         ) as farm:
@@ -202,7 +232,8 @@ class TestFutureApi:
         assert snapshot["counters"]["cloud.parallel.shm_segments"] == len(batch)
         # Checked after close(): a block is released by the future's
         # done callback, which may run just after result() returns.
-        assert _shm_blocks() <= before
+        assert len(farm_blocks) == len(batch)
+        assert not [n for n in farm_blocks if _still_there(n)]
 
 
 class TestStreamingHook:

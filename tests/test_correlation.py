@@ -8,6 +8,7 @@ from repro.dsp.correlation import (
     find_peaks_above,
     normalized_correlation,
     segmented_correlation,
+    segmented_peak,
 )
 from repro.dsp.impairments import apply_cfo
 from repro.errors import ConfigurationError
@@ -92,6 +93,50 @@ class TestSegmentedCorrelation:
     def test_invalid_block_rejected(self, rng):
         with pytest.raises(ConfigurationError):
             segmented_correlation(np.zeros(100, complex), _template(rng, 16), 0)
+
+
+class TestSegmentedPeak:
+    """``segmented_peak`` is ``(argmax, max)`` of
+    ``segmented_correlation``, or a proven upper bound below the
+    threshold."""
+
+    def _oracle(self, x, tpl, block):
+        scores = segmented_correlation(x, tpl, block)
+        best = int(np.argmax(scores))
+        return best, float(scores[best])
+
+    def test_planted_template_is_the_exact_peak(self, rng):
+        tpl = _template(rng, 512)
+        x = rng.normal(size=6000) + 1j * rng.normal(size=6000)
+        x[1234 : 1234 + 512] += 0.5 * apply_cfo(tpl, 0.002, 1.0)
+        oracle = self._oracle(x, tpl, 32)
+        assert oracle[1] >= 0.35
+        assert segmented_peak(x, tpl, 32, 0.35) == oracle
+        assert segmented_peak(x, tpl, 32, 0.0) == oracle
+
+    def test_noise_is_rejected_with_an_upper_bound(self, rng):
+        tpl = _template(rng, 512)
+        x = rng.normal(size=6000) + 1j * rng.normal(size=6000)
+        _, best = self._oracle(x, tpl, 32)
+        index, bound = segmented_peak(x, tpl, 32, 0.35)
+        assert index is None
+        assert best <= bound < 0.35
+
+    def test_ties_go_to_the_first_index(self, rng):
+        # Two copies of one frame score the same bits; argmax keeps the
+        # first, and so must the candidates' exact pass.
+        tpl = _template(rng, 256)
+        frame = np.concatenate([tpl, np.zeros(300, complex)])
+        x = np.concatenate([np.zeros(100, complex), frame, frame])
+        best, score = self._oracle(x, tpl, 32)
+        assert best == 100
+        assert segmented_peak(x, tpl, 32, 0.5) == (best, score)
+
+    def test_validation_matches_segmented_correlation(self, rng):
+        with pytest.raises(ConfigurationError):
+            segmented_peak(np.zeros(100, complex), _template(rng, 16), 32, 0.3)
+        with pytest.raises(ConfigurationError):
+            segmented_peak(np.zeros(100, complex), _template(rng, 200), 32, 0.3)
 
 
 class TestFindPeaks:

@@ -36,17 +36,23 @@ from scipy import signal as sp_signal
 
 from repro.cloud.classify import SegmentClassifier
 from repro.dsp import fastcorr
-from repro.dsp.correlation import cross_correlate, segmented_correlation
+from repro.dsp.correlation import (
+    cross_correlate,
+    segmented_correlation,
+    segmented_peak,
+)
 from repro.dsp.fastcorr import (
     MAX_SPECTRA_ELEMENTS,
     SPECTRA_CACHE_SLOTS,
     TemplateBank,
     TrackSpec,
+    accumulate_at,
     blocked_bank,
     clear_spectrum_plan_cache,
     correlate_accumulate,
     correlate_many,
     peak_magnitudes,
+    screen_accumulate,
     spectrum_plan,
     spectrum_plan_cache_info,
 )
@@ -54,6 +60,7 @@ from repro.errors import ConfigurationError
 from repro.gateway import GalioTGateway, StreamingGateway, iter_chunks
 from repro.gateway.detection import CorrelationDetector, PreambleBankDetector
 from repro.gateway.universal import UniversalPreamble, UniversalPreambleDetector
+from repro.phy.lora import LoRaModem
 from repro.telemetry import Telemetry
 
 FS = 1e6
@@ -810,3 +817,140 @@ class TestRangeCalls:
                 x[:-1], bank, {0: TrackSpec(((0, 0),), 1800)},
                 previous=previous, changed=(0, 10),
             )
+
+
+def sync_searches(lora, xbee, zwave):
+    """``(name, reference, block)`` of every blocked sync search the
+    trio's demodulators run, at their stride: the arguments
+    ``sample_sync`` receives (LoRa at chip rate, and LoRa's
+    ``oversample=1`` path)."""
+    # SF8, so that the 1x search is not the chip-rate one of SF7.
+    lora_1x = LoRaModem(sf=8, oversample=1)
+    searches = [
+        ("lora", lora.sync_reference()[:: lora.oversample], max((1 << lora.sf) // 4, 32)),
+        ("lora-1x", lora_1x.sync_reference(), max((1 << lora_1x.sf) // 4, 32)),
+    ]
+    for modem in (xbee, zwave):
+        stride = max(modem.sps // 10, 1)
+        searches.append(
+            (modem.name, modem.sync_reference()[::stride], max(2 * modem.sps // stride, 4))
+        )
+    return searches
+
+
+def _sync_parts(reference, block, n_samples):
+    """The bank and spec :func:`segmented_correlation` folds."""
+    bank = blocked_bank(reference, block)
+    spec = TrackSpec(
+        pairs=tuple((offset, offset) for offset in bank.keys()),
+        out_len=n_samples - len(reference) + 1,
+        squared=False,
+    )
+    return bank, spec
+
+
+def _planted(rng, reference, n, level, cfo=0.0):
+    """Noise with ``reference`` at ``level`` and a carrier offset (in
+    cycles per sample) at a random start."""
+    x = _noise(rng, n)
+    at = int(rng.integers(0, n - len(reference) + 1))
+    ramp = np.exp(2j * np.pi * cfo * np.arange(len(reference)))
+    x[at : at + len(reference)] += level * reference * ramp
+    return x
+
+
+class TestScreenAccumulate:
+    """The sync screen's complex64 accumulator and its error bound."""
+
+    @pytest.mark.parametrize("search", range(4))
+    @pytest.mark.parametrize("interferer_db", [None, 40.0])
+    def test_within_a_hundredth_of_the_bound(
+        self, lora, xbee, zwave, rng, search, interferer_db
+    ):
+        _, reference, block = sync_searches(lora, xbee, zwave)[search]
+        n = 12 * len(reference)
+        x = _planted(rng, reference, n, 0.5, cfo=0.1 / block)
+        if interferer_db is not None:
+            lo = n // 3
+            x[lo : lo + n // 4] += 10 ** (interferer_db / 20) * _noise(rng, n // 4)
+        bank, spec = _sync_parts(reference, block, n)
+        approx, bound = screen_accumulate(x, bank, spec)
+        exact = correlate_accumulate(x, bank, {0: spec})[0]
+        assert approx.dtype == np.float64
+        assert np.array_equal(approx, approx.astype(np.float32))
+        assert 0 < bound < np.inf
+        assert np.abs(approx - exact).max() <= bound / 100
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e36, 1e39])
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_or_overflowing_input_takes_the_exact_path(
+        self, zwave, rng, bad
+    ):
+        # 1e36 times a 25-sample block stays inside float32's range, so
+        # the screen keeps a finite bound and must still find the exact
+        # peak; 1e39 overflows complex64 and leaves nothing proven.
+        reference, block = zwave.sync_reference()[::2], 25
+        x = _planted(rng, reference, 6000, 1.0)
+        x[3000] = bad
+        bank, spec = _sync_parts(reference, block, len(x))
+        _, bound = screen_accumulate(x, bank, spec)
+        assert np.isfinite(bound) == (bad == 1e36)
+        scores = segmented_correlation(x, reference, block)
+        best, score = segmented_peak(x, reference, block, 0.35)
+        assert best == int(np.argmax(scores))
+        assert score == scores[best] or (np.isnan(score) and np.isnan(scores[best]))
+
+    @pytest.mark.parametrize("scale", [0.0, 2.0**-70])
+    def test_tiny_input_has_an_infinite_bound(self, zwave, rng, scale):
+        reference, block = zwave.sync_reference()[::2], 25
+        x = scale * _planted(rng, reference, 6000, 1.0)
+        bank, spec = _sync_parts(reference, block, len(x))
+        _, bound = screen_accumulate(x, bank, spec)
+        assert bound == np.inf
+        scores = segmented_correlation(x, reference, block)
+        best = int(np.argmax(scores))
+        assert segmented_peak(x, reference, block, 0.35) == (best, scores[best])
+
+    def test_squared_spec_rejected(self, rng):
+        bank = blocked_bank(_noise(rng, 200), 50)
+        spec = TrackSpec(pairs=((0, 0), (50, 50)), out_len=1801)
+        with pytest.raises(ConfigurationError):
+            screen_accumulate(_noise(rng, 2000), bank, spec)
+
+
+class TestAccumulateAt:
+    """Chosen accumulator entries equal the full call's bit for bit."""
+
+    @pytest.mark.parametrize("search", range(4))
+    def test_entries_equal_the_full_call(self, lora, xbee, zwave, rng, search):
+        _, reference, block = sync_searches(lora, xbee, zwave)[search]
+        n = 12 * len(reference)
+        x = _planted(rng, reference, n, 0.5)
+        bank, spec = _sync_parts(reference, block, n)
+        full = correlate_accumulate(x, bank, {0: spec})[0]
+        # Both ends, one lone lag, and two clusters far apart.
+        mid = spec.out_len // 2
+        lags = np.unique(
+            [0, spec.out_len - 1, spec.out_len // 5, *range(mid, mid + 40, 3),
+             *range(mid + 2000, mid + 2003)]
+        )
+        assert np.array_equal(accumulate_at(x, bank, spec, lags), full[lags])
+        assert accumulate_at(x, bank, spec, []).shape == (0,)
+
+    def test_entries_equal_the_full_call_over_many_batches(
+        self, zwave, rng, monkeypatch
+    ):
+        reference, block = zwave.sync_reference()[::2], 25
+        n = 40_000
+        x = _planted(rng, reference, n, 0.5)
+        bank, spec = _sync_parts(reference, block, n)
+        full = correlate_accumulate(x, bank, {0: spec})[0]
+        # Three segments per batch: a run's lags meet several batches,
+        # clipped at both of its ends.
+        plan = spectrum_plan(n, block, bank.n_distinct)
+        monkeypatch.setattr(
+            fastcorr, "BATCH_WORK_ELEMENTS", 3 * bank.n_distinct * plan.nfft
+        )
+        for lags in (np.arange(1000, 1300), np.array([7, 5000, 5001, 20_000])):
+            assert np.array_equal(accumulate_at(x, bank, spec, lags), full[lags])

@@ -91,6 +91,14 @@ class TestZWave:
         with pytest.raises(ConfigurationError):
             ZWaveModem(home_id=b"\x11")
 
+    def test_frame_from_another_network_is_not_crc_clean(self, zwave):
+        # Its 8-bit checksum matches; its home ID is not this network's.
+        foreign = ZWaveModem(home_id=b"\x11\x22\x33\x44")
+        frame = zwave.demodulate(_padded(foreign.modulate(b"cmd")))
+        assert frame.extra["home_id"] == b"\x11\x22\x33\x44"
+        assert frame.payload == b"cmd"
+        assert not frame.crc_ok
+
     def test_length_field_covers_mpdu(self, zwave):
         payload = b"12345"
         frame = zwave.demodulate(_padded(zwave.modulate(payload)))

@@ -135,3 +135,19 @@ class TestModemContract:
         except ReproError:
             return
         assert not (frame.crc_ok and frame.payload == payload)
+
+
+class TestSyncThreshold:
+    """A sync threshold is a normalized correlation in [0, 1]: NaN or a
+    negative one would sync onto noise, one above 1 never syncs."""
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -0.1, 1.1])
+    @pytest.mark.parametrize("tech", TECHS)
+    def test_outside_the_unit_interval_rejected(self, tech, threshold):
+        with pytest.raises(ConfigurationError):
+            create_modem(tech, sync_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [0.0, 1.0])
+    def test_the_interval_is_closed(self, threshold):
+        for tech in TECHS:
+            create_modem(tech, sync_threshold=threshold)

@@ -62,6 +62,9 @@ KEPT = {
     # Oracle of the greedy peak picking that top_peaks (the classifier)
     # and the streaming replay (greedy_suppress) define themselves by.
     "repro.dsp.correlation.find_peaks_above",
+    # Oracle of the sync search: segmented_peak returns exactly its
+    # (argmax, max) from a single-precision screen and partial tracks.
+    "repro.dsp.correlation.segmented_correlation",
     # Drivers of behaviour that stays.
     "repro.cloud.parallel.ParallelCloudService.process_segments",
     "repro.dsp.fastcorr.spectrum_plan_cache_info",

@@ -12,20 +12,22 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dsp.channel import signal_power
-from repro.dsp.correlation import normalized_correlation
+from repro.dsp.correlation import normalized_correlation, segmented_correlation
 from repro.dsp.fastcorr import SCREEN_TEMPLATES, correlate_many
 from repro.dsp.filters import fft_bandpass, fft_notch
 from repro.dsp.impairments import apply_cfo, apply_phase, quantize
 from repro.dsp.resample import to_rate
+from repro.errors import FrameSyncError
 from repro.gateway import GalioTGateway, StreamingGateway
 from repro.gateway.compression import SegmentCodec
 from repro.gateway.detection import CorrelationDetector
 from repro.net.scene import SceneBuilder
 from repro.phy import create_modem
+from repro.phy.frames import sample_sync
 from repro.types import Segment
 
 from .test_detection import assert_same_candidates, exact_candidates
-from .test_fastcorr import screen_error
+from .test_fastcorr import screen_error, sync_searches
 
 FS = 1e6
 #: (technology, frame start) of the receive-path scene's three frames.
@@ -311,3 +313,75 @@ class TestScreenEqualsExactPath:
             x, detector._bank, keys
         ).items():
             assert err <= bound / 100, key
+
+
+def _sync_level(x, planted, reference, block, target):
+    """The factor ``a`` at which ``x + a * planted`` peaks at ``target``
+    on the segmented-correlation track (bisection; the track's best
+    outside the planted frame is a floor the peak never goes below)."""
+
+    def peak(a):
+        return segmented_correlation(x + a * planted, reference, block).max()
+
+    lo, hi = 0.0, 1.0
+    while peak(hi) < target and hi < 2.0**40:
+        lo, hi = hi, 2 * hi
+    for _ in range(40):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if peak(mid) < target else (lo, mid)
+    return hi
+
+
+class TestSyncEqualsExactPath:
+    """The blocked ``sample_sync`` (a single-precision screen, then
+    complex128 on the segments that can hold the peak) returns exactly
+    ``(argmax, max)`` of ``segmented_correlation``, or raises exactly
+    when that max is below the threshold: for the trio's sync searches
+    and LoRa's ``oversample=1`` path, on noise at any scale with the
+    reference planted at a CFO and scaled to peak within 2 % of the
+    threshold, under a 40 dB interferer over part of the buffer, and
+    with a zeroed span like the one a sync retry leaves."""
+
+    @given(
+        st.integers(0, 3),
+        st.integers(0, 2**32 - 1),
+        st.floats(-8.0, 8.0),
+        st.none() | st.floats(0.98, 1.02),
+        st.floats(-0.3, 0.3),
+        st.booleans(),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sample_sync_equals_the_exact_path(
+        self, lora, xbee, zwave, search, seed, log_scale, level, cfo,
+        interferer, zeroed,
+    ):
+        _, reference, block = sync_searches(lora, xbee, zwave)[search]
+        threshold = 0.35
+        rng = np.random.default_rng(seed)
+        n = len(reference) + int(rng.integers(0, 6 * len(reference)))
+        scale = 10.0**log_scale
+        x = scale * (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
+        if interferer:
+            lo, hi = np.sort(rng.integers(0, n + 1, size=2))
+            burst = rng.normal(size=hi - lo) + 1j * rng.normal(size=hi - lo)
+            x[lo:hi] += 100 * scale * burst / np.sqrt(2)
+        if level is not None:
+            at = int(rng.integers(0, n - len(reference) + 1))
+            planted = np.zeros(n, dtype=complex)
+            ramp = np.exp(2j * np.pi * cfo / block * np.arange(len(reference)))
+            planted[at : at + len(reference)] = scale * reference * ramp
+            x = x + _sync_level(x, planted, reference, block, level * threshold) * planted
+        if zeroed:
+            lo = int(rng.integers(0, n))
+            x[lo : lo + len(reference)] = 0
+        scores = segmented_correlation(x, reference, block)
+        best = int(np.argmax(scores))
+        if scores[best] < threshold:
+            with pytest.raises(FrameSyncError):
+                sample_sync(x, reference, threshold, block=block)
+        else:
+            assert sample_sync(x, reference, threshold, block=block) == (
+                best,
+                float(scores[best]),
+            )
