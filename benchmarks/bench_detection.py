@@ -18,9 +18,9 @@ quiet over the buffers scored. With ``--smoke`` (what CI runs) that
 share must be 1.0, so a change that loosens the screen's error bound
 or bypasses the screen fails there. The full-length run only records
 it: at 0.5 s the bank's 50 ms SigFox template, whose spectrum peak is
-large for its energy, has a bound of about two thirds of its threshold,
-so that buffer takes the exact path. A
-streaming pass (chunked ``StreamingGateway``) is recorded next to its
+large for its energy, has a bound of about a third of its threshold on
+top of a noise peak of 0.84 of it, so that buffer takes the exact path.
+A streaming pass (chunked ``StreamingGateway``) is recorded next to its
 monolithic twin for information: the two may legitimately differ on
 SigFox's dense near-tie score plateau, where FFT rounding at different
 buffer lengths flips greedy tie decisions. Event-level correctness is

@@ -144,14 +144,27 @@ ALIAS_RTOL = 1e-12
 
 #: FFT length of :func:`peak_magnitudes`, in longest templates: its
 #: segments are the power of two at or above this many (or one segment
-#: for the whole buffer, when that is shorter). The N log N planner
-#: picks one 270,336-point FFT for a 270,335-sample gateway buffer; in
-#: single precision that pair of FFTs takes about 13.5 ms on a 2-vCPU
-#: x86 box (scipy 1.17.1), five 65,536-point segments about 7.4 ms, and
-#: the complex128 pair the exact path runs about 18 ms. Lengths such as
-#: 40,960 save another ~0.5 ms, but a power of two is the length the
-#: bound's :data:`SCREEN_KAPPA` is derived for.
+#: for the whole buffer, when that is shorter), up to
+#: :data:`SCREEN_MAX_NFFT`. A power of two is the length the bound's
+#: :data:`SCREEN_KAPPA` is derived for.
 SCREEN_TEMPLATES = 8
+
+#: Longest segment of :func:`peak_magnitudes` when
+#: :data:`SCREEN_TEMPLATES` templates exceed it; a template longer than
+#: half of it gets the power of two at or above two templates instead.
+#: pocketfft transforms a batch :data:`SCREEN_LINES` lines at a time,
+#: and four complex64 lines of 2**16 points (2 MiB) fill a 2 MiB L2: on
+#: a 2-vCPU x86 box (scipy 1.17.1) the screen of a 270,335-sample
+#: gateway buffer against the 8,192-sample universal template took
+#: 12.2 ms in a hot loop on five 65,536-point lines and takes 6.5 ms on
+#: twelve 32,768-point lines (eleven segments and one zero line).
+SCREEN_MAX_NFFT = 1 << 15
+
+#: Lines pocketfft transforms together in complex64 (one SIMD group):
+#: :func:`peak_magnitudes` runs its FFTs on whole groups, since a line
+#: left over outside a group costs about 1.7 times as much per point
+#: (16 against 9.5 ns/point on 65,536-point lines, same box).
+SCREEN_LINES = 4
 
 #: ``kappa`` of :func:`peak_magnitudes`' error bound (derived there:
 #: the first-order terms sum to about 14; 16 also covers the
@@ -499,11 +512,13 @@ def _load_segments(
     hop: int,
     first: int,
     stop: int,
-    dtype: npt.DTypeLike = np.complex128,
+    dtype: npt.DTypeLike,
+    n_rows: int,
 ) -> np.ndarray:
-    """Segments ``[first, stop)`` of ``x`` as rows of a new ``dtype``
-    matrix: row ``s - first`` holds ``x[s * hop : s * hop + nfft]``,
-    zero-padded past the end of ``x``.
+    """Segments ``[first, stop)`` of ``x`` as the first rows of a new
+    ``n_rows x nfft`` ``dtype`` matrix: row ``s - first`` holds ``x[s *
+    hop : s * hop + nfft]``, zero-padded past the end of ``x``, and the
+    rows after the last segment are zero.
 
     The segments that lie wholly inside ``x`` are copied from one
     strided view in one assignment; only the tail segments that run
@@ -511,7 +526,7 @@ def _load_segments(
     by one, and only their padding is zeroed.
     """
     n_samples = len(x)
-    segmat = np.empty((stop - first, nfft), dtype=dtype)
+    segmat = np.empty((n_rows, nfft), dtype=dtype)
     whole = min(stop, (n_samples - nfft) // hop + 1) if n_samples >= nfft else 0
     if whole > first:
         windows = np.lib.stride_tricks.sliding_window_view(x, nfft)
@@ -521,6 +536,7 @@ def _load_segments(
         filled = n_samples - pos
         segmat[seg - first, :filled] = x[pos:]
         segmat[seg - first, filled:] = 0
+    segmat[stop - first :] = 0
     return segmat
 
 
@@ -532,6 +548,7 @@ def _overlap_save(
     telemetry: Telemetry,
     segments: range | None = None,
     dtype: npt.DTypeLike = np.complex128,
+    lines: int = 1,
 ) -> Iterator[tuple[int, np.ndarray]]:
     """The shared segment loop of :func:`correlate_many`,
     :func:`correlate_accumulate` and :func:`peak_magnitudes`, over
@@ -550,11 +567,19 @@ def _overlap_save(
     clipped to the run — so every lag comes out of the batch it would
     in a full call, and a caller folding batches in order sums each
     output entry in the full call's order.
+
+    ``lines`` > 1 runs the FFTs on whole groups of that many segments
+    (pocketfft's SIMD groups, :data:`SCREEN_LINES`): batches hold whole
+    groups, zero segments after the last one fill the last group, and
+    no batch yields them. Every batch is whole groups when the run
+    starts on a batch, as the whole loop does.
     """
     nfft, hop = plan.nfft, plan.hop
     if segments is None:
         segments = range(plan.n_segments)
     first, stop = segments.start, segments.stop
+    # Segment rows transformed: whole groups of ``lines``.
+    loaded = -(-(stop - first) // lines) * lines
     with telemetry.span("fastcorr.correlate"):
         spectra = bank.spectra(nfft, dtype)
         # Every row requested (rows are ascending): use the cached matrix
@@ -566,32 +591,39 @@ def _overlap_save(
         # dispatch per segment used to dominate the actual FFT work on
         # the cloud classify path.
         fwd = sp_fft.fft(
-            _load_segments(x, nfft, hop, first, stop, dtype),
+            _load_segments(x, nfft, hop, first, stop, dtype, loaded),
             axis=1,
             overwrite_x=True,
         )
         # Inverse FFTs batch over (segments x rows), chunked so the
-        # product tensor stays under BATCH_WORK_ELEMENTS, and work in
-        # place. One row multiplies each segment's spectrum in place;
-        # more rows share one product buffer across chunks, so each
-        # chunk costs one working set, not three.
+        # product tensor stays under BATCH_WORK_ELEMENTS (in whole
+        # groups of ``lines`` segments), and work in place. One row
+        # multiplies each segment's spectrum in place; more rows share
+        # one product buffer across chunks, so each chunk costs one
+        # working set, not three.
         chunk = max(1, BATCH_WORK_ELEMENTS // (len(rows) * nfft))
+        chunk = -(-chunk // lines) * lines
         product = None
         if len(rows) > 1:
             product = np.empty(
-                (min(chunk, stop - first), len(rows), nfft), dtype=dtype
+                (min(chunk, loaded), len(rows), nfft), dtype=dtype
             )
         for c0 in range(first - first % chunk, stop, chunk):
             s0, s1 = max(c0, first), min(c0 + chunk, stop)
-            segment_spectra = fwd[s0 - first : s1 - first, None, :]
-            work = segment_spectra if product is None else product[: s1 - s0]
+            # The last batch also transforms the zero rows.
+            end = s1 - first if s1 < stop else loaded
+            segment_spectra = fwd[s0 - first : end, None, :]
+            work = (
+                segment_spectra if product is None
+                else product[: end - (s0 - first)]
+            )
             np.multiply(segment_spectra, row_spectra[None, :, :], out=work)
             corr = sp_fft.ifft(work, axis=2, overwrite_x=True)
             # Each segment's first ``hop`` lags are wrap-free, so
             # consecutive segments tile the track contiguously.
-            yield s0 * hop, corr[:, :, :hop]
-    telemetry.count("fastcorr.forward_ffts", stop - first)
-    telemetry.count("fastcorr.inverse_ffts", (stop - first) * len(rows))
+            yield s0 * hop, corr[: s1 - s0, :, :hop]
+    telemetry.count("fastcorr.forward_ffts", loaded)
+    telemetry.count("fastcorr.inverse_ffts", loaded * len(rows))
 
 
 def correlate_many(
@@ -940,12 +972,15 @@ def _screen_plan(
     the power of two at or above :data:`SCREEN_TEMPLATES` longest
     templates, or one segment for the whole buffer when that is
     shorter, and never below 16 samples (the bound needs
-    ``log2(nfft) >= 3``)."""
+    ``log2(nfft) >= 3``); but no longer than :data:`SCREEN_MAX_NFFT`,
+    or the power of two at or above two longest templates if that is
+    longer."""
     # One segment holds every lag of the shortest template's track
     # with the longest template's overlap.
     whole = n_samples - min_template_len + max_template_len
     span = max(min(SCREEN_TEMPLATES * max_template_len, whole), 16)
-    nfft = 1 << (span - 1).bit_length()
+    longest = max(SCREEN_MAX_NFFT, 1 << (2 * max_template_len - 1).bit_length())
+    nfft = min(1 << (span - 1).bit_length(), longest)
     return SpectrumPlan(
         n_samples=n_samples,
         max_template_len=max_template_len,
@@ -1004,7 +1039,10 @@ def peak_magnitudes(
     largest magnitude of the key's valid-mode track (the track
     :func:`correlate_many` returns), computed by the same overlap-save
     loop in complex64 on power-of-two segments
-    (:data:`SCREEN_TEMPLATES`). Every entry of the exact track, and of
+    (:data:`SCREEN_TEMPLATES`, :data:`SCREEN_MAX_NFFT`), transformed in
+    whole groups of :data:`SCREEN_LINES` lines; the zero lines that
+    fill the last group add no lag to any track and no energy to the
+    bound. Every entry of the exact track, and of
     the complex128 track :func:`correlate_many` computes, lies within
     ``bound`` of its single-precision value. So no complex128 magnitude
     exceeds ``peak + bound``: a caller that finds that sum below a
@@ -1045,9 +1083,9 @@ def peak_magnitudes(
     (and one radix-2 pass); a radix-4 pass rounds each element no more
     often than the two radix-2 stages it replaces. The largest error
     measured, over the perfbench gateway buffers of ``sparse_air`` and
-    ``collision_dense`` (seed 3) and the golden detection scene, is
-    ``0.0098 u log2(N) max|T| ||x_s||_2``: ``kappa`` is 1,600 times the
-    error seen.
+    ``collision_dense`` (seed 3, 0.0023 on their 32,768-point
+    segments) and the golden detection scene, is ``0.0114 u log2(N)
+    max|T| ||x_s||_2``: ``kappa`` is 1,400 times the error seen.
 
     The rest is exact or infinite. A non-finite or overflowing
     complex64 value leaves ``peak`` infinite or NaN, which no
@@ -1073,7 +1111,7 @@ def peak_magnitudes(
     # np.maximum, not max(): a NaN peak must survive every batch.
     peak = dict.fromkeys(requested, np.float32(0))
     for pos0, corr in _overlap_save(
-        x, bank, rows, plan, telemetry, dtype=np.complex64
+        x, bank, rows, plan, telemetry, dtype=np.complex64, lines=SCREEN_LINES
     ):
         n_seg, n_rows, _ = corr.shape
         magnitude = np.empty((n_rows, n_seg, hop), dtype=np.float32)

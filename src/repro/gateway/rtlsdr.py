@@ -25,6 +25,7 @@ from ..dsp.impairments import (
     apply_dc_offset,
     apply_iq_imbalance,
     cfo_from_ppm,
+    output_buffer,
     quantize,
 )
 from ..errors import ConfigurationError
@@ -133,23 +134,31 @@ class RtlSdrModel:
         return cfo_from_ppm(self.config.ppm, self.config.carrier_hz)
 
     def capture(
-        self, x: np.ndarray, rng: np.random.Generator | None = None
+        self,
+        x: np.ndarray,
+        rng: np.random.Generator | None = None,
+        out: np.ndarray | None = None,
     ) -> np.ndarray:
         """Run ``x`` through the modelled front end.
 
         Args:
             x: Clean complex baseband at ``config.sample_rate``.
             rng: Needed only when ``config.noise_floor`` > 0.
+            out: Where to write the capture (see
+                :func:`~repro.dsp.impairments.quantize`), zero power and
+                dropouts included; a new array by default.
 
         Returns:
             The quantized capture, scaled back so sample values are
             comparable with the input (the AGC gain is undone after
-            quantization, leaving only quantization error and clipping).
+            quantization, leaving only quantization error and clipping);
+            ``out`` when given.
 
         Raises:
             ConfigurationError: when ``noise_floor`` > 0 and ``rng`` is
-                missing, or when a NaN or infinite sample leaves the AGC
-                no finite full scale.
+                missing, when a NaN or infinite sample leaves the AGC
+                no finite full scale, or for an ``out`` of another shape
+                or dtype than the capture's.
         """
         cfg = self.config
         y = x
@@ -169,12 +178,18 @@ class RtlSdrModel:
             power = np.abs(y)
             rms = float(np.sqrt(np.mean(np.square(power, out=power))))
         if rms <= 0:
+            if out is None:
+                out = np.zeros_like(x)
+            else:
+                y = np.asarray(y)
+                out = output_buffer(out, y.shape, np.result_type(y.real, 1j))
+                out[...] = 0
             self._cursor += len(x)
-            return np.zeros_like(x)
+            return out
         full_scale = rms * (10 ** (cfg.agc_headroom_db / 20))
         if cfg.dc_offset:
             y = apply_dc_offset(y, cfg.dc_offset * full_scale)
-        out = quantize(y, cfg.adc_bits, full_scale)
+        out = quantize(y, cfg.adc_bits, full_scale, out=out)
         if self.faults is not None:
             out = self._apply_gaps(out)
         self._cursor += len(x)

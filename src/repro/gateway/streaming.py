@@ -196,14 +196,19 @@ class StreamingGateway:
         if len(chunk) == 0:
             return report
         with self.telemetry.span("stream.chunk"):
-            samples, report.raw_bits = self.gateway.capture_front_end(
-                chunk, rng
+            # The front end writes the chunk's samples once, into the
+            # tail of the next buffer, behind a copy of the carry. A new
+            # buffer per chunk: trimmed carries are views, and nothing
+            # overwrites memory a view may still read.
+            carry = len(self._buffer)
+            buffer = np.empty(carry + len(chunk), dtype=complex)
+            buffer[:carry] = self._buffer
+            _, report.raw_bits = self.gateway.capture_front_end(
+                chunk, rng, out=buffer[carry:]
             )
+            self._buffer = buffer
             chunk_start = self._pos
-            self._buffer = np.concatenate(
-                [self._buffer, np.asarray(samples, dtype=complex)]
-            )
-            self._pos += len(samples)
+            self._pos += len(chunk)
             self._ingest(chunk_start)
             self._admit(self._resolve(final=False), report)
             self._close_ready(report, final=False)

@@ -1,10 +1,12 @@
 """Unit tests for segment extraction and the backhaul codec."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.gateway.compression import CompressionStats, SegmentCodec
+from repro.gateway.compression import _HEADER, CompressionStats, SegmentCodec
 from repro.gateway.extractor import SegmentExtractor, max_frame_samples
 from repro.types import DetectionEvent, Segment
 
@@ -173,8 +175,73 @@ class TestCodec:
             SegmentCodec(bits=0)
         with pytest.raises(ConfigurationError):
             SegmentCodec(bits=9)
-        with pytest.raises(ConfigurationError):
-            SegmentCodec(level=10)
+
+
+def _two_rail_bytes(x, bits):
+    """The requantizer's reference: the peak of both rails, then each
+    rail divided, multiplied, offset, rounded, clipped and cast on its
+    own, and the two interleaved. Returns the bytes and the scale."""
+    peak = float(np.max(np.abs(np.concatenate([x.real, x.imag])))) if len(x) else 0.0
+    scale = peak if peak > 0 else 1.0
+    levels = (1 << bits) - 1
+    half = levels / 2.0
+
+    def rail(values):
+        return np.clip(np.round(values / scale * half + half), 0, levels).astype(
+            np.uint8
+        )
+
+    inter = np.empty(2 * len(x), dtype=np.uint8)
+    inter[0::2] = rail(x.real)
+    inter[1::2] = rail(x.imag)
+    return inter, scale
+
+
+class TestCodecWire:
+    """The one-pass requantizer writes the two-rail reference's bytes,
+    and the ``Z_RLE`` deflate stream round-trips them."""
+
+    LAYOUTS = {
+        "contiguous": lambda x: x,
+        "strided": lambda x: x[::3],
+        "complex64": lambda x: x.astype(np.complex64),
+        "real": lambda x: x.real.copy(),
+        "half-steps": lambda x: np.round(x * 2) / 2,
+        "silence": lambda x: np.zeros_like(x),
+        "empty": lambda x: x[:0],
+    }
+
+    @pytest.mark.parametrize("bits", [1, 4, 8])
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_bytes_equal_the_two_rail_path(self, rng, layout, bits):
+        x = self.LAYOUTS[layout](4 * (rng.normal(size=5001) + 1j * rng.normal(size=5001)))
+        blob, stats = SegmentCodec(bits=bits).compress(
+            Segment(start=9, samples=x, sample_rate=FS)
+        )
+        reference, scale = _two_rail_bytes(x, bits)
+        start, n, fs, header_scale, header_bits = _HEADER.unpack(
+            blob.blob[: _HEADER.size]
+        )
+        assert (start, n, fs, header_bits) == (9, len(x), FS, bits)
+        assert header_scale == np.float32(scale)
+        payload = zlib.decompress(blob.blob[_HEADER.size :])
+        assert payload == reference.tobytes()
+        assert stats.raw_bits == 2 * bits * len(x)
+
+    def test_blob_is_z_rle_at_any_level_and_round_trips(self, rng):
+        x = rng.normal(size=20_000) + 1j * rng.normal(size=20_000)
+        x[5000:9000] = 0  # a silent stretch: runs for Z_RLE
+        codec = SegmentCodec()
+        blob, _ = codec.compress(Segment(start=0, samples=x, sample_rate=FS))
+        reference, scale = _two_rail_bytes(x, 8)
+        for level in range(1, 10):
+            deflater = zlib.compressobj(level, strategy=zlib.Z_RLE)
+            packed = deflater.compress(reference.tobytes()) + deflater.flush()
+            assert blob.blob[_HEADER.size :] == packed, level
+        out = codec.decompress(blob)
+        half = 255 / 2.0
+        rails = (reference.astype(float) - half) / half * np.float32(scale)
+        assert np.array_equal(out.samples, rails[0::2] + 1j * rails[1::2])
 
 
 class TestCompressionStats:

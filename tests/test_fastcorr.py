@@ -261,7 +261,8 @@ def single_precision_tracks(x, bank, keys):
     batches = [
         corr.transpose(1, 0, 2).reshape(len(rows), -1).copy()
         for _, corr in fastcorr._overlap_save(
-            x, bank, rows, plan, fastcorr.NULL, dtype=np.complex64
+            x, bank, rows, plan, fastcorr.NULL, dtype=np.complex64,
+            lines=fastcorr.SCREEN_LINES,
         )
     ]
     tracks = np.concatenate(batches, axis=1)
@@ -368,7 +369,65 @@ class TestPeakMagnitudes:
         plan = fastcorr._screen_plan(8192, 8192, 1280)
         assert (plan.nfft, plan.n_segments) == (16384, 1)
         plan = fastcorr._screen_plan(270_335, 8192, 8192)
-        assert (plan.nfft, plan.n_segments) == (65536, 5)
+        assert (plan.nfft, plan.n_segments) == (32768, 11)
+
+    def test_long_templates_are_capped_at_two_templates_or_2_15(self):
+        # Eight templates up to 2**15 points; then 2**15, or the power
+        # of two at or above two templates when that is longer.
+        assert fastcorr._screen_plan(10**6, 512, 512).nfft == 4096
+        assert fastcorr._screen_plan(10**6, 4096, 4096).nfft == 32768
+        assert fastcorr._screen_plan(262_144, 8192, 8192).nfft == 32768
+        assert fastcorr._screen_plan(10**6, 16_385, 16_385).nfft == 65536
+        assert fastcorr._screen_plan(10**6, 50_000, 1000).nfft == 131_072
+        # A buffer shorter than the cap is still one segment.
+        assert fastcorr._screen_plan(20_000, 8192, 8192).n_segments == 1
+
+    @pytest.mark.parametrize("n", [270_335, 262_144])
+    def test_zero_lines_move_no_peak_or_bound(self, rng, monkeypatch, n):
+        # The gateway's buffers: eleven 32,768-point segments run as
+        # three groups of four lines, the last with one zero line. The
+        # preamble sits in the last segment, the one beside it.
+        template = _noise(rng, 8192)
+        bank = TemplateBank({0: template})
+        x = _noise(rng, n)
+        x[n - 8192 :] += 0.3 * template
+        assert fastcorr._screen_plan(n, 8192, 8192).n_segments == 11
+        telemetry = Telemetry()
+        grouped = peak_magnitudes(x, bank, telemetry=telemetry)
+        counters = telemetry.snapshot()["counters"]
+        assert counters["fastcorr.forward_ffts"] == 12
+        assert counters["fastcorr.inverse_ffts"] == 12
+        monkeypatch.setattr(fastcorr, "SCREEN_LINES", 1)
+        assert peak_magnitudes(x, bank) == grouped
+        (peak, bound, err, peak64, _), = screen_error(x, bank, [0]).values()
+        assert err <= bound / 100
+        assert peak64 <= peak + bound
+        assert peak64 >= 0.9 * peak  # the planted peak, not noise
+
+    def test_zero_lines_move_nothing_over_many_batches(self, rng, monkeypatch):
+        # One second of air, as process() scores it: 41 segments. Cut
+        # into batches of 8 (6 rounded up to whole groups of four) the
+        # last batch holds one segment and three zero lines; no batch
+        # yields a zero line, and every layout gives the same peak.
+        template = _noise(rng, 8192)
+        bank = TemplateBank({0: template})
+        x = _noise(rng, 1_000_000)
+        x[-8192:] += 0.3 * template
+        plan = fastcorr._screen_plan(len(x), 8192, 8192)
+        assert (plan.nfft, plan.n_segments) == (32768, 41)
+        one_batch = peak_magnitudes(x, bank)
+        monkeypatch.setattr(fastcorr, "BATCH_WORK_ELEMENTS", 6 * plan.nfft)
+        batches = [
+            (pos0, corr.shape[0])
+            for pos0, corr in fastcorr._overlap_save(
+                np.asarray(x), bank, [0], plan, fastcorr.NULL,
+                dtype=np.complex64, lines=fastcorr.SCREEN_LINES,
+            )
+        ]
+        assert batches == [(s * plan.hop, min(8, 41 - s)) for s in range(0, 41, 8)]
+        assert peak_magnitudes(x, bank) == one_batch
+        monkeypatch.setattr(fastcorr, "SCREEN_LINES", 1)
+        assert peak_magnitudes(x, bank) == one_batch
 
     def test_short_buffer_plans_at_least_16_points(self, rng):
         # log2(nfft) >= 3 is what the bound's kappa is derived for.

@@ -137,6 +137,19 @@ class TestFrontEndGaps:
         assert np.all(out[:10] != 0) and np.all(out[15:] != 0)
         assert model.dropped_samples == 5
 
+    def test_gaps_land_in_the_view(self):
+        # The stream hands the front end the tail of its next buffer:
+        # the dropouts are zeroed there, not in a copy.
+        plan = FaultPlan(sample_gaps=(SampleGap(10, 5),))
+        buffer = np.full(40, 9 + 9j)
+        view = buffer[4:36]
+        model = RtlSdrModel(self.CFG, faults=plan)
+        assert model.capture(np.ones(32, dtype=complex), out=view) is view
+        assert np.all(view[10:15] == 0)
+        assert np.all(view[:10] != 0) and np.all(view[15:] != 0)
+        assert np.all(buffer[:4] == 9 + 9j) and np.all(buffer[36:] == 9 + 9j)
+        assert model.dropped_samples == 5
+
     def test_chunked_capture_matches_monolithic(self):
         # Constant-magnitude input keeps per-chunk AGC identical, so the
         # only difference chunking could introduce is gap misplacement.

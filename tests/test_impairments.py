@@ -115,7 +115,8 @@ def _two_rail_quantize(x, n_bits, full_scale):
 
 class TestQuantizeBitIdentity:
     """``quantize`` equals the two-rail reference bit for bit, dtype
-    included, whatever the layout and precision of its input."""
+    included, whatever the layout and precision of its input, and
+    written into a caller's view (``out=``) as when it allocates."""
 
     FULL_SCALE = 2.0
 
@@ -149,3 +150,43 @@ class TestQuantizeBitIdentity:
         before = samples.copy()
         quantize(samples, 8, self.FULL_SCALE)
         assert np.array_equal(samples, before)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    def test_into_a_view_matches_the_allocating_call(self, samples, dtype):
+        # The stream hands quantize the tail of its next buffer: the
+        # view gets the allocating call's bits, and nothing around it
+        # is touched.
+        x = samples.astype(dtype)
+        buffer = np.full(len(x) + 700, 7 - 7j, dtype=dtype)
+        view = buffer[300 : 300 + len(x)]
+        out = quantize(x, 8, self.FULL_SCALE, out=view)
+        assert out is view
+        reference = quantize(x, 8, self.FULL_SCALE)
+        assert view.dtype == reference.dtype
+        assert np.array_equal(view, reference)
+        assert np.all(buffer[:300] == 7 - 7j)
+        assert np.all(buffer[300 + len(x) :] == 7 - 7j)
+
+    def test_in_place_matches_the_allocating_call(self, samples):
+        reference = quantize(samples, 8, self.FULL_SCALE)
+        x = samples.copy()
+        assert quantize(x, 8, self.FULL_SCALE, out=x) is x
+        assert np.array_equal(x, reference)
+
+    @pytest.mark.parametrize(
+        "out",
+        [
+            np.zeros(15, complex),
+            np.zeros(17, complex),
+            np.zeros((16, 1), complex),
+            np.zeros(16, np.complex64),
+            np.zeros(16),
+            np.zeros(32, complex)[::2],
+            [0j] * 16,
+        ],
+        ids=["short", "long", "2-d", "complex64", "real", "strided", "list"],
+    )
+    def test_wrong_view_rejected(self, out):
+        x = np.ones(16, complex)
+        with pytest.raises(ConfigurationError, match="out must be"):
+            quantize(x, 8, self.FULL_SCALE, out=out)

@@ -266,9 +266,10 @@ class TestScreenEqualsExactPath:
     """``stream_candidates`` with its single-precision screen equals the
     complex128 path, index for index and score for score, on noise with
     a preamble peaking within 2 % of the threshold, an optional strong
-    interferer, and buffers from one template up to three screen
-    segments; the complex64 track stays within a hundredth of the
-    screen's error bound."""
+    interferer, and buffers from one template up to 24 templates long
+    (up to eight 32,768-point screen segments, the last group filled
+    with zero lines); the complex64 track stays within a hundredth of
+    the screen's error bound."""
 
     @given(
         st.sampled_from(["universal", "bank"]),

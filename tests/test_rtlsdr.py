@@ -125,6 +125,32 @@ class TestCapture:
         y = model.capture(np.zeros(64, complex), rng)
         assert np.all(y == 0)
 
+    def test_capture_into_a_view(self, rng):
+        x = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+        buffer = np.full(6000, 3 + 3j)
+        view = buffer[1000:]
+        assert RtlSdrModel().capture(x, out=view) is view
+        assert np.array_equal(view, RtlSdrModel().capture(x))
+        assert np.all(buffer[:1000] == 3 + 3j)
+
+    def test_silent_input_lands_in_the_view(self):
+        # The AGC's zero-power early return writes its zeros into the
+        # view too: the view is the stream's buffer, not a scratch copy.
+        view = np.full(64, 3 + 3j)
+        model = RtlSdrModel()
+        assert model.capture(np.zeros(64, complex), out=view) is view
+        assert np.all(view == 0)
+        with pytest.raises(ConfigurationError, match="out must be"):
+            model.capture(np.zeros(64, complex), out=np.zeros(64, np.complex64))
+        with pytest.raises(ConfigurationError, match="out must be"):
+            model.capture(np.zeros(64, complex), out=np.zeros(63, complex))
+
+    def test_wrong_view_rejected(self, rng):
+        x = rng.normal(size=64) + 1j * rng.normal(size=64)
+        for out in (np.zeros(64, np.complex64), np.zeros(65, complex)):
+            with pytest.raises(ConfigurationError, match="out must be"):
+                RtlSdrModel().capture(x, out=out)
+
     def test_decode_survives_front_end(self, rng, xbee):
         # End-to-end sanity: the 8-bit front end must not break decoding.
         model = RtlSdrModel(RtlSdrConfig(dc_offset=0.01, iq_gain_db=0.2))

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.faults import FaultPlan, SampleGap
 from repro.gateway import (
     EnergyDetector,
     GalioTGateway,
     GatewayReport,
+    RtlSdrModel,
     StreamingGateway,
     iter_chunks,
 )
@@ -161,6 +163,90 @@ class TestExactEquivalence:
                 (s.start, s.length) for s in reference.segments
             ]
             assert merged.shipped_bits == reference.shipped_bits
+
+
+class TestStreamBuffer:
+    """The front end writes each chunk once, into the tail of the
+    stream's next buffer, behind a copy of the carry: chunk by chunk
+    the stream holds what a concatenation of the front end's own
+    outputs holds, dropouts and a zero-power chunk included, and emits
+    the events and segments of a stream of those outputs."""
+
+    @pytest.mark.parametrize(
+        "gaps",
+        [(), ((45_000, 3_000), (390_000, 20_000), (520_000, 1_000))],
+        ids=["no-gaps", "gaps"],
+    )
+    def test_matches_a_concatenating_reference(self, stream_scene, gaps):
+        modems, capture, threshold, _ = stream_scene
+        chunks = list(iter_chunks(capture, 100_000))
+        # Zero power: the AGC returns early, and its zeros (not the
+        # buffer's old contents) must land in the stream's buffer.
+        chunks[5] = np.zeros_like(chunks[5])
+        plan = FaultPlan(sample_gaps=tuple(SampleGap(*g) for g in gaps))
+        reference_front = RtlSdrModel(faults=plan)
+        captured = [reference_front.capture(c) for c in chunks]
+        held = np.concatenate(captured)
+        assert np.all(held[500_000:600_000] == 0)
+        front = RtlSdrModel(faults=plan)
+        model_capture, direct = front.capture, []
+
+        def capture_into(x, rng=None, out=None):
+            result = model_capture(x, rng, out=out)
+            direct.append(out is not None and result is out)
+            return result
+
+        front.capture = capture_into
+        stream = StreamingGateway(_gateway(modems, threshold, front_end=front))
+        reports = []
+        for chunk in chunks:
+            reports.append(stream.process_chunk(chunk))
+            assert np.array_equal(
+                stream._buffer, held[stream._buf_start : stream._pos]
+            )
+        assert direct == [True] * len(chunks)  # written once, in place
+        reports.append(stream.finalize())
+        merged = GatewayReport.merged(reports)
+        assert front.dropped_samples == reference_front.dropped_samples
+        assert front.dropped_samples == sum(n for a, n in gaps if a < 500_000)
+        reference = StreamingGateway(_gateway(modems, threshold)).process_stream(
+            captured
+        )
+        assert merged.events
+        assert [(e.index, e.technology, e.score) for e in merged.events] == [
+            (e.index, e.technology, e.score) for e in reference.events
+        ]
+        assert [s.start for s in merged.segments] == [
+            s.start for s in reference.segments
+        ]
+        for ours, theirs in zip(merged.segments, reference.segments, strict=True):
+            assert np.array_equal(ours.samples, theirs.samples)
+        assert merged.raw_bits == reference.raw_bits == 16 * len(capture)
+
+    def test_without_front_end_the_chunk_is_copied_in(self, stream_scene):
+        modems, capture, threshold, reference = stream_scene
+        stream = StreamingGateway(_gateway(modems, threshold))
+        for chunk in iter_chunks(capture, 262_144):
+            stream.process_chunk(chunk.astype(np.complex64))
+            assert stream._buffer.dtype == np.complex128
+            assert np.array_equal(
+                stream._buffer,
+                capture[stream._buf_start : stream._pos].astype(np.complex64),
+            )
+
+    def test_a_capture_of_another_precision_is_modelled_at_its_own(self, rng):
+        # A complex64 capture is quantized in single precision, as the
+        # front end alone would, and then copied into the view.
+        gateway = GalioTGateway(
+            [create_modem("lora")], FS, front_end=RtlSdrModel(), use_edge=False
+        )
+        x = (rng.normal(size=4096) + 1j * rng.normal(size=4096)).astype(np.complex64)
+        out = np.empty(4096, complex)
+        samples, raw_bits = gateway.capture_front_end(x, None, out=out)
+        assert samples is out and raw_bits == 2 * 8 * 4096
+        assert np.array_equal(out, RtlSdrModel().capture(x))
+        with pytest.raises(ConfigurationError, match="out must be"):
+            gateway.capture_front_end(x, None, out=np.empty(4095, complex))
 
 
 class TestStreamingLifecycle:
