@@ -211,9 +211,7 @@ def main(argv: list[str] | None = None) -> int:
         for b in range(-(-len(t) // BLOCK))
     ]
     n_entries = len(sub_lens)
-    plan = spectrum_plan(
-        len(capture), max(sub_lens), n_entries, min(sub_lens)
-    )
+    plan = spectrum_plan(len(capture), max(sub_lens), min(sub_lens))
     print(
         f"bank/blocked: {n_entries} sub-templates, max template {max_len}, "
         f"nfft={plan.nfft}, {plan.n_segments} segments"

@@ -11,13 +11,14 @@ detector.
 
 Four pieces:
 
-* :class:`SpectrumPlan` / :func:`spectrum_plan` — a memoized choice of
-  FFT length for one ``(n_samples, max_template_len, n_templates)``
-  workload. Candidates are ``scipy.fft.next_fast_len`` sizes from a few
-  times the template up to the single-shot length; the pick minimizes a
-  ``segments * nfft * log2(nfft)`` cost model, subject to a cap on the
-  template-spectra working set so a wide bank never materializes a
-  multi-hundred-megabyte spectra matrix.
+* :class:`SpectrumPlan` / :func:`spectrum_plan` — the engine's one
+  overlap-save layout, memoized per ``(n_samples, max_template_len,
+  min_template_len)``: power-of-two segments of
+  :data:`PLAN_TEMPLATES` longest templates, capped at
+  :data:`MAX_NFFT` points, or one segment for a shorter buffer. Every
+  entry point below, in either precision, plans with it, so the
+  single-precision screen and the complex128 pass read the same
+  segments.
 * :class:`TemplateBank` — the templates of one detector, with their
   conjugate spectra precomputed per FFT length and precision and cached
   on the bank (a detector correlates thousands of chunks of the same
@@ -58,11 +59,10 @@ The distinct counts are the same for any tolerance from 1e-12 to 1e-6
 (repeats match to ~1e-15; the closest distinct pair differs by ~4e-5).
 A one-row bank — the coherent universal template — has nothing to
 share, so its segment spectra double as the product buffer: the
-forward FFT overwrites the loaded segments, the template product and
-the inverse FFT overwrite that, and a one-segment call returns its
-track as a view of the same buffer. A chunk of the gateway's stream
-thus costs one buffer and one pass per step, with the same bits as a
-row of a wider bank.
+forward FFT overwrites the loaded segments, and the template product
+and the inverse FFT overwrite that. A chunk of the gateway's stream
+thus costs one segment buffer and one pass per step, with the same
+bits as a row of a wider bank.
 
 Numerical contract: results are ``allclose`` to the single-shot
 ``fftconvolve`` path but **not** bit-identical — ``fftconvolve`` rounds
@@ -117,12 +117,6 @@ __all__ = [
     "screen_accumulate",
 ]
 
-#: Cap on the cached conjugate-spectra working set of one bank at one
-#: FFT length, in complex128 elements (4M = 64 MiB). The planner rejects
-#: FFT lengths whose ``n_templates * nfft`` exceed it unless no shorter
-#: candidate exists, trading a few extra segments for bounded memory.
-MAX_SPECTRA_ELEMENTS = 4_000_000
-
 #: Spectra cache slots per bank (distinct FFT lengths kept resident).
 #: Streaming buffers settle on one length (plus a shorter first/last
 #: chunk), so a handful of slots covers real workloads.
@@ -142,23 +136,23 @@ BATCH_WORK_ELEMENTS = 2_097_152
 #: only waveforms that are the same up to a carrier phase merge.
 ALIAS_RTOL = 1e-12
 
-#: FFT length of :func:`peak_magnitudes`, in longest templates: its
-#: segments are the power of two at or above this many (or one segment
-#: for the whole buffer, when that is shorter), up to
-#: :data:`SCREEN_MAX_NFFT`. A power of two is the length the bound's
+#: FFT length of every plan (:func:`spectrum_plan`), in longest
+#: templates: segments are the power of two at or above this many (or
+#: one segment for the whole buffer, when that is shorter), up to
+#: :data:`MAX_NFFT`. A power of two is the length the screen's
 #: :data:`SCREEN_KAPPA` is derived for.
-SCREEN_TEMPLATES = 8
+PLAN_TEMPLATES = 8
 
-#: Longest segment of :func:`peak_magnitudes` when
-#: :data:`SCREEN_TEMPLATES` templates exceed it; a template longer than
-#: half of it gets the power of two at or above two templates instead.
-#: pocketfft transforms a batch :data:`SCREEN_LINES` lines at a time,
-#: and four complex64 lines of 2**16 points (2 MiB) fill a 2 MiB L2: on
-#: a 2-vCPU x86 box (scipy 1.17.1) the screen of a 270,335-sample
-#: gateway buffer against the 8,192-sample universal template took
-#: 12.2 ms in a hot loop on five 65,536-point lines and takes 6.5 ms on
-#: twelve 32,768-point lines (eleven segments and one zero line).
-SCREEN_MAX_NFFT = 1 << 15
+#: Longest segment of a plan when :data:`PLAN_TEMPLATES` templates
+#: exceed it; a template longer than half of it gets the power of two
+#: at or above two templates instead. pocketfft transforms a batch
+#: :data:`SCREEN_LINES` lines at a time, and four complex64 lines of
+#: 2**16 points (2 MiB) fill a 2 MiB L2: on a 2-vCPU x86 box (scipy
+#: 1.17.1) the screen of a 270,335-sample gateway buffer against the
+#: 8,192-sample universal template took 12.2 ms in a hot loop on five
+#: 65,536-point lines and takes 6.5 ms on twelve 32,768-point lines
+#: (eleven segments and one zero line).
+MAX_NFFT = 1 << 15
 
 #: Lines pocketfft transforms together in complex64 (one SIMD group):
 #: :func:`peak_magnitudes` runs its FFTs on whole groups, since a line
@@ -209,55 +203,42 @@ class SpectrumPlan:
         return ceil(out_max / self.hop)
 
 
-def _plan_cost(nfft: int, overlap: int, out_max: int) -> float:
-    """FFT work proxy: segment count times per-segment FFT cost."""
-    segments = ceil(out_max / (nfft - overlap))
-    return segments * nfft * log2(nfft)
-
-
 @lru_cache(maxsize=512)
 def _cached_spectrum_plan(
-    n_samples: int,
-    max_template_len: int,
-    min_template_len: int,
-    n_templates: int,
+    n_samples: int, max_template_len: int, min_template_len: int
 ) -> SpectrumPlan:
-    overlap = max_template_len - 1
-    # The shortest template has the longest valid track; the segment
-    # loop covers it, so the cost model must plan for it too (a bank
-    # mixing an 8-sample BLE template with a 50k SigFox one would
-    # otherwise pay an unplanned extra segment).
-    out_max = n_samples - min_template_len + 1
-    single = int(sp_fft.next_fast_len(out_max + overlap))
-    candidates = {single}
-    target = max(2 * max_template_len, 16)
-    while target < out_max + overlap:
-        candidates.add(int(sp_fft.next_fast_len(target)))
-        target *= 2
-    affordable = {
-        c for c in candidates if c * n_templates <= MAX_SPECTRA_ELEMENTS
-    }
-    pool = affordable or {min(candidates)}
-    nfft = min(pool, key=lambda c: (_plan_cost(c, overlap, out_max), c))
+    # One segment holds every lag of the shortest template's track
+    # with the longest template's overlap.
+    whole = n_samples - min_template_len + max_template_len
+    span = max(min(PLAN_TEMPLATES * max_template_len, whole), 16)
+    longest = max(MAX_NFFT, 1 << (2 * max_template_len - 1).bit_length())
+    nfft = min(1 << (span - 1).bit_length(), longest)
     return SpectrumPlan(
         n_samples=n_samples,
         max_template_len=max_template_len,
         min_template_len=min_template_len,
         nfft=nfft,
-        hop=nfft - overlap,
+        hop=nfft - (max_template_len - 1),
     )
 
 
 def spectrum_plan(
     n_samples: int,
     max_template_len: int,
-    n_templates: int = 1,
     min_template_len: int | None = None,
 ) -> SpectrumPlan:
-    """Pick (and memoize) the overlap-save layout for one workload.
+    """The (memoized) overlap-save layout for one workload.
 
-    The cache key is ``(n_samples, max_template_len, min_template_len,
-    n_templates)`` — chunked streams hit the same key on every
+    Segments are the power of two at or above :data:`PLAN_TEMPLATES`
+    longest templates, or one segment for the whole buffer when that is
+    shorter, and never below 16 points (the screen's bound needs
+    ``log2(nfft) >= 3``); but no longer than :data:`MAX_NFFT`, or the
+    power of two at or above two longest templates if that is longer.
+    The segment count covers the shortest template's track, the
+    longest one.
+
+    The cache key is ``(n_samples, max_template_len,
+    min_template_len)`` — chunked streams hit the same key on every
     steady-state chunk. ``min_template_len`` defaults to
     ``max_template_len`` (a uniform-length bank).
 
@@ -275,10 +256,7 @@ def spectrum_plan(
             "min_template_len must be in [1, max_template_len]"
         )
     return _cached_spectrum_plan(
-        int(n_samples),
-        int(max_template_len),
-        int(min_template_len),
-        max(int(n_templates), 1),
+        int(n_samples), int(max_template_len), int(min_template_len)
     )
 
 
@@ -642,8 +620,7 @@ def correlate_many(
     to FFT rounding: ``c[n] = sum_j conj(t[j]) x[n + j]``, length
     ``len(x) - len(t) + 1``. Every returned track is the caller's to
     keep or overwrite: no two keys share memory, and none shares it
-    with ``x``; on a one-segment plan a track is a view of the call's
-    own inverse-FFT buffer rather than a copy of it.
+    with ``x``.
 
     Args:
         x: Received complex samples.
@@ -664,26 +641,8 @@ def correlate_many(
     if not requested:
         return {}
     rows, local = _distinct_rows(bank, requested)
-    plan = spectrum_plan(n_samples, max(lengths), len(rows), min(lengths))
+    plan = spectrum_plan(n_samples, max(lengths), min(lengths))
     out_lens = [n_samples - length + 1 for length in lengths]
-    if plan.n_segments == 1:
-        # One segment is one batch, and its buffer is this call's alone:
-        # each row's track is a contiguous run of it, returned as is.
-        # The row's last key takes the run; earlier keys of the row
-        # copy it first, so no two keys share memory.
-        ((_, corr),) = _overlap_save(x, bank, rows, plan, telemetry)
-        owner = {local[key]: key for key in requested}
-        out: dict[Hashable, np.ndarray] = {}
-        for key, out_len in zip(requested, out_lens, strict=True):
-            track = corr[0, local[key], :out_len]
-            phase = bank.phase(key)
-            if owner[local[key]] != key:
-                out[key] = track * phase.conjugate() if phase != 1 else track.copy()
-            elif phase != 1:
-                out[key] = np.multiply(track, phase.conjugate(), out=track)
-            else:
-                out[key] = track
-        return out
     out = {
         key: np.empty(out_len, dtype=np.complex128)
         for key, out_len in zip(requested, out_lens, strict=True)
@@ -839,20 +798,6 @@ def _fold(
                 ]
 
 
-def _exact_plan(
-    bank: TemplateBank, keys: list[Hashable], n_samples: int
-) -> SpectrumPlan:
-    """The complex128 layout :func:`correlate_accumulate` plans for
-    ``keys`` (non-empty).
-
-    Raises:
-        ConfigurationError: if a template is longer than the signal.
-    """
-    _, lengths = _requested(bank, keys, n_samples)
-    rows, _ = _distinct_rows(bank, keys)
-    return spectrum_plan(n_samples, max(lengths), len(rows), min(lengths))
-
-
 def correlate_accumulate(
     x: npt.ArrayLike,
     bank: TemplateBank,
@@ -921,7 +866,8 @@ def correlate_accumulate(
     requested = _pair_keys(specs.values())
     if not requested:
         return acc
-    plan = _exact_plan(bank, requested, len(x))
+    _, lengths = _requested(bank, requested, len(x))
+    plan = spectrum_plan(len(x), max(lengths), min(lengths))
     spans = _recompute_spans(specs, plan, changed)
     _fold(x, bank, specs, plan, spans, acc, telemetry)
     return acc
@@ -951,7 +897,8 @@ def accumulate_at(
     keys = _pair_keys([spec])
     if not keys or not lags.size:
         return np.zeros(lags.size)
-    plan = _exact_plan(bank, keys, len(x))
+    _, lengths = _requested(bank, keys, len(x))
+    plan = spectrum_plan(len(x), max(lengths), min(lengths))
     offsets = [offset for _, offset in spec.pairs]
     low = (lags + min(offsets)) // plan.hop
     high = (lags + max(offsets)) // plan.hop
@@ -965,36 +912,11 @@ def accumulate_at(
     return acc[0][lags]
 
 
-def _screen_plan(
-    n_samples: int, max_template_len: int, min_template_len: int
-) -> SpectrumPlan:
-    """The overlap-save layout of :func:`peak_magnitudes`: segments of
-    the power of two at or above :data:`SCREEN_TEMPLATES` longest
-    templates, or one segment for the whole buffer when that is
-    shorter, and never below 16 samples (the bound needs
-    ``log2(nfft) >= 3``); but no longer than :data:`SCREEN_MAX_NFFT`,
-    or the power of two at or above two longest templates if that is
-    longer."""
-    # One segment holds every lag of the shortest template's track
-    # with the longest template's overlap.
-    whole = n_samples - min_template_len + max_template_len
-    span = max(min(SCREEN_TEMPLATES * max_template_len, whole), 16)
-    longest = max(SCREEN_MAX_NFFT, 1 << (2 * max_template_len - 1).bit_length())
-    nfft = min(1 << (span - 1).bit_length(), longest)
-    return SpectrumPlan(
-        n_samples=n_samples,
-        max_template_len=max_template_len,
-        min_template_len=min_template_len,
-        nfft=nfft,
-        hop=nfft - (max_template_len - 1),
-    )
-
-
 def _row_bounds(
     x: np.ndarray, bank: TemplateBank, rows: list[int], plan: SpectrumPlan
 ) -> np.ndarray:
-    """:func:`peak_magnitudes`' error bound for each of ``rows`` on the
-    screen ``plan``: ``kappa * u * log2(N) * max|T_row| * max_s
+    """:func:`peak_magnitudes`' error bound for each of ``rows`` on
+    ``plan``: ``kappa * u * log2(N) * max|T_row| * max_s
     ||x_s||_2``, or infinite where ``||x_s||_2`` or ``max|T_row|
     ||x_s||_2`` (largest segment) is below :data:`SCREEN_MIN_SCALE`,
     NaN or infinite.
@@ -1038,12 +960,11 @@ def peak_magnitudes(
     For every requested key returns ``(peak, bound)``. ``peak`` is the
     largest magnitude of the key's valid-mode track (the track
     :func:`correlate_many` returns), computed by the same overlap-save
-    loop in complex64 on power-of-two segments
-    (:data:`SCREEN_TEMPLATES`, :data:`SCREEN_MAX_NFFT`), transformed in
-    whole groups of :data:`SCREEN_LINES` lines; the zero lines that
-    fill the last group add no lag to any track and no energy to the
-    bound. Every entry of the exact track, and of
-    the complex128 track :func:`correlate_many` computes, lies within
+    loop on the same segments (:func:`spectrum_plan`) in complex64,
+    transformed in whole groups of :data:`SCREEN_LINES` lines; the zero
+    lines that fill the last group add no lag to any track and no
+    energy to the bound. Every entry of the exact track, and of the
+    complex128 track :func:`correlate_many` computes, lies within
     ``bound`` of its single-precision value. So no complex128 magnitude
     exceeds ``peak + bound``: a caller that finds that sum below a
     threshold knows, without computing one, that no complex128 score
@@ -1070,16 +991,14 @@ def peak_magnitudes(
     inverse FFT ``6.66 t u``, its ``1/N`` scaling ``u`` and the float32
     magnitude ``u``: ``(13.3 t + 6.8) u`` in all, below ``14 t u`` from
     ``t = 10`` and below ``16 t u`` from ``t = 3``, the shortest
-    segment the screen plans; one lag's error is at most the segment's
+    segment a plan has; one lag's error is at most the segment's
     2-norm. ``kappa = 16`` (:data:`SCREEN_KAPPA`) leaves the rest for
     the second-order terms and for the complex128 track's own error:
-    the same form at ``u = 2**-53`` with its own ``kappa'``, whose
-    ``max|T|`` is at most ``sqrt(N)`` times this one and whose segment
-    norm is at most the buffer's (at most ``sqrt(segments)`` times the
-    largest here). For buffers under ``2**30`` samples that is below
-    ``2**-11 * kappa' / kappa`` of this bound, inside the room for any
-    ``kappa'`` up to 50 times ``kappa``. scipy's pocketfft runs a power
-    of two as radix-4 passes
+    the same form at ``u = 2**-53`` with its own ``kappa'``, on the same
+    segments and with the same ``max|T|`` up to its complex64 rounding,
+    so below ``2**-28 * kappa' / kappa`` of this bound, inside the room
+    for any ``kappa'`` up to a million times ``kappa``. scipy's
+    pocketfft runs a power of two as radix-4 passes
     (and one radix-2 pass); a radix-4 pass rounds each element no more
     often than the two radix-2 stages it replaces. The largest error
     measured, over the perfbench gateway buffers of ``sparse_air`` and
@@ -1104,7 +1023,7 @@ def peak_magnitudes(
     if not requested:
         return {}
     rows, local = _distinct_rows(bank, requested)
-    plan = _screen_plan(n_samples, max(lengths), min(lengths))
+    plan = spectrum_plan(n_samples, max(lengths), min(lengths))
     hop = plan.hop
     bounds = _row_bounds(x, bank, rows, plan)
     track_lens = [n_samples - length + 1 for length in lengths]
@@ -1136,7 +1055,7 @@ def screen_accumulate(
 
     Returns ``(approx, bound)``: ``approx`` (float64 holding float32
     values) is the accumulator folded from complex64 magnitudes on
-    :func:`peak_magnitudes`' power-of-two segments, and every entry of
+    :func:`correlate_accumulate`'s own segments, and every entry of
     the complex128 accumulator ``correlate_accumulate(x, bank, {0:
     spec})[0]`` lies within ``bound`` of it. So ``approx + bound`` and
     ``approx - bound`` bound the exact accumulator entry by entry, and
@@ -1178,7 +1097,7 @@ def screen_accumulate(
         return approx.astype(np.float64), 0.0
     _, lengths = _requested(bank, keys, n_samples)
     rows, local = _distinct_rows(bank, keys)
-    plan = _screen_plan(n_samples, max(lengths), min(lengths))
+    plan = spectrum_plan(n_samples, max(lengths), min(lengths))
     n_pairs = len(spec.pairs)
     if n_pairs * 2.0**-24 > 2.0**-10:
         return approx.astype(np.float64), float("inf")

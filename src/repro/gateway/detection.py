@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from collections.abc import Hashable
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -93,8 +94,9 @@ def _validate(
     if any(value is not None and not math.isfinite(value) for value in fixed):
         raise ConfigurationError(f"threshold must be finite, got {threshold!r}")
     for name, value in {"min_distance": min_distance, **lengths}.items():
-        if value is not None and value < 1:
-            raise ConfigurationError(f"{name} must be >= 1")
+        # Not ``value < 1``: NaN passes that; inf and 2.5 are no counts.
+        if value is not None and not (isinstance(value, Integral) and value >= 1):
+            raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 class CandidateDetector:

@@ -184,12 +184,13 @@ class RtlSdrModel:
                 y = np.asarray(y)
                 out = output_buffer(out, y.shape, np.result_type(y.real, 1j))
                 out[...] = 0
-            self._cursor += len(x)
-            return out
-        full_scale = rms * (10 ** (cfg.agc_headroom_db / 20))
-        if cfg.dc_offset:
-            y = apply_dc_offset(y, cfg.dc_offset * full_scale)
-        out = quantize(y, cfg.adc_bits, full_scale, out=out)
+        else:
+            full_scale = rms * (10 ** (cfg.agc_headroom_db / 20))
+            if cfg.dc_offset:
+                y = apply_dc_offset(y, cfg.dc_offset * full_scale)
+            out = quantize(y, cfg.adc_bits, full_scale, out=out)
+        # A silent capture's dropouts count too: the count must not
+        # depend on how the stream is chunked.
         if self.faults is not None:
             out = self._apply_gaps(out)
         self._cursor += len(x)

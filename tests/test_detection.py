@@ -263,6 +263,16 @@ class TestSettingsValidation:
         with pytest.raises(ConfigurationError):
             _detector(kind, trio, **kwargs)
 
+    @pytest.mark.parametrize("value", [NAN, INF, 2.5])
+    @pytest.mark.parametrize(
+        "kind,name",
+        [("energy", "min_distance"), ("energy", "window")]
+        + [(kind, name) for kind in ("bank", "universal") for name in ("min_distance", "block")],
+    )
+    def test_counts_must_be_integers(self, trio, kind, name, value):
+        with pytest.raises(ConfigurationError):
+            _detector(kind, trio, **{name: value})
+
     @pytest.mark.parametrize("kind", ["energy", "bank", "universal"])
     def test_edge_values_accepted(self, trio, kind):
         detector = _detector(kind, trio, k=0.0, min_distance=1, threshold=0.0)

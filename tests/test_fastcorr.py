@@ -19,8 +19,8 @@ the engine replaced):
   the edited signal bit for bit (``array_equal``), and transforms fewer
   segments;
 * **buffers**: a template scored alone equals its row in a two-row
-  bank, and a strided input its contiguous copy, bit for bit; tracks
-  returned without a copy share no memory with each other or the input;
+  bank, and a strided input its contiguous copy, bit for bit; returned
+  tracks share no memory with each other or the input;
 * **single-precision screen**: ``peak_magnitudes``' peak is the peak of
   the engine's own complex64 track, that track stays within a hundredth
   of the returned bound of the complex128 one, and non-finite, tiny or
@@ -42,7 +42,6 @@ from repro.dsp.correlation import (
     segmented_peak,
 )
 from repro.dsp.fastcorr import (
-    MAX_SPECTRA_ELEMENTS,
     SPECTRA_CACHE_SLOTS,
     TemplateBank,
     TrackSpec,
@@ -110,10 +109,13 @@ def _per_block_segmented(x, template, block):
 
 
 class TestSpectrumPlan:
+    """The engine's one layout rule, for both precisions."""
+
     def test_plan_invariants(self):
         for n, max_len in [(1000, 1), (1000, 1000), (300_000, 50_000), (4096, 17)]:
-            plan = spectrum_plan(n, max_len, 6)
+            plan = spectrum_plan(n, max_len)
             assert plan.nfft >= max_len
+            assert plan.nfft & (plan.nfft - 1) == 0
             assert plan.hop == plan.nfft - (max_len - 1)
             assert plan.hop >= 1
             # Segments tile the longest valid track completely.
@@ -125,19 +127,35 @@ class TestSpectrumPlan:
 
     def test_plan_is_memoized(self):
         clear_spectrum_plan_cache()
-        spectrum_plan(262_144, 8192, 3)
+        spectrum_plan(262_144, 8192)
         misses = spectrum_plan_cache_info().misses
-        spectrum_plan(262_144, 8192, 3)
+        spectrum_plan(262_144, 8192)
         info = spectrum_plan_cache_info()
         assert info.misses == misses
         assert info.hits >= 1
 
-    def test_wide_bank_caps_spectra_working_set(self):
-        # A huge bank must not pick a single-shot FFT whose spectra
-        # matrix would blow the memory budget.
-        n_templates = 64
-        plan = spectrum_plan(1_000_000, 2048, n_templates)
-        assert plan.nfft * n_templates <= MAX_SPECTRA_ELEMENTS
+    def test_short_buffer_is_one_segment(self):
+        # Not thousands of one-lag segments: a bank mixing an 8,192- and
+        # a 1,280-sample template over an 8,192-sample buffer has 6,913
+        # lags of its shorter template to cover.
+        plan = spectrum_plan(8192, 8192, 1280)
+        assert (plan.nfft, plan.n_segments) == (16384, 1)
+        # A buffer shorter than eight templates is one segment too.
+        assert spectrum_plan(20_000, 8192).n_segments == 1
+        # The gateway's buffers: eleven 32,768-point segments.
+        for n in (270_335, 262_144):
+            plan = spectrum_plan(n, 8192)
+            assert (plan.nfft, plan.n_segments) == (32768, 11)
+
+    def test_long_templates_are_capped_at_two_templates_or_2_15(self):
+        # Eight templates up to 2**15 points; then 2**15, or the power
+        # of two at or above two templates when that is longer.
+        assert spectrum_plan(66_752, 20).nfft == 256  # XBee sync blocks
+        assert spectrum_plan(10**6, 512).nfft == 4096
+        assert spectrum_plan(10**6, 4096).nfft == 32768
+        assert spectrum_plan(10**6, 16_385).nfft == 65536
+        # SigFox's 50,000-sample template in a six-technology bank.
+        assert spectrum_plan(10**6, 50_000, 1000).nfft == 131_072
 
 
 class TestTemplateBank:
@@ -257,7 +275,7 @@ def single_precision_tracks(x, bank, keys):
     x = np.asarray(x, dtype=complex)
     lengths = [bank.length(key) for key in keys]
     rows, local = fastcorr._distinct_rows(bank, keys)
-    plan = fastcorr._screen_plan(len(x), max(lengths), min(lengths))
+    plan = spectrum_plan(len(x), max(lengths), min(lengths))
     batches = [
         corr.transpose(1, 0, 2).reshape(len(rows), -1).copy()
         for _, corr in fastcorr._overlap_save(
@@ -312,7 +330,7 @@ class TestPeakMagnitudes:
         x = _noise(rng, 30_000)
         x[15_000:16_000] += 0.2 * template
         one = peak_magnitudes(x, bank)
-        assert fastcorr._screen_plan(len(x), 1000, 1000).n_segments == 5
+        assert spectrum_plan(len(x), 1000).n_segments == 5
         monkeypatch.setattr(fastcorr, "BATCH_WORK_ELEMENTS", 8192)
         assert peak_magnitudes(x, bank) == one
 
@@ -362,26 +380,6 @@ class TestPeakMagnitudes:
         with pytest.raises(ConfigurationError):
             peak_magnitudes(_noise(rng, 1000), bank)
 
-    def test_short_buffer_is_one_segment(self):
-        # Not thousands of one-lag segments: a bank mixing an 8,192- and
-        # a 1,280-sample template over an 8,192-sample buffer has 6,913
-        # lags of its shorter template to cover.
-        plan = fastcorr._screen_plan(8192, 8192, 1280)
-        assert (plan.nfft, plan.n_segments) == (16384, 1)
-        plan = fastcorr._screen_plan(270_335, 8192, 8192)
-        assert (plan.nfft, plan.n_segments) == (32768, 11)
-
-    def test_long_templates_are_capped_at_two_templates_or_2_15(self):
-        # Eight templates up to 2**15 points; then 2**15, or the power
-        # of two at or above two templates when that is longer.
-        assert fastcorr._screen_plan(10**6, 512, 512).nfft == 4096
-        assert fastcorr._screen_plan(10**6, 4096, 4096).nfft == 32768
-        assert fastcorr._screen_plan(262_144, 8192, 8192).nfft == 32768
-        assert fastcorr._screen_plan(10**6, 16_385, 16_385).nfft == 65536
-        assert fastcorr._screen_plan(10**6, 50_000, 1000).nfft == 131_072
-        # A buffer shorter than the cap is still one segment.
-        assert fastcorr._screen_plan(20_000, 8192, 8192).n_segments == 1
-
     @pytest.mark.parametrize("n", [270_335, 262_144])
     def test_zero_lines_move_no_peak_or_bound(self, rng, monkeypatch, n):
         # The gateway's buffers: eleven 32,768-point segments run as
@@ -391,7 +389,7 @@ class TestPeakMagnitudes:
         bank = TemplateBank({0: template})
         x = _noise(rng, n)
         x[n - 8192 :] += 0.3 * template
-        assert fastcorr._screen_plan(n, 8192, 8192).n_segments == 11
+        assert spectrum_plan(n, 8192).n_segments == 11
         telemetry = Telemetry()
         grouped = peak_magnitudes(x, bank, telemetry=telemetry)
         counters = telemetry.snapshot()["counters"]
@@ -413,7 +411,7 @@ class TestPeakMagnitudes:
         bank = TemplateBank({0: template})
         x = _noise(rng, 1_000_000)
         x[-8192:] += 0.3 * template
-        plan = fastcorr._screen_plan(len(x), 8192, 8192)
+        plan = spectrum_plan(len(x), 8192)
         assert (plan.nfft, plan.n_segments) == (32768, 41)
         one_batch = peak_magnitudes(x, bank)
         monkeypatch.setattr(fastcorr, "BATCH_WORK_ELEMENTS", 6 * plan.nfft)
@@ -434,7 +432,7 @@ class TestPeakMagnitudes:
         template = _noise(rng, 3)
         bank = TemplateBank({0: template})
         x = _noise(rng, 5)
-        assert fastcorr._screen_plan(5, 3, 3).nfft == 16
+        assert spectrum_plan(5, 3).nfft == 16
         (peak, bound, err, peak64, _), = screen_error(x, bank, [0]).values()
         assert err <= bound / 100
         assert peak64 <= peak + bound
@@ -443,14 +441,14 @@ class TestPeakMagnitudes:
 class TestBuffers:
     """The segment loop's buffer handling changes no bit: a one-row
     bank multiplies its segment spectra in place, a two-row bank uses a
-    product buffer; segments load from strided views; a one-segment
-    call returns tracks without copying them."""
+    product buffer; segments load from strided views. Every call, a
+    one-segment one (a short buffer) included, copies its tracks out of
+    the loop's buffers."""
 
     def test_alone_equals_its_row_in_a_two_row_bank_on_one_segment(self, rng):
         x = _noise(rng, 20_000)
         t, u = _noise(rng, 4000), _noise(rng, 4000)
-        assert spectrum_plan(len(x), len(t), 1).n_segments == 1
-        assert spectrum_plan(len(x), len(t), 2).n_segments == 1
+        assert spectrum_plan(len(x), len(t)).n_segments == 1
         alone = correlate_many(x, TemplateBank({"t": t}))["t"]
         pair = correlate_many(x, TemplateBank({"t": t, "u": u}))["t"]
         assert np.array_equal(alone, pair)
@@ -460,8 +458,7 @@ class TestBuffers:
     ):
         x = _noise(rng, 200_000)
         t, u = _noise(rng, 512), _noise(rng, 512)
-        plan = spectrum_plan(len(x), len(t), 2)
-        assert plan == spectrum_plan(len(x), len(t), 1)
+        plan = spectrum_plan(len(x), len(t))
         # Three segments per two-row batch and six per one-row batch.
         monkeypatch.setattr(fastcorr, "BATCH_WORK_ELEMENTS", 6 * plan.nfft)
         assert plan.n_segments > 12
@@ -492,7 +489,7 @@ class TestBuffers:
         n = 50_000
         bank = blocked_bank(_noise(rng, 400), 100)
         spec = {0: _blocked_spec(bank, n, squared=True)}
-        plan = spectrum_plan(n, 100, bank.n_distinct)
+        plan = spectrum_plan(n, 100)
         last = (plan.n_segments - 1) * plan.hop
         # The last segment runs past the end of the signal, and only it
         # reads the changed span.
@@ -516,7 +513,7 @@ class TestBuffers:
         t = _noise(rng, 300)
         bank = TemplateBank({"t": t, "alias": np.exp(0.7j) * t, "copy": t.copy()})
         assert bank.n_distinct == 1 and bank.phase("copy") == 1
-        assert (spectrum_plan(n, 300, 1).n_segments == 1) == one_segment
+        assert (spectrum_plan(n, 300).n_segments == 1) == one_segment
         x = _noise(rng, n)
         out = correlate_many(x, bank)
         for a, b in [("t", "alias"), ("t", "copy"), ("alias", "copy")]:
@@ -852,7 +849,7 @@ class TestRangeCalls:
             "up": spec,
             "down": TrackSpec(spec.pairs[::-1], spec.out_len, squared=True),
         }
-        plan = spectrum_plan(n, bank.max_template_len, bank.n_distinct)
+        plan = spectrum_plan(n, bank.max_template_len)
         # Three segments per batch, so the zeroed span and the
         # subtracted waveform each meet several batches.
         monkeypatch.setattr(
@@ -1007,7 +1004,7 @@ class TestAccumulateAt:
         full = correlate_accumulate(x, bank, {0: spec})[0]
         # Three segments per batch: a run's lags meet several batches,
         # clipped at both of its ends.
-        plan = spectrum_plan(n, block, bank.n_distinct)
+        plan = spectrum_plan(n, block)
         monkeypatch.setattr(
             fastcorr, "BATCH_WORK_ELEMENTS", 3 * bank.n_distinct * plan.nfft
         )

@@ -163,6 +163,23 @@ class TestFrontEndGaps:
         assert np.array_equal(whole, chunked)
         assert model.dropped_samples == 10
 
+    def test_gap_in_a_silent_capture_is_counted(self):
+        # The AGC returns early for zero power; the dropout is counted
+        # all the same, so a chunking that leaves one chunk silent
+        # counts what one capture of the whole stream counts.
+        plan = FaultPlan(sample_gaps=(SampleGap(10, 5), SampleGap(40, 6)))
+        model = RtlSdrModel(self.CFG, faults=plan)
+        assert np.all(model.capture(np.zeros(32, dtype=complex)) == 0)
+        assert model.dropped_samples == 5
+        x = np.ones(64, dtype=complex)
+        x[32:] = 0
+        whole = RtlSdrModel(self.CFG, faults=plan)
+        whole.capture(x)
+        chunked = RtlSdrModel(self.CFG, faults=plan)
+        for chunk in (x[:32], x[32:]):
+            chunked.capture(chunk)
+        assert chunked.dropped_samples == whole.dropped_samples == 11
+
     def test_reset_stream_rewinds_the_cursor(self):
         plan = FaultPlan(sample_gaps=(SampleGap(0, 4),))
         model = RtlSdrModel(self.CFG, faults=plan)

@@ -96,8 +96,10 @@ class TestModemContract:
             )
 
     def test_bandwidth_is_sane(self, modem):
-        # The emitted signal must fit its declared bandwidth (99% energy
-        # within ~1.5x, allowing shaping skirts).
+        # The emitted signal must fit its declared bandwidth: 97 % of its
+        # energy within 1.6x, allowing shaping skirts. Not 99 %: SigFox's
+        # D-BPSK needs 1.81x its declared bandwidth for 99 % (1.07x for
+        # 97 %), while the other five modems fit within 1.0x at either.
         from repro.dsp.measure import occupied_bandwidth
 
         wave = modem.modulate(b"\xa5" * 10)

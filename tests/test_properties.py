@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.dsp.channel import signal_power
 from repro.dsp.correlation import normalized_correlation, segmented_correlation
-from repro.dsp.fastcorr import SCREEN_TEMPLATES, correlate_many
+from repro.dsp.fastcorr import PLAN_TEMPLATES, correlate_many
 from repro.dsp.filters import fft_bandpass, fft_notch
 from repro.dsp.impairments import apply_cfo, apply_phase, quantize
 from repro.dsp.resample import to_rate
@@ -286,7 +286,7 @@ class TestScreenEqualsExactPath:
         detector = screened_detectors[kind]
         rng = np.random.default_rng(seed)
         longest = max(len(t) for t in detector.templates.values())
-        n = longest + int(length * 3 * SCREEN_TEMPLATES * longest)
+        n = longest + int(length * 3 * PLAN_TEMPLATES * longest)
         x = (rng.normal(size=n) + 1j * rng.normal(size=n)) / np.sqrt(2)
         amplitude = 10 ** (over_db / 20)
         if interferer == "cw":

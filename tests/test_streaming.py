@@ -208,7 +208,8 @@ class TestStreamBuffer:
         reports.append(stream.finalize())
         merged = GatewayReport.merged(reports)
         assert front.dropped_samples == reference_front.dropped_samples
-        assert front.dropped_samples == sum(n for a, n in gaps if a < 500_000)
+        # The gap at 520,000 lies in the silent chunk and counts too.
+        assert front.dropped_samples == sum(n for _, n in gaps)
         reference = StreamingGateway(_gateway(modems, threshold)).process_stream(
             captured
         )
