@@ -59,7 +59,7 @@ def main() -> None:
           f"{WIDE_FS/1e6:.0f} MHz, {plan.n_channels} channels\n")
 
     modems = [create_modem(n) for n in ("lora", "xbee", "zwave")]
-    channels = Channelizer(plan, mode="fft").split(wide)
+    channels = Channelizer(plan).split(wide)
 
     # Per-channel GalioT gateway front ends (shared software!).
     gateway = GalioTGateway(modems, CH_BW, detector="universal", use_edge=False)

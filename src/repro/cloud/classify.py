@@ -9,15 +9,16 @@ ordering Algorithm 1 keys on.
 
 Correlation runs on the shared-FFT engine (:mod:`repro.dsp.fastcorr`):
 modems are grouped by ``(native rate, correlation stride)`` and each
-group owns one persistent :class:`~repro.dsp.fastcorr.TemplateBank`
-holding every member's coherent sync sub-blocks, so one
-:func:`~repro.dsp.fastcorr.correlate_accumulate` call per group shares
-a single forward FFT per overlap-save segment across every technology
-in the group — and the conjugate template spectra, cached on the bank,
-are paid once per FFT length rather than once per segment per SIC
-iteration. Each modem's score track equals the gateway
-:class:`~repro.gateway.detection.CorrelationDetector` score track of its
-sync waveform up to FFT rounding.
+group owns one persistent :class:`~repro.dsp.correlation.ScoreBank`
+holding every member's coherent sync sub-blocks, so one call per group
+shares a single forward FFT per overlap-save segment across every
+technology in the group — and the conjugate template spectra, cached on
+the bank, are paid once per FFT length rather than once per segment per
+SIC iteration. The score bank is the gateway
+:class:`~repro.gateway.detection.CorrelationDetector`'s score rule, so
+each modem's score track is the detector score track of its strided
+sync waveform and block, bit for bit, whenever the modem's group holds
+that one modem (a wider group plans its FFTs for its longest template).
 
 Re-classifying a residual: a cancellation changes the residual only
 around the cancelled frame. :class:`ScoreState` keeps each group's last
@@ -33,8 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..contracts import iq_contract
-from ..dsp.correlation import top_peaks
-from ..dsp.fastcorr import TemplateBank, TrackSpec, correlate_accumulate
+from ..dsp.correlation import ScoreBank, top_peaks
 from ..dsp.resample import NativeRateCache, to_rate
 from ..errors import ConfigurationError
 from ..gateway.detection import cfar_threshold
@@ -137,8 +137,6 @@ class _Ref:
     stride: int
     block: int | None  # coherent block length at template rate
     ref_energy: float
-    tpl_norm: float
-    offsets: list[int]  # coherent sub-block offsets into ``tpl``
 
 
 class SegmentClassifier:
@@ -172,17 +170,6 @@ class SegmentClassifier:
             block = modem.sync_block
             if block is not None and stride > 1:
                 block = max(block // stride, 8)
-            tpl_norm = float(np.sqrt(np.sum(np.abs(tpl) ** 2)))
-            if tpl_norm <= 0:
-                raise ConfigurationError(
-                    f"{modem.name}: sync template has zero energy"
-                )
-            if block is None:
-                offsets = [0]
-            else:
-                offsets = [
-                    b * block for b in range(-(-len(tpl) // block))
-                ]
             self._refs.append(
                 _Ref(
                     modem=modem,
@@ -191,8 +178,6 @@ class SegmentClassifier:
                     stride=stride,
                     block=block,
                     ref_energy=float(np.sum(np.abs(ref) ** 2)),
-                    tpl_norm=tpl_norm,
-                    offsets=offsets,
                 )
             )
         # One persistent bank per (native rate, stride) group: every
@@ -200,23 +185,18 @@ class SegmentClassifier:
         # residual, so their sub-block templates share one forward FFT
         # per overlap-save segment, and the conjugate template spectra
         # (cached on the bank per FFT length) survive across segments
-        # and SIC iterations. Keys are ``(ref_index, block_offset)``.
+        # and SIC iterations. Keys are indices into ``self._refs``.
         self._groups: dict[tuple[float, int], list[int]] = {}
         for index, entry in enumerate(self._refs):
             key = (float(entry.modem.sample_rate), entry.stride)
             self._groups.setdefault(key, []).append(index)
-        self._banks: dict[tuple[float, int], TemplateBank] = {}
-        for key, indices in self._groups.items():
-            templates = {
-                (index, offset): self._refs[index].tpl[
-                    offset : offset + self._refs[index].block
-                ]
-                if self._refs[index].block is not None
-                else self._refs[index].tpl
-                for index in indices
-                for offset in self._refs[index].offsets
-            }
-            self._banks[key] = TemplateBank(templates)
+        self._scores = {
+            key: ScoreBank(
+                {index: self._refs[index].tpl for index in indices},
+                {index: self._refs[index].block for index in indices},
+            )
+            for key, indices in self._groups.items()
+        }
 
     @staticmethod
     def _estimate_center(window: np.ndarray, sample_rate_hz: float) -> float:
@@ -238,54 +218,6 @@ class SegmentClassifier:
             return 0.0
         freqs = np.fft.fftfreq(len(window), 1.0 / sample_rate_hz)
         return float(np.sum(spectrum * freqs) / total)
-
-    def _score_tracks(
-        self,
-        sig: np.ndarray,
-        group: tuple[float, int],
-        live: tuple[int, ...],
-        state: ScoreState,
-    ) -> dict[int, np.ndarray]:
-        """Score tracks for every live modem of one bank group.
-
-        Coherent sub-blocks combine non-coherently (sum of magnitude
-        squares, for CFO tolerance), normalized by the template norm.
-        The magnitudes accumulate *inside* the correlation engine's
-        chunk loop (:func:`~repro.dsp.fastcorr.correlate_accumulate`),
-        so the classify pass never materializes per-template complex
-        tracks. Against ``state``'s earlier pass over the group, only
-        the range where ``sig`` moved is re-scored.
-        """
-        specs = {
-            index: TrackSpec(
-                pairs=tuple(
-                    ((index, offset), offset)
-                    for offset in self._refs[index].offsets
-                ),
-                out_len=len(sig) - len(self._refs[index].tpl) + 1,
-                squared=self._refs[index].block is not None,
-            )
-            for index in live
-        }
-        previous, changed = state.diff(group, sig, live)
-        combined = correlate_accumulate(
-            sig,
-            self._banks[group],
-            specs,
-            telemetry=self.telemetry,
-            previous=previous,
-            changed=changed,
-        )
-        state.store(group, sig, live, combined)
-        tracks: dict[int, np.ndarray] = {}
-        for index in live:
-            entry = self._refs[index]
-            acc = combined[index]
-            if entry.block is None:
-                tracks[index] = acc / entry.tpl_norm
-            else:
-                tracks[index] = np.sqrt(acc) / entry.tpl_norm
-        return tracks
 
     @iq_contract("samples")
     def classify(
@@ -327,7 +259,14 @@ class SegmentClassifier:
             )
             if not live:
                 continue
-            score_tracks = self._score_tracks(sig, (rate, stride), live, state)
+            # Coherent sub-blocks combine non-coherently (CFO
+            # tolerance); against ``state``'s earlier pass over the
+            # group, only the range where ``sig`` moved is re-scored.
+            previous, changed = state.diff((rate, stride), sig, live)
+            score_tracks, acc = self._scores[(rate, stride)].tracks(
+                sig, live, self.telemetry, previous, changed
+            )
+            state.store((rate, stride), sig, live, acc)
             for index in live:
                 entry = self._refs[index]
                 track = score_tracks[index]

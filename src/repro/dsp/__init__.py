@@ -17,9 +17,9 @@ from .chirp import (
     lora_symbol,
 )
 from .correlation import (
+    ScoreBank,
     cross_correlate,
     find_peaks_above,
-    normalized_correlation,
     segmented_correlation,
 )
 from .fastcorr import (
@@ -65,9 +65,9 @@ __all__ = [
     "base_upchirp",
     "lora_symbol",
     # correlation
+    "ScoreBank",
     "cross_correlate",
     "find_peaks_above",
-    "normalized_correlation",
     "segmented_correlation",
     # fastcorr
     "SpectrumPlan",

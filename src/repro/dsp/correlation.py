@@ -1,53 +1,59 @@
 """Cross-correlation primitives for packet detection.
 
 The gateway detects packets by sliding a preamble template over the
-capture. Three flavours are provided:
+capture, the cloud classifies them by sliding every technology's sync
+waveform over a segment, and the demodulators sync the same way. Every
+correlation runs on the shared-FFT overlap-save engine in
+:mod:`repro.dsp.fastcorr`, which computes the forward FFT of the signal
+once per segment and reuses it across every template:
 
-* :func:`cross_correlate` — raw complex correlation (FFT based).
-* :func:`normalized_correlation` — correlation magnitude normalized by
-  both template and local window energy, so the score is in [0, 1] and a
-  constant-false-alarm threshold works at any noise level.
+* :class:`ScoreBank` — matched-filter score tracks, the correlation
+  magnitude over the template norm, coherent or combined
+  non-coherently over coherent blocks: the statistic the gateway's
+  detector thresholds and the cloud's classifier ranks.
 * :func:`segmented_correlation` — splits the template into blocks,
   normalizes each block coherently and combines block magnitudes
-  non-coherently. This trades a little processing gain for robustness to
-  carrier frequency offset: CFO rotates the phase across a long template
-  and destroys coherent correlation, but barely rotates within one block.
-  :func:`segmented_peak` returns the same track's peak, exactly,
-  scoring every lag in single precision first and in complex128 only
-  where the peak can be.
+  non-coherently, normalized by the template and local window energy
+  so the score is in [0, 1]. This trades a little processing gain for
+  robustness to carrier frequency offset: CFO rotates the phase across
+  a long template and destroys coherent correlation, but barely rotates
+  within one block. With one block (``block = len(template)``) it is
+  the coherent normalized correlation. :func:`segmented_peak` returns
+  the same track's peak, exactly, scoring every lag in single precision
+  first and in complex128 only where the peak can be.
+* :func:`cross_correlate` — raw complex correlation through one
+  :func:`scipy.signal.fftconvolve`: the engine's test oracle.
 
 Peak picking (:func:`find_peaks_above`) enforces a minimum spacing so one
 packet produces one detection; its greedy suppression
 (:func:`greedy_suppress`) is shared with the streaming gateway, and
 :func:`top_peaks` runs it only as far as its best ``k`` peaks.
-
-Multi-template and blocked correlations run on the shared-FFT
-overlap-save engine in :mod:`repro.dsp.fastcorr`, which computes the
-forward FFT of the signal once per segment and reuses it across every
-template.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Hashable, Iterable, Mapping
 from functools import lru_cache
 
 import numpy as np
 from scipy import signal as sp_signal
 
+from ..contracts import ensure_iq
 from ..errors import ConfigurationError
+from ..telemetry import Telemetry
 from .fastcorr import (
     TemplateBank,
     TrackSpec,
     accumulate_at,
     blocked_bank,
     correlate_accumulate,
+    peak_magnitudes,
     screen_accumulate,
 )
 
 __all__ = [
+    "ScoreBank",
     "cross_correlate",
-    "normalized_correlation",
     "segmented_correlation",
     "segmented_peak",
     "find_peaks_above",
@@ -61,7 +67,9 @@ _EPS = 1e-30
 def cross_correlate(x: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Complex correlation ``c[n] = sum_k conj(template[k]) x[n + k]``.
 
-    Output length is ``len(x) - len(template) + 1`` ("valid" mode).
+    Output length is ``len(x) - len(template) + 1`` ("valid" mode). One
+    full-length FFT per call: the oracle the overlap-save engine
+    (:func:`~repro.dsp.fastcorr.correlate_many`) is tested against.
 
     Raises:
         ConfigurationError: if the template is longer than the signal.
@@ -78,24 +86,12 @@ def _window_energy(x: np.ndarray, window: int) -> np.ndarray:
     return csum[window:] - csum[:-window]
 
 
-def normalized_correlation(x: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """Normalized correlation magnitude in [0, 1].
-
-    ``score[n] = |c[n]| / (||template|| * ||x[n : n+L]||)``
-    """
-    corr = cross_correlate(x, template)
-    template_norm = np.sqrt(np.sum(np.abs(template) ** 2)) + _EPS
-    window_norm = np.sqrt(np.maximum(_window_energy(x, len(template)), 0.0))
-    # Floor the local norm so numerically-silent windows (all-zero padding
-    # in synthetic scenes) score ~0 instead of dust / dust = huge.
-    floor = max(float(window_norm.max(initial=0.0)), template_norm) * 1e-9 + _EPS
-    return np.abs(corr) / (template_norm * np.maximum(window_norm, floor))
-
-
 #: Persistent sub-block banks kept by :func:`segmented_correlation`, one
 #: per distinct (template, block). Every modem syncs against one fixed
-#: reference at one stride, so a handful of entries covers the shipped
-#: modem set; the bound keeps ad-hoc callers from growing the cache.
+#: reference at one stride, and the universal preamble coalesces each
+#: technology's preamble once, so a handful of entries covers the
+#: shipped modem set; the bound keeps ad-hoc callers from growing the
+#: cache.
 SEGMENTED_BANK_SLOTS = 32
 
 
@@ -136,6 +132,8 @@ def _segmented_parts(
     )
     template_norm = np.sqrt(np.sum(np.abs(template[:used]) ** 2)) + _EPS
     window_norm = np.sqrt(np.maximum(_window_energy(x, len(template)), 0.0))
+    # Floor the local norm so numerically-silent windows (all-zero padding
+    # in synthetic scenes) score ~0 instead of dust / dust = huge.
     floor = max(float(window_norm.max(initial=0.0)), template_norm) * 1e-9 + _EPS
     window_norm = np.maximum(window_norm, floor)
     # A perfect noiseless match accumulates sum_b ||t_b||^2 = ||t||^2 and
@@ -156,9 +154,12 @@ def segmented_correlation(
             ``floor(L / block)`` full blocks; a short tail is dropped.
 
     Returns:
-        Score array in [0, 1] with the same indexing as
-        :func:`normalized_correlation`. Each block's correlation magnitude
-        is accumulated and the sum is normalized by the combined energies.
+        Score array in [0, 1], index ``n`` for the template starting at
+        ``x[n]`` (length ``len(x) - len(template) + 1``). Each block's
+        correlation magnitude is accumulated and the sum is normalized
+        by the combined energies; with one block the score is
+        ``|c[n]| / (||template|| * ||x[n : n+L]||)``, the coherent
+        normalized correlation.
     """
     bank, spec, norm = _segmented_parts(x, template, block)
     return correlate_accumulate(x, bank, {0: spec})[0] / norm
@@ -205,6 +206,126 @@ def segmented_peak(
     exact = accumulate_at(x, bank, spec, lags) / norm[lags]
     best = int(np.argmax(exact))
     return int(lags[best]), float(exact[best])
+
+
+class ScoreBank:
+    """Matched-filter score tracks of several templates off one
+    :class:`~repro.dsp.fastcorr.TemplateBank`: the statistic the
+    gateway's :class:`~repro.gateway.detection.CorrelationDetector`
+    thresholds and the cloud's
+    :class:`~repro.cloud.classify.SegmentClassifier` ranks.
+
+    A key's score is its template's correlation magnitude over the
+    template norm, ``|c[n]| / ||t||``, *not* divided by the local window
+    energy (a CFAR threshold supplies the noise calibration). With a
+    block, the template is cut into coherent blocks, the final short
+    block included so that its energy is not charged to the norm
+    uncorrelated, and the block magnitudes combine non-coherently:
+    ``sqrt(sum_b |c_b[n + offset_b]|^2) / ||t||`` (CFO tolerance).
+
+    The bank holds every key's blocks under ``(key, block offset)``, in
+    key order. One :func:`~repro.dsp.fastcorr.correlate_accumulate` call
+    folds the requested keys' magnitudes (squares, for a blocked key)
+    off one forward FFT per overlap-save segment, so no complex track is
+    stored. A coherent key's accumulator is ``0 + |c|``: the magnitudes
+    of the engine's batches, bit for bit.
+
+    Args:
+        templates: Reference waveform per key.
+        blocks: Coherent block length per key (``None`` = fully
+            coherent).
+
+    Raises:
+        ConfigurationError: for an empty bank or a zero-energy template.
+    """
+
+    def __init__(
+        self,
+        templates: Mapping[Hashable, np.ndarray],
+        blocks: Mapping[Hashable, int | None],
+    ):
+        self._lengths: dict[Hashable, int] = {}
+        self._norms: dict[Hashable, float] = {}
+        self._offsets: dict[Hashable, list[int]] = {}
+        entries: dict[tuple[Hashable, int], np.ndarray] = {}
+        for key, waveform in templates.items():
+            template = ensure_iq(waveform)
+            norm = float(np.sqrt(np.sum(np.abs(template) ** 2)))
+            if norm <= 0:
+                raise ConfigurationError(f"template {key!r} has zero energy")
+            block = blocks[key]
+            step = len(template) if block is None else block
+            self._lengths[key] = len(template)
+            self._norms[key] = norm
+            self._offsets[key] = list(range(0, len(template), step))
+            for offset in self._offsets[key]:
+                entries[(key, offset)] = template[offset : offset + step]
+        self._blocked = {key: blocks[key] is not None for key in templates}
+        self.bank = TemplateBank(entries)
+
+    def specs(
+        self, n_samples: int, keys: Iterable[Hashable]
+    ) -> dict[Hashable, TrackSpec]:
+        """Each key's accumulator over a signal of ``n_samples``: one
+        pair per block, squared for a blocked key."""
+        return {
+            key: TrackSpec(
+                pairs=tuple(((key, offset), offset) for offset in self._offsets[key]),
+                out_len=n_samples - self._lengths[key] + 1,
+                squared=self._blocked[key],
+            )
+            for key in keys
+        }
+
+    def tracks(
+        self,
+        x: np.ndarray,
+        keys: Iterable[Hashable],
+        telemetry: Telemetry,
+        previous: Mapping[Hashable, np.ndarray] | None = None,
+        changed: tuple[int, int] | None = None,
+    ) -> tuple[dict[Hashable, np.ndarray], dict[Hashable, np.ndarray]]:
+        """The score track of each of ``keys`` (templates that fit ``x``).
+
+        Returns ``(tracks, accumulators)``: the accumulators are
+        :func:`~repro.dsp.fastcorr.correlate_accumulate`'s, untouched.
+        Scoring an edited signal, pass them back as ``previous`` with
+        ``changed``, the sample range where it differs; only the
+        segments that range reaches are transformed, and the tracks
+        equal a fresh call's bit for bit.
+        """
+        specs = self.specs(len(x), keys)
+        acc = correlate_accumulate(
+            x, self.bank, specs, telemetry=telemetry,
+            previous=previous, changed=changed,
+        )
+        tracks = {
+            key: (np.sqrt(acc[key]) if spec.squared else acc[key]) / self._norms[key]
+            for key, spec in specs.items()
+        }
+        return tracks, acc
+
+    def peak_bounds(
+        self, x: np.ndarray, keys: list[Hashable], telemetry: Telemetry
+    ) -> dict[Hashable, float]:
+        """An upper bound on each coherent key's peak score over ``x``,
+        with no complex128 correlation: the key's single-precision peak
+        magnitude plus its proven error bound
+        (:func:`~repro.dsp.fastcorr.peak_magnitudes`), over the norm.
+        No score :meth:`tracks` returns for the key exceeds it.
+
+        Raises:
+            ConfigurationError: for a blocked key.
+        """
+        if any(self._blocked[key] for key in keys):
+            raise ConfigurationError("the screen bounds coherent tracks only")
+        peaks = peak_magnitudes(
+            x, self.bank, keys=[(key, 0) for key in keys], telemetry=telemetry
+        )
+        return {
+            key: (peak + bound) / self._norms[key]
+            for key, (peak, bound) in zip(keys, peaks.values(), strict=True)
+        }
 
 
 def greedy_suppress(

@@ -27,11 +27,15 @@ Four pieces:
   one (batched) inverse FFT per *distinct* template per segment, with
   exact "valid"-mode indexing: entry ``k`` of the result has length
   ``len(x) - len(t_k) + 1`` and matches
-  :func:`repro.dsp.correlation.cross_correlate` sample for sample.
+  :func:`repro.dsp.correlation.cross_correlate` sample for sample
+  (complex tracks: multi-gateway combining and the universal
+  preamble's response check).
   :func:`correlate_accumulate` runs the same segment loop and folds
-  block magnitudes into non-coherent accumulators as it goes. Given
-  the accumulators of an earlier signal and the range where the new
-  one differs, it transforms only the segments that range reaches.
+  block magnitudes into non-coherent accumulators as it goes (the
+  score tracks of :class:`repro.dsp.correlation.ScoreBank`, the sync
+  searches and SIC alignment). Given the accumulators of an earlier
+  signal and the range where the new one differs, it transforms only
+  the segments that range reaches.
 * :func:`peak_magnitudes` — the same segment loop in single precision
   (complex64), reduced to each template's peak magnitude together with
   a proven bound on its error. A detector uses it to show that a
@@ -605,15 +609,13 @@ def _overlap_save(
 
 
 def correlate_many(
-    x: npt.ArrayLike,
-    bank: TemplateBank,
-    keys: Iterable[Hashable] | None = None,
-    telemetry: Telemetry = NULL,
+    x: npt.ArrayLike, bank: TemplateBank
 ) -> dict[Hashable, np.ndarray]:
-    """Valid-mode complex correlation of ``x`` against many templates.
+    """Valid-mode complex correlation of ``x`` against every template of
+    ``bank``.
 
     One forward FFT per overlap-save segment is shared by every
-    requested template; each distinct template costs one (batched)
+    template; each distinct template costs one (batched)
     inverse FFT per segment, and an alias ``g r`` of a distinct
     template ``r`` gets ``conj(g)`` times ``r``'s track. Entry ``k`` of
     the result is exactly ``cross_correlate(x, bank.template(k))`` up
@@ -625,21 +627,14 @@ def correlate_many(
     Args:
         x: Received complex samples.
         bank: Prebuilt template bank.
-        keys: Subset of bank entries to score (default: all). Detectors
-            pass the templates that fit the current buffer.
-        telemetry: Metrics sink; spans ``fastcorr.correlate`` and counts
-            forward/inverse FFTs.
 
     Raises:
-        ConfigurationError: if any requested template is longer than
-            ``x`` (same contract as
-            :func:`~repro.dsp.correlation.cross_correlate`).
+        ConfigurationError: if any template is longer than ``x`` (same
+            contract as :func:`~repro.dsp.correlation.cross_correlate`).
     """
     x = ensure_iq(x)
     n_samples = len(x)
-    requested, lengths = _requested(bank, keys, n_samples)
-    if not requested:
-        return {}
+    requested, lengths = _requested(bank, None, n_samples)
     rows, local = _distinct_rows(bank, requested)
     plan = spectrum_plan(n_samples, max(lengths), min(lengths))
     out_lens = [n_samples - length + 1 for length in lengths]
@@ -647,7 +642,7 @@ def correlate_many(
         key: np.empty(out_len, dtype=np.complex128)
         for key, out_len in zip(requested, out_lens, strict=True)
     }
-    for pos0, corr in _overlap_save(x, bank, rows, plan, telemetry):
+    for pos0, corr in _overlap_save(x, bank, rows, plan, NULL):
         span = corr.shape[0] * corr.shape[2]
         tracks: dict[int, np.ndarray] = {}
         for key, out_len in zip(requested, out_lens, strict=True):
@@ -674,8 +669,9 @@ class TrackSpec:
         pairs: ``(bank_key, offset)`` terms; the accumulator at index
             ``n`` sums ``f(|corr_key[n + offset]|)`` over all pairs.
         out_len: Accumulator length (the caller's valid-track length).
-        squared: ``True`` sums magnitude *squares* (the classifier's
-            score tracks), ``False`` sums magnitudes
+        squared: ``True`` sums magnitude *squares* (blocked score
+            tracks, :class:`~repro.dsp.correlation.ScoreBank`),
+            ``False`` sums magnitudes
             (:func:`~repro.dsp.correlation.segmented_correlation`
             semantics).
     """
@@ -833,8 +829,8 @@ def correlate_accumulate(
         bank: Prebuilt template bank (shared forward FFT across every
             spec, exactly like :func:`correlate_many`).
         specs: Accumulator definitions keyed by caller-chosen group key.
-        telemetry: Metrics sink (same spans/counts as
-            :func:`correlate_many`).
+        telemetry: Metrics sink; spans ``fastcorr.correlate`` and counts
+            forward/inverse FFTs.
         previous: This function's result for the same ``bank`` and
             ``specs`` over a signal of ``x``'s length that differs from
             ``x`` only inside ``changed``.

@@ -35,8 +35,7 @@ from numbers import Integral
 import numpy as np
 
 from ..contracts import iq_contract
-from ..dsp.correlation import greedy_suppress
-from ..dsp.fastcorr import TemplateBank, correlate_many, peak_magnitudes
+from ..dsp.correlation import ScoreBank, greedy_suppress
 from ..dsp.filters import moving_average
 from ..dsp.resample import to_rate
 from ..errors import ConfigurationError
@@ -240,11 +239,11 @@ class CorrelationDetector(CandidateDetector):
     template correlates coherently per block and the magnitudes combine
     non-coherently (CFO tolerance), the final short block included so
     its energy is not charged to the norm uncorrelated. One persistent
-    :class:`~repro.dsp.fastcorr.TemplateBank` holds every template and
-    block: one :func:`~repro.dsp.fastcorr.correlate_many` call scores
-    them all off one forward FFT per overlap-save segment, with the
-    template spectra cached across chunks. Coherent templates with
-    frozen thresholds first screen each buffer in single precision
+    :class:`~repro.dsp.correlation.ScoreBank`, the cloud classifier's
+    score rule, holds every template and block: it scores them all off
+    one forward FFT per overlap-save segment, with the template spectra
+    cached across chunks. Coherent templates with frozen thresholds
+    first screen each buffer in single precision
     (:meth:`stream_candidates`): a buffer proven to hold no candidate
     is never scored in complex128.
 
@@ -285,20 +284,7 @@ class CorrelationDetector(CandidateDetector):
         self.block = block
         self.threshold = threshold
         self.telemetry = telemetry
-        self._norms: dict[Hashable, float] = {}
-        # Block offsets per template; bank keys are (technology, offset).
-        self._offsets: dict[Hashable, list[int]] = {}
-        entries: dict[tuple[Hashable, int], np.ndarray] = {}
-        for tech, template in self.templates.items():
-            norm = float(np.sqrt(np.sum(np.abs(template) ** 2)))
-            if norm <= 0:
-                raise ConfigurationError("template has zero energy")
-            self._norms[tech] = norm
-            step = len(template) if block is None else block
-            self._offsets[tech] = list(range(0, len(template), step))
-            for offset in self._offsets[tech]:
-                entries[(tech, offset)] = template[offset : offset + step]
-        self._bank = TemplateBank(entries)
+        self._scores = ScoreBank(self.templates, dict.fromkeys(self.templates, block))
 
     @property
     def context(self) -> int:
@@ -324,25 +310,10 @@ class CorrelationDetector(CandidateDetector):
     @iq_contract("samples")
     def score_tracks(self, samples: np.ndarray) -> dict[Hashable, np.ndarray]:
         """Matched-filter score track of every template that fits ``samples``."""
-        feasible = self._feasible(samples)
-        keys = [(tech, off) for tech in feasible for off in self._offsets[tech]]
-        tracks = correlate_many(
-            samples, self._bank, keys=keys, telemetry=self.telemetry
+        tracks, _ = self._scores.tracks(
+            samples, self._feasible(samples), self.telemetry
         )
-        out: dict[Hashable, np.ndarray] = {}
-        for tech in feasible:
-            # Each step after the first magnitude runs in place.
-            if self.block is None:
-                score = np.abs(tracks[(tech, 0)])
-            else:
-                out_len = len(samples) - len(self.templates[tech]) + 1
-                score = np.zeros(out_len)
-                for offset in self._offsets[tech]:
-                    corr = np.abs(tracks[(tech, offset)][offset : offset + out_len])
-                    score += np.square(corr, out=corr)
-                np.sqrt(score, out=score)
-            out[tech] = np.divide(score, self._norms[tech], out=score)
-        return out
+        return tracks
 
     def _fixed_threshold(self, tech: Hashable) -> float | None:
         if isinstance(self.threshold, dict):
@@ -391,22 +362,18 @@ class CorrelationDetector(CandidateDetector):
         thresholds only; blocked banks and per-capture CFAR always take
         the exact path. A template is proven quiet when its complex64
         peak plus the error bound of
-        :func:`~repro.dsp.fastcorr.peak_magnitudes` stays below its
-        threshold, so the complex128 path would find no candidate.
+        :func:`~repro.dsp.fastcorr.peak_magnitudes`, over its norm
+        (:meth:`~repro.dsp.correlation.ScoreBank.peak_bounds`), stays
+        below its threshold, so the complex128 path would find no
+        candidate.
         """
         thresholds = [self._fixed_threshold(tech) for tech in feasible]
         if self.block is not None or not feasible or None in thresholds:
             return False
-        peaks = peak_magnitudes(
-            samples,
-            self._bank,
-            keys=[(tech, 0) for tech in feasible],
-            telemetry=self.telemetry,
-        )
+        peaks = self._scores.peak_bounds(samples, feasible, self.telemetry)
         return all(
-            (peak + bound) / self._norms[tech] < threshold
+            peaks[tech] < threshold
             for tech, threshold in zip(feasible, thresholds, strict=True)
-            for peak, bound in [peaks[(tech, 0)]]
         )
 
     @iq_contract("samples")

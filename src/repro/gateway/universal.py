@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..dsp.correlation import cross_correlate, normalized_correlation
+from ..dsp.correlation import segmented_correlation
+from ..dsp.fastcorr import TemplateBank, correlate_many
 from ..dsp.resample import to_rate
 from ..errors import ConfigurationError
 from ..phy.base import Modem
@@ -45,12 +46,12 @@ def _unit_energy(x: np.ndarray) -> np.ndarray:
 
 def _peak_correlation(a: np.ndarray, b: np.ndarray) -> float:
     """Peak normalized sliding correlation between two unit-energy
-    waveforms (symmetric: the shorter slides over the longer)."""
+    waveforms (symmetric: the shorter slides over the longer; coherent,
+    one block)."""
     short, long_ = (a, b) if len(a) <= len(b) else (b, a)
     if len(short) == 0:
         return 0.0
-    scores = normalized_correlation(long_, short)
-    return float(np.max(scores)) if len(scores) else 0.0
+    return float(segmented_correlation(long_, short, len(short)).max())
 
 
 @dataclass
@@ -137,16 +138,13 @@ class UniversalPreamble:
         This is the paper's analysis check: C(P_j, P) should show one
         distinct spike for every registered technology.
         """
-        return float(
-            np.max(np.abs(cross_correlate(
-                np.concatenate(
-                    [np.zeros(self.length, complex),
-                     technology_waveform,
-                     np.zeros(self.length, complex)]
-                ),
-                self.waveform,
-            )))
+        padded = np.concatenate(
+            [np.zeros(self.length, complex),
+             technology_waveform,
+             np.zeros(self.length, complex)]
         )
+        corr = correlate_many(padded, TemplateBank({0: self.waveform}))[0]
+        return float(np.max(np.abs(corr)))
 
 
 class UniversalPreambleDetector(CorrelationDetector):

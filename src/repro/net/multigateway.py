@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cloud.sic import try_decode
-from ..dsp.correlation import cross_correlate
+from ..dsp.fastcorr import TemplateBank, correlate_many
 from ..errors import ConfigurationError
 from ..phy.base import FrameResult, Modem
 
@@ -128,9 +128,10 @@ def combine_segments(
     # other copy's peak is constrained to ±ALIGN_SEARCH samples of it.
     aligned: list[tuple[np.ndarray, complex]] = []
     ref_energy = float(np.sum(np.abs(reference) ** 2))
+    bank = TemplateBank({0: reference})
     anchor: int | None = None
     for copy in copies:
-        corr = cross_correlate(copy.samples, reference)
+        corr = correlate_many(copy.samples, bank)[0]
         if anchor is None:
             peak = int(np.argmax(np.abs(corr)))
             anchor = peak

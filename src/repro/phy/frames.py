@@ -3,17 +3,20 @@
 The demodulators synchronize in the *sample* domain: the known
 preamble(+sync) waveform is slid over the segment with normalized
 correlation and the strongest peak above a threshold marks the frame
-start. This is the same primitive the gateway's detectors use, so a
-segment that was detected is (by construction) one the demodulator can
-lock onto.
+start. Every modem searches through one :func:`sample_sync`, which runs
+the screened :func:`~repro.dsp.correlation.segmented_peak` on the
+overlap-save engine the gateway's detectors and the cloud's classifier
+use.
 """
 
 from __future__ import annotations
 
+from numbers import Integral
+
 import numpy as np
 
 from ..contracts import iq_contract
-from ..dsp.correlation import normalized_correlation, segmented_peak
+from ..dsp.correlation import segmented_peak
 from ..errors import ConfigurationError, FrameSyncError
 
 __all__ = ["checked_sync_threshold", "sample_sync"]
@@ -40,6 +43,7 @@ def sample_sync(
     reference: np.ndarray,
     threshold: float,
     block: int | None = None,
+    stride: int = 1,
 ) -> tuple[int, float]:
     """Locate ``reference`` inside ``iq``.
 
@@ -48,18 +52,25 @@ def sample_sync(
         reference: Known waveform (preamble + sync word).
         threshold: Minimum normalized correlation in [0, 1].
         block: Coherent block length in samples for CFO-tolerant sync
-            (``None`` = fully coherent). A transmitter crystal offset
-            rotates the carrier across a long reference and destroys
-            coherent correlation; per-block correlation with
-            non-coherent combining keeps the peak at the cost of a
+            (``None`` = fully coherent, one block). A transmitter
+            crystal offset rotates the carrier across a long reference
+            and destroys coherent correlation; per-block correlation
+            with non-coherent combining keeps the peak at the cost of a
             little processing gain.
+        stride: Sample stride of the search. Above 1, ``iq[::stride]``
+            is searched for ``reference[::stride]`` with a block of
+            ``block // stride`` (at least 4), which cuts the FFT work by
+            about ``stride**2``, and the start is scaled back to the
+            full rate: callers must tolerate a timing quantization of
+            ±stride/2 samples (FSK demodulators sample mid-bit with
+            tens of samples per bit; LoRa refines around it).
 
-    The blocked search returns exactly ``(argmax, max)`` of
-    :func:`~repro.dsp.correlation.segmented_correlation` without
-    computing its whole complex128 track
-    (:func:`~repro.dsp.correlation.segmented_peak`): a complex64 pass
-    with a proven error bound scores every lag, and complex128 runs only
-    on the overlap-save segments that feed lags whose upper bound
+    The search returns exactly ``(argmax, max)`` of
+    :func:`~repro.dsp.correlation.segmented_correlation` (a coherent
+    reference is one block) without computing its whole complex128
+    track (:func:`~repro.dsp.correlation.segmented_peak`): a complex64
+    pass with a proven error bound scores every lag, and complex128 runs
+    only on the overlap-save segments that feed lags whose upper bound
     reaches the best lower bound. When even the best upper bound is
     below ``threshold``, it raises with no complex128 work, and the
     message reports that bound.
@@ -68,54 +79,29 @@ def sample_sync(
         ``(start_index, score)`` of the strongest correlation peak.
 
     Raises:
+        ConfigurationError: for a threshold outside [0, 1] (NaN
+            included) or a stride that is not an integer >= 1.
         FrameSyncError: when the segment is shorter than the reference or
             no peak reaches the threshold.
     """
+    threshold = checked_sync_threshold(threshold)
+    if not (isinstance(stride, Integral) and stride >= 1):
+        raise ConfigurationError(f"stride must be an integer >= 1, got {stride!r}")
+    if stride > 1:
+        iq, reference = iq[::stride], reference[::stride]
+        if block is not None:
+            block = max(block // stride, 4)
     if len(reference) > len(iq):
         raise FrameSyncError("segment shorter than the sync reference")
-    if block is not None and block < len(reference):
-        best, score = segmented_peak(iq, reference, block, threshold)
-        if best is None:
-            raise FrameSyncError(
-                f"no sync: best correlation at most {score:.3f} "
-                f"below threshold {threshold:.3f}"
-            )
-    else:
-        scores = normalized_correlation(iq, reference)
-        best = int(np.argmax(scores))
-        score = float(scores[best])
+    block = len(reference) if block is None else min(block, len(reference))
+    best, score = segmented_peak(iq, reference, block, threshold)
+    if best is None:
+        raise FrameSyncError(
+            f"no sync: best correlation at most {score:.3f} "
+            f"below threshold {threshold:.3f}"
+        )
     if score < threshold:
         raise FrameSyncError(
             f"no sync: best correlation {score:.3f} below threshold {threshold:.3f}"
         )
-    return best, score
-
-
-@iq_contract("iq")
-def sample_sync_strided(
-    iq: np.ndarray,
-    reference: np.ndarray,
-    threshold: float,
-    block: int,
-    stride: int,
-) -> tuple[int, float]:
-    """CFO-tolerant sync at a reduced sample stride.
-
-    Correlates ``iq[::stride]`` against ``reference[::stride]`` (cutting
-    the FFT work by ~stride^2) and scales the peak index back to the
-    full rate. The timing quantization is ±stride/2 samples; callers
-    must tolerate that (FSK demodulators sample mid-bit with tens of
-    samples per bit, so a few samples of skew are harmless).
-
-    Raises:
-        FrameSyncError: as :func:`sample_sync`.
-    """
-    if stride <= 1:
-        return sample_sync(iq, reference, threshold, block=block)
-    start, score = sample_sync(
-        iq[::stride],
-        reference[::stride],
-        threshold,
-        block=max(block // stride, 4),
-    )
-    return start * stride, score
+    return best * stride, score

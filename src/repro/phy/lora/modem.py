@@ -226,32 +226,28 @@ class LoRaModem(Modem):
 
         Correlating the 12+-symbol sync reference at the oversampled
         capture rate costs dozens of segment-length FFTs; striding both
-        the segment and the reference down to one sample per chip cuts
-        that by ~oversample^2 while keeping all of the correlation's
-        processing gain. The resulting timing quantization (one chip)
-        is absorbed by the combined CFO+timing estimator that runs
-        right after.
+        the segment and the reference down to one sample per chip
+        (``sample_sync``'s ``stride``) cuts that by ~oversample^2 while
+        keeping all of the correlation's processing gain. The resulting
+        timing quantization (one chip) is absorbed by the combined
+        CFO+timing estimator that runs right after.
         """
         os_ = self.oversample
-        if os_ == 1:
-            return sample_sync(
-                iq,
-                self.sync_reference(),
-                self._threshold,
-                block=max((1 << self.sf) // 4, 32),
-            )
-        dec = iq[::os_]
-        ref_dec = self.sync_reference()[::os_]
-        start, score = sample_sync(
-            dec, ref_dec, self._threshold, block=max((1 << self.sf) // 4, 32)
+        ref = self.sync_reference()
+        coarse, score = sample_sync(
+            iq,
+            ref,
+            self._threshold,
+            block=max((1 << self.sf) // 4, 32) * os_,
+            stride=os_,
         )
+        if os_ == 1:
+            return coarse, score
         # Local full-rate refinement: a fractional-chip timing error
         # cannot be absorbed by derotation (the wrapped halves of each
         # chirp interfere destructively), so recover exact-sample timing
-        # by scanning +-1 chip around the decimated peak. Non-coherent
+        # by scanning +-1 chip around the chip-rate peak. Non-coherent
         # per-block combining keeps the refinement CFO-proof.
-        coarse = start * os_
-        ref = self.sync_reference()
         block = max((1 << self.sf) // 4 * os_, 64)
         n_blocks = max(len(ref) // block, 1)
         lo = max(coarse - os_, 0)

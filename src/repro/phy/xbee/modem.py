@@ -20,7 +20,7 @@ import numpy as np
 
 from ...errors import ChecksumError, ConfigurationError
 from ...phy.base import FrameResult, Modem, ModulationClass
-from ...phy.frames import checked_sync_threshold, sample_sync_strided
+from ...phy.frames import checked_sync_threshold, sample_sync
 from ...phy.fsk import (
     fsk_demodulate_bits,
     fsk_frequency_track,
@@ -142,7 +142,7 @@ class XBeeModem(Modem):
 
     def demodulate(self, iq: np.ndarray) -> FrameResult:
         iq = np.asarray(iq, dtype=np.complex128)
-        start, score = sample_sync_strided(
+        start, score = sample_sync(
             iq,
             self.sync_reference(),
             self._threshold,

@@ -5,7 +5,6 @@ import pytest
 
 from repro.dsp.filters import frequency_shift
 from repro.dsp.resample import to_rate
-from repro.errors import ConfigurationError
 from repro.gateway.channelizer import Channelizer
 from repro.gateway.hopping import ChannelPlan
 from repro.phy import create_modem
@@ -27,13 +26,13 @@ def _tone_on_channel(plan, channel, offset_hz, n):
 class TestFftMode:
     def test_energy_lands_on_the_right_channel(self, plan):
         wide = _tone_on_channel(plan, 2, 100e3, 40_000)
-        channels = Channelizer(plan, mode="fft").split(wide)
+        channels = Channelizer(plan).split(wide)
         powers = {c: float(np.mean(np.abs(x) ** 2)) for c, x in channels.items()}
         assert powers[2] > 100 * max(powers[c] for c in (0, 1, 3))
 
     def test_baseband_frequency_is_relative(self, plan):
         wide = _tone_on_channel(plan, 1, 150e3, 40_000)
-        channels = Channelizer(plan, mode="fft").split(wide)
+        channels = Channelizer(plan).split(wide)
         x = channels[1]
         freqs = np.fft.fftfreq(len(x), 1.0 / plan.channel_bw)
         peak = freqs[np.argmax(np.abs(np.fft.fft(x)))]
@@ -45,7 +44,7 @@ class TestFftMode:
         wave = frequency_shift(wave, plan.centers_hz[3], WIDE_FS)
         wide = np.zeros(len(wave) + 8000, complex)
         wide[4000 : 4000 + len(wave)] = wave
-        channels = Channelizer(plan, mode="fft").split(wide)
+        channels = Channelizer(plan).split(wide)
         frame = xbee.demodulate(channels[3])
         assert frame.crc_ok and frame.payload == b"channelized"
 
@@ -54,42 +53,3 @@ class TestFftMode:
         channels = Channelizer(plan).split(wide)
         assert all(len(x) == 10_000 for x in channels.values())
 
-
-@pytest.fixture(scope="module")
-def on_bin_plan():
-    # Bank mode requires channel centres on DFT bins of the m-point
-    # transform (multiples of 1 MHz here).
-    return ChannelPlan(
-        wide_fs=WIDE_FS, channel_bw=CH_BW, centers_hz=(-1e6, 0.0, 1e6)
-    )
-
-
-class TestBankMode:
-    def test_on_bin_tone_unit_gain(self, on_bin_plan):
-        wide = _tone_on_channel(on_bin_plan, 2, 0.0, 40_000)
-        channels = Channelizer(on_bin_plan, mode="bank").split(wide)
-        assert np.mean(np.abs(channels[2])) == pytest.approx(1.0, rel=0.05)
-
-    def test_channel_isolation(self, on_bin_plan):
-        wide = _tone_on_channel(on_bin_plan, 0, 0.0, 40_000)
-        channels = Channelizer(on_bin_plan, mode="bank").split(wide)
-        p0 = float(np.mean(np.abs(channels[0]) ** 2))
-        p2 = float(np.mean(np.abs(channels[2]) ** 2))
-        assert p0 > 100 * p2
-
-    def test_short_input(self, on_bin_plan):
-        channels = Channelizer(on_bin_plan, mode="bank").split(
-            np.zeros(2, complex)
-        )
-        assert all(len(x) == 0 for x in channels.values())
-
-
-class TestValidation:
-    def test_unknown_mode_rejected(self, plan):
-        with pytest.raises(ConfigurationError):
-            Channelizer(plan, mode="wavelet")
-
-    def test_bank_rejects_off_bin_plan(self, plan):
-        # The uniform 4-channel plan has half-bin centres.
-        with pytest.raises(ConfigurationError):
-            Channelizer(plan, mode="bank")

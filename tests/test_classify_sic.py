@@ -138,7 +138,7 @@ class TestClassifier:
             return {0: np.abs(track)}
 
         monkeypatch.setattr(
-            "repro.cloud.classify.correlate_accumulate",
+            "repro.dsp.correlation.correlate_accumulate",
             fake_correlate_accumulate,
         )
         samples = np.zeros(1024, complex)

@@ -6,7 +6,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.cloud import classify, decoder, sic
+from repro.cloud import decoder, sic
 from repro.cloud.classify import ClassifiedSignal, ScoreState, SegmentClassifier
 from repro.cloud.decoder import SAME_FRAME_SAMPLES, CloudDecoder
 from repro.cloud.kill_filters import KillCodes, KillCss, KillFrequency
@@ -201,7 +201,7 @@ class TestEngineEquivalence:
             )[0]
         )
         on_reports = [CloudDecoder.galiot(trio, FS).decode(c) for c in captures]
-        for module in (classify, sic, correlation):
+        for module in (sic, correlation):
             monkeypatch.setattr(
                 module,
                 "correlate_accumulate",

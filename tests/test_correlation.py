@@ -6,7 +6,6 @@ import pytest
 from repro.dsp.correlation import (
     cross_correlate,
     find_peaks_above,
-    normalized_correlation,
     segmented_correlation,
     segmented_peak,
 )
@@ -42,30 +41,33 @@ class TestCrossCorrelate:
 
 
 class TestNormalizedCorrelation:
+    """The coherent normalized correlation: ``segmented_correlation``
+    with one block, ``|c[n]| / (||t|| * ||x[n : n+L]||)``."""
+
     def test_perfect_match_scores_one(self, rng):
         tpl = _template(rng)
         x = np.concatenate([np.zeros(80, complex), 3.7 * tpl, np.zeros(80, complex)])
-        scores = normalized_correlation(x, tpl)
+        scores = segmented_correlation(x, tpl, len(tpl))
         assert scores[80] == pytest.approx(1.0, abs=1e-6)
 
     def test_noise_scores_low(self, rng):
         tpl = _template(rng)
         noise = rng.normal(size=4096) + 1j * rng.normal(size=4096)
-        scores = normalized_correlation(noise, tpl)
+        scores = segmented_correlation(noise, tpl, len(tpl))
         assert scores.max() < 0.35
 
     def test_zero_padding_does_not_blow_up(self, rng):
         # Regression: all-zero windows used to divide dust by dust.
         tpl = _template(rng, 64)
         x = np.concatenate([np.zeros(500, complex), tpl, np.zeros(500, complex)])
-        scores = normalized_correlation(x, tpl)
+        scores = segmented_correlation(x, tpl, len(tpl))
         assert scores.max() <= 1.0 + 1e-9
         assert int(np.argmax(scores)) == 500
 
     def test_phase_rotation_invariant(self, rng):
         tpl = _template(rng)
         x = np.concatenate([np.zeros(10, complex), tpl * np.exp(1j * 2.2)])
-        scores = normalized_correlation(x, tpl)
+        scores = segmented_correlation(x, tpl, len(tpl))
         assert scores[10] == pytest.approx(1.0, abs=1e-6)
 
 
@@ -81,7 +83,7 @@ class TestSegmentedCorrelation:
         x = np.concatenate([np.zeros(100, complex), tpl, np.zeros(100, complex)])
         # CFO of 0.005 cycles/sample rotates 2.5 turns across the template.
         x_cfo = apply_cfo(x, 0.005, 1.0)
-        coherent = normalized_correlation(x_cfo, tpl)
+        coherent = segmented_correlation(x_cfo, tpl, len(tpl))
         segmented = segmented_correlation(x_cfo, tpl, block=32)
         assert segmented[100] > 2 * coherent.max()
         assert int(np.argmax(segmented)) == 100

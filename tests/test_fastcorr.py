@@ -9,6 +9,11 @@ the engine replaced):
   to float tolerance (different FFT lengths round differently);
 * ``segmented_correlation`` agrees with a per-block reference, and
   ``correlate_accumulate`` with a pair-order accumulation reference;
+* **one score rule**: a coherent ``ScoreBank`` track (the detector's)
+  is ``|correlate_many| / norm`` bit for bit, a blocked one the
+  per-block fold of ``correlate_many``'s tracks to 1e-12, and a
+  classifier track the detector track of the modem's strided sync
+  template bit for bit;
 * **row sharing**: templates equal up to a unit-modulus factor share
   one row (one inverse FFT per segment) and still agree with the
   references; anything else stays a row of its own;
@@ -34,12 +39,15 @@ import numpy as np
 import pytest
 from scipy import signal as sp_signal
 
+from repro.cloud import classify
 from repro.cloud.classify import SegmentClassifier
 from repro.dsp import fastcorr
 from repro.dsp.correlation import (
+    ScoreBank,
     cross_correlate,
     segmented_correlation,
     segmented_peak,
+    top_peaks,
 )
 from repro.dsp.fastcorr import (
     SPECTRA_CACHE_SLOTS,
@@ -55,12 +63,14 @@ from repro.dsp.fastcorr import (
     spectrum_plan,
     spectrum_plan_cache_info,
 )
+from repro.dsp.resample import to_rate
 from repro.errors import ConfigurationError
 from repro.gateway import GalioTGateway, StreamingGateway, iter_chunks
 from repro.gateway.detection import CorrelationDetector, PreambleBankDetector
 from repro.gateway.universal import UniversalPreamble, UniversalPreambleDetector
+from repro.phy import create_modem
 from repro.phy.lora import LoRaModem
-from repro.telemetry import Telemetry
+from repro.telemetry import NULL, Telemetry
 
 FS = 1e6
 
@@ -233,13 +243,6 @@ class TestCorrelateMany:
         with pytest.raises(ConfigurationError):
             correlate_many(_noise(rng, 50), bank)
 
-    def test_keys_subset(self, rng):
-        x = _noise(rng, 2000)
-        bank = TemplateBank({"a": _noise(rng, 64), "b": _noise(rng, 1999)})
-        out = correlate_many(x, bank, keys=["a"])
-        assert set(out) == {"a"}
-        assert correlate_many(x, bank, keys=[]) == {}
-
     def test_signal_exactly_template_length(self, rng):
         template = _noise(rng, 333)
         x = template.copy()
@@ -257,16 +260,6 @@ class TestCorrelateMany:
             out[0], cross_correlate(x.astype(complex), template),
             rtol=1e-9, atol=1e-11,
         )
-
-    def test_telemetry_counters(self, rng):
-        telemetry = Telemetry()
-        x = _noise(rng, 50_000)
-        bank = TemplateBank({i: _noise(rng, 256) for i in range(4)})
-        correlate_many(x, bank, telemetry=telemetry)
-        snapshot = telemetry.snapshot()
-        assert snapshot["counters"]["fastcorr.forward_ffts"] >= 1
-        assert snapshot["counters"]["fastcorr.inverse_ffts"] >= 4
-        assert "fastcorr.correlate.seconds" in snapshot["timers"]
 
 
 def single_precision_tracks(x, bank, keys):
@@ -296,7 +289,7 @@ def screen_error(x, bank, keys):
     peak."""
     screened = peak_magnitudes(x, bank, keys=keys)
     single = single_precision_tracks(x, bank, keys)
-    exact = correlate_many(x, bank, keys=keys)
+    exact = correlate_many(x, bank)
     out = {}
     for key in keys:
         mag32 = np.abs(single[key])
@@ -521,13 +514,11 @@ class TestBuffers:
         assert not any(np.shares_memory(track, x) for track in out.values())
         assert np.array_equal(out["copy"], out["t"])
         assert np.array_equal(out["alias"], out["t"] * np.conj(bank.phase("alias")))
-        alone = correlate_many(x, bank, keys=["alias"])["alias"]
-        assert np.array_equal(alone, out["alias"])
 
 
 def _zwave_sync_bank(zwave):
     """The sub-block bank Z-Wave's demodulator syncs with: the sync
-    reference and block at ``sample_sync_strided``'s stride, full blocks
+    reference and block at ``sample_sync``'s stride, full blocks
     only (``segmented_correlation``)."""
     stride = max(zwave._sps // 10, 1)
     block = max(2 * zwave._sps // stride, 4)
@@ -598,18 +589,11 @@ class TestRowSharing:
         assert bank.row("alias") == bank.row("t")
         assert np.isclose(bank.phase("alias"), g, rtol=0, atol=1e-12)
         x = _noise(rng, 30_000)
-        telemetry = Telemetry()
-        out = correlate_many(x, bank, telemetry=telemetry)
+        out = correlate_many(x, bank)
         for key, template in templates.items():
             assert np.allclose(
                 out[key], cross_correlate(x, template), rtol=1e-9, atol=1e-11
             )
-        counters = telemetry.snapshot()["counters"]
-        assert counters["fastcorr.inverse_ffts"] == 2 * counters["fastcorr.forward_ffts"]
-        # Requesting only an alias still scores it through its row.
-        alone = correlate_many(x, bank, keys=["alias"])
-        assert set(alone) == {"alias"}
-        assert np.allclose(alone["alias"], out["alias"], rtol=1e-12, atol=0)
 
     def test_non_unit_scale_conjugate_length_and_silence_not_merged(self, rng):
         t = _noise(rng, 128)
@@ -691,6 +675,104 @@ class TestScoreTrackEquivalence:
         assert np.allclose(on[None], legacy, rtol=1e-9, atol=1e-11)
 
 
+def _parent_blocked_track(x, template, block):
+    """A blocked detector track folded by hand, as the detector did
+    before its score rule moved into the engine's accumulator: every
+    block's complex track off one shared bank, magnitudes squared and
+    summed block by block."""
+    offsets = range(0, len(template), block)
+    bank = TemplateBank({off: template[off : off + block] for off in offsets})
+    tracks = correlate_many(x, bank)
+    out_len = len(x) - len(template) + 1
+    score = np.zeros(out_len)
+    for off in offsets:
+        score += np.abs(tracks[off][off : off + out_len]) ** 2
+    return np.sqrt(score) / float(np.sqrt(np.sum(np.abs(template) ** 2)))
+
+
+class TestScoreBank:
+    """One score rule (:class:`~repro.dsp.correlation.ScoreBank`) for
+    the gateway detector and the cloud classifier: a coherent track is
+    the engine's magnitude over the norm bit for bit, a blocked one the
+    per-block fold up to the rounding of aliased blocks, and a
+    classifier track the detector track of the modem's strided sync
+    template."""
+
+    @pytest.mark.parametrize("n", [9000, 40_000, 300_000])
+    @pytest.mark.parametrize("small_batches", [False, True])
+    def test_coherent_track_is_the_magnitude_over_the_norm(
+        self, trio, rng, monkeypatch, n, small_batches
+    ):
+        if small_batches:
+            monkeypatch.setattr(fastcorr, "BATCH_WORK_ELEMENTS", 3 * 8192)
+        universal = UniversalPreamble.build(trio, FS)
+        template = _noise(rng, 1000)
+        x = _noise(rng, n)
+        for detector, key, t in [
+            (CorrelationDetector({"t": template}), "t", template),
+            (UniversalPreambleDetector(universal), None, universal.waveform),
+        ]:
+            norm = float(np.sqrt(np.sum(np.abs(t) ** 2)))
+            expected = np.abs(correlate_many(x, TemplateBank({key: t}))[key]) / norm
+            assert np.array_equal(detector.score_tracks(x)[key], expected)
+
+    @pytest.mark.parametrize("block", [100, 128, 333])
+    def test_blocked_track_is_the_per_block_fold(self, trio, rng, block):
+        universal = UniversalPreamble.build(trio, FS)
+        # Ten copies of one block at rising phases: aliased rows.
+        repeated = np.tile(_noise(rng, 100), 10) * np.exp(
+            0.3j * np.arange(10).repeat(100)
+        )
+        x = _noise(rng, 40_000)
+        for template in (_noise(rng, 1000), repeated, universal.waveform):
+            track = CorrelationDetector({None: template}, block=block).score_tracks(x)
+            np.testing.assert_allclose(
+                track[None], _parent_blocked_track(x, template, block),
+                rtol=1e-12, atol=0,
+            )
+
+    @pytest.mark.parametrize("tech", ["lora", "xbee", "zwave"])
+    def test_classifier_track_is_the_detector_track(self, tech, rng, monkeypatch):
+        modem = create_modem(tech)
+        stride = max(int(modem.sync_decimation), 1)
+        template = modem.sync_reference()[::stride]
+        block = modem.sync_block
+        if block is not None and stride > 1:
+            block = max(block // stride, 8)
+        seen = []
+
+        def recording(track, *args):
+            seen.append(track)
+            return top_peaks(track, *args)
+
+        monkeypatch.setattr(classify, "top_peaks", recording)
+        x = _noise(rng, 60_000)
+        SegmentClassifier([modem], FS).classify(x)
+        sig = to_rate(x, FS, modem.sample_rate)[::stride]
+        detector = CorrelationDetector({tech: template}, block=block)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], detector.score_tracks(sig)[tech])
+
+    def test_telemetry_counters(self, rng):
+        telemetry = Telemetry()
+        x = _noise(rng, 50_000)
+        scores = ScoreBank({i: _noise(rng, 256) for i in range(4)}, dict.fromkeys(range(4)))
+        scores.tracks(x, range(4), telemetry)
+        snapshot = telemetry.snapshot()
+        assert snapshot["counters"]["fastcorr.forward_ffts"] >= 1
+        assert snapshot["counters"]["fastcorr.inverse_ffts"] >= 4
+        assert "fastcorr.correlate.seconds" in snapshot["timers"]
+
+    def test_validation(self, rng):
+        with pytest.raises(ConfigurationError):
+            ScoreBank({"t": np.zeros(64, complex)}, {"t": None})
+        with pytest.raises(ConfigurationError):
+            ScoreBank({}, {})
+        blocked = ScoreBank({"t": _noise(rng, 64)}, {"t": 16})
+        with pytest.raises(ConfigurationError):
+            blocked.peak_bounds(_noise(rng, 1000), ["t"], NULL)
+
+
 def _scene(trio, rng, duration_s=0.3):
     from repro.net.scene import SceneBuilder
 
@@ -751,22 +833,12 @@ class TestStreamingEquivalence:
 
 def _classify_banks(modems, n_samples):
     """Each classify group's bank and specs for a signal of ``n_samples``
-    at that group's rate and stride, built as the classifier builds them."""
+    at that group's rate and stride, as the classifier scores them."""
     clf = SegmentClassifier(modems, FS)
-    banks = []
-    for group, indices in clf._groups.items():
-        specs = {
-            index: TrackSpec(
-                pairs=tuple(
-                    ((index, offset), offset) for offset in clf._refs[index].offsets
-                ),
-                out_len=n_samples - len(clf._refs[index].tpl) + 1,
-                squared=clf._refs[index].block is not None,
-            )
-            for index in indices
-        }
-        banks.append((group, clf._banks[group], specs))
-    return banks
+    return [
+        (group, clf._scores[group].bank, clf._scores[group].specs(n_samples, indices))
+        for group, indices in clf._groups.items()
+    ]
 
 
 def _edits(rng, x, template):

@@ -10,6 +10,7 @@ import pytest
 
 from repro.errors import ConfigurationError, ReproError
 from repro.phy import create_modem
+from repro.phy.frames import sample_sync
 
 TECHS = ["lora", "xbee", "zwave", "ble", "sigfox", "oqpsk154"]
 
@@ -153,3 +154,34 @@ class TestSyncThreshold:
     def test_the_interval_is_closed(self, threshold):
         for tech in TECHS:
             create_modem(tech, sync_threshold=threshold)
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -0.1, 1.1])
+    @pytest.mark.parametrize("block", [None, 50])
+    def test_sample_sync_rejects_it_too(self, rng, threshold, block):
+        # Pure noise: a NaN or negative threshold used to return its
+        # argmax as a sync.
+        noise = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+        reference = rng.normal(size=400) + 1j * rng.normal(size=400)
+        with pytest.raises(ConfigurationError):
+            sample_sync(noise, reference, threshold, block=block)
+
+    @pytest.mark.parametrize("stride", [0, -1, 2.5, np.nan, None])
+    def test_sample_sync_stride_is_a_count(self, rng, stride):
+        noise = rng.normal(size=5000) + 1j * rng.normal(size=5000)
+        reference = rng.normal(size=400) + 1j * rng.normal(size=400)
+        with pytest.raises(ConfigurationError):
+            sample_sync(noise, reference, 0.5, block=50, stride=stride)
+
+    @pytest.mark.parametrize("block", [None, 7, 50])
+    def test_sample_sync_stride_searches_the_strided_signal(self, rng, block):
+        # Eight samples per symbol, like an oversampled preamble.
+        reference = np.repeat(rng.normal(size=50) + 1j * rng.normal(size=50), 8)
+        x = 0.3 * (rng.normal(size=5000) + 1j * rng.normal(size=5000))
+        x[1203 : 1203 + 400] += reference
+        strided_block = None if block is None else max(block // 4, 4)
+        start, score = sample_sync(x[::4], reference[::4], 0.3, block=strided_block)
+        assert sample_sync(x, reference, 0.3, block=block, stride=4) == (
+            4 * start,
+            score,
+        )
+        assert abs(4 * start - 1203) <= 4

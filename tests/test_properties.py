@@ -12,8 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.dsp.channel import signal_power
-from repro.dsp.correlation import normalized_correlation, segmented_correlation
-from repro.dsp.fastcorr import PLAN_TEMPLATES, correlate_many
+from repro.dsp.correlation import segmented_correlation
+from repro.dsp.fastcorr import PLAN_TEMPLATES, TemplateBank, correlate_many
 from repro.dsp.filters import fft_bandpass, fft_notch
 from repro.dsp.impairments import apply_cfo, apply_phase, quantize
 from repro.dsp.resample import to_rate
@@ -95,7 +95,7 @@ class TestCorrelationInvariants:
         rng = np.random.default_rng(seed)
         x = rng.normal(size=512) + 1j * rng.normal(size=512)
         t = rng.normal(size=64) + 1j * rng.normal(size=64)
-        scores = normalized_correlation(x, t)
+        scores = segmented_correlation(x, t, len(t))
         assert np.all(scores <= 1.0 + 1e-6)
         assert np.all(scores >= 0.0)
 
@@ -239,15 +239,16 @@ def _scale_for_peak(detector, base, preamble, tech, target):
     """The factor ``a`` at which ``base + a * preamble`` peaks at
     ``target`` on ``tech``'s score track: bisection over the sum of the
     two complex tracks, where the preamble's track is not zero."""
-    key = (tech, 0)
-    base_track = correlate_many(base, detector._bank, keys=[key])[key]
-    pre_track = correlate_many(preamble, detector._bank, keys=[key])[key]
+    template = detector.templates[tech]
+    bank = TemplateBank({tech: template})
+    base_track = correlate_many(base, bank)[tech]
+    pre_track = correlate_many(preamble, bank)[tech]
     support = np.flatnonzero(preamble)
-    lo_lag = max(support[0] - len(detector.templates[tech]) + 1, 0)
+    lo_lag = max(support[0] - len(template) + 1, 0)
     hi_lag = min(support[-1] + 1, len(base_track))
     outside = np.abs(np.concatenate([base_track[:lo_lag], base_track[hi_lag:]]))
     floor = outside.max(initial=0.0)
-    norm = detector._norms[tech]
+    norm = float(np.sqrt(np.sum(np.abs(template) ** 2)))
 
     def peak(a):
         inside = np.abs(base_track[lo_lag:hi_lag] + a * pre_track[lo_lag:hi_lag])
@@ -309,9 +310,9 @@ class TestScreenEqualsExactPath:
         assert_same_candidates(
             detector.stream_candidates(x), exact_candidates(detector, x)
         )
-        keys = [(tech, 0) for tech in detector.templates]
+        bank = TemplateBank(detector.templates)
         for key, (_, bound, err, _, _) in screen_error(
-            x, detector._bank, keys
+            x, bank, bank.keys()
         ).items():
             assert err <= bound / 100, key
 
@@ -334,14 +335,15 @@ def _sync_level(x, planted, reference, block, target):
 
 
 class TestSyncEqualsExactPath:
-    """The blocked ``sample_sync`` (a single-precision screen, then
-    complex128 on the segments that can hold the peak) returns exactly
-    ``(argmax, max)`` of ``segmented_correlation``, or raises exactly
-    when that max is below the threshold: for the trio's sync searches
-    and LoRa's ``oversample=1`` path, on noise at any scale with the
-    reference planted at a CFO and scaled to peak within 2 % of the
-    threshold, under a 40 dB interferer over part of the buffer, and
-    with a zeroed span like the one a sync retry leaves."""
+    """``sample_sync`` (a single-precision screen, then complex128 on
+    the segments that can hold the peak) returns exactly ``(argmax,
+    max)`` of ``segmented_correlation``, or raises exactly when that max
+    is below the threshold: for the trio's sync searches and LoRa's
+    ``oversample=1`` path, blocked or coherent (``block=None``, one
+    block), on noise at any scale with the reference planted at a CFO
+    and scaled to peak within 2 % of the threshold, under a 40 dB
+    interferer over part of the buffer, and with a zeroed span like the
+    one a sync retry leaves."""
 
     @given(
         st.integers(0, 3),
@@ -351,13 +353,16 @@ class TestSyncEqualsExactPath:
         st.floats(-0.3, 0.3),
         st.booleans(),
         st.booleans(),
+        st.booleans(),
     )
     @settings(max_examples=40, deadline=None)
     def test_sample_sync_equals_the_exact_path(
         self, lora, xbee, zwave, search, seed, log_scale, level, cfo,
-        interferer, zeroed,
+        interferer, zeroed, coherent,
     ):
         _, reference, block = sync_searches(lora, xbee, zwave)[search]
+        # The oracle's block: a coherent search is one block.
+        exact_block = len(reference) if coherent else block
         threshold = 0.35
         rng = np.random.default_rng(seed)
         n = len(reference) + int(rng.integers(0, 6 * len(reference)))
@@ -370,19 +375,22 @@ class TestSyncEqualsExactPath:
         if level is not None:
             at = int(rng.integers(0, n - len(reference) + 1))
             planted = np.zeros(n, dtype=complex)
-            ramp = np.exp(2j * np.pi * cfo / block * np.arange(len(reference)))
+            ramp = np.exp(2j * np.pi * cfo / exact_block * np.arange(len(reference)))
             planted[at : at + len(reference)] = scale * reference * ramp
-            x = x + _sync_level(x, planted, reference, block, level * threshold) * planted
+            x = x + _sync_level(
+                x, planted, reference, exact_block, level * threshold
+            ) * planted
         if zeroed:
             lo = int(rng.integers(0, n))
             x[lo : lo + len(reference)] = 0
-        scores = segmented_correlation(x, reference, block)
+        scores = segmented_correlation(x, reference, exact_block)
         best = int(np.argmax(scores))
+        sync_block = None if coherent else block
         if scores[best] < threshold:
             with pytest.raises(FrameSyncError):
-                sample_sync(x, reference, threshold, block=block)
+                sample_sync(x, reference, threshold, block=sync_block)
         else:
-            assert sample_sync(x, reference, threshold, block=block) == (
+            assert sample_sync(x, reference, threshold, block=sync_block) == (
                 best,
                 float(scores[best]),
             )
