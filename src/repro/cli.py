@@ -186,8 +186,9 @@ def _run_cloud(args: argparse.Namespace) -> int:
         if args.workers >= 1:
             results = service.drain()
     finally:
-        # A crashed run must not leave worker processes (or their
-        # /dev/shm blocks) behind; close() is idempotent.
+        # A crashed run must not leave worker processes behind; the
+        # segments went to them through the pool's pipe, so the worker
+        # processes are all there is to release. close() is idempotent.
         if args.workers >= 1:
             service.close()
     elapsed = time.perf_counter() - t0

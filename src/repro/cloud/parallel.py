@@ -5,7 +5,10 @@ Algorithm 1's cost is superlinear in collision depth — so the cloud
 side, not the Pi-class front end, is the throughput bottleneck of a
 deployment. :class:`ParallelCloudService` fans decompressed segments out
 over a process pool while keeping the three properties the serial
-:class:`~repro.cloud.pipeline.CloudService` guarantees:
+:class:`~repro.cloud.pipeline.CloudService` guarantees. A segment
+reaches its worker one way only: as the pickled argument of the pool's
+task, which the executor's feeder thread serializes into the pipe and
+drops once sent, so the parent keeps no second copy of what it ships.
 
 * **Determinism.** Results are merged in *submission* order, never
   completion order, so a parallel run is result-identical to the serial
@@ -71,17 +74,14 @@ from concurrent.futures import (
 from concurrent.futures import (
     TimeoutError as FutureTimeoutError,
 )
-from dataclasses import dataclass, field
-from multiprocessing import resource_tracker, shared_memory
+from dataclasses import dataclass
 from typing import Any
-
-import numpy as np
 
 from ..errors import ConfigurationError
 from ..faults import FaultPlan
 from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
-from ..types import DecodeResult, DetectionEvent, Segment
+from ..types import DecodeResult, Segment
 from .pipeline import CloudService, CloudStats
 
 __all__ = ["CloudResilience", "QuarantinedSegment", "ParallelCloudService"]
@@ -129,58 +129,6 @@ class QuarantinedSegment:
     requeues: int
 
 
-#: Segments below this many samples are pickled to process workers: the
-#: shared-memory round trip (create + copy + attach) costs two syscalls
-#: and a page-table walk, which only pays for itself on buffers big
-#: enough that pickle's serialize/deserialize copies dominate.
-SHM_MIN_SAMPLES = 8192
-
-
-@dataclass(frozen=True)
-class _ShmSegment:
-    """Wire descriptor for a segment whose samples live in shared memory.
-
-    What crosses the pickle boundary instead of the I/Q buffer: the
-    block name plus the metadata needed to rebuild the
-    :class:`~repro.types.Segment` around a zero-copy view. The *parent*
-    owns the block's lifetime — it creates, registers and unlinks; the
-    worker only attaches, reads and closes. (With the default ``fork``
-    start method the workers share the parent's resource tracker, so the
-    attach-side registration is a set no-op and the parent's single
-    unlink leaves the tracker clean.)
-    """
-
-    shm_name: str
-    length: int
-    dtype: str
-    start: int
-    sample_rate: float
-    detections: list[DetectionEvent] = field(default_factory=list)
-
-
-def _attach_shm_segment(
-    wire: _ShmSegment,
-) -> tuple[shared_memory.SharedMemory, Segment]:
-    """Rebuild a :class:`~repro.types.Segment` over the shared block.
-
-    The returned samples are a read-only, zero-copy view of the block
-    (the decoder copies into its working buffer anyway, and fault
-    corruption returns fresh arrays) — the caller must drop the Segment
-    before closing the handle or ``close()`` raises ``BufferError``.
-    """
-    shm = shared_memory.SharedMemory(name=wire.shm_name)
-    samples = np.ndarray(
-        (wire.length,), dtype=np.dtype(wire.dtype), buffer=shm.buf
-    )
-    samples.flags.writeable = False
-    return shm, Segment(
-        start=wire.start,
-        samples=samples,
-        sample_rate=wire.sample_rate,
-        detections=wire.detections,
-    )
-
-
 @dataclass(frozen=True)
 class _WorkerConfig:
     """Everything a worker needs to rebuild the serial service."""
@@ -209,58 +157,41 @@ def _init_worker(config: _WorkerConfig) -> None:
 _WorkerResult = tuple[list[DecodeResult], CloudStats, dict[str, dict[str, Any]]]
 
 
-def _run_one(
-    payload: Segment | _ShmSegment,
-    seq: int,
-    submission: int,
-) -> _WorkerResult:
+def _run_one(segment: Segment, seq: int, submission: int) -> _WorkerResult:
     """Decode one segment in a worker; return (results, stats, telemetry).
 
-    ``seq`` is the segment's stable sequence number (identical across
-    retries), ``submission`` the number of its current trip through the
-    pool — the two axes a :class:`~repro.faults.FaultPlan` keys its
-    worker faults on.
+    ``segment`` arrives through the pool's pickle pipe, a private copy
+    of the parent's. ``seq`` is the segment's stable sequence number
+    (identical across retries), ``submission`` the number of its current
+    trip through the pool — the two axes a
+    :class:`~repro.faults.FaultPlan` keys its worker faults on.
     """
-    shm = None
-    if isinstance(payload, _ShmSegment):
-        shm, payload = _attach_shm_segment(payload)
-    try:
-        service: CloudService = _worker.service
-        telemetry: Telemetry = _worker.telemetry
-        faults: FaultPlan | None = getattr(_worker, "faults", None)
-        if faults is not None:
-            faults.apply_in_worker(seq, submission)
-            payload = Segment(
-                start=payload.start,
-                samples=faults.corrupt_samples(seq, payload.samples),
-                sample_rate=payload.sample_rate,
-                detections=payload.detections,
-            )
-        service.stats = CloudStats()
-        telemetry.reset()
-        results = service.process_segment(payload)
-        return results, service.stats, telemetry.snapshot()
-    finally:
-        if shm is not None:
-            # The zero-copy view must die before the handle closes.
-            del payload
-            try:
-                shm.close()
-            except BufferError:
-                pass  # a stray view keeps the mapping; GC closes it
+    service: CloudService = _worker.service
+    telemetry: Telemetry = _worker.telemetry
+    faults: FaultPlan | None = getattr(_worker, "faults", None)
+    if faults is not None:
+        faults.apply_in_worker(seq, submission)
+        segment = Segment(
+            start=segment.start,
+            samples=faults.corrupt_samples(seq, segment.samples),
+            sample_rate=segment.sample_rate,
+            detections=segment.detections,
+        )
+    service.stats = CloudStats()
+    telemetry.reset()
+    results = service.process_segment(segment)
+    return results, service.stats, telemetry.snapshot()
 
 
 @dataclass
 class _Pending:
     """Parent-side bookkeeping for one in-flight segment.
 
-    ``payload`` is always the caller's original segment (what retries
-    re-decode and quarantine preserves); ``wire``/``shm`` are set when
-    its samples were staged into a shared-memory block, in which case
-    the descriptor is what crosses the pool boundary and the parent
-    unlinks the block once the segment is finished or given up on.
-    ``future`` and ``generation`` belong to the current submission,
-    ``submission`` is the number of the current trip through the pool.
+    ``payload`` is the caller's original segment: what every trip
+    through the pool pickles, what retries re-decode and what
+    quarantine preserves. ``future`` and ``generation`` belong to the
+    current submission, ``submission`` is the number of the current
+    trip through the pool.
     """
 
     seq: int
@@ -270,8 +201,6 @@ class _Pending:
     submission: int = 0
     attempts: int = 0
     requeues: int = 0
-    wire: _ShmSegment | None = None
-    shm: shared_memory.SharedMemory | None = None
 
 
 class ParallelCloudService:
@@ -332,11 +261,6 @@ class ParallelCloudService:
         self._seq = 0
         self._submissions = 0
         self._closed = False
-        # Start the resource tracker *before* the pool forks workers so
-        # every worker inherits the parent's tracker: attach-side
-        # registrations then dedupe against the parent's and the single
-        # unlink here leaves nothing for trackers to clean.
-        resource_tracker.ensure_running()
         self._pool = self._make_pool()
         self._pending: list[_Pending] = []
 
@@ -390,8 +314,7 @@ class ParallelCloudService:
         rejected at the door and lost outside the requeue accounting.
         Finding the pool broken is not a trip: the number stays.
         """
-        wire = item.wire if item.wire is not None else item.payload
-        args = (_run_one, wire, item.seq, item.submission)
+        args = (_run_one, item.payload, item.seq, item.submission)
         try:
             item.future = self._pool.submit(*args)
         except BrokenExecutor:
@@ -399,52 +322,9 @@ class ParallelCloudService:
             item.future = self._pool.submit(*args)
         item.generation = self._generation
 
-    def _stage_shm(self, item: _Pending) -> None:
-        """Stage a big segment's samples into a shared-memory block.
-
-        Workers then receive a tiny pickled descriptor instead of a
-        multi-megabyte serialized ndarray. Small segments and an
-        exhausted ``/dev/shm`` silently keep the pickle path, which
-        decodes identically.
-        """
-        samples = np.ascontiguousarray(item.payload.samples)
-        if len(samples) < SHM_MIN_SAMPLES:
-            return
-        try:
-            shm = shared_memory.SharedMemory(create=True, size=samples.nbytes)
-        except OSError:
-            self.telemetry.count("cloud.parallel.shm_fallbacks")
-            return
-        np.ndarray(samples.shape, dtype=samples.dtype, buffer=shm.buf)[
-            :
-        ] = samples
-        item.shm = shm
-        item.wire = _ShmSegment(
-            shm_name=shm.name,
-            length=len(samples),
-            dtype=str(samples.dtype),
-            start=item.payload.start,
-            sample_rate=item.payload.sample_rate,
-            detections=item.payload.detections,
-        )
-        self.telemetry.count("cloud.parallel.shm_segments")
-
-    def _release_shm(self, item: _Pending) -> None:
-        """Drop a finished item's shared block (parent owns the unlink)."""
-        if item.shm is None:
-            return
-        try:
-            item.shm.close()
-            item.shm.unlink()
-        except OSError:
-            pass  # already gone (e.g. /dev/shm purged underneath us)
-        item.shm = None
-        item.wire = None
-
     def _enqueue(self, segment: Segment) -> _Pending:
         item = _Pending(seq=self._seq, payload=segment)
         self._seq += 1
-        self._stage_shm(item)
         self._dispatch(item)
         self.telemetry.count("cloud.parallel.submitted")
         return item
@@ -469,20 +349,9 @@ class ParallelCloudService:
         segment does not participate in :meth:`drain`'s merge or its
         retry/requeue bookkeeping — error policy belongs to the caller
         (the benchmark counts a failed segment and moves on). A broken
-        pool is still respawned on submission, and a staged
-        shared-memory block is released when the future settles,
-        whatever the outcome. The release runs in a done callback, which
-        may fire just after ``result()`` returns; after :meth:`close`
-        every block is gone.
+        pool is still respawned on submission.
         """
-        item = self._enqueue(segment)
-        if item.shm is not None:
-            # The parent owns the unlink; the callback fires on
-            # completion, cancellation and error alike.
-            item.future.add_done_callback(
-                lambda _f, it=item: self._release_shm(it)
-            )
-        return item.future
+        return self._enqueue(segment).future
 
     def absorb_result(self, result: _WorkerResult) -> list[DecodeResult]:
         """Fold one :meth:`submit_future` result into stats/telemetry.
@@ -513,14 +382,7 @@ class ParallelCloudService:
         pending, self._pending = self._pending, []
         queue = deque(pending)
         done: dict[int, _WorkerResult] = {}
-        try:
-            self._drain_queue(queue, done)
-        except BaseException:
-            # An escaping exception (e.g. KeyboardInterrupt) must not
-            # leak /dev/shm blocks of the abandoned queue.
-            for item in queue:
-                self._release_shm(item)
-            raise
+        self._drain_queue(queue, done)
         merged: list[DecodeResult] = []
         for seq in sorted(done):
             results, stats, snapshot = done[seq]
@@ -541,7 +403,6 @@ class ParallelCloudService:
                 item = queue.popleft()
                 try:
                     done[item.seq] = item.future.result(timeout=timeout)
-                    self._release_shm(item)
                 except FutureTimeoutError:
                     item.future.cancel()
                     self.stats.degraded += 1
@@ -562,11 +423,6 @@ class ParallelCloudService:
                         queue.append(item)
                     else:
                         self._quarantine(item, f"decode failure: {exc!r}")
-                except BaseException:
-                    # Not a handled fault class (KeyboardInterrupt, ...):
-                    # release the popped item; drain() sweeps the rest.
-                    self._release_shm(item)
-                    raise
 
     def _rerun_poisoned(self, item: _Pending, queue: deque[_Pending]) -> bool:
         """Resubmit the segments poisoned by the breakage ``item`` hit.
@@ -610,7 +466,6 @@ class ParallelCloudService:
             self._quarantine(item, reason)
 
     def _quarantine(self, item: _Pending, reason: str) -> None:
-        self._release_shm(item)
         self.quarantine.append(
             QuarantinedSegment(
                 seq=item.seq,
@@ -645,10 +500,6 @@ class ParallelCloudService:
             self._pool.shutdown(wait=True)
         except Exception:
             self.telemetry.count("cloud.parallel.close_errors")
-        # Undrained submissions' shared blocks die with the farm (the
-        # shutdown above waited for any worker still reading them).
-        for item in self._pending:
-            self._release_shm(item)
 
     def __enter__(self) -> ParallelCloudService:
         return self

@@ -918,23 +918,26 @@ def _row_bounds(
     NaN or infinite.
 
     The segment energies are summed in float64 from the complex128
-    input: the segments that lie wholly inside ``x`` in one vectorized
-    pass over one strided view, and the few that run past its end (zero
-    padded) one by one.
+    input, as sums of squares over its float64 view: the segments that
+    lie wholly inside ``x`` in one vectorized pass over one strided
+    view, and the few that run past its end (zero padded) one by one.
     """
     nfft, hop = plan.nfft, plan.hop
     n_samples = len(x)
     whole = (n_samples - nfft) // hop + 1 if n_samples >= nfft else 0
     whole = min(whole, plan.n_segments)
+    # einsum, not vecdot/vdot: those call a threaded BLAS, whose idle
+    # threads then spin on another core after every call.
+    pairs = np.ascontiguousarray(x).view(np.float64)
     # np.maximum, not max(): a NaN energy must survive every segment.
     energy = np.float64(0)
     if whole:
-        windows = np.lib.stride_tricks.sliding_window_view(x, nfft)
-        segments = windows[: whole * hop : hop]
-        energy = np.vecdot(segments, segments).real.max()
+        windows = np.lib.stride_tricks.sliding_window_view(pairs, 2 * nfft)
+        segments = windows[: 2 * whole * hop : 2 * hop]
+        energy = np.einsum("ij,ij->i", segments, segments).max()
     for seg in range(whole, plan.n_segments):
-        tail = x[seg * hop :]
-        energy = np.maximum(energy, np.vdot(tail, tail).real)
+        tail = pairs[2 * seg * hop :]
+        energy = np.maximum(energy, np.einsum("i,i->", tail, tail))
     scale = np.sqrt(energy)
     spectrum_peak = np.abs(bank.spectra(nfft, np.complex64)[rows]).max(axis=1)
     reach = spectrum_peak.astype(np.float64) * scale

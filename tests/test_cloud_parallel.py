@@ -1,13 +1,11 @@
 """Tests for the parallel cloud decode farm (repro.cloud.parallel)."""
 
-from multiprocessing import resource_tracker, shared_memory
-from types import SimpleNamespace
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from repro.cloud import parallel
-from repro.cloud.parallel import SHM_MIN_SAMPLES, ParallelCloudService
+from repro.cloud.parallel import ParallelCloudService
 from repro.cloud.pipeline import CloudService, CloudStats
 from repro.errors import ConfigurationError
 from repro.net.scene import SceneBuilder
@@ -50,41 +48,6 @@ def serial_reference(trio, batch):
     service = CloudService(trio, FS, telemetry=telemetry)
     results = [r for s in batch for r in service.process_segment(s)]
     return results, service.stats, telemetry.snapshot()
-
-
-@pytest.fixture
-def farm_blocks(monkeypatch):
-    """Names of the shared-memory blocks the farm creates during a test.
-
-    ``repro.cloud.parallel`` sees a ``shared_memory`` whose
-    ``SharedMemory`` records every block it creates, so a leak check
-    looks at the farm's own blocks only, not at the machine's.
-    """
-    created: list[str] = []
-
-    class Recording(shared_memory.SharedMemory):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            if kwargs.get("create"):
-                created.append(self.name)
-
-    monkeypatch.setattr(
-        parallel, "shared_memory", SimpleNamespace(SharedMemory=Recording)
-    )
-    return created
-
-
-def _still_there(name):
-    """Whether the shared-memory block ``name`` still exists."""
-    try:
-        block = shared_memory.SharedMemory(name=name)
-    except FileNotFoundError:
-        return False
-    # Attaching registered the block with this process's resource
-    # tracker; unregister it so the tracker does not unlink it later.
-    resource_tracker.unregister(block._name, "shared_memory")
-    block.close()
-    return True
 
 
 @pytest.fixture(scope="module")
@@ -168,45 +131,16 @@ class TestSerialEquivalence:
             assert farm.drain() == []  # nothing pending after a drain
 
 
-class TestSharedMemoryHandoff:
-    """The zero-copy segment path to process workers."""
-
-    def test_process_pool_stages_big_segments(
-        self, trio, batch, serial_reference, farm_blocks
-    ):
-        ref_results, _, _ = serial_reference
-        assert all(len(s.samples) >= SHM_MIN_SAMPLES for s in batch)
-        telemetry = Telemetry()
-        with ParallelCloudService(
-            trio, FS, workers=2, telemetry=telemetry
-        ) as farm:
-            assert farm.process_segments(batch) == ref_results
-        counters = telemetry.snapshot()["counters"]
-        assert counters["cloud.parallel.shm_segments"] == len(batch)
-        assert len(farm_blocks) == len(batch)
-        assert not [n for n in farm_blocks if _still_there(n)]  # nothing leaked
-
-    def test_small_segments_keep_the_pickle_path(self, trio):
-        small = Segment(
-            start=0,
-            samples=np.full(SHM_MIN_SAMPLES // 2, 1e-3 + 0j),
-            sample_rate=FS,
-        )
-        telemetry = Telemetry()
-        with ParallelCloudService(
-            trio, FS, workers=1, telemetry=telemetry
-        ) as farm:
-            farm.process_segments([small])
-        counters = telemetry.snapshot()["counters"]
-        assert "cloud.parallel.shm_segments" not in counters
-
-    def test_close_releases_undrained_segments(self, trio, batch, farm_blocks):
-        farm = ParallelCloudService(trio, FS, workers=1)
+class TestClose:
+    def test_close_without_drain_leaves_no_worker_alive(self, trio, batch):
+        before = set(multiprocessing.active_children())
+        farm = ParallelCloudService(trio, FS, workers=2)
         for segment in batch:
             farm.submit(segment)
+        workers = set(multiprocessing.active_children()) - before
+        assert len(workers) == 2  # the farm's own pool, forked on submit
         farm.close()  # never drained
-        assert len(farm_blocks) == len(batch)
-        assert not [n for n in farm_blocks if _still_there(n)]
+        assert not [w for w in workers if w.is_alive()]
 
 
 class TestFutureApi:
@@ -214,10 +148,9 @@ class TestFutureApi:
     closed-loop caller drives instead of submit/drain."""
 
     def test_absorbed_in_submission_order_matches_serial(
-        self, trio, batch, serial_reference, farm_blocks
+        self, trio, batch, serial_reference
     ):
         ref_results, ref_stats, ref_snapshot = serial_reference
-        assert all(len(s.samples) >= SHM_MIN_SAMPLES for s in batch)
         telemetry = Telemetry()
         with ParallelCloudService(
             trio, FS, workers=2, telemetry=telemetry
@@ -229,11 +162,7 @@ class TestFutureApi:
         assert farm.stats == ref_stats
         snapshot = telemetry.snapshot()
         assert _strip_farm_metrics(snapshot) == _strip_farm_metrics(ref_snapshot)
-        assert snapshot["counters"]["cloud.parallel.shm_segments"] == len(batch)
-        # Checked after close(): a block is released by the future's
-        # done callback, which may run just after result() returns.
-        assert len(farm_blocks) == len(batch)
-        assert not [n for n in farm_blocks if _still_there(n)]
+        assert snapshot["counters"]["cloud.parallel.submitted"] == len(batch)
 
 
 class TestStreamingHook:

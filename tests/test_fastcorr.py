@@ -1047,6 +1047,53 @@ class TestScreenAccumulate:
             screen_accumulate(_noise(rng, 2000), bank, spec)
 
 
+class TestSegmentEnergies:
+    """The screen bounds' segment energies: float64 sums of ``|x|**2``,
+    taken without a BLAS dot (a threaded BLAS spins another core after
+    every call)."""
+
+    @pytest.mark.parametrize(
+        "n, stride", [(270_335, 1), (262_144, 1), (5001, 1), (70_000, 3)]
+    )
+    def test_bound_from_a_float64_reference(self, rng, n, stride):
+        # Whole segments and a zero-padded tail, one of them loud; the
+        # strided input is what a sync search at stride > 1 passes.
+        template = _noise(rng, 700)
+        bank = TemplateBank({0: template})
+        x = _noise(rng, n * stride)[::stride]
+        x[n // 3 : n // 3 + 1000] *= 30
+        plan = spectrum_plan(n, 700)
+        energies = [
+            np.sum(part.real**2 + part.imag**2)
+            for part in (
+                x[s * plan.hop : s * plan.hop + plan.nfft]
+                for s in range(plan.n_segments)
+            )
+        ]
+        spectrum_peak = np.abs(bank.spectra(plan.nfft, np.complex64)[0]).max()
+        want = (
+            fastcorr.SCREEN_KAPPA * 2.0**-24 * np.log2(plan.nfft)
+            * float(spectrum_peak) * np.sqrt(max(energies))
+        )
+        (bound,) = fastcorr._row_bounds(x, bank, [0], plan)
+        assert bound == pytest.approx(want, rel=1e-13)
+
+    def test_screen_runs_without_a_blas_dot(self, rng, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a BLAS dot on the screen path")
+
+        monkeypatch.setattr(np, "vdot", refuse)
+        monkeypatch.setattr(np, "vecdot", refuse)
+        # A gateway buffer: ten whole 32,768-point segments and a tail.
+        template = _noise(rng, 8192)
+        x = _noise(rng, 270_335)
+        ((_, bound),) = peak_magnitudes(x, TemplateBank({0: template})).values()
+        assert 0 < bound < np.inf
+        bank, spec = _sync_parts(template[:400], 50, len(x))
+        _, bound = screen_accumulate(x, bank, spec)
+        assert 0 < bound < np.inf
+
+
 class TestAccumulateAt:
     """Chosen accumulator entries equal the full call's bit for bit."""
 

@@ -605,12 +605,13 @@ class ReleaseNotExceptionSafe(_ResourceRule):
 class ClosureOverPoolBoundary(Rule):
     """GL302: a closure/lambda is shipped to an executor.
 
-    ``pool.submit(lambda: decode(samples), ...)`` pickles the closure's
-    captured environment for a process pool — including any captured
-    ndarray, byte-for-byte, through the pickle pipe that the shared-
-    memory fast path exists to avoid (and lambdas do not pickle at
-    all, failing only at runtime). Submit a module-level function and
-    pass data explicitly, so the shm handoff can see it.
+    ``pool.submit(lambda: decode(samples), ...)`` hides what crosses
+    to a process pool: the closure's captured environment, any
+    captured ndarray included, would travel byte for byte through the
+    pickle pipe, where no reader of the call site sees it — and
+    lambdas do not pickle at all, failing only at runtime. Submit a
+    module-level function and pass its data as explicit arguments, the
+    way the decode farm hands each worker its ``Segment``.
     """
 
     code = "GL302"
