@@ -165,24 +165,25 @@ def _run_cloud(args: argparse.Namespace) -> int:
     ) * np.sqrt(truth.noise_power / 2)
     gateway.detector.calibrate(noise)
 
+    stream = StreamingGateway(gateway)
     if args.workers < 1:
         service = CloudService(modems, fs, telemetry=telemetry)
-        stream = StreamingGateway(gateway)
         label = "serial"
     else:
         service = ParallelCloudService(
             modems, fs, workers=args.workers, telemetry=telemetry
         )
-        stream = StreamingGateway(gateway, on_shipped=service.submit)
         label = f"{args.workers} workers"
 
     results = []
     t0 = time.perf_counter()
     try:
         for report in stream.run(iter_chunks(capture, args.chunk)):
-            if args.workers < 1:
-                for segment in report.shipped:
+            for segment in report.shipped:
+                if args.workers < 1:
                     results.extend(service.process_segment(segment))
+                else:
+                    service.submit(segment)
         if args.workers >= 1:
             results = service.drain()
     finally:

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..contracts import ensure_iq, iq_contract
 from ..dsp.resample import NativeRateCache, to_rate
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, checked_count
 from ..phy.base import FrameResult, Modem
 from ..telemetry import NULL, Telemetry
 from ..types import DecodeResult
@@ -144,17 +144,13 @@ class CloudDecoder:
         if not modems:
             raise ConfigurationError("at least one modem is required")
         # Written so NaN fails too: every comparison with NaN is false.
-        if not (0 <= sync_retries < math.inf):
-            raise ConfigurationError("sync_retries must be a finite count >= 0")
         if not (0 < sample_rate_hz < math.inf):
             raise ConfigurationError("sample_rate_hz must be positive and finite")
-        if not (1 <= max_iterations < math.inf):
-            raise ConfigurationError("max_iterations must be a finite count >= 1")
         self.modems = {m.name: m for m in modems}
         self.sample_rate_hz = float(sample_rate_hz)
         self.use_kill_filters = use_kill_filters
-        self.max_iterations = int(max_iterations)
-        self.sync_retries = int(sync_retries)
+        self.max_iterations = checked_count("max_iterations", max_iterations)
+        self.sync_retries = checked_count("sync_retries", sync_retries, minimum=0)
         self.classifier = SegmentClassifier(
             modems, sample_rate_hz, telemetry=telemetry
         )

@@ -3,9 +3,11 @@
 The paper's cloud absorbs every detected segment from every gateway, and
 Algorithm 1's cost is superlinear in collision depth — so the cloud
 side, not the Pi-class front end, is the throughput bottleneck of a
-deployment. :class:`ParallelCloudService` fans decompressed segments out
-over a process pool while keeping the three properties the serial
-:class:`~repro.cloud.pipeline.CloudService` guarantees. A segment
+deployment. :class:`ParallelCloudService` fans shipped segments (each
+gateway report's ``shipped`` list) out over a process pool while
+keeping the three properties the serial
+:class:`~repro.cloud.pipeline.CloudService` guarantees. Like the serial
+service it takes :class:`~repro.types.Segment` objects only. A segment
 reaches its worker one way only: as the pickled argument of the pool's
 task, which the executor's feeder thread serializes into the pipe and
 drops once sent, so the parent keeps no second copy of what it ships.
@@ -42,9 +44,9 @@ overhead when unused):
   others re-run under their old numbers and count nowhere, so the
   requeue count does not depend on timing. A breakage the plan does not
   explain (a real worker death) requeues every segment it poisoned. A
-  breakage also poisons ``submit()`` itself, so new arrivals (e.g. from
-  the streaming gateway's ``on_shipped`` hook) trigger the same respawn
-  instead of being rejected at the door.
+  breakage also poisons ``submit()`` itself, so new arrivals (the
+  segments of the next chunk reports, submitted while the stream still
+  runs) trigger the same respawn instead of being rejected at the door.
 * **Retry-once-then-quarantine.** A decode exception (poison segment,
   injected fault) is retried up to
   :attr:`CloudResilience.max_retries` times; a segment that still
@@ -77,7 +79,7 @@ from concurrent.futures import (
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, checked_count
 from ..faults import FaultPlan
 from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
@@ -111,11 +113,9 @@ class CloudResilience:
         # wait and quarantine every segment; inf means no budget.
         if self.decode_timeout_s is not None and not self.decode_timeout_s > 0:
             raise ConfigurationError("decode_timeout_s must be positive")
-        # Chained so NaN fails; inf would retry a poison segment forever.
-        if not (0 <= self.max_retries < math.inf and 0 <= self.max_requeues < math.inf):
-            raise ConfigurationError(
-                "max_retries and max_requeues must be finite counts >= 0"
-            )
+        # inf would retry a poison segment forever, 1.5 retry it twice.
+        checked_count("max_retries", self.max_retries, minimum=0)
+        checked_count("max_requeues", self.max_requeues, minimum=0)
 
 
 @dataclass(frozen=True)
@@ -207,8 +207,8 @@ class ParallelCloudService:
     """Fan segments out over a process pool; merge in submission order.
 
     Drop-in for the serial service at the workload level: ``submit()``
-    segments as they arrive — e.g. from the streaming gateway's
-    ``on_shipped`` hook — then ``drain()`` for the merged results.
+    segments as they arrive — each streaming chunk report's ``shipped``
+    list, in order — then ``drain()`` for the merged results.
     :meth:`process_segments` wraps both for batch use. Every worker
     runs the full GalioT decoder (kill filters on).
 
@@ -239,16 +239,13 @@ class ParallelCloudService:
             raise ConfigurationError("at least one modem is required")
         if not (0 < sample_rate_hz < math.inf):
             raise ConfigurationError("sample_rate_hz must be positive and finite")
-        # The chained form also rejects NaN, which int() would raise on
-        # as a bare ValueError (and inf as an OverflowError).
-        if not (1 <= workers < math.inf):
-            raise ConfigurationError("workers must be a finite count >= 1")
+        workers = checked_count("workers", workers)
         if executor != "process":
             raise ConfigurationError(
                 f"executor must be 'process', got {executor!r}"
             )
         self.telemetry = telemetry
-        self.workers = int(workers)
+        self.workers = workers
         self.resilience = resilience if resilience is not None else CloudResilience()
         self.stats = CloudStats()
         self.quarantine: list[QuarantinedSegment] = []
@@ -309,9 +306,10 @@ class ParallelCloudService:
 
         A broken pool poisons ``submit()`` itself, not just the in-flight
         futures — without this respawn-and-resubmit, every segment
-        arriving between a worker crash and the next ``drain()`` (e.g.
-        from the streaming gateway's ``on_shipped`` hook) would be
-        rejected at the door and lost outside the requeue accounting.
+        arriving between a worker crash and the next ``drain()`` (the
+        shipped segments of chunk reports the stream yields meanwhile)
+        would be rejected at the door and lost outside the requeue
+        accounting.
         Finding the pool broken is not a trip: the number stays.
         """
         args = (_run_one, item.payload, item.seq, item.submission)
@@ -330,7 +328,7 @@ class ParallelCloudService:
         return item
 
     def submit(self, segment: Segment) -> None:
-        """Queue one decompressed segment for decoding."""
+        """Queue one shipped segment for decoding."""
         self._pending.append(self._enqueue(segment))
 
     def submit_future(self, segment: Segment) -> Future:

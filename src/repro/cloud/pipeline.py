@@ -1,15 +1,16 @@
-"""The GalioT cloud service: decompress shipped segments, joint-decode.
+"""The GalioT cloud service: joint-decode shipped segments.
 
-Binds the wire format (:mod:`repro.gateway.compression`) to the
-Algorithm-1 decoder and aggregates statistics across segments — the
-"GalioT Cloud" box of Figure 2.
+Feeds each shipped :class:`~repro.types.Segment` (a gateway report's
+``shipped`` list) to the Algorithm-1 decoder and aggregates statistics
+across segments — the "GalioT Cloud" box of Figure 2. The cloud takes
+segments only; a caller holding a wire blob decompresses it with the
+:class:`~repro.gateway.compression.SegmentCodec` that made it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..gateway.compression import CompressedSegment, SegmentCodec
 from ..gateway.edge import rebase_starts
 from ..guard import DecodeGuard
 from ..phy.base import Modem
@@ -98,12 +99,11 @@ class CloudService:
         sample_rate_hz: Capture sample rate of arriving segments.
         use_kill_filters: False runs the classic-SIC baseline (see
             :class:`~repro.cloud.decoder.CloudDecoder`).
-        codec: Wire codec for compressed segments.
         guard: Optional :class:`~repro.guard.DecodeGuard` applied to
             every decoded frame (replay / duplicate / false-decode
             admission control). Share one instance with the gateway's
             edge decoder so edge-resolved frames inoculate the cloud.
-        telemetry: Metrics sink threaded into the decoder and codec
+        telemetry: Metrics sink threaded into the decoder and guard
             (the shared no-op by default).
     """
 
@@ -112,7 +112,6 @@ class CloudService:
         modems: list[Modem],
         sample_rate_hz: float,
         use_kill_filters: bool = True,
-        codec: SegmentCodec | None = None,
         guard: DecodeGuard | None = None,
         sync_retries: int = 0,
         telemetry: Telemetry = NULL,
@@ -125,17 +124,14 @@ class CloudService:
             sync_retries=sync_retries,
             telemetry=telemetry,
         )
-        self.codec = codec or SegmentCodec(telemetry=telemetry)
-        if self.codec.telemetry is NULL:
-            self.codec.telemetry = telemetry
         self.guard = guard
         if self.guard is not None and self.guard.telemetry is NULL:
             self.guard.telemetry = telemetry
         self.stats = CloudStats()
 
     def process_segment(self, segment: Segment) -> list[DecodeResult]:
-        """Joint-decode one (already decompressed) segment; frame starts
-        come back as capture-time sample indices."""
+        """Joint-decode one shipped segment; frame starts come back as
+        capture-time sample indices."""
         with self.telemetry.span("cloud.pipeline"):
             report = self.decoder.decode(segment.samples)
         self.stats.absorb(report)
@@ -149,9 +145,3 @@ class CloudService:
         if self.guard is not None:
             results = self.guard.filter(results, capture_rate)
         return results
-
-    def process_compressed(
-        self, compressed: CompressedSegment
-    ) -> list[DecodeResult]:
-        """Decompress a wire blob, then joint-decode it."""
-        return self.process_segment(self.codec.decompress(compressed))

@@ -317,9 +317,12 @@ def _run_pipeline(
         faults=faults, resilience=CloudResilience(decode_timeout_s=30.0),
     )
     try:
-        report = StreamingGateway(
-            gateway, on_shipped=farm.submit, fault_tolerant=True
-        ).process_stream(chunks)
+        reports = []
+        for chunk_report in StreamingGateway(gateway).run(chunks):
+            for segment in chunk_report.shipped:
+                farm.submit(segment)
+            reports.append(chunk_report)
+        report = GatewayReport.merged(reports)
         results = farm.drain()
         return report, results, farm.stats, list(farm.quarantine), GuardStats(), telemetry
     finally:

@@ -3,10 +3,14 @@
 Every error raised by this package derives from :class:`ReproError`, so
 callers embedding the library can catch a single base class. Subclasses are
 split by subsystem: configuration problems, PHY decode failures, gateway
-resource limits, and registry lookups.
+resource limits, and registry lookups. :func:`checked_count` is the one
+rule by which a count argument becomes an ``int`` or raises
+:class:`ConfigurationError`.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
 
 
 class ReproError(Exception):
@@ -15,6 +19,21 @@ class ReproError(Exception):
 
 class ConfigurationError(ReproError):
     """A parameter combination is invalid (e.g. non-integer oversampling)."""
+
+
+def checked_count(name: str, value: object, minimum: int = 1) -> int:
+    """``value`` as a count: an integer (NumPy's included) >= ``minimum``.
+
+    An ``Integral`` test, not ``value < minimum`` alone: NaN passes that
+    comparison, ``int()`` raises a bare ``ValueError`` on NaN and
+    truncates 2.5 to 2, and inf is no count either.
+
+    Raises:
+        ConfigurationError: for anything else, naming ``name``.
+    """
+    if isinstance(value, Integral) and int(value) >= minimum:
+        return int(value)
+    raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
 
 
 class DecodeError(ReproError):

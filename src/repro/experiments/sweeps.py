@@ -110,11 +110,11 @@ def run_compression_depth(
         codec = SegmentCodec(bits=bits)
         shipped = 0
         ok = 0
-        service = CloudService(modems, fs, codec=codec)
+        service = CloudService(modems, fs)
         for modem, payload, segment in segments:
             blob, _ = codec.compress(segment)
             shipped += blob.n_bits
-            results = service.process_compressed(blob)
+            results = service.process_segment(codec.decompress(blob))
             ok += any(
                 r.technology == modem.name and r.payload == payload
                 for r in results

@@ -5,16 +5,16 @@ dwells, a gateway with enough compute can split the whole wideband
 capture into all of its sub-channels simultaneously (the "replicated
 front-ends" option of Sec. 6, implemented in DSP instead of hardware).
 
-Each channel is mixed to baseband, brick-wall filtered to its
-bandwidth in the frequency domain and decimated to the channel rate.
+Each channel is the hopping tuner's cut over the whole capture: mixed
+to baseband, brick-wall filtered to its bandwidth in the frequency
+domain and decimated to the channel rate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..dsp.filters import fft_bandpass, frequency_shift
-from .hopping import ChannelPlan
+from .hopping import ChannelPlan, HoppingFrontend
 
 __all__ = ["Channelizer"]
 
@@ -26,19 +26,11 @@ class Channelizer:
 
     def __init__(self, plan: ChannelPlan):
         self.plan = plan
+        self._tuner = HoppingFrontend(plan)
 
     def split(self, wide: np.ndarray) -> dict[int, np.ndarray]:
         """All channel basebands, keyed by channel index."""
         return {
-            c: self._one_channel(wide, c) for c in range(self.plan.n_channels)
+            c: self._tuner.tune(wide, c, 0, len(wide))
+            for c in range(self.plan.n_channels)
         }
-
-    def _one_channel(self, wide: np.ndarray, channel: int) -> np.ndarray:
-        centre = self.plan.centers_hz[channel]
-        mixed = frequency_shift(wide, -centre, self.plan.wide_fs)
-        filtered = fft_bandpass(
-            mixed,
-            self.plan.wide_fs,
-            (-self.plan.channel_bw / 2, self.plan.channel_bw / 2),
-        )
-        return filtered[:: self.plan.decimation]

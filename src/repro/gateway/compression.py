@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, checked_count
 from ..telemetry import NULL, Telemetry
 from ..types import Segment
 
@@ -82,9 +82,9 @@ class SegmentCodec:
     """
 
     def __init__(self, bits: int = 8, telemetry: Telemetry = NULL):
-        if not 1 <= bits <= 8:
+        self.bits = checked_count("bits", bits)
+        if self.bits > 8:
             raise ConfigurationError("bits must be in 1..8")
-        self.bits = bits
         self.telemetry = telemetry
 
     def compress(self, segment: Segment) -> tuple[CompressedSegment, CompressionStats]:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from collections.abc import Hashable
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
@@ -38,7 +37,7 @@ from ..contracts import iq_contract
 from ..dsp.correlation import ScoreBank, greedy_suppress
 from ..dsp.filters import moving_average
 from ..dsp.resample import to_rate
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, checked_count
 from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
 from ..types import DetectionEvent
@@ -93,9 +92,8 @@ def _validate(
     if any(value is not None and not math.isfinite(value) for value in fixed):
         raise ConfigurationError(f"threshold must be finite, got {threshold!r}")
     for name, value in {"min_distance": min_distance, **lengths}.items():
-        # Not ``value < 1``: NaN passes that; inf and 2.5 are no counts.
-        if value is not None and not (isinstance(value, Integral) and value >= 1):
-            raise ConfigurationError(f"{name} must be an integer >= 1, got {value!r}")
+        if value is not None:
+            checked_count(name, value)
 
 
 class CandidateDetector:

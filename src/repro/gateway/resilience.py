@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import CapacityError, ConfigurationError
+from ..errors import CapacityError, ConfigurationError, checked_count
 from ..faults import FaultPlan
 from ..telemetry import NULL, Telemetry
 from .backhaul import BackhaulLink
@@ -307,14 +307,10 @@ class DegradationLadder:
     ):
         if not 0.0 <= low < high <= 1.0:
             raise ConfigurationError("need 0 <= low < high <= 1")
-        if escalate_after < 1 or recover_after < 1:
-            raise ConfigurationError(
-                "escalate_after and recover_after must be >= 1"
-            )
         self.high = float(high)
         self.low = float(low)
-        self.escalate_after = int(escalate_after)
-        self.recover_after = int(recover_after)
+        self.escalate_after = checked_count("escalate_after", escalate_after)
+        self.recover_after = checked_count("recover_after", recover_after)
         self.telemetry = telemetry
         self.level = self.FULL
         self._hot = 0

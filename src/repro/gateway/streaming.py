@@ -43,9 +43,15 @@ the events, segments and shipped bits of one whole-capture pass:
   shipped once, in one piece.
 
 Each processed chunk yields an incremental
-:class:`~repro.gateway.gateway.GatewayReport`;
+:class:`~repro.gateway.gateway.GatewayReport`. Its ``shipped`` list is
+the one way a segment leaves the stream for the cloud: every segment
+the chunk delivered over the backhaul, in delivery order, older spilled
+segments a resilient backhaul delivered late included. A caller hands
+each to a cloud service (``CloudService.process_segment`` or
+``ParallelCloudService.submit``) as its chunk's report arrives, so
+decoding can run while the stream is still arriving.
 :meth:`GatewayReport.absorb <repro.gateway.gateway.GatewayReport.absorb>`
-merges them into totals identical to one
+merges the reports into totals identical to one
 :meth:`~repro.gateway.gateway.GalioTGateway.process` call over the
 concatenated stream, which is itself this stream over one chunk: the
 gateway has one receive path. Two caveats: per-capture CFAR thresholds
@@ -59,15 +65,14 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from ..contracts import iq_contract
 from ..dsp.correlation import greedy_suppress
-from ..errors import ConfigurationError
-from ..telemetry import Telemetry
-from ..types import DetectionEvent, Segment
+from ..errors import ConfigurationError, checked_count
+from ..types import DetectionEvent
 from .gateway import GalioTGateway, GatewayReport
 from .resilience import ResilientBackhaul
 
@@ -78,8 +83,7 @@ __all__ = ["StreamingGateway", "iter_chunks"]
 def iter_chunks(capture: np.ndarray, chunk_size: int) -> Iterator[np.ndarray]:
     """Split an in-memory capture into consecutive chunks (for tests
     and demos; a real deployment feeds SDR buffers directly)."""
-    if chunk_size < 1:
-        raise ConfigurationError("chunk_size must be >= 1")
+    chunk_size = checked_count("chunk_size", chunk_size)
     for lo in range(0, len(capture), chunk_size):
         yield capture[lo : lo + chunk_size]
 
@@ -104,43 +108,19 @@ class StreamingGateway:
     One instance consumes one stream: detector carry, pending candidates
     and open extraction windows live on the instance between chunks.
     Call :meth:`reset` (or build a fresh instance) for a new stream.
+    Segments bound for the cloud leave in each report's ``shipped`` list
+    (see :meth:`run`); the stream calls no cloud itself.
 
     Args:
         gateway: The configured gateway whose pipeline to drive. Its
-            detector, extractor, edge, codec and backhaul are used
-            as-is, so streaming and monolithic accounting share every
-            code path below the chunking layer.
-        telemetry: Metrics sink for stream-level metrics; defaults to
-            the gateway's own sink.
-        on_shipped: Cloud dispatch hook, called with each segment that
-            survives edge filtering and the backhaul (in stream order,
-            from the chunk that completed it). Wire it to a cloud
-            service — e.g. ``ParallelCloudService.submit`` — to fan
-            decoding out while the stream is still arriving.
-
-            Exception policy: a raising hook never corrupts gateway
-            window state — the segment is already extracted, shipped
-            and accounted before the hook runs. The error is counted as
-            ``gateway.hook_errors`` and re-raised, unless
-            ``fault_tolerant`` is set, in which case the stream carries
-            on without it.
-        fault_tolerant: Swallow (but count) ``on_shipped`` hook errors
-            instead of re-raising them.
+            detector, extractor, edge, codec, backhaul and telemetry
+            sink are used as-is, so streaming and monolithic accounting
+            share every code path below the chunking layer.
     """
 
-    def __init__(
-        self,
-        gateway: GalioTGateway,
-        telemetry: Telemetry | None = None,
-        on_shipped: Callable[[Segment], None] | None = None,
-        fault_tolerant: bool = False,
-    ):
+    def __init__(self, gateway: GalioTGateway):
         self.gateway = gateway
-        self.telemetry = (
-            telemetry if telemetry is not None else gateway.telemetry
-        )
-        self.on_shipped = on_shipped
-        self.fault_tolerant = bool(fault_tolerant)
+        self.telemetry = gateway.telemetry
         self.context = gateway.detector.context
         self.min_distance = gateway.detector.min_distance
         self.reset()
@@ -408,30 +388,8 @@ class StreamingGateway:
             self._buffer, self._buf_start, horizon
         ):
             report.segments.append(segment)
-            shipped_before = len(report.shipped)
             self.gateway.ship_segment(segment, report)
-            # A resilient backhaul may deliver *older* spilled segments
-            # alongside (or instead of) the one just closed — notify the
-            # hook for every newly shipped segment, in delivery order.
-            for shipped in report.shipped[shipped_before:]:
-                self._notify_shipped(shipped)
             self.telemetry.count("stream.segments")
-
-    def _notify_shipped(self, segment: Segment) -> None:
-        """Invoke ``on_shipped`` under the documented exception policy.
-
-        Gateway state (windows, buffers, accounting) is fully updated
-        before the hook runs, so a raising hook can never corrupt it:
-        the error is counted, then re-raised unless ``fault_tolerant``.
-        """
-        if self.on_shipped is None:
-            return
-        try:
-            self.on_shipped(segment)
-        except Exception:
-            self.telemetry.count("gateway.hook_errors")
-            if not self.fault_tolerant:
-                raise
 
     def _flush_backhaul(self, report: GatewayReport, final: bool) -> None:
         """Retry the resilient backhaul's spill buffer at stream time.
@@ -446,12 +404,8 @@ class StreamingGateway:
             return
         now = self._pos / self.gateway.sample_rate_hz
         delivered = backhaul.drain(now) if final else backhaul.flush(now)
-        if not delivered:
-            return
-        shipped_before = len(report.shipped)
-        self.gateway.account_deliveries(delivered, (), report)
-        for shipped in report.shipped[shipped_before:]:
-            self._notify_shipped(shipped)
+        if delivered:
+            self.gateway.account_deliveries(delivered, (), report)
 
     # -- buffer management ------------------------------------------------
 

@@ -11,13 +11,11 @@ use.
 
 from __future__ import annotations
 
-from numbers import Integral
-
 import numpy as np
 
 from ..contracts import iq_contract
 from ..dsp.correlation import segmented_peak
-from ..errors import ConfigurationError, FrameSyncError
+from ..errors import ConfigurationError, FrameSyncError, checked_count
 
 __all__ = ["checked_sync_threshold", "sample_sync"]
 
@@ -85,8 +83,7 @@ def sample_sync(
             no peak reaches the threshold.
     """
     threshold = checked_sync_threshold(threshold)
-    if not (isinstance(stride, Integral) and stride >= 1):
-        raise ConfigurationError(f"stride must be an integer >= 1, got {stride!r}")
+    checked_count("stride", stride)
     if stride > 1:
         iq, reference = iq[::stride], reference[::stride]
         if block is not None:

@@ -152,35 +152,32 @@ class JammingDetector:
     # -- streaming ingest -------------------------------------------------
 
     @iq_contract("samples")
-    def feed(self, samples: np.ndarray) -> list[JammingEvent]:
-        """Ingest samples; returns events *closed* by this call.
+    def feed(self, samples: np.ndarray) -> None:
+        """Ingest samples; the events they close wait for
+        :meth:`drain_events`.
 
         Block boundaries are absolute (a partial tail is carried to the
         next call), so any chunking of the same stream produces the same
-        events. Closed events also accumulate on the instance until
-        :meth:`drain_events`.
+        events.
         """
         data = np.concatenate([self._tail, np.asarray(samples)])
         n_blocks = len(data) // self.block
-        closed_before = len(self._closed)
         for b in range(n_blocks):
             self._ingest_block(data[b * self.block : (b + 1) * self.block])
         self._tail = data[n_blocks * self.block :]
-        return self._closed[closed_before:]
 
-    def flush(self) -> list[JammingEvent]:
+    def flush(self) -> None:
         """Close any open event at end of stream (tail samples shorter
         than one block are dropped, as a monolithic pass drops them)."""
-        closed_before = len(self._closed)
         if self._run >= MIN_BLOCKS:
             self._close_event()
         self._run = 0
         self._clean = 0
         self._open = []
-        return self._closed[closed_before:]
 
     def drain_events(self) -> list[JammingEvent]:
-        """Return and clear all closed events accumulated so far."""
+        """Return and clear all closed events accumulated so far: the
+        one way events leave the detector."""
         events, self._closed = self._closed, []
         return events
 

@@ -6,7 +6,7 @@ import pytest
 from repro.dsp.filters import frequency_shift
 from repro.dsp.resample import to_rate
 from repro.gateway.channelizer import Channelizer
-from repro.gateway.hopping import ChannelPlan
+from repro.gateway.hopping import ChannelPlan, HoppingFrontend
 from repro.phy import create_modem
 
 WIDE_FS = 4e6
@@ -53,3 +53,13 @@ class TestFftMode:
         channels = Channelizer(plan).split(wide)
         assert all(len(x) == 10_000 for x in channels.values())
 
+    def test_each_channel_is_the_tuners_cut(self, plan):
+        # The channelizer and the hopping tuner cut a channel one way.
+        rng = np.random.default_rng(7)
+        wide = rng.normal(size=40_000) + 1j * rng.normal(size=40_000)
+        wide += _tone_on_channel(plan, 0, -200e3, len(wide))
+        channels = Channelizer(plan).split(wide)
+        tuner = HoppingFrontend(plan)
+        assert sorted(channels) == list(range(plan.n_channels))
+        for c, x in channels.items():
+            assert np.array_equal(x, tuner.tune(wide, c, 0, len(wide)))

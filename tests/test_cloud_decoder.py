@@ -165,19 +165,21 @@ class TestCollisionDecoding:
             {"max_iterations": 0},
             {"max_iterations": -3},
             {"max_iterations": float("inf")},
+            {"max_iterations": 2.5},
             {"sync_retries": float("nan")},
             {"sync_retries": float("inf")},
+            {"sync_retries": 2.5},
         ],
         ids=[
             "iterations-0", "iterations-negative", "iterations-inf",
-            "retries-nan", "retries-inf",
+            "iterations-2.5", "retries-nan", "retries-inf", "retries-2.5",
         ],
     )
     def test_settings_that_decode_nothing_rejected(self, trio, kwargs):
         # Regression: the first two constructed fine and then silently
         # decoded nothing (candidates but no decode attempt); the
         # non-finite counts raised a bare OverflowError or ValueError
-        # from ``int()``.
+        # from ``int()``, which truncated 2.5 to 2.
         with pytest.raises(ConfigurationError):
             CloudDecoder(trio, FS, **kwargs)
 
@@ -426,8 +428,7 @@ class TestCloudService:
         capture, _ = builder.render(rng)
         codec = SegmentCodec()
         blob, _ = codec.compress(Segment(start=0, samples=capture, sample_rate=FS))
-        service = CloudService(trio, FS, codec=codec)
-        results = service.process_compressed(blob)
+        results = CloudService(trio, FS).process_segment(codec.decompress(blob))
         assert [r.payload for r in results] == [b"wire"]
 
     def test_stats_accumulate(self, trio, rng):

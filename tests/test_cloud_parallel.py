@@ -165,8 +165,8 @@ class TestFutureApi:
         assert snapshot["counters"]["cloud.parallel.submitted"] == len(batch)
 
 
-class TestStreamingHook:
-    def test_on_shipped_feeds_the_farm(self, trio, rng):
+class TestStreamingFeed:
+    def test_shipped_segments_feed_the_farm(self, trio, rng):
         from repro.gateway import GalioTGateway, StreamingGateway, iter_chunks
 
         by = {m.name: m for m in trio}
@@ -180,9 +180,10 @@ class TestStreamingHook:
         ) * np.sqrt(truth.noise_power / 2)
         gateway.detector.calibrate(noise)
         with ParallelCloudService(trio, FS, workers=2) as farm:
-            stream = StreamingGateway(gateway, on_shipped=farm.submit)
-            for _ in stream.run(iter_chunks(capture, 65_536)):
-                pass
+            stream = StreamingGateway(gateway)
+            for report in stream.run(iter_chunks(capture, 65_536)):
+                for segment in report.shipped:
+                    farm.submit(segment)
             results = farm.drain()
         assert {(r.technology, r.payload) for r in results} == {
             ("zwave", b"hooked"),
@@ -204,8 +205,8 @@ class TestValidation:
 
     def test_rejects_zero_workers(self, trio):
         # int() would raise a bare ValueError on NaN and an
-        # OverflowError on inf.
-        for workers in (0, float("nan"), float("inf")):
+        # OverflowError on inf, and run 2.5 as 2 workers.
+        for workers in (0, float("nan"), float("inf"), 2.5):
             with pytest.raises(ConfigurationError):
                 ParallelCloudService(trio, FS, workers=workers)
 

@@ -17,6 +17,7 @@ from repro.faults import FaultPlan, OutageWindow
 from repro.gateway import (
     BackhaulLink,
     GalioTGateway,
+    GatewayReport,
     ResilientBackhaul,
     StreamingGateway,
     iter_chunks,
@@ -165,7 +166,7 @@ class TestCrashes:
     ):
         """A broken pool poisons submit() itself; arrivals between a
         crash and the next drain() must trigger a respawn, not bubble
-        BrokenExecutor out of the on_shipped hook and get lost. The
+        BrokenExecutor out of submit() and get lost. The
         breakage found at the door takes no submission number, so the
         plan's crash at submission 0 still hits segment 0's first trip."""
 
@@ -271,8 +272,9 @@ class TestCloseLifecycle:
             CloudResilience(decode_timeout_s=float("nan"))
         # NaN slipped past ``< 0`` and no failing segment got its retry
         # or requeue; inf re-dispatched a poison segment forever (only
-        # construction is tested: a drain with it would never return).
-        for bad in (-1, float("nan"), float("inf")):
+        # construction is tested: a drain with it would never return);
+        # 1.5 retried twice.
+        for bad in (-1, float("nan"), float("inf"), 1.5):
             with pytest.raises(ConfigurationError):
                 CloudResilience(max_retries=bad)
             with pytest.raises(ConfigurationError):
@@ -391,10 +393,12 @@ class TestChaosEndToEnd:
             resilience=CloudResilience(decode_timeout_s=30.0),
             telemetry=telemetry,
         ) as farm:
-            stream = StreamingGateway(
-                gateway, on_shipped=farm.submit, fault_tolerant=True
-            )
-            report = stream.process_stream(chunks())
+            reports = []
+            for chunk_report in StreamingGateway(gateway).run(chunks()):
+                for segment in chunk_report.shipped:
+                    farm.submit(segment)
+                reports.append(chunk_report)
+            report = GatewayReport.merged(reports)
             chaos = self._frames(farm.drain())
 
         # Zero loss except explicit evictions (none scheduled here).

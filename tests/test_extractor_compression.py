@@ -171,10 +171,10 @@ class TestCodec:
         assert frame.crc_ok and frame.payload == payload
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ConfigurationError):
-            SegmentCodec(bits=0)
-        with pytest.raises(ConfigurationError):
-            SegmentCodec(bits=9)
+        # 2.5 was accepted, and compress() then raised a bare TypeError.
+        for bits in (0, 9, float("nan"), float("inf"), 2.5):
+            with pytest.raises(ConfigurationError):
+                SegmentCodec(bits=bits)
 
 
 def _two_rail_bytes(x, bits):

@@ -88,11 +88,11 @@ class TestEndToEnd:
         gateway = GalioTGateway(trio, FS, detector="universal", use_edge=False)
         report = gateway.process(capture, rng)
         codec = SegmentCodec()
-        cloud = CloudService(trio, FS, codec=codec)
+        cloud = CloudService(trio, FS)
         decodes = []
         for segment in report.shipped:
             blob, _ = codec.compress(segment)
-            decodes.extend(cloud.process_compressed(blob))
+            decodes.extend(cloud.process_segment(codec.decompress(blob)))
         assert match_decodes(decodes, truth.packets)
 
     def test_cfo_impaired_end_to_end(self, trio, rng):

@@ -71,9 +71,9 @@ class TestDetection:
     def test_clean_noise_produces_no_events(self):
         rng = np.random.default_rng(0)
         det = _detector()
-        events = det.feed(_noise(400_000, rng))
-        events += det.flush()
-        assert events == []
+        det.feed(_noise(400_000, rng))
+        det.flush()
+        assert det.drain_events() == []
         assert det.pressure_at(0.2) == 0.0
 
     def test_wideband_burst_is_detected(self):
@@ -83,7 +83,9 @@ class TestDetection:
         jam = quiet[:].copy()
         burst = _noise(60_000, rng, power=16.0)
         capture = np.concatenate([quiet, burst + _noise(60_000, rng), jam])
-        events = det.feed(capture) + det.flush()
+        det.feed(capture)
+        det.flush()
+        events = det.drain_events()
         assert len(events) == 1
         (event,) = events
         assert event.start_s == pytest.approx(0.1, abs=0.01)
@@ -100,8 +102,9 @@ class TestDetection:
         capture = np.concatenate(
             [_noise(80_000, rng), tone + _noise(80_000, rng), _noise(80_000, rng)]
         )
-        events = det.feed(capture) + det.flush()
-        assert len(events) == 1
+        det.feed(capture)
+        det.flush()
+        assert len(det.drain_events()) == 1
 
     def test_pulsed_jammer_accumulates_into_one_event(self):
         # 25 %-duty bursts are off for 3 of every 4 blocks; the gap
@@ -112,7 +115,9 @@ class TestDetection:
         capture = np.concatenate(
             [_noise(60_000, rng), pulses + _noise(300_000, rng), _noise(60_000, rng)]
         )
-        events = det.feed(capture) + det.flush()
+        det.feed(capture)
+        det.flush()
+        events = det.drain_events()
         assert len(events) == 1
         assert events[0].n_blocks >= 5
 
@@ -123,8 +128,9 @@ class TestDetection:
         capture = np.concatenate(
             [_noise(100_000, rng), blip, _noise(100_000, rng)]
         )
-        events = det.feed(capture) + det.flush()
-        assert events == []
+        det.feed(capture)
+        det.flush()
+        assert det.drain_events() == []
 
     def test_telemetry_counts_events(self):
         rng = np.random.default_rng(0)
@@ -148,10 +154,10 @@ class TestStreamingParity:
 
         def events_with_chunk(chunk):
             det = _detector()
-            events = []
             for lo in range(0, len(capture), chunk):
-                events += det.feed(capture[lo : lo + chunk])
-            return events + det.flush()
+                det.feed(capture[lo : lo + chunk])
+            det.flush()
+            return det.drain_events()
 
         mono = events_with_chunk(len(capture))
         assert mono == events_with_chunk(37_777)
@@ -164,8 +170,9 @@ class TestStreamingParity:
         det.reset()
         assert det.drain_events() == []
         assert det.pressure_at(0.05) == 0.0
-        events = det.feed(_noise(200_000, rng)) + det.flush()
-        assert events == []
+        det.feed(_noise(200_000, rng))
+        det.flush()
+        assert det.drain_events() == []
 
 
 class TestPressureAndGate:

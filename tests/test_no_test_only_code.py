@@ -148,7 +148,6 @@ KEPT_OPTIONS = {
     "repro.telemetry.Telemetry": _RECORD,
     # Telemetry sinks.
     "repro.gateway.backhaul.BackhaulLink.telemetry": _TELEMETRY,
-    "repro.gateway.streaming.StreamingGateway.telemetry": _TELEMETRY,
     "repro.sensing.jamming.JammingDetector.telemetry": _TELEMETRY,
 }
 

@@ -234,8 +234,12 @@ class TestDegradationLadder:
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             DegradationLadder(high=0.2, low=0.6)
-        with pytest.raises(ConfigurationError):
-            DegradationLadder(escalate_after=0)
+        # NaN raised a bare ValueError from ``int()``; 2.5 became 2.
+        for bad in (0, float("nan"), float("inf"), 2.5):
+            with pytest.raises(ConfigurationError):
+                DegradationLadder(escalate_after=bad)
+            with pytest.raises(ConfigurationError):
+                DegradationLadder(recover_after=bad)
 
 
 class TestAttackScaleSaturation:
@@ -397,75 +401,22 @@ class TestGatewayIntegration:
                 duo, FS, use_edge=False, backhaul=backhaul
             )
             gateway.detector.calibrate(noise)
-            shipped_order = []
-            stream = StreamingGateway(gateway, on_shipped=shipped_order.append)
+            stream = StreamingGateway(gateway)
             report = stream.process_stream(iter_chunks(capture, 30_000))
-            return report, shipped_order, backhaul
+            return report, backhaul
 
-        baseline, _, _ = run(None)
+        baseline, _ = run(None)
         # The outage covers the first packet's ship time and heals
         # mid-stream, so its segment spills and arrives late.
         plan = FaultPlan(outages=(OutageWindow(0.0, 0.15),))
-        faulty, order, backhaul = run(plan)
+        faulty, backhaul = run(plan)
         assert len(baseline.shipped) == 2
         assert faulty.dropped_segments == 0
         assert not backhaul.spill  # everything delivered by stream end
-        assert {s.start for s in faulty.shipped} == {
+        # The chunk reports' shipped lists hold both segments exactly
+        # once, the late spill delivery included.
+        assert sorted(s.start for s in faulty.shipped) == sorted(
             s.start for s in baseline.shipped
-        }
+        )
         assert faulty.shipped_bits == baseline.shipped_bits
-        # The hook saw both segments exactly once, spill included.
-        assert sorted(s.start for s in order) == sorted(
-            s.start for s in baseline.shipped
-        )
 
-
-class TestShippedHookPolicy:
-    def _scene(self, trio, rng):
-        by = {m.name: m for m in trio}
-        builder = SceneBuilder(FS, 0.06)
-        builder.add_packet(by["zwave"], b"hooked", 20_000, 15, rng)
-        capture, truth = builder.render(rng)
-        noise = (
-            rng.normal(size=50_000) + 1j * rng.normal(size=50_000)
-        ) * np.sqrt(truth.noise_power / 2)
-        return capture, noise
-
-    def _stream(self, trio, noise, telemetry, **kwargs):
-        gateway = GalioTGateway(
-            trio, FS, use_edge=False, telemetry=telemetry
-        )
-        gateway.detector.calibrate(noise)
-        return StreamingGateway(gateway, **kwargs)
-
-    def test_hook_errors_reraise_by_default(self, trio, rng):
-        capture, noise = self._scene(trio, rng)
-        telemetry = Telemetry()
-
-        def hook(segment):
-            raise ValueError("cloud exploded")
-
-        stream = self._stream(trio, noise, telemetry, on_shipped=hook)
-        with pytest.raises(ValueError, match="cloud exploded"):
-            for _ in stream.run(iter_chunks(capture, 20_000)):
-                pass
-        assert telemetry.counters["gateway.hook_errors"] == 1
-
-    def test_fault_tolerant_counts_and_continues(self, trio, rng):
-        capture, noise = self._scene(trio, rng)
-        telemetry = Telemetry()
-        seen = []
-
-        def hook(segment):
-            seen.append(segment)
-            raise ValueError("cloud exploded")
-
-        stream = self._stream(
-            trio, noise, telemetry, on_shipped=hook, fault_tolerant=True
-        )
-        reports = list(stream.run(iter_chunks(capture, 20_000)))
-        merged = sum(len(r.shipped) for r in reports)
-        assert merged == len(seen) == 1
-        assert telemetry.counters["gateway.hook_errors"] == 1
-        # The segment was shipped and accounted before the hook ran.
-        assert sum(r.shipped_bits for r in reports) > 0

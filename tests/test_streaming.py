@@ -397,8 +397,10 @@ class TestHelpers:
         assert np.array_equal(np.concatenate(chunks), capture)
 
     def test_iter_chunks_validates(self):
-        with pytest.raises(ConfigurationError):
-            list(iter_chunks(np.zeros(4, complex), 0))
+        # NaN, inf and 2.5 raised a bare TypeError from ``range``.
+        for chunk_size in (0, float("nan"), float("inf"), 2.5):
+            with pytest.raises(ConfigurationError):
+                list(iter_chunks(np.zeros(4, complex), chunk_size))
 
     def test_detector_context(self, stream_scene):
         modems, _, threshold, _ = stream_scene
