@@ -13,13 +13,14 @@ scene)``, so same-seed drills give identical ledgers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .cloud import CloudResilience, CloudService, CloudStats, ParallelCloudService
 from .cloud.parallel import QuarantinedSegment
-from .errors import ConfigurationError
+from .errors import ConfigurationError, checked_count
 from .faults import FaultPlan, build_scenario
 from .gateway import (
     BackhaulLink,
@@ -57,6 +58,12 @@ class DrillScene:
     per-segment fault and attack axes. ``seed`` roots the scene, the
     plan and detector calibration; ``rate_mbps`` is the resilient
     backhaul's link rate and ``chunk`` the streaming chunk size.
+
+    Raises:
+        ConfigurationError: for a ``seed`` that is not an integer >= 0,
+            a ``packets`` or ``chunk`` that is not an integer >= 1, a
+            ``duration_s`` or ``rate_mbps`` that is not positive and
+            finite, a non-finite ``snr_db``, or no ``technologies``.
     """
 
     seed: int = 0xC0FFEE
@@ -66,6 +73,22 @@ class DrillScene:
     technologies: tuple[str, ...] = ("xbee", "zwave")
     rate_mbps: float = 20.0
     chunk: int = 262_144
+
+    def __post_init__(self) -> None:
+        checked_count("seed", self.seed, minimum=0)
+        checked_count("packets", self.packets)
+        checked_count("chunk", self.chunk)
+        for name in ("duration_s", "rate_mbps"):
+            value = getattr(self, name)
+            # Written so NaN fails too: every comparison with NaN is false.
+            if not 0 < value < math.inf:
+                raise ConfigurationError(
+                    f"{name} must be positive and finite, got {value!r}"
+                )
+        if not math.isfinite(self.snr_db):
+            raise ConfigurationError(f"snr_db must be finite, got {self.snr_db!r}")
+        if not self.technologies:
+            raise ConfigurationError("technologies must not be empty")
 
     def plan(self, kind: str, scenario: str) -> FaultPlan | AttackPlan:
         """The named ``"chaos"`` or ``"attack"`` scenario for this scene."""

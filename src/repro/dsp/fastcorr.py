@@ -91,12 +91,15 @@ reason.
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
-from collections.abc import Hashable, Iterable, Iterator, Mapping
+from collections.abc import Callable, Hashable, Iterable, Iterator, Mapping
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from math import ceil, log2
+from typing import Any
 
 import numpy as np
 import numpy.typing as npt
@@ -554,7 +557,8 @@ def _overlap_save(
     (pocketfft's SIMD groups, :data:`SCREEN_LINES`): batches hold whole
     groups, zero segments after the last one fill the last group, and
     no batch yields them. Every batch is whole groups when the run
-    starts on a batch, as the whole loop does.
+    starts on a group boundary, as the whole loop and both runs of
+    :func:`peak_magnitudes` do.
     """
     nfft, hop = plan.nfft, plan.hop
     if segments is None:
@@ -947,6 +951,84 @@ def _row_bounds(
     return np.where(sound, bound, np.inf)
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS
+    has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: The screen's helper thread of each process, by process id (see
+#: :func:`peak_magnitudes`), started on first use and kept for the
+#: process's life. ``fork`` copies only the forking thread: a forked
+#: child, whose id differs, never finds its parent's helper, which it
+#: does not have, and starts its own.
+_helpers: dict[int, ThreadPoolExecutor] = {}
+
+
+def _on_helper(func: Callable[..., Any], *args: object) -> Future:
+    """``func(*args)`` on this process's helper thread; the future's
+    ``result()`` returns its value or re-raises its exception."""
+    pid = os.getpid()
+    helper = _helpers.get(pid)
+    if helper is None:
+        # Two threads' first calls may race here; the helper not stored
+        # ends once its call is done and it is collected.
+        helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fastcorr-screen")
+        _helpers[pid] = helper
+    # Named, not returned as a call: galiot-lint (GL202) would read a
+    # returned call here as the executor itself changing hands.
+    future = helper.submit(func, *args)
+    return future
+
+
+def _screen_run(
+    x: np.ndarray,
+    bank: TemplateBank,
+    rows: list[int],
+    track_lens: list[int],
+    plan: SpectrumPlan,
+    segments: range,
+) -> np.ndarray:
+    """Each of ``rows``' largest complex64 magnitude (float32) over the
+    lags a run of ``plan``'s segments holds of its valid track, of
+    length ``track_lens[i]``; NaN once any of them is NaN.
+
+    Runs only the engine's own internals and records no telemetry, so
+    :func:`peak_magnitudes` may run it on either of its threads.
+    """
+    hop = plan.hop
+    # np.maximum, not max(): a NaN peak must survive every batch.
+    peak = np.zeros(len(rows), dtype=np.float32)
+    for pos0, corr in _overlap_save(
+        x, bank, rows, plan, NULL, segments, np.complex64, SCREEN_LINES
+    ):
+        n_seg, n_rows, _ = corr.shape
+        magnitude = np.empty((n_rows, n_seg, hop), dtype=np.float32)
+        np.abs(corr, out=magnitude.transpose(1, 0, 2))
+        magnitude = magnitude.reshape(n_rows, n_seg * hop)
+        for i, track_len in enumerate(track_lens):
+            if pos0 < track_len:
+                peak[i] = np.maximum(peak[i], magnitude[i, : track_len - pos0].max())
+    return peak
+
+
+def _screen_with_bounds(
+    x: np.ndarray,
+    bank: TemplateBank,
+    rows: list[int],
+    track_lens: list[int],
+    plan: SpectrumPlan,
+    segments: range,
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_screen_run` over ``segments`` and :func:`_row_bounds`."""
+    return (
+        _screen_run(x, bank, rows, track_lens, plan, segments),
+        _row_bounds(x, bank, rows, plan),
+    )
+
+
 def peak_magnitudes(
     x: npt.ArrayLike,
     bank: TemplateBank,
@@ -962,12 +1044,26 @@ def peak_magnitudes(
     loop on the same segments (:func:`spectrum_plan`) in complex64,
     transformed in whole groups of :data:`SCREEN_LINES` lines; the zero
     lines that fill the last group add no lag to any track and no
-    energy to the bound. Every entry of the exact track, and of the
-    complex128 track :func:`correlate_many` computes, lies within
-    ``bound`` of its single-precision value. So no complex128 magnitude
-    exceeds ``peak + bound``: a caller that finds that sum below a
-    threshold knows, without computing one, that no complex128 score
-    reaches it.
+    energy to the bound.
+
+    Two threads share the work. The segments are cut into two runs at
+    a group boundary, the first ``groups // 2`` groups and the rest: the
+    process's helper thread (one, kept for the process's life) transforms
+    the first run and computes the bounds, and the calling thread
+    transforms the second; the two runs' peaks are combined with
+    ``np.maximum``. Every line is transformed in the same group as in
+    one run over all segments, and the maximum is exact, so ``(peak,
+    bound)`` is the same bits either way. A buffer of one group and a
+    process that may run on one CPU only take the one run on the
+    calling thread. Telemetry is recorded here, once per call: one
+    ``fastcorr.correlate`` span and the ``fastcorr.forward_ffts`` and
+    ``fastcorr.inverse_ffts`` counts of all the lines transformed.
+
+    Every entry of the exact track, and of the complex128 track
+    :func:`correlate_many` computes, lies within ``bound`` of its
+    single-precision value. So no complex128 magnitude exceeds ``peak +
+    bound``: a caller that finds that sum below a threshold knows,
+    without computing one, that no complex128 score reaches it.
 
     The bound. For a segment ``x_s`` of ``N = 2**t`` samples, with
     ``u = 2**-24`` (float32's unit roundoff) and ``T`` the template's
@@ -1023,24 +1119,29 @@ def peak_magnitudes(
         return {}
     rows, local = _distinct_rows(bank, requested)
     plan = spectrum_plan(n_samples, max(lengths), min(lengths))
-    hop = plan.hop
-    bounds = _row_bounds(x, bank, rows, plan)
-    track_lens = [n_samples - length + 1 for length in lengths]
-    # np.maximum, not max(): a NaN peak must survive every batch.
-    peak = dict.fromkeys(requested, np.float32(0))
-    for pos0, corr in _overlap_save(
-        x, bank, rows, plan, telemetry, dtype=np.complex64, lines=SCREEN_LINES
-    ):
-        n_seg, n_rows, _ = corr.shape
-        magnitude = np.empty((n_rows, n_seg, hop), dtype=np.float32)
-        np.abs(corr, out=magnitude.transpose(1, 0, 2))
-        magnitude = magnitude.reshape(n_rows, n_seg * hop)
-        for key, track_len in zip(requested, track_lens, strict=True):
-            if pos0 < track_len:
-                batch = magnitude[local[key], : track_len - pos0].max()
-                peak[key] = np.maximum(peak[key], batch)
+    # One track length per distinct row: a row is shared by templates
+    # of one length only.
+    track_lens = [0] * len(rows)
+    for key, length in zip(requested, lengths, strict=True):
+        track_lens[local[key]] = n_samples - length + 1
+    groups = -(-plan.n_segments // SCREEN_LINES)
+    split = groups // 2 * SCREEN_LINES
+    args = (x, bank, rows, track_lens, plan)
+    with telemetry.span("fastcorr.correlate"):
+        if split == 0 or _usable_cpus() < 2:
+            peak, bounds = _screen_with_bounds(*args, range(plan.n_segments))
+        else:
+            first = _on_helper(_screen_with_bounds, *args, range(split))
+            try:
+                late = _screen_run(*args, range(split, plan.n_segments))
+            finally:
+                early, bounds = first.result()
+            peak = np.maximum(early, late)
+    telemetry.count("fastcorr.forward_ffts", groups * SCREEN_LINES)
+    telemetry.count("fastcorr.inverse_ffts", groups * SCREEN_LINES * len(rows))
     return {
-        key: (float(peak[key]), float(bounds[local[key]])) for key in requested
+        key: (float(peak[local[key]]), float(bounds[local[key]]))
+        for key in requested
     }
 
 

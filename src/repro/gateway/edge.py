@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 
-from ..dsp.resample import to_rate
+from ..dsp.resample import NativeRateCache
 from ..errors import ReproError
 from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
@@ -90,13 +90,19 @@ class EdgeDecoder:
         The segment ships when nothing decoded, and also when its
         detector found more events than frames decoded: a potential
         collision, whose other frames the cloud may recover.
+
+        Each modem reads the segment at its native rate from one
+        :class:`~repro.dsp.resample.NativeRateCache`, as the cloud's
+        decoder does: a modem at the capture rate gets a read-only view
+        of the segment's samples, not a copy, and each other rate is
+        resampled once per segment.
         """
         results: list[DecodeResult] = []
+        rates = NativeRateCache(segment.samples, self.sample_rate_hz)
         with self.telemetry.span("edge"):
             for modem in self.modems:
                 try:
-                    native = to_rate(segment.samples, self.sample_rate_hz, modem.sample_rate)
-                    frame = modem.demodulate(native)
+                    frame = modem.demodulate(rates.view(modem.sample_rate))
                 except ReproError:
                     continue
                 if frame.crc_ok:

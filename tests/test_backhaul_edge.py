@@ -1,5 +1,6 @@
 """Unit tests for the backhaul link model and the edge decoder."""
 
+import numpy as np
 import pytest
 
 from repro.errors import CapacityError, ConfigurationError
@@ -129,3 +130,30 @@ class TestEdge:
         # Whatever the edge got, two detections > decoded frames means
         # the cloud must still see this segment.
         assert outcome.ship_to_cloud
+
+    def test_modems_read_one_view_per_rate(self, trio, sigfox, rng, monkeypatch):
+        # The trio runs at the 1 MHz capture rate: each demodulator reads
+        # a read-only view of the segment's own samples, not a copy.
+        # SigFox (16 kHz) reads the segment resampled, once.
+        lora = next(m for m in trio if m.name == "lora")
+        builder = SceneBuilder(FS, 0.05)
+        builder.add_packet(lora, b"local", 2000, 15, rng)
+        capture, _ = builder.render(rng)
+        segment = self._segment(capture)
+        seen = {}
+        for modem in [*trio, sigfox]:
+            demodulate = type(modem).demodulate
+
+            def recording(self, x, *args, _demodulate=demodulate, **kwargs):
+                seen[self.name] = x
+                return _demodulate(self, x, *args, **kwargs)
+
+            monkeypatch.setattr(type(modem), "demodulate", recording)
+        outcome = EdgeDecoder([*trio, sigfox], FS).try_decode(segment)
+        assert [r.payload for r in outcome.results] == [b"local"]
+        for modem in trio:
+            x = seen[modem.name]
+            assert np.shares_memory(x, segment.samples), modem.name
+            assert not x.flags.writeable, modem.name
+        assert not np.shares_memory(seen["sigfox"], segment.samples)
+        assert len(seen["sigfox"]) == len(capture) * 16 // 1000

@@ -99,6 +99,41 @@ class TestEmptyBaselineGate:
             )
 
 
+class TestSceneValidation:
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), 0])
+    @pytest.mark.parametrize("field", ["packets", "chunk"])
+    def test_count_that_is_no_integer_is_a_configuration_error(self, field, bad):
+        # Before, run_drill on packets=2.5 raised a bare ValueError from
+        # the scene's random choices and packets=nan "cannot convert
+        # float NaN to integer"; only the CLI's parsers kept them out.
+        scene = {"duration_s": 0.2, "packets": 2, field: bad}
+        with pytest.raises(ConfigurationError, match=field):
+            run_drill(SMOKE.plan("chaos", "none"), "none", DrillScene(**scene))
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            *[(f, v) for f in ("duration_s", "rate_mbps")
+              for v in (float("nan"), float("inf"), 0.0, -1.0)],
+            ("snr_db", float("nan")),
+            ("snr_db", float("inf")),
+        ],
+    )
+    def test_non_finite_or_non_positive_value_rejected(self, field, bad):
+        with pytest.raises(ConfigurationError, match=field):
+            DrillScene(**{field: bad})
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, float("nan")])
+    def test_seed_that_is_no_count_rejected(self, seed):
+        # NumPy's seeding raised a bare ValueError or TypeError.
+        with pytest.raises(ConfigurationError, match="seed"):
+            DrillScene(seed=seed)
+
+    def test_no_technologies_rejected(self):
+        with pytest.raises(ConfigurationError, match="technologies"):
+            DrillScene(technologies=())
+
+
 class TestPlanNames:
     @pytest.mark.parametrize(
         "kind, scenario", [("nope", "none"), ("chaos", "nope"), ("attack", "nope")]

@@ -1,12 +1,16 @@
 """Tests for the parallel cloud decode farm (repro.cloud.parallel)."""
 
 import multiprocessing
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.cloud.parallel import ParallelCloudService
 from repro.cloud.pipeline import CloudService, CloudStats
+from repro.dsp import fastcorr
+from repro.dsp.fastcorr import TemplateBank, peak_magnitudes
 from repro.errors import ConfigurationError
 from repro.net.scene import SceneBuilder
 from repro.net.traffic import packet_scene
@@ -196,6 +200,46 @@ class TestStreamingFeed:
                 p.start for p in truth.packets if p.technology == r.technology
             )
             assert abs(r.start - want) < 4096
+
+
+def _screen_in_child(x, template, expected, parent):
+    """A forked child's gateway screen: exits 0 once it returns the
+    parent's result on a helper of its own."""
+    assert parent in fastcorr._helpers
+    assert os.getpid() not in fastcorr._helpers
+    assert peak_magnitudes(x, TemplateBank({0: template})) == expected
+    assert os.getpid() in fastcorr._helpers
+
+
+class TestForkAfterScreen:
+    def test_forked_child_screens_without_waiting_on_a_lost_thread(
+        self, trio, batch, serial_reference
+    ):
+        # The farm forks its workers from a process whose gateway has
+        # screened on two threads; fork copies only the forking thread,
+        # so a child that screens must start its own helper, not wait
+        # on its parent's, which it does not have.
+        rng = np.random.default_rng(0xF02C)
+        template = rng.normal(size=8192) + 1j * rng.normal(size=8192)
+        x = rng.normal(size=270_335) + 1j * rng.normal(size=270_335)
+        with mock.patch.object(fastcorr, "_usable_cpus", return_value=2):
+            expected = peak_magnitudes(x, TemplateBank({0: template}))
+            assert os.getpid() in fastcorr._helpers
+            with ParallelCloudService(trio, FS, workers=2) as farm:
+                ref_results, _, _ = serial_reference
+                decoded = farm.process_segments(batch[:1])
+                assert decoded == ref_results[: len(decoded)]
+                child = multiprocessing.get_context("fork").Process(
+                    target=_screen_in_child,
+                    args=(x, template, expected, os.getpid()),
+                )
+                child.start()
+                child.join(timeout=60)
+                if child.is_alive():
+                    child.kill()
+                    child.join()
+                    pytest.fail("the forked child's screen hung")
+        assert child.exitcode == 0
 
 
 class TestValidation:

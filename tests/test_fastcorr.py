@@ -30,13 +30,24 @@ the engine replaced):
   the engine's own complex64 track, that track stays within a hundredth
   of the returned bound of the complex128 one, and non-finite, tiny or
   overflowing input never yields a finite ``peak + bound`` below the
-  exact peak.
+  exact peak;
+* **two threads**: the screen's two runs, one on the process's kept
+  helper thread, return one run's ``(peak, bound)`` bit for bit on
+  drawn buffers (NaN, inf and sub-``SCREEN_MIN_SCALE`` ones included),
+  record one run's telemetry, and pass an error in either run to the
+  caller.
 """
 
 from __future__ import annotations
 
+import sys
+import threading
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sp_signal
 
 from repro.cloud import classify
@@ -429,6 +440,218 @@ class TestPeakMagnitudes:
         (peak, bound, err, peak64, _), = screen_error(x, bank, [0]).values()
         assert err <= bound / 100
         assert peak64 <= peak + bound
+
+
+def one_run_screen(x, bank, keys):
+    """``peak_magnitudes`` as one run on one thread: every segment
+    through ``_overlap_save`` in one call, the bounds from
+    ``_row_bounds``."""
+    x = np.asarray(x, dtype=complex)
+    lengths = [bank.length(key) for key in keys]
+    rows, local = fastcorr._distinct_rows(bank, keys)
+    plan = spectrum_plan(len(x), max(lengths), min(lengths))
+    bounds = fastcorr._row_bounds(x, bank, rows, plan)
+    peak = dict.fromkeys(keys, np.float32(0))
+    for pos0, corr in fastcorr._overlap_save(
+        x, bank, rows, plan, fastcorr.NULL, dtype=np.complex64,
+        lines=fastcorr.SCREEN_LINES,
+    ):
+        magnitude = np.abs(corr).transpose(1, 0, 2).reshape(len(rows), -1)
+        for key, length in zip(keys, lengths, strict=True):
+            track = magnitude[local[key], : len(x) - length + 1 - pos0]
+            if track.size:
+                peak[key] = np.maximum(peak[key], track.max())
+    return {key: (float(peak[key]), float(bounds[local[key]])) for key in keys}
+
+
+def _bits(value):
+    """A float's bit pattern; every NaN alike."""
+    return "nan" if np.isnan(value) else np.float64(value).tobytes()
+
+
+@st.composite
+def screen_inputs(draw):
+    """One to three templates (the third may be a phase-rotated copy of
+    the first, which shares its row) and a buffer from one longest
+    template long up to several groups of segments, with at most one
+    NaN or inf sample, at a scale down to below SCREEN_MIN_SCALE."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lengths = draw(st.lists(st.integers(4, 96), min_size=1, max_size=3))
+    templates = {k: _noise(rng, length) for k, length in enumerate(lengths)}
+    if len(lengths) == 3 and draw(st.booleans()):
+        templates[2] = np.exp(0.7j) * templates[0]
+    longest = max(len(t) for t in templates.values())
+    # A plan's segment holds 7 to 15 longest templates of fresh lags: a
+    # buffer of at most 40 templates is one or two groups of four
+    # segments, one of 80 to 300 two groups or more.
+    if draw(st.booleans()):
+        n = draw(st.integers(longest, longest * 40))
+    else:
+        n = draw(st.integers(longest * 80, longest * 300))
+    x = _noise(rng, n) * draw(st.sampled_from([1.0, 2.0**-70, 300.0]))
+    bad = draw(st.sampled_from([None, np.nan, np.inf]))
+    if bad is not None:
+        x[draw(st.integers(0, n - 1))] = bad
+    return x, TemplateBank(templates)
+
+
+class TestTwoThreadScreen:
+    """``peak_magnitudes`` runs its segments in two runs on two threads;
+    its result is the one-run result bit for bit, and an error in either
+    run reaches the caller."""
+
+    @given(screen_inputs())
+    @settings(max_examples=80, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_split_equals_one_run_bit_for_bit(self, drawn):
+        x, bank = drawn
+        keys = bank.keys()
+        with mock.patch.object(fastcorr, "_usable_cpus", return_value=2):
+            split = peak_magnitudes(x, bank)
+        reference = one_run_screen(x, bank, keys)
+        assert list(split) == keys
+        for key in keys:
+            assert [_bits(v) for v in split[key]] == [
+                _bits(v) for v in reference[key]
+            ], key
+
+    @pytest.mark.parametrize("n", [270_335, 1_000_000])
+    def test_gateway_buffers_split_and_match_one_run(self, rng, n):
+        # Eleven segments run as 4 + 7, forty-one as 20 + 21.
+        template = _noise(rng, 8192)
+        bank = TemplateBank({0: template})
+        x = _noise(rng, n)
+        x[n // 3 : n // 3 + 8192] += 0.3 * template
+        runs = []
+        screen_run = fastcorr._screen_run
+
+        def recording(*args):
+            runs.append((args[-1], threading.current_thread().name))
+            return screen_run(*args)
+
+        with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
+                mock.patch.object(fastcorr, "_screen_run", recording):
+            telemetry = Telemetry()
+            split = peak_magnitudes(x, bank, telemetry=telemetry)
+        n_segments = spectrum_plan(n, 8192).n_segments
+        split_at = -(-n_segments // 4) // 2 * 4
+        assert sorted((run.start, run.stop) for run, _ in runs) == [
+            (0, split_at), (split_at, n_segments)
+        ]
+        (helper_name,) = {name for _, name in runs} - {
+            threading.current_thread().name
+        }
+        assert helper_name.startswith("fastcorr-screen")
+        assert split == one_run_screen(x, bank, [0])
+        # One span and the whole call's line counts, as for one run.
+        snapshot = telemetry.snapshot()
+        groups = -(-n_segments // 4)
+        assert snapshot["counters"]["fastcorr.forward_ffts"] == 4 * groups
+        assert snapshot["counters"]["fastcorr.inverse_ffts"] == 4 * groups
+        assert snapshot["timers"]["fastcorr.correlate.seconds"]["count"] == 1
+
+    @pytest.mark.parametrize("cpus, n", [(1, 270_335), (2, 20_000)])
+    def test_one_cpu_or_one_group_stays_on_the_caller(self, rng, cpus, n):
+        bank = TemplateBank({0: _noise(rng, 1000 if n < 100_000 else 8192)})
+        x = _noise(rng, n)
+        with mock.patch.object(fastcorr, "_usable_cpus", return_value=cpus), \
+                mock.patch.object(fastcorr, "_on_helper") as helper:
+            screened = peak_magnitudes(x, bank)
+        helper.assert_not_called()
+        assert screened == one_run_screen(x, bank, [0])
+
+    def test_concurrent_callers_share_one_bank(self, rng):
+        # Four callers sharing the process's one helper, on two CPUs or
+        # fewer, one cold bank (its spectra cache is shared under a
+        # lock), and a short switch interval: every result is still one
+        # run's.
+        template = _noise(rng, 1000)
+        buffers = [_noise(rng, 40_000) for _ in range(4)]
+        expected = [
+            one_run_screen(x, TemplateBank({0: template}), [0]) for x in buffers
+        ]
+        bank = TemplateBank({0: template})
+        results = [[] for _ in buffers]
+
+        def screen_many(i):
+            for _ in range(5):
+                results[i].append(peak_magnitudes(buffers[i], bank))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with mock.patch.object(fastcorr, "_usable_cpus", return_value=2):
+                callers = [
+                    threading.Thread(target=screen_many, args=(i,))
+                    for i in range(len(buffers))
+                ]
+                for caller in callers:
+                    caller.start()
+                for caller in callers:
+                    caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not [caller for caller in callers if caller.is_alive()]
+        assert results == [[want] * 5 for want in expected]
+        assert len(bank._spectra_cache) == 1
+
+    def test_an_error_in_the_helper_reaches_the_caller(self, rng):
+        error = RuntimeError("raised on the helper thread")
+        raised_on = []
+
+        def failing_bounds(*args):
+            raised_on.append(threading.current_thread().name)
+            raise error
+
+        bank = TemplateBank({0: _noise(rng, 8192)})
+        with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
+                mock.patch.object(fastcorr, "_row_bounds", failing_bounds), \
+                pytest.raises(RuntimeError) as caught:
+            peak_magnitudes(_noise(rng, 270_335), bank)
+        assert caught.value is error
+        assert len(raised_on) == 1
+        assert raised_on[0].startswith("fastcorr-screen")
+
+    def test_an_error_in_the_callers_run_waits_for_the_helper(self, rng):
+        # The caller's error propagates only after the helper's run is
+        # done: nothing of the call is still running when it raises.
+        screen_run = fastcorr._screen_run
+        helper_done = []
+
+        def second_run_fails(*args):
+            if args[-1].start == 0:
+                out = screen_run(*args)
+                helper_done.append(True)
+                return out
+            raise MemoryError("the caller's run")
+
+        bank = TemplateBank({0: _noise(rng, 8192)})
+        with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
+                mock.patch.object(fastcorr, "_screen_run", second_run_fails), \
+                pytest.raises(MemoryError):
+            peak_magnitudes(_noise(rng, 270_335), bank)
+        assert helper_done == [True]
+
+    def test_one_helper_thread_per_process(self, rng):
+        # The helper is kept: every call of this process runs its first
+        # run on the same thread.
+        bank = TemplateBank({0: _noise(rng, 8192)})
+        x = _noise(rng, 270_335)
+        helpers = []
+        screen_run = fastcorr._screen_run
+
+        def recording(*args):
+            if args[-1].start == 0:
+                helpers.append(threading.get_ident())
+            return screen_run(*args)
+
+        with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
+                mock.patch.object(fastcorr, "_screen_run", recording):
+            for _ in range(3):
+                peak_magnitudes(x, bank)
+        assert len(set(helpers)) == 1
+        assert helpers[0] != threading.get_ident()
 
 
 class TestBuffers:
