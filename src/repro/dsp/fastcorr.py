@@ -959,28 +959,46 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-#: The screen's helper thread of each process, by process id (see
-#: :func:`peak_magnitudes`), started on first use and kept for the
-#: process's life. ``fork`` copies only the forking thread: a forked
-#: child, whose id differs, never finds its parent's helper, which it
-#: does not have, and starts its own.
-_helpers: dict[int, ThreadPoolExecutor] = {}
+class _Helper:
+    """The screen's helper thread (see :func:`peak_magnitudes`): one
+    worker, started on first use and kept until the process forks."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.executor: ThreadPoolExecutor | None = None
+
+    def submit(self, func: Callable[..., Any], *args: object) -> Future:
+        """``func(*args)`` on the helper thread; the future's
+        ``result()`` returns its value or re-raises its exception."""
+        with self.lock:
+            if self.executor is None:
+                self.executor = ThreadPoolExecutor(
+                    max_workers=1, thread_name_prefix="fastcorr-screen"
+                )
+            future = self.executor.submit(func, *args)
+        return future
+
+    def stop(self) -> None:
+        """Before a fork: end the helper once its run is done, and hold
+        the lock until the fork is over. ``fork`` copies only the
+        forking thread, so the child must not find a helper it does not
+        have, and a run may still be going (:func:`peak_magnitudes` does
+        not wait for a late one); with no helper left, Python 3.12 and
+        later also do not warn of a fork with live threads. The next
+        screen on either side starts a new helper."""
+        self.lock.acquire()
+        if self.executor is not None:
+            self.executor.shutdown(wait=True)
+            self.executor = None
 
 
-def _on_helper(func: Callable[..., Any], *args: object) -> Future:
-    """``func(*args)`` on this process's helper thread; the future's
-    ``result()`` returns its value or re-raises its exception."""
-    pid = os.getpid()
-    helper = _helpers.get(pid)
-    if helper is None:
-        # Two threads' first calls may race here; the helper not stored
-        # ends once its call is done and it is collected.
-        helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fastcorr-screen")
-        _helpers[pid] = helper
-    # Named, not returned as a call: galiot-lint (GL202) would read a
-    # returned call here as the executor itself changing hands.
-    future = helper.submit(func, *args)
-    return future
+_helper = _Helper()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(
+        before=_helper.stop,
+        after_in_parent=_helper.lock.release,
+        after_in_child=_helper.lock.release,
+    )
 
 
 def _screen_run(
@@ -1048,16 +1066,20 @@ def peak_magnitudes(
 
     Two threads share the work. The segments are cut into two runs at
     a group boundary, the first ``groups // 2`` groups and the rest: the
-    process's helper thread (one, kept for the process's life) transforms
-    the first run and computes the bounds, and the calling thread
-    transforms the second; the two runs' peaks are combined with
+    process's helper thread (one, kept until the process forks)
+    transforms the first run and computes the bounds, and the calling
+    thread transforms the second; the two runs' peaks are combined with
     ``np.maximum``. Every line is transformed in the same group as in
     one run over all segments, and the maximum is exact, so ``(peak,
-    bound)`` is the same bits either way. A buffer of one group and a
-    process that may run on one CPU only take the one run on the
-    calling thread. Telemetry is recorded here, once per call: one
-    ``fastcorr.correlate`` span and the ``fastcorr.forward_ffts`` and
-    ``fastcorr.inverse_ffts`` counts of all the lines transformed.
+    bound)`` is the same bits either way. The caller never waits on the
+    helper: when its own run is done and the helper's is not, it runs
+    the first run itself, so a call takes about as long as one run on
+    one thread when the second CPU is busy, and less when it is free.
+    A buffer of one group and a process that may run on one CPU only
+    take the one run on the calling thread. Telemetry is recorded here,
+    once per call: one ``fastcorr.correlate`` span and the
+    ``fastcorr.forward_ffts`` and ``fastcorr.inverse_ffts`` counts of
+    all the lines transformed.
 
     Every entry of the exact track, and of the complex128 track
     :func:`correlate_many` computes, lies within ``bound`` of its
@@ -1131,10 +1153,14 @@ def peak_magnitudes(
         if split == 0 or _usable_cpus() < 2:
             peak, bounds = _screen_with_bounds(*args, range(plan.n_segments))
         else:
-            first = _on_helper(_screen_with_bounds, *args, range(split))
-            try:
-                late = _screen_run(*args, range(split, plan.n_segments))
-            finally:
+            first = _helper.submit(_screen_with_bounds, *args, range(split))
+            late = _screen_run(*args, range(split, plan.n_segments))
+            if first.cancel() or not first.done():
+                # The helper has not started its run, or not finished
+                # it: the caller runs it as well (the same bits) rather
+                # than wait on a thread that may not be getting a CPU.
+                early, bounds = _screen_with_bounds(*args, range(split))
+            else:
                 early, bounds = first.result()
             peak = np.maximum(early, late)
     telemetry.count("fastcorr.forward_ffts", groups * SCREEN_LINES)

@@ -202,13 +202,12 @@ class TestStreamingFeed:
             assert abs(r.start - want) < 4096
 
 
-def _screen_in_child(x, template, expected, parent):
+def _screen_in_child(x, template, expected):
     """A forked child's gateway screen: exits 0 once it returns the
     parent's result on a helper of its own."""
-    assert parent in fastcorr._helpers
-    assert os.getpid() not in fastcorr._helpers
+    assert fastcorr._helper.executor is None
     assert peak_magnitudes(x, TemplateBank({0: template})) == expected
-    assert os.getpid() in fastcorr._helpers
+    assert fastcorr._helper.executor is not None
 
 
 class TestForkAfterScreen:
@@ -217,21 +216,25 @@ class TestForkAfterScreen:
     ):
         # The farm forks its workers from a process whose gateway has
         # screened on two threads; fork copies only the forking thread,
-        # so a child that screens must start its own helper, not wait
-        # on its parent's, which it does not have.
+        # so the helper is ended before every fork, and a child that
+        # screens starts its own instead of waiting on one it does not
+        # have.
         rng = np.random.default_rng(0xF02C)
         template = rng.normal(size=8192) + 1j * rng.normal(size=8192)
         x = rng.normal(size=270_335) + 1j * rng.normal(size=270_335)
         with mock.patch.object(fastcorr, "_usable_cpus", return_value=2):
             expected = peak_magnitudes(x, TemplateBank({0: template}))
-            assert os.getpid() in fastcorr._helpers
+            assert fastcorr._helper.executor is not None
             with ParallelCloudService(trio, FS, workers=2) as farm:
                 ref_results, _, _ = serial_reference
                 decoded = farm.process_segments(batch[:1])
                 assert decoded == ref_results[: len(decoded)]
+                # Screen again after the farm's forks, so the child is
+                # forked from a process that has a helper.
+                assert peak_magnitudes(x, TemplateBank({0: template})) == expected
+                assert fastcorr._helper.executor is not None
                 child = multiprocessing.get_context("fork").Process(
-                    target=_screen_in_child,
-                    args=(x, template, expected, os.getpid()),
+                    target=_screen_in_child, args=(x, template, expected)
                 )
                 child.start()
                 child.join(timeout=60)

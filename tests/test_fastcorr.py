@@ -34,14 +34,19 @@ the engine replaced):
 * **two threads**: the screen's two runs, one on the process's kept
   helper thread, return one run's ``(peak, bound)`` bit for bit on
   drawn buffers (NaN, inf and sub-``SCREEN_MIN_SCALE`` ones included),
-  record one run's telemetry, and pass an error in either run to the
-  caller.
+  record one run's telemetry and pass an error in the helper's run to
+  the caller; a helper run that has not started or not finished is
+  run by the caller instead, and a fork waits for a late run and
+  leaves no helper on either side.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import sys
 import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -469,6 +474,31 @@ def _bits(value):
     return "nan" if np.isnan(value) else np.float64(value).tobytes()
 
 
+@contextlib.contextmanager
+def helper_first():
+    """Within it, ``peak_magnitudes``' caller finishes its own run only
+    once the helper's run is done, so the helper's run is the one used
+    (the caller would otherwise run it too when the helper is late)."""
+    submit = fastcorr._helper.submit
+    screen_run = fastcorr._screen_run
+    futures = []
+
+    def submitting(*args):
+        futures.append(submit(*args))
+        return futures[-1]
+
+    def after_the_helper(*args):
+        try:
+            return screen_run(*args)
+        finally:
+            if args[-1].start > 0:
+                futures[-1].exception(timeout=30)
+
+    with mock.patch.object(fastcorr._helper, "submit", submitting), \
+            mock.patch.object(fastcorr, "_screen_run", after_the_helper):
+        yield
+
+
 @st.composite
 def screen_inputs(draw):
     """One to three templates (the third may be a phase-rotated copy of
@@ -497,8 +527,9 @@ def screen_inputs(draw):
 
 class TestTwoThreadScreen:
     """``peak_magnitudes`` runs its segments in two runs on two threads;
-    its result is the one-run result bit for bit, and an error in either
-    run reaches the caller."""
+    its result is the one-run result bit for bit, an error in the
+    helper's run reaches the caller, and the caller never waits on a
+    helper run that has not started or not finished."""
 
     @given(screen_inputs())
     @settings(max_examples=80, deadline=None)
@@ -531,7 +562,8 @@ class TestTwoThreadScreen:
             return screen_run(*args)
 
         with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
-                mock.patch.object(fastcorr, "_screen_run", recording):
+                mock.patch.object(fastcorr, "_screen_run", recording), \
+                helper_first():
             telemetry = Telemetry()
             split = peak_magnitudes(x, bank, telemetry=telemetry)
         n_segments = spectrum_plan(n, 8192).n_segments
@@ -556,7 +588,7 @@ class TestTwoThreadScreen:
         bank = TemplateBank({0: _noise(rng, 1000 if n < 100_000 else 8192)})
         x = _noise(rng, n)
         with mock.patch.object(fastcorr, "_usable_cpus", return_value=cpus), \
-                mock.patch.object(fastcorr, "_on_helper") as helper:
+                mock.patch.object(fastcorr._helper, "submit") as helper:
             screened = peak_magnitudes(x, bank)
         helper.assert_not_called()
         assert screened == one_run_screen(x, bank, [0])
@@ -607,35 +639,103 @@ class TestTwoThreadScreen:
         bank = TemplateBank({0: _noise(rng, 8192)})
         with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
                 mock.patch.object(fastcorr, "_row_bounds", failing_bounds), \
-                pytest.raises(RuntimeError) as caught:
+                helper_first(), pytest.raises(RuntimeError) as caught:
             peak_magnitudes(_noise(rng, 270_335), bank)
         assert caught.value is error
         assert len(raised_on) == 1
         assert raised_on[0].startswith("fastcorr-screen")
 
-    def test_an_error_in_the_callers_run_waits_for_the_helper(self, rng):
-        # The caller's error propagates only after the helper's run is
-        # done: nothing of the call is still running when it raises.
-        screen_run = fastcorr._screen_run
-        helper_done = []
-
-        def second_run_fails(*args):
-            if args[-1].start == 0:
-                out = screen_run(*args)
-                helper_done.append(True)
-                return out
-            raise MemoryError("the caller's run")
-
+    def test_a_late_helper_run_is_run_again_by_the_caller(self, rng):
+        # The helper's run has started and is held up (as when its
+        # thread gets no CPU): the call returns one run's result
+        # without it, and the held run ends later, unused.
         bank = TemplateBank({0: _noise(rng, 8192)})
+        x = _noise(rng, 270_335)
+        caller = threading.current_thread()
+        started, release = threading.Event(), threading.Event()
+        screen_with_bounds = fastcorr._screen_with_bounds
+        screen_run = fastcorr._screen_run
+
+        def held(*args):
+            if threading.current_thread() is not caller:
+                started.set()
+                release.wait(30)
+            return screen_with_bounds(*args)
+
+        def after_the_start(*args):
+            # The caller's own run ends once the helper's has started.
+            out = screen_run(*args)
+            if args[-1].start > 0:
+                assert started.wait(30)
+            return out
+
         with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
-                mock.patch.object(fastcorr, "_screen_run", second_run_fails), \
-                pytest.raises(MemoryError):
-            peak_magnitudes(_noise(rng, 270_335), bank)
-        assert helper_done == [True]
+                mock.patch.object(fastcorr, "_screen_with_bounds", held), \
+                mock.patch.object(fastcorr, "_screen_run", after_the_start):
+            try:
+                screened = peak_magnitudes(x, bank)
+            finally:
+                release.set()
+            fastcorr._helper.submit(int).result(30)
+        assert started.is_set()
+        assert screened == one_run_screen(x, bank, [0])
+
+    def test_a_queued_helper_run_is_cancelled_and_run_by_the_caller(self, rng):
+        # The helper is still busy with an earlier job: the call's run
+        # waits in its queue, and the caller takes it back and runs it.
+        bank = TemplateBank({0: _noise(rng, 8192)})
+        x = _noise(rng, 270_335)
+        release = threading.Event()
+        on_helper = []
+        screen_with_bounds = fastcorr._screen_with_bounds
+
+        def recording(*args):
+            on_helper.append(threading.current_thread().name)
+            return screen_with_bounds(*args)
+
+        busy = fastcorr._helper.submit(release.wait, 30)
+        try:
+            with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
+                    mock.patch.object(
+                        fastcorr, "_screen_with_bounds", recording
+                    ):
+                screened = peak_magnitudes(x, bank)
+        finally:
+            release.set()
+        assert busy.result(30) is True
+        assert screened == one_run_screen(x, bank, [0])
+        assert on_helper == [threading.current_thread().name]
+
+    def test_a_fork_waits_for_a_late_run_and_leaves_no_helper(self, rng):
+        # A run still going on the helper when the process forks ends
+        # first; neither side keeps the helper, and the next screen
+        # starts a new one.
+        bank = TemplateBank({0: _noise(rng, 8192)})
+        x = _noise(rng, 270_335)
+        finished = []
+
+        def late():
+            time.sleep(0.2)
+            finished.append(True)
+
+        with mock.patch.object(fastcorr, "_usable_cpus", return_value=2):
+            peak_magnitudes(x, bank)
+            before = fastcorr._helper.executor
+            assert before is not None
+            fastcorr._helper.submit(late)
+            pid = os.fork()
+            if pid == 0:
+                os._exit(0 if fastcorr._helper.executor is None else 1)
+            _, status = os.waitpid(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            assert finished == [True]
+            assert fastcorr._helper.executor is None
+            assert peak_magnitudes(x, bank) == one_run_screen(x, bank, [0])
+            assert fastcorr._helper.executor not in (None, before)
 
     def test_one_helper_thread_per_process(self, rng):
-        # The helper is kept: every call of this process runs its first
-        # run on the same thread.
+        # The helper is kept: every call of this process, until it
+        # forks, runs its first run on the same thread.
         bank = TemplateBank({0: _noise(rng, 8192)})
         x = _noise(rng, 270_335)
         helpers = []
@@ -647,9 +747,11 @@ class TestTwoThreadScreen:
             return screen_run(*args)
 
         with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
-                mock.patch.object(fastcorr, "_screen_run", recording):
+                mock.patch.object(fastcorr, "_screen_run", recording), \
+                helper_first():
             for _ in range(3):
                 peak_magnitudes(x, bank)
+        assert len(helpers) == 3
         assert len(set(helpers)) == 1
         assert helpers[0] != threading.get_ident()
 
