@@ -91,6 +91,7 @@ reason.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 from collections import OrderedDict
@@ -982,8 +983,8 @@ class _Helper:
         """Before a fork: end the helper once its run is done, and hold
         the lock until the fork is over. ``fork`` copies only the
         forking thread, so the child must not find a helper it does not
-        have, and a run may still be going (:func:`peak_magnitudes` does
-        not wait for a late one); with no helper left, Python 3.12 and
+        have, nor a lock held by a part that a screen on another thread
+        still had going on it; with no helper left, Python 3.12 and
         later also do not warn of a fork with live threads. The next
         screen on either side starts a new helper."""
         self.lock.acquire()
@@ -1032,19 +1033,30 @@ def _screen_run(
     return peak
 
 
-def _screen_with_bounds(
+def _screen_parts(
     x: np.ndarray,
     bank: TemplateBank,
     rows: list[int],
     track_lens: list[int],
     plan: SpectrumPlan,
-    segments: range,
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_screen_run` over ``segments`` and :func:`_row_bounds`."""
-    return (
-        _screen_run(x, bank, rows, track_lens, plan, segments),
-        _row_bounds(x, bank, rows, plan),
-    )
+    parts: list[range | None],
+    claims: Iterator[int],
+    done: list[np.ndarray | None],
+) -> None:
+    """Take the next part from ``claims`` until none is left, storing
+    its result in ``done``: :func:`_screen_run` of a run of segments,
+    or :func:`_row_bounds` for ``None``. Both of
+    :func:`peak_magnitudes`' threads run this on one shared ``claims``
+    (``next`` on an :class:`itertools.count` is atomic under the GIL),
+    so each part is computed once, by whichever thread takes it."""
+    for i in claims:
+        if i >= len(parts):
+            return
+        part = parts[i]
+        done[i] = (
+            _row_bounds(x, bank, rows, plan) if part is None
+            else _screen_run(x, bank, rows, track_lens, plan, part)
+        )
 
 
 def peak_magnitudes(
@@ -1064,20 +1076,19 @@ def peak_magnitudes(
     lines that fill the last group add no lag to any track and no
     energy to the bound.
 
-    Two threads share the work. The segments are cut into two runs at
-    a group boundary, the first ``groups // 2`` groups and the rest: the
-    process's helper thread (one, kept until the process forks)
-    transforms the first run and computes the bounds, and the calling
-    thread transforms the second; the two runs' peaks are combined with
-    ``np.maximum``. Every line is transformed in the same group as in
-    one run over all segments, and the maximum is exact, so ``(peak,
-    bound)`` is the same bits either way. The caller never waits on the
-    helper: when its own run is done and the helper's is not, it runs
-    the first run itself, so a call takes about as long as one run on
-    one thread when the second CPU is busy, and less when it is free.
-    A buffer of one group and a process that may run on one CPU only
-    take the one run on the calling thread. Telemetry is recorded here,
-    once per call: one ``fastcorr.correlate`` span and the
+    Two threads share the work. It is cut into parts, one per group of
+    segments and one for the bounds; the calling thread and the
+    process's helper thread (one, kept until the process forks) each
+    take the next part until none is left (:func:`_screen_parts`), and
+    the parts' peaks are combined with ``np.maximum``. Every line is
+    transformed in the same group as in one run over all segments, and
+    the maximum is exact, so ``(peak, bound)`` is the same bits however
+    the parts fall. A helper that starts late, or gets little CPU, takes
+    fewer parts: the caller waits at most for the one part the helper
+    is on, and an error in the helper's part is raised to the caller
+    once that wait is over. A buffer of one group and a process that may run on one CPU
+    only take the one run on the calling thread. Telemetry is recorded
+    here, once per call: one ``fastcorr.correlate`` span and the
     ``fastcorr.forward_ffts`` and ``fastcorr.inverse_ffts`` counts of
     all the lines transformed.
 
@@ -1147,22 +1158,32 @@ def peak_magnitudes(
     for key, length in zip(requested, lengths, strict=True):
         track_lens[local[key]] = n_samples - length + 1
     groups = -(-plan.n_segments // SCREEN_LINES)
-    split = groups // 2 * SCREEN_LINES
     args = (x, bank, rows, track_lens, plan)
     with telemetry.span("fastcorr.correlate"):
-        if split == 0 or _usable_cpus() < 2:
-            peak, bounds = _screen_with_bounds(*args, range(plan.n_segments))
+        if groups < 2 or _usable_cpus() < 2:
+            peak = _screen_run(*args, range(plan.n_segments))
+            bounds = _row_bounds(x, bank, rows, plan)
         else:
-            first = _helper.submit(_screen_with_bounds, *args, range(split))
-            late = _screen_run(*args, range(split, plan.n_segments))
-            if first.cancel() or not first.done():
-                # The helper has not started its run, or not finished
-                # it: the caller runs it as well (the same bits) rather
-                # than wait on a thread that may not be getting a CPU.
-                early, bounds = _screen_with_bounds(*args, range(split))
-            else:
-                early, bounds = first.result()
-            peak = np.maximum(early, late)
+            # One part per group, the short bounds part last.
+            parts: list[range | None] = [
+                range(g * SCREEN_LINES, min((g + 1) * SCREEN_LINES, plan.n_segments))
+                for g in range(groups)
+            ]
+            parts.append(None)
+            claims = itertools.count()
+            done: list[np.ndarray | None] = [None] * len(parts)
+            helper = _helper.submit(_screen_parts, *args, parts, claims, done)
+            try:
+                _screen_parts(*args, parts, claims, done)
+            finally:
+                # Every part is taken: wait only for the one the helper
+                # may still be on; a helper that has not started takes
+                # none.
+                error = None if helper.cancel() else helper.exception()
+            if error is not None:
+                raise error
+            bounds = done.pop()
+            peak = np.maximum.reduce(done)
     telemetry.count("fastcorr.forward_ffts", groups * SCREEN_LINES)
     telemetry.count("fastcorr.inverse_ffts", groups * SCREEN_LINES * len(rows))
     return {

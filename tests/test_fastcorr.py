@@ -31,13 +31,14 @@ the engine replaced):
   of the returned bound of the complex128 one, and non-finite, tiny or
   overflowing input never yields a finite ``peak + bound`` below the
   exact peak;
-* **two threads**: the screen's two runs, one on the process's kept
-  helper thread, return one run's ``(peak, bound)`` bit for bit on
-  drawn buffers (NaN, inf and sub-``SCREEN_MIN_SCALE`` ones included),
-  record one run's telemetry and pass an error in the helper's run to
-  the caller; a helper run that has not started or not finished is
-  run by the caller instead, and a fork waits for a late run and
-  leaves no helper on either side.
+* **two threads**: the screen's parts (one per group of segments and
+  one for the bounds), taken in turn by the caller and the process's
+  kept helper thread, return one run's ``(peak, bound)`` bit for bit
+  on drawn buffers (NaN, inf and sub-``SCREEN_MIN_SCALE`` ones
+  included) and record one run's telemetry; an error in either
+  thread's part reaches the caller once neither runs, a busy helper
+  takes no part, and a fork waits for the helper's job and leaves no
+  helper on either side.
 """
 
 from __future__ import annotations
@@ -475,28 +476,32 @@ def _bits(value):
 
 
 @contextlib.contextmanager
-def helper_first():
-    """Within it, ``peak_magnitudes``' caller finishes its own run only
-    once the helper's run is done, so the helper's run is the one used
-    (the caller would otherwise run it too when the helper is late)."""
-    submit = fastcorr._helper.submit
-    screen_run = fastcorr._screen_run
-    futures = []
+def helper_takes_a_part():
+    """Within it, ``peak_magnitudes``' caller starts its first part only
+    once the helper has started one, so the helper takes at least one
+    part of the next call. Yields the list of ``(part, thread name)``
+    taken, a part being a range of segments or ``None`` (the bounds)."""
+    screen_run, row_bounds = fastcorr._screen_run, fastcorr._row_bounds
+    caller = threading.current_thread()
+    started = threading.Event()
+    taken = []
 
-    def submitting(*args):
-        futures.append(submit(*args))
-        return futures[-1]
+    def recorded(func, part_of):
+        def part(*args):
+            taken.append((part_of(args), threading.current_thread().name))
+            if threading.current_thread() is caller:
+                assert started.wait(30)
+            else:
+                started.set()
+            return func(*args)
+        return part
 
-    def after_the_helper(*args):
-        try:
-            return screen_run(*args)
-        finally:
-            if args[-1].start > 0:
-                futures[-1].exception(timeout=30)
-
-    with mock.patch.object(fastcorr._helper, "submit", submitting), \
-            mock.patch.object(fastcorr, "_screen_run", after_the_helper):
-        yield
+    with mock.patch.object(
+        fastcorr, "_screen_run", recorded(screen_run, lambda args: args[-1])
+    ), mock.patch.object(
+        fastcorr, "_row_bounds", recorded(row_bounds, lambda args: None)
+    ):
+        yield taken
 
 
 @st.composite
@@ -526,10 +531,11 @@ def screen_inputs(draw):
 
 
 class TestTwoThreadScreen:
-    """``peak_magnitudes`` runs its segments in two runs on two threads;
-    its result is the one-run result bit for bit, an error in the
-    helper's run reaches the caller, and the caller never waits on a
-    helper run that has not started or not finished."""
+    """``peak_magnitudes`` cuts its work into parts, one per group of
+    segments and one for the bounds, that its caller and the process's
+    helper thread take in turn; its result is the one-run result bit for
+    bit however the parts fall, a helper that is busy takes none, and an
+    error in either thread's part reaches the caller once neither runs."""
 
     @given(screen_inputs())
     @settings(max_examples=80, deadline=None)
@@ -548,37 +554,33 @@ class TestTwoThreadScreen:
             ], key
 
     @pytest.mark.parametrize("n", [270_335, 1_000_000])
-    def test_gateway_buffers_split_and_match_one_run(self, rng, n):
-        # Eleven segments run as 4 + 7, forty-one as 20 + 21.
+    def test_gateway_buffers_run_in_parts_and_match_one_run(self, rng, n):
+        # Eleven segments are three groups, forty-one are eleven; each
+        # group and the bounds are one part, computed once.
         template = _noise(rng, 8192)
         bank = TemplateBank({0: template})
         x = _noise(rng, n)
         x[n // 3 : n // 3 + 8192] += 0.3 * template
-        runs = []
-        screen_run = fastcorr._screen_run
-
-        def recording(*args):
-            runs.append((args[-1], threading.current_thread().name))
-            return screen_run(*args)
-
         with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
-                mock.patch.object(fastcorr, "_screen_run", recording), \
-                helper_first():
+                helper_takes_a_part() as taken:
             telemetry = Telemetry()
             split = peak_magnitudes(x, bank, telemetry=telemetry)
         n_segments = spectrum_plan(n, 8192).n_segments
-        split_at = -(-n_segments // 4) // 2 * 4
-        assert sorted((run.start, run.stop) for run, _ in runs) == [
-            (0, split_at), (split_at, n_segments)
+        groups = -(-n_segments // 4)
+        parts = [part for part, _ in taken]
+        assert sorted(p.start for p in parts if p is not None) == [
+            4 * g for g in range(groups)
         ]
-        (helper_name,) = {name for _, name in runs} - {
-            threading.current_thread().name
-        }
-        assert helper_name.startswith("fastcorr-screen")
+        assert all(
+            p.stop == min(p.start + 4, n_segments) for p in parts if p is not None
+        )
+        assert parts.count(None) == 1
+        helpers = {name for _, name in taken} - {threading.current_thread().name}
+        assert len(helpers) == 1
+        assert helpers.pop().startswith("fastcorr-screen")
         assert split == one_run_screen(x, bank, [0])
         # One span and the whole call's line counts, as for one run.
         snapshot = telemetry.snapshot()
-        groups = -(-n_segments // 4)
         assert snapshot["counters"]["fastcorr.forward_ffts"] == 4 * groups
         assert snapshot["counters"]["fastcorr.inverse_ffts"] == 4 * groups
         assert snapshot["timers"]["fastcorr.correlate.seconds"]["count"] == 1
@@ -630,81 +632,81 @@ class TestTwoThreadScreen:
 
     def test_an_error_in_the_helper_reaches_the_caller(self, rng):
         error = RuntimeError("raised on the helper thread")
+        caller = threading.current_thread()
+        raised = threading.Event()
         raised_on = []
+        screen_run = fastcorr._screen_run
 
-        def failing_bounds(*args):
+        def failing_on_the_helper(*args):
+            if threading.current_thread() is caller:
+                # The helper takes a part, and fails, first.
+                assert raised.wait(30)
+                return screen_run(*args)
             raised_on.append(threading.current_thread().name)
+            raised.set()
             raise error
 
         bank = TemplateBank({0: _noise(rng, 8192)})
         with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
-                mock.patch.object(fastcorr, "_row_bounds", failing_bounds), \
-                helper_first(), pytest.raises(RuntimeError) as caught:
+                mock.patch.object(
+                    fastcorr, "_screen_run", failing_on_the_helper
+                ), pytest.raises(RuntimeError) as caught:
             peak_magnitudes(_noise(rng, 270_335), bank)
         assert caught.value is error
         assert len(raised_on) == 1
         assert raised_on[0].startswith("fastcorr-screen")
 
-    def test_a_late_helper_run_is_run_again_by_the_caller(self, rng):
-        # The helper's run has started and is held up (as when its
-        # thread gets no CPU): the call returns one run's result
-        # without it, and the held run ends later, unused.
-        bank = TemplateBank({0: _noise(rng, 8192)})
-        x = _noise(rng, 270_335)
+    def test_an_error_in_the_callers_part_waits_for_the_helper(self, rng):
+        # The caller's error propagates only once the helper is done:
+        # nothing of the call is still running when it raises.
         caller = threading.current_thread()
-        started, release = threading.Event(), threading.Event()
-        screen_with_bounds = fastcorr._screen_with_bounds
+        started = threading.Event()
+        helper_parts = []
         screen_run = fastcorr._screen_run
 
-        def held(*args):
-            if threading.current_thread() is not caller:
-                started.set()
-                release.wait(30)
-            return screen_with_bounds(*args)
-
-        def after_the_start(*args):
-            # The caller's own run ends once the helper's has started.
-            out = screen_run(*args)
-            if args[-1].start > 0:
+        def failing_on_the_caller(*args):
+            if threading.current_thread() is caller:
                 assert started.wait(30)
+                raise MemoryError("the caller's part")
+            started.set()
+            time.sleep(0.05)
+            out = screen_run(*args)
+            helper_parts.append(args[-1])
             return out
 
+        bank = TemplateBank({0: _noise(rng, 8192)})
         with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
-                mock.patch.object(fastcorr, "_screen_with_bounds", held), \
-                mock.patch.object(fastcorr, "_screen_run", after_the_start):
-            try:
-                screened = peak_magnitudes(x, bank)
-            finally:
-                release.set()
-            fastcorr._helper.submit(int).result(30)
-        assert started.is_set()
-        assert screened == one_run_screen(x, bank, [0])
+                mock.patch.object(
+                    fastcorr, "_screen_run", failing_on_the_caller
+                ), pytest.raises(MemoryError):
+            peak_magnitudes(_noise(rng, 270_335), bank)
+        # The caller failed on the first group; the helper took the
+        # other two and finished them before the error was raised.
+        assert sorted(part.start for part in helper_parts) == [4, 8]
 
-    def test_a_queued_helper_run_is_cancelled_and_run_by_the_caller(self, rng):
-        # The helper is still busy with an earlier job: the call's run
-        # waits in its queue, and the caller takes it back and runs it.
+    def test_a_busy_helper_takes_no_part(self, rng):
+        # The helper is still on an earlier job: the call's work waits
+        # in its queue, the caller takes every part and cancels it.
         bank = TemplateBank({0: _noise(rng, 8192)})
         x = _noise(rng, 270_335)
         release = threading.Event()
-        on_helper = []
-        screen_with_bounds = fastcorr._screen_with_bounds
+        busy = fastcorr._helper.submit(release.wait, 30)
+        screen_run = fastcorr._screen_run
+        threads = []
 
         def recording(*args):
-            on_helper.append(threading.current_thread().name)
-            return screen_with_bounds(*args)
+            threads.append(threading.current_thread().name)
+            return screen_run(*args)
 
-        busy = fastcorr._helper.submit(release.wait, 30)
         try:
             with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
-                    mock.patch.object(
-                        fastcorr, "_screen_with_bounds", recording
-                    ):
+                    mock.patch.object(fastcorr, "_screen_run", recording):
                 screened = peak_magnitudes(x, bank)
         finally:
             release.set()
         assert busy.result(30) is True
         assert screened == one_run_screen(x, bank, [0])
-        assert on_helper == [threading.current_thread().name]
+        assert threads == [threading.current_thread().name] * 3
 
     def test_a_fork_waits_for_a_late_run_and_leaves_no_helper(self, rng):
         # A run still going on the helper when the process forks ends
@@ -735,25 +737,17 @@ class TestTwoThreadScreen:
 
     def test_one_helper_thread_per_process(self, rng):
         # The helper is kept: every call of this process, until it
-        # forks, runs its first run on the same thread.
+        # forks, runs its parts on the same thread.
         bank = TemplateBank({0: _noise(rng, 8192)})
         x = _noise(rng, 270_335)
-        helpers = []
-        screen_run = fastcorr._screen_run
-
-        def recording(*args):
-            if args[-1].start == 0:
-                helpers.append(threading.get_ident())
-            return screen_run(*args)
-
-        with mock.patch.object(fastcorr, "_usable_cpus", return_value=2), \
-                mock.patch.object(fastcorr, "_screen_run", recording), \
-                helper_first():
+        helpers = set()
+        with mock.patch.object(fastcorr, "_usable_cpus", return_value=2):
             for _ in range(3):
-                peak_magnitudes(x, bank)
-        assert len(helpers) == 3
-        assert len(set(helpers)) == 1
-        assert helpers[0] != threading.get_ident()
+                with helper_takes_a_part() as taken:
+                    peak_magnitudes(x, bank)
+                helpers |= {name for _, name in taken}
+        helpers.discard(threading.current_thread().name)
+        assert len(helpers) == 1
 
 
 class TestBuffers:
