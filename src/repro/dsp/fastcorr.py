@@ -558,7 +558,7 @@ def _overlap_save(
     (pocketfft's SIMD groups, :data:`SCREEN_LINES`): batches hold whole
     groups, zero segments after the last one fill the last group, and
     no batch yields them. Every batch is whole groups when the run
-    starts on a group boundary, as the whole loop and both runs of
+    starts on a group boundary, as the whole loop and every part of
     :func:`peak_magnitudes` do.
     """
     nfft, hop = plan.nfft, plan.hop
@@ -1086,11 +1086,11 @@ def peak_magnitudes(
     the parts fall. A helper that starts late, or gets little CPU, takes
     fewer parts: the caller waits at most for the one part the helper
     is on, and an error in the helper's part is raised to the caller
-    once that wait is over. A buffer of one group and a process that may run on one CPU
-    only take the one run on the calling thread. Telemetry is recorded
-    here, once per call: one ``fastcorr.correlate`` span and the
-    ``fastcorr.forward_ffts`` and ``fastcorr.inverse_ffts`` counts of
-    all the lines transformed.
+    once that wait is over. A buffer of one group and a process that
+    may run on one CPU only take the one run on the calling thread.
+    Telemetry is recorded here, once per call: one
+    ``fastcorr.correlate`` span and the ``fastcorr.forward_ffts`` and
+    ``fastcorr.inverse_ffts`` counts of all the lines transformed.
 
     Every entry of the exact track, and of the complex128 track
     :func:`correlate_many` computes, lies within ``bound`` of its
