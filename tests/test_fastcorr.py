@@ -708,15 +708,15 @@ class TestTwoThreadScreen:
         assert screened == one_run_screen(x, bank, [0])
         assert threads == [threading.current_thread().name] * 3
 
-    def test_a_fork_waits_for_a_late_run_and_leaves_no_helper(self, rng):
-        # A run still going on the helper when the process forks ends
+    def test_a_fork_waits_for_the_helpers_job_and_leaves_no_helper(self, rng):
+        # A job still going on the helper when the process forks ends
         # first; neither side keeps the helper, and the next screen
         # starts a new one.
         bank = TemplateBank({0: _noise(rng, 8192)})
         x = _noise(rng, 270_335)
         finished = []
 
-        def late():
+        def job():
             time.sleep(0.2)
             finished.append(True)
 
@@ -724,7 +724,7 @@ class TestTwoThreadScreen:
             peak_magnitudes(x, bank)
             before = fastcorr._helper.executor
             assert before is not None
-            fastcorr._helper.submit(late)
+            fastcorr._helper.submit(job)
             pid = os.fork()
             if pid == 0:
                 os._exit(0 if fastcorr._helper.executor is None else 1)
