@@ -51,7 +51,7 @@ def main() -> None:
             print(f"  truth: {p.technology:6s} start={p.start} "
                   f"payload={p.payload.hex()}")
 
-        decoder = CloudDecoder.galiot(modems, loaded.sample_rate)
+        decoder = CloudDecoder(modems, loaded.sample_rate)
         report = decoder.decode(samples)
         got = {(r.technology, r.payload) for r in report.results}
         want = {(p.technology, p.payload) for p in loaded.packets}

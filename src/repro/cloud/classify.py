@@ -36,7 +36,7 @@ import numpy as np
 from ..contracts import iq_contract
 from ..dsp.correlation import ScoreBank, top_peaks
 from ..dsp.resample import NativeRateCache, to_rate
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, checked_positive
 from ..gateway.detection import cfar_threshold
 from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
@@ -157,7 +157,7 @@ class SegmentClassifier:
         if not modems:
             raise ConfigurationError("at least one modem is required")
         self.modems = list(modems)
-        self.sample_rate_hz = float(sample_rate_hz)
+        self.sample_rate_hz = checked_positive("sample_rate_hz", sample_rate_hz)
         self.telemetry = telemetry
         # Precompute per-modem sync references once: classify() runs
         # repeatedly (Algorithm 1 re-classifies after every

@@ -41,14 +41,13 @@ cancellation replaces the residual and with it both.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..contracts import ensure_iq, iq_contract
 from ..dsp.resample import NativeRateCache, to_rate
-from ..errors import ConfigurationError, checked_count
+from ..errors import ConfigurationError, checked_count, checked_positive
 from ..phy.base import FrameResult, Modem
 from ..telemetry import NULL, Telemetry
 from ..types import DecodeResult
@@ -143,11 +142,8 @@ class CloudDecoder:
     ):
         if not modems:
             raise ConfigurationError("at least one modem is required")
-        # Written so NaN fails too: every comparison with NaN is false.
-        if not (0 < sample_rate_hz < math.inf):
-            raise ConfigurationError("sample_rate_hz must be positive and finite")
         self.modems = {m.name: m for m in modems}
-        self.sample_rate_hz = float(sample_rate_hz)
+        self.sample_rate_hz = checked_positive("sample_rate_hz", sample_rate_hz)
         self.use_kill_filters = use_kill_filters
         self.max_iterations = checked_count("max_iterations", max_iterations)
         self.sync_retries = checked_count("sync_retries", sync_retries, minimum=0)
@@ -155,18 +151,6 @@ class CloudDecoder:
             modems, sample_rate_hz, telemetry=telemetry
         )
         self.telemetry = telemetry
-
-    @classmethod
-    def galiot(cls, modems: list[Modem], sample_rate_hz: float, **kwargs) -> CloudDecoder:
-        """Full GalioT decoder (kill filters + power-order fallback)."""
-        return cls(modems, sample_rate_hz, use_kill_filters=True, **kwargs)
-
-    @classmethod
-    def sic_baseline(
-        cls, modems: list[Modem], sample_rate_hz: float, **kwargs
-    ) -> CloudDecoder:
-        """The paper's strawman: classic SIC, stop at the first failure."""
-        return cls(modems, sample_rate_hz, use_kill_filters=False, **kwargs)
 
     # -- internals --------------------------------------------------------
 

@@ -34,6 +34,7 @@ from ..dsp.chirp import base_downchirp, base_upchirp
 from ..dsp.filters import blocked_ls_subtract, fft_notch
 from ..errors import ConfigurationError
 from ..phy.base import Modem, ModulationClass
+from ..phy.fsk import FskModem
 from .classify import ClassifiedSignal
 from .sic import GAIN_BLOCK_S
 
@@ -54,7 +55,9 @@ class KillFrequency:
     """Notch out the tone bands of an FSK (or the band of a PSK) signal.
 
     Each notch is :data:`NOTCH_WIDTH_FACTOR` bit rates wide on each
-    side of its tone.
+    side of its tone. An :class:`~repro.phy.fsk.FskModem` places its
+    tones at ±``deviation_hz``; any other FSK-class modem is taken to
+    place them at ±``bandwidth / 2``.
 
     Args:
         modem: The technology to kill (defines tones and widths).
@@ -74,9 +77,11 @@ class KillFrequency:
         rate = self.modem.bit_rate
         width = NOTCH_WIDTH_FACTOR * rate
         if self.modem.modulation is ModulationClass.FSK:
-            deviation = getattr(self.modem, "_deviation", None)
-            if deviation is None:
-                deviation = self.modem.bandwidth / 2
+            deviation = (
+                self.modem.deviation_hz
+                if isinstance(self.modem, FskModem)
+                else self.modem.bandwidth / 2
+            )
             # Cap the half-width at the deviation: a notch wider
             # than the tone spacing stops being surgical and swallows a
             # co-channel spread-spectrum bystander along with the FSK.

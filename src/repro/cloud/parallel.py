@@ -79,7 +79,7 @@ from concurrent.futures import (
 from dataclasses import dataclass
 from typing import Any
 
-from ..errors import ConfigurationError, checked_count
+from ..errors import ConfigurationError, checked_count, checked_positive
 from ..faults import FaultPlan
 from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
@@ -237,8 +237,7 @@ class ParallelCloudService:
     ):
         if not modems:
             raise ConfigurationError("at least one modem is required")
-        if not (0 < sample_rate_hz < math.inf):
-            raise ConfigurationError("sample_rate_hz must be positive and finite")
+        checked_positive("sample_rate_hz", sample_rate_hz)
         workers = checked_count("workers", workers)
         if executor != "process":
             raise ConfigurationError(

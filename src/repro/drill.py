@@ -20,7 +20,7 @@ import numpy as np
 
 from .cloud import CloudResilience, CloudService, CloudStats, ParallelCloudService
 from .cloud.parallel import QuarantinedSegment
-from .errors import ConfigurationError, checked_count
+from .errors import ConfigurationError, checked_count, checked_positive
 from .faults import FaultPlan, build_scenario
 from .gateway import (
     BackhaulLink,
@@ -78,13 +78,8 @@ class DrillScene:
         checked_count("seed", self.seed, minimum=0)
         checked_count("packets", self.packets)
         checked_count("chunk", self.chunk)
-        for name in ("duration_s", "rate_mbps"):
-            value = getattr(self, name)
-            # Written so NaN fails too: every comparison with NaN is false.
-            if not 0 < value < math.inf:
-                raise ConfigurationError(
-                    f"{name} must be positive and finite, got {value!r}"
-                )
+        checked_positive("duration_s", self.duration_s)
+        checked_positive("rate_mbps", self.rate_mbps)
         if not math.isfinite(self.snr_db):
             raise ConfigurationError(f"snr_db must be finite, got {self.snr_db!r}")
         if not self.technologies:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy import signal as sp_signal
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, checked_positive
 
 __all__ = [
     "design_lowpass_fir",
@@ -131,8 +131,7 @@ def _masked(
             or a non-finite band edge (either would silently mask
             nothing).
     """
-    if not 0 < sample_rate_hz < math.inf:
-        raise ConfigurationError("sample_rate_hz must be positive and finite")
+    checked_positive("sample_rate_hz", sample_rate_hz)
     if not all(math.isfinite(edge) for band in bands for edge in band):
         raise ConfigurationError("band edges must be finite")
     n = len(x)

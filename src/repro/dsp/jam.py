@@ -25,15 +25,9 @@ import math
 
 import numpy as np
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, checked_positive
 
 __all__ = ["cw_tone", "swept_tone", "pulsed_noise"]
-
-
-def _require_positive_finite(name: str, value: float) -> None:
-    # Written so NaN fails too: every comparison with NaN is false.
-    if not (0 < value < math.inf):
-        raise ConfigurationError(f"{name} must be positive and finite")
 
 
 def cw_tone(
@@ -56,7 +50,7 @@ def cw_tone(
             negative length, a non-finite phase, or a tone that is NaN or
             outside the representable band.
     """
-    _require_positive_finite("sample_rate_hz", sample_rate_hz)
+    checked_positive("sample_rate_hz", sample_rate_hz)
     if n_samples < 0:
         raise ConfigurationError("n_samples must be >= 0")
     if not math.isfinite(phase_rad):
@@ -90,12 +84,12 @@ def swept_tone(
             finite, a negative length, a non-finite phase, an empty or
             NaN span, or a span outside the representable band.
     """
-    _require_positive_finite("sample_rate_hz", sample_rate_hz)
+    checked_positive("sample_rate_hz", sample_rate_hz)
     if n_samples < 0:
         raise ConfigurationError("n_samples must be >= 0")
     if not f_lo_hz < f_hi_hz:
         raise ConfigurationError("need f_lo_hz < f_hi_hz")
-    _require_positive_finite("period_s", period_s)
+    checked_positive("period_s", period_s)
     if not math.isfinite(phase_rad):
         raise ConfigurationError("phase_rad must be finite")
     if abs(f_lo_hz) > sample_rate_hz / 2 or abs(f_hi_hz) > sample_rate_hz / 2:
@@ -133,10 +127,10 @@ def pulsed_noise(
         ConfigurationError: for a rate or period that is not positive and
             finite, a negative length, or a duty outside ``[0, 1]``.
     """
-    _require_positive_finite("sample_rate_hz", sample_rate_hz)
+    checked_positive("sample_rate_hz", sample_rate_hz)
     if n_samples < 0:
         raise ConfigurationError("n_samples must be >= 0")
-    _require_positive_finite("period_s", period_s)
+    checked_positive("period_s", period_s)
     if not 0.0 <= duty <= 1.0:
         raise ConfigurationError("duty must be in [0, 1]")
     if duty == 0.0 or n_samples == 0:

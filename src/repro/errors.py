@@ -3,13 +3,15 @@
 Every error raised by this package derives from :class:`ReproError`, so
 callers embedding the library can catch a single base class. Subclasses are
 split by subsystem: configuration problems, PHY decode failures, gateway
-resource limits, and registry lookups. :func:`checked_count` is the one
-rule by which a count argument becomes an ``int`` or raises
+resource limits, and registry lookups. :func:`checked_count` and
+:func:`checked_positive` are the rules by which a count argument becomes
+an ``int``, and a rate or period a positive finite ``float``, or raise
 :class:`ConfigurationError`.
 """
 
 from __future__ import annotations
 
+import math
 from numbers import Integral
 
 
@@ -34,6 +36,21 @@ def checked_count(name: str, value: object, minimum: int = 1) -> int:
     if isinstance(value, Integral) and int(value) >= minimum:
         return int(value)
     raise ConfigurationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+
+
+def checked_positive(name: str, value: float) -> float:
+    """``value`` as a positive finite ``float``, such as a sample rate.
+
+    Written so NaN fails too: every comparison with NaN is false, so a
+    bare ``value <= 0`` check admits it.
+
+    Raises:
+        ConfigurationError: for zero, a negative value, inf or NaN,
+            naming ``name``.
+    """
+    if not (0 < value < math.inf):
+        raise ConfigurationError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
 
 
 class DecodeError(ReproError):

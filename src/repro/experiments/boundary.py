@@ -63,7 +63,7 @@ def run_boundary(
                 [lora, xbee], [snr, snr], fs, rng, payload_len=10
             )
             want = {(p.technology, p.payload) for p in truth.packets}
-            report = CloudDecoder.galiot(modems, fs).decode(capture)
+            report = CloudDecoder(modems, fs).decode(capture)
             got = {(r.technology, r.payload) for r in report.results}
             decoded += len(got & want)
             total += len(want)

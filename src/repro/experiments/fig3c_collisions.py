@@ -170,8 +170,8 @@ def run_fig3c(
             frames_all += len(want)
             duration = truth.duration
             for mode, decoder in (
-                ("sic", CloudDecoder.sic_baseline(modems, fs)),
-                ("galiot", CloudDecoder.galiot(modems, fs)),
+                ("sic", CloudDecoder(modems, fs, use_kill_filters=False)),
+                ("galiot", CloudDecoder(modems, fs)),
             ):
                 report = decoder.decode(capture)
                 got = {(r.technology, r.payload) for r in report.results}

@@ -163,8 +163,8 @@ def run_overlap(
             want = {(p.technology, p.payload) for p in truth.packets}
             total += len(want)
             for mode, decoder in (
-                ("sic", CloudDecoder.sic_baseline(modems, fs)),
-                ("galiot", CloudDecoder.galiot(modems, fs)),
+                ("sic", CloudDecoder(modems, fs, use_kill_filters=False)),
+                ("galiot", CloudDecoder(modems, fs)),
             ):
                 report = decoder.decode(capture)
                 got = {(r.technology, r.payload) for r in report.results}

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
 
 from ..dsp.resample import NativeRateCache
-from ..errors import ReproError
+from ..errors import ReproError, checked_positive
 from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
 from ..types import DecodeResult, Segment
@@ -81,7 +81,7 @@ class EdgeDecoder:
         telemetry: Telemetry = NULL,
     ):
         self.modems = list(modems)
-        self.sample_rate_hz = float(sample_rate_hz)
+        self.sample_rate_hz = checked_positive("sample_rate_hz", sample_rate_hz)
         self.telemetry = telemetry
 
     def try_decode(self, segment: Segment) -> EdgeOutcome:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..contracts import iq_contract
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, checked_positive
 from ..phy.base import Modem
 from ..telemetry import NULL, Telemetry
 from ..types import DetectionEvent, Segment
@@ -68,7 +68,7 @@ class SegmentExtractor:
         sample_rate_hz: float,
         telemetry: Telemetry = NULL,
     ):
-        self.sample_rate_hz = float(sample_rate_hz)
+        self.sample_rate_hz = checked_positive("sample_rate_hz", sample_rate_hz)
         self.max_frame = max_frame_samples(modems, sample_rate_hz, TYPICAL_PAYLOAD)
         self.span = math.ceil(SPAN_FACTOR * self.max_frame)
         self.pre = math.ceil(self.span * PRE_FRACTION)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..contracts import iq_contract
 from ..dsp.impairments import output_buffer
-from ..errors import CapacityError, ConfigurationError
+from ..errors import CapacityError, ConfigurationError, checked_positive
 from ..guard import DecodeGuard
 from ..phy.base import Modem
 from ..sensing.jamming import JammingDetector, JammingEvent
@@ -127,9 +127,9 @@ class GalioTGateway:
             spill-and-retry shipping instead of drop-on-overload.
         degradation: Optional
             :class:`~repro.gateway.resilience.DegradationLadder`; under
-            sustained backpressure (resilient backhaul only) shipping
-            degrades full -> compressed -> metadata-only and recovers
-            when the link heals.
+            sustained backpressure shipping degrades full -> compressed
+            -> metadata-only and recovers when the link heals. It reads
+            the pressure of a ``ResilientBackhaul``, so it needs one.
         jamming: Optional
             :class:`~repro.sensing.jamming.JammingDetector` fed every
             front-end sample; its events land in the report and its
@@ -142,6 +142,11 @@ class GalioTGateway:
         telemetry: Metrics sink threaded through every stage (the
             shared no-op by default).
         detector_kwargs: Extra arguments for the chosen detector.
+
+    Raises:
+        ConfigurationError: for a sample rate that is not positive and
+            finite, a ``degradation`` ladder without a
+            ``ResilientBackhaul``, or an unknown ``detector``.
     """
 
     def __init__(
@@ -159,8 +164,12 @@ class GalioTGateway:
         telemetry: Telemetry | None = None,
         **detector_kwargs,
     ):
+        if degradation is not None and not isinstance(backhaul, ResilientBackhaul):
+            raise ConfigurationError(
+                "a degradation ladder needs a ResilientBackhaul to read pressure from"
+            )
         self.modems = list(modems)
-        self.sample_rate_hz = float(sample_rate_hz)
+        self.sample_rate_hz = checked_positive("sample_rate_hz", sample_rate_hz)
         self.front_end = front_end
         self.use_edge = use_edge
         self.telemetry = telemetry if telemetry is not None else NULL
@@ -309,7 +318,7 @@ class GalioTGateway:
         at_time = segment.start / self.sample_rate_hz
         resilient = isinstance(self.backhaul, ResilientBackhaul)
         level = DegradationLadder.FULL
-        if self.degradation is not None and resilient:
+        if self.degradation is not None:
             pressure = self.backhaul.pressure(at_time)
             if self.jamming is not None:
                 jam = self.jamming.pressure_at(at_time)

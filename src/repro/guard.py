@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, checked_positive
 from .telemetry import NULL, Telemetry
 from .types import DecodeResult
 
@@ -115,8 +115,7 @@ class DecodeGuard:
     ) -> list[DecodeResult]:
         """Admit a batch, deriving each frame's time from its capture
         start index."""
-        if sample_rate_hz <= 0:
-            raise ConfigurationError("sample_rate_hz must be positive")
+        checked_positive("sample_rate_hz", sample_rate_hz)
         return [
             r for r in results if self.admit(r, r.start / sample_rate_hz)
         ]

@@ -22,9 +22,9 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import ChecksumError, ConfigurationError
-from ...phy.base import FrameResult, Modem, ModulationClass
-from ...phy.frames import checked_sync_threshold, sample_sync
-from ...phy.fsk import fsk_demodulate_bits, fsk_frequency_track, fsk_modulate
+from ...phy.base import FrameResult
+from ...phy.frames import sample_sync
+from ...phy.fsk import FskModem
 from ...utils.bits import bits_to_bytes, bytes_to_bits
 from ...utils.crc import CrcEngine
 from ...utils.whitening import LfsrWhitener
@@ -37,11 +37,10 @@ _CRC24 = CrcEngine(width=24, poly=0x00065B, init=0x555555)
 _WHITEN_SEED_CH37 = 0x65  # bit6 set | channel index 37
 
 
-class BleModem(Modem):
+class BleModem(FskModem):
     """BLE LE-1M style GFSK modem on the advertising channel."""
 
     name = "ble"
-    modulation = ModulationClass.FSK
 
     def __init__(
         self,
@@ -51,30 +50,7 @@ class BleModem(Modem):
         bt: float = 0.5,
         sync_threshold: float = 0.40,
     ):
-        if sps < 2:
-            raise ConfigurationError("sps must be >= 2")
-        self._bit_rate = float(bit_rate)
-        self._sps = int(sps)
-        self._deviation = float(deviation_hz)
-        self._bt = float(bt)
-        self._threshold = checked_sync_threshold(sync_threshold)
-
-    @property
-    def sample_rate(self) -> float:
-        return self._bit_rate * self._sps
-
-    @property
-    def bandwidth(self) -> float:
-        return 2 * (self._deviation + self._bit_rate / 2)
-
-    @property
-    def bit_rate(self) -> float:
-        return self._bit_rate
-
-    @property
-    def sps(self) -> int:
-        """Samples per bit at the native rate."""
-        return self._sps
+        super().__init__(bit_rate, sps, deviation_hz, bt, sync_threshold)
 
     @property
     def sync_block(self) -> int:
@@ -86,11 +62,6 @@ class BleModem(Modem):
         return 37  # legacy advertising PDU payload limit
 
     # -- waveforms -------------------------------------------------------
-
-    def _wave(self, bits) -> np.ndarray:
-        return fsk_modulate(
-            bits, self._sps, self._deviation, self.sample_rate, bt=self._bt
-        )
 
     def _whitener(self) -> LfsrWhitener:
         return LfsrWhitener(taps=(7, 4), seed=_WHITEN_SEED_CH37)
@@ -129,7 +100,7 @@ class BleModem(Modem):
             iq,
             self.sync_reference(),
             self._threshold,
-            block=4 * self._sps,
+            block=self.sync_block,
             stride=max(self._sps // 4, 1),
         )
         # Frame-sized slice: bound the discriminator's filtering work.
@@ -138,12 +109,9 @@ class BleModem(Modem):
         frame_start, start = start, 0
         # One discriminator pass over the bound slice feeds both the
         # header read and the full-body read.
-        track = fsk_frequency_track(iq, self.sample_rate, self._sps, self.bandwidth)
+        track = self._track(iq)
         body_at = start + 8 * (len(_PREAMBLE) + len(_ACCESS_ADDRESS)) * self._sps
-        head_bits = fsk_demodulate_bits(
-            iq, body_at, 16, self._sps, self.sample_rate,
-            bandwidth_hz=self.bandwidth, track=track,
-        )
+        head_bits = self._read(iq, track, body_at, 16)
         header = self._whitener().whiten_bytes(
             bits_to_bytes(head_bits, msb_first=False)
         )
@@ -151,10 +119,7 @@ class BleModem(Modem):
         if length > self.max_payload:
             raise ChecksumError(f"implausible BLE PDU length {length}")
         total = 2 + length + 3  # header + payload + CRC24
-        body_bits = fsk_demodulate_bits(
-            iq, body_at, 8 * total, self._sps, self.sample_rate,
-            bandwidth_hz=self.bandwidth, track=track,
-        )
+        body_bits = self._read(iq, track, body_at, 8 * total)
         body = self._whitener().whiten_bytes(
             bits_to_bytes(body_bits, msb_first=False)
         )

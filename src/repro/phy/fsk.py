@@ -1,4 +1,4 @@
-"""Continuous-phase (G)FSK modulation core.
+"""Continuous-phase (G)FSK modulation core and the FSK modem base.
 
 Shared by the XBee (802.15.4-SUN style GFSK), Z-Wave (G.9959 BFSK) and BLE
 modems. Modulation is proper CPM: the instantaneous frequency waveform
@@ -8,6 +8,10 @@ emitted signal has constant envelope exactly like the hardware radios.
 Demodulation uses a quadrature discriminator followed by a bit-matched
 moving average and mid-bit sampling; frame-level synchronization is done
 by the caller (sample-domain preamble correlation).
+
+:class:`FskModem` holds what every FSK technology shares: the rate,
+tones and pulse shape, the waveform, and the discriminator track and bit
+reads. A technology subclasses it and declares only its framing.
 """
 
 from __future__ import annotations
@@ -23,8 +27,11 @@ from ..dsp.filters import design_lowpass_fir, gaussian_pulse
 from ..dsp.fm import quadrature_demod
 from ..errors import ConfigurationError
 from ..utils.bits import as_bit_array
+from .base import Modem, ModulationClass
+from .frames import checked_sync_threshold
 
 __all__ = [
+    "FskModem",
     "fsk_modulate",
     "fsk_demodulate_bits",
     "fsk_frequency_track",
@@ -169,3 +176,98 @@ def fsk_demodulate_bits(
         track = fsk_frequency_track(iq, sample_rate_hz, sps, bandwidth_hz)
     centers = start + np.arange(n_bits) * sps + sps // 2
     return (track[centers] > threshold_hz).astype(np.uint8)
+
+
+class FskModem(Modem):
+    """A continuous-phase 2-(G)FSK modem: one rate, two tones, one
+    discriminator.
+
+    A technology subclasses it with its own defaulted constructor and
+    declares only its framing: the preamble and sync word, the frame
+    layout, its sync geometry and :meth:`demodulate`, which reads its
+    fields with :meth:`_track` and :meth:`_read`.
+
+    Args:
+        bit_rate: On-air bit rate.
+        sps: Samples per bit (native rate = ``bit_rate * sps``).
+        deviation_hz: Peak frequency deviation; the tones sit at
+            ±``deviation_hz``.
+        bt: Gaussian bandwidth-time product, or ``None`` for plain
+            rectangular 2-FSK.
+        sync_threshold: Normalized correlation needed to declare sync.
+    """
+
+    modulation = ModulationClass.FSK
+
+    def __init__(
+        self,
+        bit_rate: float,
+        sps: int,
+        deviation_hz: float,
+        bt: float | None,
+        sync_threshold: float,
+    ):
+        if sps < 2:
+            raise ConfigurationError("sps must be >= 2")
+        self._bit_rate = float(bit_rate)
+        self._sps = int(sps)
+        self._deviation = float(deviation_hz)
+        self._bt = None if bt is None else float(bt)
+        self._threshold = checked_sync_threshold(sync_threshold)
+
+    # -- characteristics ---------------------------------------------------
+
+    @property
+    def sample_rate(self) -> float:
+        return self._bit_rate * self._sps
+
+    @property
+    def bandwidth(self) -> float:
+        # Carson's rule for 2-FSK: 2 * (deviation + bit_rate / 2).
+        return 2 * (self._deviation + self._bit_rate / 2)
+
+    @property
+    def bit_rate(self) -> float:
+        return self._bit_rate
+
+    @property
+    def sps(self) -> int:
+        """Samples per bit at the native rate."""
+        return self._sps
+
+    @property
+    def deviation_hz(self) -> float:
+        """Peak frequency deviation: the tones KILL-FREQUENCY notches."""
+        return self._deviation
+
+    # -- waveform and reads --------------------------------------------------
+
+    def _wave(self, bits) -> np.ndarray:
+        return fsk_modulate(
+            bits, self._sps, self._deviation, self.sample_rate, bt=self._bt
+        )
+
+    def _track(self, iq: np.ndarray) -> np.ndarray:
+        """Channel-filtered discriminator track of ``iq``."""
+        return fsk_frequency_track(iq, self.sample_rate, self._sps, self.bandwidth)
+
+    def _read(
+        self,
+        iq: np.ndarray,
+        track: np.ndarray,
+        at: int,
+        n_bits: int,
+        cfo_hz: float = 0.0,
+    ) -> np.ndarray:
+        """``n_bits`` bits from sample ``at`` of ``iq``, read off its
+        ``track`` against a carrier offset of ``cfo_hz``."""
+        return fsk_demodulate_bits(
+            iq, at, n_bits, self._sps, self.sample_rate,
+            threshold_hz=cfo_hz, bandwidth_hz=self.bandwidth, track=track,
+        )
+
+    def _preamble_cfo(self, track: np.ndarray, preamble_bytes: int) -> float:
+        """Carrier offset: the mean frequency over the alternating
+        preamble at the start of ``track``."""
+        window = track[: 8 * preamble_bytes * self._sps]
+        return float(np.mean(window)) if len(window) else 0.0

@@ -19,14 +19,9 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import ChecksumError, ConfigurationError
-from ...phy.base import FrameResult, Modem, ModulationClass
-from ...phy.frames import checked_sync_threshold, sample_sync
-from ...phy.fsk import (
-    fsk_demodulate_bits,
-    fsk_frequency_track,
-    fsk_modulate,
-    track_margin,
-)
+from ...phy.base import FrameResult
+from ...phy.frames import sample_sync
+from ...phy.fsk import FskModem, track_margin
 from ...utils.bits import bits_to_bytes, bits_to_int, bytes_to_bits, int_to_bits
 from ...utils.crc import CRC16_CCITT
 from ...utils.whitening import Pn9Whitener
@@ -37,7 +32,7 @@ _PREAMBLE = bytes([0x55] * 4)
 _SFD = bytes([0x90, 0x4E])
 
 
-class XBeeModem(Modem):
+class XBeeModem(FskModem):
     """XBee-868 style GFSK modem.
 
     Args:
@@ -51,7 +46,6 @@ class XBeeModem(Modem):
     """
 
     name = "xbee"
-    modulation = ModulationClass.FSK
 
     def __init__(
         self,
@@ -61,40 +55,15 @@ class XBeeModem(Modem):
         bt: float = 0.5,
         sync_threshold: float = 0.35,
     ):
-        if sps < 2:
-            raise ConfigurationError("sps must be >= 2")
-        self._bit_rate = float(bit_rate)
-        self._sps = int(sps)
-        self._deviation = float(deviation_hz)
-        self._bt = None if bt is None else float(bt)
-        self._threshold = checked_sync_threshold(sync_threshold)
+        super().__init__(bit_rate, sps, deviation_hz, bt, sync_threshold)
         self._whitener = Pn9Whitener()
 
     # -- characteristics ---------------------------------------------------
 
     @property
-    def sample_rate(self) -> float:
-        return self._bit_rate * self._sps
-
-    @property
-    def bandwidth(self) -> float:
-        # Carson's rule for 2-FSK: 2 * (deviation + bit_rate / 2).
-        return 2 * (self._deviation + self._bit_rate / 2)
-
-    @property
-    def bit_rate(self) -> float:
-        return self._bit_rate
-
-    @property
-    def sps(self) -> int:
-        """Samples per bit at the native rate."""
-        return self._sps
-
-    @property
     def sync_block(self) -> int:
         """2-bit coherent blocks tolerate ppm-scale CFO."""
         return 2 * self._sps
-
 
     @property
     def sync_decimation(self) -> int:
@@ -106,11 +75,6 @@ class XBeeModem(Modem):
         return 125  # PHR length covers payload + CRC, capped at 127
 
     # -- waveforms -----------------------------------------------------------
-
-    def _wave(self, bits) -> np.ndarray:
-        return fsk_modulate(
-            bits, self._sps, self._deviation, self.sample_rate, bt=self._bt
-        )
 
     def preamble_waveform(self) -> np.ndarray:
         """Waveform of the 4-byte 0x55 preamble."""
@@ -135,18 +99,13 @@ class XBeeModem(Modem):
 
     # -- demodulation ----------------------------------------------------------
 
-    def _estimate_cfo(self, track: np.ndarray, start: int) -> float:
-        """Mean frequency over the alternating preamble = carrier offset."""
-        window = track[start : start + 8 * len(_PREAMBLE) * self._sps]
-        return float(np.mean(window)) if len(window) else 0.0
-
     def demodulate(self, iq: np.ndarray) -> FrameResult:
         iq = np.asarray(iq, dtype=np.complex128)
         start, score = sample_sync(
             iq,
             self.sync_reference(),
             self._threshold,
-            block=2 * self._sps,
+            block=self.sync_block,
             stride=max(self._sps // 10, 1),
         )
         iq = iq[start:]
@@ -157,25 +116,15 @@ class XBeeModem(Modem):
         # the header track feeds the CFO estimate and the PHR read, and
         # the frame track, sized by the PHR, feeds the PSDU read.
         head = iq[: psdu_at + margin]
-        head_track = fsk_frequency_track(
-            head, self.sample_rate, self._sps, self.bandwidth
-        )
-        cfo = self._estimate_cfo(head_track, 0)
-        phr = fsk_demodulate_bits(
-            head, phr_at, 8, self._sps, self.sample_rate,
-            threshold_hz=cfo, bandwidth_hz=self.bandwidth, track=head_track,
-        )
+        head_track = self._track(head)
+        cfo = self._preamble_cfo(head_track, len(_PREAMBLE))
+        phr = self._read(head, head_track, phr_at, 8, cfo)
         psdu_len = bits_to_int(phr)
         if psdu_len < 2 or psdu_len > self.max_payload + 2:
             raise ChecksumError(f"implausible PHR length {psdu_len}")
         frame = iq[: psdu_at + 8 * psdu_len * self._sps + margin]
-        frame_track = fsk_frequency_track(
-            frame, self.sample_rate, self._sps, self.bandwidth
-        )
-        psdu_bits = fsk_demodulate_bits(
-            frame, psdu_at, 8 * psdu_len, self._sps, self.sample_rate,
-            threshold_hz=cfo, bandwidth_hz=self.bandwidth, track=frame_track,
-        )
+        frame_track = self._track(frame)
+        psdu_bits = self._read(frame, frame_track, psdu_at, 8 * psdu_len, cfo)
         psdu = self._whitener.whiten_bytes(bits_to_bytes(psdu_bits))
         crc_ok = CRC16_CCITT.check(psdu)
         return FrameResult(

@@ -16,14 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import ChecksumError, ConfigurationError
-from ...phy.base import FrameResult, Modem, ModulationClass
-from ...phy.frames import checked_sync_threshold, sample_sync
-from ...phy.fsk import (
-    fsk_demodulate_bits,
-    fsk_frequency_track,
-    fsk_modulate,
-    track_margin,
-)
+from ...phy.base import FrameResult
+from ...phy.frames import sample_sync
+from ...phy.fsk import FskModem, track_margin
 from ...utils.bits import bits_to_bytes, bits_to_int, bytes_to_bits
 from ...utils.crc import xor_checksum
 
@@ -33,7 +28,7 @@ _SOF = 0xF0
 _MPDU_OVERHEAD = 4 + 1 + 2 + 1 + 1 + 1  # home, src, fc, length, dst, checksum
 
 
-class ZWaveModem(Modem):
+class ZWaveModem(FskModem):
     """G.9959 BFSK modem (R2 data rate).
 
     Args:
@@ -47,7 +42,6 @@ class ZWaveModem(Modem):
     """
 
     name = "zwave"
-    modulation = ModulationClass.FSK
 
     def __init__(
         self,
@@ -60,45 +54,23 @@ class ZWaveModem(Modem):
         dst: int = 0x02,
         sync_threshold: float = 0.35,
     ):
-        if sps < 2:
-            raise ConfigurationError("sps must be >= 2")
+        # G.9959 R2 is unshaped NRZ BFSK: no Gaussian filter (bt=None).
+        super().__init__(bit_rate, sps, deviation_hz, None, sync_threshold)
         if preamble_bytes < 2:
             raise ConfigurationError("preamble must be at least 2 bytes")
         if len(home_id) != 4:
             raise ConfigurationError("home_id must be 4 bytes")
-        self._bit_rate = float(bit_rate)
-        self._sps = int(sps)
-        self._deviation = float(deviation_hz)
         self._preamble = bytes([0x55] * preamble_bytes)
         self._home_id = bytes(home_id)
         self._src = int(src) & 0xFF
         self._dst = int(dst) & 0xFF
-        self._threshold = checked_sync_threshold(sync_threshold)
 
     # -- characteristics ---------------------------------------------------
-
-    @property
-    def sample_rate(self) -> float:
-        return self._bit_rate * self._sps
-
-    @property
-    def bandwidth(self) -> float:
-        return 2 * (self._deviation + self._bit_rate / 2)
-
-    @property
-    def bit_rate(self) -> float:
-        return self._bit_rate
-
-    @property
-    def sps(self) -> int:
-        """Samples per bit at the native rate."""
-        return self._sps
 
     @property
     def sync_block(self) -> int:
         """2-symbol coherent blocks tolerate ppm-scale CFO."""
         return 2 * self._sps
-
 
     @property
     def sync_decimation(self) -> int:
@@ -111,23 +83,6 @@ class ZWaveModem(Modem):
         return 255 - _MPDU_OVERHEAD
 
     # -- waveforms -----------------------------------------------------------
-
-    def _wave(self, bits) -> np.ndarray:
-        return fsk_modulate(bits, self._sps, self._deviation, self.sample_rate, bt=None)
-
-    def _read_bits(
-        self,
-        iq: np.ndarray,
-        at: int,
-        n_bits: int,
-        cfo: float,
-        track: np.ndarray,
-    ) -> np.ndarray:
-        """Demodulate ``n_bits`` data bits starting at sample ``at``."""
-        return fsk_demodulate_bits(
-            iq, at, n_bits, self._sps, self.sample_rate,
-            threshold_hz=cfo, bandwidth_hz=self.bandwidth, track=track,
-        )
 
     def preamble_waveform(self) -> np.ndarray:
         """Waveform of the 0x55 preamble run."""
@@ -155,18 +110,13 @@ class ZWaveModem(Modem):
 
     # -- demodulation ----------------------------------------------------------
 
-    def _estimate_cfo(self, track: np.ndarray, start: int) -> float:
-        """Mean frequency over the alternating preamble = carrier offset."""
-        window = track[start : start + 8 * len(self._preamble) * self._sps]
-        return float(np.mean(window)) if len(window) else 0.0
-
     def demodulate(self, iq: np.ndarray) -> FrameResult:
         iq = np.asarray(iq, dtype=np.complex128)
         start, score = sample_sync(
             iq,
             self.sync_reference(),
             self._threshold,
-            block=2 * self._sps,
+            block=self.sync_block,
             stride=max(self._sps // 10, 1),
         )
         iq = iq[start:]
@@ -178,19 +128,15 @@ class ZWaveModem(Modem):
         # that length, feeds the MPDU read.
         fixed = 4 + 1 + 2 + 1  # home + src + fc + length
         head = iq[: mpdu_at + 8 * fixed * self._sps + margin]
-        head_track = fsk_frequency_track(
-            head, self.sample_rate, self._sps, self.bandwidth
-        )
-        cfo = self._estimate_cfo(head_track, 0)
-        head_bits = self._read_bits(head, mpdu_at, 8 * fixed, cfo, head_track)
+        head_track = self._track(head)
+        cfo = self._preamble_cfo(head_track, len(self._preamble))
+        head_bits = self._read(head, head_track, mpdu_at, 8 * fixed, cfo)
         length = bits_to_int(head_bits[-8:])
         if length < _MPDU_OVERHEAD or length > 255:
             raise ChecksumError(f"implausible MPDU length {length}")
         frame = iq[: mpdu_at + 8 * length * self._sps + margin]
-        frame_track = fsk_frequency_track(
-            frame, self.sample_rate, self._sps, self.bandwidth
-        )
-        mpdu_bits = self._read_bits(frame, mpdu_at, 8 * length, cfo, frame_track)
+        frame_track = self._track(frame)
+        mpdu_bits = self._read(frame, frame_track, mpdu_at, 8 * length, cfo)
         mpdu = bits_to_bytes(mpdu_bits)
         # A frame of another network is not this network's frame, even
         # when its 8-bit checksum (1 in 256 for any bits) matches.

@@ -27,13 +27,12 @@ drowning the backhaul in garbage segments.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..contracts import iq_contract
-from ..errors import ConfigurationError
+from ..errors import checked_positive
 from ..telemetry import NULL, Telemetry
 
 __all__ = ["JammingEvent", "JammingDetector"]
@@ -128,10 +127,7 @@ class JammingDetector:
         sample_rate_hz: float,
         telemetry: Telemetry | None = None,
     ):
-        # Written so NaN fails too: every comparison with NaN is false.
-        if not (0 < sample_rate_hz < math.inf):
-            raise ConfigurationError("sample_rate_hz must be positive and finite")
-        self.sample_rate_hz = float(sample_rate_hz)
+        self.sample_rate_hz = checked_positive("sample_rate_hz", sample_rate_hz)
         self.block = max(int(round(BLOCK_S * sample_rate_hz)), 8)
         self.telemetry = telemetry if telemetry is not None else NULL
         self.reset()

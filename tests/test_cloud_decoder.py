@@ -41,13 +41,13 @@ class TestNoCollisionPath:
         builder = SceneBuilder(FS, 0.08)
         builder.add_packet(zwave, b"solo", 3000, 15, rng)
         capture, truth = builder.render(rng)
-        report = CloudDecoder.galiot(trio, FS).decode(capture)
+        report = CloudDecoder(trio, FS).decode(capture)
         assert _got(report) == _want(truth)
         assert report.results[0].method == "sic"
 
     def test_empty_segment(self, trio, rng):
         noise = (rng.normal(size=150_000) + 1j * rng.normal(size=150_000)) / 2
-        report = CloudDecoder.galiot(trio, FS).decode(noise)
+        report = CloudDecoder(trio, FS).decode(noise)
         assert report.results == []
 
 
@@ -57,7 +57,7 @@ class TestCollisionDecoding:
         capture, truth = packet_scene(
             [by["lora"], by["xbee"]], [12, 12], FS, rng, payload_len=10
         )
-        report = CloudDecoder.galiot(trio, FS).decode(capture)
+        report = CloudDecoder(trio, FS).decode(capture)
         assert _got(report) >= _want(truth)
 
     def test_sic_baseline_stops_on_failure(self, trio, rng):
@@ -67,7 +67,7 @@ class TestCollisionDecoding:
         capture, truth = packet_scene(
             [by["xbee"], by["zwave"]], [12, 12], FS, rng, payload_len=10
         )
-        report = CloudDecoder.sic_baseline(trio, FS).decode(capture)
+        report = CloudDecoder(trio, FS, use_kill_filters=False).decode(capture)
         assert len(report.results) <= 1
 
     def test_galiot_beats_baseline_with_cfo(self, trio, rng):
@@ -88,8 +88,8 @@ class TestCollisionDecoding:
                 cfo_ppm_range=2.0,
             )
             want = _want(truth)
-            galiot = _got(CloudDecoder.galiot(trio, FS).decode(capture))
-            sic = _got(CloudDecoder.sic_baseline(trio, FS).decode(capture))
+            galiot = _got(CloudDecoder(trio, FS).decode(capture))
+            sic = _got(CloudDecoder(trio, FS, use_kill_filters=False).decode(capture))
             wins += len(galiot & want) >= len(sic & want)
         assert wins == trials
 
@@ -106,7 +106,7 @@ class TestCollisionDecoding:
                 snr_mode="capture",
                 cfo_ppm_range=2.0,
             )
-            report = CloudDecoder.galiot(trio, FS).decode(capture)
+            report = CloudDecoder(trio, FS).decode(capture)
             if any(r.method.startswith("kill-") for r in report.results):
                 found_kill = True
                 break
@@ -122,7 +122,7 @@ class TestCollisionDecoding:
             payload_len=10,
             snr_mode="capture",
         )
-        report = CloudDecoder.galiot(trio, FS).decode(capture)
+        report = CloudDecoder(trio, FS).decode(capture)
         assert len(report.results) == 2
         assert report.results[0].technology == "lora"  # the stronger
 
@@ -138,12 +138,12 @@ class TestCollisionDecoding:
         builder.add_packet(oq, b"loud-dsss", 1000, 42, rng, snr_mode="capture")
         builder.add_packet(ble, b"quiet-ble", 1200, 22, rng, snr_mode="capture")
         capture, truth = builder.render(rng)
-        report = CloudDecoder.galiot([oq, ble], fs).decode(capture)
+        report = CloudDecoder([oq, ble], fs).decode(capture)
         assert _got(report) >= _want(truth)
 
     def test_iteration_bound_respected(self, trio, rng):
         noise = (rng.normal(size=200_000) + 1j * rng.normal(size=200_000)) / 2
-        decoder = CloudDecoder.galiot(trio, FS, max_iterations=2)
+        decoder = CloudDecoder(trio, FS, max_iterations=2)
         report = decoder.decode(noise)  # must terminate promptly
         assert report.kill_invocations < 20
 
@@ -202,7 +202,7 @@ class TestEngineEquivalence:
                 [by["lora"], by["xbee"]], [12, 12], FS, rng, payload_len=8
             )[0]
         )
-        on_reports = [CloudDecoder.galiot(trio, FS).decode(c) for c in captures]
+        on_reports = [CloudDecoder(trio, FS).decode(c) for c in captures]
         for module in (sic, correlation):
             monkeypatch.setattr(
                 module,
@@ -213,7 +213,7 @@ class TestEngineEquivalence:
                     _fallback_accumulate(x, bank, specs)
                 ),
             )
-        off_decoder = CloudDecoder.galiot(trio, FS)
+        off_decoder = CloudDecoder(trio, FS)
         for capture, on_report in zip(captures, on_reports, strict=True):
             off_report = off_decoder.decode(capture)
             assert on_report.results
@@ -284,7 +284,12 @@ class TestNeverTwice:
             monkeypatch.setattr(cls, "apply", logged_apply)
         for flavour, expected in self.GOLDEN_WORK.items():
             telemetry = Telemetry()
-            cloud = getattr(CloudDecoder, flavour)(modems, FS, telemetry=telemetry)
+            cloud = CloudDecoder(
+                modems,
+                FS,
+                use_kill_filters=flavour == "galiot",
+                telemetry=telemetry,
+            )
             work = []
             for segment in segments:
                 attempts.clear()
@@ -342,7 +347,7 @@ class TestSameFrameRule:
         """Decode with ``candidates`` from every classify pass and each
         technology's attempts returning ``frames[technology]`` in turn
         (``None`` is a miss); returns the report and the attempts."""
-        cloud = CloudDecoder.galiot(trio, FS)
+        cloud = CloudDecoder(trio, FS)
         attempts = []
 
         def fake_try(modem, samples, *args, **kwargs):

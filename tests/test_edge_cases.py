@@ -12,6 +12,7 @@ import pytest
 from repro.cloud import CloudDecoder, SegmentClassifier
 from repro.errors import ConfigurationError, ReproError
 from repro.gateway import (
+    EdgeDecoder,
     EnergyDetector,
     GalioTGateway,
     SegmentCodec,
@@ -19,6 +20,7 @@ from repro.gateway import (
     UniversalPreamble,
     UniversalPreambleDetector,
 )
+from repro.guard import DecodeGuard
 from repro.net import SceneBuilder
 from repro.phy import create_modem
 from repro.types import Segment
@@ -50,7 +52,7 @@ class TestTinyInputs:
         assert found == []
 
     def test_decoder_on_short_segment(self, trio):
-        report = CloudDecoder.galiot(trio, FS).decode(np.zeros(64, complex))
+        report = CloudDecoder(trio, FS).decode(np.zeros(64, complex))
         assert report.results == []
 
     def test_extractor_event_at_zero(self, trio, rng):
@@ -82,7 +84,7 @@ class TestExtremeAmplitudes:
         builder = SceneBuilder(FS, 0.1, noise_power=1e-12)
         builder.add_packet(trio[1], b"cold", 9_000, 30, rng, snr_mode="capture")
         capture, _ = builder.render(rng)
-        report = CloudDecoder.galiot(trio, FS).decode(capture * 1e-3)
+        report = CloudDecoder(trio, FS).decode(capture * 1e-3)
         assert any(r.payload == b"cold" for r in report.results)
 
 
@@ -94,6 +96,26 @@ class TestBadArguments:
     def test_scene_negative_noise_rejected(self):
         with pytest.raises(ConfigurationError):
             SceneBuilder(FS, 0.1, noise_power=-1.0)
+
+    @pytest.mark.parametrize(
+        "sample_rate_hz", [float("nan"), float("inf"), 0.0, -1.0]
+    )
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            GalioTGateway,
+            SegmentExtractor,
+            EdgeDecoder,
+            SegmentClassifier,
+            lambda modems, sample_rate_hz: DecodeGuard().filter([], sample_rate_hz),
+        ],
+        ids=["gateway", "extractor", "edge", "classifier", "guard"],
+    )
+    def test_sample_rate_must_be_positive_and_finite(self, trio, entry, sample_rate_hz):
+        # A NaN rate makes every frame's time NaN, and no NaN time falls
+        # inside the guard's windows: it would admit every replay.
+        with pytest.raises(ConfigurationError):
+            entry(trio, sample_rate_hz)
 
     def test_demodulate_on_empty_raises_cleanly(self, trio):
         for modem in trio:

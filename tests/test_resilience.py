@@ -319,6 +319,15 @@ def _noise_segment(start: int, n: int, rng, score: float = 1.0) -> Segment:
 
 
 class TestGatewayIntegration:
+    @pytest.mark.parametrize(
+        "backhaul", [None, BackhaulLink(rate_bps=1e3)], ids=["none", "plain"]
+    )
+    def test_degradation_ladder_needs_a_resilient_backhaul(self, trio, backhaul):
+        # The ladder reads a ResilientBackhaul's pressure; beside any
+        # other backhaul it would never leave level 0.
+        with pytest.raises(ConfigurationError):
+            GalioTGateway(trio, FS, backhaul=backhaul, degradation=DegradationLadder())
+
     def test_degradation_ladder_walks_down_and_accounts(self, trio, rng):
         plan = FaultPlan(outages=(OutageWindow(0.0, 0.5),))
         telemetry = Telemetry()
